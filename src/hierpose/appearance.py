@@ -37,6 +37,8 @@ __all__ = [
     "log_part_prob",
     "log_pose_prob_atomic",
     "log_pose_prob_composite",
+    "log_type_prob_atomic",
+    "log_type_prob_composite",
     "top_peaks",
     "orientation_bin",
     "fit_relation_clusters",
@@ -128,17 +130,23 @@ class ScoreMapStack:
     def nearest_scale_index(self, scale: float) -> int:
         return int(np.argmin(np.abs(self._scale_values - scale)))
 
-    def channel(self, part: int, type_id: int, scale_index: int = 0) -> np.ndarray:
-        row = self._channel_rows[scale_index].get((part, type_id))
-        if row is None:
-            raise KeyError(f"no channel for part {part}, type {type_id}")
-        return self.scales[scale_index].atomic[row]
+    def nearest_scale_indices(self, scales: np.ndarray) -> np.ndarray:
+        """`nearest_scale_index` of every element of a 1-D array."""
+        return np.argmin(np.abs(self._scale_values[None, :] - scales[:, None]), axis=1)
 
-    def type_count(self, part: int, scale_index: int = 0) -> int:
-        rows = self._part_rows[scale_index].get(part)
-        if rows is None:
-            raise KeyError(f"no channels for part {part}")
-        return len(rows)
+    def channel(self, part: int, type_id: int, scale_index: int = 0) -> np.ndarray:
+        return self.scales[scale_index].atomic[self.channel_rows(part, [type_id], scale_index)[0]]
+
+    def channel_rows(self, part: int, type_ids, scale_index: int = 0) -> np.ndarray:
+        """Atomic-tensor rows of the (part, type) channels, one per type id."""
+        types, inverse = np.unique(np.asarray(type_ids, dtype=np.int64), return_inverse=True)
+        rows = []
+        for type_id in types.tolist():
+            row = self._channel_rows[scale_index].get((part, type_id))
+            if row is None:
+                raise KeyError(f"no channel for part {part}, type {type_id}")
+            rows.append(row)
+        return np.array(rows, dtype=np.intp)[inverse]
 
     def marginal(self, part: int, scale_index: int = 0) -> np.ndarray:
         """p(part | pixel): type channels summed, as float64."""
@@ -263,55 +271,83 @@ def load_score_maps(path, tol: float = 1e-3) -> ScoreMapStack:
 # -- probability lookups ----------------------------------------------------
 
 
-def _pixel(point, shape: tuple[int, int]) -> tuple[int, int] | None:
-    """Nearest-pixel (row, col) for an (x, y) point, or None when off-grid."""
-    x, y = float(point[0]), float(point[1])
-    col = math.floor(x + 0.5)
-    row = math.floor(y + 0.5)
-    if 0 <= row < shape[0] and 0 <= col < shape[1]:
-        return row, col
-    return None
+def _pixels(points: np.ndarray, shape: tuple[int, int]):
+    """Nearest-pixel rows and cols of the on-grid (x, y) points, and the mask
+    of which points are on the grid."""
+    cols = np.floor(points[:, 0] + 0.5)
+    rows = np.floor(points[:, 1] + 0.5)
+    inside = (rows >= 0) & (rows < shape[0]) & (cols >= 0) & (cols < shape[1])
+    return rows[inside].astype(np.intp), cols[inside].astype(np.intp), inside
 
 
 def log_part_prob(stack: ScoreMapStack, part: int, point, scale: float) -> float:
     """log p(part | pixel), marginalized over relation types; floored."""
     idx = stack.nearest_scale_index(scale)
-    pix = _pixel(point, stack.scales[idx].grid_shape)
-    if pix is None:
+    rows, cols, inside = _pixels(np.asarray(point, dtype=float).reshape(1, 2),
+                                 stack.scales[idx].grid_shape)
+    if not inside[0]:
         return LOG_FLOOR
-    return float(stack.log_marginal(part, idx)[pix])
+    return float(stack.log_marginal(part, idx)[rows[0], cols[0]])
+
+
+def log_type_prob_atomic(
+    stack: ScoreMapStack, part: int, labels, points, scale_index
+) -> np.ndarray:
+    """Per row: floored log p(label | part, pixel) at an atomic part's point.
+
+    `labels` (H,), `points` (H, 2) and `scale_index` (H,) are per row; off-grid
+    points read LOG_FLOOR.  Only the looked-up pixels are gathered.
+    """
+    labels, points = np.asarray(labels), np.asarray(points, dtype=float)
+    out = np.full(len(labels), LOG_FLOOR)
+    for idx in np.unique(scale_index).tolist():
+        picked = np.flatnonzero(scale_index == idx)
+        rows, cols, inside = _pixels(points[picked], stack.scales[idx].grid_shape)
+        if not inside.any():
+            continue
+        hit = picked[inside]
+        channels = stack.channel_rows(part, labels[hit], idx)
+        joint = stack.scales[idx].atomic[channels, rows, cols].astype(np.float64)
+        denom = stack.marginal(part, idx)[rows, cols]
+        cond = np.divide(joint, denom, out=np.zeros_like(joint), where=denom > 0.0)
+        out[hit] = np.log(np.maximum(cond, PROB_FLOOR))
+    return out
+
+
+def log_type_prob_composite(
+    stack: ScoreMapStack, part: int, labels, anchors, scale_index
+) -> np.ndarray:
+    """Per row: floored log relation-type probability at a composite anchor.
+
+    Arguments are per row as in `log_type_prob_atomic`.
+    """
+    labels, anchors = np.asarray(labels), np.asarray(anchors, dtype=float)
+    out = np.full(len(labels), LOG_FLOOR)
+    for idx in np.unique(scale_index).tolist():
+        picked = np.flatnonzero(scale_index == idx)
+        maps = stack.composite_maps(part, idx)
+        rows, cols, inside = _pixels(anchors[picked], stack.scales[idx].grid_shape)
+        values = maps.data[labels[picked[inside]] - 1, rows, cols].astype(np.float64)
+        out[picked[inside]] = np.log(np.maximum(values, PROB_FLOOR))
+    return out
+
+
+def _one_row_sum(lookup, stack, parts, labels, points, scale: float) -> float:
+    idx = np.array([stack.nearest_scale_index(scale)])
+    total = 0.0
+    for part, label, point in zip(parts, labels, points, strict=True):
+        total += float(lookup(stack, part, [int(label)], [point], idx)[0])
+    return total
 
 
 def log_pose_prob_atomic(stack: ScoreMapStack, parts, labels, points, scale: float) -> float:
     """Sum of log conditional type probabilities at atomic child locations."""
-    idx = stack.nearest_scale_index(scale)
-    shape = stack.scales[idx].grid_shape
-    total = 0.0
-    for part, label, point in zip(parts, labels, points, strict=True):
-        pix = _pixel(point, shape)
-        if pix is None:
-            total += LOG_FLOOR
-            continue
-        joint = float(stack.channel(part, int(label), idx)[pix])
-        denom = float(stack.marginal(part, idx)[pix])
-        cond = joint / denom if denom > 0.0 else 0.0
-        total += math.log(max(cond, PROB_FLOOR))
-    return total
+    return _one_row_sum(log_type_prob_atomic, stack, parts, labels, points, scale)
 
 
 def log_pose_prob_composite(stack: ScoreMapStack, parts, labels, anchors, scale: float) -> float:
     """Sum of log relation-type probabilities at composite child anchors."""
-    idx = stack.nearest_scale_index(scale)
-    shape = stack.scales[idx].grid_shape
-    total = 0.0
-    for part, label, anchor in zip(parts, labels, anchors, strict=True):
-        maps = stack.composite_maps(part, idx)
-        pix = _pixel(anchor, shape)
-        if pix is None:
-            total += LOG_FLOOR
-            continue
-        total += math.log(max(float(maps.data[int(label) - 1][pix]), PROB_FLOOR))
-    return total
+    return _one_row_sum(log_type_prob_composite, stack, parts, labels, anchors, scale)
 
 
 def top_peaks(

@@ -5,6 +5,10 @@ exact two-point fit (used to align exemplars to hypothesis pairs) and a
 least-squares fit over k >= 2 correspondences with a rotation-angle bound
 (used to score how well a pose matches a stored exemplar).  Reflections are
 never produced.
+
+Both fits and the child-geometry extraction work on stacks of H rows at
+once (`fit_two_points_batch`, `fit_least_squares_batch`, `child_points`);
+the single-row functions are one-row calls of them.
 """
 
 from __future__ import annotations
@@ -25,8 +29,13 @@ __all__ = [
     "SimilarityTransform",
     "ChildGeometry",
     "child_geometry",
+    "child_points",
+    "child_signature",
     "fit_two_points",
+    "fit_two_points_batch",
     "fit_least_squares",
+    "fit_least_squares_batch",
+    "transform_points",
     "pose_similarity",
 ]
 
@@ -37,6 +46,27 @@ def _wrap_angle(angle: float) -> float:
     if wrapped <= -math.pi:
         wrapped += 2.0 * math.pi
     return wrapped
+
+
+def _wrap_fitted(angle: np.ndarray) -> np.ndarray:
+    """`_wrap_angle` for fitted angles, which already lie in [-pi, pi]."""
+    return np.where(angle <= -math.pi, angle + 2.0 * math.pi, angle)
+
+
+def transform_points(scale, angle, translation, pts) -> np.ndarray:
+    """Row-wise similarity images: scale_h * R(angle_h) @ p + translation_h.
+
+    `scale` and `angle` are (H,), `translation` is (H, 2) and `pts` is
+    (H, K, 2); the result is (H, K, 2).
+    """
+    pts = np.asarray(pts, dtype=float)
+    scale = np.asarray(scale, dtype=float)[:, None]
+    cos = np.cos(angle)[:, None]
+    sin = np.sin(angle)[:, None]
+    x = scale * pts[..., 0]
+    y = scale * pts[..., 1]
+    out = np.stack([cos * x - sin * y, sin * x + cos * y], axis=-1)
+    return out + np.asarray(translation, dtype=float)[:, None, :]
 
 
 @dataclass(frozen=True)
@@ -87,23 +117,79 @@ class SimilarityTransform:
         return self.scale * pts @ self.rotation().T + self.translation
 
 
-def fit_two_points(src, dst) -> SimilarityTransform:
-    """Unique similarity mapping two distinct points exactly onto two others.
+def fit_two_points_batch(src, dst) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise exact two-point similarity fits of (H, 2, 2) point pairs.
 
+    Returns (scale, angle, translation) with shapes (H,), (H,), (H, 2).
     Closed form via the complex ratio of the segment vectors.
     """
-    src = np.asarray(src, dtype=float).reshape(2, 2)
-    dst = np.asarray(dst, dtype=float).reshape(2, 2)
-    sz = complex(*(src[1] - src[0]))
-    dz = complex(*(dst[1] - dst[0]))
-    if sz == 0 or dz == 0:
+    src = np.asarray(src, dtype=float)
+    dst = np.asarray(dst, dtype=float)
+    if src.shape != dst.shape or src.shape[1:] != (2, 2):
+        raise ValueError("src and dst must be matching (H, 2, 2) arrays")
+    sz = (src[:, 1, 0] - src[:, 0, 0]) + 1j * (src[:, 1, 1] - src[:, 0, 1])
+    dz = (dst[:, 1, 0] - dst[:, 0, 0]) + 1j * (dst[:, 1, 1] - dst[:, 0, 1])
+    if np.any(sz == 0) or np.any(dz == 0):
         raise ValueError("degenerate pair: coincident points")
     ratio = dz / sz
-    scale = abs(ratio)
-    angle = math.atan2(ratio.imag, ratio.real)
-    transform = SimilarityTransform(scale, angle, np.zeros(2))
-    translation = dst[0] - transform.apply(src[0])[0]
-    return SimilarityTransform(scale, angle, translation)
+    scale = np.abs(ratio)
+    angle = _wrap_fitted(np.arctan2(ratio.imag, ratio.real))
+    zero = np.zeros((len(scale), 2))
+    translation = dst[:, 0] - transform_points(scale, angle, zero, src[:, :1])[:, 0]
+    return scale, angle, translation
+
+
+def fit_two_points(src, dst) -> SimilarityTransform:
+    """Unique similarity mapping two distinct points exactly onto two others."""
+    src = np.asarray(src, dtype=float).reshape(1, 2, 2)
+    dst = np.asarray(dst, dtype=float).reshape(1, 2, 2)
+    scale, angle, translation = fit_two_points_batch(src, dst)
+    return SimilarityTransform(float(scale[0]), float(angle[0]), translation[0])
+
+
+def fit_least_squares_batch(
+    src, dst, bound: AngleBound | float | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise bounded least-squares similarity fits of (H, k, 2) stacks.
+
+    Returns (scale, angle, translation, residual) with shapes (H,), (H,),
+    (H, 2), (H,); see `fit_least_squares` for the rules of one row.
+    """
+    src = np.asarray(src, dtype=float)
+    dst = np.asarray(dst, dtype=float)
+    if src.shape != dst.shape or src.ndim != 3 or src.shape[2] != 2 or src.shape[1] < 2:
+        raise ValueError("src and dst must be matching (H, k, 2) arrays with k >= 2")
+    max_angle = _max_angle(bound)
+    rows, flat = src.shape[0], 2 * src.shape[1]
+
+    src_mean = src.mean(axis=1)
+    dst_mean = dst.mean(axis=1)
+    sc = src - src_mean[:, None]
+    dc = dst - dst_mean[:, None]
+    spread = (sc * sc).reshape(rows, flat).sum(axis=1)
+    if np.any(spread <= 0.0):
+        raise ValueError("all source points are identical")
+
+    # a, b are the cos/sin components of the cross-covariance
+    a = (sc * dc).reshape(rows, flat).sum(axis=1)
+    b = (sc[..., 0] * dc[..., 1] - sc[..., 1] * dc[..., 0]).sum(axis=1)
+    angle = np.where((a == 0.0) & (b == 0.0), 0.0, np.arctan2(b, a))
+    gain_pos = a * math.cos(max_angle) + b * math.sin(max_angle)
+    gain_neg = a * math.cos(max_angle) - b * math.sin(max_angle)
+    endpoint = np.where(
+        gain_pos > gain_neg,
+        max_angle,
+        np.where(gain_neg > gain_pos, -max_angle, np.copysign(max_angle, angle)),
+    )
+    angle = _wrap_fitted(np.where(np.abs(angle) > max_angle, endpoint, angle))
+
+    gain = a * np.cos(angle) + b * np.sin(angle)
+    scale = np.maximum(gain / spread, SCALE_FLOOR)
+    zero = np.zeros((rows, 2))
+    translation = dst_mean - transform_points(scale, angle, zero, src_mean[:, None])[:, 0]
+    fitted = transform_points(scale, angle, translation, src)
+    residual = ((dst - fitted) ** 2).reshape(rows, flat).sum(axis=1)
+    return scale, angle, translation, residual
 
 
 def fit_least_squares(
@@ -120,41 +206,9 @@ def fit_least_squares(
     dst = np.asarray(dst, dtype=float)
     if src.shape != dst.shape or src.ndim != 2 or src.shape[1] != 2 or src.shape[0] < 2:
         raise ValueError("src and dst must be matching (k, 2) arrays with k >= 2")
-    max_angle = _max_angle(bound)
-
-    src_mean = src.mean(axis=0)
-    dst_mean = dst.mean(axis=0)
-    sc = src - src_mean
-    dc = dst - dst_mean
-    spread = float(np.sum(sc * sc))
-    if spread <= 0.0:
-        raise ValueError("all source points are identical")
-
-    # a, b are the cos/sin components of the cross-covariance
-    a = float(np.sum(sc * dc))
-    b = float(np.sum(sc[:, 0] * dc[:, 1] - sc[:, 1] * dc[:, 0]))
-
-    if a == 0.0 and b == 0.0:
-        angle = 0.0
-    else:
-        angle = math.atan2(b, a)
-        if abs(angle) > max_angle:
-            gain_pos = a * math.cos(max_angle) + b * math.sin(max_angle)
-            gain_neg = a * math.cos(max_angle) - b * math.sin(max_angle)
-            if gain_pos > gain_neg:
-                angle = max_angle
-            elif gain_neg > gain_pos:
-                angle = -max_angle
-            else:
-                angle = math.copysign(max_angle, angle)
-
-    gain = a * math.cos(angle) + b * math.sin(angle)
-    scale = max(gain / spread, SCALE_FLOOR)
-    transform = SimilarityTransform(scale, angle, np.zeros(2))
-    translation = dst_mean - transform.apply(src_mean)[0]
-    transform = SimilarityTransform(scale, angle, translation)
-    residual = float(np.sum((dst - transform.apply(src)) ** 2))
-    return transform, residual
+    scale, angle, translation, residual = fit_least_squares_batch(src[None], dst[None], bound)
+    transform = SimilarityTransform(float(scale[0]), float(angle[0]), translation[0])
+    return transform, float(residual[0])
 
 
 @dataclass(frozen=True)
@@ -181,33 +235,45 @@ class ChildGeometry:
         object.__setattr__(self, "signature", tuple(self.signature))
 
 
-def child_geometry(X: np.ndarray, node_id: int, hierarchy: PartHierarchy) -> ChildGeometry:
-    """Extract a composite node's child geometry from a configuration.
+def child_signature(node_id: int, hierarchy: PartHierarchy) -> tuple[str, ...]:
+    """Child kinds of a composite node in canonical child order."""
+    return tuple(
+        "atom" if hierarchy.node(child).is_atomic else "comp"
+        for child in hierarchy.node(node_id).children
+    )
 
-    ``X`` may carry NaN rows for atoms outside the node's subtree; only the
-    subtree rows are read.
+
+def child_points(locations, node_id: int, hierarchy: PartHierarchy) -> np.ndarray:
+    """Child geometry points of a composite node for stacked configurations.
+
+    `locations` is (..., N, 2) and may carry NaN rows for atoms outside the
+    node's subtree; only the subtree rows are read.  The result is
+    (..., K, 2), K being 1 per atomic child and 3 per composite child.
     """
     node = hierarchy.node(node_id)
     if node.is_atomic:
         raise ValueError(f"node {node_id} is atomic and has no child geometry")
-    X = np.asarray(X, dtype=float)
+    X = np.asarray(locations, dtype=float)
     points: list[np.ndarray] = []
-    signature: list[str] = []
     for child_id in node.children:
-        child = hierarchy.node(child_id)
-        if child.is_atomic:
-            points.append(X[hierarchy.atom_index(child_id)])
-            signature.append("atom")
+        if hierarchy.node(child_id).is_atomic:
+            points.append(X[..., hierarchy.atom_index(child_id), :])
         else:
-            box = hierarchy.tight_box(X, child_id)
+            subtree = X[..., hierarchy.atom_rows(child_id), :]
             points.append(hierarchy.anchor_point(X, child_id))
-            points.append(box.top_left)
-            points.append(box.bottom_right)
-            signature.append("comp")
-    pts = np.stack(points)
+            points.append(subtree.min(axis=-2))
+            points.append(subtree.max(axis=-2))
+    pts = np.stack(points, axis=-2)
     if not np.isfinite(pts).all():
         raise ValueError(f"child geometry of node {node_id} uses undefined locations")
-    return ChildGeometry(pts, tuple(signature))
+    return pts
+
+
+def child_geometry(X: np.ndarray, node_id: int, hierarchy: PartHierarchy) -> ChildGeometry:
+    """Extract a composite node's child geometry from one configuration."""
+    return ChildGeometry(
+        child_points(X, node_id, hierarchy), child_signature(node_id, hierarchy)
+    )
 
 
 def pose_similarity(

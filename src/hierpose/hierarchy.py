@@ -47,7 +47,7 @@ class BoundingBox:
     def __post_init__(self):
         tl = np.asarray(self.top_left, dtype=float).reshape(2)
         br = np.asarray(self.bottom_right, dtype=float).reshape(2)
-        if np.any(br < tl):
+        if br[0] < tl[0] or br[1] < tl[1]:
             raise ValueError("bottom_right must be >= top_left componentwise")
         object.__setattr__(self, "top_left", tl)
         object.__setattr__(self, "bottom_right", br)
@@ -133,10 +133,13 @@ class ScaleParams:
             raise HierarchyError("level_factors must all be positive")
 
     def factor_from_size(self, size: float, level: int) -> float:
-        """Scale factor at `level` for an object whose box mean side is `size`."""
+        """Scale factor at `level` for an object whose box mean side is `size`.
+
+        `size` may be an array of sizes; the factor is then per element.
+        """
         if not 1 <= level <= len(self.level_factors):
             raise ValueError(f"level {level} outside 1..{len(self.level_factors)}")
-        if size <= 0:
+        if np.any(np.asarray(size) <= 0):
             raise ValueError("degenerate object: zero-extent bounding box")
         return self.level_factors[level - 1] * size / self.reference_length
 
@@ -275,6 +278,16 @@ class PartHierarchy:
     def atom_rows(self, node_id: int) -> np.ndarray:
         return np.array([self._atom_index[p] for p in self._atoms_below[node_id]])
 
+    def composites_below(self, node_id: int) -> tuple[int, ...]:
+        """Composite nodes of the subtree rooted at `node_id`, in pre-order."""
+        node = self.node(node_id)
+        if node.is_atomic:
+            return ()
+        below = [node_id]
+        for child in node.children:
+            below.extend(self.composites_below(child))
+        return tuple(below)
+
     @property
     def atomic_names(self) -> tuple[str, ...]:
         return tuple(self._by_id[p].name for p in self.atomic_ids)
@@ -292,14 +305,17 @@ class PartHierarchy:
         return BoundingBox(pts.min(axis=0), pts.max(axis=0))
 
     def anchor_point(self, X: np.ndarray, node_id: int) -> np.ndarray:
-        """Weighted mean of the anchored atomic locations."""
+        """Weighted mean of the anchored atomic locations.
+
+        `X` may stack configurations, (..., N, 2); the result is (..., 2).
+        """
         node = self.node(node_id)
         if node.is_atomic or node.anchor is None:
             raise ValueError(f"node {node_id} has no anchor")
         X = np.asarray(X, dtype=float)
-        out = np.zeros(2)
+        out = np.zeros(X.shape[:-2] + (2,))
         for pid, w in node.anchor.weights.items():
-            out += w * X[self._atom_index[pid]]
+            out += w * X[..., self._atom_index[pid], :]
         return out
 
     def scale_factor(self, X: np.ndarray, level: int) -> float:

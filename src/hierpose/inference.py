@@ -5,8 +5,9 @@ similarity-aligned onto randomly chosen pairs of lower hypotheses (atomic
 locations at level 2, composite anchors above), carrying over the exemplar's
 subtree, object size, and per-node pose choices.  From level 3 up, child
 subtrees may additionally be swapped with geometrically compatible lower
-hypotheses.  Hypotheses are scored recursively, deduplicated, and pruned to
-the best Z per part.  Surviving root hypotheses are refined per atomic part
+hypotheses.  Proposals, swaps and scores are computed as arrays over all
+hypotheses of a part; hypotheses are then deduplicated and pruned to the
+best Z per part.  Surviving root hypotheses are refined per atomic part
 inside a disc and the best refined configuration wins.
 
 Modes: "full" runs everything; "partial" stops before refinement and traces
@@ -21,10 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .appearance import LOG_FLOOR, ScoreMapStack, top_peaks
-from .geometry import AngleBound, DEFAULT_MAX_ANGLE, SimilarityTransform, fit_two_points
+from .geometry import AngleBound, DEFAULT_MAX_ANGLE, fit_two_points_batch, transform_points
 from .hierarchy import BoundingBox, PartHierarchy, PartNode, ScaleParams, object_size
 from .learning import Exemplar, ExemplarLibrary
-from .scoring import WeightVector, best_fit_pose, refinement_score, subtree_score
+from .scoring import WeightVector, best_fit_pose, refinement_score, subtree_scores
 
 __all__ = [
     "NoConfigurationError",
@@ -35,6 +36,7 @@ __all__ = [
     "propose_hypotheses",
     "swap_subtrees",
     "score_and_prune",
+    "prune_order",
     "refine_hypothesis",
     "collapse_model",
     "InferenceResult",
@@ -160,13 +162,35 @@ def seed_atomic_hypotheses(
     return out
 
 
-def _child_alignment_point(
-    hyp: Hypothesis, child_id: int, hierarchy: PartHierarchy
-) -> np.ndarray:
-    """Alignment target of a lower hypothesis: location if atomic, else anchor."""
-    if hyp.level == 1:
-        return hyp.locations[hierarchy.atom_index(child_id)]
-    return hierarchy.anchor_point(hyp.locations, child_id)
+def _alignment_points(locations: np.ndarray, child_id: int, hierarchy: PartHierarchy) -> np.ndarray:
+    """Alignment targets of stacked configurations: the child's location if
+    atomic, else its anchor; (..., N, 2) -> (..., 2)."""
+    if hierarchy.node(child_id).is_atomic:
+        return locations[..., hierarchy.atom_index(child_id), :]
+    return hierarchy.anchor_point(locations, child_id)
+
+
+def _make_hypotheses(
+    node: PartNode,
+    locations: np.ndarray,
+    poses: list[dict[int, int]],
+    sizes: np.ndarray,
+    rows: np.ndarray,
+) -> list[Hypothesis]:
+    """Hypotheses of one part from stacked (H, N, 2) locations."""
+    subtree = locations[:, rows]
+    lows, highs = subtree.min(axis=1), subtree.max(axis=1)
+    return [
+        Hypothesis(
+            node_id=node.id,
+            level=node.level,
+            locations=locations[i],
+            pose=poses[i],
+            object_size=float(sizes[i]),
+            box=BoundingBox(lows[i], highs[i]),
+        )
+        for i in range(len(poses))
+    ]
 
 
 def propose_hypotheses(
@@ -185,97 +209,82 @@ def propose_hypotheses(
     exemplar's full subtree.  Draws whose fitted rotation exceeds the angle
     bound are rejected; nearly coincident anchor pairs fall back to a
     rotation-free fit with the scale taken from the object-size ratio.
+
+    The draws are made one by one, in a fixed order; the fits, transforms
+    and boxes of all draws are then computed as arrays.
     """
     exemplars = library.exemplars(node.id)
     if not exemplars:
         return []
     children = node.children
-    rows = hierarchy.atom_rows(node.id)
-    out: list[Hypothesis] = []
-    pose_nodes = _composites_below(node.id, hierarchy)
+    pools = [lower.get(child_id) or [] for child_id in children]
+    draws = []  # (exemplar, slot, slot, pick, pick)
     for _ in range(params.samples):
-        exemplar = exemplars[rng.integers(len(exemplars))]
-        slots = rng.choice(len(children), size=min(2, len(children)), replace=False)
-        chosen: list[tuple[int, Hypothesis]] = []
-        ok = True
+        exemplar = int(rng.integers(len(exemplars)))
+        slots = rng.choice(len(children), size=2, replace=False)
+        picks = []
         for slot in slots:
-            child_id = children[int(slot)]
-            pool = lower.get(child_id) or []
+            pool = pools[slot]
             if not pool:
-                ok = False
                 break
-            chosen.append((child_id, pool[rng.integers(len(pool))]))
-        if not ok:
-            continue
-        src = np.array(
-            [_exemplar_alignment_point(exemplar, cid, hierarchy) for cid, _ in chosen]
-        )
-        dst = np.array(
-            [_child_alignment_point(hyp, cid, hierarchy) for cid, hyp in chosen]
-        )
-        transform = _fit_alignment(src, dst, exemplar, chosen, params)
-        if transform is None:
-            continue
-        locations = np.full_like(exemplar.locations, np.nan)
-        locations[rows] = transform.apply(exemplar.locations[rows])
-        pose = {
-            nid: library.for_source(nid, exemplar.source).index for nid in pose_nodes
-        }
-        out.append(
-            Hypothesis(
-                node_id=node.id,
-                level=node.level,
-                locations=locations,
-                pose=pose,
-                object_size=transform.scale * exemplar.object_size,
-                box=_subtree_box(locations, rows),
-            )
-        )
-    return out
+            picks.append(int(rng.integers(len(pool))))
+        else:
+            draws.append((exemplar, *slots, *picks))
+    if not draws:
+        return []
+    draws = np.array(draws, dtype=np.intp)
+    chosen, slots, picks = draws[:, 0], draws[:, 1:3], draws[:, 3:5]
 
+    table = library.arrays(node.id)
+    exemplar_points = np.stack(
+        [_alignment_points(table.locations, child_id, hierarchy) for child_id in children],
+        axis=1,
+    )  # (E, C, 2)
+    offsets = np.cumsum([0] + [len(pool) for pool in pools])
+    pool_points = np.concatenate([
+        _alignment_points(np.stack([h.locations for h in pool]), child_id, hierarchy)
+        for child_id, pool in zip(children, pools) if pool
+    ])
+    pool_sizes = np.array([h.object_size for pool in pools for h in pool])
+    targets = offsets[slots] + picks  # (A, 2) rows of pool_points
+    src = exemplar_points[chosen[:, None], slots]  # (A, 2, 2)
+    dst = pool_points[targets]
 
-def _composites_below(node_id: int, hierarchy: PartHierarchy) -> tuple[int, ...]:
-    node = hierarchy.node(node_id)
-    if node.is_atomic:
-        return ()
-    below = [node_id]
-    for child in node.children:
-        below.extend(_composites_below(child, hierarchy))
-    return tuple(below)
+    segment_src = src[:, 1] - src[:, 0]
+    segment_dst = dst[:, 1] - dst[:, 0]
+    degenerate = (np.hypot(segment_src[:, 0], segment_src[:, 1]) < 1e-9) | (
+        np.hypot(segment_dst[:, 0], segment_dst[:, 1]) < 1e-9
+    )
+    scale = np.zeros(len(draws))
+    angle = np.zeros(len(draws))
+    translation = np.zeros((len(draws), 2))
+    pair = ~degenerate
+    scale[pair], angle[pair], translation[pair] = fit_two_points_batch(src[pair], dst[pair])
+    accepted = pair & ~(np.abs(angle) > params.max_angle)
 
-
-def _exemplar_alignment_point(
-    exemplar: Exemplar, child_id: int, hierarchy: PartHierarchy
-) -> np.ndarray:
-    child = hierarchy.node(child_id)
-    if child.is_atomic:
-        return exemplar.locations[hierarchy.atom_index(child_id)]
-    return hierarchy.anchor_point(exemplar.locations, child_id)
-
-
-def _fit_alignment(
-    src: np.ndarray,
-    dst: np.ndarray,
-    exemplar: Exemplar,
-    chosen: list[tuple[int, Hypothesis]],
-    params: InferenceParams,
-) -> SimilarityTransform | None:
-    if len(chosen) == 2:
-        degenerate = (
-            float(np.hypot(*(src[1] - src[0]))) < 1e-9
-            or float(np.hypot(*(dst[1] - dst[0]))) < 1e-9
-        )
-        if not degenerate:
-            transform = fit_two_points(src, dst)
-            if abs(transform.angle) > params.max_angle:
-                return None
-            return transform
     # single usable anchor: no rotation, scale from the object-size ratio
-    child_hyp = chosen[0][1]
-    if child_hyp.object_size <= 0 or exemplar.object_size <= 0:
-        return None
-    scale = child_hyp.object_size / exemplar.object_size
-    return SimilarityTransform(scale, 0.0, dst[0] - scale * src[0])
+    child_size = pool_sizes[targets[:, 0]]
+    exemplar_size = table.object_size[chosen]
+    fallback = degenerate & ~((child_size <= 0) | (exemplar_size <= 0))
+    scale[fallback] = child_size[fallback] / exemplar_size[fallback]
+    translation[fallback] = dst[fallback, 0] - scale[fallback, None] * src[fallback, 0]
+    accepted |= fallback
+
+    keep = np.flatnonzero(accepted)
+    rows = hierarchy.atom_rows(node.id)
+    locations = np.full((len(keep),) + table.locations.shape[1:], np.nan)
+    locations[:, rows] = transform_points(
+        scale[keep], angle[keep], translation[keep], table.locations[chosen[keep]][:, rows]
+    )
+    pose_nodes = hierarchy.composites_below(node.id)
+    pose_of: dict[int, dict[int, int]] = {}
+    for index in np.unique(chosen[keep]).tolist():
+        source = exemplars[index].source
+        pose_of[index] = {nid: library.for_source(nid, source).index for nid in pose_nodes}
+    poses = [dict(pose_of[index]) for index in chosen[keep].tolist()]
+    return _make_hypotheses(
+        node, locations, poses, scale[keep] * exemplar_size[keep], rows
+    )
 
 
 def swap_subtrees(
@@ -284,40 +293,82 @@ def swap_subtrees(
     hierarchy: PartHierarchy,
     params: InferenceParams,
 ) -> list[Hypothesis]:
-    """Augment hypotheses by swapping child subtrees with compatible ones.
+    """Augment one part's hypotheses by swapping child subtrees with compatible ones.
 
     A lower hypothesis of the same child part is compatible when each of its
     box corners lies within compatibility_tolerance x object_size of the
     current child box corner.  Originals are retained; each compatible
-    alternative yields one extra hypothesis.
+    alternative yields one extra hypothesis, in the order (hypothesis,
+    child, alternative).  Compatibility is tested as an H x M array per
+    child.
     """
-    out = list(hyps)
-    for hyp in hyps:
-        node = hierarchy.node(hyp.node_id)
-        tolerance = params.compatibility_tolerance * hyp.object_size
-        for child_id in node.children:
-            child_rows = hierarchy.atom_rows(child_id)
-            current = _subtree_box(hyp.locations, child_rows)
-            for candidate in lower.get(child_id) or []:
-                near_tl = np.hypot(*(candidate.box.top_left - current.top_left))
-                near_br = np.hypot(*(candidate.box.bottom_right - current.bottom_right))
-                if near_tl > tolerance or near_br > tolerance:
-                    continue
-                locations = hyp.locations.copy()
-                locations[child_rows] = candidate.locations[child_rows]
-                pose = dict(hyp.pose)
-                pose.update(candidate.pose)
-                out.append(
-                    Hypothesis(
-                        node_id=hyp.node_id,
-                        level=hyp.level,
-                        locations=locations,
-                        pose=pose,
-                        object_size=hyp.object_size,
-                        box=_subtree_box(locations, hierarchy.atom_rows(hyp.node_id)),
-                    )
-                )
-    return out
+    if not hyps:
+        return []
+    node = hierarchy.node(hyps[0].node_id)
+    locations = np.stack([h.locations for h in hyps])
+    tolerance = params.compatibility_tolerance * np.array([h.object_size for h in hyps])
+    found = []  # (hypothesis, child slot, alternative)
+    for slot, child_id in enumerate(node.children):
+        pool = lower.get(child_id) or []
+        if not pool:
+            continue
+        subtree = locations[:, hierarchy.atom_rows(child_id)]
+        near = []
+        corners = (
+            (subtree.min(axis=1), [candidate.box.top_left for candidate in pool]),
+            (subtree.max(axis=1), [candidate.box.bottom_right for candidate in pool]),
+        )
+        for current, other in corners:
+            gap = np.array(other)[None] - current[:, None]
+            near.append(np.hypot(gap[..., 0], gap[..., 1]) > tolerance[:, None])
+        hyp_index, alt_index = np.nonzero(~(near[0] | near[1]))
+        found.extend(zip(hyp_index.tolist(), [slot] * len(hyp_index), alt_index.tolist()))
+    if not found:
+        return list(hyps)
+    found.sort()
+
+    found = np.array(found, dtype=np.intp)
+    swapped = locations[found[:, 0]]
+    for slot, child_id in enumerate(node.children):
+        picked = np.flatnonzero(found[:, 1] == slot)
+        if picked.size:
+            rows = hierarchy.atom_rows(child_id)
+            pool = np.stack([h.locations[rows] for h in lower[child_id]])
+            swapped[picked[:, None], rows] = pool[found[picked, 2]]
+    poses = []
+    for i, slot, j in found.tolist():
+        pose = dict(hyps[i].pose)
+        pose.update(lower[node.children[slot]][j].pose)
+        poses.append(pose)
+    sizes = np.array([h.object_size for h in hyps])[found[:, 0]]
+    return list(hyps) + _make_hypotheses(
+        node, swapped, poses, sizes, hierarchy.atom_rows(node.id)
+    )
+
+
+def prune_order(
+    scores: np.ndarray, points: np.ndarray, z: int, dedup_radius: float
+) -> list[int]:
+    """Indices of the hypotheses `score_and_prune` keeps, best first.
+
+    Scores are ranked rounded to 1e-9 with a stable sort, so hypotheses whose
+    scores differ only by round-off keep their creation order.  A hypothesis
+    whose points (H, R, 2) all lie within dedup_radius of a kept one is a
+    duplicate; at most z are kept.  A later copy of identical points is
+    always a duplicate, so only the first copy of each is tested.
+    """
+    order = np.argsort(-np.round(scores, 9), kind="stable")
+    _, first = np.unique(points[order].reshape(len(order), -1), axis=0, return_index=True)
+    kept: list[int] = []
+    for i in order[np.sort(first)].tolist():
+        if kept:
+            gap = points[kept] - points[i]
+            if np.any(np.max(np.hypot(gap[..., 0], gap[..., 1]), axis=1) <= dedup_radius):
+                continue
+        kept.append(i)
+        if len(kept) == z:
+            break
+    return kept
 
 
 def score_and_prune(
@@ -330,34 +381,26 @@ def score_and_prune(
     dedup_radius: float,
     bound: AngleBound | float | None = None,
 ) -> list[Hypothesis]:
-    """Score recursively, deduplicate near-identical subtrees, keep the top z.
+    """Score every hypothesis of one part, deduplicate, keep the top z.
 
-    Duplicates are hypotheses whose atomic locations all lie within
-    dedup_radius of a better-scoring survivor.  Ties keep earlier creation
-    order.
+    Scores are the subtree spatial sums, computed for all hypotheses at once
+    with one kernel call per subtree node.  Duplicates are hypotheses whose
+    atomic locations all lie within dedup_radius of a better-scoring
+    survivor.  Scores that agree to 1e-9 keep earlier creation order (see
+    `prune_order`).
     """
     if not hyps:
         return []
-    for hyp in hyps:
-        hyp.score = subtree_score(hyp, stack, hierarchy, library, weights, bound)
-    rows = hierarchy.atom_rows(hyps[0].node_id)
-    order = sorted(range(len(hyps)), key=lambda i: -hyps[i].score)
-    kept: list[Hypothesis] = []
-    kept_points: list[np.ndarray] = []
-    for i in order:
-        candidate = hyps[i]
-        points = candidate.locations[rows]
-        duplicate = any(
-            np.max(np.hypot(*(points - other).T)) <= dedup_radius
-            for other in kept_points
-        )
-        if duplicate:
-            continue
-        kept.append(candidate)
-        kept_points.append(points)
-        if len(kept) == z:
-            break
-    return kept
+    node_id = hyps[0].node_id
+    locations = np.stack([h.locations for h in hyps])
+    scores = subtree_scores(
+        locations, node_id, [h.pose for h in hyps], np.array([h.object_size for h in hyps]),
+        stack, hierarchy, library, weights, bound,
+    )
+    for hyp, score in zip(hyps, scores.tolist()):
+        hyp.score = score
+    rows = hierarchy.atom_rows(node_id)
+    return [hyps[i] for i in prune_order(scores, locations[:, rows], z, dedup_radius)]
 
 
 def refine_hypothesis(

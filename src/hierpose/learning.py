@@ -30,6 +30,7 @@ __all__ = [
     "load_annotations",
     "save_annotations",
     "Exemplar",
+    "ExemplarArrays",
     "ExemplarLibrary",
     "build_library",
     "save_library",
@@ -122,6 +123,17 @@ class Exemplar:
     geometry: ChildGeometry
 
 
+@dataclass(frozen=True)
+class ExemplarArrays:
+    """One node's exemplars stacked in index order, for batched lookups."""
+
+    geometry: np.ndarray  # (E, K, 2) child geometry points
+    signature: tuple[str, ...]
+    labels: dict[int, np.ndarray]  # child -> (E,) relation-type labels
+    locations: np.ndarray  # (E, N, 2); NaN outside the node's subtree
+    object_size: np.ndarray  # (E,)
+
+
 class ExemplarLibrary:
     """Per-composite-node exemplar lists plus relation-type channel counts."""
 
@@ -137,6 +149,7 @@ class ExemplarLibrary:
         self._by_source: dict[int, dict[str, int]] = {
             nid: {ex.source: ex.index for ex in exs} for nid, exs in self.nodes.items()
         }
+        self._arrays: dict[int, ExemplarArrays] = {}
 
     def exemplars(self, node_id: int) -> list[Exemplar]:
         try:
@@ -155,6 +168,30 @@ class ExemplarLibrary:
 
     def size(self, node_id: int) -> int:
         return len(self.exemplars(node_id))
+
+    def arrays(self, node_id: int) -> ExemplarArrays:
+        """The node's exemplars as stacked arrays, built on first use; the
+        library's exemplars are not to be changed after that."""
+        cached = self._arrays.get(node_id)
+        if cached is None:
+            exemplars = self.exemplars(node_id)
+            if not exemplars:
+                raise ValueError(f"empty exemplar library for node {node_id}")
+            signature = exemplars[0].geometry.signature
+            if any(ex.geometry.signature != signature for ex in exemplars):
+                raise ValueError(f"exemplars of node {node_id} mix child geometry signatures")
+            cached = ExemplarArrays(
+                geometry=np.stack([ex.geometry.points for ex in exemplars]),
+                signature=signature,
+                labels={
+                    child: np.array([ex.child_labels[child] for ex in exemplars])
+                    for child in exemplars[0].child_labels
+                },
+                locations=np.stack([ex.locations for ex in exemplars]),
+                object_size=np.array([ex.object_size for ex in exemplars]),
+            )
+            self._arrays[node_id] = cached
+        return cached
 
 
 def _extract_exemplar(

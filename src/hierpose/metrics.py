@@ -57,9 +57,6 @@ class MetricReport:
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"rate {rate} outside [0, 1]")
 
-    def rate_of(self, label: str) -> float:
-        return self.rates[self.labels.index(label)]
-
 
 def _stack_configs(configs, name: str) -> np.ndarray:
     arr = np.asarray([np.asarray(c, dtype=float) for c in configs])

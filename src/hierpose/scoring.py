@@ -8,10 +8,18 @@ A configuration X is scored as
           + bias
 
 which is linear in the weights, so the same quantities double as the
-feature vector used for max-margin training.  Hypotheses produced during
-inference are scored by the recursive subtree form of the spatial sum, and
-candidate refinements by a separable approximation that freezes everything
-except the atomic appearance terms and the level-2 alignment penalties.
+feature vector used for max-margin training.
+
+Every per-node (log-pose-prob, alignment score) pair comes from one batched
+kernel, `pose_terms`: for H hypotheses of a part it gathers each row's child
+geometry and exemplar, runs the bounded similarity fit on all rows at once,
+and looks the relation-type probabilities up at each row's nearest stored
+scale.  Inference scores a whole level with one kernel call per subtree
+node (`subtree_scores`); `subtree_score`, `pose_score`, `spatial_score` and
+`feature_vector` are one-row calls of it, and `best_fit_pose` fits all of a
+node's exemplars in one batched call.  Candidate refinements are scored by
+a separable approximation that freezes everything except the atomic
+appearance terms and the level-2 alignment penalties.
 """
 
 from __future__ import annotations
@@ -25,10 +33,15 @@ import numpy as np
 from .appearance import (
     ScoreMapStack,
     log_part_prob,
-    log_pose_prob_atomic,
-    log_pose_prob_composite,
+    log_type_prob_atomic,
+    log_type_prob_composite,
 )
-from .geometry import AngleBound, child_geometry, pose_similarity
+from .geometry import (
+    AngleBound,
+    child_points,
+    child_signature,
+    fit_least_squares_batch,
+)
 from .hierarchy import PartHierarchy, object_size
 from .learning import ExemplarLibrary, TrainingSet
 
@@ -41,6 +54,8 @@ __all__ = [
     "pose_score",
     "spatial_score",
     "total_score",
+    "pose_terms",
+    "subtree_scores",
     "subtree_score",
     "refinement_score",
     "feature_vector",
@@ -167,41 +182,75 @@ def best_fit_pose(
     bound: AngleBound | float | None = None,
 ) -> tuple[int, float]:
     """Exemplar of the node whose pose best matches X (ties: lowest index)."""
-    exemplars = library.exemplars(node_id)
-    if not exemplars:
-        raise ValueError(f"empty exemplar library for node {node_id}")
-    current = child_geometry(X, node_id, hierarchy)
-    best_index, best_value = -1, -np.inf
-    for ex in exemplars:
-        value = pose_similarity(current, ex.geometry, bound)
-        if value > best_value:
-            best_index, best_value = ex.index, value
-    return best_index, best_value
+    table = library.arrays(node_id)
+    _check_signature(table.signature, node_id, hierarchy)
+    current = child_points(X, node_id, hierarchy)
+    _, _, _, residual = fit_least_squares_batch(
+        table.geometry, np.broadcast_to(current, table.geometry.shape), bound
+    )
+    best = int(np.argmax(-residual))
+    return library.get(node_id, best).index, float(-residual[best])
 
 
-def _pose_terms(
+def _check_signature(signature, node_id: int, hierarchy: PartHierarchy) -> None:
+    expected = child_signature(node_id, hierarchy)
+    if signature != expected:
+        raise ValueError(
+            f"child geometry signature mismatch: {expected} vs {signature}"
+        )
+
+
+def pose_terms(
     locations: np.ndarray,
     node_id: int,
-    exemplar,
+    exemplar_index: np.ndarray,
+    size: np.ndarray,
     stack: ScoreMapStack,
     hierarchy: PartHierarchy,
-    size: float,
-    bound: AngleBound | float | None,
-) -> tuple[float, float]:
-    """(log-pose-probability, alignment score) of a node against an exemplar."""
+    library: ExemplarLibrary,
+    bound: AngleBound | float | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(log-pose-probability, alignment score) of one node for H rows.
+
+    `locations` is (H, N, 2), `exemplar_index` (H,) picks each row's exemplar
+    of the node and `size` (H,) is each row's object size, which sets the
+    score-map scale.  The alignment score is the negative residual of the
+    bounded least-squares fit of the exemplar's child geometry onto the row's.
+    """
+    table = library.arrays(node_id)
+    _check_signature(table.signature, node_id, hierarchy)
+    exemplar_index = np.asarray(exemplar_index, dtype=np.intp)
+    current = child_points(locations, node_id, hierarchy)
+    _, _, _, residual = fit_least_squares_batch(
+        table.geometry[exemplar_index], current, bound
+    )
     node = hierarchy.node(node_id)
-    current = child_geometry(locations, node_id, hierarchy)
-    similarity = pose_similarity(current, exemplar.geometry, bound)
-    scale = hierarchy.scale.factor_from_size(size, node.level - 1)
-    parts = list(node.children)
-    labels = [exemplar.child_labels[c] for c in parts]
-    if node.level == 2:
-        points = [locations[hierarchy.atom_index(c)] for c in parts]
-        log_prob = log_pose_prob_atomic(stack, parts, labels, points, scale)
-    else:
-        anchors = [hierarchy.anchor_point(locations, c) for c in parts]
-        log_prob = log_pose_prob_composite(stack, parts, labels, anchors, scale)
-    return log_prob, similarity
+    scale = hierarchy.scale.factor_from_size(np.asarray(size, dtype=float), node.level - 1)
+    scale_index = stack.nearest_scale_indices(scale)
+    log_prob = np.zeros(len(exemplar_index))
+    point = 0  # atomic children own one geometry point, composite ones three
+    for child in node.children:
+        labels = table.labels[child][exemplar_index]
+        if hierarchy.node(child).is_atomic:
+            log_prob += log_type_prob_atomic(
+                stack, child, labels, current[:, point], scale_index
+            )
+            point += 1
+        else:
+            log_prob += log_type_prob_composite(
+                stack, child, labels, current[:, point], scale_index
+            )
+            point += 3
+    return log_prob, -residual
+
+
+def _pose_terms(X, node_id, exemplar_index, size, stack, hierarchy, library, bound):
+    """`pose_terms` of one configuration."""
+    log_prob, similarity = pose_terms(
+        np.asarray(X, dtype=float)[None], node_id, [exemplar_index], [size],
+        stack, hierarchy, library, bound,
+    )
+    return float(log_prob[0]), float(similarity[0])
 
 
 def pose_score(
@@ -220,9 +269,8 @@ def pose_score(
         return 0.0
     if exemplar_index is None:
         exemplar_index, _ = best_fit_pose(X, node_id, library, hierarchy, bound)
-    exemplar = library.get(node_id, exemplar_index)
     log_prob, similarity = _pose_terms(
-        X, node_id, exemplar, stack, hierarchy, object_size(X), bound
+        X, node_id, exemplar_index, object_size(X), stack, hierarchy, library, bound
     )
     return w_app * log_prob + w_sim * similarity
 
@@ -258,6 +306,36 @@ def total_score(
     )
 
 
+def subtree_scores(
+    locations: np.ndarray,
+    node_id: int,
+    poses,
+    size: np.ndarray,
+    stack: ScoreMapStack,
+    hierarchy: PartHierarchy,
+    library: ExemplarLibrary,
+    weights: WeightVector,
+    bound: AngleBound | float | None = None,
+) -> np.ndarray:
+    """Spatial score of H hypotheses of one part, using their stored poses.
+
+    `poses` holds one {composite node: exemplar index} dict per row.  Each
+    composite node of the part's subtree adds its weighted spatial term with
+    the stored exemplar, not a re-fit; atomic parts score zero.
+    """
+    total = np.zeros(len(poses))
+    for composite in hierarchy.composites_below(node_id):
+        index = [pose.get(composite) for pose in poses]
+        if None in index:
+            raise ValueError(f"hypothesis subtree is missing a pose for node {composite}")
+        w_app, w_sim = weights.node_weights(hierarchy, composite)
+        log_prob, similarity = pose_terms(
+            locations, composite, index, size, stack, hierarchy, library, bound
+        )
+        total += w_app * log_prob + w_sim * similarity
+    return total
+
+
 def subtree_score(
     hypothesis,
     stack: ScoreMapStack,
@@ -266,29 +344,12 @@ def subtree_score(
     weights: WeightVector,
     bound: AngleBound | float | None = None,
 ) -> float:
-    """Recursive score of a hypothesis subtree using its stored poses.
-
-    Atomic hypotheses score zero; a composite hypothesis adds its own spatial
-    term (with the stored exemplar, not a re-fit) to its children's scores.
-    """
-
-    def recurse(node_id: int) -> float:
-        node = hierarchy.node(node_id)
-        if node.is_atomic:
-            return 0.0
-        total = sum(recurse(child) for child in node.children)
-        w_app, w_sim = weights.node_weights(hierarchy, node_id)
-        exemplar_index = hypothesis.pose.get(node_id)
-        if exemplar_index is None:
-            raise ValueError(f"hypothesis subtree is missing a pose for node {node_id}")
-        exemplar = library.get(node_id, exemplar_index)
-        log_prob, similarity = _pose_terms(
-            hypothesis.locations, node_id, exemplar, stack, hierarchy,
-            hypothesis.object_size, bound,
-        )
-        return total + w_app * log_prob + w_sim * similarity
-
-    return recurse(hypothesis.node_id)
+    """`subtree_scores` of one hypothesis."""
+    scores = subtree_scores(
+        hypothesis.locations[None], hypothesis.node_id, [hypothesis.pose],
+        [hypothesis.object_size], stack, hierarchy, library, weights, bound,
+    )
+    return float(scores[0])
 
 
 def refinement_score(
@@ -347,9 +408,8 @@ def feature_vector(
     offset = hierarchy.atomic_count
     for node in hierarchy.composite_nodes:
         exemplar_index, _ = best_fit_pose(X, node.id, library, hierarchy, bound)
-        exemplar = library.get(node.id, exemplar_index)
         log_prob, similarity = _pose_terms(
-            X, node.id, exemplar, stack, hierarchy, size, bound
+            X, node.id, exemplar_index, size, stack, hierarchy, library, bound
         )
         out[offset] = log_prob
         out[offset + 1] = similarity

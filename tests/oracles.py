@@ -1,16 +1,20 @@
-"""Naive reference scorer used to cross-check the scoring module.
+"""Naive reference implementations used to cross-check the library.
 
 Everything here is recomputed from first principles with plain loops and its
 own lookup/marginalization code; only the inner similarity fit reuses
-geometry.pose_similarity, whose own independent check is the lattice-search
-oracle in hierpose.synth.
+geometry.pose_similarity, whose own independent checks are the lattice-search
+oracle in hierpose.synth and `naive_fit_least_squares` below.  The scalar
+scorer, fit and proposal loop that the batched library code replaced are
+kept here, as they were, to check the batched code against.
 """
 
 import math
 
 import numpy as np
 
-from hierpose.geometry import ChildGeometry, pose_similarity
+from hierpose.geometry import ChildGeometry, SimilarityTransform, pose_similarity
+from hierpose.hierarchy import BoundingBox
+from hierpose.inference import Hypothesis
 
 FLOOR = 1e-6
 
@@ -81,7 +85,10 @@ def naive_child_geometry(X, node_id, hierarchy):
                 anchor += w * np.asarray(X[hierarchy.atom_index(pid)], dtype=float)
             pts.extend([anchor, sub.min(axis=0), sub.max(axis=0)])
             sig.append("comp")
-    return ChildGeometry(np.stack(pts), tuple(sig))
+    pts = np.stack(pts)
+    if not np.isfinite(pts).all():
+        raise ValueError(f"child geometry of node {node_id} uses undefined locations")
+    return ChildGeometry(pts, tuple(sig))
 
 
 def naive_best_fit(X, node_id, library, hierarchy, bound):
@@ -95,6 +102,8 @@ def naive_best_fit(X, node_id, library, hierarchy, bound):
 
 
 def naive_pose_log_prob(X, node_id, exemplar, stack, hierarchy, size):
+    if not size > 0:
+        raise ValueError("degenerate object: zero-extent bounding box")
     node = hierarchy.node(node_id)
     scale = hierarchy.scale.level_factors[node.level - 2] * size / hierarchy.scale.reference_length
     maps = stack.scales[_nearest_scale(stack, scale)]
@@ -115,6 +124,8 @@ def naive_pose_log_prob(X, node_id, exemplar, stack, hierarchy, size):
                 denom += value
                 if m == label:
                     joint = value
+            if joint is None and _lookup(maps.atomic[0], point) is not None:
+                raise KeyError(f"no channel for part {child}, type {label}")
             if joint is None:
                 total += math.log(FLOOR)
             else:
@@ -149,3 +160,132 @@ def naive_total(X, stack, hierarchy, library, weights, bound):
         + naive_spatial(X, stack, hierarchy, library, weights, bound)
         + weights.bias
     )
+
+
+def naive_subtree_score(hypothesis, stack, hierarchy, library, weights, bound):
+    """The recursive subtree scorer: children's scores plus the node's own
+    spatial term with the stored exemplar, node by node."""
+    composites = [node.id for node in hierarchy.composite_nodes]
+
+    def recurse(node_id):
+        node = hierarchy.node(node_id)
+        if node.is_atomic:
+            return 0.0
+        total = sum(recurse(child) for child in node.children)
+        index = hypothesis.pose.get(node_id)
+        if index is None:
+            raise ValueError(f"hypothesis subtree is missing a pose for node {node_id}")
+        exemplar = library.get(node_id, index)
+        current = naive_child_geometry(hypothesis.locations, node_id, hierarchy)
+        similarity = pose_similarity(current, exemplar.geometry, bound)
+        log_prob = naive_pose_log_prob(
+            hypothesis.locations, node_id, exemplar, stack, hierarchy, hypothesis.object_size
+        )
+        position = composites.index(node_id)
+        return (
+            total
+            + weights.pose_appearance[position] * log_prob
+            + weights.pose_similarity[position] * similarity
+        )
+
+    return recurse(hypothesis.node_id)
+
+
+def naive_fit_least_squares(src, dst, max_angle):
+    """The scalar bounded least-squares similarity fit: (scale, angle, residual)."""
+    src = np.asarray(src, dtype=float)
+    dst = np.asarray(dst, dtype=float)
+    sc = src - src.mean(axis=0)
+    dc = dst - dst.mean(axis=0)
+    spread = float(np.sum(sc * sc))
+    if spread <= 0.0:
+        raise ValueError("all source points are identical")
+    a = float(np.sum(sc * dc))
+    b = float(np.sum(sc[:, 0] * dc[:, 1] - sc[:, 1] * dc[:, 0]))
+    angle = 0.0 if a == 0.0 and b == 0.0 else math.atan2(b, a)
+    if abs(angle) > max_angle:
+        gain_pos = a * math.cos(max_angle) + b * math.sin(max_angle)
+        gain_neg = a * math.cos(max_angle) - b * math.sin(max_angle)
+        if gain_pos > gain_neg:
+            angle = max_angle
+        elif gain_neg > gain_pos:
+            angle = -max_angle
+        else:
+            angle = math.copysign(max_angle, angle)
+    scale = max((a * math.cos(angle) + b * math.sin(angle)) / spread, 1e-9)
+    transform = SimilarityTransform(scale, angle, np.zeros(2))
+    translation = dst.mean(axis=0) - transform.apply(src.mean(axis=0))[0]
+    transform = SimilarityTransform(scale, angle, translation)
+    return scale, transform.angle, float(np.sum((dst - transform.apply(src)) ** 2))
+
+
+def _naive_two_point_fit(src, dst):
+    ratio = complex(*(dst[1] - dst[0])) / complex(*(src[1] - src[0]))
+    transform = SimilarityTransform(abs(ratio), math.atan2(ratio.imag, ratio.real), np.zeros(2))
+    translation = dst[0] - transform.apply(src[0])[0]
+    return SimilarityTransform(transform.scale, transform.angle, translation)
+
+
+def _naive_alignment_point(locations, child_id, hierarchy):
+    child = hierarchy.node(child_id)
+    if child.is_atomic:
+        return locations[hierarchy.atom_index(child_id)]
+    anchor = np.zeros(2)
+    for pid, w in child.anchor.weights.items():
+        anchor += w * locations[hierarchy.atom_index(pid)]
+    return anchor
+
+
+def _naive_composites_below(node_id, hierarchy):
+    node = hierarchy.node(node_id)
+    if node.is_atomic:
+        return []
+    below = [node_id]
+    for child in node.children:
+        below.extend(_naive_composites_below(child, hierarchy))
+    return below
+
+
+def naive_propose_hypotheses(node, lower, library, hierarchy, params, rng):
+    """The scalar proposal loop: one draw, fit and transform at a time."""
+    exemplars = library.exemplars(node.id)
+    children = node.children
+    rows = hierarchy.atom_rows(node.id)
+    pose_nodes = _naive_composites_below(node.id, hierarchy)
+    out = []
+    for _ in range(params.samples):
+        exemplar = exemplars[rng.integers(len(exemplars))]
+        slots = rng.choice(len(children), size=min(2, len(children)), replace=False)
+        chosen = []
+        for slot in slots:
+            child_id = children[int(slot)]
+            pool = lower.get(child_id) or []
+            if not pool:
+                break
+            chosen.append((child_id, pool[rng.integers(len(pool))]))
+        else:
+            src = np.array([
+                _naive_alignment_point(exemplar.locations, cid, hierarchy) for cid, _ in chosen
+            ])
+            dst = np.array([
+                _naive_alignment_point(hyp.locations, cid, hierarchy) for cid, hyp in chosen
+            ])
+            if min(np.hypot(*(src[1] - src[0])), np.hypot(*(dst[1] - dst[0]))) >= 1e-9:
+                transform = _naive_two_point_fit(src, dst)
+                if abs(transform.angle) > params.max_angle:
+                    continue
+            else:
+                child_hyp = chosen[0][1]
+                if child_hyp.object_size <= 0 or exemplar.object_size <= 0:
+                    continue
+                scale = child_hyp.object_size / exemplar.object_size
+                transform = SimilarityTransform(scale, 0.0, dst[0] - scale * src[0])
+            locations = np.full_like(exemplar.locations, np.nan)
+            locations[rows] = transform.apply(exemplar.locations[rows])
+            pose = {nid: library.for_source(nid, exemplar.source).index for nid in pose_nodes}
+            out.append(Hypothesis(
+                node.id, node.level, locations, pose,
+                transform.scale * exemplar.object_size,
+                BoundingBox(locations[rows].min(axis=0), locations[rows].max(axis=0)),
+            ))
+    return out

@@ -19,10 +19,12 @@ from hierpose.inference import (
     Hypothesis,
     InferenceParams,
     propose_hypotheses,
+    prune_order,
     score_and_prune,
     seed_atomic_hypotheses,
     swap_subtrees,
 )
+from hierpose.scoring import subtree_scores
 from hierpose.synth import make_scene
 
 from conftest import annotations_tiny3, library_for
@@ -295,6 +297,35 @@ def test_score_and_prune_dedup_and_budget(tiny3_setup):
         again = subtree_score(hyp, scene.stack, hierarchy, library, weights)
         assert hyp.score == pytest.approx(again, abs=1e-12)
     assert kept[0].score >= kept[1].score
+
+
+def test_prune_ties_keep_creation_order_under_round_off(tiny3_setup):
+    hierarchy, annotations, library = tiny3_setup
+    scene = scene_for(library, hierarchy, seed=5, distractors=2)
+    weights = uniform_weights(hierarchy)
+    params = InferenceParams(z=6, samples_per_level=400, seed=0)
+    seeds = seed_atomic_hypotheses(scene.stack, hierarchy, params)
+    node = hierarchy.nodes_at_level(2)[0]
+    hyps = propose_hypotheses(node, seeds, library, hierarchy, params, np.random.default_rng(0))
+    locations = np.stack([h.locations for h in hyps])
+    scores = subtree_scores(
+        locations, node.id, [h.pose for h in hyps], np.array([h.object_size for h in hyps]),
+        scene.stack, hierarchy, library, weights,
+    )
+    points = locations[:, hierarchy.atom_rows(node.id)]
+    # repeated draws give exact-duplicate hypotheses: ties that only
+    # creation order can break
+    assert len(np.unique(scores)) < len(scores)
+    kept = prune_order(scores, points, 24, 0.5)
+    rng = np.random.default_rng(1)
+    raw_orders_moved = 0
+    for _ in range(10):
+        noisy = scores + rng.choice([-1e-12, 1e-12], size=scores.shape)
+        assert prune_order(noisy, points, 24, 0.5) == kept
+        raw = np.argsort(-noisy, kind="stable")[:24]
+        raw_orders_moved += not np.array_equal(raw, np.argsort(-scores, kind="stable")[:24])
+    # ranking by the raw scores would have moved
+    assert raw_orders_moved > 0
 
 
 def test_refine_moves_to_peak_when_unpenalized(tiny3_setup):

@@ -1,0 +1,298 @@
+"""The batched pose-term kernel and array-built proposals against the scalar
+oracles in `oracles.py`, including typed-error parity on one bad row."""
+
+import math
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hierpose import Annotation, WeightVector, load_hierarchy
+from hierpose.appearance import ScaleMaps, ScoreMapStack
+from hierpose.geometry import ChildGeometry, fit_least_squares_batch
+from hierpose.hierarchy import BoundingBox
+from hierpose.inference import (
+    Hypothesis,
+    InferenceParams,
+    propose_hypotheses,
+    score_and_prune,
+    seed_atomic_hypotheses,
+)
+from hierpose.scoring import subtree_scores
+from hierpose.synth import make_scene
+
+import oracles
+from conftest import annotations_tiny3, library_for, limbs4_doc, random_stack, tiny3_doc
+
+GRID = 20
+# limbs4 has reference length 25: object sizes below 37.5 read the 1.0 scale,
+# larger ones the 2.0 scale.
+SCALES = {"tiny3": (1.0,), "limbs4": (1.0, 2.0)}
+DOCS = {"tiny3": tiny3_doc, "limbs4": limbs4_doc}
+
+
+@lru_cache(maxsize=None)
+def model(name: str):
+    hierarchy = load_hierarchy(DOCS[name]())
+    rng = np.random.default_rng(7)
+    annotations = [
+        Annotation(f"a{k}", rng.random((hierarchy.atomic_count, 2)) * 16 + 2)
+        for k in range(4)
+    ]
+    library, types = library_for(hierarchy, annotations, atomic_bins=6, composite_bins=3)
+    stack = random_stack(
+        hierarchy, types.atomic_bins_map(hierarchy), types.composite_bins_map(), rng,
+        grid=(GRID, GRID), scales=SCALES[name],
+    )
+    return hierarchy, library, stack
+
+
+def random_rows(hierarchy, library, node_id, count, rng, off_grid=False):
+    """Stacked hypotheses of one part: subtree locations, independent random
+    exemplars per subtree node (so child poses come from other sources than
+    the parent's), and object sizes spread over both stored scales."""
+    rows = hierarchy.atom_rows(node_id)
+    locations = np.full((count, hierarchy.atomic_count, 2), np.nan)
+    locations[:, rows] = rng.random((count, len(rows), 2)) * (GRID - 2) + 1
+    if off_grid:
+        locations[:, rows] += rng.choice([0.0, -12.0, 14.0], size=(count, len(rows), 1))
+    poses = [
+        {nid: int(rng.integers(library.size(nid))) for nid in hierarchy.composites_below(node_id)}
+        for _ in range(count)
+    ]
+    sizes = rng.uniform(10.0, 60.0, count)
+    return locations, poses, sizes
+
+
+def as_hypothesis(hierarchy, node_id, locations, pose, size):
+    points = locations[hierarchy.atom_rows(node_id)]
+    return Hypothesis(
+        node_id, hierarchy.node(node_id).level, locations, pose, float(size),
+        BoundingBox(points.min(axis=0), points.max(axis=0)),
+    )
+
+
+def random_weights(hierarchy, rng):
+    n, c = hierarchy.atomic_count, len(hierarchy.composite_nodes)
+    return WeightVector(rng.random(n), rng.random(c), rng.random(c) * 0.2, 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(DOCS)),
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 12),
+    off_grid=st.booleans(),
+    bound=st.sampled_from([None, 0.2, 1.0, math.pi]),
+)
+def test_kernel_matches_scalar_oracle(name, seed, count, off_grid, bound):
+    hierarchy, library, stack = model(name)
+    rng = np.random.default_rng(seed)
+    node = hierarchy.composite_nodes[int(rng.integers(len(hierarchy.composite_nodes)))]
+    locations, poses, sizes = random_rows(hierarchy, library, node.id, count, rng, off_grid)
+    weights = random_weights(hierarchy, rng)
+    ours = subtree_scores(
+        locations, node.id, poses, sizes, stack, hierarchy, library, weights, bound
+    )
+    for row in range(count):
+        hyp = as_hypothesis(hierarchy, node.id, locations[row], poses[row], sizes[row])
+        naive = oracles.naive_subtree_score(hyp, stack, hierarchy, library, weights, bound)
+        assert ours[row] == pytest.approx(naive, abs=1e-9)
+
+
+def test_kernel_rows_span_both_scales_and_clamped_fits():
+    """The property test's inputs reach what it is meant to cover."""
+    hierarchy, library, stack = model("limbs4")
+    rng = np.random.default_rng(3)
+    root = hierarchy.root.id
+    locations, poses, sizes = random_rows(hierarchy, library, root, 200, rng)
+    scale = hierarchy.scale.factor_from_size(sizes, hierarchy.root.level - 1)
+    assert set(stack.nearest_scale_indices(scale).tolist()) == {0, 1}
+    table = library.arrays(root)
+    index = np.array([pose[root] for pose in poses])
+    current = np.stack([
+        oracles.naive_child_geometry(X, root, hierarchy).points for X in locations
+    ])
+    _, angle, _, residual = fit_least_squares_batch(table.geometry[index], current, 0.2)
+    assert np.sum(np.abs(angle) == 0.2) > 50
+    for row in range(0, 200, 7):
+        _, naive_angle, naive_residual = oracles.naive_fit_least_squares(
+            table.geometry[index[row]], current[row], 0.2
+        )
+        assert angle[row] == pytest.approx(naive_angle, abs=1e-12)
+        assert residual[row] == pytest.approx(naive_residual, rel=1e-9, abs=1e-9)
+
+
+def test_batched_fit_matches_scalar_fit():
+    rng = np.random.default_rng(11)
+    for bound in (0.1, math.pi / 3, math.pi):
+        src = rng.random((300, 5, 2)) * 10
+        dst = rng.random((300, 5, 2)) * 10
+        scale, angle, _, residual = fit_least_squares_batch(src, dst, bound)
+        for row in range(300):
+            naive = oracles.naive_fit_least_squares(src[row], dst[row], bound)
+            assert (scale[row], angle[row]) == pytest.approx(naive[:2], abs=1e-12)
+            assert residual[row] == pytest.approx(naive[2], rel=1e-12, abs=1e-12)
+
+
+# -- typed-error parity ----------------------------------------------------------
+
+
+def good_batch():
+    """Four valid limbs4 root hypotheses; every row reads the 1.0 scale."""
+    hierarchy, library, stack = model("limbs4")
+    rng = np.random.default_rng(5)
+    locations, poses, _ = random_rows(hierarchy, library, hierarchy.root.id, 4, rng)
+    return hierarchy, library, stack, locations, poses, np.full(4, 25.0)
+
+
+def stack_without(stack, scale_index, channel=None, composite=None):
+    """Copy of a stack that lacks one atomic channel or one composite map at
+    one scale."""
+    scales = []
+    for i, maps in enumerate(stack.scales):
+        table, atomic, comps = maps.channel_table, maps.atomic, dict(maps.composite)
+        if i == scale_index and channel is not None:
+            keep = [tuple(row) != channel for row in table.tolist()]
+            table, atomic = table[keep], atomic[keep]
+        if i == scale_index and composite is not None:
+            del comps[composite]
+        scales.append(ScaleMaps(maps.scale, table, atomic, comps))
+    return ScoreMapStack(scales)
+
+
+def check_parity(error, hierarchy, library, stack, locations, poses, sizes, bad=2):
+    weights = WeightVector.uniform(hierarchy)
+    node = hierarchy.root.id
+    with pytest.raises(error):
+        subtree_scores(locations, node, poses, sizes, stack, hierarchy, library, weights)
+    good = [row for row in range(len(poses)) if row != bad]
+    subtree_scores(
+        locations[good], node, [poses[row] for row in good], sizes[good],
+        stack, hierarchy, library, weights,
+    )
+    for row in range(len(poses)):
+        hyp = as_hypothesis(hierarchy, node, locations[row], poses[row], sizes[row])
+        if row == bad:
+            with pytest.raises(error):
+                oracles.naive_subtree_score(hyp, stack, hierarchy, library, weights, None)
+        else:
+            oracles.naive_subtree_score(hyp, stack, hierarchy, library, weights, None)
+
+
+def test_error_parity_missing_pose():
+    hierarchy, library, stack, locations, poses, sizes = good_batch()
+    del poses[2][12]
+    check_parity(ValueError, hierarchy, library, stack, locations, poses, sizes)
+
+
+def test_error_parity_undefined_child_geometry():
+    hierarchy, library, stack, locations, poses, sizes = good_batch()
+    locations[2, hierarchy.atom_index(8)] = np.nan
+    check_parity(ValueError, hierarchy, library, stack, locations, poses, sizes)
+
+
+def test_error_parity_zero_object_size():
+    hierarchy, library, stack, locations, poses, sizes = good_batch()
+    sizes[2] = 0.0
+    check_parity(ValueError, hierarchy, library, stack, locations, poses, sizes)
+
+
+def test_error_parity_identical_exemplar_points():
+    hierarchy, _, stack, locations, poses, sizes = good_batch()
+    _, library, _ = model("limbs4")
+    # a fresh library whose exemplar 1 of node 11 has all child points equal
+    library = type(library)(
+        {nid: list(exs) for nid, exs in library.nodes.items()},
+        library.atomic_bins, library.composite_bins,
+    )
+    flat = library.nodes[11][1]
+    library.nodes[11][1] = type(flat)(
+        flat.node_id, flat.index, flat.source, flat.object_size, flat.locations,
+        flat.child_labels, ChildGeometry(np.ones((3, 2)), flat.geometry.signature),
+    )
+    for row, pose in enumerate(poses):
+        pose[11] = 1 if row == 2 else 0
+    check_parity(ValueError, hierarchy, library, stack, locations, poses, sizes)
+
+
+def test_error_parity_missing_channel():
+    hierarchy, library, stack, locations, poses, sizes = good_batch()
+    sizes[2] = 60.0  # only this row reads the 2.0 scale
+    label = library.get(11, poses[2][11]).child_labels[1]
+    stack = stack_without(stack, 1, channel=(1, label))
+    check_parity(KeyError, hierarchy, library, stack, locations, poses, sizes)
+
+
+def test_error_parity_missing_composite_map():
+    hierarchy, library, stack, locations, poses, sizes = good_batch()
+    sizes[2] = 60.0
+    stack = stack_without(stack, 1, composite=11)
+    check_parity(KeyError, hierarchy, library, stack, locations, poses, sizes)
+
+
+# -- proposals -------------------------------------------------------------------
+
+
+def assert_same_proposals(ours, naive):
+    assert len(ours) == len(naive)
+    for a, b in zip(ours, naive):
+        assert (a.node_id, a.level, a.pose) == (b.node_id, b.level, b.pose)
+        assert np.array_equal(np.isnan(a.locations), np.isnan(b.locations))
+        assert np.allclose(a.locations, b.locations, atol=1e-9, equal_nan=True)
+        assert a.object_size == pytest.approx(b.object_size, abs=1e-9)
+        assert np.allclose(a.box.corners(), b.box.corners(), atol=1e-9)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_propose_matches_scalar_loop(seed):
+    hierarchy = load_hierarchy(tiny3_doc())
+    library, _ = library_for(hierarchy, annotations_tiny3(4))
+    scene = make_scene(library, hierarchy, seed=seed, grid=(48, 48), distractors=3)
+    params = InferenceParams(z=6, samples_per_level=120, seed=seed)
+    weights = WeightVector.uniform(hierarchy, pose_appearance=0.3, pose_similarity=0.05)
+    lower = seed_atomic_hypotheses(scene.stack, hierarchy, params)
+    for level in (2, 3):
+        current = {}
+        for node in hierarchy.nodes_at_level(level):
+            ours = propose_hypotheses(
+                node, lower, library, hierarchy, params, np.random.default_rng(seed)
+            )
+            naive = oracles.naive_propose_hypotheses(
+                node, lower, library, hierarchy, params, np.random.default_rng(seed)
+            )
+            assert ours
+            assert_same_proposals(ours, naive)
+            current[node.id] = score_and_prune(
+                ours, scene.stack, hierarchy, library, weights, params.z, params.dedup_radius
+            )
+        lower = current
+
+
+def test_propose_degenerate_pairs_fall_back_like_scalar_loop():
+    hierarchy = load_hierarchy(tiny3_doc())
+    library, _ = library_for(hierarchy, annotations_tiny3(4))
+    X = annotations_tiny3(1)[0].points
+    lower = {}
+    for node_id, shift in ((10, 0.0), (11, 1.0)):
+        rows = hierarchy.atom_rows(node_id)
+        pool = []
+        for k in range(3):
+            locations = np.full_like(X, np.nan)
+            locations[rows] = X[rows] + k
+            # the right limb's anchor sits on the left limb's anchor
+            locations[rows] += shift * (X[0] - X[3])
+            pool.append(as_hypothesis(hierarchy, node_id, locations, {node_id: k}, 8.0 + k))
+        lower[node_id] = pool
+    params = InferenceParams(z=4, samples_per_level=80, seed=0)
+    ours = propose_hypotheses(
+        hierarchy.root, lower, library, hierarchy, params, np.random.default_rng(9)
+    )
+    naive = oracles.naive_propose_hypotheses(
+        hierarchy.root, lower, library, hierarchy, params, np.random.default_rng(9)
+    )
+    # fallback hypotheses take the object size of the first chosen child
+    assert any(min(abs(h.object_size - s) for s in (8.0, 9.0, 10.0)) < 1e-9 for h in ours)
+    assert_same_proposals(ours, naive)
