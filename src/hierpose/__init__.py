@@ -73,13 +73,6 @@ from .scoring import (
     subtree_score,
     total_score,
 )
-from .synth import (
-    SynthScene,
-    exhaustive_best_config,
-    generate_pose,
-    grid_search_pose_similarity,
-    make_scene,
-    render_score_maps,
-)
+from .synth import SynthScene, generate_pose, make_scene, render_score_maps
 
 __version__ = "0.1.0"

@@ -35,6 +35,7 @@ __all__ = [
     "load_score_maps",
     "save_score_maps",
     "log_part_prob",
+    "log_part_probs",
     "log_pose_prob_atomic",
     "log_pose_prob_composite",
     "log_type_prob_atomic",
@@ -156,7 +157,7 @@ class ScoreMapStack:
             rows = self._part_rows[scale_index].get(part)
             if rows is None:
                 raise KeyError(f"no channels for part {part}")
-            cached = self.scales[scale_index].atomic[rows].astype(np.float64).sum(axis=0)
+            cached = self.scales[scale_index].atomic[rows].sum(axis=0, dtype=np.float64)
             self._marginals[key] = cached
         return cached
 
@@ -179,7 +180,7 @@ class ScoreMapStack:
         for i, maps in enumerate(self.scales):
             if maps.atomic.min() < -tol or maps.atomic.max() > 1.0 + tol:
                 raise ScoreMapError(f"scale {maps.scale}: atomic values outside [0, 1]")
-            sums = maps.atomic.astype(np.float64).sum(axis=0)
+            sums = maps.atomic.sum(axis=0, dtype=np.float64)
             err = np.abs(sums - 1.0)
             worst = np.unravel_index(int(err.argmax()), err.shape)
             if err[worst] > tol:
@@ -190,7 +191,7 @@ class ScoreMapStack:
             for part, comp in maps.composite.items():
                 if comp.data.min() < -tol or comp.data.max() > 1.0 + tol:
                     raise ScoreMapError(f"composite part {part}: values outside [0, 1]")
-                sums = comp.data.astype(np.float64).sum(axis=0)
+                sums = comp.data.sum(axis=0, dtype=np.float64)
                 err = np.abs(sums - 1.0)
                 worst = np.unravel_index(int(err.argmax()), err.shape)
                 if err[worst] > tol:
@@ -222,11 +223,14 @@ def save_score_maps(stack: ScoreMapStack, path) -> None:
 
 
 class _Reader:
+    """Bounds-checked cursor over the file bytes; slices are views, so each
+    tensor is copied once, by `array`."""
+
     def __init__(self, data: bytes):
-        self.data = data
+        self.data = memoryview(data)
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise ScoreMapError("truncated score-map file")
         chunk = self.data[self.pos : self.pos + n]
@@ -280,14 +284,27 @@ def _pixels(points: np.ndarray, shape: tuple[int, int]):
     return rows[inside].astype(np.intp), cols[inside].astype(np.intp), inside
 
 
+def log_part_probs(stack: ScoreMapStack, part: int, points, scale_index) -> np.ndarray:
+    """Per row: log p(part | pixel), marginalized over relation types; floored.
+
+    `points` (H, 2) and `scale_index` (H,) are per row; off-grid points read
+    LOG_FLOOR.
+    """
+    points = np.asarray(points, dtype=float)
+    scale_index = np.asarray(scale_index)
+    out = np.full(len(points), LOG_FLOOR)
+    for idx in np.unique(scale_index).tolist():
+        picked = np.flatnonzero(scale_index == idx)
+        rows, cols, inside = _pixels(points[picked], stack.scales[idx].grid_shape)
+        if inside.any():
+            out[picked[inside]] = stack.log_marginal(part, idx)[rows, cols]
+    return out
+
+
 def log_part_prob(stack: ScoreMapStack, part: int, point, scale: float) -> float:
-    """log p(part | pixel), marginalized over relation types; floored."""
-    idx = stack.nearest_scale_index(scale)
-    rows, cols, inside = _pixels(np.asarray(point, dtype=float).reshape(1, 2),
-                                 stack.scales[idx].grid_shape)
-    if not inside[0]:
-        return LOG_FLOOR
-    return float(stack.log_marginal(part, idx)[rows[0], cols[0]])
+    """`log_part_probs` of one point at the stored scale nearest `scale`."""
+    idx = np.array([stack.nearest_scale_index(scale)])
+    return float(log_part_probs(stack, part, np.reshape(point, (1, 2)), idx)[0])
 
 
 def log_type_prob_atomic(
@@ -319,13 +336,20 @@ def log_type_prob_composite(
 ) -> np.ndarray:
     """Per row: floored log relation-type probability at a composite anchor.
 
-    Arguments are per row as in `log_type_prob_atomic`.
+    Arguments are per row as in `log_type_prob_atomic`.  A label outside
+    1..T, T being the part's type count at the row's scale, raises KeyError.
     """
     labels, anchors = np.asarray(labels), np.asarray(anchors, dtype=float)
     out = np.full(len(labels), LOG_FLOOR)
     for idx in np.unique(scale_index).tolist():
         picked = np.flatnonzero(scale_index == idx)
         maps = stack.composite_maps(part, idx)
+        bad = (labels[picked] < 1) | (labels[picked] > maps.data.shape[0])
+        if bad.any():
+            raise KeyError(
+                f"no composite type {int(labels[picked][bad][0])} for part {part} "
+                f"({maps.data.shape[0]} types)"
+            )
         rows, cols, inside = _pixels(anchors[picked], stack.scales[idx].grid_shape)
         values = maps.data[labels[picked[inside]] - 1, rows, cols].astype(np.float64)
         out[picked[inside]] = np.log(np.maximum(values, PROB_FLOOR))

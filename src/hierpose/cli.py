@@ -208,12 +208,14 @@ def cmd_train(args) -> int:
     )
 
     cache: dict = {}
-    rows, labels = [], []
-    for ann, label in [(a, 1.0) for a in positives] + [(a, -1.0) for a in negatives]:
-        stack = _stack_for(ann.image.split("#")[0], maps_path, cache)
-        rows.append(scoring.feature_vector(ann.points, stack, hierarchy, library, bound))
-        labels.append(label)
-    training = learning.TrainingSet(np.array(rows), np.array(labels))
+    training = scoring.build_training_set(
+        positives,
+        negatives,
+        lambda image: _stack_for(image.split("#")[0], maps_path, cache),
+        hierarchy,
+        library,
+        bound,
+    )
 
     weights_array, objective = train_weights(
         training,

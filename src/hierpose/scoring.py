@@ -15,10 +15,18 @@ kernel, `pose_terms`: for H hypotheses of a part it gathers each row's child
 geometry and exemplar, runs the bounded similarity fit on all rows at once,
 and looks the relation-type probabilities up at each row's nearest stored
 scale.  Inference scores a whole level with one kernel call per subtree
-node (`subtree_scores`); `subtree_score`, `pose_score`, `spatial_score` and
-`feature_vector` are one-row calls of it, and `best_fit_pose` fits all of a
-node's exemplars in one batched call.  Candidate refinements are scored by
-a separable approximation that freezes everything except the atomic
+node (`subtree_scores`); `subtree_score`, `pose_score` and `spatial_score`
+are one-row calls of it.
+
+Training features come from one batched pass, `feature_matrix`: for S
+configurations, each read on its own score-map stack, it gathers the atomic
+columns at each row's nearest scale, fits every (row, exemplar) pair of a
+composite node in one bounded fit, keeps each row's best exemplar, and
+reads the relation types with the lookup half of `pose_terms`, once per
+stack.  `feature_vector` and `best_fit_pose` are one-row calls of it and
+of its best-fit step; `build_training_set` stacks all samples, taking one
+shared stack or a per-image stack lookup.  Candidate refinements are scored
+by a separable approximation that freezes everything except the atomic
 appearance terms and the level-2 alignment penalties.
 """
 
@@ -33,6 +41,7 @@ import numpy as np
 from .appearance import (
     ScoreMapStack,
     log_part_prob,
+    log_part_probs,
     log_type_prob_atomic,
     log_type_prob_composite,
 )
@@ -58,6 +67,7 @@ __all__ = [
     "subtree_scores",
     "subtree_score",
     "refinement_score",
+    "feature_matrix",
     "feature_vector",
     "feature_length",
     "build_training_set",
@@ -184,12 +194,26 @@ def best_fit_pose(
     """Exemplar of the node whose pose best matches X (ties: lowest index)."""
     table = library.arrays(node_id)
     _check_signature(table.signature, node_id, hierarchy)
-    current = child_points(X, node_id, hierarchy)
-    _, _, _, residual = fit_least_squares_batch(
-        table.geometry, np.broadcast_to(current, table.geometry.shape), bound
+    best, similarity = _best_fits(
+        table.geometry, child_points(np.asarray(X, dtype=float)[None], node_id, hierarchy), bound
     )
-    best = int(np.argmax(-residual))
-    return library.get(node_id, best).index, float(-residual[best])
+    return library.get(node_id, int(best[0])).index, float(similarity[0])
+
+
+def _best_fits(exemplars: np.ndarray, current: np.ndarray, bound) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of `current` (S, K, 2): the index of the best-fitting of the
+    (E, K, 2) exemplar geometries (ties: lowest index) and its alignment
+    score.  One bounded fit covers all S x E (row, exemplar) pairs."""
+    rows, count = len(current), len(exemplars)
+    pairs = (rows, count) + exemplars.shape[1:]
+    _, _, _, residual = fit_least_squares_batch(
+        np.broadcast_to(exemplars, pairs).reshape(-1, *exemplars.shape[1:]),
+        np.broadcast_to(current[:, None], pairs).reshape(-1, *exemplars.shape[1:]),
+        bound,
+    )
+    score = -residual.reshape(rows, count)
+    best = np.argmax(score, axis=1)
+    return best, score[np.arange(rows), best]
 
 
 def _check_signature(signature, node_id: int, hierarchy: PartHierarchy) -> None:
@@ -224,24 +248,35 @@ def pose_terms(
     _, _, _, residual = fit_least_squares_batch(
         table.geometry[exemplar_index], current, bound
     )
+    log_prob = _log_pose_probs(
+        node_id, table.labels, exemplar_index, current, size, stack, hierarchy
+    )
+    return log_prob, -residual
+
+
+def _log_pose_probs(node_id, labels, exemplar_index, current, size, stack, hierarchy):
+    """Log-pose-probability of H rows: the floored log relation-type
+    probabilities of each row's exemplar labels, read at the row's child
+    geometry points `current` (H, K, 2) on the stored scale nearest the one
+    its object size (H,) sets."""
     node = hierarchy.node(node_id)
     scale = hierarchy.scale.factor_from_size(np.asarray(size, dtype=float), node.level - 1)
     scale_index = stack.nearest_scale_indices(scale)
     log_prob = np.zeros(len(exemplar_index))
     point = 0  # atomic children own one geometry point, composite ones three
     for child in node.children:
-        labels = table.labels[child][exemplar_index]
+        child_labels = labels[child][exemplar_index]
         if hierarchy.node(child).is_atomic:
             log_prob += log_type_prob_atomic(
-                stack, child, labels, current[:, point], scale_index
+                stack, child, child_labels, current[:, point], scale_index
             )
             point += 1
         else:
             log_prob += log_type_prob_composite(
-                stack, child, labels, current[:, point], scale_index
+                stack, child, child_labels, current[:, point], scale_index
             )
             point += 3
-    return log_prob, -residual
+    return log_prob
 
 
 def _pose_terms(X, node_id, exemplar_index, size, stack, hierarchy, library, bound):
@@ -391,6 +426,54 @@ def feature_length(hierarchy: PartHierarchy) -> int:
     return hierarchy.atomic_count + 2 * len(hierarchy.composite_nodes) + 1
 
 
+def feature_matrix(
+    configurations: np.ndarray,
+    stacks,
+    stack_index,
+    hierarchy: PartHierarchy,
+    library: ExemplarLibrary,
+    bound: AngleBound | float | None = None,
+) -> np.ndarray:
+    """Feature rows of S configurations, each read on its own stack.
+
+    `configurations` is (S, N, 2); row s reads `stacks[stack_index[s]]`.
+    Each row holds the per-atom log-probabilities at the atomic scale, one
+    (log-pose-prob, similarity) pair per composite node with the node's
+    best-fitting exemplar (ties: lowest index), and a trailing constant 1,
+    so that total_score == <weights, features>.
+    """
+    X = np.asarray(configurations, dtype=float)
+    stack_index = np.asarray(stack_index, dtype=np.intp)
+    if X.ndim != 3 or X.shape[1:] != (hierarchy.atomic_count, 2):
+        raise ValueError(f"configurations must be (S, {hierarchy.atomic_count}, 2)")
+    if stack_index.shape != (len(X),):
+        raise ValueError("need one stack index per configuration")
+    groups = [
+        (stacks[g], np.flatnonzero(stack_index == g)) for g in np.unique(stack_index).tolist()
+    ]
+    size = (X.max(axis=1) - X.min(axis=1)).mean(axis=1)
+    scale = hierarchy.scale.factor_from_size(size, 1)
+    out = np.empty((len(X), feature_length(hierarchy)))
+    for stack, rows in groups:
+        scale_index = stack.nearest_scale_indices(scale[rows])
+        for i, part in enumerate(hierarchy.atomic_ids):
+            out[rows, i] = log_part_probs(stack, part, X[rows, i], scale_index)
+    column = hierarchy.atomic_count
+    for node in hierarchy.composite_nodes:
+        table = library.arrays(node.id)
+        _check_signature(table.signature, node.id, hierarchy)
+        current = child_points(X, node.id, hierarchy)
+        best, similarity = _best_fits(table.geometry, current, bound)
+        for stack, rows in groups:
+            out[rows, column] = _log_pose_probs(
+                node.id, table.labels, best[rows], current[rows], size[rows], stack, hierarchy
+            )
+        out[:, column + 1] = similarity
+        column += 2
+    out[:, -1] = 1.0
+    return out
+
+
 def feature_vector(
     X: np.ndarray,
     stack: ScoreMapStack,
@@ -398,39 +481,40 @@ def feature_vector(
     library: ExemplarLibrary,
     bound: AngleBound | float | None = None,
 ) -> np.ndarray:
-    """Per-atom log-probabilities, per-node (log-pose-prob, similarity) pairs,
-    and a trailing constant 1, so that total_score == <weights, features>."""
-    out = np.empty(feature_length(hierarchy))
-    scale = hierarchy.scale_factor(X, 1)
-    for i, part in enumerate(hierarchy.atomic_ids):
-        out[i] = log_part_prob(stack, part, X[i], scale)
-    size = object_size(X)
-    offset = hierarchy.atomic_count
-    for node in hierarchy.composite_nodes:
-        exemplar_index, _ = best_fit_pose(X, node.id, library, hierarchy, bound)
-        log_prob, similarity = _pose_terms(
-            X, node.id, exemplar_index, size, stack, hierarchy, library, bound
-        )
-        out[offset] = log_prob
-        out[offset + 1] = similarity
-        offset += 2
-    out[-1] = 1.0
-    return out
+    """`feature_matrix` of one configuration."""
+    return feature_matrix(np.asarray(X, dtype=float)[None], [stack], [0], hierarchy, library,
+                          bound)[0]
 
 
 def build_training_set(
     positives,
     negatives,
-    stack: ScoreMapStack,
+    stacks,
     hierarchy: PartHierarchy,
     library: ExemplarLibrary,
     bound: AngleBound | float | None = None,
 ) -> TrainingSet:
-    """Feature rows for annotated configurations with +/-1 labels."""
-    rows, labels = [], []
-    for ann, label in [(a, 1.0) for a in positives] + [(a, -1.0) for a in negatives]:
-        rows.append(feature_vector(ann.points, stack, hierarchy, library, bound))
-        labels.append(label)
-    if not rows:
+    """Feature rows for annotated configurations with +/-1 labels.
+
+    `stacks` is one ScoreMapStack shared by every sample, or a function that
+    returns the stack of a sample's image name.  Rows follow the samples,
+    positives first; every feature is extracted in one `feature_matrix` pass.
+    """
+    positives, negatives = list(positives), list(negatives)
+    samples = positives + negatives
+    if not samples:
         raise ValueError("no training samples")
-    return TrainingSet(np.array(rows), np.array(labels))
+    lookup = (lambda image: stacks) if isinstance(stacks, ScoreMapStack) else stacks
+    distinct, position, stack_index = [], {}, []
+    for ann in samples:
+        stack = lookup(ann.image)
+        if id(stack) not in position:
+            position[id(stack)] = len(distinct)
+            distinct.append(stack)
+        stack_index.append(position[id(stack)])
+    features = feature_matrix(
+        np.stack([ann.points for ann in samples]), distinct, stack_index,
+        hierarchy, library, bound,
+    )
+    labels = np.concatenate([np.ones(len(positives)), -np.ones(len(negatives))])
+    return TrainingSet(features, labels)

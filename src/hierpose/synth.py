@@ -1,29 +1,23 @@
-"""Synthetic scenes with known ground truth, plus brute-force oracles.
+"""Synthetic scenes with known ground truth.
 
 Scenes are desk-scale surrogates for real images: a pose is sampled from an
 exemplar library (optionally mixing exemplars across parts), placed into a
 pixel grid, and rendered as a score-map stack with Gaussian bumps on the
-correct (part, relation-type) channels.  The oracles re-derive pose
-similarity by lattice search and the best configuration by exhaustive
-enumeration; they share no code with the closed-form/search paths they are
-used to check.
+correct (part, relation-type) channels.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import optimize
 
 from .appearance import CompositeMaps, ScaleMaps, ScoreMapStack, save_score_maps, load_score_maps
-from .geometry import ChildGeometry, SimilarityTransform, _max_angle, fit_least_squares
+from .geometry import SimilarityTransform, fit_least_squares
 from .hierarchy import PartHierarchy
 from .learning import Annotation, ExemplarLibrary, load_annotations, save_annotations
-from .scoring import WeightVector, total_score
 
 __all__ = [
     "generate_pose",
@@ -32,8 +26,6 @@ __all__ = [
     "make_scene",
     "save_scene",
     "load_scene",
-    "grid_search_pose_similarity",
-    "exhaustive_best_config",
 ]
 
 
@@ -303,120 +295,3 @@ def load_scene(directory, hierarchy: PartHierarchy) -> SynthScene:
     stack = load_score_maps(directory / "maps.hpsm")
     provenance = json.loads((directory / "provenance.json").read_text())
     return SynthScene(annotation.points, stack, provenance)
-
-
-# -- oracles ------------------------------------------------------------------
-
-
-def _geometry_points(geometry) -> np.ndarray:
-    if isinstance(geometry, ChildGeometry):
-        return geometry.points
-    return np.asarray(geometry, dtype=float)
-
-
-def grid_search_pose_similarity(
-    current,
-    exemplar,
-    bound=None,
-    scale_range: tuple[float, float] = (0.5, 2.0),
-    scale_step: float = 0.02,
-    angle_step: float = 0.01,
-    translation_step: float = 0.25,
-    translation_span: float = 1.0,
-    refine: bool = True,
-) -> float:
-    """Lattice-search reference for the pose similarity score.
-
-    Sweeps scale x angle x translation (translations on a lattice around the
-    centroid offset of each scale/angle cell) and polishes the best cell with
-    a bounded local minimizer.  Used to cross-check the closed-form fit.
-    """
-    cur = _geometry_points(current)
-    ex = _geometry_points(exemplar)
-    max_angle = _max_angle(bound)
-    k = cur.shape[0]
-
-    scales = np.arange(scale_range[0], scale_range[1] + scale_step / 2, scale_step)
-    angles = np.arange(-max_angle, max_angle, angle_step)
-    angles = np.append(angles, max_angle)
-    steps = np.arange(-translation_span, translation_span + translation_step / 2, translation_step)
-    ox, oy = np.meshgrid(steps, steps)
-    offsets = np.stack([ox.ravel(), oy.ravel()], axis=1)
-
-    cos, sin = np.cos(angles), np.sin(angles)
-    rot = np.stack([np.stack([cos, -sin], -1), np.stack([sin, cos], -1)], -2)  # (A,2,2)
-    placed = scales[:, None, None, None] * np.einsum("aij,kj->aki", rot, ex)[None]  # (S,A,k,2)
-    center = cur.mean(axis=0) - placed.mean(axis=2)  # (S,A,2): centroid-offset translation
-    diff = cur[None, None] - placed - center[:, :, None, :]  # (S,A,k,2)
-    base = np.einsum("sakc,sakc->sa", diff, diff)
-    linear = diff.sum(axis=2)  # (S,A,2)
-    resid = (
-        base[:, :, None]
-        - 2.0 * np.einsum("sac,oc->sao", linear, offsets)
-        + k * np.einsum("oc,oc->o", offsets, offsets)[None, None]
-    )
-    flat = int(np.argmin(resid))
-    si, ai, oi = np.unravel_index(flat, resid.shape)
-    best = float(resid[si, ai, oi])
-    start = np.array(
-        [
-            scales[si],
-            angles[ai],
-            center[si, ai, 0] + offsets[oi, 0],
-            center[si, ai, 1] + offsets[oi, 1],
-        ]
-    )
-
-    if refine:
-
-        def objective(params):
-            s, theta, tx, ty = params
-            c, sn = np.cos(theta), np.sin(theta)
-            moved = s * ex @ np.array([[c, sn], [-sn, c]]) + (tx, ty)
-            return float(np.sum((cur - moved) ** 2))
-
-        result = optimize.minimize(
-            objective,
-            start,
-            method="L-BFGS-B",
-            bounds=[(1e-9, None), (-max_angle, max_angle), (None, None), (None, None)],
-        )
-        best = min(best, float(result.fun))
-    return -best
-
-
-def exhaustive_best_config(
-    stack: ScoreMapStack,
-    hierarchy: PartHierarchy,
-    library: ExemplarLibrary,
-    weights: WeightVector,
-    candidates,
-    bound=None,
-    budget: int = 10**7,
-) -> tuple[np.ndarray, float]:
-    """Exact argmax of the total score over per-part candidate locations.
-
-    Ties resolve to the lexicographically smallest configuration.  Raises
-    when the Cartesian product exceeds the budget.
-    """
-    lists = []
-    total = 1
-    for cand in candidates:
-        cand = np.asarray(cand, dtype=float).reshape(-1, 2)
-        order = np.lexsort((cand[:, 1], cand[:, 0]))
-        lists.append(cand[order])
-        total *= len(cand)
-    if len(lists) != hierarchy.atomic_count:
-        raise ValueError("need one candidate list per atomic part")
-    if total > budget:
-        raise ValueError(f"candidate budget exceeded: {total} > {budget}")
-    best_score = -np.inf
-    best = None
-    X = np.empty((hierarchy.atomic_count, 2))
-    for combo in itertools.product(*lists):
-        X[:] = combo
-        score = total_score(X, stack, hierarchy, library, weights, bound)
-        if score > best_score:
-            best_score = score
-            best = X.copy()
-    return best, float(best_score)

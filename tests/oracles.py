@@ -3,18 +3,24 @@
 Everything here is recomputed from first principles with plain loops and its
 own lookup/marginalization code; only the inner similarity fit reuses
 geometry.pose_similarity, whose own independent checks are the lattice-search
-oracle in hierpose.synth and `naive_fit_least_squares` below.  The scalar
-scorer, fit and proposal loop that the batched library code replaced are
-kept here, as they were, to check the batched code against.
+oracle `grid_search_pose_similarity` and `naive_fit_least_squares` below.
+The scalar scorer, fit, proposal loop and feature composition that the
+batched library code replaced are kept here, as they were, to check the
+batched code against.  `exhaustive_best_config` enumerates configurations
+to check the search.
 """
 
+import itertools
 import math
 
 import numpy as np
+from scipy import optimize
 
-from hierpose.geometry import ChildGeometry, SimilarityTransform, pose_similarity
-from hierpose.hierarchy import BoundingBox
+from hierpose.appearance import log_part_prob
+from hierpose.geometry import ChildGeometry, SimilarityTransform, _max_angle, pose_similarity
+from hierpose.hierarchy import BoundingBox, object_size
 from hierpose.inference import Hypothesis
+from hierpose.scoring import feature_length, pose_terms, total_score
 
 FLOOR = 1e-6
 
@@ -136,6 +142,8 @@ def naive_pose_log_prob(X, node_id, exemplar, stack, hierarchy, size):
             for pid, w in hierarchy.node(child).anchor.weights.items():
                 anchor += w * np.asarray(X[hierarchy.atom_index(pid)], dtype=float)
             comp = maps.composite[child]
+            if not 1 <= label <= comp.data.shape[0]:
+                raise KeyError(f"no composite type {label} for part {child}")
             value = _lookup(comp.data[label - 1].astype(np.float64), anchor)
             total += math.log(max(value, FLOOR)) if value is not None else math.log(FLOOR)
     return total
@@ -289,3 +297,134 @@ def naive_propose_hypotheses(node, lower, library, hierarchy, params, rng):
                 BoundingBox(locations[rows].min(axis=0), locations[rows].max(axis=0)),
             ))
     return out
+
+
+def naive_feature_vector(X, stack, hierarchy, library, bound):
+    """The scalar feature composition: `log_part_prob` per atom, then per
+    composite node the best exemplar from the exemplar loop of
+    `naive_best_fit` and the one-row `pose_terms` with it."""
+    out = np.empty(feature_length(hierarchy))
+    scale = hierarchy.scale_factor(X, 1)
+    for i, part in enumerate(hierarchy.atomic_ids):
+        out[i] = log_part_prob(stack, part, X[i], scale)
+    size = object_size(X)
+    offset = hierarchy.atomic_count
+    for node in hierarchy.composite_nodes:
+        exemplar_index, _ = naive_best_fit(X, node.id, library, hierarchy, bound)
+        log_prob, similarity = pose_terms(
+            np.asarray(X, dtype=float)[None], node.id, [exemplar_index], [size],
+            stack, hierarchy, library, bound,
+        )
+        out[offset] = log_prob[0]
+        out[offset + 1] = similarity[0]
+        offset += 2
+    out[-1] = 1.0
+    return out
+
+
+def _geometry_points(geometry) -> np.ndarray:
+    if isinstance(geometry, ChildGeometry):
+        return geometry.points
+    return np.asarray(geometry, dtype=float)
+
+
+def grid_search_pose_similarity(
+    current,
+    exemplar,
+    bound=None,
+    scale_range: tuple[float, float] = (0.5, 2.0),
+    scale_step: float = 0.02,
+    angle_step: float = 0.01,
+    translation_step: float = 0.25,
+    translation_span: float = 1.0,
+    refine: bool = True,
+) -> float:
+    """Lattice-search reference for the pose similarity score.
+
+    Sweeps scale x angle x translation (translations on a lattice around the
+    centroid offset of each scale/angle cell) and polishes the best cell with
+    a bounded local minimizer.  Used to cross-check the closed-form fit.
+    """
+    cur = _geometry_points(current)
+    ex = _geometry_points(exemplar)
+    max_angle = _max_angle(bound)
+    k = cur.shape[0]
+
+    scales = np.arange(scale_range[0], scale_range[1] + scale_step / 2, scale_step)
+    angles = np.arange(-max_angle, max_angle, angle_step)
+    angles = np.append(angles, max_angle)
+    steps = np.arange(-translation_span, translation_span + translation_step / 2, translation_step)
+    ox, oy = np.meshgrid(steps, steps)
+    offsets = np.stack([ox.ravel(), oy.ravel()], axis=1)
+
+    cos, sin = np.cos(angles), np.sin(angles)
+    rot = np.stack([np.stack([cos, -sin], -1), np.stack([sin, cos], -1)], -2)  # (A,2,2)
+    placed = scales[:, None, None, None] * np.einsum("aij,kj->aki", rot, ex)[None]  # (S,A,k,2)
+    center = cur.mean(axis=0) - placed.mean(axis=2)  # (S,A,2): centroid-offset translation
+    diff = cur[None, None] - placed - center[:, :, None, :]  # (S,A,k,2)
+    base = np.einsum("sakc,sakc->sa", diff, diff)
+    linear = diff.sum(axis=2)  # (S,A,2)
+    resid = (
+        base[:, :, None]
+        - 2.0 * np.einsum("sac,oc->sao", linear, offsets)
+        + k * np.einsum("oc,oc->o", offsets, offsets)[None, None]
+    )
+    flat = int(np.argmin(resid))
+    si, ai, oi = np.unravel_index(flat, resid.shape)
+    best = float(resid[si, ai, oi])
+    start = np.array(
+        [
+            scales[si],
+            angles[ai],
+            center[si, ai, 0] + offsets[oi, 0],
+            center[si, ai, 1] + offsets[oi, 1],
+        ]
+    )
+
+    if refine:
+
+        def objective(params):
+            s, theta, tx, ty = params
+            c, sn = np.cos(theta), np.sin(theta)
+            moved = s * ex @ np.array([[c, sn], [-sn, c]]) + (tx, ty)
+            return float(np.sum((cur - moved) ** 2))
+
+        result = optimize.minimize(
+            objective,
+            start,
+            method="L-BFGS-B",
+            bounds=[(1e-9, None), (-max_angle, max_angle), (None, None), (None, None)],
+        )
+        best = min(best, float(result.fun))
+    return -best
+
+
+def exhaustive_best_config(
+    stack, hierarchy, library, weights, candidates, bound=None, budget=10**7
+):
+    """Exact argmax of the total score over per-part candidate locations.
+
+    Ties resolve to the lexicographically smallest configuration.  Raises
+    when the Cartesian product exceeds the budget.
+    """
+    lists = []
+    total = 1
+    for cand in candidates:
+        cand = np.asarray(cand, dtype=float).reshape(-1, 2)
+        order = np.lexsort((cand[:, 1], cand[:, 0]))
+        lists.append(cand[order])
+        total *= len(cand)
+    if len(lists) != hierarchy.atomic_count:
+        raise ValueError("need one candidate list per atomic part")
+    if total > budget:
+        raise ValueError(f"candidate budget exceeded: {total} > {budget}")
+    best_score = -np.inf
+    best = None
+    X = np.empty((hierarchy.atomic_count, 2))
+    for combo in itertools.product(*lists):
+        X[:] = combo
+        score = total_score(X, stack, hierarchy, library, weights, bound)
+        if score > best_score:
+            best_score = score
+            best = X.copy()
+    return best, float(best_score)

@@ -32,12 +32,7 @@ from hierpose.cli import main as cli_main
 from hierpose.inference import InferenceParams
 from hierpose.learning import TrainingSet
 from hierpose.metrics import Segment, pcp_radius, pcp_segments, pdj_curve
-from hierpose.synth import (
-    exhaustive_best_config,
-    grid_search_pose_similarity,
-    make_scene,
-    render_score_maps,
-)
+from hierpose.synth import make_scene, render_score_maps
 
 from conftest import (
     annotations_tiny3,
@@ -47,6 +42,7 @@ from conftest import (
     tiny2_doc,
     tiny3_doc,
 )
+from oracles import exhaustive_best_config, grid_search_pose_similarity
 
 
 def report(criterion: int, label: str, started: float, detail: str = ""):

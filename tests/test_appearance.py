@@ -261,6 +261,30 @@ def test_round_trip_two_scales(tmp_path, tiny3):
             assert np.array_equal(a.composite[part].data, b.composite[part].data)
 
 
+def test_load_rejects_truncation_at_every_section_boundary(tmp_path, tiny3):
+    stack = random_stack(
+        tiny3, {p: 2 for p in tiny3.atomic_ids}, {10: 3, 11: 3}, np.random.default_rng(6),
+        grid=(7, 9), scales=(1.0, 2.0),
+    )
+    path = tmp_path / "maps.hpsm"
+    save_score_maps(stack, path)
+    data = path.read_bytes()
+    # magic, then version and scale count; per scale: header, channel table,
+    # atomic tensor, composite count, and per composite part header and data
+    sections = [4, 8]
+    for maps in stack.scales:
+        c, h, w = maps.atomic.shape
+        sections += [20, 8 * c, 4 * c * h * w, 4]
+        for part in sorted(maps.composite):
+            sections += [12, 4 * maps.composite[part].data.size]
+    boundaries = np.cumsum(sections)
+    assert boundaries[-1] == len(data)
+    for cut in [0, *boundaries[:-1].tolist()]:
+        path.write_bytes(data[:cut])
+        with pytest.raises(ScoreMapError, match="truncated"):
+            load_score_maps(path)
+
+
 def test_load_rejects_bad_normalization(tmp_path):
     table = np.array([(0, 0), (1, 1)], dtype=np.uint32)
     atomic = np.full((2, 4, 4), 0.5, dtype=np.float32)

@@ -1,12 +1,25 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
 
-from hierpose import load_hierarchy, save_annotations, save_library, save_weights
+from hierpose import (
+    augment_positives,
+    generate_negatives,
+    load_hierarchy,
+    load_score_maps,
+    save_annotations,
+    save_library,
+    save_weights,
+    train_weights,
+)
 from hierpose.cli import main
+from hierpose.inference import DEFAULT_MAX_ANGLE
+from hierpose.learning import TrainingSet
 from hierpose.scoring import WeightVector
 
+import oracles
 from conftest import annotations_tiny3, library_for, tiny3_doc
 
 
@@ -178,6 +191,67 @@ def test_train_empty_annotations_exit_1(workspace):
     (workspace / "empty.json").write_text("[]")
     config = train_config(workspace, name="train_empty.json", annotations="empty.json")
     assert main(["train", str(config)]) == 1
+
+
+def per_image_maps(workspace, hierarchy):
+    """Three annotated images, each with its own `<image>.hpsm` in maps/."""
+    annotations = annotations_tiny3(3)
+    (workspace / "maps").mkdir()
+    for k, ann in enumerate(annotations):
+        ann.size = (24, 24)
+        shutil.copy(
+            workspace / "scenes" / f"scene_{k}" / "maps.hpsm",
+            workspace / "maps" / f"{ann.image}.hpsm",
+        )
+    save_annotations(annotations, hierarchy, workspace / "three.json")
+    config = train_config(
+        workspace, name="per_image.json", annotations="three.json", score_maps="maps"
+    )
+    return annotations, config
+
+
+def test_train_per_image_maps_matches_oracle_features(workspace, tiny3):
+    annotations, config = per_image_maps(workspace, tiny3)
+    assert main(["train", str(config)]) == 0
+
+    # the same run with the scalar oracle's features, one sample at a time
+    library, _ = library_for(tiny3, annotations)
+    positives = annotations + augment_positives(
+        annotations, np.random.default_rng(1), jitter_fraction=0.03, copies=2
+    )
+    negatives = generate_negatives(
+        annotations, None, np.random.default_rng(2), noise_sigma=None, per_positive=2
+    )
+    stacks = {a.image: load_score_maps(workspace / "maps" / f"{a.image}.hpsm") for a in annotations}
+    features = np.stack([
+        oracles.naive_feature_vector(
+            a.points, stacks[a.image.split("#")[0]], tiny3, library, DEFAULT_MAX_ANGLE
+        )
+        for a in positives + negatives
+    ])
+    labels = np.array([1.0] * len(positives) + [-1.0] * len(negatives))
+    training = TrainingSet(features, labels)
+    weights, objective = train_weights(training, c=5.0, epochs=120, seed=3)
+    expected = WeightVector.from_array(weights, tiny3).to_json(tiny3)
+    assert (workspace / "out" / "trained.json").read_text() == expected
+    log = json.loads((workspace / "out" / "train_log.json").read_text())
+    assert log == {
+        "samples": {"positive": len(positives), "negative": len(negatives)},
+        "holdout_fraction": 0.0,
+        "exemplar_annotations": 3,
+        "objective": objective,
+        "training_accuracy": float(np.mean(labels * (features @ weights) > 0)),
+        "epochs": 120,
+        "c": 5.0,
+        "seed": 3,
+    }
+
+
+def test_train_missing_per_image_maps_exit_1(workspace, tiny3, capsys):
+    _, config = per_image_maps(workspace, tiny3)
+    (workspace / "maps" / "img1.hpsm").unlink()
+    assert main(["train", str(config)]) == 1
+    assert "img1.hpsm" in capsys.readouterr().err
 
 
 def eval_config(workspace, metric, name, **overrides):

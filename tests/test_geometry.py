@@ -12,7 +12,8 @@ from hierpose import (
     fit_two_points,
     pose_similarity,
 )
-from hierpose.synth import grid_search_pose_similarity
+
+from oracles import grid_search_pose_similarity
 
 
 def random_geometry(rng, k=4, span=8.0):

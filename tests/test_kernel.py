@@ -1,5 +1,6 @@
-"""The batched pose-term kernel and array-built proposals against the scalar
-oracles in `oracles.py`, including typed-error parity on one bad row."""
+"""The batched pose-term kernel, the batched feature pass and array-built
+proposals against the scalar oracles in `oracles.py`, including typed-error
+parity on one bad row."""
 
 import math
 from functools import lru_cache
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hierpose import Annotation, WeightVector, load_hierarchy
-from hierpose.appearance import ScaleMaps, ScoreMapStack
+from hierpose.appearance import LOG_FLOOR, ScaleMaps, ScoreMapStack
 from hierpose.geometry import ChildGeometry, fit_least_squares_batch
 from hierpose.hierarchy import BoundingBox
 from hierpose.inference import (
@@ -20,7 +21,8 @@ from hierpose.inference import (
     score_and_prune,
     seed_atomic_hypotheses,
 )
-from hierpose.scoring import subtree_scores
+from hierpose.learning import Exemplar
+from hierpose.scoring import best_fit_pose, feature_matrix, pose_terms, subtree_scores
 from hierpose.synth import make_scene
 
 import oracles
@@ -231,6 +233,146 @@ def test_error_parity_missing_composite_map():
     sizes[2] = 60.0
     stack = stack_without(stack, 1, composite=11)
     check_parity(KeyError, hierarchy, library, stack, locations, poses, sizes)
+
+
+@pytest.mark.parametrize("label", [0, 4])
+def test_error_parity_composite_label_out_of_range(label):
+    """Composite child 11 has 3 types: label 0 must not read the last type's
+    map, and label 4 must not escape as an IndexError."""
+    hierarchy, _, stack, locations, poses, sizes = good_batch()
+    _, library, _ = model("limbs4")
+    library = type(library)(library.nodes, library.atomic_bins, library.composite_bins)
+    wrong = library.nodes[20][1]
+    library.nodes[20][1] = type(wrong)(
+        wrong.node_id, wrong.index, wrong.source, wrong.object_size, wrong.locations,
+        {**wrong.child_labels, 11: label}, wrong.geometry,
+    )
+    for row, pose in enumerate(poses):
+        pose[20] = 1 if row == 2 else 0
+    check_parity(KeyError, hierarchy, library, stack, locations, poses, sizes)
+
+
+# -- batched features ------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def feature_model(name: str):
+    """`model(name)` with a second stack of the same channels and a library
+    whose every node ends with a copy of exemplar 0 carrying other relation
+    types, so that the best fit ties whenever exemplar 0 wins and a wrong
+    tie-break changes the log-pose-prob column."""
+    hierarchy, library, stack = model(name)
+    other = random_stack(
+        hierarchy, library.atomic_bins, library.composite_bins, np.random.default_rng(8),
+        grid=(GRID, GRID), scales=SCALES[name],
+    )
+    bins = {**library.atomic_bins, **library.composite_bins}
+    nodes = {}
+    for nid, exemplars in library.nodes.items():
+        first = exemplars[0]
+        copy = Exemplar(
+            nid, len(exemplars), first.source + "#copy", first.object_size, first.locations,
+            {child: label % bins[child] + 1 for child, label in first.child_labels.items()},
+            first.geometry,
+        )
+        nodes[nid] = exemplars + [copy]
+    library = type(library)(nodes, library.atomic_bins, library.composite_bins)
+    return hierarchy, library, [stack, other]
+
+
+def random_configurations(hierarchy, library, count, rng):
+    """On-grid configurations in which some atoms jump about 50 pixels off the
+    grid (on limbs4 such rows select the 2.0 scale); a third of the rows are
+    exactly the configuration of the root's exemplar 0."""
+    X = rng.random((count, hierarchy.atomic_count, 2)) * (GRID - 2) + 1
+    jump = (rng.random((count, hierarchy.atomic_count)) < 0.15)[..., None]
+    X += jump * rng.choice([-45.0, 50.0], size=(count, hierarchy.atomic_count, 1))
+    exact = rng.random(count) < 1 / 3
+    X[exact] = library.get(hierarchy.root.id, 0).locations
+    return X
+
+
+def naive_features(X, stacks, stack_index, hierarchy, library, bound=None):
+    return np.stack([
+        oracles.naive_feature_vector(X[s], stacks[stack_index[s]], hierarchy, library, bound)
+        for s in range(len(X))
+    ])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(DOCS)),
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 12),
+    bound=st.sampled_from([None, 0.2, math.pi]),
+)
+def test_feature_matrix_matches_scalar_oracle(name, seed, count, bound):
+    hierarchy, library, stacks = feature_model(name)
+    rng = np.random.default_rng(seed)
+    X = random_configurations(hierarchy, library, count, rng)
+    stack_index = rng.integers(len(stacks), size=count)
+    ours = feature_matrix(X, stacks, stack_index, hierarchy, library, bound)
+    assert np.array_equal(ours, naive_features(X, stacks, stack_index, hierarchy, library, bound))
+
+
+def test_feature_inputs_reach_both_scales_off_grid_points_and_ties():
+    """The property test's inputs reach what it is meant to cover."""
+    hierarchy, library, stacks = feature_model("limbs4")
+    X = random_configurations(hierarchy, library, 200, np.random.default_rng(4))
+    size = (X.max(axis=1) - X.min(axis=1)).mean(axis=1)
+    scale = hierarchy.scale.factor_from_size(size, 1)
+    assert set(stacks[0].nearest_scale_indices(scale).tolist()) == {0, 1}
+    features = feature_matrix(X, stacks, np.arange(200) % 2, hierarchy, library)
+    assert np.sum(features[:, : hierarchy.atomic_count] == LOG_FLOOR) > 100
+    exact = library.get(hierarchy.root.id, 0).locations
+    copy = library.size(11) - 1
+    assert best_fit_pose(exact, 11, library, hierarchy)[0] == 0
+    log_prob, similarity = pose_terms(
+        np.stack([exact, exact]), 11, [0, copy], [25.0, 25.0], stacks[0], hierarchy, library
+    )
+    assert similarity[0] == similarity[1] and log_prob[0] != log_prob[1]
+
+
+def check_feature_parity(error, X, stacks, stack_index, hierarchy, library, bad=2):
+    with pytest.raises(error):
+        feature_matrix(X, stacks, stack_index, hierarchy, library)
+    good = [row for row in range(len(X)) if row != bad]
+    assert np.array_equal(
+        feature_matrix(X[good], stacks, stack_index[good], hierarchy, library),
+        naive_features(X[good], stacks, stack_index[good], hierarchy, library),
+    )
+    with pytest.raises(error):
+        oracles.naive_feature_vector(X[bad], stacks[stack_index[bad]], hierarchy, library, None)
+
+
+def on_grid_features_batch():
+    """Four on-grid limbs4 configurations on alternating stacks."""
+    hierarchy, library, stacks = feature_model("limbs4")
+    X = np.random.default_rng(6).random((4, hierarchy.atomic_count, 2)) * (GRID - 2) + 1
+    return hierarchy, library, stacks, X, np.array([0, 1, 0, 1])
+
+
+def test_feature_error_parity_zero_extent():
+    hierarchy, library, stacks, X, stack_index = on_grid_features_batch()
+    X[2] = X[2, 0]
+    check_feature_parity(ValueError, X, stacks, stack_index, hierarchy, library)
+
+
+def test_feature_error_parity_undefined_location():
+    hierarchy, library, stacks, X, stack_index = on_grid_features_batch()
+    X[2, hierarchy.atom_index(8)] = np.nan
+    check_feature_parity(ValueError, X, stacks, stack_index, hierarchy, library)
+
+
+def test_feature_error_parity_missing_channel():
+    hierarchy, library, stacks, X, stack_index = on_grid_features_batch()
+    # row 2 alone reads a third stack, which lacks the channel its best-fit
+    # exemplar of node 11 needs for part 1
+    best, _ = best_fit_pose(X[2], 11, library, hierarchy)
+    label = library.get(11, best).child_labels[1]
+    stacks = stacks + [stack_without(stacks[1], 0, channel=(1, label))]
+    stack_index[2] = 2
+    check_feature_parity(KeyError, X, stacks, stack_index, hierarchy, library)
 
 
 # -- proposals -------------------------------------------------------------------

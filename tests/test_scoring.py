@@ -18,7 +18,7 @@ from hierpose import (
 from hierpose.appearance import ScaleMaps, ScoreMapStack
 from hierpose.inference import Hypothesis
 from hierpose.hierarchy import BoundingBox, object_size
-from hierpose.scoring import feature_length, load_weights, save_weights
+from hierpose.scoring import build_training_set, feature_length, load_weights, save_weights
 
 import oracles
 from conftest import annotations_tiny3, base_pose_tiny3, library_for, random_stack
@@ -343,6 +343,18 @@ def test_feature_vector_pose_identical_similarity_zero(setup_tiny3):
     n = hierarchy.atomic_count
     similarities = features[n:-1][1::2]
     assert np.all(similarities >= -1e-9)
+
+
+def test_build_training_set_one_stack_rows_in_sample_order(setup_tiny3):
+    hierarchy, annotations, library, stack = setup_tiny3
+    positives, negatives = annotations[:2], annotations[2:]
+    training = build_training_set(positives, negatives, stack, hierarchy, library)
+    naive = [oracles.naive_feature_vector(a.points, stack, hierarchy, library, None)
+             for a in annotations]
+    assert np.array_equal(training.features, np.stack(naive))
+    assert training.labels.tolist() == [1.0, 1.0, -1.0]
+    with pytest.raises(ValueError, match="no training samples"):
+        build_training_set([], [], stack, hierarchy, library)
 
 
 def test_total_monotone_in_lit_channel(setup_tiny3):

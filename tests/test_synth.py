@@ -14,9 +14,7 @@ from hierpose import (
     total_score,
 )
 from hierpose.synth import (
-    exhaustive_best_config,
     generate_pose,
-    grid_search_pose_similarity,
     load_scene,
     make_scene,
     render_score_maps,
@@ -24,6 +22,7 @@ from hierpose.synth import (
 )
 
 from conftest import annotations_tiny3, library_for
+from oracles import exhaustive_best_config, grid_search_pose_similarity
 
 
 @pytest.fixture()
