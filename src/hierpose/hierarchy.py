@@ -345,11 +345,15 @@ def composite_relation(anchor, box: BoundingBox) -> np.ndarray:
     return np.concatenate([box.top_left - a, box.bottom_right - a])
 
 
-def object_size(X: np.ndarray) -> float:
-    """Mean side length of the bounding box of all atomic locations."""
+def object_size(X: np.ndarray) -> float | np.ndarray:
+    """Mean side length of the bounding box of all atomic locations.
+
+    `X` is (N, 2), or (S, N, 2) for S configurations; the size is then per
+    configuration.
+    """
     X = np.asarray(X, dtype=float)
-    extent = X.max(axis=0) - X.min(axis=0)
-    return float(extent.mean())
+    size = (X.max(axis=-2) - X.min(axis=-2)).mean(axis=-1)
+    return float(size) if size.ndim == 0 else size
 
 
 def scale_factor(X: np.ndarray, level: int, params: ScaleParams) -> float:

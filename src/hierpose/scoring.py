@@ -20,8 +20,8 @@ are one-row calls of it.
 
 Training features come from one batched pass, `feature_matrix`: for S
 configurations, each read on its own score-map stack, it gathers the atomic
-columns at each row's nearest scale, fits every (row, exemplar) pair of a
-composite node in one bounded fit, keeps each row's best exemplar, and
+columns at each row's nearest scale, fits each exemplar of a composite
+node to all rows in one bounded fit, keeps each row's best exemplar, and
 reads the relation types with the lookup half of `pose_terms`, once per
 stack.  `feature_vector` and `best_fit_pose` are one-row calls of it and
 of its best-fit step; `build_training_set` stacks all samples, taking one
@@ -203,17 +203,18 @@ def best_fit_pose(
 def _best_fits(exemplars: np.ndarray, current: np.ndarray, bound) -> tuple[np.ndarray, np.ndarray]:
     """Per row of `current` (S, K, 2): the index of the best-fitting of the
     (E, K, 2) exemplar geometries (ties: lowest index) and its alignment
-    score.  One bounded fit covers all S x E (row, exemplar) pairs."""
-    rows, count = len(current), len(exemplars)
-    pairs = (rows, count) + exemplars.shape[1:]
-    _, _, _, residual = fit_least_squares_batch(
-        np.broadcast_to(exemplars, pairs).reshape(-1, *exemplars.shape[1:]),
-        np.broadcast_to(current[:, None], pairs).reshape(-1, *exemplars.shape[1:]),
-        bound,
-    )
-    score = -residual.reshape(rows, count)
-    best = np.argmax(score, axis=1)
-    return best, score[np.arange(rows), best]
+    score.  Each exemplar is fitted to all S rows in one bounded fit, so
+    memory grows with S, not with S x E."""
+    best = np.zeros(len(current), dtype=np.intp)
+    best_score = np.full(len(current), -np.inf)
+    for e, exemplar in enumerate(exemplars):
+        _, _, _, residual = fit_least_squares_batch(
+            np.broadcast_to(exemplar, current.shape), current, bound
+        )
+        better = -residual > best_score
+        best[better] = e
+        best_score[better] = -residual[better]
+    return best, best_score
 
 
 def _check_signature(signature, node_id: int, hierarchy: PartHierarchy) -> None:
@@ -451,7 +452,7 @@ def feature_matrix(
     groups = [
         (stacks[g], np.flatnonzero(stack_index == g)) for g in np.unique(stack_index).tolist()
     ]
-    size = (X.max(axis=1) - X.min(axis=1)).mean(axis=1)
+    size = object_size(X)
     scale = hierarchy.scale.factor_from_size(size, 1)
     out = np.empty((len(X), feature_length(hierarchy)))
     for stack, rows in groups:

@@ -3,6 +3,7 @@ proposals against the scalar oracles in `oracles.py`, including typed-error
 parity on one bad row."""
 
 import math
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from hierpose import Annotation, WeightVector, load_hierarchy
 from hierpose.appearance import LOG_FLOOR, ScaleMaps, ScoreMapStack
 from hierpose.geometry import ChildGeometry, fit_least_squares_batch
-from hierpose.hierarchy import BoundingBox
+from hierpose.hierarchy import BoundingBox, object_size
 from hierpose.inference import (
     Hypothesis,
     InferenceParams,
@@ -319,7 +320,7 @@ def test_feature_inputs_reach_both_scales_off_grid_points_and_ties():
     """The property test's inputs reach what it is meant to cover."""
     hierarchy, library, stacks = feature_model("limbs4")
     X = random_configurations(hierarchy, library, 200, np.random.default_rng(4))
-    size = (X.max(axis=1) - X.min(axis=1)).mean(axis=1)
+    size = object_size(X)
     scale = hierarchy.scale.factor_from_size(size, 1)
     assert set(stacks[0].nearest_scale_indices(scale).tolist()) == {0, 1}
     features = feature_matrix(X, stacks, np.arange(200) % 2, hierarchy, library)
@@ -331,6 +332,37 @@ def test_feature_inputs_reach_both_scales_off_grid_points_and_ties():
         np.stack([exact, exact]), 11, [0, copy], [25.0, 25.0], stacks[0], hierarchy, library
     )
     assert similarity[0] == similarity[1] and log_prob[0] != log_prob[1]
+
+
+def feature_peak_bytes(count):
+    """tracemalloc peak of `feature_matrix` over `count` rows with a limbs4
+    library of `count` exemplars per node, as one per annotation gives."""
+    hierarchy, library, stacks = feature_model("limbs4")
+    nodes = {
+        nid: [
+            Exemplar(nid, i, e.source, e.object_size, e.locations, e.child_labels, e.geometry)
+            for i, e in enumerate(exemplars[i % len(exemplars)] for i in range(count))
+        ]
+        for nid, exemplars in library.nodes.items()
+    }
+    library = type(library)(nodes, library.atomic_bins, library.composite_bins)
+    X = random_configurations(hierarchy, library, count, np.random.default_rng(3))
+    stack_index = np.arange(count) % 2
+    feature_matrix(X, stacks, stack_index, hierarchy, library)  # stacks the exemplar arrays
+    tracemalloc.start()
+    try:
+        feature_matrix(X, stacks, stack_index, hierarchy, library)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_feature_matrix_memory_grows_linearly():
+    """One exemplar per annotation makes S x E grow with the square of the
+    training set; the best-fit pass must not hold all (row, exemplar) pairs."""
+    small, large = feature_peak_bytes(100), feature_peak_bytes(400)
+    assert large < 6 * small
+    assert large < 2_000_000  # fitting all 160,000 (row, exemplar) pairs at once peaks over 100 MB
 
 
 def check_feature_parity(error, X, stacks, stack_index, hierarchy, library, bad=2):
