@@ -49,6 +49,7 @@ from .inference import (
 from .learning import (
     Annotation,
     ExemplarLibrary,
+    LibraryError,
     TrainingSet,
     augment_positives,
     build_library,

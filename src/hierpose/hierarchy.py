@@ -221,6 +221,7 @@ class PartHierarchy:
         self.composite_nodes: tuple[PartNode, ...] = tuple(
             n for n in self.nodes if not n.is_atomic
         )
+        self._composite_index = {n.id: i for i, n in enumerate(self.composite_nodes)}
         self._name_to_id: dict[str, int] = {}
         for node in self.nodes:
             if node.name in self._name_to_id:
@@ -274,6 +275,13 @@ class PartHierarchy:
     def atom_index(self, part_id: int) -> int:
         """Row of an atomic part in the configuration array."""
         return self._atom_index[part_id]
+
+    def composite_index(self, node_id: int) -> int:
+        """Position of a composite node in `composite_nodes`."""
+        try:
+            return self._composite_index[node_id]
+        except KeyError:
+            raise KeyError(f"node {node_id} is not composite") from None
 
     def atom_rows(self, node_id: int) -> np.ndarray:
         return np.array([self._atom_index[p] for p in self._atoms_below[node_id]])

@@ -5,10 +5,17 @@ similarity-aligned onto randomly chosen pairs of lower hypotheses (atomic
 locations at level 2, composite anchors above), carrying over the exemplar's
 subtree, object size, and per-node pose choices.  From level 3 up, child
 subtrees may additionally be swapped with geometrically compatible lower
-hypotheses.  Proposals, swaps and scores are computed as arrays over all
-hypotheses of a part; hypotheses are then deduplicated and pruned to the
-best Z per part.  Surviving root hypotheses are refined per atomic part
-inside a disc and the best refined configuration wins.
+hypotheses.  Hypotheses are then deduplicated and pruned to the best Z per
+part.  Surviving root hypotheses are refined per atomic part inside a disc
+and the best refined configuration wins.
+
+The hypotheses of one part are one `HypothesisSet`: stacked locations
+(H, N, 2), an (H, C) exemplar index per composite node, object sizes, box
+corners and scores.  Seeding, proposal, swap and scoring/pruning take and
+return these sets, so the search never handles a hypothesis on its own;
+`Hypothesis` is the one-row view that `HypothesisSet.row` returns for the
+surviving roots.  Refinement scores the candidate pixels of all atomic
+parts of a root in one array pass.
 
 Modes: "full" runs everything; "partial" stops before refinement and traces
 the best root hypothesis; "no-hier" collapses the model to a depth-2
@@ -17,7 +24,7 @@ hierarchy that only uses whole-object exemplars.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,12 +32,19 @@ from .appearance import LOG_FLOOR, ScoreMapStack, top_peaks
 from .geometry import AngleBound, DEFAULT_MAX_ANGLE, fit_two_points_batch, transform_points
 from .hierarchy import BoundingBox, PartHierarchy, PartNode, ScaleParams, object_size
 from .learning import Exemplar, ExemplarLibrary
-from .scoring import WeightVector, best_fit_pose, refinement_score, subtree_scores
+from .scoring import (
+    WeightVector,
+    best_fit_pose,
+    pose_array,
+    refinement_score,
+    subtree_scores,
+)
 
 __all__ = [
     "NoConfigurationError",
     "InferenceParams",
     "Hypothesis",
+    "HypothesisSet",
     "hypothesis_from_config",
     "seed_atomic_hypotheses",
     "propose_hypotheses",
@@ -84,7 +98,8 @@ class InferenceParams:
 
 @dataclass
 class Hypothesis:
-    """A scored candidate placement of one part's whole subtree."""
+    """A scored candidate placement of one part's whole subtree: one row of
+    a `HypothesisSet`, as its own object."""
 
     node_id: int
     level: int
@@ -95,9 +110,106 @@ class Hypothesis:
     score: float = float("nan")
 
 
-def _subtree_box(locations: np.ndarray, rows: np.ndarray) -> BoundingBox:
-    pts = locations[rows]
-    return BoundingBox(pts.min(axis=0), pts.max(axis=0))
+_ROW_FIELDS = ("locations", "pose", "object_size", "lows", "highs", "score")
+
+
+@dataclass
+class HypothesisSet:
+    """The hypotheses of one part, stacked; row i is one hypothesis.
+
+    `pose` holds each row's exemplar index per composite node, one column
+    per node of `pose_nodes` (the hierarchy's `composite_nodes`), and -1
+    for nodes outside the part's subtree.  `lows` and `highs` are the
+    corners of each row's tight subtree box; scores are NaN until
+    `score_and_prune` sets them.
+    """
+
+    node_id: int
+    level: int
+    pose_nodes: tuple[int, ...]
+    locations: np.ndarray  # (H, N, 2); NaN outside the subtree
+    pose: np.ndarray  # (H, C) int
+    object_size: np.ndarray  # (H,)
+    lows: np.ndarray  # (H, 2)
+    highs: np.ndarray  # (H, 2)
+    score: np.ndarray  # (H,)
+
+    @classmethod
+    def build(
+        cls,
+        node: PartNode,
+        hierarchy: PartHierarchy,
+        locations: np.ndarray,
+        pose: np.ndarray,
+        sizes: np.ndarray,
+        score: np.ndarray | None = None,
+    ) -> "HypothesisSet":
+        """Hypotheses of one part from stacked arrays; boxes are computed
+        from the subtree locations, scores default to NaN."""
+        subtree = locations[:, hierarchy.atom_rows(node.id)]
+        return cls(
+            node.id, node.level, tuple(n.id for n in hierarchy.composite_nodes),
+            locations, pose, np.asarray(sizes, dtype=float),
+            subtree.min(axis=1), subtree.max(axis=1),
+            np.full(len(locations), np.nan) if score is None else score,
+        )
+
+    @classmethod
+    def of(cls, hyps, hierarchy: PartHierarchy) -> "HypothesisSet":
+        """Stack one part's `Hypothesis` rows (at least one)."""
+        hyps = list(hyps)
+        if not hyps:
+            raise ValueError("need at least one hypothesis")
+        first = hyps[0]
+        if any(h.node_id != first.node_id for h in hyps):
+            raise ValueError("hypotheses of one set must belong to one part")
+        return cls(
+            first.node_id, first.level, tuple(n.id for n in hierarchy.composite_nodes),
+            np.stack([np.asarray(h.locations, dtype=float) for h in hyps]),
+            pose_array([h.pose for h in hyps], hierarchy),
+            np.array([h.object_size for h in hyps], dtype=float),
+            np.stack([h.box.top_left for h in hyps]),
+            np.stack([h.box.bottom_right for h in hyps]),
+            np.array([h.score for h in hyps], dtype=float),
+        )
+
+    def __len__(self) -> int:
+        return len(self.score)
+
+    def __iter__(self):
+        return (self.row(i) for i in range(len(self)))
+
+    def row(self, i: int) -> Hypothesis:
+        """Hypothesis i as its own object."""
+        pose = {
+            node_id: int(index)
+            for node_id, index in zip(self.pose_nodes, self.pose[i].tolist())
+            if index >= 0
+        }
+        return Hypothesis(
+            self.node_id, self.level, self.locations[i].copy(), pose,
+            float(self.object_size[i]), BoundingBox(self.lows[i], self.highs[i]),
+            float(self.score[i]),
+        )
+
+    def take(self, index) -> "HypothesisSet":
+        """The rows `index`, in that order."""
+        index = np.asarray(index, dtype=np.intp)
+        return replace(self, **{name: getattr(self, name)[index] for name in _ROW_FIELDS})
+
+    def concat(self, other: "HypothesisSet") -> "HypothesisSet":
+        """These rows followed by the rows of `other`, a set of the same part."""
+        return replace(self, **{
+            name: np.concatenate([getattr(self, name), getattr(other, name)])
+            for name in _ROW_FIELDS
+        })
+
+
+def _no_hypotheses(node: PartNode, hierarchy: PartHierarchy) -> HypothesisSet:
+    return HypothesisSet.build(
+        node, hierarchy, np.empty((0, hierarchy.atomic_count, 2)),
+        np.empty((0, len(hierarchy.composite_nodes)), dtype=np.intp), np.empty(0),
+    )
 
 
 def hypothesis_from_config(
@@ -112,22 +224,23 @@ def hypothesis_from_config(
         for node in hierarchy.composite_nodes
     }
     X = np.asarray(X, dtype=float)
+    pts = X[hierarchy.atom_rows(hierarchy.root.id)]
     return Hypothesis(
         node_id=hierarchy.root.id,
         level=hierarchy.levels,
         locations=X.copy(),
         pose=pose,
         object_size=object_size(X),
-        box=_subtree_box(X, hierarchy.atom_rows(hierarchy.root.id)),
+        box=BoundingBox(pts.min(axis=0), pts.max(axis=0)),
     )
 
 
 def seed_atomic_hypotheses(
     stack: ScoreMapStack, hierarchy: PartHierarchy, params: InferenceParams
-) -> dict[int, list[Hypothesis]]:
+) -> dict[int, HypothesisSet]:
     """Top peaks of every atomic part, merged over scales, as hypotheses."""
-    n = hierarchy.atomic_count
-    out: dict[int, list[Hypothesis]] = {}
+    n, columns = hierarchy.atomic_count, len(hierarchy.composite_nodes)
+    out: dict[int, HypothesisSet] = {}
     for part in hierarchy.atomic_ids:
         candidates: list[tuple[float, int, int, np.ndarray]] = []
         for scale_index, maps in enumerate(stack.scales):
@@ -142,23 +255,13 @@ def seed_atomic_hypotheses(
             picked.append(point)
             if len(picked) == params.z:
                 break
-        hyps = []
-        row = hierarchy.atom_index(part)
-        for point in picked:
-            locations = np.full((n, 2), np.nan)
-            locations[row] = point
-            hyps.append(
-                Hypothesis(
-                    node_id=part,
-                    level=1,
-                    locations=locations,
-                    pose={},
-                    object_size=0.0,
-                    box=BoundingBox(point, point),
-                    score=0.0,
-                )
-            )
-        out[part] = hyps
+        count = len(picked)
+        locations = np.full((count, n, 2), np.nan)
+        locations[:, hierarchy.atom_index(part)] = np.reshape(picked, (count, 2))
+        out[part] = HypothesisSet.build(
+            hierarchy.node(part), hierarchy, locations,
+            np.full((count, columns), -1, dtype=np.intp), np.zeros(count), np.zeros(count),
+        )
     return out
 
 
@@ -170,37 +273,14 @@ def _alignment_points(locations: np.ndarray, child_id: int, hierarchy: PartHiera
     return hierarchy.anchor_point(locations, child_id)
 
 
-def _make_hypotheses(
-    node: PartNode,
-    locations: np.ndarray,
-    poses: list[dict[int, int]],
-    sizes: np.ndarray,
-    rows: np.ndarray,
-) -> list[Hypothesis]:
-    """Hypotheses of one part from stacked (H, N, 2) locations."""
-    subtree = locations[:, rows]
-    lows, highs = subtree.min(axis=1), subtree.max(axis=1)
-    return [
-        Hypothesis(
-            node_id=node.id,
-            level=node.level,
-            locations=locations[i],
-            pose=poses[i],
-            object_size=float(sizes[i]),
-            box=BoundingBox(lows[i], highs[i]),
-        )
-        for i in range(len(poses))
-    ]
-
-
 def propose_hypotheses(
     node: PartNode,
-    lower: dict[int, list[Hypothesis]],
+    lower: dict[int, HypothesisSet],
     library: ExemplarLibrary,
     hierarchy: PartHierarchy,
     params: InferenceParams,
     rng: np.random.Generator,
-) -> list[Hypothesis]:
+) -> HypothesisSet:
     """Randomly align the node's exemplars onto pairs of lower hypotheses.
 
     Each draw picks an exemplar and two distinct child slots, fits the exact
@@ -215,23 +295,23 @@ def propose_hypotheses(
     """
     exemplars = library.exemplars(node.id)
     if not exemplars:
-        return []
+        return _no_hypotheses(node, hierarchy)
     children = node.children
-    pools = [lower.get(child_id) or [] for child_id in children]
+    pools = [lower.get(child_id) or () for child_id in children]
+    counts = [len(pool) for pool in pools]
     draws = []  # (exemplar, slot, slot, pick, pick)
     for _ in range(params.samples):
         exemplar = int(rng.integers(len(exemplars)))
         slots = rng.choice(len(children), size=2, replace=False)
         picks = []
         for slot in slots:
-            pool = pools[slot]
-            if not pool:
+            if not counts[slot]:
                 break
-            picks.append(int(rng.integers(len(pool))))
+            picks.append(int(rng.integers(counts[slot])))
         else:
             draws.append((exemplar, *slots, *picks))
     if not draws:
-        return []
+        return _no_hypotheses(node, hierarchy)
     draws = np.array(draws, dtype=np.intp)
     chosen, slots, picks = draws[:, 0], draws[:, 1:3], draws[:, 3:5]
 
@@ -240,12 +320,12 @@ def propose_hypotheses(
         [_alignment_points(table.locations, child_id, hierarchy) for child_id in children],
         axis=1,
     )  # (E, C, 2)
-    offsets = np.cumsum([0] + [len(pool) for pool in pools])
+    offsets = np.cumsum([0] + counts)
     pool_points = np.concatenate([
-        _alignment_points(np.stack([h.locations for h in pool]), child_id, hierarchy)
+        _alignment_points(pool.locations, child_id, hierarchy)
         for child_id, pool in zip(children, pools) if pool
     ])
-    pool_sizes = np.array([h.object_size for pool in pools for h in pool])
+    pool_sizes = np.concatenate([pool.object_size for pool in pools if pool])
     targets = offsets[slots] + picks  # (A, 2) rows of pool_points
     src = exemplar_points[chosen[:, None], slots]  # (A, 2, 2)
     dst = pool_points[targets]
@@ -276,73 +356,70 @@ def propose_hypotheses(
     locations[:, rows] = transform_points(
         scale[keep], angle[keep], translation[keep], table.locations[chosen[keep]][:, rows]
     )
+    # every node of the subtree takes the exemplar of the same source
     pose_nodes = hierarchy.composites_below(node.id)
-    pose_of: dict[int, dict[int, int]] = {}
-    for index in np.unique(chosen[keep]).tolist():
+    columns = [hierarchy.composite_index(nid) for nid in pose_nodes]
+    used, which = np.unique(chosen[keep], return_inverse=True)
+    pose = np.full((len(used), len(hierarchy.composite_nodes)), -1, dtype=np.intp)
+    for k, index in enumerate(used.tolist()):
         source = exemplars[index].source
-        pose_of[index] = {nid: library.for_source(nid, source).index for nid in pose_nodes}
-    poses = [dict(pose_of[index]) for index in chosen[keep].tolist()]
-    return _make_hypotheses(
-        node, locations, poses, scale[keep] * exemplar_size[keep], rows
+        pose[k, columns] = [library.for_source(nid, source).index for nid in pose_nodes]
+    return HypothesisSet.build(
+        node, hierarchy, locations, pose[which], scale[keep] * exemplar_size[keep]
     )
 
 
 def swap_subtrees(
-    hyps: list[Hypothesis],
-    lower: dict[int, list[Hypothesis]],
+    hyps: HypothesisSet,
+    lower: dict[int, HypothesisSet],
     hierarchy: PartHierarchy,
     params: InferenceParams,
-) -> list[Hypothesis]:
+) -> HypothesisSet:
     """Augment one part's hypotheses by swapping child subtrees with compatible ones.
 
     A lower hypothesis of the same child part is compatible when each of its
     box corners lies within compatibility_tolerance x object_size of the
     current child box corner.  Originals are retained; each compatible
     alternative yields one extra hypothesis, in the order (hypothesis,
-    child, alternative).  Compatibility is tested as an H x M array per
+    child, alternative), which takes over the alternative's subtree
+    locations and poses.  Compatibility is tested as an H x M array per
     child.
     """
     if not hyps:
-        return []
-    node = hierarchy.node(hyps[0].node_id)
-    locations = np.stack([h.locations for h in hyps])
-    tolerance = params.compatibility_tolerance * np.array([h.object_size for h in hyps])
-    found = []  # (hypothesis, child slot, alternative)
+        return hyps
+    node = hierarchy.node(hyps.node_id)
+    tolerance = params.compatibility_tolerance * hyps.object_size
+    found = []  # (hypothesis, child slot, alternative) per compatible pair
     for slot, child_id in enumerate(node.children):
-        pool = lower.get(child_id) or []
+        pool = lower.get(child_id)
         if not pool:
             continue
-        subtree = locations[:, hierarchy.atom_rows(child_id)]
-        near = []
-        corners = (
-            (subtree.min(axis=1), [candidate.box.top_left for candidate in pool]),
-            (subtree.max(axis=1), [candidate.box.bottom_right for candidate in pool]),
-        )
-        for current, other in corners:
-            gap = np.array(other)[None] - current[:, None]
-            near.append(np.hypot(gap[..., 0], gap[..., 1]) > tolerance[:, None])
-        hyp_index, alt_index = np.nonzero(~(near[0] | near[1]))
-        found.extend(zip(hyp_index.tolist(), [slot] * len(hyp_index), alt_index.tolist()))
-    if not found:
-        return list(hyps)
-    found.sort()
+        subtree = hyps.locations[:, hierarchy.atom_rows(child_id)]
+        far = np.zeros((len(hyps), len(pool)), dtype=bool)
+        for current, other in ((subtree.min(axis=1), pool.lows), (subtree.max(axis=1), pool.highs)):
+            gap = other[None] - current[:, None]
+            far |= np.hypot(gap[..., 0], gap[..., 1]) > tolerance[:, None]
+        hyp_index, alt_index = np.nonzero(~far)
+        found.append(np.stack([hyp_index, np.full_like(hyp_index, slot), alt_index], axis=1))
+    found = np.concatenate(found) if found else np.empty((0, 3), dtype=np.intp)
+    if not len(found):
+        return hyps
+    found = found[np.lexsort(found.T[::-1])]
 
-    found = np.array(found, dtype=np.intp)
-    swapped = locations[found[:, 0]]
+    base = found[:, 0]
+    locations = hyps.locations[base]
+    pose = hyps.pose[base]
     for slot, child_id in enumerate(node.children):
         picked = np.flatnonzero(found[:, 1] == slot)
         if picked.size:
+            pool = lower[child_id]
+            alternative = found[picked, 2]
             rows = hierarchy.atom_rows(child_id)
-            pool = np.stack([h.locations[rows] for h in lower[child_id]])
-            swapped[picked[:, None], rows] = pool[found[picked, 2]]
-    poses = []
-    for i, slot, j in found.tolist():
-        pose = dict(hyps[i].pose)
-        pose.update(lower[node.children[slot]][j].pose)
-        poses.append(pose)
-    sizes = np.array([h.object_size for h in hyps])[found[:, 0]]
-    return list(hyps) + _make_hypotheses(
-        node, swapped, poses, sizes, hierarchy.atom_rows(node.id)
+            locations[picked[:, None], rows] = pool.locations[alternative[:, None], rows]
+            child_pose = pool.pose[alternative]
+            pose[picked] = np.where(child_pose >= 0, child_pose, pose[picked])
+    return hyps.concat(
+        HypothesisSet.build(node, hierarchy, locations, pose, hyps.object_size[base])
     )
 
 
@@ -372,7 +449,7 @@ def prune_order(
 
 
 def score_and_prune(
-    hyps: list[Hypothesis],
+    hyps: HypothesisSet,
     stack: ScoreMapStack,
     hierarchy: PartHierarchy,
     library: ExemplarLibrary,
@@ -380,27 +457,24 @@ def score_and_prune(
     z: int,
     dedup_radius: float,
     bound: AngleBound | float | None = None,
-) -> list[Hypothesis]:
+) -> HypothesisSet:
     """Score every hypothesis of one part, deduplicate, keep the top z.
 
     Scores are the subtree spatial sums, computed for all hypotheses at once
     with one kernel call per subtree node.  Duplicates are hypotheses whose
     atomic locations all lie within dedup_radius of a better-scoring
     survivor.  Scores that agree to 1e-9 keep earlier creation order (see
-    `prune_order`).
+    `prune_order`).  Returns the kept rows, best first, with their scores.
     """
     if not hyps:
-        return []
-    node_id = hyps[0].node_id
-    locations = np.stack([h.locations for h in hyps])
+        return hyps
     scores = subtree_scores(
-        locations, node_id, [h.pose for h in hyps], np.array([h.object_size for h in hyps]),
+        hyps.locations, hyps.node_id, hyps.pose, hyps.object_size,
         stack, hierarchy, library, weights, bound,
     )
-    for hyp, score in zip(hyps, scores.tolist()):
-        hyp.score = score
-    rows = hierarchy.atom_rows(node_id)
-    return [hyps[i] for i in prune_order(scores, locations[:, rows], z, dedup_radius)]
+    rows = hierarchy.atom_rows(hyps.node_id)
+    kept = prune_order(scores, hyps.locations[:, rows], z, dedup_radius)
+    return replace(hyps, score=scores).take(kept)
 
 
 def refine_hypothesis(
@@ -416,52 +490,60 @@ def refine_hypothesis(
     its parent's alignment penalty over every pixel within
     search_radius_fraction x (root box mean side) of its hypothesized
     location; the exact starting point is always a candidate.  Ties prefer
-    the smallest displacement, then row-major order.  Returns the refined
-    configuration and its approximate score.
+    the smallest displacement, then the smallest y, then the smallest x.
+    All parts are searched in one pass over a (P, K) array of candidates:
+    the pixels of a common square window per part, masked to the part's
+    disc, plus its starting point.  Returns the refined configuration and
+    its approximate score.
     """
     radius = params.search_radius_fraction * root_hyp.box.mean_side
     scale = hierarchy.scale.factor_from_size(root_hyp.object_size, 1)
     scale_index = stack.nearest_scale_index(scale)
     height, width = stack.scales[scale_index].grid_shape
-    refined = root_hyp.locations.copy()
-    for i, part in enumerate(hierarchy.atomic_ids):
-        center = root_hyp.locations[i]
-        w_part = float(weights.atomic[i])
-        parent = hierarchy.parent_of(part)
-        penalty = weights.node_weights(hierarchy, parent)[1]
-        log_map = stack.log_marginal(part, scale_index)
+    centers = root_hyp.locations
+    parts = len(centers)
+    if not np.isfinite(centers).all():
+        raise ValueError("root hypothesis has undefined locations")
 
-        cols = np.arange(
-            int(np.ceil(center[0] - radius)), int(np.floor(center[0] + radius)) + 1
-        )
-        rows_ = np.arange(
-            int(np.ceil(center[1] - radius)), int(np.floor(center[1] + radius)) + 1
-        )
-        if cols.size and rows_.size:
-            grid_x, grid_y = np.meshgrid(cols, rows_)
-            xs = grid_x.ravel().astype(float)
-            ys = grid_y.ravel().astype(float)
-            dist = np.hypot(xs - center[0], ys - center[1])
-            keep = dist <= radius
-            xs, ys, dist = xs[keep], ys[keep], dist[keep]
-        else:
-            xs = np.empty(0)
-            ys = np.empty(0)
-            dist = np.empty(0)
-        xs = np.append(xs, center[0])
-        ys = np.append(ys, center[1])
-        dist = np.append(dist, 0.0)
+    # candidate pixels: the integer window [ceil(c - r), floor(c + r)] per part
+    low = np.ceil(centers - radius).astype(int)
+    high = np.floor(centers + radius).astype(int)
+    span = np.maximum((high - low).max(axis=0) + 1, 0)
+    cols = low[:, 0, None] + np.arange(span[0])  # (P, Kx)
+    rows = low[:, 1, None] + np.arange(span[1])  # (P, Ky)
+    inside_window = (rows <= high[:, 1, None])[:, :, None] & (cols <= high[:, 0, None])[:, None, :]
+    shape = inside_window.shape
+    xs = np.broadcast_to(cols[:, None, :], shape).astype(float)
+    ys = np.broadcast_to(rows[:, :, None], shape).astype(float)
+    dist = np.hypot(xs - centers[:, 0, None, None], ys - centers[:, 1, None, None])
+    valid = inside_window & (dist <= radius)
+    # ... plus the starting point of each part
+    xs = np.concatenate([xs.reshape(parts, -1), centers[:, :1]], axis=1)
+    ys = np.concatenate([ys.reshape(parts, -1), centers[:, 1:]], axis=1)
+    dist = np.concatenate([dist.reshape(parts, -1), np.zeros((parts, 1))], axis=1)
+    valid = np.concatenate([valid.reshape(parts, -1), np.ones((parts, 1), dtype=bool)], axis=1)
 
-        log_values = np.full(xs.shape, LOG_FLOOR)
-        px = np.floor(xs + 0.5).astype(int)
-        py = np.floor(ys + 0.5).astype(int)
-        inside = (px >= 0) & (px < width) & (py >= 0) & (py < height)
-        log_values[inside] = log_map[py[inside], px[inside]]
-        values = w_part * log_values - penalty * dist * dist
+    px = np.floor(xs + 0.5).astype(int)
+    py = np.floor(ys + 0.5).astype(int)
+    on_grid = (px >= 0) & (px < width) & (py >= 0) & (py < height)
+    pixel = np.clip(py, 0, height - 1) * width + np.clip(px, 0, width - 1)
+    log_values = np.stack([
+        stack.log_marginal(part, scale_index).ravel()[pixel[i]]
+        for i, part in enumerate(hierarchy.atomic_ids)
+    ])
+    log_values[~on_grid] = LOG_FLOOR
+    penalty = np.array([
+        weights.node_weights(hierarchy, hierarchy.parent_of(part))[1]
+        for part in hierarchy.atomic_ids
+    ])
+    values = weights.atomic[:, None] * log_values - penalty[:, None] * dist * dist
 
-        ranking = np.lexsort((xs, ys, dist, -values))
-        best = ranking[0]
-        refined[i] = (xs[best], ys[best])
+    # the lexicographically best valid candidate: (max value, min dist, min y, min x)
+    best = valid & (values == np.where(valid, values, -np.inf).max(axis=1, keepdims=True))
+    for key in (dist, ys, xs):
+        best &= key == np.where(best, key, np.inf).min(axis=1, keepdims=True)
+    choice = best.argmax(axis=1)
+    refined = np.stack([xs[np.arange(parts), choice], ys[np.arange(parts), choice]], axis=1)
     return refined, refinement_score(refined, root_hyp, stack, hierarchy, weights)
 
 
@@ -560,9 +642,9 @@ def infer(
     if n_seeded == 0:
         raise NoConfigurationError("no configuration found: no score-map peaks at level 1")
 
-    lower: dict[int, list[Hypothesis]] = seeds
+    lower: dict[int, HypothesisSet] = seeds
     for level in range(2, hierarchy.levels + 1):
-        current: dict[int, list[Hypothesis]] = {}
+        current: dict[int, HypothesisSet] = {}
         proposed = augmented = 0
         for node_index, node in enumerate(hierarchy.nodes_at_level(level)):
             rng = np.random.default_rng(
@@ -579,7 +661,7 @@ def infer(
             )
         kept = sum(len(v) for v in current.values())
         best = max(
-            (h.score for hyps in current.values() for h in hyps), default=None
+            (float(hyps.score.max()) for hyps in current.values() if hyps), default=None
         )
         level_diags.append(
             {
@@ -598,7 +680,7 @@ def infer(
             raise NoConfigurationError(f"no configuration found: level {level} is empty")
         lower = current
 
-    roots = lower[hierarchy.root.id]
+    roots = list(lower[hierarchy.root.id])
     partial_hyp = roots[0]
     partial_config = partial_hyp.locations.copy()
     partial_score = refinement_score(partial_config, partial_hyp, stack, hierarchy, weights)

@@ -11,6 +11,7 @@ everything except the trailing bias component.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import warnings
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ __all__ = [
     "Exemplar",
     "ExemplarArrays",
     "ExemplarLibrary",
+    "LibraryError",
     "build_library",
     "save_library",
     "load_library",
@@ -283,52 +285,95 @@ def save_library(library: ExemplarLibrary, path) -> None:
     Path(path).write_bytes(bytes(out))
 
 
+class LibraryError(ValueError):
+    """An exemplar-library file is malformed or does not fit the hierarchy."""
+
+
 def load_library(path, hierarchy: PartHierarchy) -> ExemplarLibrary:
-    data = Path(path).read_bytes()
+    """Read an "HPEL" container written by `save_library`.
+
+    Every read is bounds-checked and every field is checked against the
+    hierarchy: nodes are composite, each exemplar covers exactly its node's
+    subtree rows with finite coordinates and a finite positive object size,
+    and labels one child of the node each, within the child's bin count.
+    Keys are strictly increasing, as `save_library` writes them, so a file
+    that loads re-saves bit-exact.  Anything else raises `LibraryError`.
+    """
+    data = memoryview(Path(path).read_bytes())
     pos = 0
 
-    def take(fmt: str):
+    def take(n: int) -> memoryview:
         nonlocal pos
-        size = struct.calcsize(fmt)
-        if pos + size > len(data):
-            raise ValueError("truncated library file")
-        values = struct.unpack(fmt, data[pos : pos + size])
-        pos += size
-        return values
+        if pos + n > len(data):
+            raise LibraryError("truncated library file")
+        chunk = data[pos : pos + n]
+        pos += n
+        return chunk
 
-    if data[:4] != LIBRARY_MAGIC:
-        raise ValueError(f"bad magic in {path}: not an exemplar library")
+    def unpack(fmt: str):
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    def pairs(count: int, what: str) -> dict[int, int]:
+        items = list(struct.iter_unpack("<II", take(8 * count)))
+        keys = [key for key, _ in items]
+        if any(b <= a for a, b in zip(keys, keys[1:])):
+            raise LibraryError(f"{what} are not strictly increasing")
+        return dict(items)
+
+    if bytes(data[:4]) != LIBRARY_MAGIC:
+        raise LibraryError(f"bad magic in {path}: not an exemplar library")
     pos = 4
-    (version,) = take("<I")
+    (version,) = unpack("<I")
     if version != LIBRARY_VERSION:
-        raise ValueError(f"unsupported library version {version}")
-
-    def read_bins() -> dict[int, int]:
-        (n,) = take("<I")
-        return dict(take("<II") for _ in range(n))
-
-    atomic_bins = read_bins()
-    composite_bins = read_bins()
-    (n_nodes,) = take("<I")
+        raise LibraryError(f"unsupported library version {version}")
+    atomic_bins = pairs(*unpack("<I"), "atomic bin parts")
+    composite_bins = pairs(*unpack("<I"), "composite bin parts")
+    (n_nodes,) = unpack("<I")
     nodes: dict[int, list[Exemplar]] = {}
     n_parts = hierarchy.atomic_count
     for _ in range(n_nodes):
-        node_id, n_ex = take("<II")
+        node_id, n_ex = unpack("<II")
+        if nodes and node_id <= max(nodes):
+            raise LibraryError("library node ids are not strictly increasing")
+        try:
+            node = hierarchy.node(node_id)
+        except KeyError:
+            raise LibraryError(f"library node {node_id} is not in the hierarchy") from None
+        if node.is_atomic:
+            raise LibraryError(f"library node {node_id} is atomic")
+        rows = hierarchy.atom_rows(node_id)
+        bins = {
+            child: (atomic_bins if hierarchy.node(child).is_atomic else composite_bins).get(child, 0)
+            for child in node.children
+        }
         exemplars = []
         for index in range(n_ex):
-            (source_len,) = take("<I")
-            source = data[pos : pos + source_len].decode("utf-8")
-            pos += source_len
-            (size_value,) = take("<d")
-            (n_atoms,) = take("<I")
-            rows = np.frombuffer(data, "<u4", n_atoms, pos).astype(int)
-            pos += 4 * n_atoms
-            coords = np.frombuffer(data, "<f8", 2 * n_atoms, pos).reshape(n_atoms, 2)
-            pos += 16 * n_atoms
+            where = f"exemplar {index} of node {node_id}"
+            (source_len,) = unpack("<I")
+            try:
+                source = str(take(source_len), "utf-8")
+            except UnicodeDecodeError:
+                raise LibraryError(f"{where}: source name is not UTF-8") from None
+            (size_value,) = unpack("<d")
+            if not (math.isfinite(size_value) and size_value > 0):
+                raise LibraryError(f"{where}: object size {size_value!r} is not finite and positive")
+            (n_atoms,) = unpack("<I")
+            stored_rows = np.frombuffer(take(4 * n_atoms), "<u4")
+            coords = np.frombuffer(take(16 * n_atoms), "<f8").reshape(n_atoms, 2)
+            if not np.array_equal(stored_rows, rows):
+                raise LibraryError(f"{where}: atom rows are not the node's subtree rows")
+            if not np.isfinite(coords).all():
+                raise LibraryError(f"{where}: non-finite coordinates")
             locations = np.full((n_parts, 2), np.nan)
             locations[rows] = coords
-            (n_labels,) = take("<I")
-            labels = dict(take("<II") for _ in range(n_labels))
+            labels = pairs(*unpack("<I"), f"{where}: label children")
+            if sorted(labels) != sorted(node.children):
+                raise LibraryError(f"{where}: labels are not one per child of the node")
+            for child, label in labels.items():
+                if not 1 <= label <= bins[child]:
+                    raise LibraryError(
+                        f"{where}: label {label} of child {child} is outside 1..{bins[child]}"
+                    )
             exemplars.append(
                 Exemplar(
                     node_id=node_id,
@@ -342,7 +387,7 @@ def load_library(path, hierarchy: PartHierarchy) -> ExemplarLibrary:
             )
         nodes[node_id] = exemplars
     if pos != len(data):
-        raise ValueError("trailing bytes after library payload")
+        raise LibraryError("trailing bytes after library payload")
     return ExemplarLibrary(nodes, atomic_bins, composite_bins)
 
 

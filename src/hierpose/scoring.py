@@ -15,8 +15,9 @@ kernel, `pose_terms`: for H hypotheses of a part it gathers each row's child
 geometry and exemplar, runs the bounded similarity fit on all rows at once,
 and looks the relation-type probabilities up at each row's nearest stored
 scale.  Inference scores a whole level with one kernel call per subtree
-node (`subtree_scores`); `subtree_score`, `pose_score` and `spatial_score`
-are one-row calls of it.
+node (`subtree_scores`, which reads each row's exemplar per node from an
+(H, C) pose array, see `pose_array`); `subtree_score` and `pose_score` are
+one-row calls of it.
 
 Training features come from one batched pass, `feature_matrix`: for S
 configurations, each read on its own score-map stack, it gathers the atomic
@@ -25,7 +26,9 @@ node to all rows in one bounded fit, keeps each row's best exemplar, and
 reads the relation types with the lookup half of `pose_terms`, once per
 stack.  `feature_vector` and `best_fit_pose` are one-row calls of it and
 of its best-fit step; `build_training_set` stacks all samples, taking one
-shared stack or a per-image stack lookup.  Candidate refinements are scored
+shared stack or a per-image stack lookup.  `total_score` is the weights
+times the feature vector, and `appearance_score` and `spatial_score` weight
+its atomic and composite slices.  Candidate refinements are scored
 by a separable approximation that freezes everything except the atomic
 appearance terms and the level-2 alignment penalties.
 """
@@ -64,6 +67,7 @@ __all__ = [
     "spatial_score",
     "total_score",
     "pose_terms",
+    "pose_array",
     "subtree_scores",
     "subtree_score",
     "refinement_score",
@@ -125,10 +129,8 @@ class WeightVector:
         return cls(values[:n], pairs[0::2], pairs[1::2], float(values[-1]))
 
     def node_weights(self, hierarchy: PartHierarchy, node_id: int) -> tuple[float, float]:
-        for i, node in enumerate(hierarchy.composite_nodes):
-            if node.id == node_id:
-                return float(self.pose_appearance[i]), float(self.pose_similarity[i])
-        raise KeyError(f"node {node_id} is not composite")
+        i = hierarchy.composite_index(node_id)
+        return float(self.pose_appearance[i]), float(self.pose_similarity[i])
 
     def to_json(self, hierarchy: PartHierarchy) -> str:
         doc = {
@@ -174,14 +176,10 @@ def load_weights(path, hierarchy: PartHierarchy) -> WeightVector:
 def appearance_score(
     X: np.ndarray, stack: ScoreMapStack, hierarchy: PartHierarchy, weights: WeightVector
 ) -> float:
-    """Weighted sum of atomic part detection log-probabilities."""
-    scale = hierarchy.scale_factor(X, 1)
-    total = 0.0
-    for i, part in enumerate(hierarchy.atomic_ids):
-        w = float(weights.atomic[i])
-        if w != 0.0:
-            total += w * log_part_prob(stack, part, X[i], scale)
-    return total
+    """Weighted sum of atomic part detection log-probabilities: the atomic
+    slice of the feature vector, weighted."""
+    features = _appearance_features(np.asarray(X, dtype=float)[None], [(stack, [0])], hierarchy)
+    return float(weights.atomic @ features[0])
 
 
 def best_fit_pose(
@@ -319,11 +317,11 @@ def spatial_score(
     weights: WeightVector,
     bound: AngleBound | float | None = None,
 ) -> float:
-    """Sum of the spatial terms of every composite node, with best-fit poses."""
-    return sum(
-        pose_score(X, node.id, stack, hierarchy, library, weights, bound)
-        for node in hierarchy.composite_nodes
-    )
+    """Sum of the spatial terms of every composite node, with best-fit poses:
+    the composite slice of the feature vector, weighted."""
+    spatial = slice(hierarchy.atomic_count, -1)
+    features = feature_vector(X, stack, hierarchy, library, bound)
+    return float(weights.as_array()[spatial] @ features[spatial])
 
 
 def total_score(
@@ -334,18 +332,26 @@ def total_score(
     weights: WeightVector,
     bound: AngleBound | float | None = None,
 ) -> float:
-    """Full configuration energy: appearance + spatial + bias."""
-    return (
-        appearance_score(X, stack, hierarchy, weights)
-        + spatial_score(X, stack, hierarchy, library, weights, bound)
-        + weights.bias
-    )
+    """Full configuration energy, appearance + spatial + bias: the weights
+    times the feature vector."""
+    return float(weights.as_array() @ feature_vector(X, stack, hierarchy, library, bound))
+
+
+def pose_array(poses, hierarchy: PartHierarchy) -> np.ndarray:
+    """(H, C) exemplar indices of H {composite node: exemplar index} dicts,
+    one column per node of `hierarchy.composite_nodes`; -1 where a dict has
+    no entry."""
+    out = np.full((len(poses), len(hierarchy.composite_nodes)), -1, dtype=np.intp)
+    for row, pose in enumerate(poses):
+        for node_id, index in pose.items():
+            out[row, hierarchy.composite_index(node_id)] = index
+    return out
 
 
 def subtree_scores(
     locations: np.ndarray,
     node_id: int,
-    poses,
+    pose: np.ndarray,
     size: np.ndarray,
     stack: ScoreMapStack,
     hierarchy: PartHierarchy,
@@ -355,14 +361,16 @@ def subtree_scores(
 ) -> np.ndarray:
     """Spatial score of H hypotheses of one part, using their stored poses.
 
-    `poses` holds one {composite node: exemplar index} dict per row.  Each
-    composite node of the part's subtree adds its weighted spatial term with
-    the stored exemplar, not a re-fit; atomic parts score zero.
+    `pose` (H, C) holds each row's exemplar index per composite node (see
+    `pose_array`).  Each composite node of the part's subtree adds its
+    weighted spatial term with the stored exemplar, not a re-fit; atomic
+    parts score zero.
     """
-    total = np.zeros(len(poses))
+    pose = np.asarray(pose, dtype=np.intp)
+    total = np.zeros(len(pose))
     for composite in hierarchy.composites_below(node_id):
-        index = [pose.get(composite) for pose in poses]
-        if None in index:
+        index = pose[:, hierarchy.composite_index(composite)]
+        if np.any(index < 0):
             raise ValueError(f"hypothesis subtree is missing a pose for node {composite}")
         w_app, w_sim = weights.node_weights(hierarchy, composite)
         log_prob, similarity = pose_terms(
@@ -382,8 +390,9 @@ def subtree_score(
 ) -> float:
     """`subtree_scores` of one hypothesis."""
     scores = subtree_scores(
-        hypothesis.locations[None], hypothesis.node_id, [hypothesis.pose],
-        [hypothesis.object_size], stack, hierarchy, library, weights, bound,
+        hypothesis.locations[None], hypothesis.node_id,
+        pose_array([hypothesis.pose], hierarchy), [hypothesis.object_size],
+        stack, hierarchy, library, weights, bound,
     )
     return float(scores[0])
 
@@ -453,12 +462,8 @@ def feature_matrix(
         (stacks[g], np.flatnonzero(stack_index == g)) for g in np.unique(stack_index).tolist()
     ]
     size = object_size(X)
-    scale = hierarchy.scale.factor_from_size(size, 1)
     out = np.empty((len(X), feature_length(hierarchy)))
-    for stack, rows in groups:
-        scale_index = stack.nearest_scale_indices(scale[rows])
-        for i, part in enumerate(hierarchy.atomic_ids):
-            out[rows, i] = log_part_probs(stack, part, X[rows, i], scale_index)
+    out[:, : hierarchy.atomic_count] = _appearance_features(X, groups, hierarchy)
     column = hierarchy.atomic_count
     for node in hierarchy.composite_nodes:
         table = library.arrays(node.id)
@@ -472,6 +477,18 @@ def feature_matrix(
         out[:, column + 1] = similarity
         column += 2
     out[:, -1] = 1.0
+    return out
+
+
+def _appearance_features(X: np.ndarray, groups, hierarchy: PartHierarchy) -> np.ndarray:
+    """(S, N) atomic log-probabilities of S configurations at the atomic
+    scale; `groups` pairs each stack with the rows that read it."""
+    scale = hierarchy.scale.factor_from_size(object_size(X), 1)
+    out = np.empty(X.shape[:2])
+    for stack, rows in groups:
+        scale_index = stack.nearest_scale_indices(scale[rows])
+        for i, part in enumerate(hierarchy.atomic_ids):
+            out[rows, i] = log_part_probs(stack, part, X[rows, i], scale_index)
     return out
 
 

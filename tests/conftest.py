@@ -1,8 +1,11 @@
 import copy
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from hierpose import (
     Annotation,
@@ -15,6 +18,15 @@ from hierpose import (
 from hierpose.appearance import CompositeMaps, ScaleMaps
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+# Property tests draw the same examples on every run and keep no example
+# database, so a run does not depend on earlier runs; each test still sets
+# its own max_examples.  Hypothesis also caches the constants it reads from
+# source files, during collection; that cache goes to the system temporary
+# directory, so a run writes no `.hypothesis/` into the checkout.
+settings.register_profile("default", derandomize=True, database=None, deadline=None)
+settings.load_profile("default")
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "hierpose-hypothesis")
 
 
 @pytest.fixture(scope="session")

@@ -4,9 +4,9 @@ Everything here is recomputed from first principles with plain loops and its
 own lookup/marginalization code; only the inner similarity fit reuses
 geometry.pose_similarity, whose own independent checks are the lattice-search
 oracle `grid_search_pose_similarity` and `naive_fit_least_squares` below.
-The scalar scorer, fit, proposal loop and feature composition that the
-batched library code replaced are kept here, as they were, to check the
-batched code against.  `exhaustive_best_config` enumerates configurations
+The scalar scorer, fit, proposal loop, feature composition and per-part
+refinement loop that the batched library code replaced are kept here, as
+they were, to check the batched code against.  `exhaustive_best_config` enumerates configurations
 to check the search.
 """
 
@@ -16,11 +16,11 @@ import math
 import numpy as np
 from scipy import optimize
 
-from hierpose.appearance import log_part_prob
+from hierpose.appearance import LOG_FLOOR, log_part_prob
 from hierpose.geometry import ChildGeometry, SimilarityTransform, _max_angle, pose_similarity
 from hierpose.hierarchy import BoundingBox, object_size
 from hierpose.inference import Hypothesis
-from hierpose.scoring import feature_length, pose_terms, total_score
+from hierpose.scoring import feature_length, pose_terms, refinement_score, total_score
 
 FLOOR = 1e-6
 
@@ -255,7 +255,11 @@ def _naive_composites_below(node_id, hierarchy):
 
 
 def naive_propose_hypotheses(node, lower, library, hierarchy, params, rng):
-    """The scalar proposal loop: one draw, fit and transform at a time."""
+    """The scalar proposal loop: one draw, fit and transform at a time.
+
+    `lower` maps child parts to `HypothesisSet`s; the drawn rows are read
+    one by one through `HypothesisSet.row`, and the result is a list of
+    `Hypothesis` rows."""
     exemplars = library.exemplars(node.id)
     children = node.children
     rows = hierarchy.atom_rows(node.id)
@@ -270,7 +274,7 @@ def naive_propose_hypotheses(node, lower, library, hierarchy, params, rng):
             pool = lower.get(child_id) or []
             if not pool:
                 break
-            chosen.append((child_id, pool[rng.integers(len(pool))]))
+            chosen.append((child_id, pool.row(int(rng.integers(len(pool))))))
         else:
             src = np.array([
                 _naive_alignment_point(exemplar.locations, cid, hierarchy) for cid, _ in chosen
@@ -297,6 +301,55 @@ def naive_propose_hypotheses(node, lower, library, hierarchy, params, rng):
                 BoundingBox(locations[rows].min(axis=0), locations[rows].max(axis=0)),
             ))
     return out
+
+
+def naive_refine_hypothesis(root_hyp, stack, hierarchy, weights, params):
+    """The per-part refinement loop: one disc, lookup and lexsort per atomic
+    part (ties: max value, then min displacement, then min y, then min x)."""
+    radius = params.search_radius_fraction * root_hyp.box.mean_side
+    scale = hierarchy.scale.factor_from_size(root_hyp.object_size, 1)
+    scale_index = stack.nearest_scale_index(scale)
+    height, width = stack.scales[scale_index].grid_shape
+    refined = root_hyp.locations.copy()
+    for i, part in enumerate(hierarchy.atomic_ids):
+        center = root_hyp.locations[i]
+        w_part = float(weights.atomic[i])
+        parent = hierarchy.parent_of(part)
+        penalty = weights.node_weights(hierarchy, parent)[1]
+        log_map = stack.log_marginal(part, scale_index)
+
+        cols = np.arange(
+            int(np.ceil(center[0] - radius)), int(np.floor(center[0] + radius)) + 1
+        )
+        rows_ = np.arange(
+            int(np.ceil(center[1] - radius)), int(np.floor(center[1] + radius)) + 1
+        )
+        if cols.size and rows_.size:
+            grid_x, grid_y = np.meshgrid(cols, rows_)
+            xs = grid_x.ravel().astype(float)
+            ys = grid_y.ravel().astype(float)
+            dist = np.hypot(xs - center[0], ys - center[1])
+            keep = dist <= radius
+            xs, ys, dist = xs[keep], ys[keep], dist[keep]
+        else:
+            xs = np.empty(0)
+            ys = np.empty(0)
+            dist = np.empty(0)
+        xs = np.append(xs, center[0])
+        ys = np.append(ys, center[1])
+        dist = np.append(dist, 0.0)
+
+        log_values = np.full(xs.shape, LOG_FLOOR)
+        px = np.floor(xs + 0.5).astype(int)
+        py = np.floor(ys + 0.5).astype(int)
+        inside = (px >= 0) & (px < width) & (py >= 0) & (py < height)
+        log_values[inside] = log_map[py[inside], px[inside]]
+        values = w_part * log_values - penalty * dist * dist
+
+        ranking = np.lexsort((xs, ys, dist, -values))
+        best = ranking[0]
+        refined[i] = (xs[best], ys[best])
+    return refined, refinement_score(refined, root_hyp, stack, hierarchy, weights)
 
 
 def naive_feature_vector(X, stack, hierarchy, library, bound):

@@ -1,5 +1,6 @@
 import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -139,6 +140,20 @@ def test_infer_missing_maps_exit_1(workspace, capsys):
     config = infer_config(workspace, name="bad.json", score_maps="nowhere.hpsm")
     assert main(["infer", str(config)]) == 1
     assert "nowhere.hpsm" in capsys.readouterr().err
+
+
+def test_infer_corrupt_library_exit_1(workspace, capsys):
+    path = workspace / "library.hpel"
+    data = path.read_bytes()
+    # the atom rows 0, 1, 2 of the first exemplar of node 10; row 1000 lies
+    # past the end of the configuration
+    rows = struct.pack("<3I", 0, 1, 2)
+    assert data.count(rows) >= 1
+    path.write_bytes(data.replace(rows, struct.pack("<3I", 1000, 1, 2), 1))
+    assert main(["infer", str(infer_config(workspace))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "subtree rows" in err
+    assert "Traceback" not in err
 
 
 def test_infer_unknown_config_key_rejected(workspace):

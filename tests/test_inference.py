@@ -17,6 +17,7 @@ from hierpose.geometry import SimilarityTransform, fit_two_points
 from hierpose.hierarchy import BoundingBox
 from hierpose.inference import (
     Hypothesis,
+    HypothesisSet,
     InferenceParams,
     propose_hypotheses,
     prune_order,
@@ -51,9 +52,9 @@ def level1_from_truth(hierarchy, X):
     for i, part in enumerate(hierarchy.atomic_ids):
         locations = np.full((hierarchy.atomic_count, 2), np.nan)
         locations[i] = X[i]
-        out[part] = [
-            Hypothesis(part, 1, locations, {}, 0.0, BoundingBox(X[i], X[i]), 0.0)
-        ]
+        out[part] = HypothesisSet.of(
+            [Hypothesis(part, 1, locations, {}, 0.0, BoundingBox(X[i], X[i]), 0.0)], hierarchy
+        )
     return out
 
 
@@ -65,9 +66,9 @@ def test_seed_one_peak_per_part(tiny3_setup):
     for i, part in enumerate(hierarchy.atomic_ids):
         assert len(seeds[part]) == 1
         assert np.allclose(
-            seeds[part][0].locations[i], scene.configuration[i], atol=1e-9
+            seeds[part].locations[0, i], scene.configuration[i], atol=1e-9
         )
-        assert seeds[part][0].score == 0.0
+        assert seeds[part].score[0] == 0.0
 
 
 def test_seed_truncates_to_budget(tiny3):
@@ -227,25 +228,26 @@ def test_swap_single_compatible_adds_one(tiny3_setup):
     alt_locations = np.full_like(X, np.nan)
     alt_locations[rows] = X[rows] + 0.2
     lower = {
-        10: [
+        10: HypothesisSet.of([
             Hypothesis(
                 10, 2, alt_locations, {10: alternative.pose[10]},
                 10.0,
                 BoundingBox(alt_locations[rows].min(0), alt_locations[rows].max(0)),
             )
-        ],
+        ], hierarchy),
         11: [],
     }
     params = InferenceParams(z=4, seed=0, compatibility_tolerance=0.1)
-    out = swap_subtrees([root_hyp], lower, hierarchy, params)
+    roots = HypothesisSet.of([root_hyp], hierarchy)
+    out = swap_subtrees(roots, lower, hierarchy, params)
     assert len(out) == 2
-    swapped = out[1]
+    swapped = out.row(1)
     assert np.allclose(swapped.locations[rows], X[rows] + 0.2)
     far = Hypothesis(
         10, 2, alt_locations + 100, {10: 0}, 10.0,
         BoundingBox((alt_locations[rows] + 100).min(0), (alt_locations[rows] + 100).max(0)),
     )
-    out2 = swap_subtrees([root_hyp], {10: [far], 11: []}, hierarchy, params)
+    out2 = swap_subtrees(roots, {10: HypothesisSet.of([far], hierarchy), 11: []}, hierarchy, params)
     assert len(out2) == 1
 
 
@@ -271,9 +273,12 @@ def test_swap_better_child_raises_score(tiny3_setup):
         BoundingBox(X[rows].min(0), X[rows].max(0)),
     )
     params = InferenceParams(z=4, seed=0, compatibility_tolerance=0.25)
-    out = swap_subtrees([degraded], {10: [good_child], 11: []}, hierarchy, params)
+    out = swap_subtrees(
+        HypothesisSet.of([degraded], hierarchy),
+        {10: HypothesisSet.of([good_child], hierarchy), 11: []}, hierarchy, params,
+    )
     assert len(out) == 2
-    scored(out, scene.stack, hierarchy, library, weights)
+    out = scored(list(out), scene.stack, hierarchy, library, weights)
     assert out[1].score > out[0].score
 
 
@@ -285,18 +290,19 @@ def test_score_and_prune_dedup_and_budget(tiny3_setup):
     a = hypothesis_from_config(X, hierarchy, library)
     b = hypothesis_from_config(X, hierarchy, library)  # identical duplicate
     c = hypothesis_from_config(X + 5.0, hierarchy, library)
+    hyps = HypothesisSet.of([a, b, c], hierarchy)
     kept = score_and_prune(
-        [a, b, c], scene.stack, hierarchy, library, weights, z=5, dedup_radius=2.0
+        hyps, scene.stack, hierarchy, library, weights, z=5, dedup_radius=2.0
     )
     assert len(kept) == 2
     only_best = score_and_prune(
-        [a, b, c], scene.stack, hierarchy, library, weights, z=1, dedup_radius=2.0
+        hyps, scene.stack, hierarchy, library, weights, z=1, dedup_radius=2.0
     )
     assert len(only_best) == 1
     for hyp in kept:
         again = subtree_score(hyp, scene.stack, hierarchy, library, weights)
         assert hyp.score == pytest.approx(again, abs=1e-12)
-    assert kept[0].score >= kept[1].score
+    assert kept.score[0] >= kept.score[1]
 
 
 def test_prune_ties_keep_creation_order_under_round_off(tiny3_setup):
@@ -307,10 +313,9 @@ def test_prune_ties_keep_creation_order_under_round_off(tiny3_setup):
     seeds = seed_atomic_hypotheses(scene.stack, hierarchy, params)
     node = hierarchy.nodes_at_level(2)[0]
     hyps = propose_hypotheses(node, seeds, library, hierarchy, params, np.random.default_rng(0))
-    locations = np.stack([h.locations for h in hyps])
+    locations = hyps.locations
     scores = subtree_scores(
-        locations, node.id, [h.pose for h in hyps], np.array([h.object_size for h in hyps]),
-        scene.stack, hierarchy, library, weights,
+        locations, node.id, hyps.pose, hyps.object_size, scene.stack, hierarchy, library, weights,
     )
     points = locations[:, hierarchy.atom_rows(node.id)]
     # repeated draws give exact-duplicate hypotheses: ties that only

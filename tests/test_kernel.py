@@ -1,6 +1,6 @@
-"""The batched pose-term kernel, the batched feature pass and array-built
-proposals against the scalar oracles in `oracles.py`, including typed-error
-parity on one bad row."""
+"""The batched pose-term kernel, the batched feature pass, array-built
+proposals and the one-pass refinement against the scalar oracles in
+`oracles.py`, including typed-error parity on one bad row."""
 
 import math
 import tracemalloc
@@ -17,13 +17,21 @@ from hierpose.geometry import ChildGeometry, fit_least_squares_batch
 from hierpose.hierarchy import BoundingBox, object_size
 from hierpose.inference import (
     Hypothesis,
+    HypothesisSet,
     InferenceParams,
     propose_hypotheses,
+    refine_hypothesis,
     score_and_prune,
     seed_atomic_hypotheses,
 )
 from hierpose.learning import Exemplar
-from hierpose.scoring import best_fit_pose, feature_matrix, pose_terms, subtree_scores
+from hierpose.scoring import (
+    best_fit_pose,
+    feature_matrix,
+    pose_array,
+    pose_terms,
+    subtree_scores,
+)
 from hierpose.synth import make_scene
 
 import oracles
@@ -97,7 +105,8 @@ def test_kernel_matches_scalar_oracle(name, seed, count, off_grid, bound):
     locations, poses, sizes = random_rows(hierarchy, library, node.id, count, rng, off_grid)
     weights = random_weights(hierarchy, rng)
     ours = subtree_scores(
-        locations, node.id, poses, sizes, stack, hierarchy, library, weights, bound
+        locations, node.id, pose_array(poses, hierarchy), sizes,
+        stack, hierarchy, library, weights, bound,
     )
     for row in range(count):
         hyp = as_hypothesis(hierarchy, node.id, locations[row], poses[row], sizes[row])
@@ -170,10 +179,13 @@ def check_parity(error, hierarchy, library, stack, locations, poses, sizes, bad=
     weights = WeightVector.uniform(hierarchy)
     node = hierarchy.root.id
     with pytest.raises(error):
-        subtree_scores(locations, node, poses, sizes, stack, hierarchy, library, weights)
+        subtree_scores(
+            locations, node, pose_array(poses, hierarchy), sizes,
+            stack, hierarchy, library, weights,
+        )
     good = [row for row in range(len(poses)) if row != bad]
     subtree_scores(
-        locations[good], node, [poses[row] for row in good], sizes[good],
+        locations[good], node, pose_array([poses[row] for row in good], hierarchy), sizes[good],
         stack, hierarchy, library, weights,
     )
     for row in range(len(poses)):
@@ -410,14 +422,23 @@ def test_feature_error_parity_missing_channel():
 # -- proposals -------------------------------------------------------------------
 
 
-def assert_same_proposals(ours, naive):
+def assert_same_proposals(ours, naive, hierarchy):
+    """`ours` is a HypothesisSet, `naive` the oracle's list of rows."""
     assert len(ours) == len(naive)
-    for a, b in zip(ours, naive):
-        assert (a.node_id, a.level, a.pose) == (b.node_id, b.level, b.pose)
-        assert np.array_equal(np.isnan(a.locations), np.isnan(b.locations))
-        assert np.allclose(a.locations, b.locations, atol=1e-9, equal_nan=True)
-        assert a.object_size == pytest.approx(b.object_size, abs=1e-9)
-        assert np.allclose(a.box.corners(), b.box.corners(), atol=1e-9)
+    naive = HypothesisSet.of(naive, hierarchy)
+    assert (ours.node_id, ours.level, ours.pose_nodes) == (
+        naive.node_id, naive.level, naive.pose_nodes
+    )
+    assert np.array_equal(ours.pose, naive.pose)
+    assert np.array_equal(np.isnan(ours.locations), np.isnan(naive.locations))
+    assert np.allclose(ours.locations, naive.locations, atol=1e-9, equal_nan=True)
+    assert np.allclose(ours.object_size, naive.object_size, atol=1e-9)
+    assert np.allclose(ours.lows, naive.lows, atol=1e-9)
+    assert np.allclose(ours.highs, naive.highs, atol=1e-9)
+    for i in range(len(ours)):
+        row = ours.row(i)
+        assert row.pose == naive.row(i).pose
+        assert np.array_equal(row.box.corners(), np.stack([ours.lows[i], ours.highs[i]]))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -438,7 +459,7 @@ def test_propose_matches_scalar_loop(seed):
                 node, lower, library, hierarchy, params, np.random.default_rng(seed)
             )
             assert ours
-            assert_same_proposals(ours, naive)
+            assert_same_proposals(ours, naive, hierarchy)
             current[node.id] = score_and_prune(
                 ours, scene.stack, hierarchy, library, weights, params.z, params.dedup_radius
             )
@@ -459,7 +480,7 @@ def test_propose_degenerate_pairs_fall_back_like_scalar_loop():
             # the right limb's anchor sits on the left limb's anchor
             locations[rows] += shift * (X[0] - X[3])
             pool.append(as_hypothesis(hierarchy, node_id, locations, {node_id: k}, 8.0 + k))
-        lower[node_id] = pool
+        lower[node_id] = HypothesisSet.of(pool, hierarchy)
     params = InferenceParams(z=4, samples_per_level=80, seed=0)
     ours = propose_hypotheses(
         hierarchy.root, lower, library, hierarchy, params, np.random.default_rng(9)
@@ -469,4 +490,118 @@ def test_propose_degenerate_pairs_fall_back_like_scalar_loop():
     )
     # fallback hypotheses take the object size of the first chosen child
     assert any(min(abs(h.object_size - s) for s in (8.0, 9.0, 10.0)) < 1e-9 for h in ours)
-    assert_same_proposals(ours, naive)
+    assert_same_proposals(ours, naive, hierarchy)
+
+
+# -- refinement ------------------------------------------------------------------
+
+
+def marked_stack(stack, marks=None):
+    """`stack` with uniform atomic channels, so that every on-grid pixel of a
+    part reads one value and ties are decided by displacement, then y, then
+    x.  `marks` maps parts to disjoint (H, W) masks on which that part's
+    channels carry 0.6 of the mass instead."""
+    scales = []
+    for maps in stack.scales:
+        table = maps.channel_table
+        atomic = np.full(maps.atomic.shape, 1.0 / len(table))
+        for part, mask in (marks or {}).items():
+            own = table[:, 0] == part
+            atomic[:, mask] = np.where(own, 0.6 / own.sum(), 0.4 / (~own).sum())[:, None]
+        scales.append(ScaleMaps(maps.scale, table, atomic, maps.composite))
+    return ScoreMapStack(scales)
+
+
+def ridges(hierarchy, first):
+    """One anti-diagonal x + y = first + 2j per part j: an integer start off
+    its ridge has two nearest ridge pixels that tie in value and
+    displacement, one with the smaller y and the other with the smaller x."""
+    yy, xx = np.mgrid[:GRID, :GRID]
+    return {part: xx + yy == first + 2 * j for j, part in enumerate(hierarchy.atomic_ids)}
+
+
+def refinement_center(kind, rng):
+    """One starting point: an integer pixel (which ties with the grid pixel
+    it sits on), a point just off the grid with its other coordinate on a
+    half pixel (equidistant neighbours), or anywhere near the grid."""
+    if kind == "integer":
+        return rng.integers(-2, GRID + 2, size=2).astype(float)
+    if kind == "edge":
+        edge = rng.choice([-1.3, -0.7, -0.5, -0.2, GRID - 0.5, GRID - 0.2, GRID + 0.7])
+        point = np.array([edge, rng.integers(0, GRID) + 0.5])
+        return point if rng.random() < 0.5 else point[::-1].copy()
+    return rng.uniform(-3.0, GRID + 3.0, size=2)
+
+
+def refinement_case(name, seed, kinds, fraction, variant):
+    hierarchy, _, stack = model(name)
+    rng = np.random.default_rng(seed)
+    X = np.stack([refinement_center(kind, rng) for kind in kinds[: hierarchy.atomic_count]])
+    weights = random_weights(hierarchy, rng)
+    if variant in ("zero appearance", "zero weights"):
+        weights.atomic[:] = 0.0
+    if variant in ("zero penalty", "zero weights", "flat maps", "ridge maps"):
+        weights.pose_similarity[:] = 0.0
+    if variant == "flat maps":
+        stack = marked_stack(stack)
+    if variant == "ridge maps":
+        stack = marked_stack(stack, ridges(hierarchy, 2 * int(rng.integers(10)) + 1))
+    # sizes on both sides of 37.5 read different scales of the limbs4 stack
+    hyp = Hypothesis(
+        hierarchy.root.id, hierarchy.levels, X, {}, float(rng.uniform(5.0, 80.0)),
+        BoundingBox(X.min(axis=0), X.max(axis=0)), float(rng.normal()),
+    )
+    return hyp, stack, hierarchy, weights, InferenceParams(search_radius_fraction=fraction)
+
+
+@settings(max_examples=80)
+@given(
+    name=st.sampled_from(sorted(DOCS)),
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(["integer", "edge", "free"]), min_size=10, max_size=10),
+    fraction=st.sampled_from([0.005, 0.03, 0.15, 0.6, 1.0]),
+    variant=st.sampled_from(
+        ["random", "zero appearance", "zero penalty", "zero weights", "flat maps", "ridge maps"]
+    ),
+)
+def test_refine_matches_per_part_loop(name, seed, kinds, fraction, variant):
+    case = refinement_case(name, seed, kinds, fraction, variant)
+    refined, score = refine_hypothesis(*case)
+    naive_refined, naive_score = oracles.naive_refine_hypothesis(*case)
+    assert np.array_equal(refined, naive_refined)
+    assert score == naive_score
+
+
+@pytest.mark.parametrize("fraction", [0.15, 0.005])
+def test_refine_tie_breaks_disc_edge_and_empty_discs(fraction):
+    """Without penalty, equal values go to the smaller displacement, then
+    the smaller y, then the smaller x; a pixel exactly on the disc edge is a
+    candidate.  A disc of radius 0.1 holds no pixel around a non-integer
+    start, which then stays put."""
+    hierarchy, _, stack = model("tiny3")
+    starts = np.array([
+        (5.5, -0.7),  # off the grid: (5, 0) and (6, 0) tie, x decides
+        (-0.7, 5.5),  # (0, 5) and (0, 6) tie, y decides
+        (5.2, 5.2),  # ridge x + y = 11: (6, 5) and (5, 6) tie, y before x
+        (10.2, 10.3),  # reads pixel (10, 10) at displacement 0
+        (19.3, 19.3),
+        (15.0, 3.0),  # integer start; marked pixel (18, 3) on the disc edge
+    ])
+    yy, xx = np.mgrid[:GRID, :GRID]
+    marks = {3: xx + yy == 11, 6: (xx == 18) & (yy == 3)}
+    weights = WeightVector(np.ones(6), np.zeros(3), np.zeros(3))
+    hyp = Hypothesis(
+        hierarchy.root.id, hierarchy.levels, starts, {}, 20.0,
+        BoundingBox(starts.min(axis=0), starts.max(axis=0)), 0.0,
+    )
+    params = InferenceParams(search_radius_fraction=fraction)
+    case = (hyp, marked_stack(stack, marks), hierarchy, weights, params)
+    refined, score = refine_hypothesis(*case)
+    expected = starts.copy()
+    if fraction == 0.15:
+        assert fraction * hyp.box.mean_side == 3.0
+        expected[[0, 1, 2, 5]] = [(5.0, 0.0), (0.0, 5.0), (6.0, 5.0), (18.0, 3.0)]
+    assert np.array_equal(refined, expected)
+    naive_refined, naive_score = oracles.naive_refine_hypothesis(*case)
+    assert np.array_equal(refined, naive_refined)
+    assert score == naive_score

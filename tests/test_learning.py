@@ -1,8 +1,18 @@
+import math
+import struct
+import tempfile
+from dataclasses import replace
+from functools import lru_cache
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hierpose import (
     Annotation,
+    LibraryError,
     RelationTypeModel,
     TrainingSet,
     augment_positives,
@@ -10,6 +20,7 @@ from hierpose import (
     build_library,
     generate_negatives,
     load_annotations,
+    load_hierarchy,
     load_library,
     save_annotations,
     save_library,
@@ -18,7 +29,7 @@ from hierpose import (
 from hierpose.hierarchy import object_size
 from hierpose.learning import hinge_objective
 
-from conftest import annotations_tiny3, base_pose_tiny3, library_for
+from conftest import CONFIG_DIR, annotations_tiny3, base_pose_tiny3, library_for
 
 
 def human_pose() -> np.ndarray:
@@ -229,6 +240,127 @@ def test_library_binary_round_trip(tmp_path, tiny3):
             )
             assert a.child_labels == b.child_labels
             assert np.array_equal(a.geometry.points, b.geometry.points)
+
+
+def load_and_resave(data: bytes, hierarchy) -> bytes:
+    """Load raw HPEL bytes and return what `save_library` writes back."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lib.hpel"
+        path.write_bytes(data)
+        save_library(load_library(path, hierarchy), path)
+        return path.read_bytes()
+
+
+def library_bytes(library) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lib.hpel"
+        save_library(library, path)
+        return path.read_bytes()
+
+
+@lru_cache(maxsize=None)
+def human_library_bytes():
+    hierarchy = load_hierarchy(CONFIG_DIR / "human_hierarchy.json")
+    library, _ = library_for(hierarchy, human_annotations(3))
+    return hierarchy, library_bytes(library)
+
+
+# small counts, sizes, labels, row and node ids, and float64 high words
+# (NaN, -1.0, 1.0) alongside arbitrary words
+WORDS = st.one_of(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0, 1, 2, 3, 5, 7, 13, 14, 40, 2**31, 2**32 - 1,
+                     0x7FF80000, 0xBFF00000, 0x3FF00000]),
+)
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_corrupt_library_reloads_bit_exact_or_raises_library_error(data):
+    hierarchy, original = human_library_bytes()
+    kind = data.draw(st.sampled_from(["word", "bit", "truncate"]))
+    mutated = bytearray(original)
+    if kind == "truncate":
+        del mutated[data.draw(st.integers(0, len(original) - 1)):]
+    elif kind == "bit":
+        bit = data.draw(st.integers(0, 8 * len(original) - 1))
+        mutated[bit // 8] ^= 1 << (bit % 8)
+    else:
+        at = data.draw(st.integers(0, len(original) - 4))
+        mutated[at : at + 4] = struct.pack("<I", data.draw(WORDS))
+    mutated = bytes(mutated)
+    try:
+        resaved = load_and_resave(mutated, hierarchy)
+    except LibraryError:
+        return
+    assert resaved == mutated
+
+
+def corrupt_tiny3_library(kind, hierarchy):
+    """HPEL bytes of a tiny3 library with one field made invalid."""
+    library, _ = library_for(hierarchy, annotations_tiny3(3))
+    nodes = {nid: list(exemplars) for nid, exemplars in library.nodes.items()}
+    first = nodes[10][0]
+    locations = first.locations.copy()
+    labels = dict(first.child_labels)
+    if kind == "atomic node":
+        nodes[1] = nodes.pop(10)
+    elif kind == "unknown node":
+        nodes[99] = nodes.pop(10)
+    elif kind == "row outside the subtree":
+        locations[hierarchy.atom_index(4)] = (1.0, 1.0)
+    elif kind == "non-finite coordinate":
+        locations[0, 1] = math.inf
+    elif kind == "label of a non-child":
+        labels[4] = 1
+    elif kind == "missing label":
+        del labels[1]
+    elif kind == "label above the bins":
+        labels[1] = library.atomic_bins[1] + 1
+    elif kind == "label zero":
+        labels[1] = 0
+    if 10 in nodes:
+        nodes[10][0] = replace(
+            first, locations=locations, child_labels=labels,
+            object_size={"NaN size": math.nan, "zero size": 0.0, "negative size": -2.0}.get(
+                kind, first.object_size),
+        )
+    data = library_bytes(type(library)(nodes, library.atomic_bins, library.composite_bins))
+    if kind == "source not UTF-8":
+        data = data.replace(b"img0", b"\xffmg0", 1)
+    elif kind == "truncated":
+        data = data[:-1]
+    elif kind == "trailing bytes":
+        data += b"\0"
+    elif kind == "bad version":
+        data = data[:4] + struct.pack("<I", 2) + data[8:]
+    elif kind == "bad magic":
+        data = b"HPSM" + data[4:]
+    return data
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("atomic node", "is atomic"),
+    ("unknown node", "not in the hierarchy"),
+    ("row outside the subtree", "subtree rows"),
+    ("non-finite coordinate", "non-finite coordinates"),
+    ("label of a non-child", "one per child"),
+    ("missing label", "one per child"),
+    ("label above the bins", "outside 1..8"),
+    ("label zero", "outside 1..8"),
+    ("NaN size", "not finite and positive"),
+    ("zero size", "not finite and positive"),
+    ("negative size", "not finite and positive"),
+    ("source not UTF-8", "not UTF-8"),
+    ("truncated", "truncated"),
+    ("trailing bytes", "trailing bytes"),
+    ("bad version", "unsupported library version"),
+    ("bad magic", "bad magic"),
+])
+def test_invalid_library_field_raises_library_error(kind, message, tiny3):
+    data = corrupt_tiny3_library(kind, tiny3)
+    with pytest.raises(LibraryError, match=message):
+        load_and_resave(data, tiny3)
 
 
 def test_annotations_json_round_trip(tmp_path, tiny3):
