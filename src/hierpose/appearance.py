@@ -36,6 +36,7 @@ __all__ = [
     "save_score_maps",
     "log_part_prob",
     "log_part_probs",
+    "log_marginals_at",
     "log_pose_prob_atomic",
     "log_pose_prob_composite",
     "log_type_prob_atomic",
@@ -298,6 +299,23 @@ def log_part_probs(stack: ScoreMapStack, part: int, points, scale_index) -> np.n
         rows, cols, inside = _pixels(points[picked], stack.scales[idx].grid_shape)
         if inside.any():
             out[picked[inside]] = stack.log_marginal(part, idx)[rows, cols]
+    return out
+
+
+def log_marginals_at(stack: ScoreMapStack, parts, points, scale_index: int) -> np.ndarray:
+    """(P, K) log p(part | pixel) of (P, K, 2) points: row p is read on the
+    floored log marginal map of `parts[p]` at one stored scale; off-grid
+    points read LOG_FLOOR."""
+    points = np.asarray(points, dtype=float)
+    height, width = stack.scales[scale_index].grid_shape
+    cols = np.floor(points[..., 0] + 0.5)
+    rows = np.floor(points[..., 1] + 0.5)
+    on_grid = (rows >= 0) & (rows < height) & (cols >= 0) & (cols < width)
+    pixel = (np.clip(rows, 0, height - 1) * width + np.clip(cols, 0, width - 1)).astype(np.intp)
+    out = np.stack([
+        stack.log_marginal(part, scale_index).ravel()[pixel[i]] for i, part in enumerate(parts)
+    ])
+    out[~on_grid] = LOG_FLOOR
     return out
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .appearance import LOG_FLOOR, ScoreMapStack, top_peaks
+from .appearance import ScoreMapStack, log_marginals_at, top_peaks
 from .geometry import AngleBound, DEFAULT_MAX_ANGLE, fit_two_points_batch, transform_points
 from .hierarchy import BoundingBox, PartHierarchy, PartNode, ScaleParams, object_size
 from .learning import Exemplar, ExemplarLibrary
@@ -499,7 +499,6 @@ def refine_hypothesis(
     radius = params.search_radius_fraction * root_hyp.box.mean_side
     scale = hierarchy.scale.factor_from_size(root_hyp.object_size, 1)
     scale_index = stack.nearest_scale_index(scale)
-    height, width = stack.scales[scale_index].grid_shape
     centers = root_hyp.locations
     parts = len(centers)
     if not np.isfinite(centers).all():
@@ -523,15 +522,9 @@ def refine_hypothesis(
     dist = np.concatenate([dist.reshape(parts, -1), np.zeros((parts, 1))], axis=1)
     valid = np.concatenate([valid.reshape(parts, -1), np.ones((parts, 1), dtype=bool)], axis=1)
 
-    px = np.floor(xs + 0.5).astype(int)
-    py = np.floor(ys + 0.5).astype(int)
-    on_grid = (px >= 0) & (px < width) & (py >= 0) & (py < height)
-    pixel = np.clip(py, 0, height - 1) * width + np.clip(px, 0, width - 1)
-    log_values = np.stack([
-        stack.log_marginal(part, scale_index).ravel()[pixel[i]]
-        for i, part in enumerate(hierarchy.atomic_ids)
-    ])
-    log_values[~on_grid] = LOG_FLOOR
+    log_values = log_marginals_at(
+        stack, hierarchy.atomic_ids, np.stack([xs, ys], axis=-1), scale_index
+    )
     penalty = np.array([
         weights.node_weights(hierarchy, hierarchy.parent_of(part))[1]
         for part in hierarchy.atomic_ids

@@ -43,7 +43,7 @@ import numpy as np
 
 from .appearance import (
     ScoreMapStack,
-    log_part_prob,
+    log_marginals_at,
     log_part_probs,
     log_type_prob_atomic,
     log_type_prob_composite,
@@ -414,11 +414,14 @@ def refinement_score(
     if not np.isfinite(root_hypothesis.score):
         raise ValueError("root hypothesis must be scored before refinement")
     scale = hierarchy.scale.factor_from_size(root_hypothesis.object_size, 1)
+    log_probs = log_marginals_at(
+        stack, hierarchy.atomic_ids, np.asarray(X_hat, dtype=float)[:, None],
+        stack.nearest_scale_index(scale),
+    )
     total = 0.0
-    for i, part in enumerate(hierarchy.atomic_ids):
-        w = float(weights.atomic[i])
+    for w, log_prob in zip(weights.atomic.tolist(), log_probs[:, 0].tolist()):
         if w != 0.0:
-            total += w * log_part_prob(stack, part, X_hat[i], scale)
+            total += w * log_prob
     for node in hierarchy.nodes_at_level(2):
         _, w_sim = weights.node_weights(hierarchy, node.id)
         if w_sim == 0.0:
