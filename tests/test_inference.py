@@ -247,7 +247,8 @@ def test_swap_single_compatible_adds_one(tiny3_setup):
         10, 2, alt_locations + 100, {10: 0}, 10.0,
         BoundingBox((alt_locations[rows] + 100).min(0), (alt_locations[rows] + 100).max(0)),
     )
-    out2 = swap_subtrees(roots, {10: HypothesisSet.of([far], hierarchy), 11: []}, hierarchy, params)
+    lower = {10: HypothesisSet.of([far], hierarchy), 11: []}
+    out2 = swap_subtrees(roots, lower, hierarchy, params)
     assert len(out2) == 1
 
 
