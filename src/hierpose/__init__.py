@@ -7,8 +7,6 @@ from .appearance import (
     fit_relation_clusters,
     load_score_maps,
     log_part_prob,
-    log_pose_prob_atomic,
-    log_pose_prob_composite,
     orientation_bin,
     save_score_maps,
     top_peaks,

@@ -4,8 +4,10 @@ A stack stores, per scale, an atomic tensor of p(part, relation_type | pixel)
 channels (channel (0, 0) is background) and, for composite parts that have a
 reference sibling, conditional type tensors p(type | part, pixel).  Stacks
 stand in for whatever produced the detection scores; the library only reads
-them.  Lookups use nearest-pixel indexing at the nearest stored scale and
-clamp probabilities at a 1e-6 floor before taking logs.
+them.  Every lookup gathers nearest pixels at one stored scale (callers
+group their rows by the stored scale nearest each row's scale) and clamps
+probabilities at a 1e-6 floor before taking logs.  Channels are found by
+(part, type) key in a sorted key array per scale.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ LOG_FLOOR = math.log(PROB_FLOOR)
 
 MAGIC = b"HPSM"
 FORMAT_VERSION = 1
+_ID_MAX = 0xFFFFFFFF  # part and type ids are u32
 
 __all__ = [
     "PROB_FLOOR",
@@ -35,10 +38,7 @@ __all__ = [
     "load_score_maps",
     "save_score_maps",
     "log_part_prob",
-    "log_part_probs",
     "log_marginals_at",
-    "log_pose_prob_atomic",
-    "log_pose_prob_composite",
     "log_type_prob_atomic",
     "log_type_prob_composite",
     "top_peaks",
@@ -67,6 +67,8 @@ class CompositeMaps:
         self.data = np.ascontiguousarray(self.data, dtype=np.float32)
         if self.data.ndim != 3:
             raise ScoreMapError("composite maps must be (T, H, W)")
+        if 0 in self.data.shape:
+            raise ScoreMapError(f"composite part {self.part_id}: empty maps {self.data.shape}")
 
 
 @dataclass
@@ -85,8 +87,12 @@ class ScaleMaps:
             raise ScoreMapError("atomic tensor must be (C, H, W)")
         if self.channel_table.shape != (self.atomic.shape[0], 2):
             raise ScoreMapError("channel table does not match atomic tensor")
-        if self.scale <= 0:
-            raise ScoreMapError("scale must be positive")
+        if 0 in self.atomic.shape:
+            raise ScoreMapError(f"empty atomic tensor {self.atomic.shape}")
+        if any(comp.data.shape[1:] != self.grid_shape for comp in self.composite.values()):
+            raise ScoreMapError("composite maps do not match the atomic grid")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ScoreMapError(f"scale must be finite and positive, got {self.scale}")
 
     @property
     def grid_shape(self) -> tuple[int, int]:
@@ -104,30 +110,27 @@ class ScoreMapStack:
         if len(set(values)) != len(values):
             raise ScoreMapError("duplicate scale values in stack")
         self._scale_values = np.array(values)
-        self._channel_rows: list[dict[tuple[int, int], int]] = []
-        self._part_rows: list[dict[int, np.ndarray]] = []
+        # per scale: the channel keys part << 32 | type, sorted, and the
+        # atomic-tensor row of each sorted key
+        self._keys: list[np.ndarray] = []
+        self._key_rows: list[np.ndarray] = []
         for maps in self.scales:
-            rows: dict[tuple[int, int], int] = {}
-            per_part: dict[int, list[int]] = {}
-            for row, (part, type_id) in enumerate(maps.channel_table.tolist()):
-                key = (int(part), int(type_id))
-                if key in rows:
-                    raise ScoreMapError(f"duplicate channel {key}")
-                rows[key] = row
-                if part != 0:
-                    per_part.setdefault(int(part), []).append(row)
-            self._channel_rows.append(rows)
-            self._part_rows.append({p: np.array(r) for p, r in per_part.items()})
+            keys = maps.channel_table[:, 0].astype(np.uint64) << np.uint64(32)
+            keys |= maps.channel_table[:, 1]
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            duplicate = np.flatnonzero(keys[1:] == keys[:-1])
+            if duplicate.size:
+                row = maps.channel_table[order[duplicate[0]]]
+                raise ScoreMapError(f"duplicate channel {(int(row[0]), int(row[1]))}")
+            self._keys.append(keys)
+            self._key_rows.append(order)
         self._marginals: dict[tuple[int, int], np.ndarray] = {}
         self._log_marginals: dict[tuple[int, int], np.ndarray] = {}
 
     @property
     def n_scales(self) -> int:
         return len(self.scales)
-
-    @property
-    def atomic_part_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self._part_rows[0]))
 
     def nearest_scale_index(self, scale: float) -> int:
         return int(np.argmin(np.abs(self._scale_values - scale)))
@@ -141,22 +144,23 @@ class ScoreMapStack:
 
     def channel_rows(self, part: int, type_ids, scale_index: int = 0) -> np.ndarray:
         """Atomic-tensor rows of the (part, type) channels, one per type id."""
-        types, inverse = np.unique(np.asarray(type_ids, dtype=np.int64), return_inverse=True)
-        rows = []
-        for type_id in types.tolist():
-            row = self._channel_rows[scale_index].get((part, type_id))
-            if row is None:
-                raise KeyError(f"no channel for part {part}, type {type_id}")
-            rows.append(row)
-        return np.array(rows, dtype=np.intp)[inverse]
+        type_ids = np.asarray(type_ids, dtype=np.int64)
+        keys, rows = self._keys[scale_index], self._key_rows[scale_index]
+        valid = (type_ids >= 0) & (type_ids <= _ID_MAX) & (0 <= part <= _ID_MAX)
+        wanted = np.uint64((part & _ID_MAX) << 32) | np.where(valid, type_ids, 0).astype(np.uint64)
+        at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        missing = ~valid | (keys[at] != wanted)
+        if missing.any():
+            raise KeyError(f"no channel for part {part}, type {int(type_ids[missing][0])}")
+        return rows[at]
 
     def marginal(self, part: int, scale_index: int = 0) -> np.ndarray:
         """p(part | pixel): type channels summed, as float64."""
         key = (part, scale_index)
         cached = self._marginals.get(key)
         if cached is None:
-            rows = self._part_rows[scale_index].get(part)
-            if rows is None:
+            rows = np.flatnonzero(self.scales[scale_index].channel_table[:, 0] == part)
+            if part == 0 or rows.size == 0:
                 raise KeyError(f"no channels for part {part}")
             cached = self.scales[scale_index].atomic[rows].sum(axis=0, dtype=np.float64)
             self._marginals[key] = cached
@@ -177,28 +181,23 @@ class ScoreMapStack:
         return maps
 
     def validate(self, tol: float = 1e-3) -> None:
-        """Check value range and per-pixel normalization of every tensor."""
-        for i, maps in enumerate(self.scales):
-            if maps.atomic.min() < -tol or maps.atomic.max() > 1.0 + tol:
-                raise ScoreMapError(f"scale {maps.scale}: atomic values outside [0, 1]")
-            sums = maps.atomic.sum(axis=0, dtype=np.float64)
-            err = np.abs(sums - 1.0)
-            worst = np.unravel_index(int(err.argmax()), err.shape)
-            if err[worst] > tol:
-                raise ScoreMapError(
-                    f"scale {maps.scale}: atomic channels sum to {sums[worst]:.6f} "
-                    f"at pixel (row={worst[0]}, col={worst[1]})"
-                )
-            for part, comp in maps.composite.items():
-                if comp.data.min() < -tol or comp.data.max() > 1.0 + tol:
-                    raise ScoreMapError(f"composite part {part}: values outside [0, 1]")
-                sums = comp.data.sum(axis=0, dtype=np.float64)
+        """Check value range (NaN fails it) and per-pixel normalization of
+        every tensor."""
+        for maps in self.scales:
+            tensors = [(f"scale {maps.scale}: atomic", maps.atomic)] + [
+                (f"composite part {part} at scale {maps.scale}:", comp.data)
+                for part, comp in maps.composite.items()
+            ]
+            for name, data in tensors:
+                if not (data.min() >= -tol and data.max() <= 1.0 + tol):
+                    raise ScoreMapError(f"{name} values outside [0, 1] or NaN")
+                sums = data.sum(axis=0, dtype=np.float64)
                 err = np.abs(sums - 1.0)
                 worst = np.unravel_index(int(err.argmax()), err.shape)
                 if err[worst] > tol:
                     raise ScoreMapError(
-                        f"composite part {part} at scale {maps.scale}: channels sum to "
-                        f"{sums[worst]:.6f} at pixel (row={worst[0]}, col={worst[1]})"
+                        f"{name} channels sum to {sums[worst]:.6f} "
+                        f"at pixel (row={worst[0]}, col={worst[1]})"
                     )
 
 
@@ -263,6 +262,8 @@ def load_score_maps(path, tol: float = 1e-3) -> ScoreMapStack:
         composite: dict[int, CompositeMaps] = {}
         for _ in range(n_comp):
             part, level, n_types = reader.unpack("<III")
+            if part <= max(composite, default=-1):
+                raise ScoreMapError(f"composite part {part} out of order or repeated")
             data = reader.array("<f4", n_types * h * w, (n_types, h, w))
             composite[part] = CompositeMaps(part, level, data)
         scales.append(ScaleMaps(scale, table, atomic, composite))
@@ -276,42 +277,22 @@ def load_score_maps(path, tol: float = 1e-3) -> ScoreMapStack:
 # -- probability lookups ----------------------------------------------------
 
 
-def _pixels(points: np.ndarray, shape: tuple[int, int]):
-    """Nearest-pixel rows and cols of the on-grid (x, y) points, and the mask
-    of which points are on the grid."""
-    cols = np.floor(points[:, 0] + 0.5)
-    rows = np.floor(points[:, 1] + 0.5)
-    inside = (rows >= 0) & (rows < shape[0]) & (cols >= 0) & (cols < shape[1])
-    return rows[inside].astype(np.intp), cols[inside].astype(np.intp), inside
-
-
-def log_part_probs(stack: ScoreMapStack, part: int, points, scale_index) -> np.ndarray:
-    """Per row: log p(part | pixel), marginalized over relation types; floored.
-
-    `points` (H, 2) and `scale_index` (H,) are per row; off-grid points read
-    LOG_FLOOR.
-    """
-    points = np.asarray(points, dtype=float)
-    scale_index = np.asarray(scale_index)
-    out = np.full(len(points), LOG_FLOOR)
-    for idx in np.unique(scale_index).tolist():
-        picked = np.flatnonzero(scale_index == idx)
-        rows, cols, inside = _pixels(points[picked], stack.scales[idx].grid_shape)
-        if inside.any():
-            out[picked[inside]] = stack.log_marginal(part, idx)[rows, cols]
-    return out
+def _pixels(points: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Flat nearest-pixel index of (..., 2) (x, y) points on a grid of
+    `shape`, and the mask of the points on the grid (the index of the others
+    is 0)."""
+    height, width = shape
+    cols = np.floor(points[..., 0] + 0.5)
+    rows = np.floor(points[..., 1] + 0.5)
+    on_grid = (rows >= 0) & (rows < height) & (cols >= 0) & (cols < width)
+    return np.where(on_grid, rows * width + cols, 0).astype(np.intp), on_grid
 
 
 def log_marginals_at(stack: ScoreMapStack, parts, points, scale_index: int) -> np.ndarray:
     """(P, K) log p(part | pixel) of (P, K, 2) points: row p is read on the
     floored log marginal map of `parts[p]` at one stored scale; off-grid
     points read LOG_FLOOR."""
-    points = np.asarray(points, dtype=float)
-    height, width = stack.scales[scale_index].grid_shape
-    cols = np.floor(points[..., 0] + 0.5)
-    rows = np.floor(points[..., 1] + 0.5)
-    on_grid = (rows >= 0) & (rows < height) & (cols >= 0) & (cols < width)
-    pixel = (np.clip(rows, 0, height - 1) * width + np.clip(cols, 0, width - 1)).astype(np.intp)
+    pixel, on_grid = _pixels(np.asarray(points, dtype=float), stack.scales[scale_index].grid_shape)
     out = np.stack([
         stack.log_marginal(part, scale_index).ravel()[pixel[i]] for i, part in enumerate(parts)
     ])
@@ -320,76 +301,54 @@ def log_marginals_at(stack: ScoreMapStack, parts, points, scale_index: int) -> n
 
 
 def log_part_prob(stack: ScoreMapStack, part: int, point, scale: float) -> float:
-    """`log_part_probs` of one point at the stored scale nearest `scale`."""
-    idx = np.array([stack.nearest_scale_index(scale)])
-    return float(log_part_probs(stack, part, np.reshape(point, (1, 2)), idx)[0])
+    """log p(part | pixel) of one point, marginalized over relation types and
+    floored, at the stored scale nearest `scale`."""
+    points = np.reshape(np.asarray(point, dtype=float), (1, 1, 2))
+    return float(log_marginals_at(stack, [part], points, stack.nearest_scale_index(scale))[0, 0])
 
 
 def log_type_prob_atomic(
-    stack: ScoreMapStack, part: int, labels, points, scale_index
+    stack: ScoreMapStack, part: int, labels, points, scale_index: int
 ) -> np.ndarray:
     """Per row: floored log p(label | part, pixel) at an atomic part's point.
 
-    `labels` (H,), `points` (H, 2) and `scale_index` (H,) are per row; off-grid
-    points read LOG_FLOOR.  Only the looked-up pixels are gathered.
+    `labels` (H,) and `points` (H, 2) are per row, all read at one stored
+    scale; off-grid points read LOG_FLOOR.  Only the looked-up pixels are
+    gathered.
     """
-    labels, points = np.asarray(labels), np.asarray(points, dtype=float)
+    labels = np.asarray(labels)
+    pixel, on_grid = _pixels(np.asarray(points, dtype=float), stack.scales[scale_index].grid_shape)
+    pixel = pixel[on_grid]
+    atomic = stack.scales[scale_index].atomic
+    channels = stack.channel_rows(part, labels[on_grid], scale_index)
+    joint = atomic.reshape(len(atomic), -1)[channels, pixel].astype(np.float64)
+    denom = stack.marginal(part, scale_index).ravel()[pixel]
+    cond = np.divide(joint, denom, out=np.zeros_like(joint), where=denom > 0.0)
     out = np.full(len(labels), LOG_FLOOR)
-    for idx in np.unique(scale_index).tolist():
-        picked = np.flatnonzero(scale_index == idx)
-        rows, cols, inside = _pixels(points[picked], stack.scales[idx].grid_shape)
-        if not inside.any():
-            continue
-        hit = picked[inside]
-        channels = stack.channel_rows(part, labels[hit], idx)
-        joint = stack.scales[idx].atomic[channels, rows, cols].astype(np.float64)
-        denom = stack.marginal(part, idx)[rows, cols]
-        cond = np.divide(joint, denom, out=np.zeros_like(joint), where=denom > 0.0)
-        out[hit] = np.log(np.maximum(cond, PROB_FLOOR))
+    out[on_grid] = np.log(np.maximum(cond, PROB_FLOOR))
     return out
 
 
 def log_type_prob_composite(
-    stack: ScoreMapStack, part: int, labels, anchors, scale_index
+    stack: ScoreMapStack, part: int, labels, anchors, scale_index: int
 ) -> np.ndarray:
     """Per row: floored log relation-type probability at a composite anchor.
 
     Arguments are per row as in `log_type_prob_atomic`.  A label outside
-    1..T, T being the part's type count at the row's scale, raises KeyError.
+    1..T, T being the part's type count at that scale, raises KeyError.
     """
-    labels, anchors = np.asarray(labels), np.asarray(anchors, dtype=float)
+    labels = np.asarray(labels)
+    data = stack.composite_maps(part, scale_index).data
+    bad = (labels < 1) | (labels > len(data))
+    if bad.any():
+        raise KeyError(
+            f"no composite type {int(labels[bad][0])} for part {part} ({len(data)} types)"
+        )
+    pixel, on_grid = _pixels(np.asarray(anchors, dtype=float), data.shape[1:])
+    values = data.reshape(len(data), -1)[labels[on_grid] - 1, pixel[on_grid]].astype(np.float64)
     out = np.full(len(labels), LOG_FLOOR)
-    for idx in np.unique(scale_index).tolist():
-        picked = np.flatnonzero(scale_index == idx)
-        maps = stack.composite_maps(part, idx)
-        bad = (labels[picked] < 1) | (labels[picked] > maps.data.shape[0])
-        if bad.any():
-            raise KeyError(
-                f"no composite type {int(labels[picked][bad][0])} for part {part} "
-                f"({maps.data.shape[0]} types)"
-            )
-        rows, cols, inside = _pixels(anchors[picked], stack.scales[idx].grid_shape)
-        values = maps.data[labels[picked[inside]] - 1, rows, cols].astype(np.float64)
-        out[picked[inside]] = np.log(np.maximum(values, PROB_FLOOR))
+    out[on_grid] = np.log(np.maximum(values, PROB_FLOOR))
     return out
-
-
-def _one_row_sum(lookup, stack, parts, labels, points, scale: float) -> float:
-    idx = np.array([stack.nearest_scale_index(scale)])
-    total = 0.0
-    for part, label, point in zip(parts, labels, points, strict=True):
-        total += float(lookup(stack, part, [int(label)], [point], idx)[0])
-    return total
-
-
-def log_pose_prob_atomic(stack: ScoreMapStack, parts, labels, points, scale: float) -> float:
-    """Sum of log conditional type probabilities at atomic child locations."""
-    return _one_row_sum(log_type_prob_atomic, stack, parts, labels, points, scale)
-
-
-def log_pose_prob_composite(stack: ScoreMapStack, parts, labels, anchors, scale: float) -> float:
-    """Sum of log relation-type probabilities at composite child anchors."""
-    return _one_row_sum(log_type_prob_composite, stack, parts, labels, anchors, scale)
 
 
 def top_peaks(

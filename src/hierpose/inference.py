@@ -88,8 +88,8 @@ class InferenceParams:
             value = getattr(self, name)
             if not 0.0 < value <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1]")
-        if self.nms_radius < 0 or self.dedup_radius < 0:
-            raise ValueError("radii must be non-negative")
+        if not (self.nms_radius >= 0 and self.dedup_radius >= 0):
+            raise ValueError("radii must be non-negative numbers")
 
     @property
     def samples(self) -> int:

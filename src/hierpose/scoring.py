@@ -36,6 +36,7 @@ appearance terms and the level-2 alignment penalties.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,7 +45,6 @@ import numpy as np
 from .appearance import (
     ScoreMapStack,
     log_marginals_at,
-    log_part_probs,
     log_type_prob_atomic,
     log_type_prob_composite,
 )
@@ -82,8 +82,9 @@ __all__ = [
 class WeightVector:
     """Scoring weights: per-atom appearance, per-node pose terms, and a bias.
 
-    All components except the bias are non-negative.  Array components are
-    aligned to the hierarchy's canonical atomic/composite orders.
+    All components are finite, and all except the bias are non-negative.
+    Array components are aligned to the hierarchy's canonical
+    atomic/composite orders.
     """
 
     atomic: np.ndarray
@@ -101,8 +102,10 @@ class WeightVector:
             values = getattr(self, name)
             if values.ndim != 1:
                 raise ValueError(f"{name} weights must be 1-D")
-            if np.any(values < 0):
-                raise ValueError(f"{name} weights must be non-negative")
+            if not np.all((values >= 0) & (values < np.inf)):
+                raise ValueError(f"{name} weights must be finite and non-negative")
+        if not math.isfinite(self.bias):
+            raise ValueError(f"bias must be finite, got {self.bias}")
 
     @classmethod
     def uniform(cls, hierarchy: PartHierarchy, atomic: float = 1.0,
@@ -178,7 +181,9 @@ def appearance_score(
 ) -> float:
     """Weighted sum of atomic part detection log-probabilities: the atomic
     slice of the feature vector, weighted."""
-    features = _appearance_features(np.asarray(X, dtype=float)[None], [(stack, [0])], hierarchy)
+    features = _appearance_features(
+        np.asarray(X, dtype=float)[None], [(stack, np.arange(1))], hierarchy
+    )
     return float(weights.atomic @ features[0])
 
 
@@ -257,24 +262,21 @@ def _log_pose_probs(node_id, labels, exemplar_index, current, size, stack, hiera
     """Log-pose-probability of H rows: the floored log relation-type
     probabilities of each row's exemplar labels, read at the row's child
     geometry points `current` (H, K, 2) on the stored scale nearest the one
-    its object size (H,) sets."""
+    its object size (H,) sets; rows are grouped by that stored scale."""
     node = hierarchy.node(node_id)
     scale = hierarchy.scale.factor_from_size(np.asarray(size, dtype=float), node.level - 1)
     scale_index = stack.nearest_scale_indices(scale)
     log_prob = np.zeros(len(exemplar_index))
-    point = 0  # atomic children own one geometry point, composite ones three
-    for child in node.children:
-        child_labels = labels[child][exemplar_index]
-        if hierarchy.node(child).is_atomic:
-            log_prob += log_type_prob_atomic(
-                stack, child, child_labels, current[:, point], scale_index
+    for idx in np.unique(scale_index).tolist():
+        rows = np.flatnonzero(scale_index == idx)
+        point = 0  # atomic children own one geometry point, composite ones three
+        for child in node.children:
+            atomic = hierarchy.node(child).is_atomic
+            lookup = log_type_prob_atomic if atomic else log_type_prob_composite
+            log_prob[rows] += lookup(
+                stack, child, labels[child][exemplar_index[rows]], current[rows, point], idx
             )
-            point += 1
-        else:
-            log_prob += log_type_prob_composite(
-                stack, child, child_labels, current[:, point], scale_index
-            )
-            point += 3
+            point += 1 if atomic else 3
     return log_prob
 
 
@@ -485,13 +487,16 @@ def feature_matrix(
 
 def _appearance_features(X: np.ndarray, groups, hierarchy: PartHierarchy) -> np.ndarray:
     """(S, N) atomic log-probabilities of S configurations at the atomic
-    scale; `groups` pairs each stack with the rows that read it."""
+    scale; `groups` pairs each stack with the rows that read it, and each
+    stack's rows are gathered once per stored scale."""
     scale = hierarchy.scale.factor_from_size(object_size(X), 1)
     out = np.empty(X.shape[:2])
     for stack, rows in groups:
         scale_index = stack.nearest_scale_indices(scale[rows])
-        for i, part in enumerate(hierarchy.atomic_ids):
-            out[rows, i] = log_part_probs(stack, part, X[rows, i], scale_index)
+        for idx in np.unique(scale_index).tolist():
+            picked = rows[scale_index == idx]
+            points = X[picked].transpose(1, 0, 2)  # (N, K, 2): one row per part
+            out[picked] = log_marginals_at(stack, hierarchy.atomic_ids, points, idx).T
     return out
 
 

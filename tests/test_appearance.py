@@ -1,7 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hierpose import load_score_maps
 from hierpose.appearance import (
@@ -13,8 +16,8 @@ from hierpose.appearance import (
     assign_relation_type,
     fit_relation_clusters,
     log_part_prob,
-    log_pose_prob_atomic,
-    log_pose_prob_composite,
+    log_type_prob_atomic,
+    log_type_prob_composite,
     orientation_bin,
     save_score_maps,
     top_peaks,
@@ -70,9 +73,18 @@ def test_exp_log_part_prob_sums_to_one(tiny3):
             assert total + background == pytest.approx(1.0, abs=1e-3)
 
 
+def log_pose_prob(lookup, stack, parts, labels, points) -> float:
+    """A node's log-pose-probability: the sum of one-row type lookups of its
+    children at scale index 0."""
+    return sum(
+        float(lookup(stack, part, [label], [point], 0)[0])
+        for part, label, point in zip(parts, labels, points, strict=True)
+    )
+
+
 def test_log_pose_prob_atomic_conditional():
     stack = two_type_stack({(1, 1): 0.3, (1, 2): 0.1})
-    value = log_pose_prob_atomic(stack, [1], [1], [(2, 2)], 1.0)
+    value = log_pose_prob(log_type_prob_atomic, stack, [1], [1], [(2, 2)])
     assert value == pytest.approx(math.log(0.75))
 
 
@@ -85,13 +97,13 @@ def test_log_pose_prob_atomic_two_children():
         atomic[row, 2, 2] = 0.1
         atomic[0, 2, 2] -= 0.1
     stack = ScoreMapStack([ScaleMaps(1.0, table, atomic)])
-    value = log_pose_prob_atomic(stack, [1, 2], [1, 2], [(2, 2), (2, 2)], 1.0)
+    value = log_pose_prob(log_type_prob_atomic, stack, [1, 2], [1, 2], [(2, 2), (2, 2)])
     assert value == pytest.approx(math.log(0.25))
 
 
 def test_log_pose_prob_atomic_floor():
     stack = two_type_stack({})
-    value = log_pose_prob_atomic(stack, [1], [1], [(2, 2)], 1.0)
+    value = log_pose_prob(log_type_prob_atomic, stack, [1], [1], [(2, 2)])
     assert value == pytest.approx(math.log(1e-6))
     assert math.isfinite(value)
 
@@ -101,8 +113,29 @@ def test_log_pose_prob_atomic_uniform_conditional():
     table = np.array([(0, 0)] + [(1, m) for m in range(1, t + 1)], dtype=np.uint32)
     atomic = np.full((t + 1, 3, 3), 1.0 / (t + 1), dtype=np.float32)
     stack = ScoreMapStack([ScaleMaps(1.0, table, atomic)])
-    value = log_pose_prob_atomic(stack, [1, 1], [2, 3], [(1, 1), (0, 0)], 1.0)
+    value = log_pose_prob(log_type_prob_atomic, stack, [1, 1], [2, 3], [(1, 1), (0, 0)])
     assert value == pytest.approx(2 * math.log(1.0 / t))
+
+
+def test_log_type_prob_atomic_rows_and_off_grid():
+    stack = two_type_stack({(1, 1): 0.3, (1, 2): 0.1})
+    values = log_type_prob_atomic(stack, 1, [2, 1, 1], [(2, 2), (2.4, 1.6), (-1, 2)], 0)
+    assert values == pytest.approx([math.log(0.25), math.log(0.75), LOG_FLOOR])
+
+
+def test_channels_found_by_arbitrary_u32_ids_in_any_table_order():
+    top = 2**32 - 1
+    table = np.array([(top, 7), (0, 0), (2**31 + 5, top), (top, 3)], dtype=np.uint32)
+    atomic = np.full((4, 2, 3), 0.25, dtype=np.float32)
+    stack = ScoreMapStack([ScaleMaps(1.0, table, atomic)])
+    assert stack.channel_rows(top, [3, 7, 3]).tolist() == [3, 0, 3]
+    assert stack.channel_rows(2**31 + 5, [top]).tolist() == [2]
+    assert log_type_prob_atomic(stack, top, [7], [(1, 1)], 0) == pytest.approx([math.log(0.5)])
+    for part, type_id in [(top, 4), (top, -1), (top, 2**32 + 7), (2**31 + 5, 0), (0, 1)]:
+        with pytest.raises(KeyError, match="no channel"):
+            stack.channel_rows(part, [3, type_id])
+    with pytest.raises(ScoreMapError, match="duplicate channel"):
+        ScoreMapStack([ScaleMaps(1.0, np.vstack([table, table[:1]]), np.zeros((5, 2, 3)))])
 
 
 def composite_stack(value: float, bins: int = 4, label: int = 1):
@@ -118,20 +151,27 @@ def composite_stack(value: float, bins: int = 4, label: int = 1):
 
 def test_log_pose_prob_composite_single_child():
     stack = composite_stack(0.8)
-    value = log_pose_prob_composite(stack, [7], [1], [(2, 2)], 1.0)
+    value = log_pose_prob(log_type_prob_composite, stack, [7], [1], [(2, 2)])
     assert value == pytest.approx(math.log(0.8), abs=1e-6)
 
 
 def test_log_pose_prob_composite_two_children():
     stack = composite_stack(0.5, bins=2)
-    value = log_pose_prob_composite(stack, [7, 7], [1, 1], [(2, 2), (1, 1)], 1.0)
+    value = log_pose_prob(log_type_prob_composite, stack, [7, 7], [1, 1], [(2, 2), (1, 1)])
     assert value == pytest.approx(math.log(0.25), abs=1e-6)
 
 
 def test_log_pose_prob_composite_off_grid():
     stack = composite_stack(0.8)
-    value = log_pose_prob_composite(stack, [7], [1], [(50, 50)], 1.0)
+    value = log_pose_prob(log_type_prob_composite, stack, [7], [1], [(50, 50)])
     assert value == pytest.approx(LOG_FLOOR)
+
+
+def test_log_type_prob_composite_rejects_label_outside_types():
+    stack = composite_stack(0.8)
+    for label in (0, 5):
+        with pytest.raises(KeyError, match=f"no composite type {label} for part 7"):
+            log_type_prob_composite(stack, 7, [1, label], [(2, 2), (50, 50)], 0)
 
 
 def gaussian_grid(centers, grid=(16, 16), amplitude=0.5, sigma=1.2):
@@ -301,3 +341,120 @@ def test_load_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(ScoreMapError, match="magic"):
         load_score_maps(path)
+
+
+def two_scale_stack():
+    """A small two-scale stack with two composite blocks per scale."""
+    h, w = 3, 4
+    table = np.array([(0, 0), (1, 1), (1, 2), (2, 1)], dtype=np.uint32)
+    rng = np.random.default_rng(8)
+    scales = []
+    for scale in (1.0, 2.0):
+        atomic = rng.random((4, h, w))
+        composite = {}
+        for part in (10, 11):
+            data = rng.random((2, h, w))
+            composite[part] = CompositeMaps(part, 2, data / data.sum(axis=0))
+        scales.append(ScaleMaps(scale, table, atomic / atomic.sum(axis=0), composite))
+    return ScoreMapStack(scales)
+
+
+def corrupt_hpsm(kind: str, tmp_path):
+    """HPSM file of `two_scale_stack` with one field made invalid."""
+    stack = two_scale_stack()
+    maps = stack.scales[1]
+    if kind == "NaN pixel":
+        maps.atomic[2, 1, 1] = np.nan
+    elif kind == "NaN composite pixel":
+        maps.composite[10].data[0, 0, 0] = np.nan
+    elif kind in ("NaN scale", "inf scale"):
+        maps.scale = math.nan if kind == "NaN scale" else math.inf
+    elif kind == "0 channels":
+        maps.channel_table, maps.atomic = np.zeros((0, 2), np.uint32), np.zeros((0, 3, 4))
+        maps.composite = {}
+    elif kind in ("H = 0", "W = 0"):
+        shape = (4, 0, 4) if kind == "H = 0" else (4, 3, 0)
+        maps.atomic, maps.composite = np.zeros(shape, np.float32), {}
+    elif kind == "0-type composite":
+        maps.composite[10].data = np.zeros((0, 3, 4), np.float32)
+    elif kind == "repeated composite part":
+        maps.composite[11].part_id = 10
+    path = tmp_path / "bad.hpsm"
+    save_score_maps(stack, path)
+    return path
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("NaN pixel", "NaN"),
+    ("NaN composite pixel", "NaN"),
+    ("NaN scale", "finite and positive"),
+    ("inf scale", "finite and positive"),
+    ("0 channels", "empty atomic tensor"),
+    ("H = 0", "empty atomic tensor"),
+    ("W = 0", "empty atomic tensor"),
+    ("0-type composite", "empty maps"),
+    ("repeated composite part", "out of order or repeated"),
+])
+def test_load_rejects_invalid_field(kind, message, tmp_path):
+    with pytest.raises(ScoreMapError, match=message):
+        load_score_maps(corrupt_hpsm(kind, tmp_path))
+
+
+def test_scale_maps_reject_composite_grid_mismatch():
+    table = np.array([(0, 0), (1, 1)], dtype=np.uint32)
+    composite = {7: CompositeMaps(7, 2, np.full((2, 4, 5), 0.5))}
+    with pytest.raises(ScoreMapError, match="do not match the atomic grid"):
+        ScaleMaps(1.0, table, np.full((2, 5, 4), 0.5), composite)
+
+
+HPSM_WORDS = st.one_of(
+    st.integers(0, 2**32 - 1),
+    # small counts and sizes, ids, and float high words (NaN, 1.0, -1.0)
+    st.sampled_from([0, 1, 2, 3, 4, 10, 11, 2**31, 2**32 - 1, 0x7FC00000, 0x3F800000,
+                     0x7FF80000, 0x3FF00000, 0xBFF00000]),
+)
+
+
+def header_words(stack) -> list[int]:
+    """Byte offsets of the header words of an HPSM file: version, scale
+    count, and per scale the two words of the scale, H, W, the channel and
+    composite counts, and each composite block's part, level and type count."""
+    offsets, pos = [4, 8], 12
+    for maps in stack.scales:
+        c, h, w = maps.atomic.shape
+        offsets += [pos, pos + 4, pos + 8, pos + 12, pos + 16]
+        pos += 20 + 8 * c + 4 * c * h * w
+        offsets.append(pos)
+        pos += 4
+        for part in sorted(maps.composite):
+            offsets += [pos, pos + 4, pos + 8]
+            pos += 12 + 4 * maps.composite[part].data.size
+    return offsets
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_corrupt_hpsm_reloads_bit_exact_or_raises_score_map_error(data, tmp_path_factory):
+    stack = two_scale_stack()
+    path = tmp_path_factory.getbasetemp() / "corrupt.hpsm"
+    save_score_maps(stack, path)
+    original = path.read_bytes()
+    kind = data.draw(st.sampled_from(["word", "bit", "truncate"]))
+    mutated = bytearray(original)
+    if kind == "truncate":
+        del mutated[data.draw(st.integers(0, len(original) - 1)):]
+    elif kind == "bit":
+        bit = data.draw(st.integers(0, 8 * len(original) - 1))
+        mutated[bit // 8] ^= 1 << (bit % 8)
+    else:
+        at = data.draw(st.one_of(
+            st.sampled_from(header_words(stack)), st.integers(0, len(original) - 4)
+        ))
+        mutated[at : at + 4] = struct.pack("<I", data.draw(HPSM_WORDS))
+    path.write_bytes(bytes(mutated))
+    try:
+        loaded = load_score_maps(path)
+    except ScoreMapError:
+        return
+    save_score_maps(loaded, path)
+    assert path.read_bytes() == mutated

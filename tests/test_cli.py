@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 import struct
 
@@ -153,6 +154,17 @@ def test_infer_corrupt_library_exit_1(workspace, capsys):
     assert main(["infer", str(infer_config(workspace))]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "subtree rows" in err
+    assert "Traceback" not in err
+
+
+def test_infer_nan_bias_exit_1(workspace, capsys):
+    path = workspace / "weights.json"
+    doc = json.loads(path.read_text())
+    doc["bias"] = math.nan
+    path.write_text(json.dumps(doc))  # writes the bare token NaN
+    assert main(["infer", str(infer_config(workspace))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bias must be finite" in err
     assert "Traceback" not in err
 
 

@@ -442,3 +442,13 @@ def test_collapse_model_joins_labels(tiny3_setup):
     for exemplar in flat_library.exemplars(flat.root.id):
         assert set(exemplar.child_labels) == set(hierarchy.atomic_ids)
     assert flat_weights.pose_appearance.shape == (1,)
+
+
+@pytest.mark.parametrize("name", ["nms_radius", "dedup_radius"])
+def test_params_reject_nan_radii(name):
+    with pytest.raises(ValueError, match="radii"):
+        InferenceParams(**{name: math.nan})
+    with pytest.raises(ValueError, match="radii"):
+        InferenceParams(**{name: -1.0})
+    for value in (0.0, 2.5, math.inf):
+        assert getattr(InferenceParams(**{name: value}), name) == value

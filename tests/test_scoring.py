@@ -388,3 +388,18 @@ def test_weights_json_round_trip(tmp_path, tiny3):
 def test_weights_reject_negative():
     with pytest.raises(ValueError, match="non-negative"):
         WeightVector([-0.1], [0.0], [0.0], 0.0)
+
+
+@pytest.mark.parametrize("field", ["atomic", "pose_appearance", "pose_similarity", "bias"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_weight_vector_rejects_non_finite(tiny3, field, value):
+    weights = WeightVector.uniform(tiny3)
+    parts = {name: getattr(weights, name) for name in
+             ("atomic", "pose_appearance", "pose_similarity", "bias")}
+    if field == "bias":
+        parts["bias"] = value
+    else:
+        parts[field] = parts[field].copy()
+        parts[field][1] = value
+    with pytest.raises(ValueError, match="finite"):
+        WeightVector(**parts)
