@@ -95,14 +95,25 @@ _PARAM_KEYS = {
 }
 
 
+def _integer_param(sec: dict, key: str) -> int:
+    """A params value that must be a JSON integer.  Booleans, strings and
+    numbers with a fraction or exponent are rejected, not converted."""
+    value = sec[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"params {key!r} must be a JSON integer, got {json.dumps(value)}")
+    return value
+
+
 def _inference_params(doc: dict, seed_override: int | None) -> InferenceParams:
     sec = _section(doc, "params", _PARAM_KEYS)
     if seed_override is not None:
         sec = dict(sec, seed=seed_override)
     return InferenceParams(
-        z=int(sec["z"]),
-        samples_per_level=None if sec["samples_per_level"] is None else int(sec["samples_per_level"]),
-        seed=int(sec["seed"]),
+        z=_integer_param(sec, "z"),
+        samples_per_level=(
+            None if sec["samples_per_level"] is None else _integer_param(sec, "samples_per_level")
+        ),
+        seed=_integer_param(sec, "seed"),
         max_angle=float(sec["max_angle"]),
         compatibility_tolerance=float(sec["compatibility_tolerance"]),
         nms_radius=float(sec["nms_radius"]),

@@ -83,6 +83,8 @@ class InferenceParams:
             raise ValueError("z must be >= 1")
         if self.samples_per_level is not None and self.samples_per_level < 1:
             raise ValueError("samples_per_level must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         AngleBound(self.max_angle)
         for name in ("compatibility_tolerance", "search_radius_fraction"):
             value = getattr(self, name)
@@ -273,6 +275,31 @@ def _alignment_points(locations: np.ndarray, child_id: int, hierarchy: PartHiera
     return hierarchy.anchor_point(locations, child_id)
 
 
+def _draw_proposals(
+    rng: np.random.Generator, samples: int, exemplar_count: int, counts
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All proposal draws of one part, made in one array pass.
+
+    Each of the `samples` draws takes an exemplar index in
+    [0, exemplar_count), an ordered pair of distinct child slots, uniform over
+    all such pairs of the len(counts) >= 2 slots, and one row of each slot's
+    pool, whose size is `counts[slot]`.  Draws that touch an empty pool are
+    dropped.  Returns the (A,) exemplar indices, (A, 2) slots and (A, 2)
+    picks of the A kept draws, in draw order.  The generator is called four
+    times, whatever `samples` is.
+    """
+    counts = np.asarray(counts, dtype=np.intp)
+    exemplar = rng.integers(exemplar_count, size=samples)
+    first = rng.integers(len(counts), size=samples)
+    second = rng.integers(len(counts) - 1, size=samples)
+    second += second >= first
+    slots = np.stack([first, second], axis=1)
+    sizes = counts[slots]
+    picks = rng.integers(np.maximum(sizes, 1))
+    keep = (sizes > 0).all(axis=1)
+    return exemplar[keep], slots[keep], picks[keep]
+
+
 def propose_hypotheses(
     node: PartNode,
     lower: dict[int, HypothesisSet],
@@ -290,8 +317,9 @@ def propose_hypotheses(
     bound are rejected; nearly coincident anchor pairs fall back to a
     rotation-free fit with the scale taken from the object-size ratio.
 
-    The draws are made one by one, in a fixed order; the fits, transforms
-    and boxes of all draws are then computed as arrays.
+    All `params.samples` draws of the part are made in one array pass by
+    `_draw_proposals`; the fits, transforms and boxes of all draws are then
+    computed as arrays.
     """
     exemplars = library.exemplars(node.id)
     if not exemplars:
@@ -299,21 +327,9 @@ def propose_hypotheses(
     children = node.children
     pools = [lower.get(child_id) or () for child_id in children]
     counts = [len(pool) for pool in pools]
-    draws = []  # (exemplar, slot, slot, pick, pick)
-    for _ in range(params.samples):
-        exemplar = int(rng.integers(len(exemplars)))
-        slots = rng.choice(len(children), size=2, replace=False)
-        picks = []
-        for slot in slots:
-            if not counts[slot]:
-                break
-            picks.append(int(rng.integers(counts[slot])))
-        else:
-            draws.append((exemplar, *slots, *picks))
-    if not draws:
+    chosen, slots, picks = _draw_proposals(rng, params.samples, len(exemplars), counts)
+    if not len(chosen):
         return _no_hypotheses(node, hierarchy)
-    draws = np.array(draws, dtype=np.intp)
-    chosen, slots, picks = draws[:, 0], draws[:, 1:3], draws[:, 3:5]
 
     table = library.arrays(node.id)
     exemplar_points = np.stack(
@@ -335,9 +351,9 @@ def propose_hypotheses(
     degenerate = (np.hypot(segment_src[:, 0], segment_src[:, 1]) < 1e-9) | (
         np.hypot(segment_dst[:, 0], segment_dst[:, 1]) < 1e-9
     )
-    scale = np.zeros(len(draws))
-    angle = np.zeros(len(draws))
-    translation = np.zeros((len(draws), 2))
+    scale = np.zeros(len(chosen))
+    angle = np.zeros(len(chosen))
+    translation = np.zeros((len(chosen), 2))
     pair = ~degenerate
     scale[pair], angle[pair], translation[pair] = fit_two_points_batch(src[pair], dst[pair])
     accepted = pair & ~(np.abs(angle) > params.max_angle)
@@ -614,8 +630,9 @@ def infer(
 ) -> InferenceResult:
     """Run the full inference procedure and return the best configuration.
 
-    Deterministic given the seed: hypothesis proposal draws use one RNG
-    stream per (level, part), derived from (seed, level, part index).
+    Deterministic given the seed: each (level, part) has its own RNG
+    stream, derived from (seed, level, part index), and all proposal draws
+    of that part are taken from it in one array pass (`_draw_proposals`).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")

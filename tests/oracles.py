@@ -3,8 +3,9 @@
 Everything here is recomputed from first principles with plain loops and its
 own lookup/marginalization code; only the inner similarity fit reuses
 geometry.pose_similarity, whose own independent checks are the lattice-search
-oracle `grid_search_pose_similarity` and `naive_fit_least_squares` below.
-The scalar scorer, fit, proposal loop, feature composition and per-part
+oracle `grid_search_pose_similarity` and `naive_fit_least_squares` below,
+and the proposal loop takes its random draws from the library's
+`_draw_proposals`, so that both sides follow one stream.  The scalar scorer, fit, proposal loop, feature composition and per-part
 refinement loop that the batched library code replaced are kept here, as
 they were, to check the batched code against.  `exhaustive_best_config` enumerates configurations
 to check the search.
@@ -19,7 +20,7 @@ from scipy import optimize
 from hierpose.appearance import LOG_FLOOR, log_part_prob
 from hierpose.geometry import ChildGeometry, SimilarityTransform, _max_angle, pose_similarity
 from hierpose.hierarchy import BoundingBox, object_size
-from hierpose.inference import Hypothesis
+from hierpose.inference import Hypothesis, _draw_proposals
 from hierpose.scoring import feature_length, pose_terms, refinement_score, total_score
 
 FLOOR = 1e-6
@@ -255,51 +256,48 @@ def _naive_composites_below(node_id, hierarchy):
 
 
 def naive_propose_hypotheses(node, lower, library, hierarchy, params, rng):
-    """The scalar proposal loop: one draw, fit and transform at a time.
+    """The scalar proposal loop: one fit and transform per draw.
 
-    `lower` maps child parts to `HypothesisSet`s; the drawn rows are read
-    one by one through `HypothesisSet.row`, and the result is a list of
-    `Hypothesis` rows."""
+    The (exemplar, slots, picks) draws come from the library's own
+    `_draw_proposals`, so both sides see the same random stream; everything
+    after the draw is recomputed here one draw at a time.  `lower` maps
+    child parts to `HypothesisSet`s; the drawn rows are read one by one
+    through `HypothesisSet.row`, and the result is a list of `Hypothesis`
+    rows."""
     exemplars = library.exemplars(node.id)
     children = node.children
     rows = hierarchy.atom_rows(node.id)
     pose_nodes = _naive_composites_below(node.id, hierarchy)
+    pools = [lower.get(child_id) or [] for child_id in children]
+    draws = _draw_proposals(rng, params.samples, len(exemplars), [len(p) for p in pools])
     out = []
-    for _ in range(params.samples):
-        exemplar = exemplars[rng.integers(len(exemplars))]
-        slots = rng.choice(len(children), size=min(2, len(children)), replace=False)
-        chosen = []
-        for slot in slots:
-            child_id = children[int(slot)]
-            pool = lower.get(child_id) or []
-            if not pool:
-                break
-            chosen.append((child_id, pool.row(int(rng.integers(len(pool))))))
+    for index, slots, picks in zip(*(d.tolist() for d in draws)):
+        exemplar = exemplars[index]
+        chosen = [(children[slot], pools[slot].row(pick)) for slot, pick in zip(slots, picks)]
+        src = np.array([
+            _naive_alignment_point(exemplar.locations, cid, hierarchy) for cid, _ in chosen
+        ])
+        dst = np.array([
+            _naive_alignment_point(hyp.locations, cid, hierarchy) for cid, hyp in chosen
+        ])
+        if min(np.hypot(*(src[1] - src[0])), np.hypot(*(dst[1] - dst[0]))) >= 1e-9:
+            transform = _naive_two_point_fit(src, dst)
+            if abs(transform.angle) > params.max_angle:
+                continue
         else:
-            src = np.array([
-                _naive_alignment_point(exemplar.locations, cid, hierarchy) for cid, _ in chosen
-            ])
-            dst = np.array([
-                _naive_alignment_point(hyp.locations, cid, hierarchy) for cid, hyp in chosen
-            ])
-            if min(np.hypot(*(src[1] - src[0])), np.hypot(*(dst[1] - dst[0]))) >= 1e-9:
-                transform = _naive_two_point_fit(src, dst)
-                if abs(transform.angle) > params.max_angle:
-                    continue
-            else:
-                child_hyp = chosen[0][1]
-                if child_hyp.object_size <= 0 or exemplar.object_size <= 0:
-                    continue
-                scale = child_hyp.object_size / exemplar.object_size
-                transform = SimilarityTransform(scale, 0.0, dst[0] - scale * src[0])
-            locations = np.full_like(exemplar.locations, np.nan)
-            locations[rows] = transform.apply(exemplar.locations[rows])
-            pose = {nid: library.for_source(nid, exemplar.source).index for nid in pose_nodes}
-            out.append(Hypothesis(
-                node.id, node.level, locations, pose,
-                transform.scale * exemplar.object_size,
-                BoundingBox(locations[rows].min(axis=0), locations[rows].max(axis=0)),
-            ))
+            child_hyp = chosen[0][1]
+            if child_hyp.object_size <= 0 or exemplar.object_size <= 0:
+                continue
+            scale = child_hyp.object_size / exemplar.object_size
+            transform = SimilarityTransform(scale, 0.0, dst[0] - scale * src[0])
+        locations = np.full_like(exemplar.locations, np.nan)
+        locations[rows] = transform.apply(exemplar.locations[rows])
+        pose = {nid: library.for_source(nid, exemplar.source).index for nid in pose_nodes}
+        out.append(Hypothesis(
+            node.id, node.level, locations, pose,
+            transform.scale * exemplar.object_size,
+            BoundingBox(locations[rows].min(axis=0), locations[rows].max(axis=0)),
+        ))
     return out
 
 

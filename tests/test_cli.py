@@ -168,6 +168,44 @@ def test_infer_nan_bias_exit_1(workspace, capsys):
     assert "Traceback" not in err
 
 
+def with_params(workspace, **changes):
+    params = json.loads(infer_config(workspace).read_text())["params"]
+    return infer_config(workspace, name="params.json", params=dict(params, **changes))
+
+
+@pytest.mark.parametrize("argv", [[], ["--seed", "-1"]])
+def test_infer_negative_seed_exit_1(workspace, capsys, argv):
+    config = with_params(workspace, seed=-1) if not argv else infer_config(workspace)
+    assert main(["infer", str(config)] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed must be >= 0" in err
+    assert "Traceback" not in err
+    assert not (workspace / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("z", 2.7),
+        ("z", 3.0),
+        ("z", True),
+        ("z", "3"),
+        ("samples_per_level", 300.5),
+        ("samples_per_level", 1e3),
+        ("samples_per_level", "300"),
+        ("seed", 1.5),
+        ("seed", False),
+        ("seed", "7"),
+        ("seed", None),
+    ],
+)
+def test_infer_integer_params_must_be_json_integers(workspace, capsys, key, value):
+    assert main(["infer", str(with_params(workspace, **{key: value}))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"params '{key}' must be a JSON integer" in err
+    assert not (workspace / "out").exists()
+
+
 def test_infer_unknown_config_key_rejected(workspace):
     config = infer_config(workspace, name="extra.json", extra_key=1)
     assert main(["infer", str(config)]) == 1

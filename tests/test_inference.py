@@ -452,3 +452,10 @@ def test_params_reject_nan_radii(name):
         InferenceParams(**{name: -1.0})
     for value in (0.0, 2.5, math.inf):
         assert getattr(InferenceParams(**{name: value}), name) == value
+
+
+def test_params_reject_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        InferenceParams(seed=-1)
+    assert InferenceParams(seed=0).seed == 0
+    assert InferenceParams(seed=2**70).seed == 2**70

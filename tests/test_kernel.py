@@ -1,6 +1,7 @@
 """The batched pose-term kernel, the batched feature pass, array-built
 proposals and the one-pass refinement against the scalar oracles in
-`oracles.py`, including typed-error parity on one bad row."""
+`oracles.py`, including typed-error parity on one bad row, and the
+one-pass proposal draw."""
 
 import math
 import tracemalloc
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from hierpose import Annotation, WeightVector, load_hierarchy
 from hierpose.appearance import LOG_FLOOR, ScaleMaps, ScoreMapStack
@@ -19,6 +21,7 @@ from hierpose.inference import (
     Hypothesis,
     HypothesisSet,
     InferenceParams,
+    _draw_proposals,
     propose_hypotheses,
     refine_hypothesis,
     score_and_prune,
@@ -491,6 +494,77 @@ def test_propose_degenerate_pairs_fall_back_like_scalar_loop():
     # fallback hypotheses take the object size of the first chosen child
     assert any(min(abs(h.object_size - s) for s in (8.0, 9.0, 10.0)) < 1e-9 for h in ours)
     assert_same_proposals(ours, naive, hierarchy)
+
+
+def test_draw_slots_are_distinct_and_pairs_uniform():
+    counts = [3, 5, 2, 4]
+    samples = 24_000
+    exemplar, slots, picks = _draw_proposals(np.random.default_rng(5), samples, 7, counts)
+    assert len(exemplar) == samples
+    assert ((exemplar >= 0) & (exemplar < 7)).all()
+    assert (slots[:, 0] != slots[:, 1]).all()
+    assert ((slots >= 0) & (slots < len(counts))).all()
+    # every ordered pair of distinct slots is equally likely
+    pairs = [(a, b) for a in range(len(counts)) for b in range(len(counts)) if a != b]
+    observed = np.array([np.sum((slots[:, 0] == a) & (slots[:, 1] == b)) for a, b in pairs])
+    expected = samples / len(pairs)
+    chi_square = float(np.sum((observed - expected) ** 2 / expected))
+    assert chi_square < stats.chi2.ppf(0.999, len(pairs) - 1)
+
+
+def test_draw_picks_lie_inside_their_pool():
+    counts = np.array([1, 6, 2, 9, 3])
+    _, slots, picks = _draw_proposals(np.random.default_rng(2), 5000, 3, counts)
+    assert picks.shape == slots.shape
+    assert ((picks >= 0) & (picks < counts[slots])).all()
+    # every row of every pool is reached
+    for slot, count in enumerate(counts):
+        assert set(picks[slots == slot].tolist()) == set(range(count))
+
+
+def test_draw_touching_an_empty_pool_is_dropped():
+    # a pool of one row consumes the stream exactly as an empty pool does, so
+    # the draws of [4, 1, 3] are the draws of [4, 0, 3] before dropping
+    full = _draw_proposals(np.random.default_rng(11), 600, 5, [4, 1, 3])
+    kept = _draw_proposals(np.random.default_rng(11), 600, 5, [4, 0, 3])
+    avoids = (full[1] != 1).all(axis=1)
+    assert 0 < avoids.sum() < 600
+    for ours, expected in zip(kept, full):
+        assert np.array_equal(ours, expected[avoids])
+    exemplar, slots, picks = _draw_proposals(np.random.default_rng(11), 50, 5, [0, 0, 3])
+    assert (exemplar.shape, slots.shape, picks.shape) == ((0,), (0, 2), (0, 2))
+
+
+class CountingGenerator:
+    """A numpy Generator that counts the calls made on it."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+def test_propose_calls_the_generator_independent_of_sample_count():
+    hierarchy = load_hierarchy(tiny3_doc())
+    library, _ = library_for(hierarchy, annotations_tiny3(4))
+    scene = make_scene(library, hierarchy, seed=0, grid=(48, 48), distractors=3)
+    lower = seed_atomic_hypotheses(scene.stack, hierarchy, InferenceParams(z=6))
+    calls = []
+    for samples in (120, 1200):
+        params = InferenceParams(z=6, samples_per_level=samples)
+        rng = CountingGenerator(np.random.default_rng(0))
+        for node in hierarchy.nodes_at_level(2):
+            assert propose_hypotheses(node, lower, library, hierarchy, params, rng)
+        calls.append(rng.calls)
+    assert calls[0] == calls[1] > 0
 
 
 # -- refinement ------------------------------------------------------------------
