@@ -7,7 +7,10 @@ stand in for whatever produced the detection scores; the library only reads
 them.  Every lookup gathers nearest pixels at one stored scale (callers
 group their rows by the stored scale nearest each row's scale) and clamps
 probabilities at a 1e-6 floor before taking logs.  Channels are found by
-(part, type) key in a sorted key array per scale.
+(part, type) key in a sorted key array per scale.  A full p(part | pixel)
+map is built only for peak seeding (`top_peaks`); every other marginal
+lookup reads that map if it exists and otherwise sums the part's channels
+at the looked-up pixels only, with the same bits either way.
 """
 
 from __future__ import annotations
@@ -100,7 +103,9 @@ class ScaleMaps:
 
 
 class ScoreMapStack:
-    """Immutable multi-scale stack with cached per-part marginals."""
+    """Immutable multi-scale stack.  The full marginal map of a part is
+    built and cached only when `marginal` is asked for it; `marginal_at`
+    reads that map if it is cached and gathers at pixels otherwise."""
 
     def __init__(self, scales: list[ScaleMaps]):
         if not scales:
@@ -126,7 +131,6 @@ class ScoreMapStack:
             self._keys.append(keys)
             self._key_rows.append(order)
         self._marginals: dict[tuple[int, int], np.ndarray] = {}
-        self._log_marginals: dict[tuple[int, int], np.ndarray] = {}
 
     @property
     def n_scales(self) -> int:
@@ -154,25 +158,33 @@ class ScoreMapStack:
             raise KeyError(f"no channel for part {part}, type {int(type_ids[missing][0])}")
         return rows[at]
 
+    def _part_rows(self, part: int, scale_index: int) -> np.ndarray:
+        """Atomic-tensor rows of every type channel of `part`, in table order."""
+        rows = np.flatnonzero(self.scales[scale_index].channel_table[:, 0] == part)
+        if part == 0 or rows.size == 0:
+            raise KeyError(f"no channels for part {part}")
+        return rows
+
     def marginal(self, part: int, scale_index: int = 0) -> np.ndarray:
         """p(part | pixel): type channels summed, as float64."""
         key = (part, scale_index)
         cached = self._marginals.get(key)
         if cached is None:
-            rows = np.flatnonzero(self.scales[scale_index].channel_table[:, 0] == part)
-            if part == 0 or rows.size == 0:
-                raise KeyError(f"no channels for part {part}")
-            cached = self.scales[scale_index].atomic[rows].sum(axis=0, dtype=np.float64)
+            rows = self._part_rows(part, scale_index)
+            cached = _channel_sum(self.scales[scale_index].atomic[rows])
             self._marginals[key] = cached
         return cached
 
-    def log_marginal(self, part: int, scale_index: int = 0) -> np.ndarray:
-        key = (part, scale_index)
-        cached = self._log_marginals.get(key)
-        if cached is None:
-            cached = np.log(np.maximum(self.marginal(part, scale_index), PROB_FLOOR))
-            self._log_marginals[key] = cached
-        return cached
+    def marginal_at(self, part: int, pixel: np.ndarray, scale_index: int = 0) -> np.ndarray:
+        """`marginal(part, scale_index).ravel()[pixel]`, bit for bit, without
+        building the map: a cached map is read, otherwise only the part's
+        channels at `pixel` are summed, in the same channel order."""
+        cached = self._marginals.get((part, scale_index))
+        if cached is not None:
+            return cached.ravel()[pixel]
+        rows = self._part_rows(part, scale_index)
+        atomic = self.scales[scale_index].atomic
+        return _channel_sum(atomic.reshape(len(atomic), -1)[rows[:, None], pixel])
 
     def composite_maps(self, part: int, scale_index: int = 0) -> CompositeMaps:
         maps = self.scales[scale_index].composite.get(part)
@@ -201,6 +213,15 @@ class ScoreMapStack:
                     )
 
 
+def _channel_sum(channels: np.ndarray) -> np.ndarray:
+    """Sum over the first axis as float64, one channel at a time in row
+    order, so a sum over whole maps and one over gathered pixels agree."""
+    total = channels[0].astype(np.float64)
+    for channel in channels[1:]:
+        total += channel
+    return total
+
+
 # -- binary container ------------------------------------------------------
 
 
@@ -223,10 +244,11 @@ def save_score_maps(stack: ScoreMapStack, path) -> None:
 
 
 class _Reader:
-    """Bounds-checked cursor over the file bytes; slices are views, so each
-    tensor is copied once, by `array`."""
+    """Bounds-checked cursor over one writable buffer of the file bytes;
+    slices and the tensors of `array` are views of it, so nothing is
+    copied after the read."""
 
-    def __init__(self, data: bytes):
+    def __init__(self, data: np.ndarray):
         self.data = memoryview(data)
         self.pos = 0
 
@@ -242,12 +264,12 @@ class _Reader:
 
     def array(self, dtype: str, count: int, shape: tuple[int, ...]) -> np.ndarray:
         raw = self.take(count * np.dtype(dtype).itemsize)
-        return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        return np.frombuffer(raw, dtype=dtype).reshape(shape)
 
 
 def load_score_maps(path, tol: float = 1e-3) -> ScoreMapStack:
     """Read an "HPSM" container and validate normalization invariants."""
-    reader = _Reader(Path(path).read_bytes())
+    reader = _Reader(np.fromfile(path, dtype=np.uint8))
     if reader.take(4) != MAGIC:
         raise ScoreMapError(f"bad magic in {path}: not a score-map file")
     version, n_scales = reader.unpack("<II")
@@ -289,13 +311,14 @@ def _pixels(points: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, np.
 
 
 def log_marginals_at(stack: ScoreMapStack, parts, points, scale_index: int) -> np.ndarray:
-    """(P, K) log p(part | pixel) of (P, K, 2) points: row p is read on the
-    floored log marginal map of `parts[p]` at one stored scale; off-grid
-    points read LOG_FLOOR."""
+    """(P, K) log p(part | pixel) of (P, K, 2) points: row p is the floored
+    log of `parts[p]`'s marginal at one stored scale; off-grid points read
+    LOG_FLOOR."""
     pixel, on_grid = _pixels(np.asarray(points, dtype=float), stack.scales[scale_index].grid_shape)
-    out = np.stack([
-        stack.log_marginal(part, scale_index).ravel()[pixel[i]] for i, part in enumerate(parts)
+    marginals = np.stack([
+        stack.marginal_at(part, pixel[i], scale_index) for i, part in enumerate(parts)
     ])
+    out = np.log(np.maximum(marginals, PROB_FLOOR))
     out[~on_grid] = LOG_FLOOR
     return out
 
@@ -322,7 +345,7 @@ def log_type_prob_atomic(
     atomic = stack.scales[scale_index].atomic
     channels = stack.channel_rows(part, labels[on_grid], scale_index)
     joint = atomic.reshape(len(atomic), -1)[channels, pixel].astype(np.float64)
-    denom = stack.marginal(part, scale_index).ravel()[pixel]
+    denom = stack.marginal_at(part, pixel, scale_index)
     cond = np.divide(joint, denom, out=np.zeros_like(joint), where=denom > 0.0)
     out = np.full(len(labels), LOG_FLOOR)
     out[on_grid] = np.log(np.maximum(cond, PROB_FLOOR))

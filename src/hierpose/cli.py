@@ -95,12 +95,12 @@ _PARAM_KEYS = {
 }
 
 
-def _integer_param(sec: dict, key: str) -> int:
-    """A params value that must be a JSON integer.  Booleans, strings and
+def _integer_param(sec: dict, key: str, section: str = "params") -> int:
+    """A config value that must be a JSON integer.  Booleans, strings and
     numbers with a fraction or exponent are rejected, not converted."""
     value = sec[key]
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"params {key!r} must be a JSON integer, got {json.dumps(value)}")
+        raise ConfigError(f"{section} {key!r} must be a JSON integer, got {json.dumps(value)}")
     return value
 
 
@@ -185,6 +185,17 @@ def cmd_train(args) -> int:
     neg_sec = _section(doc, "negatives", {"per_positive", "noise_sigma", "seed"})
     train_sec = _section(doc, "train", {"c", "epochs", "seed", "holdout_fraction"})
     out = _section(doc, "output", {"weights", "log"}, optional={"libraries"})
+    if args.seed is not None:
+        aug_sec = dict(aug_sec, seed=args.seed)
+    atomic_bins = _integer_param(tm_sec, "atomic_bins", "type_model")
+    composite_bins = _integer_param(tm_sec, "composite_bins", "type_model")
+    type_seed = _integer_param(tm_sec, "seed", "type_model")
+    copies = _integer_param(aug_sec, "copies", "augment")
+    aug_seed = _integer_param(aug_sec, "seed", "augment")
+    per_positive = _integer_param(neg_sec, "per_positive", "negatives")
+    neg_seed = _integer_param(neg_sec, "seed", "negatives")
+    epochs = _integer_param(train_sec, "epochs", "train")
+    train_seed = _integer_param(train_sec, "seed", "train")
 
     holdout = float(train_sec["holdout_fraction"])
     if not 0.0 <= holdout < 1.0:
@@ -197,25 +208,24 @@ def cmd_train(args) -> int:
     type_model = RelationTypeModel.build(
         hierarchy,
         exemplar_set,
-        atomic_bins=int(tm_sec["atomic_bins"]),
-        composite_bins=int(tm_sec["composite_bins"]),
-        seed=int(tm_sec["seed"]),
+        atomic_bins=atomic_bins,
+        composite_bins=composite_bins,
+        seed=type_seed,
     )
     library = build_library(exemplar_set, hierarchy, type_model)
 
-    aug_seed = int(aug_sec["seed"]) if args.seed is None else args.seed
     positives = list(weight_set) + augment_positives(
         weight_set,
         np.random.default_rng(aug_seed),
         jitter_fraction=float(aug_sec["jitter_fraction"]),
-        copies=int(aug_sec["copies"]),
+        copies=copies,
     )
     negatives = generate_negatives(
         weight_set,
         None,
-        np.random.default_rng(int(neg_sec["seed"])),
+        np.random.default_rng(neg_seed),
         noise_sigma=neg_sec["noise_sigma"],
-        per_positive=int(neg_sec["per_positive"]),
+        per_positive=per_positive,
     )
 
     cache: dict = {}
@@ -229,10 +239,7 @@ def cmd_train(args) -> int:
     )
 
     weights_array, objective = train_weights(
-        training,
-        c=float(train_sec["c"]),
-        epochs=int(train_sec["epochs"]),
-        seed=int(train_sec["seed"]),
+        training, c=float(train_sec["c"]), epochs=epochs, seed=train_seed
     )
     weights = WeightVector.from_array(weights_array, hierarchy)
     save_weights(weights, hierarchy, _output_path(base, out["weights"]))
@@ -243,9 +250,9 @@ def cmd_train(args) -> int:
         "exemplar_annotations": len(exemplar_set),
         "objective": objective,
         "training_accuracy": float(np.mean(margins > 0)),
-        "epochs": int(train_sec["epochs"]),
+        "epochs": epochs,
         "c": float(train_sec["c"]),
-        "seed": int(train_sec["seed"]),
+        "seed": train_seed,
     }
     _output_path(base, out["log"]).write_text(json.dumps(log, indent=2, sort_keys=True) + "\n")
     if "libraries" in out:

@@ -512,24 +512,28 @@ def train_weights(
 
     Minimizes 0.5 ||w||^2 + c * sum hinge(y <w, f>) with a 1/t step schedule;
     after every step all components except the trailing bias are clamped to
-    be non-negative.  Deterministic given the seed.
+    be non-negative.  Only a step whose margin is violated can make one
+    negative: the others scale w by 1 - 1/t >= 0, so the clamp runs after
+    violated steps only.  Deterministic given the seed.
     """
     if len(np.unique(training.labels)) < 2:
         raise ValueError("training set must contain both classes")
     rng = np.random.default_rng(seed)
     n, dim = training.features.shape
+    rows = list(training.features)
+    labels = training.labels.tolist()
     w = np.zeros(dim)
+    clamped = w[:-1]
     t = 0
     for _ in range(epochs):
-        order = rng.permutation(n)
-        for i in order:
+        for i in rng.permutation(n).tolist():
             t += 1
             step = 1.0 / t
-            feature = training.features[i]
-            label = training.labels[i]
+            feature = rows[i]
+            label = labels[i]
             violated = label * (feature @ w) < 1.0
             w *= 1.0 - step
             if violated:
                 w += step * c * n * label * feature
-            np.maximum(w[:-1], 0.0, out=w[:-1])
+                np.maximum(clamped, 0.0, out=clamped)
     return w, hinge_objective(w, training, c)

@@ -7,7 +7,8 @@ oracle `grid_search_pose_similarity` and `naive_fit_least_squares` below,
 and the proposal loop takes its random draws from the library's
 `_draw_proposals`, so that both sides follow one stream.  The scalar scorer, fit, proposal loop, feature composition and per-part
 refinement loop that the batched library code replaced are kept here, as
-they were, to check the batched code against.  `exhaustive_best_config` enumerates configurations
+they were, to check the batched code against, and so is the plain SGD loop
+that clamps after every step (`naive_train_weights`).  `exhaustive_best_config` enumerates configurations
 to check the search.
 """
 
@@ -17,10 +18,11 @@ import math
 import numpy as np
 from scipy import optimize
 
-from hierpose.appearance import LOG_FLOOR, log_part_prob
+from hierpose.appearance import LOG_FLOOR, PROB_FLOOR, log_part_prob
 from hierpose.geometry import ChildGeometry, SimilarityTransform, _max_angle, pose_similarity
 from hierpose.hierarchy import BoundingBox, object_size
 from hierpose.inference import Hypothesis, _draw_proposals
+from hierpose.learning import hinge_objective
 from hierpose.scoring import feature_length, pose_terms, refinement_score, total_score
 
 FLOOR = 1e-6
@@ -314,7 +316,7 @@ def naive_refine_hypothesis(root_hyp, stack, hierarchy, weights, params):
         w_part = float(weights.atomic[i])
         parent = hierarchy.parent_of(part)
         penalty = weights.node_weights(hierarchy, parent)[1]
-        log_map = stack.log_marginal(part, scale_index)
+        log_map = np.log(np.maximum(stack.marginal(part, scale_index), PROB_FLOOR))
 
         cols = np.arange(
             int(np.ceil(center[0] - radius)), int(np.floor(center[0] + radius)) + 1
@@ -371,6 +373,30 @@ def naive_feature_vector(X, stack, hierarchy, library, bound):
         offset += 2
     out[-1] = 1.0
     return out
+
+
+def naive_train_weights(training, c=1.0, epochs=200, seed=0):
+    """The projected SGD of `train_weights` one step at a time, clamping
+    every non-bias component after every step."""
+    if len(np.unique(training.labels)) < 2:
+        raise ValueError("training set must contain both classes")
+    rng = np.random.default_rng(seed)
+    n, dim = training.features.shape
+    w = np.zeros(dim)
+    t = 0
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for i in order:
+            t += 1
+            step = 1.0 / t
+            feature = training.features[i]
+            label = training.labels[i]
+            violated = label * (feature @ w) < 1.0
+            w *= 1.0 - step
+            if violated:
+                w += step * c * n * label * feature
+            np.maximum(w[:-1], 0.0, out=w[:-1])
+    return w, hinge_objective(w, training, c)
 
 
 def _geometry_points(geometry) -> np.ndarray:

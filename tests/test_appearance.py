@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 from hierpose import load_score_maps
 from hierpose.appearance import (
     LOG_FLOOR,
+    PROB_FLOOR,
     CompositeMaps,
     ScaleMaps,
     ScoreMapError,
     ScoreMapStack,
     assign_relation_type,
     fit_relation_clusters,
+    log_marginals_at,
     log_part_prob,
     log_type_prob_atomic,
     log_type_prob_composite,
@@ -301,6 +303,31 @@ def test_round_trip_two_scales(tmp_path, tiny3):
             assert np.array_equal(a.composite[part].data, b.composite[part].data)
 
 
+def test_loaded_tensors_are_writable_and_independent(tmp_path, tiny3):
+    stack = random_stack(
+        tiny3, {p: 2 for p in tiny3.atomic_ids}, {10: 3, 11: 3}, np.random.default_rng(4),
+        grid=(7, 9), scales=(1.0, 2.0),
+    )
+    path = tmp_path / "maps.hpsm"
+    save_score_maps(stack, path)
+    first, second = load_score_maps(path), load_score_maps(path)
+
+    def tensors(s):
+        for maps in s.scales:
+            yield maps.atomic
+            for part in sorted(maps.composite):
+                yield maps.composite[part].data
+
+    for saved, a, b in zip(tensors(stack), tensors(first), tensors(second)):
+        for loaded in (a, b):
+            assert loaded.dtype == np.float32 and loaded.flags.c_contiguous
+            assert loaded.flags.writeable
+            assert loaded.tobytes() == saved.astype(np.float32).tobytes()
+        before = b.copy()
+        a[0, 0, 0] += 1.0
+        assert b.tobytes() == before.tobytes()
+
+
 def test_load_rejects_truncation_at_every_section_boundary(tmp_path, tiny3):
     stack = random_stack(
         tiny3, {p: 2 for p in tiny3.atomic_ids}, {10: 3, 11: 3}, np.random.default_rng(6),
@@ -357,6 +384,61 @@ def two_scale_stack():
             composite[part] = CompositeMaps(part, 2, data / data.sum(axis=0))
         scales.append(ScaleMaps(scale, table, atomic / atomic.sum(axis=0), composite))
     return ScoreMapStack(scales)
+
+
+def unsorted_channel_stack(tiny_tail: bool = False):
+    """Two scales whose channel tables list the parts out of order, and part
+    2's types out of order too; part 2 has 11 types.  Values span six
+    decades, so sums in another order round differently.  With `tiny_tail`
+    part 2's first channel in table order is 1 and its other ten are 2**-53:
+    added in table order they leave 1, in any other order more than 1."""
+    part_of = [2, 1, 2, 0, 2, 2, 1, 2, 2, 2, 2, 2, 2, 1, 2]
+    type_of = {1: iter([2, 1, 3]), 2: iter([5, 1, 7, 2, 11, 3, 4, 6, 8, 9, 10])}
+    table = np.array([(p, 0 if p == 0 else next(type_of[p])) for p in part_of], dtype=np.uint32)
+    rng = np.random.default_rng(21)
+    scales = []
+    for scale, grid in ((1.0, (6, 7)), (2.0, (5, 3))):
+        atomic = (rng.random((len(table),) + grid) ** 3) * 10.0 ** rng.uniform(-6, 0, grid)
+        atomic /= atomic.sum(axis=0)
+        if tiny_tail:
+            part2 = np.flatnonzero(table[:, 0] == 2)
+            atomic[part2[0]] = 1.0
+            atomic[part2[1:]] = 2.0**-53
+        scales.append(ScaleMaps(scale, table, atomic))
+    return ScoreMapStack(scales)
+
+
+@pytest.mark.parametrize("tiny_tail", [False, True])
+@pytest.mark.parametrize("count", [1, 2, 5, 9, 40])
+def test_marginal_at_equals_full_map_bit_for_bit(count, tiny_tail):
+    rng = np.random.default_rng(count)
+    for cache_first in (False, True):
+        stack = unsorted_channel_stack(tiny_tail)
+        for scale_index, maps in enumerate(stack.scales):
+            pixel = rng.integers(0, maps.atomic[0].size, count)
+            for part in (1, 2):
+                if cache_first:
+                    stack.marginal(part, scale_index)
+                gathered = stack.marginal_at(part, pixel, scale_index)
+                assert ((part, scale_index) in stack._marginals) == cache_first
+                full = stack.marginal(part, scale_index).ravel()[pixel]
+                assert gathered.dtype == np.float64
+                assert gathered.tobytes() == full.tobytes()
+                if tiny_tail and part == 2:
+                    assert np.all(gathered == 1.0)
+
+
+def test_log_marginals_at_equals_floored_log_of_full_map():
+    stack = unsorted_channel_stack()
+    points = np.array([[[0.2, 0.4], [5.6, 4.5], [3.0, 2.0], [-1.0, 0.0]],
+                       [[6.4, 5.0], [1.0, 1.0], [2.5, 3.5], [0.0, 9.0]]])
+    values = log_marginals_at(stack, [2, 1], points, 0)
+    for row, part in enumerate((2, 1)):
+        full = np.log(np.maximum(stack.marginal(part, 0), PROB_FLOOR))
+        for k, (x, y) in enumerate(points[row]):
+            col, r = int(np.floor(x + 0.5)), int(np.floor(y + 0.5))
+            expected = full[r, col] if 0 <= r < 6 and 0 <= col < 7 else LOG_FLOOR
+            assert values[row, k] == expected
 
 
 def corrupt_hpsm(kind: str, tmp_path):

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+import hierpose.cli
 from hierpose import (
     augment_positives,
     generate_negatives,
@@ -250,6 +251,53 @@ def test_train_smoke_and_determinism(workspace):
     first = (weights_path.read_bytes(), log_path.read_bytes())
     assert main(["train", str(config)]) == 0
     assert (weights_path.read_bytes(), log_path.read_bytes()) == first
+
+
+def test_train_outputs_identical_with_naive_sgd(workspace, monkeypatch):
+    """The library SGD and the oracle loop that clamps after every step give
+    byte-identical weights, log and library files."""
+    out = {"weights": "out/weights.json", "log": "out/log.json", "libraries": "out/library.hpel"}
+    config = train_config(workspace, output=out)
+
+    def outputs():
+        assert main(["train", str(config)]) == 0
+        return [(workspace / path).read_bytes() for path in out.values()]
+
+    first = outputs()
+    calls = []
+
+    def naive(*args, **kwargs):
+        calls.append(kwargs)
+        return oracles.naive_train_weights(*args, **kwargs)
+
+    monkeypatch.setattr(hierpose.cli, "train_weights", naive)  # the name `train` calls
+    assert outputs() == first
+    assert calls == [{"c": 5.0, "epochs": 120, "seed": 3}]
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("type_model", "atomic_bins", 8.0),
+        ("type_model", "composite_bins", "2"),
+        ("type_model", "seed", True),
+        ("augment", "copies", 2.5),
+        ("augment", "seed", 1.9),
+        ("negatives", "per_positive", "2"),
+        ("negatives", "seed", None),
+        ("train", "epochs", 2.7),
+        ("train", "seed", True),
+    ],
+)
+def test_train_integer_fields_must_be_json_integers(workspace, capsys, section, key, value):
+    doc = json.loads(train_config(workspace).read_text())
+    doc[section][key] = value
+    config = train_config(workspace, name="bad_int.json", **{section: doc[section]})
+    assert main(["train", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{section} '{key}' must be a JSON integer" in err
+    assert "Traceback" not in err
+    assert not (workspace / "out").exists()
 
 
 def test_train_empty_annotations_exit_1(workspace):

@@ -29,6 +29,7 @@ from hierpose import (
 from hierpose.hierarchy import object_size
 from hierpose.learning import hinge_objective
 
+import oracles
 from conftest import CONFIG_DIR, annotations_tiny3, base_pose_tiny3, library_for
 
 
@@ -221,6 +222,52 @@ def test_train_weights_more_c_more_satisfied_margins():
         return int(np.sum(training.labels * (training.features @ w) >= 1.0 - 1e-6))
 
     assert satisfied(2.0) >= satisfied(1.0)
+
+
+def mixed_sign_set(rng, count, dim):
+    """Random rows of both signs, labels +/-1 with both classes present; some
+    columns pull their weight below zero, so the clamp fires."""
+    features = rng.normal(0.0, 1.0, (count, dim))
+    labels = np.where(np.arange(count) % 2 == 0, 1.0, -1.0)
+    features[:, 0] += 0.8 * labels  # a useful positive weight
+    features[:, 1] = 0.1 * features[:, 1] - 2.0 * labels  # wants a negative weight
+    features[:, -1] = 1.0
+    return TrainingSet(features, labels)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("c, epochs", [(0.1, 1), (1.0, 7), (5.0, 30), (40.0, 12)])
+def test_train_weights_matches_naive_oracle_bit_for_bit(seed, c, epochs):
+    rng = np.random.default_rng(100 + seed)
+    training = mixed_sign_set(rng, int(rng.integers(6, 40)), int(rng.integers(3, 9)))
+    w, objective = train_weights(training, c=c, epochs=epochs, seed=seed)
+    expected_w, expected_objective = oracles.naive_train_weights(
+        training, c=c, epochs=epochs, seed=seed
+    )
+    assert np.array_equal(w, expected_w)
+    assert objective == expected_objective
+    assert w.tobytes() == expected_w.tobytes()  # signed zeros too
+
+
+def test_train_weights_matches_naive_oracle_where_clamp_fires():
+    training = mixed_sign_set(np.random.default_rng(7), 30, 5)
+    w, objective = train_weights(training, c=5.0, epochs=50, seed=4)
+    expected_w, expected_objective = oracles.naive_train_weights(
+        training, c=5.0, epochs=50, seed=4
+    )
+    assert w[1] == 0.0  # held at the bound by the clamp
+    assert w.tobytes() == expected_w.tobytes()
+    assert objective == expected_objective
+
+
+def test_train_weights_matches_naive_oracle_on_separable_set():
+    training = separable_set()
+    w, objective = train_weights(training, c=5.0, epochs=300, seed=0)
+    expected_w, expected_objective = oracles.naive_train_weights(
+        training, c=5.0, epochs=300, seed=0
+    )
+    assert w.tobytes() == expected_w.tobytes()
+    assert objective == expected_objective
 
 
 def test_library_binary_round_trip(tmp_path, tiny3):

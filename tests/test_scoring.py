@@ -371,7 +371,6 @@ def test_total_monotone_in_lit_channel(setup_tiny3):
     row = int(np.floor(X[0][1] + 0.5))
     stack.channel(part, label, 0)[row, col] += 0.05
     stack._marginals.clear()
-    stack._log_marginals.clear()
     after = total_score(X, stack, hierarchy, library, weights)
     assert after >= before - 1e-12
 
