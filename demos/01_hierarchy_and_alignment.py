@@ -11,16 +11,14 @@ from pathlib import Path
 import numpy as np
 
 from hierpose import (
-    ChildGeometry,
     SimilarityTransform,
     child_geometry,
     composite_relation,
     fit_least_squares,
-    fit_two_points,
     load_hierarchy,
     object_size,
-    pose_similarity,
 )
+from hierpose.geometry import fit_two_points_batch
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -57,9 +55,9 @@ def main():
     print(f"\nrelation r_arm -> head box (tl-a, br-a): {relation}")
 
     print("\n-- exact two-point fit --")
-    transform = fit_two_points([(0, 0), (1, 0)], [(10, 10), (10, 14)])
-    print(f"scale {transform.scale:.2f}  angle {math.degrees(transform.angle):.0f} deg"
-          f"  translation {transform.translation}")
+    scale, angle, translation = fit_two_points_batch([[(0, 0), (1, 0)]], [[(10, 10), (10, 14)]])
+    print(f"scale {scale[0]:.2f}  angle {math.degrees(angle[0]):.0f} deg"
+          f"  translation {translation[0]}")
 
     print("\n-- bounded least-squares fit --")
     src = np.array([(0.0, 0.0), (4.0, 0.0), (2.0, 3.0)])
@@ -70,14 +68,13 @@ def main():
     fit, residual = fit_least_squares(src, dst_far, bound=math.pi / 3)
     print(f"rotation past the bound clamps to {fit.angle:.3f} rad, residual {residual:.2f}")
 
+    # pose similarity: minus the residual of the exemplar's fit onto the pose
     print("\n-- pose similarity (zero iff a bound-respecting similarity image) --")
-    arm = child_geometry(POSE, human.id_of("r_arm"), human)
-    moved = ChildGeometry(
-        SimilarityTransform(2.0, 0.2, (5.0, -3.0)).apply(arm.points), arm.signature
-    )
-    bent = ChildGeometry(arm.points + [(0, 0), (6, -4), (0, 0)], arm.signature)
-    print(f"  transformed copy: {pose_similarity(moved, arm):+.2e}")
-    print(f"  bent elbow:       {pose_similarity(bent, arm):+.2f}")
+    arm = child_geometry(POSE, human.id_of("r_arm"), human).points
+    moved = SimilarityTransform(2.0, 0.2, (5.0, -3.0)).apply(arm)
+    bent = arm + [(0, 0), (6, -4), (0, 0)]
+    print(f"  transformed copy: {-fit_least_squares(arm, moved)[1]:+.2e}")
+    print(f"  bent elbow:       {-fit_least_squares(arm, bent)[1]:+.2f}")
 
 
 if __name__ == "__main__":

@@ -17,10 +17,10 @@ from hierpose import (
     build_library,
     load_hierarchy,
     load_score_maps,
-    log_part_prob,
     save_score_maps,
     top_peaks,
 )
+from hierpose.appearance import log_marginals_at
 from hierpose.synth import make_scene
 
 HIERARCHY = {
@@ -69,8 +69,9 @@ def main():
 
     part = hierarchy.atomic_ids[0]
     truth = scene.configuration[0]
-    print(f"\nlog p(la | pixel) at truth: {log_part_prob(stack, part, truth, 1.0):.3f}")
-    print(f"log p(la | pixel) far away: {log_part_prob(stack, part, (1, 45), 1.0):.3f}"
+    at_truth, far = log_marginals_at(stack, [part], [[truth, (1, 45)]], 0)[0]
+    print(f"\nlog p(la | pixel) at truth: {at_truth:.3f}")
+    print(f"log p(la | pixel) far away: {far:.3f}"
           f"  (floor is log 1e-6 = {math.log(1e-6):.2f})")
 
     with tempfile.TemporaryDirectory() as tmp:

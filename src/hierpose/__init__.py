@@ -6,7 +6,6 @@ from .appearance import (
     assign_relation_type,
     fit_relation_clusters,
     load_score_maps,
-    log_part_prob,
     orientation_bin,
     save_score_maps,
     top_peaks,
@@ -17,8 +16,6 @@ from .geometry import (
     SimilarityTransform,
     child_geometry,
     fit_least_squares,
-    fit_two_points,
-    pose_similarity,
 )
 from .hierarchy import (
     AnchorSpec,
@@ -32,7 +29,6 @@ from .hierarchy import (
     composite_relation,
     load_hierarchy,
     object_size,
-    scale_factor,
 )
 from .inference import (
     Hypothesis,
@@ -61,11 +57,9 @@ from .learning import (
 from .metrics import MetricReport, Segment, emit_report, pcp_radius, pcp_segments, pdj_curve
 from .scoring import (
     WeightVector,
-    appearance_score,
     best_fit_pose,
     feature_vector,
     load_weights,
-    pose_score,
     refinement_score,
     save_weights,
     spatial_score,

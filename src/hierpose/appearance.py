@@ -26,6 +26,8 @@ from .hierarchy import PartHierarchy, atomic_relation, composite_relation, objec
 
 PROB_FLOOR = 1e-6
 LOG_FLOOR = math.log(PROB_FLOOR)
+NORM_TOL = 1e-3  # slack of the [0, 1] range and per-pixel sum checks
+KMEANS_MAX_ITER = 100
 
 MAGIC = b"HPSM"
 FORMAT_VERSION = 1
@@ -40,11 +42,11 @@ __all__ = [
     "ScoreMapStack",
     "load_score_maps",
     "save_score_maps",
-    "log_part_prob",
     "log_marginals_at",
     "log_type_prob_atomic",
     "log_type_prob_composite",
     "top_peaks",
+    "greedy_nms",
     "orientation_bin",
     "fit_relation_clusters",
     "assign_relation_type",
@@ -143,9 +145,6 @@ class ScoreMapStack:
         """`nearest_scale_index` of every element of a 1-D array."""
         return np.argmin(np.abs(self._scale_values[None, :] - scales[:, None]), axis=1)
 
-    def channel(self, part: int, type_id: int, scale_index: int = 0) -> np.ndarray:
-        return self.scales[scale_index].atomic[self.channel_rows(part, [type_id], scale_index)[0]]
-
     def channel_rows(self, part: int, type_ids, scale_index: int = 0) -> np.ndarray:
         """Atomic-tensor rows of the (part, type) channels, one per type id."""
         type_ids = np.asarray(type_ids, dtype=np.int64)
@@ -192,21 +191,21 @@ class ScoreMapStack:
             raise KeyError(f"no composite maps for part {part}")
         return maps
 
-    def validate(self, tol: float = 1e-3) -> None:
+    def validate(self) -> None:
         """Check value range (NaN fails it) and per-pixel normalization of
-        every tensor."""
+        every tensor, to within NORM_TOL."""
         for maps in self.scales:
             tensors = [(f"scale {maps.scale}: atomic", maps.atomic)] + [
                 (f"composite part {part} at scale {maps.scale}:", comp.data)
                 for part, comp in maps.composite.items()
             ]
             for name, data in tensors:
-                if not (data.min() >= -tol and data.max() <= 1.0 + tol):
+                if not (data.min() >= -NORM_TOL and data.max() <= 1.0 + NORM_TOL):
                     raise ScoreMapError(f"{name} values outside [0, 1] or NaN")
                 sums = data.sum(axis=0, dtype=np.float64)
                 err = np.abs(sums - 1.0)
                 worst = np.unravel_index(int(err.argmax()), err.shape)
-                if err[worst] > tol:
+                if err[worst] > NORM_TOL:
                     raise ScoreMapError(
                         f"{name} channels sum to {sums[worst]:.6f} "
                         f"at pixel (row={worst[0]}, col={worst[1]})"
@@ -244,17 +243,19 @@ def save_score_maps(stack: ScoreMapStack, path) -> None:
 
 
 class _Reader:
-    """Bounds-checked cursor over one writable buffer of the file bytes;
-    slices and the tensors of `array` are views of it, so nothing is
-    copied after the read."""
+    """Bounds-checked cursor over one buffer of a container's bytes; slices
+    and the arrays of `array` are views of it, so nothing is copied after
+    the read.  A read past the end raises `error("truncated <name> file")`."""
 
-    def __init__(self, data: np.ndarray):
+    def __init__(self, data, error: type[ValueError], name: str):
         self.data = memoryview(data)
         self.pos = 0
+        self.error = error
+        self.name = name
 
     def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
-            raise ScoreMapError("truncated score-map file")
+            raise self.error(f"truncated {self.name} file")
         chunk = self.data[self.pos : self.pos + n]
         self.pos += n
         return chunk
@@ -267,9 +268,9 @@ class _Reader:
         return np.frombuffer(raw, dtype=dtype).reshape(shape)
 
 
-def load_score_maps(path, tol: float = 1e-3) -> ScoreMapStack:
+def load_score_maps(path) -> ScoreMapStack:
     """Read an "HPSM" container and validate normalization invariants."""
-    reader = _Reader(np.fromfile(path, dtype=np.uint8))
+    reader = _Reader(np.fromfile(path, dtype=np.uint8), ScoreMapError, "score-map")
     if reader.take(4) != MAGIC:
         raise ScoreMapError(f"bad magic in {path}: not a score-map file")
     version, n_scales = reader.unpack("<II")
@@ -292,7 +293,7 @@ def load_score_maps(path, tol: float = 1e-3) -> ScoreMapStack:
     if reader.pos != len(reader.data):
         raise ScoreMapError("trailing bytes after score-map payload")
     stack = ScoreMapStack(scales)
-    stack.validate(tol)
+    stack.validate()
     return stack
 
 
@@ -321,13 +322,6 @@ def log_marginals_at(stack: ScoreMapStack, parts, points, scale_index: int) -> n
     out = np.log(np.maximum(marginals, PROB_FLOOR))
     out[~on_grid] = LOG_FLOOR
     return out
-
-
-def log_part_prob(stack: ScoreMapStack, part: int, point, scale: float) -> float:
-    """log p(part | pixel) of one point, marginalized over relation types and
-    floored, at the stored scale nearest `scale`."""
-    points = np.reshape(np.asarray(point, dtype=float), (1, 1, 2))
-    return float(log_marginals_at(stack, [part], points, stack.nearest_scale_index(scale))[0, 0])
 
 
 def log_type_prob_atomic(
@@ -399,19 +393,28 @@ def top_peaks(
     rows, cols = np.nonzero(strict)
     if rows.size == 0:
         return np.empty((0, 2)), np.empty(0)
-    scores = grid[rows, cols]
-    order = np.lexsort((cols, rows, -scores))
-    picked_pts: list[np.ndarray] = []
-    picked_scores: list[float] = []
-    for k in order:
-        candidate = np.array([cols[k], rows[k]], dtype=float)
-        if any(np.hypot(*(candidate - p)) < nms_radius for p in picked_pts):
+    order = np.lexsort((cols, rows, -grid[rows, cols]))
+    rows, cols = rows[order], cols[order]
+    points = np.stack([cols, rows], axis=1).astype(float)
+    kept = greedy_nms(points, nms_radius, count)
+    return points[kept], grid[rows[kept], cols[kept]]
+
+
+def greedy_nms(points: np.ndarray, radius: float, count: int) -> list[int]:
+    """Greedy non-maximum suppression of (K, 2) points ranked best first.
+
+    Returns the indices, in rank order, of at most `count` points, each of
+    which lies at distance >= radius from every point kept before it.
+    """
+    kept: list[int] = []
+    for k, point in enumerate(points):
+        gap = points[kept] - point
+        if np.any(np.hypot(gap[:, 0], gap[:, 1]) < radius):
             continue
-        picked_pts.append(candidate)
-        picked_scores.append(float(scores[k]))
-        if len(picked_pts) == count:
+        kept.append(k)
+        if len(kept) == count:
             break
-    return np.array(picked_pts), np.array(picked_scores)
+    return kept
 
 
 # -- relation types ----------------------------------------------------------
@@ -429,10 +432,9 @@ def orientation_bin(offset, bins: int) -> int:
     return 1 + int(angle // width) % bins
 
 
-def fit_relation_clusters(
-    vectors, count: int, seed: int = 0, max_iter: int = 100
-) -> np.ndarray:
-    """Deterministic k-means (k-means++ init, fixed iteration cap).
+def fit_relation_clusters(vectors, count: int, seed: int = 0) -> np.ndarray:
+    """Deterministic k-means (k-means++ init, at most KMEANS_MAX_ITER
+    iterations).
 
     Vectors are clustered as given; relation vectors are expected to be
     normalized by object size before fitting.
@@ -461,7 +463,7 @@ def fit_relation_clusters(
         dist2 = np.minimum(dist2, np.sum((vectors - centroids[k]) ** 2, axis=1))
 
     assignment = np.full(vectors.shape[0], -1)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d2 = np.sum((vectors[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
         new_assignment = np.argmin(d2, axis=1)
         if np.array_equal(new_assignment, assignment):
@@ -517,9 +519,9 @@ class CompositeRelation:
 class RelationTypeModel:
     """Relation-type assignment rules for atomic and composite parts.
 
-    By default the reference of each part is its next sibling in canonical
-    child order (wrapping), which keeps every non-root part typed without any
-    extra configuration.
+    The reference of each part is its next sibling in canonical child order
+    (wrapping), which keeps every non-root part typed without any extra
+    configuration.
     """
 
     atomic: dict[int, AtomicRelation]
@@ -527,7 +529,7 @@ class RelationTypeModel:
 
     @staticmethod
     def sibling_ring(hierarchy: PartHierarchy) -> dict[int, int]:
-        """Default reference map: each child points at the next sibling."""
+        """Reference map: each child points at the next sibling."""
         refs: dict[int, int] = {}
         for node in hierarchy.composite_nodes:
             kids = node.children
@@ -542,7 +544,6 @@ class RelationTypeModel:
         annotations,
         atomic_bins: int = 12,
         composite_bins: int = 24,
-        references: dict[int, int] | None = None,
         seed: int = 0,
     ) -> "RelationTypeModel":
         """Fit the model from annotated configurations.
@@ -550,7 +551,7 @@ class RelationTypeModel:
         `annotations` is any iterable of objects with a `.points` (N, 2)
         array (plain arrays are accepted too).
         """
-        refs = dict(references) if references else cls.sibling_ring(hierarchy)
+        refs = cls.sibling_ring(hierarchy)
         atomic = {
             part: AtomicRelation(refs[part], atomic_bins) for part in hierarchy.atomic_ids
         }

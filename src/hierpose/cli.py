@@ -95,13 +95,48 @@ _PARAM_KEYS = {
 }
 
 
-def _integer_param(sec: dict, key: str, section: str = "params") -> int:
+def _integer_param(sec: dict | list, key, section: str = "params") -> int:
     """A config value that must be a JSON integer.  Booleans, strings and
     numbers with a fraction or exponent are rejected, not converted."""
     value = sec[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{section} {key!r} must be a JSON integer, got {json.dumps(value)}")
     return value
+
+
+def _real_param(sec: dict | list, key, section: str = "params", default=None) -> float:
+    """A config value that must be a JSON number.  Booleans, strings,
+    null and lists are rejected, not converted.  An optional key that
+    `sec` lacks reads `default`."""
+    if default is not None and key not in sec:
+        return default
+    value = sec[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{section} {key!r} must be a JSON number, got {json.dumps(value)}")
+    return float(value)
+
+
+def _list_param(sec: dict, key: str, section: str, read) -> list:
+    """A config value that must be a JSON list, each entry read by `read`
+    (`_integer_param` or `_real_param`)."""
+    values = sec[key]
+    if not isinstance(values, list):
+        raise ConfigError(f"{section} {key!r} must be a JSON list, got {json.dumps(values)}")
+    return [read(values, i, f"{section} {key!r}") for i in range(len(values))]
+
+
+def _bool_param(sec: dict, key: str, section: str) -> bool:
+    """A config value that must be a JSON boolean."""
+    value = sec[key]
+    if not isinstance(value, bool):
+        raise ConfigError(f"{section} {key!r} must be a JSON boolean, got {json.dumps(value)}")
+    return value
+
+
+def _type_model_params(doc: dict) -> dict:
+    """The `type_model` section, as keyword arguments of `RelationTypeModel.build`."""
+    sec = _section(doc, "type_model", {"atomic_bins", "composite_bins", "seed"})
+    return {key: _integer_param(sec, key, "type_model") for key in sorted(sec)}
 
 
 def _inference_params(doc: dict, seed_override: int | None) -> InferenceParams:
@@ -114,11 +149,11 @@ def _inference_params(doc: dict, seed_override: int | None) -> InferenceParams:
             None if sec["samples_per_level"] is None else _integer_param(sec, "samples_per_level")
         ),
         seed=_integer_param(sec, "seed"),
-        max_angle=float(sec["max_angle"]),
-        compatibility_tolerance=float(sec["compatibility_tolerance"]),
-        nms_radius=float(sec["nms_radius"]),
-        dedup_radius=float(sec["dedup_radius"]),
-        search_radius_fraction=float(sec["search_radius_fraction"]),
+        max_angle=_real_param(sec, "max_angle"),
+        compatibility_tolerance=_real_param(sec, "compatibility_tolerance"),
+        nms_radius=_real_param(sec, "nms_radius"),
+        dedup_radius=_real_param(sec, "dedup_radius"),
+        search_radius_fraction=_real_param(sec, "search_radius_fraction"),
     )
 
 
@@ -178,26 +213,29 @@ def cmd_train(args) -> int:
     if not annotations:
         raise ConfigError("annotation file is empty")
     maps_path = _input_path(doc, "score_maps", base)
-    bound = float(doc.get("max_angle", inference.DEFAULT_MAX_ANGLE))
+    bound = _real_param(doc, "max_angle", "config", inference.DEFAULT_MAX_ANGLE)
 
-    tm_sec = _section(doc, "type_model", {"atomic_bins", "composite_bins", "seed"})
+    type_params = _type_model_params(doc)
     aug_sec = _section(doc, "augment", {"jitter_fraction", "copies", "seed"})
     neg_sec = _section(doc, "negatives", {"per_positive", "noise_sigma", "seed"})
     train_sec = _section(doc, "train", {"c", "epochs", "seed", "holdout_fraction"})
     out = _section(doc, "output", {"weights", "log"}, optional={"libraries"})
     if args.seed is not None:
         aug_sec = dict(aug_sec, seed=args.seed)
-    atomic_bins = _integer_param(tm_sec, "atomic_bins", "type_model")
-    composite_bins = _integer_param(tm_sec, "composite_bins", "type_model")
-    type_seed = _integer_param(tm_sec, "seed", "type_model")
     copies = _integer_param(aug_sec, "copies", "augment")
     aug_seed = _integer_param(aug_sec, "seed", "augment")
     per_positive = _integer_param(neg_sec, "per_positive", "negatives")
     neg_seed = _integer_param(neg_sec, "seed", "negatives")
     epochs = _integer_param(train_sec, "epochs", "train")
     train_seed = _integer_param(train_sec, "seed", "train")
+    jitter = _real_param(aug_sec, "jitter_fraction", "augment")
+    noise_sigma = (
+        None if neg_sec["noise_sigma"] is None
+        else _real_param(neg_sec, "noise_sigma", "negatives")
+    )
+    c = _real_param(train_sec, "c", "train")
 
-    holdout = float(train_sec["holdout_fraction"])
+    holdout = _real_param(train_sec, "holdout_fraction", "train")
     if not 0.0 <= holdout < 1.0:
         raise ConfigError("holdout_fraction must lie in [0, 1)")
     cut = len(annotations) - int(round(holdout * len(annotations)))
@@ -205,26 +243,20 @@ def cmd_train(args) -> int:
     exemplar_set = annotations[:cut]
     weight_set = annotations[cut:] if cut < len(annotations) else annotations
 
-    type_model = RelationTypeModel.build(
-        hierarchy,
-        exemplar_set,
-        atomic_bins=atomic_bins,
-        composite_bins=composite_bins,
-        seed=type_seed,
-    )
+    type_model = RelationTypeModel.build(hierarchy, exemplar_set, **type_params)
     library = build_library(exemplar_set, hierarchy, type_model)
 
     positives = list(weight_set) + augment_positives(
         weight_set,
         np.random.default_rng(aug_seed),
-        jitter_fraction=float(aug_sec["jitter_fraction"]),
+        jitter_fraction=jitter,
         copies=copies,
     )
     negatives = generate_negatives(
         weight_set,
         None,
         np.random.default_rng(neg_seed),
-        noise_sigma=neg_sec["noise_sigma"],
+        noise_sigma=noise_sigma,
         per_positive=per_positive,
     )
 
@@ -238,9 +270,7 @@ def cmd_train(args) -> int:
         bound,
     )
 
-    weights_array, objective = train_weights(
-        training, c=float(train_sec["c"]), epochs=epochs, seed=train_seed
-    )
+    weights_array, objective = train_weights(training, c=c, epochs=epochs, seed=train_seed)
     weights = WeightVector.from_array(weights_array, hierarchy)
     save_weights(weights, hierarchy, _output_path(base, out["weights"]))
     margins = training.labels * (training.features @ weights_array)
@@ -251,7 +281,7 @@ def cmd_train(args) -> int:
         "objective": objective,
         "training_accuracy": float(np.mean(margins > 0)),
         "epochs": epochs,
-        "c": float(train_sec["c"]),
+        "c": c,
         "seed": train_seed,
     }
     _output_path(base, out["log"]).write_text(json.dumps(log, indent=2, sort_keys=True) + "\n")
@@ -301,11 +331,16 @@ def cmd_eval(args) -> int:
     elif metric == "pcp_radius":
         if "sigmas" not in doc:
             raise ConfigError("pcp_radius needs a 'sigmas' map")
+        sigmas = doc["sigmas"]
+        if isinstance(sigmas, dict):
+            sigmas = {name: _real_param(sigmas, name, "sigmas") for name in sigmas}
+        else:
+            sigmas = _list_param(doc, "sigmas", "config", _real_param)
         report = pcp_radius(
             pred_pts,
             gt_pts,
-            doc["sigmas"],
-            factor=float(doc.get("factor", 1.5)),
+            sigmas,
+            factor=_real_param(doc, "factor", "config", 1.5),
             part_names=hierarchy.atomic_names,
         )
     elif metric == "pdj":
@@ -315,16 +350,30 @@ def cmd_eval(args) -> int:
         if normalizer == "gt_box_mean_side":
             values = [object_size(g) for g in gt_pts]
         elif isinstance(normalizer, dict):
-            values = [float(normalizer[i]) for i in images]
+            values = [_real_param(normalizer, i, "normalizer") for i in images]
         else:
-            values = [float(normalizer)] * len(gt_pts)
-        report = pdj_curve(pred_pts, gt_pts, values, doc["thresholds"])
+            values = [_real_param(doc, "normalizer", "config")] * len(gt_pts)
+        thresholds = _list_param(doc, "thresholds", "config", _real_param)
+        report = pdj_curve(pred_pts, gt_pts, values, thresholds)
     else:
         raise ConfigError(f"unknown metric {metric!r}")
 
     fmt = str(doc["format"])
     _output_path(base, doc["output"]).write_text(emit_report(report, fmt))
     return 0
+
+
+# optional `scenes` fields of `synth`, each with the reader of its type
+_SCENE_FIELDS = {
+    "mix": _bool_param,
+    "snap": _bool_param,
+    "sigma": _real_param,
+    "amplitude": _real_param,
+    "noise": _real_param,
+    "margin": _real_param,
+    "max_rotation": _real_param,
+    "distractors": _integer_param,
+}
 
 
 def cmd_synth(args) -> int:
@@ -336,45 +385,36 @@ def cmd_synth(args) -> int:
     )
     hierarchy = load_hierarchy(_input_path(doc, "hierarchy", base))
     annotations = load_annotations(_input_path(doc, "annotations", base), hierarchy)
-    tm_sec = _section(doc, "type_model", {"atomic_bins", "composite_bins", "seed"})
+    type_params = _type_model_params(doc)
     scene_sec = _section(
-        doc,
-        "scenes",
-        {"seeds", "grid"},
-        optional={"mix", "sigma", "amplitude", "noise", "distractors", "margin",
-                  "max_rotation", "snap", "scales"},
+        doc, "scenes", {"seeds", "grid"}, optional=set(_SCENE_FIELDS) | {"scales"}
     )
-    type_model = RelationTypeModel.build(
-        hierarchy,
-        annotations,
-        atomic_bins=int(tm_sec["atomic_bins"]),
-        composite_bins=int(tm_sec["composite_bins"]),
-        seed=int(tm_sec["seed"]),
-    )
-    library = build_library(annotations, hierarchy, type_model)
 
     seeds = scene_sec["seeds"]
     if isinstance(seeds, dict):
-        seeds = list(range(int(seeds["start"]), int(seeds["start"]) + int(seeds["count"])))
+        start = _integer_param(seeds, "start", "scenes.seeds")
+        seeds = list(range(start, start + _integer_param(seeds, "count", "scenes.seeds")))
+    else:
+        seeds = _list_param(scene_sec, "seeds", "scenes", _integer_param)
     if args.seed is not None:
         seeds = [args.seed]
+    # absent optional fields take make_scene's defaults
+    options = {
+        key: read(scene_sec, key, "scenes")
+        for key, read in _SCENE_FIELDS.items() if key in scene_sec
+    }
+    if "scales" in scene_sec:
+        # checked, but passed as written: the provenance records them
+        _list_param(scene_sec, "scales", "scenes", _real_param)
+        options["scales"] = tuple(scene_sec["scales"])
+
+    type_model = RelationTypeModel.build(hierarchy, annotations, **type_params)
+    library = build_library(annotations, hierarchy, type_model)
     out_dir = _output_path(base, doc["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     for seed in seeds:
         scene = synth.make_scene(
-            library,
-            hierarchy,
-            seed=int(seed),
-            grid=tuple(scene_sec["grid"]),
-            mix=bool(scene_sec.get("mix", False)),
-            sigma=float(scene_sec.get("sigma", 1.5)),
-            amplitude=float(scene_sec.get("amplitude", 0.8)),
-            noise=float(scene_sec.get("noise", 0.0)),
-            distractors=int(scene_sec.get("distractors", 0)),
-            margin=float(scene_sec.get("margin", 0.12)),
-            max_rotation=float(scene_sec.get("max_rotation", 0.15)),
-            snap=bool(scene_sec.get("snap", True)),
-            scales=tuple(scene_sec.get("scales", (1.0,))),
+            library, hierarchy, seed=seed, grid=tuple(scene_sec["grid"]), **options
         )
         synth.save_scene(scene, out_dir / f"scene_{seed}", hierarchy)
     return 0
@@ -392,7 +432,7 @@ def cmd_score(args) -> int:
     weights = load_weights(_input_path(doc, "weights", base), hierarchy)
     stack = load_score_maps(_input_path(doc, "score_maps", base))
     poses = load_annotations(_input_path(doc, "pose", base), hierarchy)
-    bound = float(doc.get("max_angle", inference.DEFAULT_MAX_ANGLE))
+    bound = _real_param(doc, "max_angle", "config", inference.DEFAULT_MAX_ANGLE)
     for ann in poses:
         value = total_score(ann.points, stack, hierarchy, library, weights, bound)
         print(f"{ann.image}\t{value!r}")

@@ -1,4 +1,4 @@
-"""2-D similarity transforms and exemplar pose similarity.
+"""2-D similarity transforms and the child geometry of composite parts.
 
 Two fitting routines cover the needs of hypothesize-and-test inference: an
 exact two-point fit (used to align exemplars to hypothesis pairs) and a
@@ -8,7 +8,7 @@ never produced.
 
 Both fits and the child-geometry extraction work on stacks of H rows at
 once (`fit_two_points_batch`, `fit_least_squares_batch`, `child_points`);
-the single-row functions are one-row calls of them.
+`fit_least_squares` and `child_geometry` are one-row calls of them.
 """
 
 from __future__ import annotations
@@ -31,12 +31,10 @@ __all__ = [
     "child_geometry",
     "child_points",
     "child_signature",
-    "fit_two_points",
     "fit_two_points_batch",
     "fit_least_squares",
     "fit_least_squares_batch",
     "transform_points",
-    "pose_similarity",
 ]
 
 
@@ -137,14 +135,6 @@ def fit_two_points_batch(src, dst) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     zero = np.zeros((len(scale), 2))
     translation = dst[:, 0] - transform_points(scale, angle, zero, src[:, :1])[:, 0]
     return scale, angle, translation
-
-
-def fit_two_points(src, dst) -> SimilarityTransform:
-    """Unique similarity mapping two distinct points exactly onto two others."""
-    src = np.asarray(src, dtype=float).reshape(1, 2, 2)
-    dst = np.asarray(dst, dtype=float).reshape(1, 2, 2)
-    scale, angle, translation = fit_two_points_batch(src, dst)
-    return SimilarityTransform(float(scale[0]), float(angle[0]), translation[0])
 
 
 def fit_least_squares_batch(
@@ -275,20 +265,3 @@ def child_geometry(X: np.ndarray, node_id: int, hierarchy: PartHierarchy) -> Chi
         child_points(X, node_id, hierarchy), child_signature(node_id, hierarchy)
     )
 
-
-def pose_similarity(
-    current: ChildGeometry,
-    exemplar: ChildGeometry,
-    bound: AngleBound | float | None = None,
-) -> float:
-    """Negative squared alignment residual of the exemplar onto the pose.
-
-    Zero iff the current geometry is a bound-respecting similarity image of
-    the exemplar; always <= 0.
-    """
-    if current.signature != exemplar.signature:
-        raise ValueError(
-            f"child geometry signature mismatch: {current.signature} vs {exemplar.signature}"
-        )
-    _, residual = fit_least_squares(exemplar.points, current.points, bound)
-    return -residual

@@ -29,7 +29,6 @@ __all__ = [
     "atomic_relation",
     "composite_relation",
     "object_size",
-    "scale_factor",
 ]
 
 
@@ -67,10 +66,6 @@ class BoundingBox:
     @property
     def area(self) -> float:
         return self.width * self.height
-
-    def corners(self) -> np.ndarray:
-        """(2, 2) array stacking top-left and bottom-right."""
-        return np.stack([self.top_left, self.bottom_right])
 
     def iou(self, other: "BoundingBox") -> float:
         lo = np.maximum(self.top_left, other.top_left)
@@ -326,9 +321,6 @@ class PartHierarchy:
             out += w * X[..., self._atom_index[pid], :]
         return out
 
-    def scale_factor(self, X: np.ndarray, level: int) -> float:
-        return scale_factor(X, level, self.scale)
-
 
 def as_configuration(points, n_parts: int | None = None) -> np.ndarray:
     """Validate and return an (N, 2) float64 configuration array."""
@@ -362,11 +354,6 @@ def object_size(X: np.ndarray) -> float | np.ndarray:
     X = np.asarray(X, dtype=float)
     size = (X.max(axis=-2) - X.min(axis=-2)).mean(axis=-1)
     return float(size) if size.ndim == 0 else size
-
-
-def scale_factor(X: np.ndarray, level: int, params: ScaleParams) -> float:
-    """Level scale factor: level multiplier times object size over reference."""
-    return params.factor_from_size(object_size(X), level)
 
 
 _DOC_KEYS = {"levels", "nodes", "scale"}

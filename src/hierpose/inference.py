@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .appearance import ScoreMapStack, log_marginals_at, top_peaks
+from .appearance import ScoreMapStack, greedy_nms, log_marginals_at, top_peaks
 from .geometry import AngleBound, DEFAULT_MAX_ANGLE, fit_two_points_batch, transform_points
 from .hierarchy import BoundingBox, PartHierarchy, PartNode, ScaleParams, object_size
 from .learning import Exemplar, ExemplarLibrary
@@ -240,26 +240,21 @@ def hypothesis_from_config(
 def seed_atomic_hypotheses(
     stack: ScoreMapStack, hierarchy: PartHierarchy, params: InferenceParams
 ) -> dict[int, HypothesisSet]:
-    """Top peaks of every atomic part, merged over scales, as hypotheses."""
+    """Top peaks of every atomic part, as hypotheses; the peaks of all scales,
+    best first (ties: lower scale, then rank), pass the same NMS again."""
     n, columns = hierarchy.atomic_count, len(hierarchy.composite_nodes)
     out: dict[int, HypothesisSet] = {}
     for part in hierarchy.atomic_ids:
-        candidates: list[tuple[float, int, int, np.ndarray]] = []
-        for scale_index, maps in enumerate(stack.scales):
-            points, scores = top_peaks(stack, part, maps.scale, params.z, params.nms_radius)
-            for rank, (point, score) in enumerate(zip(points, scores)):
-                candidates.append((float(score), scale_index, rank, point))
-        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-        picked: list[np.ndarray] = []
-        for _, _, _, point in candidates:
-            if any(np.hypot(*(point - p)) < params.nms_radius for p in picked):
-                continue
-            picked.append(point)
-            if len(picked) == params.z:
-                break
+        peaks = [
+            top_peaks(stack, part, maps.scale, params.z, params.nms_radius)
+            for maps in stack.scales
+        ]
+        order = np.argsort(-np.concatenate([score for _, score in peaks]), kind="stable")
+        points = np.concatenate([point for point, _ in peaks])[order]
+        picked = points[greedy_nms(points, params.nms_radius, params.z)]
         count = len(picked)
         locations = np.full((count, n, 2), np.nan)
-        locations[:, hierarchy.atom_index(part)] = np.reshape(picked, (count, 2))
+        locations[:, hierarchy.atom_index(part)] = picked
         out[part] = HypothesisSet.build(
             hierarchy.node(part), hierarchy, locations,
             np.full((count, columns), -1, dtype=np.intp), np.zeros(count), np.zeros(count),

@@ -19,12 +19,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .appearance import RelationTypeModel
+from .appearance import RelationTypeModel, _Reader
 from .geometry import ChildGeometry, child_geometry
 from .hierarchy import BoundingBox, PartHierarchy, as_configuration, object_size
 
 LIBRARY_MAGIC = b"HPEL"
 LIBRARY_VERSION = 1
+NEGATIVE_MAX_IOU = 0.3  # a negative's root box overlaps the true one by less
+NEGATIVE_ATTEMPTS = 100  # placements tried per negative before it is skipped
 
 __all__ = [
     "Annotation",
@@ -299,40 +301,28 @@ def load_library(path, hierarchy: PartHierarchy) -> ExemplarLibrary:
     Keys are strictly increasing, as `save_library` writes them, so a file
     that loads re-saves bit-exact.  Anything else raises `LibraryError`.
     """
-    data = memoryview(Path(path).read_bytes())
-    pos = 0
-
-    def take(n: int) -> memoryview:
-        nonlocal pos
-        if pos + n > len(data):
-            raise LibraryError("truncated library file")
-        chunk = data[pos : pos + n]
-        pos += n
-        return chunk
-
-    def unpack(fmt: str):
-        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+    reader = _Reader(Path(path).read_bytes(), LibraryError, "library")
 
     def pairs(count: int, what: str) -> dict[int, int]:
-        items = list(struct.iter_unpack("<II", take(8 * count)))
+        items = list(struct.iter_unpack("<II", reader.take(8 * count)))
         keys = [key for key, _ in items]
         if any(b <= a for a, b in zip(keys, keys[1:])):
             raise LibraryError(f"{what} are not strictly increasing")
         return dict(items)
 
-    if bytes(data[:4]) != LIBRARY_MAGIC:
+    if bytes(reader.data[:4]) != LIBRARY_MAGIC:
         raise LibraryError(f"bad magic in {path}: not an exemplar library")
-    pos = 4
-    (version,) = unpack("<I")
+    reader.pos = 4
+    (version,) = reader.unpack("<I")
     if version != LIBRARY_VERSION:
         raise LibraryError(f"unsupported library version {version}")
-    atomic_bins = pairs(*unpack("<I"), "atomic bin parts")
-    composite_bins = pairs(*unpack("<I"), "composite bin parts")
-    (n_nodes,) = unpack("<I")
+    atomic_bins = pairs(*reader.unpack("<I"), "atomic bin parts")
+    composite_bins = pairs(*reader.unpack("<I"), "composite bin parts")
+    (n_nodes,) = reader.unpack("<I")
     nodes: dict[int, list[Exemplar]] = {}
     n_parts = hierarchy.atomic_count
     for _ in range(n_nodes):
-        node_id, n_ex = unpack("<II")
+        node_id, n_ex = reader.unpack("<II")
         if nodes and node_id <= max(nodes):
             raise LibraryError("library node ids are not strictly increasing")
         try:
@@ -349,24 +339,24 @@ def load_library(path, hierarchy: PartHierarchy) -> ExemplarLibrary:
         exemplars = []
         for index in range(n_ex):
             where = f"exemplar {index} of node {node_id}"
-            (source_len,) = unpack("<I")
+            (source_len,) = reader.unpack("<I")
             try:
-                source = str(take(source_len), "utf-8")
+                source = str(reader.take(source_len), "utf-8")
             except UnicodeDecodeError:
                 raise LibraryError(f"{where}: source name is not UTF-8") from None
-            (size_value,) = unpack("<d")
+            (size_value,) = reader.unpack("<d")
             if not (math.isfinite(size_value) and size_value > 0):
                 raise LibraryError(f"{where}: object size {size_value!r} is not finite and positive")
-            (n_atoms,) = unpack("<I")
-            stored_rows = np.frombuffer(take(4 * n_atoms), "<u4")
-            coords = np.frombuffer(take(16 * n_atoms), "<f8").reshape(n_atoms, 2)
+            (n_atoms,) = reader.unpack("<I")
+            stored_rows = reader.array("<u4", n_atoms, (n_atoms,))
+            coords = reader.array("<f8", 2 * n_atoms, (n_atoms, 2))
             if not np.array_equal(stored_rows, rows):
                 raise LibraryError(f"{where}: atom rows are not the node's subtree rows")
             if not np.isfinite(coords).all():
                 raise LibraryError(f"{where}: non-finite coordinates")
             locations = np.full((n_parts, 2), np.nan)
             locations[rows] = coords
-            labels = pairs(*unpack("<I"), f"{where}: label children")
+            labels = pairs(*reader.unpack("<I"), f"{where}: label children")
             if sorted(labels) != sorted(node.children):
                 raise LibraryError(f"{where}: labels are not one per child of the node")
             for child, label in labels.items():
@@ -386,7 +376,7 @@ def load_library(path, hierarchy: PartHierarchy) -> ExemplarLibrary:
                 )
             )
         nodes[node_id] = exemplars
-    if pos != len(data):
+    if reader.pos != len(reader.data):
         raise LibraryError("trailing bytes after library payload")
     return ExemplarLibrary(nodes, atomic_bins, composite_bins)
 
@@ -425,15 +415,14 @@ def generate_negatives(
     rng: np.random.Generator,
     noise_sigma: float | None = None,
     per_positive: int = 1,
-    max_iou: float = 0.3,
-    attempts: int = 100,
 ) -> list[Annotation]:
     """Positives re-placed at incorrect regions with Gaussian location noise.
 
     `image_extents` is a (width, height) pair or a {image: (w, h)} mapping;
     a placement is accepted when the displaced root box stays inside the
-    image and overlaps the true root box with IoU < max_iou.  Images too
-    small for a disjoint placement are skipped with a warning.
+    image and overlaps the true root box with IoU < NEGATIVE_MAX_IOU;
+    NEGATIVE_ATTEMPTS placements are tried per negative.  Images too small
+    for a disjoint placement are skipped with a warning.
     """
     out = []
     for ann in annotations:
@@ -452,12 +441,12 @@ def generate_negatives(
             continue
         for k in range(per_positive):
             placed = None
-            for _ in range(attempts):
+            for _ in range(NEGATIVE_ATTEMPTS):
                 origin = rng.random(2) * span
                 shift = origin - true_box.top_left
                 points = ann.points + shift + rng.normal(0.0, sigma, ann.points.shape)
                 box = _root_box(points)
-                if box.iou(true_box) >= max_iou:
+                if box.iou(true_box) >= NEGATIVE_MAX_IOU:
                     continue
                 inside = (
                     box.top_left[0] >= -0.5

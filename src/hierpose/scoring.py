@@ -16,8 +16,7 @@ geometry and exemplar, runs the bounded similarity fit on all rows at once,
 and looks the relation-type probabilities up at each row's nearest stored
 scale.  Inference scores a whole level with one kernel call per subtree
 node (`subtree_scores`, which reads each row's exemplar per node from an
-(H, C) pose array, see `pose_array`); `subtree_score` and `pose_score` are
-one-row calls of it.
+(H, C) pose array, see `pose_array`); `subtree_score` is its one-row call.
 
 Training features come from one batched pass, `feature_matrix`: for S
 configurations, each read on its own score-map stack, it gathers the atomic
@@ -27,10 +26,10 @@ reads the relation types with the lookup half of `pose_terms`, once per
 stack.  `feature_vector` and `best_fit_pose` are one-row calls of it and
 of its best-fit step; `build_training_set` stacks all samples, taking one
 shared stack or a per-image stack lookup.  `total_score` is the weights
-times the feature vector, and `appearance_score` and `spatial_score` weight
-its atomic and composite slices.  Candidate refinements are scored
-by a separable approximation that freezes everything except the atomic
-appearance terms and the level-2 alignment penalties.
+times the feature vector, and `spatial_score` weights its composite slice.
+Candidate refinements are scored by a separable approximation that freezes
+everything except the atomic appearance terms and the level-2 alignment
+penalties.
 """
 
 from __future__ import annotations
@@ -61,9 +60,7 @@ __all__ = [
     "WeightVector",
     "save_weights",
     "load_weights",
-    "appearance_score",
     "best_fit_pose",
-    "pose_score",
     "spatial_score",
     "total_score",
     "pose_terms",
@@ -176,17 +173,6 @@ def load_weights(path, hierarchy: PartHierarchy) -> WeightVector:
 # -- scoring -----------------------------------------------------------------
 
 
-def appearance_score(
-    X: np.ndarray, stack: ScoreMapStack, hierarchy: PartHierarchy, weights: WeightVector
-) -> float:
-    """Weighted sum of atomic part detection log-probabilities: the atomic
-    slice of the feature vector, weighted."""
-    features = _appearance_features(
-        np.asarray(X, dtype=float)[None], [(stack, np.arange(1))], hierarchy
-    )
-    return float(weights.atomic @ features[0])
-
-
 def best_fit_pose(
     X: np.ndarray,
     node_id: int,
@@ -278,37 +264,6 @@ def _log_pose_probs(node_id, labels, exemplar_index, current, size, stack, hiera
             )
             point += 1 if atomic else 3
     return log_prob
-
-
-def _pose_terms(X, node_id, exemplar_index, size, stack, hierarchy, library, bound):
-    """`pose_terms` of one configuration."""
-    log_prob, similarity = pose_terms(
-        np.asarray(X, dtype=float)[None], node_id, [exemplar_index], [size],
-        stack, hierarchy, library, bound,
-    )
-    return float(log_prob[0]), float(similarity[0])
-
-
-def pose_score(
-    X: np.ndarray,
-    node_id: int,
-    stack: ScoreMapStack,
-    hierarchy: PartHierarchy,
-    library: ExemplarLibrary,
-    weights: WeightVector,
-    bound: AngleBound | float | None = None,
-    exemplar_index: int | None = None,
-) -> float:
-    """One node's spatial term: weighted pose probability plus similarity."""
-    w_app, w_sim = weights.node_weights(hierarchy, node_id)
-    if w_app == 0.0 and w_sim == 0.0:
-        return 0.0
-    if exemplar_index is None:
-        exemplar_index, _ = best_fit_pose(X, node_id, library, hierarchy, bound)
-    log_prob, similarity = _pose_terms(
-        X, node_id, exemplar_index, object_size(X), stack, hierarchy, library, bound
-    )
-    return w_app * log_prob + w_sim * similarity
 
 
 def spatial_score(

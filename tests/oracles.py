@@ -1,15 +1,15 @@
 """Naive reference implementations used to cross-check the library.
 
 Everything here is recomputed from first principles with plain loops and its
-own lookup/marginalization code; only the inner similarity fit reuses
-geometry.pose_similarity, whose own independent checks are the lattice-search
-oracle `grid_search_pose_similarity` and `naive_fit_least_squares` below,
-and the proposal loop takes its random draws from the library's
-`_draw_proposals`, so that both sides follow one stream.  The scalar scorer, fit, proposal loop, feature composition and per-part
+own lookup/marginalization code (`naive_log_part_prob`) and similarity fit
+(`naive_fit_least_squares`, itself checked against the lattice-search oracle
+`grid_search_pose_similarity`); the proposal loop takes its random draws
+from the library's `_draw_proposals`, so that both sides follow one stream.
+The scalar scorer, fit, proposal loop, feature composition and per-part
 refinement loop that the batched library code replaced are kept here, as
 they were, to check the batched code against, and so is the plain SGD loop
-that clamps after every step (`naive_train_weights`).  `exhaustive_best_config` enumerates configurations
-to check the search.
+that clamps after every step (`naive_train_weights`).
+`exhaustive_best_config` enumerates configurations to check the search.
 """
 
 import itertools
@@ -18,12 +18,18 @@ import math
 import numpy as np
 from scipy import optimize
 
-from hierpose.appearance import LOG_FLOOR, PROB_FLOOR, log_part_prob
-from hierpose.geometry import ChildGeometry, SimilarityTransform, _max_angle, pose_similarity
+from hierpose.appearance import LOG_FLOOR, PROB_FLOOR
+from hierpose.geometry import ChildGeometry, SimilarityTransform, _max_angle
 from hierpose.hierarchy import BoundingBox, object_size
 from hierpose.inference import Hypothesis, _draw_proposals
 from hierpose.learning import hinge_objective
-from hierpose.scoring import feature_length, pose_terms, refinement_score, total_score
+from hierpose.scoring import (
+    best_fit_pose,
+    feature_length,
+    pose_terms,
+    refinement_score,
+    total_score,
+)
 
 FLOOR = 1e-6
 
@@ -67,7 +73,8 @@ def naive_log_part_prob(stack, part, point, scale):
         total += value
         seen = True
     assert seen
-    return math.log(max(total, FLOOR))
+    # numpy's log, as the library takes it: math.log can differ in the last bit
+    return float(np.log(max(total, FLOOR)))
 
 
 def naive_appearance(X, stack, hierarchy, weights):
@@ -100,11 +107,21 @@ def naive_child_geometry(X, node_id, hierarchy):
     return ChildGeometry(pts, tuple(sig))
 
 
+def naive_similarity(current, exemplar, bound):
+    """Alignment score of an exemplar's child geometry onto the pose: minus
+    the residual of `naive_fit_least_squares`."""
+    if current.signature != exemplar.signature:
+        raise ValueError(
+            f"child geometry signature mismatch: {current.signature} vs {exemplar.signature}"
+        )
+    return -naive_fit_least_squares(exemplar.points, current.points, _max_angle(bound))[2]
+
+
 def naive_best_fit(X, node_id, library, hierarchy, bound):
     current = naive_child_geometry(X, node_id, hierarchy)
     best_index, best_value = None, -np.inf
     for ex in library.exemplars(node_id):
-        value = pose_similarity(current, ex.geometry, bound)
+        value = naive_similarity(current, ex.geometry, bound)
         if value > best_value:
             best_index, best_value = ex.index, value
     return best_index, best_value
@@ -188,7 +205,7 @@ def naive_subtree_score(hypothesis, stack, hierarchy, library, weights, bound):
             raise ValueError(f"hypothesis subtree is missing a pose for node {node_id}")
         exemplar = library.get(node_id, index)
         current = naive_child_geometry(hypothesis.locations, node_id, hierarchy)
-        similarity = pose_similarity(current, exemplar.geometry, bound)
+        similarity = naive_similarity(current, exemplar.geometry, bound)
         log_prob = naive_pose_log_prob(
             hypothesis.locations, node_id, exemplar, stack, hierarchy, hypothesis.object_size
         )
@@ -353,17 +370,22 @@ def naive_refine_hypothesis(root_hyp, stack, hierarchy, weights, params):
 
 
 def naive_feature_vector(X, stack, hierarchy, library, bound):
-    """The scalar feature composition: `log_part_prob` per atom, then per
-    composite node the best exemplar from the exemplar loop of
-    `naive_best_fit` and the one-row `pose_terms` with it."""
+    """The scalar feature composition: `naive_log_part_prob` per atom, then
+    per composite node the library's best-fit exemplar and the one-row
+    `pose_terms` with it.
+
+    The exemplar comes from `best_fit_pose`, not from `naive_best_fit`:
+    exemplars that fit a pose exactly tie up to rounding (residuals of
+    1e-28 and 1e-27), so only the library's own arithmetic picks the same
+    one.  `best_fit_pose` is checked against `naive_best_fit` by itself."""
     out = np.empty(feature_length(hierarchy))
-    scale = hierarchy.scale_factor(X, 1)
+    scale = naive_scale(X, 1, hierarchy.scale)
     for i, part in enumerate(hierarchy.atomic_ids):
-        out[i] = log_part_prob(stack, part, X[i], scale)
+        out[i] = naive_log_part_prob(stack, part, X[i], scale)
     size = object_size(X)
     offset = hierarchy.atomic_count
     for node in hierarchy.composite_nodes:
-        exemplar_index, _ = naive_best_fit(X, node.id, library, hierarchy, bound)
+        exemplar_index, _ = best_fit_pose(X, node.id, library, hierarchy, bound)
         log_prob, similarity = pose_terms(
             np.asarray(X, dtype=float)[None], node.id, [exemplar_index], [size],
             stack, hierarchy, library, bound,

@@ -17,7 +17,6 @@ from hierpose.appearance import (
     assign_relation_type,
     fit_relation_clusters,
     log_marginals_at,
-    log_part_prob,
     log_type_prob_atomic,
     log_type_prob_composite,
     orientation_bin,
@@ -41,15 +40,21 @@ def two_type_stack(values: dict[tuple[int, int], float], grid=(5, 5), composite=
     return ScoreMapStack([ScaleMaps(1.0, table, atomic, composite or {})])
 
 
+def grid_points(width: int, height: int) -> np.ndarray:
+    """(height * width, 2) (x, y) points of every pixel, row by row."""
+    ys, xs = np.mgrid[0:height, 0:width]
+    return np.stack([xs.ravel(), ys.ravel()], axis=1).astype(float)
+
+
 def test_log_part_prob_marginalizes():
     stack = two_type_stack({(1, 1): 0.1, (1, 2): 0.1})
-    assert log_part_prob(stack, 1, (2, 2), 1.0) == pytest.approx(math.log(0.2))
+    assert log_marginals_at(stack, [1], [[(2, 2)]], 0)[0, 0] == pytest.approx(math.log(0.2))
 
 
 def test_log_part_prob_floor_on_background():
     stack = two_type_stack({})
-    assert log_part_prob(stack, 1, (2, 2), 1.0) == pytest.approx(math.log(1e-6))
-    assert log_part_prob(stack, 1, (99, 99), 1.0) == pytest.approx(math.log(1e-6))
+    values = log_marginals_at(stack, [1], [[(2, 2), (99, 99)]], 0)[0]
+    assert values == pytest.approx([math.log(1e-6)] * 2)
 
 
 def test_log_part_prob_uniform_everywhere():
@@ -57,7 +62,7 @@ def test_log_part_prob_uniform_everywhere():
     table = np.array([(0, 0)] + [(1, m) for m in range(1, t + 1)], dtype=np.uint32)
     atomic = np.full((t + 1, h, w), 1.0 / (t + 1), dtype=np.float32)
     stack = ScoreMapStack([ScaleMaps(1.0, table, atomic)])
-    values = {log_part_prob(stack, 1, (x, y), 1.0) for x in range(w) for y in range(h)}
+    values = set(log_marginals_at(stack, [1], grid_points(w, h)[None], 0)[0].tolist())
     assert len(values) == 1
     assert values.pop() == pytest.approx(math.log(3.0 / 4.0))
 
@@ -65,14 +70,11 @@ def test_log_part_prob_uniform_everywhere():
 def test_exp_log_part_prob_sums_to_one(tiny3):
     rng = np.random.default_rng(0)
     stack = random_stack(tiny3, {p: 3 for p in tiny3.atomic_ids}, {}, rng, grid=(6, 6))
-    maps = stack.scales[0]
-    for x in range(6):
-        for y in range(6):
-            total = sum(
-                math.exp(log_part_prob(stack, p, (x, y), 1.0)) for p in tiny3.atomic_ids
-            )
-            background = float(maps.atomic[0, y, x])
-            assert total + background == pytest.approx(1.0, abs=1e-3)
+    parts = tiny3.atomic_ids
+    points = np.stack([grid_points(6, 6)] * len(parts))
+    total = np.exp(log_marginals_at(stack, parts, points, 0)).sum(axis=0)
+    background = stack.scales[0].atomic[0].ravel()
+    assert total + background == pytest.approx(np.ones(36), abs=1e-3)
 
 
 def log_pose_prob(lookup, stack, parts, labels, points) -> float:

@@ -120,6 +120,56 @@ def test_synth_regeneration_identical(workspace, tmp_path):
             assert a == b
 
 
+def synth_config(workspace, **scenes):
+    """The workspace's synth config writing to `bad_scenes/`, with `scenes`
+    fields replaced."""
+    doc = json.loads((workspace / "synth.json").read_text())
+    doc["scenes"].update(scenes)
+    doc["output_dir"] = "bad_scenes"
+    path = workspace / "bad_synth.json"
+    path.write_text(json.dumps(doc))
+    return path, doc
+
+
+def test_synth_truncating_config_rejected(workspace, capsys):
+    """Each of these values used to be truncated by int() and the run
+    exited 0 having written only scene_0."""
+    path, doc = synth_config(workspace, seeds={"start": 0.5, "count": 1.9}, distractors=1.7)
+    doc["type_model"].update(atomic_bins=8.9, seed=True)
+    path.write_text(json.dumps(doc))
+    assert main(["synth", str(path)]) == 1
+    assert_rejected(capsys, "type_model 'atomic_bins' must be a JSON integer")
+    assert not (workspace / "bad_scenes").exists()
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("type_model", "composite_bins", 2.0,
+         "type_model 'composite_bins' must be a JSON integer"),
+        ("type_model", "seed", True, "type_model 'seed' must be a JSON integer"),
+        ("scenes", "seeds", {"start": 0.5, "count": 1},
+         "scenes.seeds 'start' must be a JSON integer"),
+        ("scenes", "seeds", {"start": 0, "count": 1.9},
+         "scenes.seeds 'count' must be a JSON integer"),
+        ("scenes", "seeds", [0, 1.5], "scenes 'seeds' 1 must be a JSON integer"),
+        ("scenes", "distractors", 1.7, "scenes 'distractors' must be a JSON integer"),
+        ("scenes", "mix", 1, "scenes 'mix' must be a JSON boolean"),
+        ("scenes", "snap", "false", "scenes 'snap' must be a JSON boolean"),
+        ("scenes", "sigma", None, "scenes 'sigma' must be a JSON number"),
+        ("scenes", "amplitude", "0.8", "scenes 'amplitude' must be a JSON number"),
+        ("scenes", "scales", [1.0, None], "scenes 'scales' 1 must be a JSON number"),
+    ],
+)
+def test_synth_fields_must_have_json_types(workspace, capsys, section, key, value, message):
+    path, doc = synth_config(workspace)
+    doc[section][key] = value
+    path.write_text(json.dumps(doc))
+    assert main(["synth", str(path)]) == 1
+    assert_rejected(capsys, message)
+    assert not (workspace / "bad_scenes").exists()
+
+
 def test_infer_smoke_and_determinism(workspace):
     config = infer_config(workspace)
     assert main(["infer", str(config)]) == 0
@@ -204,6 +254,30 @@ def test_infer_integer_params_must_be_json_integers(workspace, capsys, key, valu
     assert main(["infer", str(with_params(workspace, **{key: value}))]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"params '{key}' must be a JSON integer" in err
+    assert not (workspace / "out").exists()
+
+
+def assert_rejected(capsys, message):
+    """The command exited 1 (checked by the caller) with one `error:` line
+    naming the field, and wrote nothing."""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("max_angle", None),
+        ("nms_radius", [1]),
+        ("compatibility_tolerance", "0.1"),
+        ("dedup_radius", True),
+        ("search_radius_fraction", {"value": 0.15}),
+    ],
+)
+def test_infer_real_params_must_be_json_numbers(workspace, capsys, key, value):
+    assert main(["infer", str(with_params(workspace, **{key: value}))]) == 1
+    assert_rejected(capsys, f"params '{key}' must be a JSON number")
     assert not (workspace / "out").exists()
 
 
@@ -297,6 +371,36 @@ def test_train_integer_fields_must_be_json_integers(workspace, capsys, section, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{section} '{key}' must be a JSON integer" in err
     assert "Traceback" not in err
+    assert not (workspace / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("train", "c", None),
+        ("train", "holdout_fraction", "0.0"),
+        ("negatives", "noise_sigma", "0.5"),
+        ("negatives", "noise_sigma", [0.5]),
+        ("augment", "jitter_fraction", True),
+    ],
+)
+def test_train_real_fields_must_be_json_numbers(workspace, capsys, section, key, value):
+    doc = json.loads(train_config(workspace).read_text())
+    doc[section][key] = value
+    config = train_config(workspace, name="bad_real.json", **{section: doc[section]})
+    assert main(["train", str(config)]) == 1
+    assert_rejected(capsys, f"{section} '{key}' must be a JSON number")
+    assert not (workspace / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "score"])
+def test_max_angle_must_be_a_json_number(workspace, capsys, command):
+    if command == "train":
+        config = train_config(workspace, name="bad_angle.json", max_angle="1.0")
+    else:
+        config = score_config(workspace, max_angle=None)
+    assert main([command, str(config)]) == 1
+    assert_rejected(capsys, "config 'max_angle' must be a JSON number")
     assert not (workspace / "out").exists()
 
 
@@ -426,19 +530,45 @@ def test_eval_mismatched_sets_exit_1(workspace):
     assert main(["eval", str(config)]) == 1
 
 
+SIGMAS = {name: 2.0 for name in ("la", "lb", "lc", "ra", "rb", "rc")}
+
+
+@pytest.mark.parametrize(
+    "metric, overrides, message",
+    [
+        ("pcp_radius", {"sigmas": SIGMAS, "factor": None},
+         "config 'factor' must be a JSON number"),
+        ("pcp_radius", {"sigmas": [2.0] * 5 + ["2"]}, "config 'sigmas' 5 must be a JSON number"),
+        ("pcp_radius", {"sigmas": dict(SIGMAS, la=None)}, "sigmas 'la' must be a JSON number"),
+        ("pdj", {"thresholds": [0.1, None]}, "config 'thresholds' 1 must be a JSON number"),
+        ("pdj", {"thresholds": 0.1}, "config 'thresholds' must be a JSON list"),
+        ("pdj", {"thresholds": [0.1], "normalizer": [10.0]},
+         "config 'normalizer' must be a JSON number"),
+    ],
+)
+def test_eval_real_fields_must_be_json_numbers(workspace, capsys, metric, overrides, message):
+    config = eval_config(workspace, metric, "bad_eval", **overrides)
+    assert main(["eval", str(config)]) == 1
+    assert_rejected(capsys, message)
+    assert not (workspace / "out").exists()
+
+
+def score_config(workspace, **overrides):
+    doc = {
+        "hierarchy": "hierarchy.json",
+        "libraries": "library.hpel",
+        "weights": "weights.json",
+        "score_maps": "scenes/scene_0/maps.hpsm",
+        "pose": "scenes/scene_0/annotation.json",
+    }
+    doc.update(overrides)
+    path = workspace / "score.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 def test_score_prints_totals(workspace, capsys):
-    config = workspace / "score.json"
-    config.write_text(
-        json.dumps(
-            {
-                "hierarchy": "hierarchy.json",
-                "libraries": "library.hpel",
-                "weights": "weights.json",
-                "score_maps": "scenes/scene_0/maps.hpsm",
-                "pose": "scenes/scene_0/annotation.json",
-            }
-        )
-    )
+    config = score_config(workspace)
     assert main(["score", str(config)]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert len(out) == 1

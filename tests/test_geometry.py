@@ -5,14 +5,15 @@ import pytest
 
 from hierpose import (
     AngleBound,
-    ChildGeometry,
+    ExemplarLibrary,
     SimilarityTransform,
+    best_fit_pose,
     child_geometry,
     fit_least_squares,
-    fit_two_points,
-    pose_similarity,
 )
+from hierpose.geometry import fit_two_points_batch, transform_points
 
+from conftest import annotations_tiny3, library_for
 from oracles import grid_search_pose_similarity
 
 
@@ -20,43 +21,46 @@ def random_geometry(rng, k=4, span=8.0):
     return rng.random((k, 2)) * span
 
 
+def similarity(current, exemplar, bound=None) -> float:
+    """Alignment score of an exemplar's points onto a pose: minus the
+    residual of the bounded least-squares fit."""
+    return -fit_least_squares(exemplar, current, bound)[1]
+
+
 def test_fit_two_points_axis_rotation():
-    t = fit_two_points([(0, 0), (1, 0)], [(0, 0), (0, 2)])
-    assert t.scale == pytest.approx(2.0)
-    assert t.angle == pytest.approx(math.pi / 2)
-    assert np.allclose(t.translation, (0, 0))
+    scale, angle, translation = fit_two_points_batch([[(0, 0), (1, 0)]], [[(0, 0), (0, 2)]])
+    assert scale[0] == pytest.approx(2.0)
+    assert angle[0] == pytest.approx(math.pi / 2)
+    assert np.allclose(translation[0], (0, 0))
 
 
 def test_fit_two_points_identity():
-    t = fit_two_points([(1, 2), (3, 4)], [(1, 2), (3, 4)])
-    assert t.scale == pytest.approx(1.0)
-    assert t.angle == pytest.approx(0.0)
-    assert np.allclose(t.translation, (0, 0), atol=1e-12)
+    scale, angle, translation = fit_two_points_batch([[(1, 2), (3, 4)]], [[(1, 2), (3, 4)]])
+    assert scale[0] == pytest.approx(1.0)
+    assert angle[0] == pytest.approx(0.0)
+    assert np.allclose(translation[0], (0, 0), atol=1e-12)
 
 
 def test_fit_two_points_scale_shift():
-    t = fit_two_points([(0, 0), (2, 0)], [(5, 5), (9, 5)])
-    assert t.scale == pytest.approx(2.0)
-    assert t.angle == pytest.approx(0.0)
-    assert np.allclose(t.translation, (5, 5))
+    scale, angle, translation = fit_two_points_batch([[(0, 0), (2, 0)]], [[(5, 5), (9, 5)]])
+    assert scale[0] == pytest.approx(2.0)
+    assert angle[0] == pytest.approx(0.0)
+    assert np.allclose(translation[0], (5, 5))
 
 
 def test_fit_two_points_degenerate():
     with pytest.raises(ValueError, match="degenerate pair"):
-        fit_two_points([(1, 1), (1, 1)], [(0, 0), (1, 0)])
+        fit_two_points_batch([[(1, 1), (1, 1)]], [[(0, 0), (1, 0)]])
     with pytest.raises(ValueError, match="degenerate pair"):
-        fit_two_points([(0, 0), (1, 0)], [(2, 2), (2, 2)])
+        fit_two_points_batch([[(0, 0), (1, 0)]], [[(2, 2), (2, 2)]])
 
 
 def test_fit_two_points_roundtrip():
     rng = np.random.default_rng(0)
-    for _ in range(50):
-        src = random_geometry(rng, 2)
-        dst = random_geometry(rng, 2)
-        if np.allclose(src[0], src[1]) or np.allclose(dst[0], dst[1]):
-            continue
-        t = fit_two_points(src, dst)
-        assert np.allclose(t.apply(src), dst, atol=1e-9)
+    src = rng.random((50, 2, 2)) * 8.0
+    dst = rng.random((50, 2, 2)) * 8.0
+    scale, angle, translation = fit_two_points_batch(src, dst)
+    assert np.allclose(transform_points(scale, angle, translation, src), dst, atol=1e-9)
 
 
 def test_apply_examples():
@@ -124,17 +128,14 @@ def test_pose_similarity_identity():
     rng = np.random.default_rng(4)
     for _ in range(10):
         pts = random_geometry(rng, 4)
-        geometry = ChildGeometry(pts, ("atom",) * 4)
-        assert pose_similarity(geometry, geometry) >= -1e-9
+        assert similarity(pts, pts) >= -1e-9
 
 
 def test_pose_similarity_invariant_to_similarity():
     rng = np.random.default_rng(5)
     pts = random_geometry(rng, 4)
-    exemplar = ChildGeometry(pts, ("atom",) * 4)
     moved = SimilarityTransform(3.0, 0.1, (7.0, -2.0)).apply(pts)
-    current = ChildGeometry(moved, ("atom",) * 4)
-    assert pose_similarity(current, exemplar) >= -1e-9
+    assert similarity(moved, pts) >= -1e-9
 
 
 def test_pose_similarity_displaced_matches_oracle():
@@ -143,19 +144,20 @@ def test_pose_similarity_displaced_matches_oracle():
         pts = random_geometry(rng, 4)
         displaced = pts.copy()
         displaced[0] += (1.3, -0.8)
-        value = pose_similarity(
-            ChildGeometry(displaced, ("atom",) * 4), ChildGeometry(pts, ("atom",) * 4)
-        )
+        value = similarity(displaced, pts)
         oracle = grid_search_pose_similarity(displaced, pts, None)
         assert value == pytest.approx(oracle, abs=1e-6)
         assert value < 0
 
 
-def test_pose_similarity_signature_mismatch():
-    a = ChildGeometry(np.zeros((2, 2)), ("atom", "atom"))
-    b = ChildGeometry(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]]), ("comp",))
+def test_pose_similarity_signature_mismatch(tiny3):
+    # level-2 exemplars (three atoms) filed under the root (two composites)
+    library, _ = library_for(tiny3, annotations_tiny3(3))
+    misfiled = ExemplarLibrary(
+        {20: library.exemplars(10)}, library.atomic_bins, library.composite_bins
+    )
     with pytest.raises(ValueError, match="signature"):
-        pose_similarity(a, b)
+        best_fit_pose(annotations_tiny3(1)[0].points, 20, misfiled, tiny3)
 
 
 def test_pose_similarity_transform_invariance_of_current():
@@ -165,10 +167,9 @@ def test_pose_similarity_transform_invariance_of_current():
     for _ in range(10):
         exemplar_pts = random_geometry(rng, 5)
         current_pts = exemplar_pts + rng.normal(0.0, 0.4, exemplar_pts.shape)
-        exemplar = ChildGeometry(exemplar_pts, ("atom",) * 5)
-        base = pose_similarity(ChildGeometry(current_pts, ("atom",) * 5), exemplar)
+        base = similarity(current_pts, exemplar_pts)
         moved = SimilarityTransform(1.0, 0.2, (3.0, 4.0)).apply(current_pts)
-        value = pose_similarity(ChildGeometry(moved, ("atom",) * 5), exemplar)
+        value = similarity(moved, exemplar_pts)
         assert value == pytest.approx(base, abs=1e-6)
 
 

@@ -11,7 +11,6 @@ from hierpose import (
     composite_relation,
     load_hierarchy,
     object_size,
-    scale_factor,
 )
 
 from conftest import tiny2_doc, tiny3_doc
@@ -194,13 +193,13 @@ def test_composite_relation_examples():
 def test_scale_factor_examples():
     params = ScaleParams(reference_length=75.0, level_factors=(1.0, 1.0))
     X = np.array([[0.0, 0.0], [100.0, 50.0]])
-    assert scale_factor(X, 1, params) == pytest.approx(1.0)
+    assert params.factor_from_size(object_size(X), 1) == pytest.approx(1.0)
     params2 = ScaleParams(reference_length=75.0, level_factors=(1.0, 2.0))
     X2 = np.array([[0.0, 0.0], [75.0, 75.0]])
-    assert scale_factor(X2, 2, params2) == pytest.approx(2.0)
+    assert params2.factor_from_size(object_size(X2), 2) == pytest.approx(2.0)
     degenerate = np.zeros((3, 2))
     with pytest.raises(ValueError, match="degenerate"):
-        scale_factor(degenerate, 1, params)
+        params.factor_from_size(object_size(degenerate), 1)
 
 
 def test_scale_factor_scale_equivariant():
@@ -210,8 +209,8 @@ def test_scale_factor_scale_equivariant():
         X = rng.random((5, 2)) * 30 + 1
         c = float(rng.random() * 3 + 0.5)
         for level in (1, 2, 3):
-            assert scale_factor(X * c, level, params) == pytest.approx(
-                c * scale_factor(X, level, params)
+            assert params.factor_from_size(object_size(X * c), level) == pytest.approx(
+                c * params.factor_from_size(object_size(X), level)
             )
 
 

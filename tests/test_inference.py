@@ -13,7 +13,7 @@ from hierpose import (
     subtree_score,
 )
 from hierpose.appearance import ScaleMaps, ScoreMapStack
-from hierpose.geometry import SimilarityTransform, fit_two_points
+from hierpose.geometry import SimilarityTransform, fit_two_points_batch, transform_points
 from hierpose.hierarchy import BoundingBox
 from hierpose.inference import (
     Hypothesis,
@@ -157,10 +157,10 @@ def test_propose_rotated_scene_matches_oracle_alignment(tiny3_setup):
     rows = hierarchy.atom_rows(node.id)
     raw = propose_hypotheses(node, lower, library, hierarchy, params, rng)
     exemplar = library.for_source(node.id, "img0")
-    oracle_fit = fit_two_points(
-        exemplar.locations[rows][:2], truth[rows][:2]
-    )
-    oracle_subtree = oracle_fit.apply(exemplar.locations[rows])
+    subtree = exemplar.locations[rows][None]
+    oracle_subtree = transform_points(
+        *fit_two_points_batch(subtree[:, :2], truth[rows][None, :2]), subtree
+    )[0]
     best = min(
         np.abs(hyp.locations[rows] - oracle_subtree).max()
         for hyp in raw

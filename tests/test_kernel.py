@@ -441,7 +441,8 @@ def assert_same_proposals(ours, naive, hierarchy):
     for i in range(len(ours)):
         row = ours.row(i)
         assert row.pose == naive.row(i).pose
-        assert np.array_equal(row.box.corners(), np.stack([ours.lows[i], ours.highs[i]]))
+        assert np.array_equal(row.box.top_left, ours.lows[i])
+        assert np.array_equal(row.box.bottom_right, ours.highs[i])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

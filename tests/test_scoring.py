@@ -5,20 +5,24 @@ import pytest
 
 from hierpose import (
     WeightVector,
-    appearance_score,
     best_fit_pose,
     feature_vector,
     hypothesis_from_config,
-    pose_score,
     refinement_score,
     spatial_score,
     subtree_score,
     total_score,
 )
-from hierpose.appearance import ScaleMaps, ScoreMapStack
+from hierpose.appearance import ScaleMaps, ScoreMapStack, log_marginals_at
 from hierpose.inference import Hypothesis
 from hierpose.hierarchy import BoundingBox, object_size
-from hierpose.scoring import build_training_set, feature_length, load_weights, save_weights
+from hierpose.scoring import (
+    build_training_set,
+    feature_length,
+    load_weights,
+    pose_terms,
+    save_weights,
+)
 
 import oracles
 from conftest import annotations_tiny3, base_pose_tiny3, library_for, random_stack
@@ -48,10 +52,27 @@ def random_weights(hierarchy, rng, bias=None) -> WeightVector:
     )
 
 
+def appearance(X, stack, hierarchy, library, weights) -> float:
+    """The weighted atomic slice of the feature vector."""
+    features = feature_vector(X, stack, hierarchy, library)
+    return float(weights.atomic @ features[: hierarchy.atomic_count])
+
+
+def node_term(X, node_id, stack, hierarchy, library, weights) -> float:
+    """One node's spatial term with its best-fit exemplar: one `pose_terms` row."""
+    w_app, w_sim = weights.node_weights(hierarchy, node_id)
+    index, _ = best_fit_pose(X, node_id, library, hierarchy)
+    log_prob, similarity = pose_terms(
+        np.asarray(X, dtype=float)[None], node_id, [index], [object_size(X)],
+        stack, hierarchy, library,
+    )
+    return w_app * float(log_prob[0]) + w_sim * float(similarity[0])
+
+
 def test_appearance_score_zero_weights(setup_tiny3):
     hierarchy, annotations, library, stack = setup_tiny3
     weights = WeightVector.uniform(hierarchy, atomic=0.0)
-    assert appearance_score(annotations[0].points, stack, hierarchy, weights) == 0.0
+    assert appearance(annotations[0].points, stack, hierarchy, library, weights) == 0.0
 
 
 def test_appearance_score_single_part():
@@ -75,9 +96,9 @@ def test_appearance_score_single_part():
     stack = ScoreMapStack([ScaleMaps(1.0, table, atomic)])
     weights = WeightVector([2.0, 0.0], [0.0], [0.0], 0.0)
     X = np.array([[1.0, 1.0], [5.0, 5.0]])
-    assert appearance_score(X, stack, hierarchy, weights) == pytest.approx(
-        2.0 * math.log(0.5)
-    )
+    # the atomic slice of the feature vector, without a library
+    log_probs = log_marginals_at(stack, hierarchy.atomic_ids, X[:, None], 0)[:, 0]
+    assert float(weights.atomic @ log_probs) == pytest.approx(2.0 * math.log(0.5))
 
 
 def test_appearance_score_matches_naive(setup_tiny3):
@@ -86,7 +107,7 @@ def test_appearance_score_matches_naive(setup_tiny3):
     for _ in range(20):
         X = rng.random((6, 2)) * 22
         weights = random_weights(hierarchy, rng)
-        ours = appearance_score(X, stack, hierarchy, weights)
+        ours = appearance(X, stack, hierarchy, library, weights)
         naive = oracles.naive_appearance(X, stack, hierarchy, weights)
         assert ours == pytest.approx(naive, abs=1e-12)
 
@@ -125,13 +146,13 @@ def test_best_fit_pose_matches_exhaustive(setup_tiny3):
 def test_pose_score_zero_weights(setup_tiny3):
     hierarchy, annotations, library, stack = setup_tiny3
     weights = WeightVector.uniform(hierarchy, pose_appearance=0.0, pose_similarity=0.0)
-    assert pose_score(annotations[0].points, 10, stack, hierarchy, library, weights) == 0.0
+    assert node_term(annotations[0].points, 10, stack, hierarchy, library, weights) == 0.0
 
 
 def test_pose_score_similarity_only_identity(setup_tiny3):
     hierarchy, annotations, library, stack = setup_tiny3
     weights = WeightVector.uniform(hierarchy, pose_appearance=0.0, pose_similarity=1.0)
-    value = pose_score(annotations[0].points, 10, stack, hierarchy, library, weights)
+    value = node_term(annotations[0].points, 10, stack, hierarchy, library, weights)
     assert value == pytest.approx(0.0, abs=1e-9)
 
 
@@ -142,7 +163,7 @@ def test_pose_score_matches_naive(setup_tiny3):
         X = rng.random((6, 2)) * 20 + 1
         weights = random_weights(hierarchy, rng)
         ours = sum(
-            pose_score(X, node.id, stack, hierarchy, library, weights)
+            node_term(X, node.id, stack, hierarchy, library, weights)
             for node in hierarchy.composite_nodes
         )
         naive = oracles.naive_spatial(X, stack, hierarchy, library, weights, None)
@@ -166,7 +187,7 @@ def test_spatial_score_depth2_single_node(tiny2):
     weights = WeightVector([0.0] * 3, [0.7], [0.3], 0.0)
     X = anns[1].points + 0.5
     total = spatial_score(X, stack, hierarchy=tiny2, library=library, weights=weights)
-    single = pose_score(X, tiny2.root.id, stack, tiny2, library, weights)
+    single = node_term(X, tiny2.root.id, stack, tiny2, library, weights)
     assert total == pytest.approx(single)
 
 
@@ -236,7 +257,7 @@ def test_subtree_score_depth2_equals_root_term(tiny2):
     X = anns[0].points + 1.0
     hyp = hypothesis_from_config(X, tiny2, library)
     f = subtree_score(hyp, stack, tiny2, library, weights)
-    single = pose_score(X, tiny2.root.id, stack, tiny2, library, weights)
+    single = node_term(X, tiny2.root.id, stack, tiny2, library, weights)
     assert f == pytest.approx(single, abs=1e-9)
 
 
@@ -264,7 +285,7 @@ def test_refinement_score_at_hypothesis_config(setup_tiny3):
     X = annotations[0].points
     hyp = scored_root_hypothesis(X, hierarchy, library, stack, weights)
     g = refinement_score(X, hyp, stack, hierarchy, weights)
-    u = appearance_score(X, stack, hierarchy, weights)
+    u = appearance(X, stack, hierarchy, library, weights)
     assert g == pytest.approx(u + hyp.score + weights.bias, abs=1e-9)
 
 
@@ -281,12 +302,10 @@ def test_refinement_score_locality(setup_tiny3):
     # only part 2's appearance term and its parent's alignment penalty move
     part = hierarchy.atomic_ids[2]
     scale = hierarchy.scale.factor_from_size(hyp.object_size, 1)
-    from hierpose import log_part_prob
-
-    phi_delta = weights.atomic[2] * (
-        log_part_prob(stack, part, moved[2], scale)
-        - log_part_prob(stack, part, X[2], scale)
-    )
+    before_after = log_marginals_at(
+        stack, [part], np.stack([X[2], moved[2]])[None], stack.nearest_scale_index(scale)
+    )[0]
+    phi_delta = weights.atomic[2] * (before_after[1] - before_after[0])
     beta = weights.node_weights(hierarchy, hierarchy.parent_of(part))[1]
     penalty = beta * float(np.sum((moved[2] - X[2]) ** 2))
     assert after - base == pytest.approx(phi_delta - penalty, abs=1e-9)
@@ -369,7 +388,7 @@ def test_total_monotone_in_lit_channel(setup_tiny3):
     label = library.get(parent, index).child_labels[part]
     col = int(np.floor(X[0][0] + 0.5))
     row = int(np.floor(X[0][1] + 0.5))
-    stack.channel(part, label, 0)[row, col] += 0.05
+    stack.scales[0].atomic[stack.channel_rows(part, [label], 0)[0], row, col] += 0.05
     stack._marginals.clear()
     after = total_score(X, stack, hierarchy, library, weights)
     assert after >= before - 1e-12

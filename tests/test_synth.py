@@ -7,12 +7,12 @@ from hierpose import (
     WeightVector,
     best_fit_pose,
     child_geometry,
+    fit_least_squares,
     load_hierarchy,
-    log_part_prob,
-    pose_similarity,
     top_peaks,
     total_score,
 )
+from hierpose.appearance import log_marginals_at
 from hierpose.synth import (
     generate_pose,
     load_scene,
@@ -42,10 +42,10 @@ def test_generate_pose_unmixed_reproduces_source(tiny3_library):
     for node in hierarchy.composite_nodes:
         exemplar = library.for_source(node.id, source)
         assert chosen[node.id] == exemplar.index
-        value = pose_similarity(
-            child_geometry(X, node.id, hierarchy), exemplar.geometry
+        _, residual = fit_least_squares(
+            exemplar.geometry.points, child_geometry(X, node.id, hierarchy).points
         )
-        assert value >= -1e-6
+        assert -residual >= -1e-6
 
 
 def test_generate_pose_deterministic(tiny3_library):
@@ -131,7 +131,7 @@ def test_render_truth_dominates_far_field(tiny3_library):
     )
     yy, xx = np.mgrid[0:36, 0:36]
     for i, part in enumerate(hierarchy.atomic_ids):
-        at_truth = log_part_prob(stack, part, X[i], 1.0)
+        at_truth = log_marginals_at(stack, [part], [[X[i]]], 0)[0, 0]
         far = np.hypot(xx - X[i][0], yy - X[i][1]) > 4.5
         marginal = stack.marginal(part, 0)
         far_best = math.log(max(marginal[far].max(), 1e-6))
@@ -261,8 +261,9 @@ def test_exhaustive_best_config_zero_spatial_is_per_part_argmax():
     candidates = [neighborhood(X[0]), neighborhood(X[1])]
     best, _ = exhaustive_best_config(stack, hierarchy, library, weights, candidates)
     for i, part in enumerate(hierarchy.atomic_ids):
-        values = [log_part_prob(stack, part, c, 1.0) for c in candidates[i]]
-        assert log_part_prob(stack, part, best[i], 1.0) == pytest.approx(max(values))
+        values = log_marginals_at(stack, [part], [candidates[i]], 0)[0]
+        at_best = log_marginals_at(stack, [part], [[best[i]]], 0)[0, 0]
+        assert at_best == pytest.approx(values.max())
 
 
 def test_exhaustive_best_config_budget():

@@ -1,9 +1,12 @@
-"""Smoke checks of the shipped entry points: each demo runs to exit 0, and
-every name a module exports resolves."""
+"""Smoke checks of the shipped entry points: each demo runs to exit 0,
+every name a module exports resolves, and numpy is the one runtime
+dependency."""
 
+import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -44,3 +47,21 @@ def test_every_exported_name_resolves():
             assert hasattr(module, name), f"{module.__name__}.__all__ names missing {name}"
             checked += 1
     assert checked > 0
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    names = [re.match(r"[A-Za-z0-9_.-]+", dep).group(0) for dep in project["dependencies"]]
+    assert names == ["numpy"]
+
+    allowed = set(sys.stdlib_module_names) | {"numpy", "hierpose"}
+    imported = set()
+    for path in sorted((ROOT / "src" / "hierpose").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert "numpy" in imported
+    assert imported <= allowed, f"imports beyond the standard library: {imported - allowed}"
