@@ -46,7 +46,6 @@ __all__ = [
     "log_type_prob_atomic",
     "log_type_prob_composite",
     "top_peaks",
-    "greedy_nms",
     "orientation_bin",
     "fit_relation_clusters",
     "assign_relation_type",
@@ -396,11 +395,11 @@ def top_peaks(
     order = np.lexsort((cols, rows, -grid[rows, cols]))
     rows, cols = rows[order], cols[order]
     points = np.stack([cols, rows], axis=1).astype(float)
-    kept = greedy_nms(points, nms_radius, count)
+    kept = _greedy_nms(points, nms_radius, count)
     return points[kept], grid[rows[kept], cols[kept]]
 
 
-def greedy_nms(points: np.ndarray, radius: float, count: int) -> list[int]:
+def _greedy_nms(points: np.ndarray, radius: float, count: int) -> list[int]:
     """Greedy non-maximum suppression of (K, 2) points ranked best first.
 
     Returns the indices, in rank order, of at most `count` points, each of

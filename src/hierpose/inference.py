@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .appearance import ScoreMapStack, greedy_nms, log_marginals_at, top_peaks
+from .appearance import ScoreMapStack, _greedy_nms, log_marginals_at, top_peaks
 from .geometry import AngleBound, DEFAULT_MAX_ANGLE, fit_two_points_batch, transform_points
 from .hierarchy import BoundingBox, PartHierarchy, PartNode, ScaleParams, object_size
 from .learning import Exemplar, ExemplarLibrary
@@ -251,7 +251,7 @@ def seed_atomic_hypotheses(
         ]
         order = np.argsort(-np.concatenate([score for _, score in peaks]), kind="stable")
         points = np.concatenate([point for point, _ in peaks])[order]
-        picked = points[greedy_nms(points, params.nms_radius, params.z)]
+        picked = points[_greedy_nms(points, params.nms_radius, params.z)]
         count = len(picked)
         locations = np.full((count, n, 2), np.nan)
         locations[:, hierarchy.atom_index(part)] = picked

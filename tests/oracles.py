@@ -3,8 +3,11 @@
 Everything here is recomputed from first principles with plain loops and its
 own lookup/marginalization code (`naive_log_part_prob`) and similarity fit
 (`naive_fit_least_squares`, itself checked against the lattice-search oracle
-`grid_search_pose_similarity`); the proposal loop takes its random draws
-from the library's `_draw_proposals`, so that both sides follow one stream.
+`grid_search_pose_similarity`).  Two loops borrow library arithmetic: the
+proposal loop takes its random draws from the library's `_draw_proposals`,
+so that both sides follow one stream, and the exemplar loop of the feature
+composition scores with the one-row `fit_least_squares`, so that exact
+ties break as in the batched selection.
 The scalar scorer, fit, proposal loop, feature composition and per-part
 refinement loop that the batched library code replaced are kept here, as
 they were, to check the batched code against, and so is the plain SGD loop
@@ -19,17 +22,16 @@ import numpy as np
 from scipy import optimize
 
 from hierpose.appearance import LOG_FLOOR, PROB_FLOOR
-from hierpose.geometry import ChildGeometry, SimilarityTransform, _max_angle
+from hierpose.geometry import (
+    ChildGeometry,
+    SimilarityTransform,
+    _max_angle,
+    fit_least_squares,
+)
 from hierpose.hierarchy import BoundingBox, object_size
 from hierpose.inference import Hypothesis, _draw_proposals
 from hierpose.learning import hinge_objective
-from hierpose.scoring import (
-    best_fit_pose,
-    feature_length,
-    pose_terms,
-    refinement_score,
-    total_score,
-)
+from hierpose.scoring import feature_length, pose_terms, refinement_score, total_score
 
 FLOOR = 1e-6
 
@@ -371,13 +373,8 @@ def naive_refine_hypothesis(root_hyp, stack, hierarchy, weights, params):
 
 def naive_feature_vector(X, stack, hierarchy, library, bound):
     """The scalar feature composition: `naive_log_part_prob` per atom, then
-    per composite node the library's best-fit exemplar and the one-row
-    `pose_terms` with it.
-
-    The exemplar comes from `best_fit_pose`, not from `naive_best_fit`:
-    exemplars that fit a pose exactly tie up to rounding (residuals of
-    1e-28 and 1e-27), so only the library's own arithmetic picks the same
-    one.  `best_fit_pose` is checked against `naive_best_fit` by itself."""
+    per composite node the best exemplar from the loop of
+    `_one_row_best_fit` and the one-row `pose_terms` with it."""
     out = np.empty(feature_length(hierarchy))
     scale = naive_scale(X, 1, hierarchy.scale)
     for i, part in enumerate(hierarchy.atomic_ids):
@@ -385,7 +382,7 @@ def naive_feature_vector(X, stack, hierarchy, library, bound):
     size = object_size(X)
     offset = hierarchy.atomic_count
     for node in hierarchy.composite_nodes:
-        exemplar_index, _ = best_fit_pose(X, node.id, library, hierarchy, bound)
+        exemplar_index = _one_row_best_fit(X, node.id, library, hierarchy, bound)
         log_prob, similarity = pose_terms(
             np.asarray(X, dtype=float)[None], node.id, [exemplar_index], [size],
             stack, hierarchy, library, bound,
@@ -395,6 +392,23 @@ def naive_feature_vector(X, stack, hierarchy, library, bound):
         offset += 2
     out[-1] = 1.0
     return out
+
+
+def _one_row_best_fit(X, node_id, library, hierarchy, bound):
+    """The node's exemplars walked in index order, each scored alone with the
+    library's one-row `fit_least_squares`; the first strict maximum wins.
+
+    Exemplars that fit a pose exactly tie up to rounding (residuals of 1e-28
+    against 1e-27), so only the library's fit arithmetic breaks those ties
+    as the batched selection does; `naive_best_fit`, with the naive fit,
+    checks the selection up to such ties (test_scoring)."""
+    current = naive_child_geometry(X, node_id, hierarchy)
+    best_index, best_value = None, -np.inf
+    for ex in library.exemplars(node_id):
+        value = -fit_least_squares(ex.geometry.points, current.points, bound)[1]
+        if value > best_value:
+            best_index, best_value = ex.index, value
+    return best_index
 
 
 def naive_train_weights(training, c=1.0, epochs=200, seed=0):

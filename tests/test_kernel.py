@@ -15,7 +15,7 @@ from scipy import stats
 
 from hierpose import Annotation, WeightVector, load_hierarchy
 from hierpose.appearance import LOG_FLOOR, ScaleMaps, ScoreMapStack
-from hierpose.geometry import ChildGeometry, fit_least_squares_batch
+from hierpose.geometry import ChildGeometry, _max_angle, fit_least_squares_batch
 from hierpose.hierarchy import BoundingBox, object_size
 from hierpose.inference import (
     Hypothesis,
@@ -329,6 +329,47 @@ def test_feature_matrix_matches_scalar_oracle(name, seed, count, bound):
     stack_index = rng.integers(len(stacks), size=count)
     ours = feature_matrix(X, stacks, stack_index, hierarchy, library, bound)
     assert np.array_equal(ours, naive_features(X, stacks, stack_index, hierarchy, library, bound))
+
+
+def test_best_fit_pose_matches_naive_fit_up_to_ties():
+    """`best_fit_pose` against the exemplar loop of `naive_best_fit`, whose
+    fit is the naive one, on both models and under bounds None, 0.2 and pi.
+    Tie rule: residuals within `tol` of the naive minimum tie (two-point
+    fits are exact up to rounding for every exemplar, and the two fits round
+    differently), and the library may pick any tied exemplar; a unique naive
+    minimum must be picked, and of exemplars with identical geometry only
+    the lowest index."""
+    unique = tied = 0
+    for name in sorted(DOCS):
+        hierarchy, library, _ = feature_model(name)
+        X = random_configurations(hierarchy, library, 30, np.random.default_rng(11))
+        for bound in [None, 0.2, math.pi]:
+            for row in X:
+                for node in hierarchy.composite_nodes:
+                    exemplars = library.exemplars(node.id)
+                    current = oracles.naive_child_geometry(row, node.id, hierarchy)
+                    residual = np.array([
+                        oracles.naive_fit_least_squares(
+                            ex.geometry.points, current.points, _max_angle(bound)
+                        )[2]
+                        for ex in exemplars
+                    ])
+                    spread = np.sum((current.points - current.points.mean(axis=0)) ** 2)
+                    tol = 1e-9 * max(1.0, spread)
+                    ties = np.flatnonzero(residual <= residual.min() + tol)
+                    index, value = best_fit_pose(row, node.id, library, hierarchy, bound)
+                    assert index in ties
+                    assert value == pytest.approx(-residual[index], abs=tol)
+                    picked = library.get(node.id, index).geometry.points
+                    same = [ex.index for ex in exemplars
+                            if np.array_equal(ex.geometry.points, picked)]
+                    assert index == min(same)
+                    unique += len(ties) == 1
+                    tied += len(ties) > len(same)
+            roots = [oracles.naive_best_fit(row, hierarchy.root.id, library, hierarchy, bound)[0]
+                     for row in X]
+            assert roots.count(0) >= 5  # rows that copy exemplar 0 pick it, not its copy
+    assert unique > 0 and tied > 0
 
 
 def test_feature_inputs_reach_both_scales_off_grid_points_and_ties():

@@ -50,11 +50,13 @@ def test_every_exported_name_resolves():
 
 
 def test_numpy_is_the_only_runtime_dependency():
-    tomllib = pytest.importorskip("tomllib")
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     names = [re.match(r"[A-Za-z0-9_.-]+", dep).group(0) for dep in project["dependencies"]]
     assert names == ["numpy"]
 
+
+def test_library_imports_only_stdlib_and_numpy():
     allowed = set(sys.stdlib_module_names) | {"numpy", "hierpose"}
     imported = set()
     for path in sorted((ROOT / "src" / "hierpose").rglob("*.py")):
