@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import inference, learning, scoring, synth
+from . import _json, inference, learning, scoring, synth
+from ._json import NUMBER, Either, Map, Nullable, Optional
 from .appearance import RelationTypeModel, load_score_maps
 from .hierarchy import load_hierarchy, object_size
 from .inference import InferenceParams, NoConfigurationError, infer
@@ -30,7 +31,7 @@ from .learning import (
     train_weights,
 )
 from .metrics import Segment, emit_report, pcp_radius, pcp_segments, pdj_curve
-from .scoring import load_weights, save_weights, total_score, WeightVector
+from .scoring import load_weights, save_weights, WeightVector
 
 __all__ = ["main", "console_main"]
 
@@ -39,143 +40,87 @@ class ConfigError(ValueError):
     """A run config is malformed or references missing inputs."""
 
 
-def _load_config(path, required: set[str], optional: set[str]) -> dict:
+def _load_config(path, spec: dict) -> dict:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    doc = json.loads(path.read_text())
-    if not isinstance(doc, dict):
-        raise ConfigError("run config must be a JSON object")
-    unknown = set(doc) - required - optional
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    missing = required - set(doc)
-    if missing:
-        raise ConfigError(f"config missing keys: {sorted(missing)}")
-    return doc
-
-
-def _section(doc: dict, key: str, required: set[str], optional: set[str] = frozenset()) -> dict:
-    sec = doc.get(key)
-    if not isinstance(sec, dict):
-        raise ConfigError(f"config section {key!r} must be an object")
-    unknown = set(sec) - required - optional
-    if unknown:
-        raise ConfigError(f"unknown keys in {key!r}: {sorted(unknown)}")
-    missing = required - set(sec)
-    if missing:
-        raise ConfigError(f"section {key!r} missing keys: {sorted(missing)}")
-    return sec
+    return _json.load(path.read_text(), spec, "config", ConfigError)
 
 
 def _input_path(doc: dict, key: str, base: Path) -> Path:
-    path = (base / str(doc[key])).resolve() if not Path(str(doc[key])).is_absolute() else Path(str(doc[key]))
+    path = Path(doc[key])
+    path = path if path.is_absolute() else (base / path).resolve()
     if not path.exists():
         raise ConfigError(f"missing {key} file: {path}")
     return path
 
 
 def _output_path(base: Path, value: str) -> Path:
-    path = Path(str(value))
-    if not path.is_absolute():
-        path = base / path
+    path = base / value
     path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
 
-_PARAM_KEYS = {
-    "z",
-    "samples_per_level",
-    "seed",
-    "max_angle",
-    "compatibility_tolerance",
-    "nms_radius",
-    "dedup_radius",
-    "search_radius_fraction",
+# Each command's config: every key with its JSON type (see `_json`)
+_TYPE_MODEL = {"atomic_bins": int, "composite_bins": int, "seed": int}
+_INFER = {
+    "hierarchy": str, "libraries": str, "weights": str, "score_maps": str,
+    "mode": Optional(str), "image": Optional(Nullable(str)),
+    "params": {
+        "z": int, "samples_per_level": Nullable(int), "seed": int, "max_angle": float,
+        "compatibility_tolerance": float, "nms_radius": float, "dedup_radius": float,
+        "search_radius_fraction": float,
+    },
+    "output": {"pose": str, "diagnostics": str},
 }
-
-
-def _integer_param(sec: dict | list, key, section: str = "params") -> int:
-    """A config value that must be a JSON integer.  Booleans, strings and
-    numbers with a fraction or exponent are rejected, not converted."""
-    value = sec[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{section} {key!r} must be a JSON integer, got {json.dumps(value)}")
-    return value
-
-
-def _real_param(sec: dict | list, key, section: str = "params", default=None) -> float:
-    """A config value that must be a JSON number.  Booleans, strings,
-    null and lists are rejected, not converted.  An optional key that
-    `sec` lacks reads `default`."""
-    if default is not None and key not in sec:
-        return default
-    value = sec[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{section} {key!r} must be a JSON number, got {json.dumps(value)}")
-    return float(value)
-
-
-def _list_param(sec: dict, key: str, section: str, read) -> list:
-    """A config value that must be a JSON list, each entry read by `read`
-    (`_integer_param` or `_real_param`)."""
-    values = sec[key]
-    if not isinstance(values, list):
-        raise ConfigError(f"{section} {key!r} must be a JSON list, got {json.dumps(values)}")
-    return [read(values, i, f"{section} {key!r}") for i in range(len(values))]
-
-
-def _bool_param(sec: dict, key: str, section: str) -> bool:
-    """A config value that must be a JSON boolean."""
-    value = sec[key]
-    if not isinstance(value, bool):
-        raise ConfigError(f"{section} {key!r} must be a JSON boolean, got {json.dumps(value)}")
-    return value
-
-
-def _type_model_params(doc: dict) -> dict:
-    """The `type_model` section, as keyword arguments of `RelationTypeModel.build`."""
-    sec = _section(doc, "type_model", {"atomic_bins", "composite_bins", "seed"})
-    return {key: _integer_param(sec, key, "type_model") for key in sorted(sec)}
-
-
-def _inference_params(doc: dict, seed_override: int | None) -> InferenceParams:
-    sec = _section(doc, "params", _PARAM_KEYS)
-    if seed_override is not None:
-        sec = dict(sec, seed=seed_override)
-    return InferenceParams(
-        z=_integer_param(sec, "z"),
-        samples_per_level=(
-            None if sec["samples_per_level"] is None else _integer_param(sec, "samples_per_level")
-        ),
-        seed=_integer_param(sec, "seed"),
-        max_angle=_real_param(sec, "max_angle"),
-        compatibility_tolerance=_real_param(sec, "compatibility_tolerance"),
-        nms_radius=_real_param(sec, "nms_radius"),
-        dedup_radius=_real_param(sec, "dedup_radius"),
-        search_radius_fraction=_real_param(sec, "search_radius_fraction"),
-    )
+_TRAIN = {
+    "hierarchy": str, "annotations": str, "score_maps": str, "max_angle": Optional(float),
+    "type_model": _TYPE_MODEL,
+    "augment": {"jitter_fraction": float, "copies": int, "seed": int},
+    "negatives": {"per_positive": int, "noise_sigma": Nullable(float), "seed": int},
+    "train": {"c": float, "epochs": int, "seed": int, "holdout_fraction": float},
+    "output": {"weights": str, "log": str, "libraries": Optional(str)},
+}
+_EVAL = {
+    "metric": str, "hierarchy": str, "predictions": str, "ground_truth": str,
+    "format": str, "output": str,
+    "segments": Optional([{"name": str, "a": str, "b": str}]),
+    "sigmas": Optional(Either(Map(float), [float])), "factor": Optional(float),
+    "thresholds": Optional([float]), "normalizer": Optional(Either(str, Map(float), float)),
+}
+_SYNTH = {
+    "hierarchy": str, "annotations": str, "output_dir": str, "type_model": _TYPE_MODEL,
+    "scenes": {
+        "seeds": Either({"start": int, "count": int}, [int]), "grid": (int, int),
+        # optional `make_scene` arguments; scales are kept as written for the provenance
+        "mix": Optional(bool), "snap": Optional(bool), "distractors": Optional(int),
+        **dict.fromkeys(["sigma", "amplitude", "noise", "margin", "max_rotation"], Optional(float)),
+        "scales": Optional([NUMBER]),
+    },
+}
+_SCORE = {
+    "hierarchy": str, "libraries": str, "weights": str, "score_maps": str, "pose": str,
+    "max_angle": Optional(float),
+}
 
 
 def cmd_infer(args) -> int:
     base = Path(args.config).resolve().parent
-    doc = _load_config(
-        args.config,
-        required={"hierarchy", "libraries", "weights", "score_maps", "params", "output"},
-        optional={"mode", "image"},
-    )
+    doc = _load_config(args.config, _INFER)
     hierarchy = load_hierarchy(_input_path(doc, "hierarchy", base))
     library = load_library(_input_path(doc, "libraries", base), hierarchy)
     weights = load_weights(_input_path(doc, "weights", base), hierarchy)
     maps_path = _input_path(doc, "score_maps", base)
     stack = load_score_maps(maps_path)
-    params = _inference_params(doc, args.seed)
+    if args.seed is not None:
+        doc["params"]["seed"] = args.seed
+    params = InferenceParams(**doc["params"])
     mode = args.mode or doc.get("mode", "full")
-    out = _section(doc, "output", {"pose", "diagnostics"})
+    out = doc["output"]
 
     result = infer(stack, hierarchy, library, weights, params, mode=mode)
 
-    image = str(doc.get("image") or maps_path.stem)
+    image = doc.get("image") or maps_path.stem
     save_annotations(
         [learning.Annotation(image, result.configuration)],
         hierarchy,
@@ -202,40 +147,18 @@ def _stack_for(image: str, maps_path: Path, cache: dict):
 
 def cmd_train(args) -> int:
     base = Path(args.config).resolve().parent
-    doc = _load_config(
-        args.config,
-        required={"hierarchy", "annotations", "score_maps", "type_model", "augment",
-                  "negatives", "train", "output"},
-        optional={"max_angle"},
-    )
+    doc = _load_config(args.config, _TRAIN)
+    if args.seed is not None:
+        doc["augment"]["seed"] = args.seed
     hierarchy = load_hierarchy(_input_path(doc, "hierarchy", base))
     annotations = load_annotations(_input_path(doc, "annotations", base), hierarchy)
     if not annotations:
         raise ConfigError("annotation file is empty")
     maps_path = _input_path(doc, "score_maps", base)
-    bound = _real_param(doc, "max_angle", "config", inference.DEFAULT_MAX_ANGLE)
+    bound = doc.get("max_angle", inference.DEFAULT_MAX_ANGLE)
+    aug, neg, train, out = doc["augment"], doc["negatives"], doc["train"], doc["output"]
 
-    type_params = _type_model_params(doc)
-    aug_sec = _section(doc, "augment", {"jitter_fraction", "copies", "seed"})
-    neg_sec = _section(doc, "negatives", {"per_positive", "noise_sigma", "seed"})
-    train_sec = _section(doc, "train", {"c", "epochs", "seed", "holdout_fraction"})
-    out = _section(doc, "output", {"weights", "log"}, optional={"libraries"})
-    if args.seed is not None:
-        aug_sec = dict(aug_sec, seed=args.seed)
-    copies = _integer_param(aug_sec, "copies", "augment")
-    aug_seed = _integer_param(aug_sec, "seed", "augment")
-    per_positive = _integer_param(neg_sec, "per_positive", "negatives")
-    neg_seed = _integer_param(neg_sec, "seed", "negatives")
-    epochs = _integer_param(train_sec, "epochs", "train")
-    train_seed = _integer_param(train_sec, "seed", "train")
-    jitter = _real_param(aug_sec, "jitter_fraction", "augment")
-    noise_sigma = (
-        None if neg_sec["noise_sigma"] is None
-        else _real_param(neg_sec, "noise_sigma", "negatives")
-    )
-    c = _real_param(train_sec, "c", "train")
-
-    holdout = _real_param(train_sec, "holdout_fraction", "train")
+    holdout = train["holdout_fraction"]
     if not 0.0 <= holdout < 1.0:
         raise ConfigError("holdout_fraction must lie in [0, 1)")
     cut = len(annotations) - int(round(holdout * len(annotations)))
@@ -243,21 +166,21 @@ def cmd_train(args) -> int:
     exemplar_set = annotations[:cut]
     weight_set = annotations[cut:] if cut < len(annotations) else annotations
 
-    type_model = RelationTypeModel.build(hierarchy, exemplar_set, **type_params)
+    type_model = RelationTypeModel.build(hierarchy, exemplar_set, **doc["type_model"])
     library = build_library(exemplar_set, hierarchy, type_model)
 
     positives = list(weight_set) + augment_positives(
         weight_set,
-        np.random.default_rng(aug_seed),
-        jitter_fraction=jitter,
-        copies=copies,
+        np.random.default_rng(aug["seed"]),
+        jitter_fraction=aug["jitter_fraction"],
+        copies=aug["copies"],
     )
     negatives = generate_negatives(
         weight_set,
         None,
-        np.random.default_rng(neg_seed),
-        noise_sigma=noise_sigma,
-        per_positive=per_positive,
+        np.random.default_rng(neg["seed"]),
+        noise_sigma=neg["noise_sigma"],
+        per_positive=neg["per_positive"],
     )
 
     cache: dict = {}
@@ -270,7 +193,9 @@ def cmd_train(args) -> int:
         bound,
     )
 
-    weights_array, objective = train_weights(training, c=c, epochs=epochs, seed=train_seed)
+    weights_array, objective = train_weights(
+        training, c=train["c"], epochs=train["epochs"], seed=train["seed"]
+    )
     weights = WeightVector.from_array(weights_array, hierarchy)
     save_weights(weights, hierarchy, _output_path(base, out["weights"]))
     margins = training.labels * (training.features @ weights_array)
@@ -280,9 +205,9 @@ def cmd_train(args) -> int:
         "exemplar_annotations": len(exemplar_set),
         "objective": objective,
         "training_accuracy": float(np.mean(margins > 0)),
-        "epochs": epochs,
-        "c": c,
-        "seed": train_seed,
+        "epochs": train["epochs"],
+        "c": train["c"],
+        "seed": train["seed"],
     }
     _output_path(base, out["log"]).write_text(json.dumps(log, indent=2, sort_keys=True) + "\n")
     if "libraries" in out:
@@ -305,44 +230,24 @@ def _match_annotations(preds, gts):
 
 def cmd_eval(args) -> int:
     base = Path(args.config).resolve().parent
-    doc = _load_config(
-        args.config,
-        required={"metric", "hierarchy", "predictions", "ground_truth", "format", "output"},
-        optional={"segments", "sigmas", "factor", "thresholds", "normalizer"},
-    )
+    doc = _load_config(args.config, _EVAL)
     hierarchy = load_hierarchy(_input_path(doc, "hierarchy", base))
     preds = load_annotations(_input_path(doc, "predictions", base), hierarchy)
     gts = load_annotations(_input_path(doc, "ground_truth", base), hierarchy)
     pred_pts, gt_pts, images = _match_annotations(preds, gts)
 
-    metric = str(doc["metric"])
+    metric = doc["metric"]
     if metric == "pcp_segments":
         if "segments" not in doc:
             raise ConfigError("pcp_segments needs a 'segments' list")
-        segments = [
-            Segment(
-                str(s["name"]),
-                hierarchy.atom_index(hierarchy.id_of(s["a"])),
-                hierarchy.atom_index(hierarchy.id_of(s["b"])),
-            )
-            for s in doc["segments"]
-        ]
+        row = lambda name: hierarchy.atom_index(hierarchy.id_of(name))
+        segments = [Segment(s["name"], row(s["a"]), row(s["b"])) for s in doc["segments"]]
         report = pcp_segments(pred_pts, gt_pts, segments)
     elif metric == "pcp_radius":
         if "sigmas" not in doc:
             raise ConfigError("pcp_radius needs a 'sigmas' map")
-        sigmas = doc["sigmas"]
-        if isinstance(sigmas, dict):
-            sigmas = {name: _real_param(sigmas, name, "sigmas") for name in sigmas}
-        else:
-            sigmas = _list_param(doc, "sigmas", "config", _real_param)
-        report = pcp_radius(
-            pred_pts,
-            gt_pts,
-            sigmas,
-            factor=_real_param(doc, "factor", "config", 1.5),
-            part_names=hierarchy.atomic_names,
-        )
+        report = pcp_radius(pred_pts, gt_pts, doc["sigmas"], factor=doc.get("factor", 1.5),
+                            part_names=hierarchy.atomic_names)
     elif metric == "pdj":
         if "thresholds" not in doc:
             raise ConfigError("pdj needs a 'thresholds' list")
@@ -350,92 +255,55 @@ def cmd_eval(args) -> int:
         if normalizer == "gt_box_mean_side":
             values = [object_size(g) for g in gt_pts]
         elif isinstance(normalizer, dict):
-            values = [_real_param(normalizer, i, "normalizer") for i in images]
+            values = [normalizer[i] for i in images]
+        elif isinstance(normalizer, float):
+            values = [normalizer] * len(gt_pts)
         else:
-            values = [_real_param(doc, "normalizer", "config")] * len(gt_pts)
-        thresholds = _list_param(doc, "thresholds", "config", _real_param)
-        report = pdj_curve(pred_pts, gt_pts, values, thresholds)
+            raise ConfigError(f"unknown normalizer {normalizer!r}")
+        report = pdj_curve(pred_pts, gt_pts, values, doc["thresholds"])
     else:
         raise ConfigError(f"unknown metric {metric!r}")
 
-    fmt = str(doc["format"])
-    _output_path(base, doc["output"]).write_text(emit_report(report, fmt))
+    _output_path(base, doc["output"]).write_text(emit_report(report, doc["format"]))
     return 0
-
-
-# optional `scenes` fields of `synth`, each with the reader of its type
-_SCENE_FIELDS = {
-    "mix": _bool_param,
-    "snap": _bool_param,
-    "sigma": _real_param,
-    "amplitude": _real_param,
-    "noise": _real_param,
-    "margin": _real_param,
-    "max_rotation": _real_param,
-    "distractors": _integer_param,
-}
 
 
 def cmd_synth(args) -> int:
     base = Path(args.config).resolve().parent
-    doc = _load_config(
-        args.config,
-        required={"hierarchy", "annotations", "type_model", "scenes", "output_dir"},
-        optional=set(),
-    )
+    doc = _load_config(args.config, _SYNTH)
     hierarchy = load_hierarchy(_input_path(doc, "hierarchy", base))
     annotations = load_annotations(_input_path(doc, "annotations", base), hierarchy)
-    type_params = _type_model_params(doc)
-    scene_sec = _section(
-        doc, "scenes", {"seeds", "grid"}, optional=set(_SCENE_FIELDS) | {"scales"}
-    )
-
-    seeds = scene_sec["seeds"]
+    # absent optional fields take make_scene's defaults
+    options = dict(doc["scenes"])
+    seeds, grid = options.pop("seeds"), tuple(options.pop("grid"))
     if isinstance(seeds, dict):
-        start = _integer_param(seeds, "start", "scenes.seeds")
-        seeds = list(range(start, start + _integer_param(seeds, "count", "scenes.seeds")))
-    else:
-        seeds = _list_param(scene_sec, "seeds", "scenes", _integer_param)
+        seeds = list(range(seeds["start"], seeds["start"] + seeds["count"]))
     if args.seed is not None:
         seeds = [args.seed]
-    # absent optional fields take make_scene's defaults
-    options = {
-        key: read(scene_sec, key, "scenes")
-        for key, read in _SCENE_FIELDS.items() if key in scene_sec
-    }
-    if "scales" in scene_sec:
-        # checked, but passed as written: the provenance records them
-        _list_param(scene_sec, "scales", "scenes", _real_param)
-        options["scales"] = tuple(scene_sec["scales"])
 
-    type_model = RelationTypeModel.build(hierarchy, annotations, **type_params)
+    type_model = RelationTypeModel.build(hierarchy, annotations, **doc["type_model"])
     library = build_library(annotations, hierarchy, type_model)
     out_dir = _output_path(base, doc["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     for seed in seeds:
-        scene = synth.make_scene(
-            library, hierarchy, seed=seed, grid=tuple(scene_sec["grid"]), **options
-        )
+        scene = synth.make_scene(library, hierarchy, seed=seed, grid=grid, **options)
         synth.save_scene(scene, out_dir / f"scene_{seed}", hierarchy)
     return 0
 
 
 def cmd_score(args) -> int:
     base = Path(args.config).resolve().parent
-    doc = _load_config(
-        args.config,
-        required={"hierarchy", "libraries", "weights", "score_maps", "pose"},
-        optional={"max_angle"},
-    )
+    doc = _load_config(args.config, _SCORE)
     hierarchy = load_hierarchy(_input_path(doc, "hierarchy", base))
     library = load_library(_input_path(doc, "libraries", base), hierarchy)
     weights = load_weights(_input_path(doc, "weights", base), hierarchy)
     stack = load_score_maps(_input_path(doc, "score_maps", base))
     poses = load_annotations(_input_path(doc, "pose", base), hierarchy)
-    bound = _real_param(doc, "max_angle", "config", inference.DEFAULT_MAX_ANGLE)
-    for ann in poses:
-        value = total_score(ann.points, stack, hierarchy, library, weights, bound)
-        print(f"{ann.image}\t{value!r}")
+    bound = doc.get("max_angle", inference.DEFAULT_MAX_ANGLE)
+    points = np.reshape([ann.points for ann in poses], (len(poses), hierarchy.atomic_count, 2))
+    features = scoring.feature_matrix(points, [stack], [0] * len(poses), hierarchy, library, bound)
+    for ann, row in zip(poses, features):
+        print(f"{ann.image}\t{float(weights.as_array() @ row)!r}")
     return 0
 
 

@@ -9,11 +9,13 @@ box of its descendant atomic locations.  A full pose ("configuration") is an
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from . import _json
+from ._json import Map, Nullable, Optional
 
 ANCHOR_WEIGHT_TOL = 1e-9
 
@@ -356,9 +358,12 @@ def object_size(X: np.ndarray) -> float | np.ndarray:
     return float(size) if size.ndim == 0 else size
 
 
-_DOC_KEYS = {"levels", "nodes", "scale"}
-_NODE_KEYS = {"id", "name", "level", "children", "anchor"}
-_SCALE_KEYS = {"reference_length", "level_factors"}
+_HIERARCHY = {
+    "levels": int,
+    "nodes": [{"id": int, "name": str, "level": int, "children": Optional(Nullable([int])),
+               "anchor": Optional(Nullable(Map(float)))}],
+    "scale": {"reference_length": float, "level_factors": [float]},
+}
 
 
 def load_hierarchy(document) -> PartHierarchy:
@@ -373,41 +378,14 @@ def load_hierarchy(document) -> PartHierarchy:
 
     Anchor keys are part names (atomic descendants of the node).
     """
-    if isinstance(document, Path):
-        document = json.loads(document.read_text())
-    elif isinstance(document, str):
-        if document.lstrip().startswith("{"):
-            document = json.loads(document)
-        else:
-            document = json.loads(Path(document).read_text())
-    if not isinstance(document, dict):
-        raise HierarchyError("hierarchy document must be a JSON object")
+    if isinstance(document, Path) or isinstance(document, str) and document.lstrip()[:1] != "{":
+        document = Path(document).read_text()
+    read = _json.load if isinstance(document, str) else _json.read
+    document = read(document, _HIERARCHY, "hierarchy", HierarchyError)
 
-    unknown = set(document) - _DOC_KEYS
-    if unknown:
-        raise HierarchyError(f"unknown hierarchy keys: {sorted(unknown)}")
-    missing = _DOC_KEYS - set(document)
-    if missing:
-        raise HierarchyError(f"hierarchy document missing keys: {sorted(missing)}")
-
-    scale_doc = document["scale"]
-    if set(scale_doc) != _SCALE_KEYS:
-        raise HierarchyError(f"scale section must have keys {sorted(_SCALE_KEYS)}")
-    scale = ScaleParams(
-        reference_length=float(scale_doc["reference_length"]),
-        level_factors=tuple(scale_doc["level_factors"]),
-    )
-
-    names: dict[str, int] = {}
-    raw_nodes = document["nodes"]
-    for raw in raw_nodes:
-        unknown = set(raw) - _NODE_KEYS
-        if unknown:
-            raise HierarchyError(f"unknown node keys: {sorted(unknown)}")
-        names[str(raw["name"])] = int(raw["id"])
-
+    names = {raw["name"]: raw["id"] for raw in document["nodes"]}
     nodes: list[PartNode] = []
-    for raw in raw_nodes:
+    for raw in document["nodes"]:
         anchor = None
         if raw.get("anchor") is not None:
             weights: dict[int, float] = {}
@@ -418,20 +396,13 @@ def load_hierarchy(document) -> PartHierarchy:
                     pid = int(key)
                 else:
                     raise HierarchyError(f"anchor references unknown part {key!r}")
-                weights[pid] = float(w)
+                weights[pid] = w
             anchor = AnchorSpec(weights)
-        nodes.append(
-            PartNode(
-                id=int(raw["id"]),
-                name=str(raw["name"]),
-                level=int(raw["level"]),
-                children=tuple(int(c) for c in raw.get("children") or ()),
-                anchor=anchor,
-            )
-        )
+        children = tuple(raw.get("children") or ())
+        nodes.append(PartNode(raw["id"], raw["name"], raw["level"], children, anchor))
 
-    hierarchy = PartHierarchy(nodes, scale)
-    if int(document["levels"]) != hierarchy.levels:
+    hierarchy = PartHierarchy(nodes, ScaleParams(**document["scale"]))
+    if document["levels"] != hierarchy.levels:
         raise HierarchyError(
             f"document declares {document['levels']} levels, nodes span {hierarchy.levels}"
         )

@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _json
+from ._json import NUMBER, Either, Nullable, Optional
 from .appearance import RelationTypeModel, _Reader
 from .geometry import ChildGeometry, child_geometry
 from .hierarchy import BoundingBox, PartHierarchy, as_configuration, object_size
@@ -72,26 +74,23 @@ class Annotation:
 
 
 def load_annotations(path, hierarchy: PartHierarchy) -> list[Annotation]:
-    """Read annotation records {"image", "size", "parts": {name: [x, y]}}."""
-    records = json.loads(Path(path).read_text())
-    if isinstance(records, dict):
-        records = [records]
+    """Read annotation records {"image", "size", "parts": {name: [x, y]}}:
+    a list, or one record.  `size` keeps its JSON numbers as written."""
+    names = hierarchy.atomic_names
+    record = {
+        "image": str,
+        "size": Optional(Nullable((NUMBER, NUMBER))),
+        "parts": dict.fromkeys(names, (float, float)),
+        "visible": Optional(Nullable(dict.fromkeys(names, Optional(bool)))),
+    }
+    records = _json.load(Path(path).read_text(), Either(record, [record]), "annotations", ValueError)
     out = []
-    for rec in records:
-        parts = rec["parts"]
-        points = np.zeros((hierarchy.atomic_count, 2))
-        for name, xy in parts.items():
-            points[hierarchy.atom_index(hierarchy.id_of(name))] = xy
-        missing = set(hierarchy.atomic_names) - set(parts)
-        if missing:
-            raise ValueError(f"annotation {rec.get('image')!r} missing parts {sorted(missing)}")
+    for rec in records if isinstance(records, list) else [records]:
         size = tuple(rec["size"]) if rec.get("size") else None
-        visible = None
-        if rec.get("visible"):
-            visible = np.array(
-                [bool(rec["visible"].get(name, True)) for name in hierarchy.atomic_names]
-            )
-        out.append(Annotation(str(rec["image"]), points, size, visible))
+        flags = rec.get("visible")
+        visible = np.array([flags.get(name, True) for name in names]) if flags else None
+        points = np.array([rec["parts"][name] for name in names])
+        out.append(Annotation(rec["image"], points, size, visible))
     return out
 
 

@@ -13,6 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _json
+from ._json import Map, Nullable
+
 __all__ = [
     "Segment",
     "MetricReport",
@@ -199,13 +202,9 @@ def emit_report(report: MetricReport, fmt: str = "json") -> str:
     raise ValueError(f"unknown report format {fmt!r}")
 
 
+_REPORT = {"kind": str, "labels": [str], "rates": [float], "aggregate": Nullable(float),
+           "sample_count": int, "params": Map(object)}
+
+
 def report_from_json(text: str) -> MetricReport:
-    doc = json.loads(text)
-    return MetricReport(
-        kind=doc["kind"],
-        labels=tuple(doc["labels"]),
-        rates=tuple(doc["rates"]),
-        aggregate=doc["aggregate"],
-        sample_count=int(doc["sample_count"]),
-        params=doc["params"],
-    )
+    return MetricReport(**_json.load(text, _REPORT, "report", ValueError))

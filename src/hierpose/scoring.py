@@ -41,6 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _json
 from .appearance import (
     ScoreMapStack,
     log_marginals_at,
@@ -151,15 +152,13 @@ class WeightVector:
 
     @classmethod
     def from_json(cls, text: str, hierarchy: PartHierarchy) -> "WeightVector":
-        doc = json.loads(text)
-        atomic = np.array([doc["atomic"][name] for name in hierarchy.atomic_names])
-        pose_app = np.array(
-            [doc["pose_appearance"][n.name] for n in hierarchy.composite_nodes]
-        )
-        pose_sim = np.array(
-            [doc["pose_similarity"][n.name] for n in hierarchy.composite_nodes]
-        )
-        return cls(atomic, pose_app, pose_sim, float(doc["bias"]))
+        """Read `to_json` text; every part and node name must appear once."""
+        nodes = dict.fromkeys((n.name for n in hierarchy.composite_nodes), float)
+        spec = {"bias": float, "atomic": dict.fromkeys(hierarchy.atomic_names, float),
+                "pose_appearance": nodes, "pose_similarity": nodes}
+        doc = _json.load(text, spec, "weights", ValueError)
+        terms = [list(doc[key].values()) for key in ("atomic", "pose_appearance", "pose_similarity")]
+        return cls(*terms, doc["bias"])
 
 
 def save_weights(weights: WeightVector, hierarchy: PartHierarchy, path) -> None:

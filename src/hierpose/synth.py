@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _json
+from ._json import NUMBER, Map
 from .appearance import CompositeMaps, ScaleMaps, ScoreMapStack, save_score_maps, load_score_maps
 from .geometry import SimilarityTransform, fit_least_squares
 from .hierarchy import PartHierarchy
@@ -289,9 +291,18 @@ def save_scene(scene: SynthScene, directory, hierarchy: PartHierarchy) -> None:
     )
 
 
+# numbers are kept as written, so a loaded provenance saves back unchanged
+_PROVENANCE = {
+    "seed": int, "mix": bool, "snap": bool, "grid": (int, int), "distractors": int,
+    **dict.fromkeys(("sigma", "amplitude", "noise", "margin", "max_rotation"), NUMBER),
+    "scales": [NUMBER], "assignment": Map(int), "sources": Map(str),
+}
+
+
 def load_scene(directory, hierarchy: PartHierarchy) -> SynthScene:
     directory = Path(directory)
     annotation = load_annotations(directory / "annotation.json", hierarchy)[0]
     stack = load_score_maps(directory / "maps.hpsm")
-    provenance = json.loads((directory / "provenance.json").read_text())
+    text = (directory / "provenance.json").read_text()
+    provenance = _json.load(text, _PROVENANCE, "provenance", ValueError)
     return SynthScene(annotation.points, stack, provenance)

@@ -1,17 +1,28 @@
+import contextlib
+import copy
+import functools
+import io
 import json
 import math
+import operator
 import shutil
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hierpose.cli
 from hierpose import (
+    HierarchyError,
     augment_positives,
     generate_negatives,
+    load_annotations,
     load_hierarchy,
+    load_library,
     load_score_maps,
+    load_weights,
     save_annotations,
     save_library,
     save_weights,
@@ -20,14 +31,13 @@ from hierpose import (
 from hierpose.cli import main
 from hierpose.inference import DEFAULT_MAX_ANGLE
 from hierpose.learning import TrainingSet
-from hierpose.scoring import WeightVector
+from hierpose.scoring import WeightVector, total_score
 
 import oracles
 from conftest import annotations_tiny3, library_for, tiny3_doc
 
 
-@pytest.fixture()
-def workspace(tmp_path):
+def make_workspace(tmp_path):
     """Hierarchy, annotations, library, weights, and scene bundles on disk."""
     hierarchy_path = tmp_path / "hierarchy.json"
     hierarchy_path.write_text(json.dumps(tiny3_doc()))
@@ -69,6 +79,17 @@ def workspace(tmp_path):
     )
     assert main(["synth", str(synth_config)]) == 0
     return tmp_path
+
+
+@pytest.fixture()
+def workspace(tmp_path):
+    return make_workspace(tmp_path)
+
+
+@pytest.fixture(scope="module")
+def shared_workspace(tmp_path_factory):
+    """One workspace for tests that only read it and write under new names."""
+    return make_workspace(tmp_path_factory.mktemp("shared"))
 
 
 def infer_config(workspace, name="infer.json", **overrides):
@@ -609,3 +630,236 @@ def test_infer_no_solution_exit_2(workspace, tiny3):
     save_score_maps(flat, workspace / "flat.hpsm")
     config = infer_config(workspace, name="flat.json", score_maps="flat.hpsm")
     assert main(["infer", str(config)]) == 2
+
+
+def test_score_matches_total_score_per_pose(shared_workspace, capsys):
+    """`score` takes every pose's features from one feature pass and prints
+    the same bytes as `total_score` of each pose; no poses print nothing."""
+    config = score_config(shared_workspace, pose="annotations.json")
+    assert main(["score", str(config)]) == 0
+    hierarchy = load_hierarchy(shared_workspace / "hierarchy.json")
+    library = load_library(shared_workspace / "library.hpel", hierarchy)
+    weights = load_weights(shared_workspace / "weights.json", hierarchy)
+    stack = load_score_maps(shared_workspace / "scenes" / "scene_0" / "maps.hpsm")
+    poses = load_annotations(shared_workspace / "annotations.json", hierarchy)
+    assert len(poses) == 4
+    expected = "".join(
+        f"{ann.image}\t{total_score(ann.points, stack, hierarchy, library, weights, DEFAULT_MAX_ANGLE)!r}\n"
+        for ann in poses
+    )
+    assert capsys.readouterr().out == expected
+
+    (shared_workspace / "no_poses.json").write_text("[]")
+    assert main(["score", str(score_config(shared_workspace, pose="no_poses.json"))]) == 0
+    assert capsys.readouterr().out == ""
+
+
+# -- malformed JSON inputs ----------------------------------------------------
+
+
+def assert_one_error_line(capsys):
+    """The command exited 1 (checked by the caller) with exactly one `error:`
+    line on stderr and nothing on stdout."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("grid", [None, [48.0, 48]])
+def test_synth_grid_must_be_two_json_integers(shared_workspace, capsys, grid):
+    """A null grid ended in a TypeError traceback, and a float entry was accepted."""
+    path, _ = synth_config(shared_workspace, grid=grid)
+    assert main(["synth", str(path)]) == 1
+    assert_one_error_line(capsys)
+    assert not (shared_workspace / "bad_scenes").exists()
+
+
+def test_eval_segment_must_be_an_object(shared_workspace, capsys):
+    """A segment written as `1` ended in a TypeError traceback."""
+    config = eval_config(shared_workspace, "pcp_segments", "bad_segments", segments=[1])
+    assert main(["eval", str(config)]) == 1
+    assert_one_error_line(capsys)
+    assert not (shared_workspace / "out" / "bad_segments.report").exists()
+
+
+def replaced(doc, path, value):
+    """A copy of `doc` with the value at `path` (keys and list indices)
+    replaced by `value`, or added under the last key."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    functools.reduce(operator.getitem, path[:-1], doc)[path[-1]] = value
+    return doc
+
+
+# Each of these ended in a TypeError or AttributeError traceback, or loaded
+# silently with a wrong or converted value.
+BAD_HIERARCHIES = [
+    (("nodes",), 5),
+    (("nodes", 0), 5),
+    (("nodes", 6, "anchor"), 5),
+    (("nodes", 6, "children"), 5),
+    (("scale",), 5),
+    (("scale", "reference_length"), None),
+    (("scale", "level_factors"), 5),
+    (("nodes", 0, "id"), 1.5),
+    (("nodes", 0, "id"), True),
+    (("levels",), 3.7),
+    (("nodes", 1, "name"), None),
+]
+BAD_WEIGHTS = [
+    (("atomic",), 5),
+    (("bias",), None),
+    ((), []),
+    (("bias",), "1"),
+    (("atomic", "la"), "2"),
+    (("atomic", "no_such_part"), 1.0),
+]
+BAD_ANNOTATIONS = [
+    ((0,), 5),
+    ((0, "parts"), 5),
+    ((0, "size"), 5),
+    ((0, "visible"), 5),
+    ((0, "parts", "la"), 5),
+    ((0, "parts", "la"), [1]),
+]
+
+
+def write_json(workspace, name, doc):
+    (workspace / name).write_text(json.dumps(doc))
+    return workspace / name
+
+
+@pytest.mark.parametrize("path, value", BAD_HIERARCHIES)
+def test_malformed_hierarchy_rejected(shared_workspace, capsys, path, value):
+    doc = replaced(tiny3_doc(), path, value)
+    with pytest.raises(HierarchyError):
+        load_hierarchy(doc)
+    write_json(shared_workspace, "bad_hierarchy.json", doc)
+    config = eval_config(shared_workspace, "pdj", "bad_input", thresholds=[0.1],
+                         hierarchy="bad_hierarchy.json")
+    assert main(["eval", str(config)]) == 1
+    assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("path, value", BAD_WEIGHTS)
+def test_malformed_weights_rejected(shared_workspace, capsys, path, value):
+    doc = replaced(json.loads((shared_workspace / "weights.json").read_text()), path, value)
+    bad = write_json(shared_workspace, "bad_weights.json", doc)
+    with pytest.raises(ValueError):
+        load_weights(bad, load_hierarchy(shared_workspace / "hierarchy.json"))
+    assert main(["score", str(score_config(shared_workspace, weights="bad_weights.json"))]) == 1
+    assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("path, value", BAD_ANNOTATIONS)
+def test_malformed_annotations_rejected(shared_workspace, capsys, path, value):
+    doc = replaced(json.loads((shared_workspace / "annotations.json").read_text()), path, value)
+    bad = write_json(shared_workspace, "bad_annotations.json", doc)
+    with pytest.raises(ValueError):
+        load_annotations(bad, load_hierarchy(shared_workspace / "hierarchy.json"))
+    config = eval_config(shared_workspace, "pdj", "bad_input", thresholds=[0.1],
+                         predictions="bad_annotations.json")
+    assert main(["eval", str(config)]) == 1
+    assert_one_error_line(capsys)
+
+
+# One value of each JSON type; a property replaces one value of a valid
+# document with one of these of another type.
+JSON_VALUES = [None, False, "x", 0, 2.5, [], [1], {}, {"a": 1}]
+
+
+def json_type(value):
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+def value_paths(value, path=()):
+    """The path of `value` and of every value inside it."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, inner in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from value_paths(inner, path + (key,))
+
+
+def retyped(data, doc):
+    path = data.draw(st.sampled_from(list(value_paths(doc))), label="path")
+    old = functools.reduce(operator.getitem, path, doc)
+    others = [v for v in JSON_VALUES if json_type(v) != json_type(old)]
+    return replaced(doc, path, data.draw(st.sampled_from(others), label="value"))
+
+
+LOADERS = {
+    "hierarchy.json": (HierarchyError, lambda path, hierarchy: load_hierarchy(path)),
+    "weights.json": (ValueError, load_weights),
+    "annotations.json": (ValueError, load_annotations),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+@settings(max_examples=150)
+@given(data=st.data())
+def test_retyped_input_raises_the_typed_error_or_loads(shared_workspace, name, data):
+    error, load = LOADERS[name]
+    doc = retyped(data, json.loads((shared_workspace / name).read_text()))
+    path = write_json(shared_workspace, f"retyped_{name}", doc)
+    try:
+        load(path, load_hierarchy(shared_workspace / "hierarchy.json"))
+    except error:
+        pass
+
+
+# A valid config of each command with every optional key set and small
+# budgets, writing under `prop/`.
+FULL_CONFIGS = {
+    "infer": {
+        "hierarchy": "hierarchy.json", "libraries": "library.hpel", "weights": "weights.json",
+        "score_maps": "scenes/scene_0/maps.hpsm", "mode": "full", "image": "scene",
+        "params": {"z": 20, "samples_per_level": 100, "seed": 7, "max_angle": 1.0,
+                   "compatibility_tolerance": 0.1, "nms_radius": 2.0, "dedup_radius": 2.0,
+                   "search_radius_fraction": 0.15},
+        "output": {"pose": "prop/pose.json", "diagnostics": "prop/diag.jsonl"},
+    },
+    "train": {
+        "hierarchy": "hierarchy.json", "annotations": "annotations.json",
+        "score_maps": "scenes/scene_0/maps.hpsm", "max_angle": 1.0,
+        "type_model": {"atomic_bins": 8, "composite_bins": 2, "seed": 0},
+        "augment": {"jitter_fraction": 0.03, "copies": 1, "seed": 1},
+        "negatives": {"per_positive": 1, "noise_sigma": None, "seed": 2},
+        "train": {"c": 5.0, "epochs": 5, "seed": 3, "holdout_fraction": 0.25},
+        "output": {"weights": "prop/weights.json", "log": "prop/log.json",
+                   "libraries": "prop/library.hpel"},
+    },
+    "eval": {
+        "metric": "pdj", "hierarchy": "hierarchy.json", "predictions": "annotations.json",
+        "ground_truth": "annotations.json", "format": "csv", "output": "prop/eval.csv",
+        "segments": [{"name": "upper", "a": "la", "b": "lb"}], "sigmas": SIGMAS,
+        "factor": 1.5, "thresholds": [0.1, 0.2], "normalizer": "gt_box_mean_side",
+    },
+    "synth": {
+        "hierarchy": "hierarchy.json", "annotations": "annotations.json",
+        "type_model": {"atomic_bins": 8, "composite_bins": 2, "seed": 0},
+        "scenes": {"seeds": [0], "grid": [48, 48], "mix": False, "snap": True, "sigma": 1.5,
+                   "amplitude": 0.8, "noise": 0.0, "distractors": 1, "margin": 0.12,
+                   "max_rotation": 0.15, "scales": [1.0]},
+        "output_dir": "prop/scenes",
+    },
+    "score": {
+        "hierarchy": "hierarchy.json", "libraries": "library.hpel", "weights": "weights.json",
+        "score_maps": "scenes/scene_0/maps.hpsm", "pose": "annotations.json", "max_angle": 1.0,
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(FULL_CONFIGS))
+@settings(max_examples=150)
+@given(data=st.data())
+def test_retyped_config_runs_or_exits_1_with_one_error_line(shared_workspace, command, data):
+    config = write_json(shared_workspace, "retyped.json", retyped(data, FULL_CONFIGS[command]))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, str(config)])
+    message = err.getvalue()
+    assert (code, message) == (0, "") or (
+        code == 1 and message.startswith("error: ") and message.count("\n") == 1
+    ), (code, message)

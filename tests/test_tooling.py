@@ -67,3 +67,20 @@ def test_library_imports_only_stdlib_and_numpy():
                 imported.add(node.module.split(".")[0])
     assert "numpy" in imported
     assert imported <= allowed, f"imports beyond the standard library: {imported - allowed}"
+
+
+def test_json_is_parsed_only_by_the_checked_reader():
+    """Every JSON document the library reads goes through `hierpose._json`,
+    so no other module calls `json.load` or `json.loads`."""
+    parsers = set()
+    for path in sorted((ROOT / "src" / "hierpose").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            called = isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and (
+                node.value.id == "json" and node.attr in ("load", "loads")
+            )
+            imported = isinstance(node, ast.ImportFrom) and node.module == "json" and any(
+                alias.name in ("load", "loads") for alias in node.names
+            )
+            if called or imported:
+                parsers.add(path.name)
+    assert parsers == {"_json.py"}
