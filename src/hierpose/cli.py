@@ -255,6 +255,8 @@ def cmd_eval(args) -> int:
         if normalizer == "gt_box_mean_side":
             values = [object_size(g) for g in gt_pts]
         elif isinstance(normalizer, dict):
+            if missing := sorted(set(images) - set(normalizer)):
+                raise ConfigError(f"config 'normalizer' has no entry for image {missing[0]!r}")
             values = [normalizer[i] for i in images]
         elif isinstance(normalizer, float):
             values = [normalizer] * len(gt_pts)
@@ -358,7 +360,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConfigError, OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -5,9 +5,10 @@ similarity-aligned onto randomly chosen pairs of lower hypotheses (atomic
 locations at level 2, composite anchors above), carrying over the exemplar's
 subtree, object size, and per-node pose choices.  From level 3 up, child
 subtrees may additionally be swapped with geometrically compatible lower
-hypotheses.  Hypotheses are then deduplicated and pruned to the best Z per
-part.  Surviving root hypotheses are refined per atomic part inside a disc
-and the best refined configuration wins.
+hypotheses.  Exact copies are then dropped, each distinct hypothesis is
+scored once, and near duplicates are pruned to the best Z per part.
+Surviving root hypotheses are refined per atomic part inside a disc and the
+best refined configuration wins.
 
 The hypotheses of one part are one `HypothesisSet`: stacked locations
 (H, N, 2), an (H, C) exemplar index per composite node, object sizes, box
@@ -442,17 +443,17 @@ def prune_order(
     Scores are ranked rounded to 1e-9 with a stable sort, so hypotheses whose
     scores differ only by round-off keep their creation order.  A hypothesis
     whose points (H, R, 2) all lie within dedup_radius of a kept one is a
-    duplicate; at most z are kept.  A later copy of identical points is
-    always a duplicate, so only the first copy of each is tested.
+    duplicate, and so is any later copy of a kept one; at most z are kept.
+    The kept points fill one preallocated (z, R, 2) array in keep order.
     """
     order = np.argsort(-np.round(scores, 9), kind="stable")
-    _, first = np.unique(points[order].reshape(len(order), -1), axis=0, return_index=True)
+    held = np.empty((min(z, len(order)),) + points.shape[1:])
     kept: list[int] = []
-    for i in order[np.sort(first)].tolist():
-        if kept:
-            gap = points[kept] - points[i]
-            if np.any(np.max(np.hypot(gap[..., 0], gap[..., 1]), axis=1) <= dedup_radius):
-                continue
+    for i in order.tolist():
+        gap = held[: len(kept)] - points[i]
+        if np.any(np.max(np.hypot(gap[..., 0], gap[..., 1]), axis=1) <= dedup_radius):
+            continue
+        held[len(kept)] = points[i]
         kept.append(i)
         if len(kept) == z:
             break
@@ -468,22 +469,33 @@ def score_and_prune(
     z: int,
     dedup_radius: float,
     bound: AngleBound | float | None = None,
+    counts: dict | None = None,
 ) -> HypothesisSet:
-    """Score every hypothesis of one part, deduplicate, keep the top z.
+    """Score each distinct hypothesis of one part once, deduplicate, keep the top z.
 
-    Scores are the subtree spatial sums, computed for all hypotheses at once
-    with one kernel call per subtree node.  Duplicates are hypotheses whose
-    atomic locations all lie within dedup_radius of a better-scoring
-    survivor.  Scores that agree to 1e-9 keep earlier creation order (see
-    `prune_order`).  Returns the kept rows, best first, with their scores.
+    Only the first copy, in creation order, of rows equal in subtree
+    locations, subtree poses and object size (one unique over their bytes)
+    is scored, by its subtree spatial sum, with one kernel call per subtree
+    node.  Duplicates are hypotheses whose atomic locations all lie within
+    dedup_radius of a better-scoring survivor.  Scores that agree to 1e-9
+    keep earlier creation order (see `prune_order`).  Returns the kept rows,
+    best first, with their scores; `counts["scored"]`, if given, grows by
+    the number of rows scored.
     """
     if not hyps:
         return hyps
+    rows = hierarchy.atom_rows(hyps.node_id)
+    columns = [hierarchy.composite_index(n) for n in hierarchy.composites_below(hyps.node_id)]
+    fields = (hyps.locations[:, rows], hyps.pose[:, columns], hyps.object_size[:, None])
+    key = np.hstack([np.ascontiguousarray(f).reshape(len(hyps), -1).view(np.uint8) for f in fields])
+    _, first = np.unique(key.view(np.dtype((np.void, key.shape[1])))[:, 0], return_index=True)
+    hyps = hyps.take(np.sort(first))
+    if counts is not None:
+        counts["scored"] = counts.get("scored", 0) + len(hyps)
     scores = subtree_scores(
         hyps.locations, hyps.node_id, hyps.pose, hyps.object_size,
         stack, hierarchy, library, weights, bound,
     )
-    rows = hierarchy.atom_rows(hyps.node_id)
     kept = prune_order(scores, hyps.locations[:, rows], z, dedup_radius)
     return replace(hyps, score=scores).take(kept)
 
@@ -650,19 +662,19 @@ def infer(
     lower: dict[int, HypothesisSet] = seeds
     for level in range(2, hierarchy.levels + 1):
         current: dict[int, HypothesisSet] = {}
-        proposed = augmented = 0
+        counts = {"proposed": 0, "augmented": 0, "scored": 0}
         for node_index, node in enumerate(hierarchy.nodes_at_level(level)):
             rng = np.random.default_rng(
                 np.random.SeedSequence(params.seed, spawn_key=(level, node_index))
             )
             raw = propose_hypotheses(node, lower, library, hierarchy, params, rng)
-            proposed += len(raw)
+            counts["proposed"] += len(raw)
             if level > 2:
                 raw = swap_subtrees(raw, lower, hierarchy, params)
-            augmented += len(raw)
+            counts["augmented"] += len(raw)
             current[node.id] = score_and_prune(
                 raw, stack, hierarchy, library, weights,
-                params.z, params.dedup_radius, params.max_angle,
+                params.z, params.dedup_radius, params.max_angle, counts=counts,
             )
         kept = sum(len(v) for v in current.values())
         best = max(
@@ -671,8 +683,7 @@ def infer(
         level_diags.append(
             {
                 "level": level,
-                "proposed": proposed,
-                "augmented": augmented,
+                **counts,
                 "kept": kept,
                 "per_part": {
                     node.name: len(current[node.id])

@@ -10,8 +10,9 @@ composition scores with the one-row `fit_least_squares`, so that exact
 ties break as in the batched selection.
 The scalar scorer, fit, proposal loop, feature composition and per-part
 refinement loop that the batched library code replaced are kept here, as
-they were, to check the batched code against, and so is the plain SGD loop
-that clamps after every step (`naive_train_weights`).
+they were, to check the batched code against, and so are the plain SGD loop
+that clamps after every step (`naive_train_weights`) and the prune that
+drops copies with a row sort before its greedy pass (`naive_prune_order`).
 `exhaustive_best_config` enumerates configurations to check the search.
 """
 
@@ -219,6 +220,25 @@ def naive_subtree_score(hypothesis, stack, hierarchy, library, weights, bound):
         )
 
     return recurse(hypothesis.node_id)
+
+
+def naive_prune_order(scores, points, z, dedup_radius):
+    """The prune as it was before exact copies were dropped ahead of
+    scoring: rank by score rounded to 1e-9 (stable), keep the first copy of
+    each identical (R, 2) point set with a row sort, then greedily skip every
+    row whose points all lie within dedup_radius of a kept row's."""
+    order = np.argsort(-np.round(scores, 9), kind="stable")
+    _, first = np.unique(points[order].reshape(len(order), -1), axis=0, return_index=True)
+    kept = []
+    for i in order[np.sort(first)].tolist():
+        if kept:
+            gap = points[kept] - points[i]
+            if np.any(np.max(np.hypot(gap[..., 0], gap[..., 1]), axis=1) <= dedup_radius):
+                continue
+        kept.append(i)
+        if len(kept) == z:
+            break
+    return kept
 
 
 def naive_fit_least_squares(src, dst, max_angle):

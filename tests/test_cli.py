@@ -683,6 +683,24 @@ def test_eval_segment_must_be_an_object(shared_workspace, capsys):
     assert not (shared_workspace / "out" / "bad_segments.report").exists()
 
 
+def test_eval_normalizer_missing_an_image_names_field_and_image(shared_workspace, capsys):
+    """A normalizer map without an evaluated image printed `error: 'img1'`."""
+    normalizer = {"img0": 1.0, "img2": 1.0, "img3": 1.0}
+    config = eval_config(shared_workspace, "pdj", "short_normalizer", thresholds=[0.1],
+                         normalizer=normalizer)
+    assert main(["eval", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: config 'normalizer' has no entry for image 'img1'\n"
+    assert not (shared_workspace / "out" / "short_normalizer.report").exists()
+
+
+def test_key_error_prints_its_message_without_repr_quotes(shared_workspace, capsys):
+    config = eval_config(shared_workspace, "pcp_segments", "unknown_part",
+                         segments=[{"name": "upper", "a": "la", "b": "zz"}])
+    assert main(["eval", str(config)]) == 1
+    assert capsys.readouterr().err == "error: unknown part name 'zz'\n"
+
+
 def replaced(doc, path, value):
     """A copy of `doc` with the value at `path` (keys and list indices)
     replaced by `value`, or added under the last key."""

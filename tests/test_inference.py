@@ -411,6 +411,19 @@ def test_infer_deterministic(tiny3_setup):
     assert a.diagnostics == b.diagnostics
 
 
+def test_level_diagnostics_count_distinct_rows_scored(tiny3_setup):
+    """Repeated draws and swaps make exact copies, which are scored once."""
+    hierarchy, annotations, library = tiny3_setup
+    scene = scene_for(library, hierarchy, seed=10)
+    params = InferenceParams(z=20, seed=5)
+    result = infer(scene.stack, hierarchy, library, uniform_weights(hierarchy), params)
+    levels = result.diagnostics["levels"]
+    assert "scored" not in levels[0]
+    for level in levels[1:]:
+        assert 0 < level["kept"] <= level["scored"] <= level["augmented"]
+    assert all(level["scored"] < level["augmented"] for level in levels[1:])
+
+
 def test_infer_full_beats_partial(tiny3_setup):
     hierarchy, annotations, library = tiny3_setup
     scene = scene_for(library, hierarchy, seed=11, distractors=3, noise=0.02)

@@ -1,11 +1,12 @@
 """The batched pose-term kernel, the batched feature pass, array-built
-proposals and the one-pass refinement against the scalar oracles in
-`oracles.py`, including typed-error parity on one bad row, and the
-one-pass proposal draw."""
+proposals, the prune and the one-pass refinement against the scalar oracles
+in `oracles.py`, including typed-error parity on one bad row, the one-pass
+proposal draw, and scoring each distinct hypothesis once."""
 
 import math
 import tracemalloc
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from hierpose import Annotation, WeightVector, load_hierarchy
+from hierpose import Annotation, WeightVector, load_hierarchy, scoring
 from hierpose.appearance import LOG_FLOOR, ScaleMaps, ScoreMapStack
 from hierpose.geometry import ChildGeometry, _max_angle, fit_least_squares_batch
 from hierpose.hierarchy import BoundingBox, object_size
@@ -23,6 +24,7 @@ from hierpose.inference import (
     InferenceParams,
     _draw_proposals,
     propose_hypotheses,
+    prune_order,
     refine_hypothesis,
     score_and_prune,
     seed_atomic_hypotheses,
@@ -150,6 +152,118 @@ def test_batched_fit_matches_scalar_fit():
             naive = oracles.naive_fit_least_squares(src[row], dst[row], bound)
             assert (scale[row], angle[row]) == pytest.approx(naive[:2], abs=1e-12)
             assert residual[row] == pytest.approx(naive[2], rel=1e-12, abs=1e-12)
+
+
+# -- exact copies and the prune ------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_prune_order_matches_row_sort_oracle(data):
+    """Exact copies, 1e-12 score ties and gaps that land on the dedup radius
+    keep what the row-sorting prune keeps, in its order."""
+    distinct = data.draw(st.integers(1, 10))
+    width = data.draw(st.integers(1, 3))
+    cell = st.integers(0, 4).map(lambda k: 0.75 * k)
+    base = np.array(data.draw(st.lists(
+        st.lists(st.tuples(cell, cell), min_size=width, max_size=width),
+        min_size=distinct, max_size=distinct,
+    )))  # (distinct, width, 2)
+    base_scores = np.array(data.draw(st.lists(
+        st.sampled_from([-2.0, -1.0, -0.5, 0.0]), min_size=distinct, max_size=distinct
+    )))
+    copies = data.draw(st.lists(st.integers(0, distinct - 1), max_size=12))
+    rows = data.draw(st.permutations(list(range(distinct)) + copies))
+    noise = np.array(data.draw(st.lists(
+        st.sampled_from([-1e-12, 0.0, 1e-12]), min_size=len(rows), max_size=len(rows)
+    )))
+    scores, points = base_scores[rows] + noise, base[rows]
+    z = data.draw(st.integers(1, distinct + 2))
+    radius = data.draw(st.sampled_from([0.0, 0.75, 1.5, 2.0]))
+    expected = oracles.naive_prune_order(scores, points, z, radius)
+    assert prune_order(scores, points, z, radius) == expected
+
+
+def distinct_rows(data):
+    """A model, a part and a set of its rows without exact copies.  The
+    last rows share row 0's points: one has another object size, the other
+    (when the node has more than one exemplar) another pose."""
+    hierarchy, library, stack = model(data.draw(st.sampled_from(sorted(DOCS))))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    node = data.draw(st.sampled_from(hierarchy.composite_nodes))
+    locations, poses, sizes = random_rows(
+        hierarchy, library, node.id, data.draw(st.integers(1, 8)), rng
+    )
+    pose = pose_array(poses, hierarchy)
+    column = hierarchy.composite_index(node.id)
+    other_pose = pose[:1].copy()
+    other_pose[0, column] = (other_pose[0, column] + 1) % library.size(node.id)
+    hyps = HypothesisSet.build(
+        node, hierarchy, np.concatenate([locations, locations[:1], locations[:1]]),
+        np.concatenate([pose, pose[:1], other_pose]),
+        np.concatenate([sizes, 2.0 * sizes[:1], sizes[:1]]),
+    )
+    if library.size(node.id) == 1:
+        hyps = hyps.take(np.arange(len(hyps) - 1))
+    return hierarchy, library, stack, random_weights(hierarchy, rng), hyps
+
+
+def with_copies(data, count):
+    """Row order of `count` distinct rows with exact copies interleaved, each
+    after the first appearance of its row."""
+    order = list(range(count))
+    for _ in range(data.draw(st.integers(0, 2 * count))):
+        row = data.draw(st.integers(0, count - 1))
+        order.insert(data.draw(st.integers(order.index(row) + 1, len(order))), row)
+    return order
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_exact_copies_change_no_kept_row_or_score_bit(data):
+    hierarchy, library, stack, weights, hyps = distinct_rows(data)
+    order = with_copies(data, len(hyps))
+    z = data.draw(st.integers(1, len(hyps) + 1))
+    radius = data.draw(st.sampled_from([0.0, 2.0, 6.0]))
+
+    def scores_of(rows):
+        return subtree_scores(
+            rows.locations, rows.node_id, rows.pose, rows.object_size,
+            stack, hierarchy, library, weights,
+        )
+
+    scores = scores_of(hyps)
+    # each copy scores to its row's bits, whatever else shares the batch
+    assert scores_of(hyps.take(order)).tobytes() == scores[order].tobytes()
+    points = hyps.locations[:, hierarchy.atom_rows(hyps.node_id)]
+    kept = oracles.naive_prune_order(scores, points, z, radius)
+    for rows in (hyps, hyps.take(order)):
+        out = score_and_prune(rows, stack, hierarchy, library, weights, z, radius)
+        assert np.array_equal(out.locations, hyps.locations[kept], equal_nan=True)
+        assert np.array_equal(out.pose, hyps.pose[kept])
+        assert out.object_size.tobytes() == hyps.object_size[kept].tobytes()
+        assert out.score.tobytes() == scores[kept].tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_score_and_prune_scores_each_distinct_row_once(data):
+    hierarchy, library, stack, weights, hyps = distinct_rows(data)
+    rows_seen = []
+    kernel = scoring.pose_terms
+
+    def counted(locations, *args, **kwargs):
+        rows_seen.append(len(locations))
+        return kernel(locations, *args, **kwargs)
+
+    counts = {}
+    with mock.patch.object(scoring, "pose_terms", counted):
+        score_and_prune(
+            hyps.take(with_copies(data, len(hyps))), stack, hierarchy, library, weights,
+            z=4, dedup_radius=2.0, counts=counts,
+        )
+    assert rows_seen == [len(hyps)] * len(hierarchy.composites_below(hyps.node_id))
+    assert counts == {"scored": len(hyps)}
 
 
 # -- typed-error parity ----------------------------------------------------------

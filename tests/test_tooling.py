@@ -1,6 +1,6 @@
 """Smoke checks of the shipped entry points: each demo runs to exit 0,
-every name a module exports resolves, and numpy is the one runtime
-dependency."""
+every name a module exports resolves, numpy is the one runtime
+dependency, and the format notes name every diagnostics key."""
 
 import ast
 import importlib
@@ -14,6 +14,10 @@ from pathlib import Path
 import pytest
 
 import hierpose
+from hierpose import InferenceParams, WeightVector, infer, load_hierarchy
+from hierpose.synth import make_scene
+
+from conftest import annotations_tiny3, library_for, tiny3_doc
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -84,3 +88,20 @@ def test_json_is_parsed_only_by_the_checked_reader():
             if called or imported:
                 parsers.add(path.name)
     assert parsers == {"_json.py"}
+
+
+def test_formats_doc_names_every_diagnostics_key():
+    """Every key of the per-level and summary objects that `infer` writes to
+    the diagnostics JSONL is named in `docs/formats.md`."""
+    text = (ROOT / "docs" / "formats.md").read_text()
+    section = text.split("## Inference diagnostics")[1].split("\n## ")[0]
+    hierarchy = load_hierarchy(tiny3_doc())
+    library, _ = library_for(hierarchy, annotations_tiny3(4))
+    scene = make_scene(library, hierarchy, seed=0, grid=(48, 48))
+    params = InferenceParams(z=4, samples_per_level=80, seed=0)
+    result = infer(scene.stack, hierarchy, library, WeightVector.uniform(hierarchy), params)
+    keys = {key for level in result.diagnostics["levels"] for key in level}
+    keys |= set(result.diagnostics) - {"levels"}
+    assert {"level", "scored", "final_score"} <= keys
+    missing = sorted(key for key in keys if f"`{key}`" not in section)
+    assert not missing, f"docs/formats.md does not name diagnostics keys {missing}"
