@@ -12,13 +12,12 @@ import numpy as np
 
 from hierpose import (
     SimilarityTransform,
-    child_geometry,
     composite_relation,
     fit_least_squares,
     load_hierarchy,
     object_size,
 )
-from hierpose.geometry import fit_two_points_batch
+from hierpose.geometry import child_points, fit_two_points_batch
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -70,7 +69,7 @@ def main():
 
     # pose similarity: minus the residual of the exemplar's fit onto the pose
     print("\n-- pose similarity (zero iff a bound-respecting similarity image) --")
-    arm = child_geometry(POSE, human.id_of("r_arm"), human).points
+    arm = child_points(POSE, human.id_of("r_arm"), human)
     moved = SimilarityTransform(2.0, 0.2, (5.0, -3.0)).apply(arm)
     bent = arm + [(0, 0), (6, -4), (0, 0)]
     print(f"  transformed copy: {-fit_least_squares(arm, moved)[1]:+.2e}")

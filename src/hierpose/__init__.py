@@ -12,9 +12,7 @@ from .appearance import (
 )
 from .geometry import (
     AngleBound,
-    ChildGeometry,
     SimilarityTransform,
-    child_geometry,
     fit_least_squares,
 )
 from .hierarchy import (

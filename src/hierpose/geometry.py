@@ -8,7 +8,11 @@ never produced.
 
 Both fits and the child-geometry extraction work on stacks of H rows at
 once (`fit_two_points_batch`, `fit_least_squares_batch`, `child_points`);
-`fit_least_squares` and `child_geometry` are one-row calls of them.
+`fit_least_squares` is the one-row call of the bounded fit.  The child
+geometry of a composite part stacks its children's points in canonical
+child order: an atomic child gives its location, a composite child its
+anchor point and its tight-box corners (tl, br).  `child_signature` records
+the child kinds, so that only like-for-like geometries are compared.
 """
 
 from __future__ import annotations
@@ -27,8 +31,6 @@ __all__ = [
     "DEFAULT_MAX_ANGLE",
     "AngleBound",
     "SimilarityTransform",
-    "ChildGeometry",
-    "child_geometry",
     "child_points",
     "child_signature",
     "fit_two_points_batch",
@@ -201,30 +203,6 @@ def fit_least_squares(
     return transform, float(residual[0])
 
 
-@dataclass(frozen=True)
-class ChildGeometry:
-    """Stacked child points of one composite part, in canonical child order.
-
-    Atomic children contribute their location; composite children contribute
-    their anchor point followed by their tight-box corners (tl, br).  The
-    signature records the child kinds so that only like-for-like geometries
-    are compared.
-    """
-
-    points: np.ndarray
-    signature: tuple[str, ...]
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        expected = sum(1 if kind == "atom" else 3 for kind in self.signature)
-        if pts.shape != (expected, 2):
-            raise ValueError(
-                f"geometry has {pts.shape} points, signature {self.signature} needs ({expected}, 2)"
-            )
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "signature", tuple(self.signature))
-
-
 def child_signature(node_id: int, hierarchy: PartHierarchy) -> tuple[str, ...]:
     """Child kinds of a composite node in canonical child order."""
     return tuple(
@@ -257,11 +235,4 @@ def child_points(locations, node_id: int, hierarchy: PartHierarchy) -> np.ndarra
     if not np.isfinite(pts).all():
         raise ValueError(f"child geometry of node {node_id} uses undefined locations")
     return pts
-
-
-def child_geometry(X: np.ndarray, node_id: int, hierarchy: PartHierarchy) -> ChildGeometry:
-    """Extract a composite node's child geometry from one configuration."""
-    return ChildGeometry(
-        child_points(X, node_id, hierarchy), child_signature(node_id, hierarchy)
-    )
 

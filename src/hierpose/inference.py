@@ -3,7 +3,8 @@
 Level-1 hypotheses are score-map peaks.  At each level above, exemplars are
 similarity-aligned onto randomly chosen pairs of lower hypotheses (atomic
 locations at level 2, composite anchors above), carrying over the exemplar's
-subtree, object size, and per-node pose choices.  From level 3 up, child
+subtree and object size; every node of the subtree takes the drawn exemplar
+row, since row e of every node comes from one annotation.  From level 3 up, child
 subtrees may additionally be swapped with geometrically compatible lower
 hypotheses.  Exact copies are then dropped, each distinct hypothesis is
 scored once, and near duplicates are pruned to the best Z per part.
@@ -20,7 +21,9 @@ parts of a root in one array pass.
 
 Modes: "full" runs everything; "partial" stops before refinement and traces
 the best root hypothesis; "no-hier" collapses the model to a depth-2
-hierarchy that only uses whole-object exemplars.
+hierarchy that only uses whole-object exemplars (`collapse_model`: the
+root's exemplar rows, with the atomic labels of the same rows of the
+level-2 nodes).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 from .appearance import ScoreMapStack, _greedy_nms, log_marginals_at, top_peaks
 from .geometry import AngleBound, DEFAULT_MAX_ANGLE, fit_two_points_batch, transform_points
 from .hierarchy import BoundingBox, PartHierarchy, PartNode, ScaleParams, object_size
-from .learning import Exemplar, ExemplarLibrary
+from .learning import ExemplarArrays, ExemplarLibrary
 from .scoring import (
     WeightVector,
     best_fit_pose,
@@ -317,17 +320,14 @@ def propose_hypotheses(
     `_draw_proposals`; the fits, transforms and boxes of all draws are then
     computed as arrays.
     """
-    exemplars = library.exemplars(node.id)
-    if not exemplars:
-        return _no_hypotheses(node, hierarchy)
+    table = library.arrays(node.id)
     children = node.children
     pools = [lower.get(child_id) or () for child_id in children]
     counts = [len(pool) for pool in pools]
-    chosen, slots, picks = _draw_proposals(rng, params.samples, len(exemplars), counts)
+    chosen, slots, picks = _draw_proposals(rng, params.samples, len(table.sources), counts)
     if not len(chosen):
         return _no_hypotheses(node, hierarchy)
 
-    table = library.arrays(node.id)
     exemplar_points = np.stack(
         [_alignment_points(table.locations, child_id, hierarchy) for child_id in children],
         axis=1,
@@ -368,17 +368,11 @@ def propose_hypotheses(
     locations[:, rows] = transform_points(
         scale[keep], angle[keep], translation[keep], table.locations[chosen[keep]][:, rows]
     )
-    # every node of the subtree takes the exemplar of the same source
-    pose_nodes = hierarchy.composites_below(node.id)
-    columns = [hierarchy.composite_index(nid) for nid in pose_nodes]
-    used, which = np.unique(chosen[keep], return_inverse=True)
-    pose = np.full((len(used), len(hierarchy.composite_nodes)), -1, dtype=np.intp)
-    for k, index in enumerate(used.tolist()):
-        source = exemplars[index].source
-        pose[k, columns] = [library.for_source(nid, source).index for nid in pose_nodes]
-    return HypothesisSet.build(
-        node, hierarchy, locations, pose[which], scale[keep] * exemplar_size[keep]
-    )
+    # row e of every node comes from one annotation: the subtree takes the drawn row
+    columns = [hierarchy.composite_index(nid) for nid in hierarchy.composites_below(node.id)]
+    pose = np.full((len(keep), len(hierarchy.composite_nodes)), -1, dtype=np.intp)
+    pose[:, columns] = chosen[keep, None]
+    return HypothesisSet.build(node, hierarchy, locations, pose, scale[keep] * exemplar_size[keep])
 
 
 def swap_subtrees(
@@ -568,11 +562,10 @@ def collapse_model(
 ) -> tuple[PartHierarchy, ExemplarLibrary, WeightVector]:
     """Depth-2 view: the root directly over all atoms, whole-object exemplars.
 
-    Atomic relation-type labels of each collapsed exemplar are joined from
-    the level-2 exemplars of the same source annotation.
+    The collapsed root keeps the root's exemplar rows; the atomic
+    relation-type labels of each row are joined from the same row of the
+    level-2 nodes.
     """
-    from .geometry import child_geometry
-
     root = hierarchy.root
     nodes = [
         PartNode(id=pid, name=hierarchy.name_of(pid), level=1)
@@ -591,27 +584,15 @@ def collapse_model(
     flat = PartHierarchy(
         nodes, ScaleParams(hierarchy.scale.reference_length, (factors[0], factors[-1]))
     )
-    exemplars = []
-    for ex in library.exemplars(root.id):
-        labels: dict[int, int] = {}
-        for node in hierarchy.nodes_at_level(2):
-            source_ex = library.for_source(node.id, ex.source)
-            labels.update(source_ex.child_labels)
-        exemplars.append(
-            Exemplar(
-                node_id=root.id,
-                index=ex.index,
-                source=ex.source,
-                object_size=ex.object_size,
-                locations=ex.locations.copy(),
-                child_labels=labels,
-                geometry=child_geometry(ex.locations, root.id, flat),
-            )
-        )
-    alpha, beta = weights.node_weights(hierarchy, root.id)
-    flat_library = ExemplarLibrary(
-        {root.id: exemplars}, library.atomic_bins, composite_bins={}
+    table = library.arrays(root.id)
+    labels = {}
+    for node in hierarchy.nodes_at_level(2):
+        labels.update(library.arrays(node.id).labels)
+    flat_table = ExemplarArrays.of(
+        root.id, flat, table.sources, table.object_size, table.locations, labels
     )
+    alpha, beta = weights.node_weights(hierarchy, root.id)
+    flat_library = ExemplarLibrary({root.id: flat_table}, library.atomic_bins, composite_bins={})
     flat_weights = WeightVector(weights.atomic.copy(), [alpha], [beta], weights.bias)
     return flat, flat_library, flat_weights
 

@@ -1,9 +1,11 @@
 """Exemplar library construction and max-margin weight training.
 
-Exemplars are extracted per composite part from annotated configurations:
-each one stores the child geometry of its node, the full subtree atomic
-locations, the object size of its source pose, and the relation-type label
-of every child.  Weight training is a binary hinge-loss problem solved by
+Exemplars are extracted per composite part from annotated configurations.
+The library holds one set of read-only arrays per composite node: the
+source names, object sizes, subtree atomic locations and child geometry of
+its exemplars, and the relation-type label of every child.  Row e of every
+node comes from the same annotation, so a row index pairs exemplars across
+nodes.  Weight training is a binary hinge-loss problem solved by
 projected stochastic subgradient descent with non-negativity constraints on
 everything except the trailing bias component.
 """
@@ -22,7 +24,7 @@ import numpy as np
 from . import _json
 from ._json import NUMBER, Either, Nullable, Optional
 from .appearance import RelationTypeModel, _Reader
-from .geometry import ChildGeometry, child_geometry
+from .geometry import child_points, child_signature
 from .hierarchy import BoundingBox, PartHierarchy, as_configuration, object_size
 
 LIBRARY_MAGIC = b"HPEL"
@@ -34,7 +36,6 @@ __all__ = [
     "Annotation",
     "load_annotations",
     "save_annotations",
-    "Exemplar",
     "ExemplarArrays",
     "ExemplarLibrary",
     "LibraryError",
@@ -113,118 +114,78 @@ def save_annotations(annotations, hierarchy: PartHierarchy, path) -> None:
     Path(path).write_text(json.dumps(records, indent=2, sort_keys=True) + "\n")
 
 
-@dataclass
-class Exemplar:
-    """Stored pose of one composite part, extracted from a source annotation."""
-
-    node_id: int
-    index: int
-    source: str
-    object_size: float
-    locations: np.ndarray  # (N, 2); NaN outside the node's subtree
-    child_labels: dict[int, int]
-    geometry: ChildGeometry
+class LibraryError(ValueError):
+    """An exemplar library is malformed or does not fit the hierarchy."""
 
 
-@dataclass(frozen=True)
+def _read_only(values, dtype) -> np.ndarray:
+    """A read-only copy, so that no other reference can write it."""
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True, eq=False)
 class ExemplarArrays:
-    """One node's exemplars stacked in index order, for batched lookups."""
+    """The exemplars of one composite node, stacked in row order.
 
-    geometry: np.ndarray  # (E, K, 2) child geometry points
-    signature: tuple[str, ...]
-    labels: dict[int, np.ndarray]  # child -> (E,) relation-type labels
-    locations: np.ndarray  # (E, N, 2); NaN outside the node's subtree
+    Every array is a read-only copy.  `geometry` is derived from
+    `locations` once, by `of`, so an in-place edit would leave it stale.
+    """
+
+    sources: tuple[str, ...]  # (E,) source annotation names
     object_size: np.ndarray  # (E,)
+    locations: np.ndarray  # (E, N, 2); NaN outside the node's subtree
+    labels: dict[int, np.ndarray]  # child -> (E,) relation-type labels
+    geometry: np.ndarray  # (E, K, 2) child geometry points
+    signature: tuple[str, ...]  # child kinds, see `child_signature`
+
+    def __post_init__(self):
+        object.__setattr__(self, "sources", tuple(self.sources))
+        for name in ("object_size", "locations", "geometry"):
+            object.__setattr__(self, name, _read_only(getattr(self, name), float))
+        labels = {child: _read_only(values, np.intp) for child, values in self.labels.items()}
+        object.__setattr__(self, "labels", labels)
+
+    @classmethod
+    def of(cls, node_id, hierarchy, sources, object_size, locations, labels) -> "ExemplarArrays":
+        """The node's tables, with the child geometry of `locations`."""
+        return cls(
+            sources, object_size, locations, labels,
+            child_points(locations, node_id, hierarchy), child_signature(node_id, hierarchy),
+        )
 
 
 class ExemplarLibrary:
-    """Per-composite-node exemplar lists plus relation-type channel counts."""
+    """One `ExemplarArrays` per composite node, plus relation-type channel counts.
+
+    Every node lists the same sources in the same order: row e of one node
+    and row e of any other come from the same annotation, so a row index
+    pairs exemplars across nodes.
+    """
 
     def __init__(
         self,
-        nodes: dict[int, list[Exemplar]],
+        nodes: dict[int, ExemplarArrays],
         atomic_bins: dict[int, int],
         composite_bins: dict[int, int],
     ):
-        self.nodes = {nid: list(exs) for nid, exs in nodes.items()}
+        self.nodes = dict(nodes)
         self.atomic_bins = dict(atomic_bins)
         self.composite_bins = dict(composite_bins)
-        self._by_source: dict[int, dict[str, int]] = {
-            nid: {ex.source: ex.index for ex in exs} for nid, exs in self.nodes.items()
-        }
-        self._arrays: dict[int, ExemplarArrays] = {}
+        sources = {table.sources for table in self.nodes.values()}
+        if len({len(names) for names in sources}) > 1:
+            raise LibraryError("library nodes hold different exemplar counts")
+        if len(sources) > 1:
+            raise LibraryError("library nodes do not list the same sources in the same order")
+        if not any(sources):
+            raise LibraryError("library holds no exemplars")
 
-    def exemplars(self, node_id: int) -> list[Exemplar]:
+    def arrays(self, node_id: int) -> ExemplarArrays:
         try:
             return self.nodes[node_id]
         except KeyError:
             raise KeyError(f"library has no exemplars for node {node_id}") from None
-
-    def get(self, node_id: int, index: int) -> Exemplar:
-        return self.exemplars(node_id)[index]
-
-    def for_source(self, node_id: int, source: str) -> Exemplar:
-        try:
-            return self.nodes[node_id][self._by_source[node_id][source]]
-        except KeyError:
-            raise KeyError(f"node {node_id} has no exemplar from source {source!r}") from None
-
-    def size(self, node_id: int) -> int:
-        return len(self.exemplars(node_id))
-
-    def arrays(self, node_id: int) -> ExemplarArrays:
-        """The node's exemplars as stacked arrays, built on first use; the
-        library's exemplars are not to be changed after that."""
-        cached = self._arrays.get(node_id)
-        if cached is None:
-            exemplars = self.exemplars(node_id)
-            if not exemplars:
-                raise ValueError(f"empty exemplar library for node {node_id}")
-            signature = exemplars[0].geometry.signature
-            if any(ex.geometry.signature != signature for ex in exemplars):
-                raise ValueError(f"exemplars of node {node_id} mix child geometry signatures")
-            cached = ExemplarArrays(
-                geometry=np.stack([ex.geometry.points for ex in exemplars]),
-                signature=signature,
-                labels={
-                    child: np.array([ex.child_labels[child] for ex in exemplars])
-                    for child in exemplars[0].child_labels
-                },
-                locations=np.stack([ex.locations for ex in exemplars]),
-                object_size=np.array([ex.object_size for ex in exemplars]),
-            )
-            self._arrays[node_id] = cached
-        return cached
-
-
-def _extract_exemplar(
-    ann: Annotation,
-    node_id: int,
-    index: int,
-    hierarchy: PartHierarchy,
-    type_model: RelationTypeModel,
-) -> Exemplar:
-    X = ann.points
-    node = hierarchy.node(node_id)
-    labels: dict[int, int] = {}
-    for child_id in node.children:
-        child = hierarchy.node(child_id)
-        if child.is_atomic:
-            labels[child_id] = type_model.atomic_label(X, child_id, hierarchy)
-        else:
-            labels[child_id] = type_model.composite_label(X, child_id, hierarchy)
-    locations = np.full_like(X, np.nan)
-    rows = hierarchy.atom_rows(node_id)
-    locations[rows] = X[rows]
-    return Exemplar(
-        node_id=node_id,
-        index=index,
-        source=ann.image,
-        object_size=object_size(X),
-        locations=locations,
-        child_labels=labels,
-        geometry=child_geometry(X, node_id, hierarchy),
-    )
 
 
 def build_library(
@@ -232,19 +193,35 @@ def build_library(
     hierarchy: PartHierarchy,
     type_model: RelationTypeModel,
 ) -> ExemplarLibrary:
-    """Extract one exemplar per (annotation, composite node).
+    """Extract one exemplar per (annotation, composite node); row e of every
+    node comes from annotation e.
 
     Every composite part is treated as a standalone object whose exemplars
     only model the spatial layout of its children.
     """
-    nodes: dict[int, list[Exemplar]] = {n.id: [] for n in hierarchy.composite_nodes}
+    annotations = list(annotations)
     for ann in annotations:
         if object_size(ann.points) <= 0:
             raise ValueError(f"degenerate annotation {ann.image!r}: all points identical")
-        for node in hierarchy.composite_nodes:
-            nodes[node.id].append(
-                _extract_exemplar(ann, node.id, len(nodes[node.id]), hierarchy, type_model)
-            )
+    points = np.reshape(
+        [ann.points for ann in annotations], (len(annotations), hierarchy.atomic_count, 2)
+    )
+    sources = [ann.image for ann in annotations]
+    sizes = [object_size(X) for X in points]
+    nodes = {}
+    for node in hierarchy.composite_nodes:
+        labels = {
+            child: [
+                type_model.atomic_label(X, child, hierarchy) if hierarchy.node(child).is_atomic
+                else type_model.composite_label(X, child, hierarchy)
+                for X in points
+            ]
+            for child in node.children
+        }
+        locations = np.full_like(points, np.nan)
+        rows = hierarchy.atom_rows(node.id)
+        locations[:, rows] = points[:, rows]
+        nodes[node.id] = ExemplarArrays.of(node.id, hierarchy, sources, sizes, locations, labels)
     return ExemplarLibrary(
         nodes,
         atomic_bins=type_model.atomic_bins_map(hierarchy),
@@ -270,24 +247,21 @@ def save_library(library: ExemplarLibrary, path) -> None:
     pack_bins(library.composite_bins)
     out += struct.pack("<I", len(library.nodes))
     for node_id in sorted(library.nodes):
-        exemplars = library.nodes[node_id]
-        out += struct.pack("<II", node_id, len(exemplars))
-        for ex in exemplars:
-            raw = ex.source.encode("utf-8")
+        table = library.nodes[node_id]
+        children = sorted(table.labels)
+        out += struct.pack("<II", node_id, len(table.sources))
+        for e, source in enumerate(table.sources):
+            raw = source.encode("utf-8")
             out += struct.pack("<I", len(raw)) + raw
-            out += struct.pack("<d", ex.object_size)
-            rows = np.nonzero(np.isfinite(ex.locations[:, 0]))[0]
+            out += struct.pack("<d", table.object_size[e])
+            rows = np.nonzero(np.isfinite(table.locations[e, :, 0]))[0]
             out += struct.pack("<I", len(rows))
             out += rows.astype("<u4").tobytes()
-            out += ex.locations[rows].astype("<f8").tobytes()
-            out += struct.pack("<I", len(ex.child_labels))
-            for child_id in sorted(ex.child_labels):
-                out += struct.pack("<II", child_id, ex.child_labels[child_id])
+            out += table.locations[e, rows].astype("<f8").tobytes()
+            out += struct.pack("<I", len(children))
+            for child in children:
+                out += struct.pack("<II", child, table.labels[child][e])
     Path(path).write_bytes(bytes(out))
-
-
-class LibraryError(ValueError):
-    """An exemplar-library file is malformed or does not fit the hierarchy."""
 
 
 def load_library(path, hierarchy: PartHierarchy) -> ExemplarLibrary:
@@ -298,7 +272,9 @@ def load_library(path, hierarchy: PartHierarchy) -> ExemplarLibrary:
     subtree rows with finite coordinates and a finite positive object size,
     and labels one child of the node each, within the child's bin count.
     Keys are strictly increasing, as `save_library` writes them, so a file
-    that loads re-saves bit-exact.  Anything else raises `LibraryError`.
+    that loads re-saves bit-exact.  Every node must list the same sources in
+    the same order (see `ExemplarLibrary`).  Anything else raises
+    `LibraryError`.
     """
     reader = _Reader(Path(path).read_bytes(), LibraryError, "library")
 
@@ -318,7 +294,7 @@ def load_library(path, hierarchy: PartHierarchy) -> ExemplarLibrary:
     atomic_bins = pairs(*reader.unpack("<I"), "atomic bin parts")
     composite_bins = pairs(*reader.unpack("<I"), "composite bin parts")
     (n_nodes,) = reader.unpack("<I")
-    nodes: dict[int, list[Exemplar]] = {}
+    nodes: dict[int, ExemplarArrays] = {}
     n_parts = hierarchy.atomic_count
     for _ in range(n_nodes):
         node_id, n_ex = reader.unpack("<II")
@@ -335,17 +311,18 @@ def load_library(path, hierarchy: PartHierarchy) -> ExemplarLibrary:
             child: (atomic_bins if hierarchy.node(child).is_atomic else composite_bins).get(child, 0)
             for child in node.children
         }
-        exemplars = []
+        sources, sizes, locations, labels = [], [], [], {child: [] for child in node.children}
         for index in range(n_ex):
             where = f"exemplar {index} of node {node_id}"
             (source_len,) = reader.unpack("<I")
             try:
-                source = str(reader.take(source_len), "utf-8")
+                sources.append(str(reader.take(source_len), "utf-8"))
             except UnicodeDecodeError:
                 raise LibraryError(f"{where}: source name is not UTF-8") from None
             (size_value,) = reader.unpack("<d")
             if not (math.isfinite(size_value) and size_value > 0):
                 raise LibraryError(f"{where}: object size {size_value!r} is not finite and positive")
+            sizes.append(size_value)
             (n_atoms,) = reader.unpack("<I")
             stored_rows = reader.array("<u4", n_atoms, (n_atoms,))
             coords = reader.array("<f8", 2 * n_atoms, (n_atoms, 2))
@@ -353,28 +330,20 @@ def load_library(path, hierarchy: PartHierarchy) -> ExemplarLibrary:
                 raise LibraryError(f"{where}: atom rows are not the node's subtree rows")
             if not np.isfinite(coords).all():
                 raise LibraryError(f"{where}: non-finite coordinates")
-            locations = np.full((n_parts, 2), np.nan)
-            locations[rows] = coords
-            labels = pairs(*reader.unpack("<I"), f"{where}: label children")
-            if sorted(labels) != sorted(node.children):
+            placed = np.full((n_parts, 2), np.nan)
+            placed[rows] = coords
+            locations.append(placed)
+            stored = pairs(*reader.unpack("<I"), f"{where}: label children")
+            if sorted(stored) != sorted(node.children):
                 raise LibraryError(f"{where}: labels are not one per child of the node")
-            for child, label in labels.items():
+            for child, label in stored.items():
                 if not 1 <= label <= bins[child]:
                     raise LibraryError(
                         f"{where}: label {label} of child {child} is outside 1..{bins[child]}"
                     )
-            exemplars.append(
-                Exemplar(
-                    node_id=node_id,
-                    index=index,
-                    source=source,
-                    object_size=size_value,
-                    locations=locations,
-                    child_labels=labels,
-                    geometry=child_geometry(locations, node_id, hierarchy),
-                )
-            )
-        nodes[node_id] = exemplars
+                labels[child].append(label)
+        locations = np.reshape(locations, (n_ex, n_parts, 2))
+        nodes[node_id] = ExemplarArrays.of(node_id, hierarchy, sources, sizes, locations, labels)
     if reader.pos != len(reader.data):
         raise LibraryError("trailing bytes after library payload")
     return ExemplarLibrary(nodes, atomic_bins, composite_bins)

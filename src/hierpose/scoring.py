@@ -179,13 +179,14 @@ def best_fit_pose(
     hierarchy: PartHierarchy,
     bound: AngleBound | float | None = None,
 ) -> tuple[int, float]:
-    """Exemplar of the node whose pose best matches X (ties: lowest index)."""
+    """Row of the node's exemplar whose pose best matches X (ties: lowest
+    index), and its alignment score."""
     table = library.arrays(node_id)
     _check_signature(table.signature, node_id, hierarchy)
     best, similarity = _best_fits(
         table.geometry, child_points(np.asarray(X, dtype=float)[None], node_id, hierarchy), bound
     )
-    return library.get(node_id, int(best[0])).index, float(similarity[0])
+    return int(best[0]), float(similarity[0])
 
 
 def _best_fits(exemplars: np.ndarray, current: np.ndarray, bound) -> tuple[np.ndarray, np.ndarray]:

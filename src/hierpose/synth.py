@@ -41,25 +41,23 @@ def generate_pose(
     """Sample a configuration top-down from the exemplar library.
 
     The root exemplar fixes the layout of its children; each composite child
-    picks its own exemplar (from the same source annotation unless `mix`)
-    and is similarity-aligned onto the anchor/box the parent assigned to it,
-    recursing down to the atomic leaves.  `assignment` pins exemplar choices
-    per node.  Returns the configuration and the per-node choices made.
+    picks its own exemplar (the parent's row, that is, the exemplar of the
+    same annotation, unless `mix`) and is similarity-aligned onto the
+    anchor/box the parent assigned to it, recursing down to the atomic
+    leaves.  `assignment` pins exemplar rows per node.  Returns the
+    configuration and the per-node rows chosen.
     """
     chosen: dict[int, int] = {}
 
-    def pick(node_id: int, source: str | None) -> int:
+    def pick(node_id: int, parent_row: int | None) -> int:
         if assignment is not None and node_id in assignment:
-            index = assignment[node_id]
-        elif mix or source is None:
-            count = library.size(node_id)
-            if count == 0:
-                raise ValueError(f"empty exemplar library for node {node_id}")
-            index = int(rng.integers(count))
+            row = assignment[node_id]
+        elif mix or parent_row is None:
+            row = int(rng.integers(len(library.arrays(node_id).sources)))
         else:
-            index = library.for_source(node_id, source).index
-        chosen[node_id] = index
-        return index
+            row = parent_row
+        chosen[node_id] = row
+        return row
 
     X = np.full((hierarchy.atomic_count, 2), np.nan)
 
@@ -69,24 +67,24 @@ def generate_pose(
             [hierarchy.anchor_point(locations, node_id), box.top_left, box.bottom_right]
         )
 
-    def place(node_id: int, transform: SimilarityTransform, exemplar) -> None:
+    def place(node_id: int, transform: SimilarityTransform, row: int) -> None:
         node = hierarchy.node(node_id)
-        placed = np.full_like(exemplar.locations, np.nan)
+        locations = library.arrays(node_id).locations[row]
+        placed = np.full_like(locations, np.nan)
         rows = hierarchy.atom_rows(node_id)
-        placed[rows] = transform.apply(exemplar.locations[rows])
+        placed[rows] = transform.apply(locations[rows])
         for child_id in node.children:
             child = hierarchy.node(child_id)
             if child.is_atomic:
                 X[hierarchy.atom_index(child_id)] = placed[hierarchy.atom_index(child_id)]
             else:
                 target = anchor_box_points(placed, child_id)
-                child_ex = library.get(child_id, pick(child_id, exemplar.source))
-                source_pts = anchor_box_points(child_ex.locations, child_id)
-                fit, _ = fit_least_squares(source_pts, target, bound=np.pi)
-                place(child_id, fit, child_ex)
+                child_row = pick(child_id, row)
+                source = library.arrays(child_id).locations[child_row]
+                fit, _ = fit_least_squares(anchor_box_points(source, child_id), target, bound=np.pi)
+                place(child_id, fit, child_row)
 
-    root_ex = library.get(hierarchy.root.id, pick(hierarchy.root.id, None))
-    place(hierarchy.root.id, SimilarityTransform.identity(), root_ex)
+    place(hierarchy.root.id, SimilarityTransform.identity(), pick(hierarchy.root.id, None))
     if not np.isfinite(X).all():
         raise RuntimeError("pose generation left unplaced atomic parts")
     return X, chosen
@@ -229,16 +227,13 @@ def make_scene(
         X = np.floor(X + 0.5)
 
     atomic_labels: dict[int, int] = {}
-    for node in hierarchy.nodes_at_level(2):
-        exemplar = library.get(node.id, chosen[node.id])
-        for child_id in node.children:
-            atomic_labels[child_id] = exemplar.child_labels[child_id]
     composite_labels: dict[int, int] = {}
-    for level in range(3, hierarchy.levels + 1):
+    for level in range(2, hierarchy.levels + 1):
+        target = atomic_labels if level == 2 else composite_labels
         for node in hierarchy.nodes_at_level(level):
-            exemplar = library.get(node.id, chosen[node.id])
+            labels = library.arrays(node.id).labels
             for child_id in node.children:
-                composite_labels[child_id] = exemplar.child_labels[child_id]
+                target[child_id] = int(labels[child_id][chosen[node.id]])
 
     stack = render_score_maps(
         X,
@@ -269,8 +264,7 @@ def make_scene(
         "scales": list(scales),
         "assignment": {str(node): index for node, index in sorted(chosen.items())},
         "sources": {
-            str(node): library.get(node, index).source
-            for node, index in sorted(chosen.items())
+            str(node): library.arrays(node).sources[row] for node, row in sorted(chosen.items())
         },
     }
     return SynthScene(configuration=X, stack=stack, provenance=provenance)

@@ -18,23 +18,27 @@ drops copies with a row sort before its greedy pass (`naive_prune_order`).
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy import optimize
 
 from hierpose.appearance import LOG_FLOOR, PROB_FLOOR
-from hierpose.geometry import (
-    ChildGeometry,
-    SimilarityTransform,
-    _max_angle,
-    fit_least_squares,
-)
+from hierpose.geometry import SimilarityTransform, _max_angle, fit_least_squares
 from hierpose.hierarchy import BoundingBox, object_size
 from hierpose.inference import Hypothesis, _draw_proposals
 from hierpose.learning import hinge_objective
 from hierpose.scoring import feature_length, pose_terms, refinement_score, total_score
 
 FLOOR = 1e-6
+
+
+class NaiveChildGeometry(NamedTuple):
+    """Stacked child points of one composite part and the child kinds
+    ("atom" or "comp") they come from, in canonical child order."""
+
+    points: np.ndarray
+    signature: tuple[str, ...]
 
 
 def _nearest_scale(stack, scale):
@@ -107,7 +111,19 @@ def naive_child_geometry(X, node_id, hierarchy):
     pts = np.stack(pts)
     if not np.isfinite(pts).all():
         raise ValueError(f"child geometry of node {node_id} uses undefined locations")
-    return ChildGeometry(pts, tuple(sig))
+    return NaiveChildGeometry(pts, tuple(sig))
+
+
+def stored_geometry(library, node_id, index):
+    """The child geometry the library stores for exemplar row `index`."""
+    table = library.arrays(node_id)
+    return NaiveChildGeometry(table.geometry[index], table.signature)
+
+
+def stored_labels(library, node_id, index):
+    """{child: relation-type label} of exemplar row `index` of a node."""
+    labels = library.arrays(node_id).labels
+    return {child: int(values[index]) for child, values in labels.items()}
 
 
 def naive_similarity(current, exemplar, bound):
@@ -123,14 +139,14 @@ def naive_similarity(current, exemplar, bound):
 def naive_best_fit(X, node_id, library, hierarchy, bound):
     current = naive_child_geometry(X, node_id, hierarchy)
     best_index, best_value = None, -np.inf
-    for ex in library.exemplars(node_id):
-        value = naive_similarity(current, ex.geometry, bound)
+    for index in range(len(library.arrays(node_id).sources)):
+        value = naive_similarity(current, stored_geometry(library, node_id, index), bound)
         if value > best_value:
-            best_index, best_value = ex.index, value
+            best_index, best_value = index, value
     return best_index, best_value
 
 
-def naive_pose_log_prob(X, node_id, exemplar, stack, hierarchy, size):
+def naive_pose_log_prob(X, node_id, labels, stack, hierarchy, size):
     if not size > 0:
         raise ValueError("degenerate object: zero-extent bounding box")
     node = hierarchy.node(node_id)
@@ -138,7 +154,7 @@ def naive_pose_log_prob(X, node_id, exemplar, stack, hierarchy, size):
     maps = stack.scales[_nearest_scale(stack, scale)]
     total = 0.0
     for child in node.children:
-        label = exemplar.child_labels[child]
+        label = labels[child]
         if hierarchy.node(child).is_atomic:
             point = X[hierarchy.atom_index(child)]
             joint = None
@@ -179,8 +195,8 @@ def naive_spatial(X, stack, hierarchy, library, weights, bound):
         alpha = weights.pose_appearance[index]
         beta = weights.pose_similarity[index]
         best_index, best_value = naive_best_fit(X, node.id, library, hierarchy, bound)
-        exemplar = library.get(node.id, best_index)
-        log_prob = naive_pose_log_prob(X, node.id, exemplar, stack, hierarchy, size)
+        labels = stored_labels(library, node.id, best_index)
+        log_prob = naive_pose_log_prob(X, node.id, labels, stack, hierarchy, size)
         total += alpha * log_prob + beta * best_value
     return total
 
@@ -206,11 +222,11 @@ def naive_subtree_score(hypothesis, stack, hierarchy, library, weights, bound):
         index = hypothesis.pose.get(node_id)
         if index is None:
             raise ValueError(f"hypothesis subtree is missing a pose for node {node_id}")
-        exemplar = library.get(node_id, index)
         current = naive_child_geometry(hypothesis.locations, node_id, hierarchy)
-        similarity = naive_similarity(current, exemplar.geometry, bound)
+        similarity = naive_similarity(current, stored_geometry(library, node_id, index), bound)
         log_prob = naive_pose_log_prob(
-            hypothesis.locations, node_id, exemplar, stack, hierarchy, hypothesis.object_size
+            hypothesis.locations, node_id, stored_labels(library, node_id, index),
+            stack, hierarchy, hypothesis.object_size,
         )
         position = composites.index(node_id)
         return (
@@ -304,19 +320,21 @@ def naive_propose_hypotheses(node, lower, library, hierarchy, params, rng):
     after the draw is recomputed here one draw at a time.  `lower` maps
     child parts to `HypothesisSet`s; the drawn rows are read one by one
     through `HypothesisSet.row`, and the result is a list of `Hypothesis`
-    rows."""
-    exemplars = library.exemplars(node.id)
+    rows.  The pose of every subtree node is that node's exemplar with the
+    drawn exemplar's source name, looked up by name, so that the library's
+    pairing by row is checked on libraries whose names are distinct."""
+    table = library.arrays(node.id)
     children = node.children
     rows = hierarchy.atom_rows(node.id)
     pose_nodes = _naive_composites_below(node.id, hierarchy)
     pools = [lower.get(child_id) or [] for child_id in children]
-    draws = _draw_proposals(rng, params.samples, len(exemplars), [len(p) for p in pools])
+    draws = _draw_proposals(rng, params.samples, len(table.sources), [len(p) for p in pools])
     out = []
     for index, slots, picks in zip(*(d.tolist() for d in draws)):
-        exemplar = exemplars[index]
+        exemplar_locations, exemplar_size = table.locations[index], table.object_size[index]
         chosen = [(children[slot], pools[slot].row(pick)) for slot, pick in zip(slots, picks)]
         src = np.array([
-            _naive_alignment_point(exemplar.locations, cid, hierarchy) for cid, _ in chosen
+            _naive_alignment_point(exemplar_locations, cid, hierarchy) for cid, _ in chosen
         ])
         dst = np.array([
             _naive_alignment_point(hyp.locations, cid, hierarchy) for cid, hyp in chosen
@@ -327,16 +345,17 @@ def naive_propose_hypotheses(node, lower, library, hierarchy, params, rng):
                 continue
         else:
             child_hyp = chosen[0][1]
-            if child_hyp.object_size <= 0 or exemplar.object_size <= 0:
+            if child_hyp.object_size <= 0 or exemplar_size <= 0:
                 continue
-            scale = child_hyp.object_size / exemplar.object_size
+            scale = child_hyp.object_size / exemplar_size
             transform = SimilarityTransform(scale, 0.0, dst[0] - scale * src[0])
-        locations = np.full_like(exemplar.locations, np.nan)
-        locations[rows] = transform.apply(exemplar.locations[rows])
-        pose = {nid: library.for_source(nid, exemplar.source).index for nid in pose_nodes}
+        locations = np.full_like(exemplar_locations, np.nan)
+        locations[rows] = transform.apply(exemplar_locations[rows])
+        source = table.sources[index]
+        pose = {nid: library.arrays(nid).sources.index(source) for nid in pose_nodes}
         out.append(Hypothesis(
             node.id, node.level, locations, pose,
-            transform.scale * exemplar.object_size,
+            transform.scale * exemplar_size,
             BoundingBox(locations[rows].min(axis=0), locations[rows].max(axis=0)),
         ))
     return out
@@ -424,10 +443,10 @@ def _one_row_best_fit(X, node_id, library, hierarchy, bound):
     checks the selection up to such ties (test_scoring)."""
     current = naive_child_geometry(X, node_id, hierarchy)
     best_index, best_value = None, -np.inf
-    for ex in library.exemplars(node_id):
-        value = -fit_least_squares(ex.geometry.points, current.points, bound)[1]
+    for index, geometry in enumerate(library.arrays(node_id).geometry):
+        value = -fit_least_squares(geometry, current.points, bound)[1]
         if value > best_value:
-            best_index, best_value = ex.index, value
+            best_index, best_value = index, value
     return best_index
 
 
@@ -455,12 +474,6 @@ def naive_train_weights(training, c=1.0, epochs=200, seed=0):
     return w, hinge_objective(w, training, c)
 
 
-def _geometry_points(geometry) -> np.ndarray:
-    if isinstance(geometry, ChildGeometry):
-        return geometry.points
-    return np.asarray(geometry, dtype=float)
-
-
 def grid_search_pose_similarity(
     current,
     exemplar,
@@ -478,8 +491,8 @@ def grid_search_pose_similarity(
     centroid offset of each scale/angle cell) and polishes the best cell with
     a bounded local minimizer.  Used to cross-check the closed-form fit.
     """
-    cur = _geometry_points(current)
-    ex = _geometry_points(exemplar)
+    cur = np.asarray(current, dtype=float)
+    ex = np.asarray(exemplar, dtype=float)
     max_angle = _max_angle(bound)
     k = cur.shape[0]
 

@@ -42,7 +42,7 @@ from conftest import (
     tiny2_doc,
     tiny3_doc,
 )
-from oracles import exhaustive_best_config, grid_search_pose_similarity
+from oracles import exhaustive_best_config, grid_search_pose_similarity, stored_labels
 
 
 def report(criterion: int, label: str, started: float, detail: str = ""):
@@ -142,9 +142,8 @@ def tiny_instance(seed: int):
     which = int(rng.integers(3))
     offset = rng.integers(0, 6, size=2).astype(float)
     truth = annotations[which].points + offset
-    exemplar = library.for_source(10, f"s{which}")
     stack = render_score_maps(
-        truth, hierarchy, dict(exemplar.child_labels), {},
+        truth, hierarchy, stored_labels(library, 10, which), {},
         library.atomic_bins, {}, grid=(24, 24), sigma=1.2,
     )
     weights = WeightVector([1.0, 1.0, 1.0], [0.3], [0.1], 0.0)

@@ -215,18 +215,32 @@ def test_infer_missing_maps_exit_1(workspace, capsys):
     assert "nowhere.hpsm" in capsys.readouterr().err
 
 
-def test_infer_corrupt_library_exit_1(workspace, capsys):
+def infer_with_edited_library(workspace, capsys, old: bytes, new: bytes) -> str:
+    """stderr of a failed `infer` after the first `old` in the library file
+    is replaced by `new`."""
     path = workspace / "library.hpel"
     data = path.read_bytes()
+    assert data.count(old) >= 1
+    path.write_bytes(data.replace(old, new, 1))
+    assert main(["infer", str(infer_config(workspace))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    return err
+
+
+def test_infer_corrupt_library_exit_1(workspace, capsys):
     # the atom rows 0, 1, 2 of the first exemplar of node 10; row 1000 lies
     # past the end of the configuration
     rows = struct.pack("<3I", 0, 1, 2)
-    assert data.count(rows) >= 1
-    path.write_bytes(data.replace(rows, struct.pack("<3I", 1000, 1, 2), 1))
-    assert main(["infer", str(infer_config(workspace))]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "subtree rows" in err
-    assert "Traceback" not in err
+    err = infer_with_edited_library(workspace, capsys, rows, struct.pack("<3I", 1000, 1, 2))
+    assert "subtree rows" in err
+
+
+def test_infer_library_sources_out_of_step_exit_1(workspace, capsys):
+    # renames the source of the first exemplar of node 10 only
+    err = infer_with_edited_library(workspace, capsys, b"img0", b"mix0")
+    assert "same sources in the same order" in err
 
 
 def test_infer_nan_bias_exit_1(workspace, capsys):

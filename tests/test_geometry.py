@@ -8,10 +8,9 @@ from hierpose import (
     ExemplarLibrary,
     SimilarityTransform,
     best_fit_pose,
-    child_geometry,
     fit_least_squares,
 )
-from hierpose.geometry import fit_two_points_batch, transform_points
+from hierpose.geometry import child_points, child_signature, fit_two_points_batch, transform_points
 
 from conftest import annotations_tiny3, library_for
 from oracles import grid_search_pose_similarity
@@ -154,7 +153,7 @@ def test_pose_similarity_signature_mismatch(tiny3):
     # level-2 exemplars (three atoms) filed under the root (two composites)
     library, _ = library_for(tiny3, annotations_tiny3(3))
     misfiled = ExemplarLibrary(
-        {20: library.exemplars(10)}, library.atomic_bins, library.composite_bins
+        {20: library.arrays(10)}, library.atomic_bins, library.composite_bins
     )
     with pytest.raises(ValueError, match="signature"):
         best_fit_pose(annotations_tiny3(1)[0].points, 20, misfiled, tiny3)
@@ -175,9 +174,7 @@ def test_pose_similarity_transform_invariance_of_current():
 
 def test_child_geometry_signature(tiny3):
     X = np.arange(12, dtype=float).reshape(6, 2)
-    level2 = child_geometry(X, 10, tiny3)
-    assert level2.signature == ("atom", "atom", "atom")
-    assert level2.points.shape == (3, 2)
-    root = child_geometry(X, 20, tiny3)
-    assert root.signature == ("comp", "comp")
-    assert root.points.shape == (6, 2)
+    assert child_signature(10, tiny3) == ("atom", "atom", "atom")
+    assert child_points(X, 10, tiny3).shape == (3, 2)
+    assert child_signature(20, tiny3) == ("comp", "comp")
+    assert child_points(X, 20, tiny3).shape == (6, 2)

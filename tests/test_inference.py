@@ -13,7 +13,12 @@ from hierpose import (
     subtree_score,
 )
 from hierpose.appearance import ScaleMaps, ScoreMapStack
-from hierpose.geometry import SimilarityTransform, fit_two_points_batch, transform_points
+from hierpose.geometry import (
+    SimilarityTransform,
+    fit_least_squares,
+    fit_two_points_batch,
+    transform_points,
+)
 from hierpose.hierarchy import BoundingBox
 from hierpose.inference import (
     Hypothesis,
@@ -26,7 +31,7 @@ from hierpose.inference import (
     swap_subtrees,
 )
 from hierpose.scoring import subtree_scores
-from hierpose.synth import make_scene
+from hierpose.synth import generate_pose, make_scene
 
 from conftest import annotations_tiny3, library_for
 
@@ -123,10 +128,40 @@ def test_propose_exact_alignment(tiny3_setup):
         rows = hierarchy.atom_rows(node.id)
         errors = []
         for hyp in raw:
-            if library.get(node.id, hyp.pose[node.id]).source != source:
+            if library.arrays(node.id).sources[hyp.pose[node.id]] != source:
                 continue
             errors.append(np.abs(hyp.locations[rows] - X[rows]).max())
         assert errors and min(errors) < 1e-6
+
+
+def test_rows_pair_exemplars_when_source_names_repeat(tiny3):
+    """Two annotations of one image: every pose column of a proposal names
+    the exemplar row it placed, and an unmixed pose keeps one annotation."""
+    annotations = annotations_tiny3(3)
+    for ann, name in zip(annotations, ("img", "img", "other")):
+        ann.image = name
+    library, _ = library_for(tiny3, annotations)
+    lower = level1_from_truth(tiny3, annotations[0].points)
+    params = InferenceParams(z=5, samples_per_level=60, seed=0)
+    rng = np.random.default_rng(0)
+    for level in (2, 3):
+        current = {}
+        for node in tiny3.nodes_at_level(level):
+            hyps = propose_hypotheses(node, lower, library, tiny3, params, rng)
+            own = hyps.pose[:, tiny3.composite_index(node.id)]
+            assert set(own.tolist()) == {0, 1, 2}
+            for nid in tiny3.composites_below(node.id):
+                assert np.array_equal(hyps.pose[:, tiny3.composite_index(nid)], own)
+            rows = tiny3.atom_rows(node.id)
+            stored = library.arrays(node.id).locations[own][:, rows]
+            for source, placed in zip(stored, hyps.locations[:, rows]):
+                assert fit_least_squares(source, placed, bound=math.pi)[1] < 1e-9
+            current[node.id] = hyps
+        lower = current
+    _, chosen = generate_pose(
+        library, tiny3, np.random.default_rng(0), mix=False, assignment={20: 0}
+    )
+    assert chosen == {20: 0, 10: 0, 11: 0}
 
 
 def test_propose_deterministic(tiny3_setup):
@@ -156,15 +191,14 @@ def test_propose_rotated_scene_matches_oracle_alignment(tiny3_setup):
     node = hierarchy.nodes_at_level(2)[0]
     rows = hierarchy.atom_rows(node.id)
     raw = propose_hypotheses(node, lower, library, hierarchy, params, rng)
-    exemplar = library.for_source(node.id, "img0")
-    subtree = exemplar.locations[rows][None]
+    subtree = library.arrays(node.id).locations[0][rows][None]
     oracle_subtree = transform_points(
         *fit_two_points_batch(subtree[:, :2], truth[rows][None, :2]), subtree
     )[0]
     best = min(
         np.abs(hyp.locations[rows] - oracle_subtree).max()
         for hyp in raw
-        if library.get(node.id, hyp.pose[node.id]).source == "img0"
+        if hyp.pose[node.id] == 0
     )
     assert best < 2.0
 
@@ -452,8 +486,10 @@ def test_collapse_model_joins_labels(tiny3_setup):
     flat, flat_library, flat_weights = collapse_model(hierarchy, library, weights)
     assert flat.levels == 2
     assert flat.atomic_count == hierarchy.atomic_count
-    for exemplar in flat_library.exemplars(flat.root.id):
-        assert set(exemplar.child_labels) == set(hierarchy.atomic_ids)
+    labels = flat_library.arrays(flat.root.id).labels
+    assert set(labels) == set(hierarchy.atomic_ids)
+    for part in hierarchy.atomic_ids:  # row e keeps the labels of row e
+        assert np.array_equal(labels[part], library.arrays(hierarchy.parent_of(part)).labels[part])
     assert flat_weights.pose_appearance.shape == (1,)
 
 

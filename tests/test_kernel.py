@@ -5,6 +5,7 @@ proposal draw, and scoring each distinct hypothesis once."""
 
 import math
 import tracemalloc
+from dataclasses import replace
 from functools import lru_cache
 from unittest import mock
 
@@ -16,7 +17,7 @@ from scipy import stats
 
 from hierpose import Annotation, WeightVector, load_hierarchy, scoring
 from hierpose.appearance import LOG_FLOOR, ScaleMaps, ScoreMapStack
-from hierpose.geometry import ChildGeometry, _max_angle, fit_least_squares_batch
+from hierpose.geometry import _max_angle, child_points, fit_least_squares_batch
 from hierpose.hierarchy import BoundingBox, object_size
 from hierpose.inference import (
     Hypothesis,
@@ -29,7 +30,6 @@ from hierpose.inference import (
     score_and_prune,
     seed_atomic_hypotheses,
 )
-from hierpose.learning import Exemplar
 from hierpose.scoring import (
     best_fit_pose,
     feature_matrix,
@@ -75,7 +75,8 @@ def random_rows(hierarchy, library, node_id, count, rng, off_grid=False):
     if off_grid:
         locations[:, rows] += rng.choice([0.0, -12.0, 14.0], size=(count, len(rows), 1))
     poses = [
-        {nid: int(rng.integers(library.size(nid))) for nid in hierarchy.composites_below(node_id)}
+        {nid: int(rng.integers(len(library.arrays(nid).sources)))
+         for nid in hierarchy.composites_below(node_id)}
         for _ in range(count)
     ]
     sizes = rng.uniform(10.0, 60.0, count)
@@ -197,13 +198,14 @@ def distinct_rows(data):
     pose = pose_array(poses, hierarchy)
     column = hierarchy.composite_index(node.id)
     other_pose = pose[:1].copy()
-    other_pose[0, column] = (other_pose[0, column] + 1) % library.size(node.id)
+    exemplars = len(library.arrays(node.id).sources)
+    other_pose[0, column] = (other_pose[0, column] + 1) % exemplars
     hyps = HypothesisSet.build(
         node, hierarchy, np.concatenate([locations, locations[:1], locations[:1]]),
         np.concatenate([pose, pose[:1], other_pose]),
         np.concatenate([sizes, 2.0 * sizes[:1], sizes[:1]]),
     )
-    if library.size(node.id) == 1:
+    if exemplars == 1:
         hyps = hyps.take(np.arange(len(hyps) - 1))
     return hierarchy, library, stack, random_weights(hierarchy, rng), hyps
 
@@ -332,19 +334,24 @@ def test_error_parity_zero_object_size():
     check_parity(ValueError, hierarchy, library, stack, locations, poses, sizes)
 
 
+def with_table(library, node_id, table):
+    """A fresh library that holds `table` for one node."""
+    return type(library)(
+        {**library.nodes, node_id: table}, library.atomic_bins, library.composite_bins
+    )
+
+
 def test_error_parity_identical_exemplar_points():
-    hierarchy, _, stack, locations, poses, sizes = good_batch()
-    _, library, _ = model("limbs4")
-    # a fresh library whose exemplar 1 of node 11 has all child points equal
-    library = type(library)(
-        {nid: list(exs) for nid, exs in library.nodes.items()},
-        library.atomic_bins, library.composite_bins,
-    )
-    flat = library.nodes[11][1]
-    library.nodes[11][1] = type(flat)(
-        flat.node_id, flat.index, flat.source, flat.object_size, flat.locations,
-        flat.child_labels, ChildGeometry(np.ones((3, 2)), flat.geometry.signature),
-    )
+    hierarchy, library, stack, locations, poses, sizes = good_batch()
+    # exemplar 1 of node 11 has coincident subtree atoms, so all its child
+    # points are equal
+    table = library.arrays(11)
+    coincident = table.locations.copy()
+    coincident[1, hierarchy.atom_rows(11)] = 1.0
+    library = with_table(library, 11, replace(
+        table, locations=coincident, geometry=child_points(coincident, 11, hierarchy)
+    ))
+    assert np.all(library.arrays(11).geometry[1] == 1.0)
     for row, pose in enumerate(poses):
         pose[11] = 1 if row == 2 else 0
     check_parity(ValueError, hierarchy, library, stack, locations, poses, sizes)
@@ -353,7 +360,7 @@ def test_error_parity_identical_exemplar_points():
 def test_error_parity_missing_channel():
     hierarchy, library, stack, locations, poses, sizes = good_batch()
     sizes[2] = 60.0  # only this row reads the 2.0 scale
-    label = library.get(11, poses[2][11]).child_labels[1]
+    label = int(library.arrays(11).labels[1][poses[2][11]])
     stack = stack_without(stack, 1, channel=(1, label))
     check_parity(KeyError, hierarchy, library, stack, locations, poses, sizes)
 
@@ -369,20 +376,29 @@ def test_error_parity_missing_composite_map():
 def test_error_parity_composite_label_out_of_range(label):
     """Composite child 11 has 3 types: label 0 must not read the last type's
     map, and label 4 must not escape as an IndexError."""
-    hierarchy, _, stack, locations, poses, sizes = good_batch()
-    _, library, _ = model("limbs4")
-    library = type(library)(library.nodes, library.atomic_bins, library.composite_bins)
-    wrong = library.nodes[20][1]
-    library.nodes[20][1] = type(wrong)(
-        wrong.node_id, wrong.index, wrong.source, wrong.object_size, wrong.locations,
-        {**wrong.child_labels, 11: label}, wrong.geometry,
-    )
+    hierarchy, library, stack, locations, poses, sizes = good_batch()
+    table = library.arrays(20)
+    wrong = table.labels[11].copy()
+    wrong[1] = label
+    library = with_table(library, 20, replace(table, labels={**table.labels, 11: wrong}))
     for row, pose in enumerate(poses):
         pose[20] = 1 if row == 2 else 0
     check_parity(KeyError, hierarchy, library, stack, locations, poses, sizes)
 
 
 # -- batched features ------------------------------------------------------------
+
+
+def take_rows(table, rows):
+    """The exemplar arrays of one node restricted to `rows`, in that order."""
+    return replace(
+        table,
+        sources=tuple(table.sources[row] for row in rows),
+        object_size=table.object_size[rows],
+        locations=table.locations[rows],
+        geometry=table.geometry[rows],
+        labels={child: labels[rows] for child, labels in table.labels.items()},
+    )
 
 
 @lru_cache(maxsize=None)
@@ -398,16 +414,19 @@ def feature_model(name: str):
     )
     bins = {**library.atomic_bins, **library.composite_bins}
     nodes = {}
-    for nid, exemplars in library.nodes.items():
-        first = exemplars[0]
-        copy = Exemplar(
-            nid, len(exemplars), first.source + "#copy", first.object_size, first.locations,
-            {child: label % bins[child] + 1 for child, label in first.child_labels.items()},
-            first.geometry,
+    for nid, table in library.nodes.items():
+        extended = take_rows(table, np.arange(len(table.sources) + 1) % len(table.sources))
+        nodes[nid] = replace(
+            extended,
+            sources=table.sources + (table.sources[0] + "#copy",),
+            labels={
+                child: np.append(labels, labels[0] % bins[child] + 1)
+                for child, labels in table.labels.items()
+            },
         )
-        nodes[nid] = exemplars + [copy]
     library = type(library)(nodes, library.atomic_bins, library.composite_bins)
     return hierarchy, library, [stack, other]
+
 
 
 def random_configurations(hierarchy, library, count, rng):
@@ -418,7 +437,7 @@ def random_configurations(hierarchy, library, count, rng):
     jump = (rng.random((count, hierarchy.atomic_count)) < 0.15)[..., None]
     X += jump * rng.choice([-45.0, 50.0], size=(count, hierarchy.atomic_count, 1))
     exact = rng.random(count) < 1 / 3
-    X[exact] = library.get(hierarchy.root.id, 0).locations
+    X[exact] = library.arrays(hierarchy.root.id).locations[0]
     return X
 
 
@@ -460,13 +479,13 @@ def test_best_fit_pose_matches_naive_fit_up_to_ties():
         for bound in [None, 0.2, math.pi]:
             for row in X:
                 for node in hierarchy.composite_nodes:
-                    exemplars = library.exemplars(node.id)
+                    geometry = library.arrays(node.id).geometry
                     current = oracles.naive_child_geometry(row, node.id, hierarchy)
                     residual = np.array([
                         oracles.naive_fit_least_squares(
-                            ex.geometry.points, current.points, _max_angle(bound)
+                            points, current.points, _max_angle(bound)
                         )[2]
-                        for ex in exemplars
+                        for points in geometry
                     ])
                     spread = np.sum((current.points - current.points.mean(axis=0)) ** 2)
                     tol = 1e-9 * max(1.0, spread)
@@ -474,9 +493,8 @@ def test_best_fit_pose_matches_naive_fit_up_to_ties():
                     index, value = best_fit_pose(row, node.id, library, hierarchy, bound)
                     assert index in ties
                     assert value == pytest.approx(-residual[index], abs=tol)
-                    picked = library.get(node.id, index).geometry.points
-                    same = [ex.index for ex in exemplars
-                            if np.array_equal(ex.geometry.points, picked)]
+                    same = [e for e, points in enumerate(geometry)
+                            if np.array_equal(points, geometry[index])]
                     assert index == min(same)
                     unique += len(ties) == 1
                     tied += len(ties) > len(same)
@@ -495,8 +513,8 @@ def test_feature_inputs_reach_both_scales_off_grid_points_and_ties():
     assert set(stacks[0].nearest_scale_indices(scale).tolist()) == {0, 1}
     features = feature_matrix(X, stacks, np.arange(200) % 2, hierarchy, library)
     assert np.sum(features[:, : hierarchy.atomic_count] == LOG_FLOOR) > 100
-    exact = library.get(hierarchy.root.id, 0).locations
-    copy = library.size(11) - 1
+    exact = library.arrays(hierarchy.root.id).locations[0]
+    copy = len(library.arrays(11).sources) - 1
     assert best_fit_pose(exact, 11, library, hierarchy)[0] == 0
     log_prob, similarity = pose_terms(
         np.stack([exact, exact]), 11, [0, copy], [25.0, 25.0], stacks[0], hierarchy, library
@@ -509,16 +527,13 @@ def feature_peak_bytes(count):
     library of `count` exemplars per node, as one per annotation gives."""
     hierarchy, library, stacks = feature_model("limbs4")
     nodes = {
-        nid: [
-            Exemplar(nid, i, e.source, e.object_size, e.locations, e.child_labels, e.geometry)
-            for i, e in enumerate(exemplars[i % len(exemplars)] for i in range(count))
-        ]
-        for nid, exemplars in library.nodes.items()
+        nid: take_rows(table, np.arange(count) % len(table.sources))
+        for nid, table in library.nodes.items()
     }
     library = type(library)(nodes, library.atomic_bins, library.composite_bins)
     X = random_configurations(hierarchy, library, count, np.random.default_rng(3))
     stack_index = np.arange(count) % 2
-    feature_matrix(X, stacks, stack_index, hierarchy, library)  # stacks the exemplar arrays
+    feature_matrix(X, stacks, stack_index, hierarchy, library)  # fills the stacks' caches
     tracemalloc.start()
     try:
         feature_matrix(X, stacks, stack_index, hierarchy, library)
@@ -571,7 +586,7 @@ def test_feature_error_parity_missing_channel():
     # row 2 alone reads a third stack, which lacks the channel its best-fit
     # exemplar of node 11 needs for part 1
     best, _ = best_fit_pose(X[2], 11, library, hierarchy)
-    label = library.get(11, best).child_labels[1]
+    label = int(library.arrays(11).labels[1][best])
     stacks = stacks + [stack_without(stacks[1], 0, channel=(1, label))]
     stack_index[2] = 2
     check_feature_parity(KeyError, X, stacks, stack_index, hierarchy, library)

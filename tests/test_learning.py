@@ -4,6 +4,7 @@ import tempfile
 from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -61,7 +62,7 @@ def test_build_library_sizes_human(human_hierarchy):
     library = build_library(annotations[:1], human_hierarchy, model)
     assert len(human_hierarchy.composite_nodes) == 8
     for node in human_hierarchy.composite_nodes:
-        assert library.size(node.id) == 1
+        assert len(library.arrays(node.id).sources) == 1
 
 
 def test_build_library_counts_scale_with_augmentation(tiny3):
@@ -71,17 +72,17 @@ def test_build_library_counts_scale_with_augmentation(tiny3):
     ]
     library, _ = library_for(tiny3, doubled)
     for node in tiny3.composite_nodes:
-        assert library.size(node.id) == 4
+        assert len(library.arrays(node.id).sources) == 4
 
 
 def test_build_library_round_trip_similarity(tiny3):
     annotations = annotations_tiny3(3)
     library, _ = library_for(tiny3, annotations)
-    for ann in annotations:
+    for row, ann in enumerate(annotations):
         for node in tiny3.composite_nodes:
-            exemplar = library.for_source(node.id, ann.image)
+            assert library.arrays(node.id).sources[row] == ann.image
             index, value = best_fit_pose(ann.points, node.id, library, tiny3)
-            assert index == exemplar.index
+            assert index == row
             assert value >= -1e-9
 
 
@@ -278,15 +279,29 @@ def test_library_binary_round_trip(tmp_path, tiny3):
     loaded = load_library(path, tiny3)
     save_library(loaded, tmp_path / "again.hpel")
     assert path.read_bytes() == (tmp_path / "again.hpel").read_bytes()
+    assert sorted(loaded.nodes) == sorted(library.nodes)
     for node in tiny3.composite_nodes:
-        for a, b in zip(library.exemplars(node.id), loaded.exemplars(node.id)):
-            assert a.source == b.source
-            assert a.object_size == b.object_size
-            assert np.array_equal(
-                np.nan_to_num(a.locations), np.nan_to_num(b.locations)
-            )
-            assert a.child_labels == b.child_labels
-            assert np.array_equal(a.geometry.points, b.geometry.points)
+        a, b = library.arrays(node.id), loaded.arrays(node.id)
+        assert a.sources == b.sources
+        assert a.signature == b.signature
+        for name in ("object_size", "locations", "geometry"):
+            assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True)
+        assert a.labels.keys() == b.labels.keys()
+        for child in a.labels:
+            assert np.array_equal(a.labels[child], b.labels[child])
+
+
+def test_library_arrays_are_read_only(tiny3):
+    library, _ = library_for(tiny3, annotations_tiny3(3))
+    table = library.arrays(10)
+    for values in (table.object_size, table.locations, table.geometry, table.labels[1]):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0
+    # the tables hold copies: the caller's arrays stay writable and apart
+    locations = table.locations.copy()
+    edited = replace(table, locations=locations)
+    locations[0] = 0.0
+    assert np.array_equal(edited.locations, table.locations, equal_nan=True)
 
 
 def load_and_resave(data: bytes, hierarchy) -> bytes:
@@ -343,38 +358,56 @@ def test_corrupt_library_reloads_bit_exact_or_raises_library_error(data):
     assert resaved == mutated
 
 
+def first_rows(table, count):
+    """The first `count` exemplars of one node."""
+    return replace(
+        table, sources=table.sources[:count], object_size=table.object_size[:count],
+        locations=table.locations[:count], geometry=table.geometry[:count],
+        labels={child: values[:count] for child, values in table.labels.items()},
+    )
+
+
 def corrupt_tiny3_library(kind, hierarchy):
-    """HPEL bytes of a tiny3 library with one field made invalid."""
+    """HPEL bytes of a tiny3 library with one field made invalid.  The
+    edited tables are written through a namespace, not an `ExemplarLibrary`,
+    so that only `load_library` checks them."""
     library, _ = library_for(hierarchy, annotations_tiny3(3))
-    nodes = {nid: list(exemplars) for nid, exemplars in library.nodes.items()}
-    first = nodes[10][0]
+    nodes = dict(library.nodes)
+    first = nodes[10]
     locations = first.locations.copy()
-    labels = dict(first.child_labels)
+    labels = {child: values.copy() for child, values in first.labels.items()}
+    sizes = first.object_size.copy()
     if kind == "atomic node":
         nodes[1] = nodes.pop(10)
     elif kind == "unknown node":
         nodes[99] = nodes.pop(10)
     elif kind == "row outside the subtree":
-        locations[hierarchy.atom_index(4)] = (1.0, 1.0)
+        locations[0, hierarchy.atom_index(4)] = (1.0, 1.0)
     elif kind == "non-finite coordinate":
-        locations[0, 1] = math.inf
+        locations[0, 0, 1] = math.inf
     elif kind == "label of a non-child":
-        labels[4] = 1
+        labels[4] = labels[1]
     elif kind == "missing label":
         del labels[1]
     elif kind == "label above the bins":
-        labels[1] = library.atomic_bins[1] + 1
+        labels[1][0] = library.atomic_bins[1] + 1
     elif kind == "label zero":
-        labels[1] = 0
+        labels[1][0] = 0
+    elif kind in ("NaN size", "zero size", "negative size"):
+        sizes[0] = {"NaN size": math.nan, "zero size": 0.0, "negative size": -2.0}[kind]
     if 10 in nodes:
-        nodes[10][0] = replace(
-            first, locations=locations, child_labels=labels,
-            object_size={"NaN size": math.nan, "zero size": 0.0, "negative size": -2.0}.get(
-                kind, first.object_size),
-        )
-    data = library_bytes(type(library)(nodes, library.atomic_bins, library.composite_bins))
+        nodes[10] = replace(first, locations=locations, labels=labels, object_size=sizes)
+    if kind == "fewer exemplars":
+        nodes[11] = first_rows(nodes[11], 2)
+    elif kind == "no exemplars":
+        nodes = {nid: first_rows(table, 0) for nid, table in nodes.items()}
+    data = library_bytes(SimpleNamespace(
+        nodes=nodes, atomic_bins=library.atomic_bins, composite_bins=library.composite_bins
+    ))
     if kind == "source not UTF-8":
         data = data.replace(b"img0", b"\xffmg0", 1)
+    elif kind == "renamed source":  # exemplar 0 of node 10 only
+        data = data.replace(b"img0", b"mix0", 1)
     elif kind == "truncated":
         data = data[:-1]
     elif kind == "trailing bytes":
@@ -399,6 +432,9 @@ def corrupt_tiny3_library(kind, hierarchy):
     ("zero size", "not finite and positive"),
     ("negative size", "not finite and positive"),
     ("source not UTF-8", "not UTF-8"),
+    ("renamed source", "same sources in the same order"),
+    ("fewer exemplars", "different exemplar counts"),
+    ("no exemplars", "no exemplars"),
     ("truncated", "truncated"),
     ("trailing bytes", "trailing bytes"),
     ("bad version", "unsupported library version"),

@@ -116,7 +116,7 @@ def test_best_fit_pose_exact_member(setup_tiny3):
     hierarchy, annotations, library, stack = setup_tiny3
     for node in hierarchy.composite_nodes:
         index, value = best_fit_pose(annotations[1].points, node.id, library, hierarchy)
-        assert index == library.for_source(node.id, "img1").index
+        assert index == 1
         assert value == pytest.approx(0.0, abs=1e-9)
 
 
@@ -385,7 +385,7 @@ def test_total_monotone_in_lit_channel(setup_tiny3):
     part = hierarchy.atomic_ids[0]
     parent = hierarchy.parent_of(part)
     index, _ = best_fit_pose(X, parent, library, hierarchy)
-    label = library.get(parent, index).child_labels[part]
+    label = library.arrays(parent).labels[part][index]
     col = int(np.floor(X[0][0] + 0.5))
     row = int(np.floor(X[0][1] + 0.5))
     stack.scales[0].atomic[stack.channel_rows(part, [label], 0)[0], row, col] += 0.05

@@ -6,13 +6,13 @@ import pytest
 from hierpose import (
     WeightVector,
     best_fit_pose,
-    child_geometry,
     fit_least_squares,
     load_hierarchy,
     top_peaks,
     total_score,
 )
 from hierpose.appearance import log_marginals_at
+from hierpose.geometry import child_points
 from hierpose.synth import (
     generate_pose,
     load_scene,
@@ -22,7 +22,7 @@ from hierpose.synth import (
 )
 
 from conftest import annotations_tiny3, library_for
-from oracles import exhaustive_best_config, grid_search_pose_similarity
+from oracles import exhaustive_best_config, grid_search_pose_similarity, stored_labels
 
 
 @pytest.fixture()
@@ -36,14 +36,12 @@ def test_generate_pose_unmixed_reproduces_source(tiny3_library):
     hierarchy, annotations, library = tiny3_library
     rng = np.random.default_rng(0)
     X, chosen = generate_pose(library, hierarchy, rng, mix=False)
-    source = library.get(hierarchy.root.id, chosen[hierarchy.root.id]).source
-    original = next(a for a in annotations if a.image == source)
-    assert np.allclose(X, original.points, atol=1e-9)
+    row = chosen[hierarchy.root.id]
+    assert np.allclose(X, annotations[row].points, atol=1e-9)
     for node in hierarchy.composite_nodes:
-        exemplar = library.for_source(node.id, source)
-        assert chosen[node.id] == exemplar.index
+        assert chosen[node.id] == row
         _, residual = fit_least_squares(
-            exemplar.geometry.points, child_geometry(X, node.id, hierarchy).points
+            library.arrays(node.id).geometry[row], child_points(X, node.id, hierarchy)
         )
         assert -residual >= -1e-6
 
@@ -58,41 +56,35 @@ def test_generate_pose_deterministic(tiny3_library):
 
 def test_generate_pose_mixed_sources(tiny3_library):
     hierarchy, annotations, library = tiny3_library
-    assignment = {
-        20: library.for_source(20, "img0").index,
-        10: library.for_source(10, "img2").index,
-        11: library.for_source(11, "img1").index,
-    }
+    assignment = {20: 0, 10: 2, 11: 1}  # rows of img0, img2 and img1
     X, chosen = generate_pose(
         library, hierarchy, np.random.default_rng(1), mix=True, assignment=assignment
     )
     assert chosen == assignment
     # level-2 poses match their mixed-in sources exactly (similarity images)
-    for node_id, source in ((10, "img2"), (11, "img1")):
+    for node_id, row in ((10, 2), (11, 1)):
         index, value = best_fit_pose(X, node_id, library, hierarchy)
-        assert index == library.for_source(node_id, source).index
+        assert index == row
         assert value >= -1e-9
     # the level-3 layout still follows the root source
     index, _ = best_fit_pose(X, 20, library, hierarchy)
-    assert index == library.for_source(20, "img0").index
+    assert index == 0
 
 
 def labels_for(library, hierarchy, chosen):
     atomic, composite = {}, {}
     for node in hierarchy.nodes_at_level(2):
-        exemplar = library.get(node.id, chosen[node.id])
-        atomic.update(exemplar.child_labels)
+        atomic.update(stored_labels(library, node.id, chosen[node.id]))
     for level in range(3, hierarchy.levels + 1):
         for node in hierarchy.nodes_at_level(level):
-            exemplar = library.get(node.id, chosen[node.id])
-            composite.update(exemplar.child_labels)
+            composite.update(stored_labels(library, node.id, chosen[node.id]))
     return atomic, composite
 
 
 def test_render_peaks_at_ground_truth(tiny3_library):
     hierarchy, annotations, library = tiny3_library
     X = np.floor(annotations[0].points * 1.5) + (4, 6)
-    chosen = {n.id: library.for_source(n.id, "img0").index for n in hierarchy.composite_nodes}
+    chosen = {n.id: 0 for n in hierarchy.composite_nodes}  # the rows of img0
     atomic_labels, composite_labels = labels_for(library, hierarchy, chosen)
     stack = render_score_maps(
         X, hierarchy, atomic_labels, composite_labels,
@@ -106,7 +98,7 @@ def test_render_peaks_at_ground_truth(tiny3_library):
 def test_render_normalization_exact(tiny3_library):
     hierarchy, annotations, library = tiny3_library
     X = np.floor(annotations[1].points) + (3, 3)
-    chosen = {n.id: library.for_source(n.id, "img1").index for n in hierarchy.composite_nodes}
+    chosen = {n.id: 1 for n in hierarchy.composite_nodes}  # the rows of img1
     atomic_labels, composite_labels = labels_for(library, hierarchy, chosen)
     stack = render_score_maps(
         X, hierarchy, atomic_labels, composite_labels,
@@ -123,7 +115,7 @@ def test_render_normalization_exact(tiny3_library):
 def test_render_truth_dominates_far_field(tiny3_library):
     hierarchy, annotations, library = tiny3_library
     X = np.floor(annotations[2].points) + (5, 8)
-    chosen = {n.id: library.for_source(n.id, "img2").index for n in hierarchy.composite_nodes}
+    chosen = {n.id: 2 for n in hierarchy.composite_nodes}  # the rows of img2
     atomic_labels, composite_labels = labels_for(library, hierarchy, chosen)
     stack = render_score_maps(
         X, hierarchy, atomic_labels, composite_labels,
@@ -141,7 +133,7 @@ def test_render_truth_dominates_far_field(tiny3_library):
 def test_render_deterministic(tiny3_library):
     hierarchy, annotations, library = tiny3_library
     X = np.floor(annotations[0].points) + 2
-    chosen = {n.id: library.for_source(n.id, "img0").index for n in hierarchy.composite_nodes}
+    chosen = {n.id: 0 for n in hierarchy.composite_nodes}  # the rows of img0
     atomic_labels, composite_labels = labels_for(library, hierarchy, chosen)
 
     def build(seed):
@@ -228,7 +220,7 @@ def two_part_setup():
     library, model = library_for(hierarchy, annotations, atomic_bins=4)
     X = annotations[0].points
     chosen = {10: 0}
-    atomic_labels = {c: library.get(10, 0).child_labels[c] for c in (1, 2)}
+    atomic_labels = stored_labels(library, 10, 0)
     stack = render_score_maps(
         X, hierarchy, atomic_labels, {}, library.atomic_bins, {},
         grid=(16, 16), sigma=1.2,
