@@ -37,6 +37,7 @@ from .inference import (
     hypothesis_from_config,
     infer,
     refine_hypothesis,
+    refine_roots,
 )
 from .learning import (
     Annotation,

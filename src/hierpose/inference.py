@@ -7,17 +7,20 @@ subtree and object size; every node of the subtree takes the drawn exemplar
 row, since row e of every node comes from one annotation.  From level 3 up, child
 subtrees may additionally be swapped with geometrically compatible lower
 hypotheses.  Exact copies are then dropped, each distinct hypothesis is
-scored once, and near duplicates are pruned to the best Z per part.
+scored once, and near duplicates are pruned to the best Z per part, testing
+a block of ranked candidates against the kept rows in one array op.
 Surviving root hypotheses are refined per atomic part inside a disc and the
-best refined configuration wins.
+best refined configuration wins (the first, in root order, on a tie).
 
 The hypotheses of one part are one `HypothesisSet`: stacked locations
 (H, N, 2), an (H, C) exemplar index per composite node, object sizes, box
 corners and scores.  Seeding, proposal, swap and scoring/pruning take and
 return these sets, so the search never handles a hypothesis on its own;
 `Hypothesis` is the one-row view that `HypothesisSet.row` returns for the
-surviving roots.  Refinement scores the candidate pixels of all atomic
-parts of a root in one array pass.
+surviving roots.  Refinement (`refine_roots`) sorts the roots by scale and
+window span and ranks each chunk of a few roots, all their atomic parts and
+candidate pixels, in one array pass; `refine_hypothesis` is its one-row
+call.
 
 Modes: "full" runs everything; "partial" stops before refinement and traces
 the best root hypothesis; "no-hier" collapses the model to a depth-2
@@ -41,6 +44,7 @@ from .scoring import (
     best_fit_pose,
     pose_array,
     refinement_score,
+    refinement_scores,
     subtree_scores,
 )
 
@@ -55,6 +59,7 @@ __all__ = [
     "swap_subtrees",
     "score_and_prune",
     "prune_order",
+    "refine_roots",
     "refine_hypothesis",
     "collapse_model",
     "InferenceResult",
@@ -438,19 +443,34 @@ def prune_order(
     scores differ only by round-off keep their creation order.  A hypothesis
     whose points (H, R, 2) all lie within dedup_radius of a kept one is a
     duplicate, and so is any later copy of a kept one; at most z are kept.
+
+    Candidates are taken in blocks of rank order, at least as many as places
+    are left (and at least 16): one array op tests a block against every
+    kept row and against itself, then the block's clashes are resolved in
+    rank order, so the kept list is that of a one-row-at-a-time greedy pass.
     The kept points fill one preallocated (z, R, 2) array in keep order.
     """
     order = np.argsort(-np.round(scores, 9), kind="stable")
     held = np.empty((min(z, len(order)),) + points.shape[1:])
     kept: list[int] = []
-    for i in order.tolist():
-        gap = held[: len(kept)] - points[i]
-        if np.any(np.max(np.hypot(gap[..., 0], gap[..., 1]), axis=1) <= dedup_radius):
-            continue
-        held[len(kept)] = points[i]
-        kept.append(i)
-        if len(kept) == z:
-            break
+    start = 0
+    while start < len(order) and len(kept) < z:
+        block = order[start : start + max(z - len(kept), 16)]
+        start += len(block)
+        others = np.concatenate([held[: len(kept)], points[block]])
+        gap = others[None] - points[block][:, None]  # (B, kept + B, R, 2)
+        near = np.max(np.hypot(gap[..., 0], gap[..., 1]), axis=2) <= dedup_radius
+        clear = np.flatnonzero(~near[:, : len(kept)].any(axis=1)).tolist()
+        within = near[:, len(kept):].tolist()
+        fresh: list[int] = []
+        for b in clear:
+            if any(within[b][a] for a in fresh):
+                continue
+            fresh.append(b)
+            if len(kept) + len(fresh) == z:
+                break
+        held[len(kept) : len(kept) + len(fresh)] = points[block[fresh]]
+        kept.extend(block[fresh].tolist())
     return kept
 
 
@@ -494,6 +514,100 @@ def score_and_prune(
     return replace(hyps, score=scores).take(kept)
 
 
+_REFINE_CHUNK = 8  # roots ranked per array pass; caps the padded window memory
+
+
+def refine_roots(
+    roots: HypothesisSet,
+    stack: ScoreMapStack,
+    hierarchy: PartHierarchy,
+    weights: WeightVector,
+    params: InferenceParams,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-part refinement of every root hypothesis inside a disc around its
+    locations: the (R, P, 2) refined configurations and (R,) scores, in root
+    order.
+
+    Each atomic part maximizes its weighted detection log-probability minus
+    its parent's alignment penalty over every pixel within
+    search_radius_fraction x (root box mean side) of its hypothesized
+    location; the exact starting point is always a candidate.  Ties prefer
+    the smallest displacement, then the smallest y, then the smallest x.
+
+    Roots are sorted by (nearest scale index, window span), stably, and
+    ranked in chunks of up to `_REFINE_CHUNK` roots of one scale: a chunk is
+    one (C, P, K) array of candidates, the pixels of a square window per
+    part, padded to the chunk's largest span and masked to each part's disc,
+    plus each part's starting point, with one map lookup for all of them.
+    The refined rows are scored (`refinement_scores`) from the same lookup.
+    """
+    centers = roots.locations
+    if not np.isfinite(centers).all():
+        raise ValueError("root hypothesis has undefined locations")
+    if not np.isfinite(roots.score).all():
+        raise ValueError("root hypothesis must be scored before refinement")
+    count, parts = centers.shape[:2]
+    sides = roots.highs - roots.lows
+    radius = params.search_radius_fraction * (0.5 * (sides[:, 0] + sides[:, 1]))
+    scale_index = stack.nearest_scale_indices(
+        hierarchy.scale.factor_from_size(roots.object_size, 1)
+    )
+    # candidate pixels: the integer window [ceil(c - r), floor(c + r)] per part
+    low = np.ceil(centers - radius[:, None, None]).astype(int)
+    high = np.floor(centers + radius[:, None, None]).astype(int)
+    span = np.maximum((high - low).max(axis=1) + 1, 0)  # (R, 2)
+    order = np.lexsort((span[:, 1], span[:, 0], scale_index))
+    penalty = np.array([
+        weights.node_weights(hierarchy, hierarchy.parent_of(part))[1]
+        for part in hierarchy.atomic_ids
+    ])[:, None]
+    w_atomic = weights.atomic[:, None]
+
+    refined = np.empty((count, parts, 2))
+    log_probs = np.empty((count, parts))
+    breaks = np.flatnonzero(np.diff(scale_index[order])) + 1
+    for group in np.split(order, breaks):
+        for at in range(0, len(group), _REFINE_CHUNK):
+            chunk = group[at : at + _REFINE_CHUNK]
+            c, width = len(chunk), span[chunk].max(axis=0)
+            cols = low[chunk, :, 0, None] + np.arange(width[0])  # (C, P, Kx)
+            rows = low[chunk, :, 1, None] + np.arange(width[1])  # (C, P, Ky)
+            inside = (
+                (rows <= high[chunk, :, 1, None])[..., :, None]
+                & (cols <= high[chunk, :, 0, None])[..., None, :]
+            )
+            xs = np.broadcast_to(cols[..., None, :], inside.shape).astype(float)
+            ys = np.broadcast_to(rows[..., :, None], inside.shape).astype(float)
+            start = centers[chunk]
+            dist = np.hypot(xs - start[..., 0, None, None], ys - start[..., 1, None, None])
+            valid = inside & (dist <= radius[chunk, None, None, None])
+            # ... plus the starting point of each part
+            xs = np.concatenate([xs.reshape(c, parts, -1), start[..., :1]], axis=2)
+            ys = np.concatenate([ys.reshape(c, parts, -1), start[..., 1:]], axis=2)
+            dist = np.concatenate([dist.reshape(c, parts, -1), np.zeros((c, parts, 1))], axis=2)
+            valid = np.concatenate(
+                [valid.reshape(c, parts, -1), np.ones((c, parts, 1), dtype=bool)], axis=2
+            )
+            points = np.stack([xs, ys], axis=-1).transpose(1, 0, 2, 3)  # (P, C, K, 2)
+            log_values = log_marginals_at(
+                stack, hierarchy.atomic_ids, points.reshape(parts, -1, 2),
+                int(scale_index[chunk[0]]),
+            ).reshape(parts, c, -1).transpose(1, 0, 2)
+            values = w_atomic * log_values - penalty * dist * dist
+
+            # the lexicographically best valid candidate: (max value, min dist, min y, min x)
+            best = valid & (values == np.where(valid, values, -np.inf).max(axis=2, keepdims=True))
+            for key in (dist, ys, xs):
+                best &= key == np.where(best, key, np.inf).min(axis=2, keepdims=True)
+            choice = best.argmax(axis=2)[..., None]
+            refined[chunk] = np.stack(
+                [np.take_along_axis(key, choice, axis=2)[..., 0] for key in (xs, ys)], axis=-1
+            )
+            log_probs[chunk] = np.take_along_axis(log_values, choice, axis=2)[..., 0]
+    scores = refinement_scores(log_probs, refined, centers, roots.score, hierarchy, weights)
+    return refined, scores
+
+
 def refine_hypothesis(
     root_hyp: Hypothesis,
     stack: ScoreMapStack,
@@ -501,60 +615,12 @@ def refine_hypothesis(
     weights: WeightVector,
     params: InferenceParams,
 ) -> tuple[np.ndarray, float]:
-    """Per-part refinement inside a disc around the hypothesized locations.
-
-    Each atomic part maximizes its weighted detection log-probability minus
-    its parent's alignment penalty over every pixel within
-    search_radius_fraction x (root box mean side) of its hypothesized
-    location; the exact starting point is always a candidate.  Ties prefer
-    the smallest displacement, then the smallest y, then the smallest x.
-    All parts are searched in one pass over a (P, K) array of candidates:
-    the pixels of a common square window per part, masked to the part's
-    disc, plus its starting point.  Returns the refined configuration and
-    its approximate score.
-    """
-    radius = params.search_radius_fraction * root_hyp.box.mean_side
-    scale = hierarchy.scale.factor_from_size(root_hyp.object_size, 1)
-    scale_index = stack.nearest_scale_index(scale)
-    centers = root_hyp.locations
-    parts = len(centers)
-    if not np.isfinite(centers).all():
-        raise ValueError("root hypothesis has undefined locations")
-
-    # candidate pixels: the integer window [ceil(c - r), floor(c + r)] per part
-    low = np.ceil(centers - radius).astype(int)
-    high = np.floor(centers + radius).astype(int)
-    span = np.maximum((high - low).max(axis=0) + 1, 0)
-    cols = low[:, 0, None] + np.arange(span[0])  # (P, Kx)
-    rows = low[:, 1, None] + np.arange(span[1])  # (P, Ky)
-    inside_window = (rows <= high[:, 1, None])[:, :, None] & (cols <= high[:, 0, None])[:, None, :]
-    shape = inside_window.shape
-    xs = np.broadcast_to(cols[:, None, :], shape).astype(float)
-    ys = np.broadcast_to(rows[:, :, None], shape).astype(float)
-    dist = np.hypot(xs - centers[:, 0, None, None], ys - centers[:, 1, None, None])
-    valid = inside_window & (dist <= radius)
-    # ... plus the starting point of each part
-    xs = np.concatenate([xs.reshape(parts, -1), centers[:, :1]], axis=1)
-    ys = np.concatenate([ys.reshape(parts, -1), centers[:, 1:]], axis=1)
-    dist = np.concatenate([dist.reshape(parts, -1), np.zeros((parts, 1))], axis=1)
-    valid = np.concatenate([valid.reshape(parts, -1), np.ones((parts, 1), dtype=bool)], axis=1)
-
-    log_values = log_marginals_at(
-        stack, hierarchy.atomic_ids, np.stack([xs, ys], axis=-1), scale_index
+    """One root's refined configuration and score: the one-row call of
+    `refine_roots`."""
+    configs, scores = refine_roots(
+        HypothesisSet.of([root_hyp], hierarchy), stack, hierarchy, weights, params
     )
-    penalty = np.array([
-        weights.node_weights(hierarchy, hierarchy.parent_of(part))[1]
-        for part in hierarchy.atomic_ids
-    ])
-    values = weights.atomic[:, None] * log_values - penalty[:, None] * dist * dist
-
-    # the lexicographically best valid candidate: (max value, min dist, min y, min x)
-    best = valid & (values == np.where(valid, values, -np.inf).max(axis=1, keepdims=True))
-    for key in (dist, ys, xs):
-        best &= key == np.where(best, key, np.inf).min(axis=1, keepdims=True)
-    choice = best.argmax(axis=1)
-    refined = np.stack([xs[np.arange(parts), choice], ys[np.arange(parts), choice]], axis=1)
-    return refined, refinement_score(refined, root_hyp, stack, hierarchy, weights)
+    return configs[0], float(scores[0])
 
 
 def collapse_model(
@@ -677,20 +743,17 @@ def infer(
             raise NoConfigurationError(f"no configuration found: level {level} is empty")
         lower = current
 
-    roots = list(lower[hierarchy.root.id])
-    partial_hyp = roots[0]
+    roots = lower[hierarchy.root.id]
+    partial_hyp = roots.row(0)
     partial_config = partial_hyp.locations.copy()
     partial_score = refinement_score(partial_config, partial_hyp, stack, hierarchy, weights)
 
     if mode == "partial":
-        configuration, score = partial_config, partial_score
+        configuration, score, winner = partial_config, partial_score, 0
     else:
-        configuration, score = None, -np.inf
-        for hyp in roots:
-            refined, value = refine_hypothesis(hyp, stack, hierarchy, weights, params)
-            if value > score:
-                configuration, score = refined, value
-        assert configuration is not None
+        configs, scores = refine_roots(roots, stack, hierarchy, weights, params)
+        winner = int(np.argmax(scores))  # the first maximum, in root order
+        configuration, score = configs[winner].copy(), scores[winner]
 
     diagnostics = {
         "mode": mode,
@@ -699,6 +762,7 @@ def infer(
         "samples_per_level": params.samples,
         "levels": level_diags,
         "root_hypotheses": len(roots),
+        "winning_root": winner,
         "partial_score": partial_score,
         "final_score": float(score),
     }
@@ -709,5 +773,5 @@ def infer(
         diagnostics=diagnostics,
         partial_configuration=partial_config,
         partial_score=float(partial_score),
-        root_hypotheses=roots,
+        root_hypotheses=list(roots),
     )

@@ -272,9 +272,9 @@ def load_library(path, hierarchy: PartHierarchy) -> ExemplarLibrary:
     subtree rows with finite coordinates and a finite positive object size,
     and labels one child of the node each, within the child's bin count.
     Keys are strictly increasing, as `save_library` writes them, so a file
-    that loads re-saves bit-exact.  Every node must list the same sources in
-    the same order (see `ExemplarLibrary`).  Anything else raises
-    `LibraryError`.
+    that loads re-saves bit-exact.  Every composite node of the hierarchy must
+    be present, and every node must list the same sources in the same order
+    (see `ExemplarLibrary`).  Anything else raises `LibraryError`.
     """
     reader = _Reader(Path(path).read_bytes(), LibraryError, "library")
 
@@ -346,6 +346,9 @@ def load_library(path, hierarchy: PartHierarchy) -> ExemplarLibrary:
         nodes[node_id] = ExemplarArrays.of(node_id, hierarchy, sources, sizes, locations, labels)
     if reader.pos != len(reader.data):
         raise LibraryError("trailing bytes after library payload")
+    missing = [node.id for node in hierarchy.composite_nodes if node.id not in nodes]
+    if missing:
+        raise LibraryError(f"library lacks composite node {missing[0]} of the hierarchy")
     return ExemplarLibrary(nodes, atomic_bins, composite_bins)
 
 

@@ -29,7 +29,8 @@ shared stack or a per-image stack lookup.  `total_score` is the weights
 times the feature vector, and `spatial_score` weights its composite slice.
 Candidate refinements are scored by a separable approximation that freezes
 everything except the atomic appearance terms and the level-2 alignment
-penalties.
+penalties; `refinement_scores` scores many refined roots at once, and
+`refinement_score` is its one-row call.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ __all__ = [
     "subtree_scores",
     "subtree_score",
     "refinement_score",
+    "refinement_scores",
     "feature_matrix",
     "feature_vector",
     "feature_length",
@@ -366,17 +368,38 @@ def refinement_score(
     Appearance terms are live (at the scale frozen from the hypothesis);
     level-2 alignment terms are penalties against the hypothesis's own
     locations (alignment frozen, not re-fit); everything else, including the
-    hypothesis subtree score and the bias, is the frozen constant.
+    hypothesis subtree score and the bias, is the frozen constant.  The
+    one-row call of `refinement_scores`.
     """
     if not np.isfinite(root_hypothesis.score):
         raise ValueError("root hypothesis must be scored before refinement")
+    X_hat = np.asarray(X_hat, dtype=float)
     scale = hierarchy.scale.factor_from_size(root_hypothesis.object_size, 1)
     log_probs = log_marginals_at(
-        stack, hierarchy.atomic_ids, np.asarray(X_hat, dtype=float)[:, None],
-        stack.nearest_scale_index(scale),
+        stack, hierarchy.atomic_ids, X_hat[:, None], stack.nearest_scale_index(scale)
     )
-    total = 0.0
-    for w, log_prob in zip(weights.atomic.tolist(), log_probs[:, 0].tolist()):
+    return float(refinement_scores(
+        log_probs.T, X_hat[None], np.asarray(root_hypothesis.locations, dtype=float)[None],
+        np.array([root_hypothesis.score], dtype=float), hierarchy, weights,
+    )[0])
+
+
+def refinement_scores(
+    log_probs: np.ndarray,
+    refined: np.ndarray,
+    anchors: np.ndarray,
+    root_scores: np.ndarray,
+    hierarchy: PartHierarchy,
+    weights: WeightVector,
+) -> np.ndarray:
+    """`refinement_score` of R rows at once: (R,) scores of the (R, P, 2)
+    refined configurations around the (R, P, 2) root locations `anchors`,
+    given each row's (R, P) log marginals at its refined points and its root
+    subtree score.  Terms are added part by part and node by node in the
+    same order for every row, so each row's score does not depend on the
+    others."""
+    total = np.zeros(len(root_scores))
+    for w, log_prob in zip(weights.atomic.tolist(), log_probs.T):
         if w != 0.0:
             total += w * log_prob
     for node in hierarchy.nodes_at_level(2):
@@ -384,9 +407,9 @@ def refinement_score(
         if w_sim == 0.0:
             continue
         rows = hierarchy.atom_rows(node.id)
-        drift = X_hat[rows] - root_hypothesis.locations[rows]
-        total -= w_sim * float(np.sum(drift * drift))
-    return total + root_hypothesis.score + weights.bias
+        drift = refined[:, rows] - anchors[:, rows]
+        total -= w_sim * np.sum((drift * drift).reshape(len(total), -1), axis=1)
+    return total + root_scores + weights.bias
 
 
 # -- features -----------------------------------------------------------------

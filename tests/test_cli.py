@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import hierpose.cli
 from hierpose import (
+    ExemplarLibrary,
     HierarchyError,
     augment_positives,
     generate_negatives,
@@ -241,6 +242,17 @@ def test_infer_library_sources_out_of_step_exit_1(workspace, capsys):
     # renames the source of the first exemplar of node 10 only
     err = infer_with_edited_library(workspace, capsys, b"img0", b"mix0")
     assert "same sources in the same order" in err
+
+
+def test_infer_library_without_a_node_exit_1(workspace, capsys):
+    path = workspace / "library.hpel"
+    library = load_library(path, load_hierarchy(workspace / "hierarchy.json"))
+    nodes = {nid: table for nid, table in library.nodes.items() if nid != 11}
+    save_library(ExemplarLibrary(nodes, library.atomic_bins, library.composite_bins), path)
+    assert main(["infer", str(infer_config(workspace))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "lacks composite node 11 " in err
 
 
 def test_infer_nan_bias_exit_1(workspace, capsys):

@@ -12,6 +12,7 @@ from hierpose import (
     refine_hypothesis,
     subtree_score,
 )
+from hierpose import inference
 from hierpose.appearance import ScaleMaps, ScoreMapStack
 from hierpose.geometry import (
     SimilarityTransform,
@@ -478,6 +479,54 @@ def test_infer_no_hier_mode(tiny3_setup):
     assert result.configuration.shape == scene.configuration.shape
     assert result.mode == "no-hier"
     assert np.isfinite(result.score)
+
+
+@pytest.mark.parametrize("mode", ["full", "partial", "no-hier"])
+def test_infer_result_owns_its_configuration(tiny3_setup, mode):
+    """The configuration is its own (P, 2) array, not a view that would keep
+    the refinement's (R, P, 2) buffer alive; `winning_root` is the winner's
+    rank among the root hypotheses, 0 without refinement."""
+    hierarchy, annotations, library = tiny3_setup
+    scene = scene_for(library, hierarchy, seed=11, distractors=3, noise=0.02)
+    weights = uniform_weights(hierarchy)
+    params = InferenceParams(z=15, seed=1)
+    result = infer(scene.stack, hierarchy, library, weights, params, mode=mode)
+    assert result.configuration.base is None
+    assert result.configuration.shape == (hierarchy.atomic_count, 2)
+    winner = result.diagnostics["winning_root"]
+    if mode == "partial":
+        assert winner == 0
+    else:
+        assert 0 <= winner < len(result.root_hypotheses)
+        if mode == "full":
+            refined, score = refine_hypothesis(
+                result.root_hypotheses[winner], scene.stack, hierarchy, weights, params
+            )
+            assert np.array_equal(result.configuration, refined)
+            assert result.score == score
+
+
+def test_infer_keeps_the_earliest_root_on_an_exact_tie(tiny3_setup, monkeypatch):
+    hierarchy, annotations, library = tiny3_setup
+    scene = scene_for(library, hierarchy, seed=11, distractors=3, noise=0.02)
+    weights = uniform_weights(hierarchy)
+    params = InferenceParams(z=15, seed=1)
+    refine_roots = inference.refine_roots
+    seen = {}
+
+    def tied(roots, *args):
+        configs, scores = refine_roots(roots, *args)
+        assert len(roots) >= 3
+        scores = np.zeros(len(roots))
+        scores[[1, len(roots) - 1]] = 5.0
+        seen["configs"] = configs
+        return configs, scores
+
+    monkeypatch.setattr(inference, "refine_roots", tied)
+    result = infer(scene.stack, hierarchy, library, weights, params)
+    assert result.diagnostics["winning_root"] == 1
+    assert result.score == 5.0
+    assert np.array_equal(result.configuration, seen["configs"][1])
 
 
 def test_collapse_model_joins_labels(tiny3_setup):

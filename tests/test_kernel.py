@@ -1,5 +1,5 @@
 """The batched pose-term kernel, the batched feature pass, array-built
-proposals, the prune and the one-pass refinement against the scalar oracles
+proposals, the prune and the chunked refinement against the scalar oracles
 in `oracles.py`, including typed-error parity on one bad row, the one-pass
 proposal draw, and scoring each distinct hypothesis once."""
 
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from hierpose import Annotation, WeightVector, load_hierarchy, scoring
+from hierpose import Annotation, WeightVector, inference, load_hierarchy, scoring
 from hierpose.appearance import LOG_FLOOR, ScaleMaps, ScoreMapStack
 from hierpose.geometry import _max_angle, child_points, fit_least_squares_batch
 from hierpose.hierarchy import BoundingBox, object_size
@@ -23,10 +23,12 @@ from hierpose.inference import (
     Hypothesis,
     HypothesisSet,
     InferenceParams,
+    _REFINE_CHUNK,
     _draw_proposals,
     propose_hypotheses,
     prune_order,
     refine_hypothesis,
+    refine_roots,
     score_and_prune,
     seed_atomic_hypotheses,
 )
@@ -162,8 +164,10 @@ def test_batched_fit_matches_scalar_fit():
 @given(data=st.data())
 def test_prune_order_matches_row_sort_oracle(data):
     """Exact copies, 1e-12 score ties and gaps that land on the dedup radius
-    keep what the row-sorting prune keeps, in its order."""
-    distinct = data.draw(st.integers(1, 10))
+    keep what the row-sorting prune keeps, in its order: with z below, at
+    and above the smallest prune block (16), rows that clash inside one
+    block, and inputs whose rows are all one copy."""
+    distinct = data.draw(st.integers(1, 24))
     width = data.draw(st.integers(1, 3))
     cell = st.integers(0, 4).map(lambda k: 0.75 * k)
     base = np.array(data.draw(st.lists(
@@ -173,13 +177,15 @@ def test_prune_order_matches_row_sort_oracle(data):
     base_scores = np.array(data.draw(st.lists(
         st.sampled_from([-2.0, -1.0, -0.5, 0.0]), min_size=distinct, max_size=distinct
     )))
-    copies = data.draw(st.lists(st.integers(0, distinct - 1), max_size=12))
+    copies = data.draw(st.lists(st.integers(0, distinct - 1), max_size=24))
     rows = data.draw(st.permutations(list(range(distinct)) + copies))
     noise = np.array(data.draw(st.lists(
         st.sampled_from([-1e-12, 0.0, 1e-12]), min_size=len(rows), max_size=len(rows)
     )))
     scores, points = base_scores[rows] + noise, base[rows]
-    z = data.draw(st.integers(1, distinct + 2))
+    z = data.draw(st.one_of(
+        st.integers(1, distinct + 2), st.sampled_from([15, 16, 17, 31, 32, 33])
+    ))
     radius = data.draw(st.sampled_from([0.0, 0.75, 1.5, 2.0]))
     expected = oracles.naive_prune_order(scores, points, z, radius)
     assert prune_order(scores, points, z, radius) == expected
@@ -778,7 +784,11 @@ def refinement_center(kind, rng):
     return rng.uniform(-3.0, GRID + 3.0, size=2)
 
 
-def refinement_case(name, seed, kinds, fraction, variant):
+def refinement_case(name, seed, kinds, fraction, variant, count):
+    """`count` root hypotheses on one model and one weight/map variant.  The
+    first has a tight box; the others have their own starting points,
+    object sizes and boxes, so that their discs, window spans and scales
+    differ."""
     hierarchy, _, stack = model(name)
     rng = np.random.default_rng(seed)
     X = np.stack([refinement_center(kind, rng) for kind in kinds[: hierarchy.atomic_count]])
@@ -792,14 +802,25 @@ def refinement_case(name, seed, kinds, fraction, variant):
     if variant == "ridge maps":
         stack = marked_stack(stack, ridges(hierarchy, 2 * int(rng.integers(10)) + 1))
     # sizes on both sides of 37.5 read different scales of the limbs4 stack
-    hyp = Hypothesis(
+    hyps = [Hypothesis(
         hierarchy.root.id, hierarchy.levels, X, {}, float(rng.uniform(5.0, 80.0)),
         BoundingBox(X.min(axis=0), X.max(axis=0)), float(rng.normal()),
-    )
-    return hyp, stack, hierarchy, weights, InferenceParams(search_radius_fraction=fraction)
+    )]
+    rng = np.random.default_rng([seed, count])
+    for _ in range(count - 1):
+        X = np.stack([
+            refinement_center(kind, rng)
+            for kind in rng.permutation(kinds)[: hierarchy.atomic_count]
+        ])
+        low = X.min(axis=0)
+        hyps.append(Hypothesis(
+            hierarchy.root.id, hierarchy.levels, X, {}, float(rng.uniform(5.0, 80.0)),
+            BoundingBox(low, low + rng.uniform(0.0, GRID + 6.0, size=2)), float(rng.normal()),
+        ))
+    return hyps, stack, hierarchy, weights, InferenceParams(search_radius_fraction=fraction)
 
 
-@settings(max_examples=80)
+@settings(max_examples=80, deadline=None)
 @given(
     name=st.sampled_from(sorted(DOCS)),
     seed=st.integers(0, 2**32 - 1),
@@ -808,13 +829,45 @@ def refinement_case(name, seed, kinds, fraction, variant):
     variant=st.sampled_from(
         ["random", "zero appearance", "zero penalty", "zero weights", "flat maps", "ridge maps"]
     ),
+    count=st.sampled_from([1, 2, _REFINE_CHUNK, _REFINE_CHUNK + 1, 2 * _REFINE_CHUNK + 3]),
 )
-def test_refine_matches_per_part_loop(name, seed, kinds, fraction, variant):
-    case = refinement_case(name, seed, kinds, fraction, variant)
-    refined, score = refine_hypothesis(*case)
-    naive_refined, naive_score = oracles.naive_refine_hypothesis(*case)
-    assert np.array_equal(refined, naive_refined)
-    assert score == naive_score
+def test_refine_matches_per_part_loop(name, seed, kinds, fraction, variant, count):
+    """Every row of the chunked refinement of `count` roots equals the
+    per-part loop on its root alone, bit for bit, wherever the sort puts
+    it."""
+    hyps, stack, hierarchy, weights, params = refinement_case(
+        name, seed, kinds, fraction, variant, count
+    )
+    configs, scores = refine_roots(
+        HypothesisSet.of(hyps, hierarchy), stack, hierarchy, weights, params
+    )
+    assert configs.shape == (count, hierarchy.atomic_count, 2) and scores.shape == (count,)
+    for row, hyp in enumerate(hyps):
+        naive_refined, naive_score = oracles.naive_refine_hypothesis(
+            hyp, stack, hierarchy, weights, params
+        )
+        assert np.array_equal(configs[row], naive_refined)
+        assert scores[row] == naive_score
+
+
+def test_refine_chunks_mix_spans_and_scales():
+    """The property test's roots reach both limbs4 scales and several window
+    spans, and each chunk makes one map lookup."""
+    count = 2 * _REFINE_CHUNK + 3
+    hyps, stack, hierarchy, weights, params = refinement_case(
+        "limbs4", 5, ["free"] * 10, 0.15, "random", count
+    )
+    roots = HypothesisSet.of(hyps, hierarchy)
+    scale_index = stack.nearest_scale_indices(
+        hierarchy.scale.factor_from_size(roots.object_size, 1)
+    )
+    per_scale = np.bincount(scale_index, minlength=2)
+    assert (per_scale > 0).all()
+    radius = params.search_radius_fraction * 0.5 * (roots.highs - roots.lows).sum(axis=1)
+    assert len(np.unique(np.floor(2 * radius))) >= 4
+    with mock.patch("hierpose.inference.log_marginals_at", wraps=inference.log_marginals_at) as spy:
+        refine_roots(roots, stack, hierarchy, weights, params)
+    assert spy.call_count == sum(-(-int(n) // _REFINE_CHUNK) for n in per_scale)
 
 
 @pytest.mark.parametrize("fraction", [0.15, 0.005])
@@ -850,3 +903,4 @@ def test_refine_tie_breaks_disc_edge_and_empty_discs(fraction):
     naive_refined, naive_score = oracles.naive_refine_hypothesis(*case)
     assert np.array_equal(refined, naive_refined)
     assert score == naive_score
+

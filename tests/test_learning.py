@@ -399,6 +399,8 @@ def corrupt_tiny3_library(kind, hierarchy):
         nodes[10] = replace(first, locations=locations, labels=labels, object_size=sizes)
     if kind == "fewer exemplars":
         nodes[11] = first_rows(nodes[11], 2)
+    elif kind == "missing node":
+        del nodes[11]
     elif kind == "no exemplars":
         nodes = {nid: first_rows(table, 0) for nid, table in nodes.items()}
     data = library_bytes(SimpleNamespace(
@@ -435,6 +437,7 @@ def corrupt_tiny3_library(kind, hierarchy):
     ("renamed source", "same sources in the same order"),
     ("fewer exemplars", "different exemplar counts"),
     ("no exemplars", "no exemplars"),
+    ("missing node", "lacks composite node 11 "),
     ("truncated", "truncated"),
     ("trailing bytes", "trailing bytes"),
     ("bad version", "unsupported library version"),
