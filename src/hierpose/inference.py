@@ -12,10 +12,18 @@ a block of ranked candidates against the kept rows in one array op.
 Surviving root hypotheses are refined per atomic part inside a disc and the
 best refined configuration wins (the first, in root order, on a tie).
 
+A score is a sum of independent per-node terms, so each hypothesis keeps
+its terms: a swapped hypothesis carries the stored terms of the subtree it
+takes from the level below (where its object size reads the same stored
+scale) and shares the other children's terms with the hypothesis it was
+swapped from (its origin), so scoring re-fits only the part's own node for
+it; a proposed hypothesis has every node of its subtree fitted.
+
 The hypotheses of one part are one `HypothesisSet`: stacked locations
 (H, N, 2), an (H, C) exemplar index per composite node, object sizes, box
-corners and scores.  Seeding, proposal, swap and scoring/pruning take and
-return these sets, so the search never handles a hypothesis on its own;
+corners, scores, an (H, C) weighted term per node and each row's origin.
+Seeding, proposal, swap and scoring/pruning take and return these sets, so
+the search never handles a hypothesis on its own;
 `Hypothesis` is the one-row view that `HypothesisSet.row` returns for the
 surviving roots.  Refinement (`refine_roots`) sorts the roots by scale and
 window span and ranks each chunk of a few roots, all their atomic parts and
@@ -31,7 +39,7 @@ level-2 nodes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,9 +51,11 @@ from .scoring import (
     WeightVector,
     best_fit_pose,
     pose_array,
+    pose_scale_indices,
     refinement_score,
     refinement_scores,
-    subtree_scores,
+    subtree_terms,
+    subtree_total,
 )
 
 __all__ = [
@@ -88,6 +98,12 @@ class InferenceParams:
     search_radius_fraction: float = 0.15
 
     def __post_init__(self):
+        for name in ("z", "samples_per_level", "seed"):
+            value = getattr(self, name)
+            if value is None and name == "samples_per_level":
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.z < 1:
             raise ValueError("z must be >= 1")
         if self.samples_per_level is not None and self.samples_per_level < 1:
@@ -121,7 +137,7 @@ class Hypothesis:
     score: float = float("nan")
 
 
-_ROW_FIELDS = ("locations", "pose", "object_size", "lows", "highs", "score")
+_ROW_FIELDS = ("locations", "pose", "object_size", "lows", "highs", "score", "terms", "origin")
 
 
 @dataclass
@@ -132,7 +148,13 @@ class HypothesisSet:
     per node of `pose_nodes` (the hierarchy's `composite_nodes`), and -1
     for nodes outside the part's subtree.  `lows` and `highs` are the
     corners of each row's tight subtree box; scores are NaN until
-    `score_and_prune` sets them.
+    `score_and_prune` sets them.  `terms` holds each row's weighted spatial
+    term per composite node, in the columns of `pose`, and NaN where it is
+    not known.  `origin` is, for a row that `swap_subtrees` made, the row of
+    this set whose terms it shares at the nodes it has no term for, other
+    than the part's own node; it is -1 for every other row, and for a row
+    whose origin row was not taken along with it.  An origin row has no
+    origin of its own.
     """
 
     node_id: int
@@ -144,6 +166,8 @@ class HypothesisSet:
     lows: np.ndarray  # (H, 2)
     highs: np.ndarray  # (H, 2)
     score: np.ndarray  # (H,)
+    terms: np.ndarray  # (H, C); NaN where not known
+    origin: np.ndarray  # (H,) int; -1 unless made by a swap
 
     @classmethod
     def build(
@@ -156,32 +180,38 @@ class HypothesisSet:
         score: np.ndarray | None = None,
     ) -> "HypothesisSet":
         """Hypotheses of one part from stacked arrays; boxes are computed
-        from the subtree locations, scores default to NaN."""
+        from the subtree locations, scores default to NaN, and no terms are
+        known."""
         subtree = locations[:, hierarchy.atom_rows(node.id)]
+        count = len(locations)
         return cls(
             node.id, node.level, tuple(n.id for n in hierarchy.composite_nodes),
             locations, pose, np.asarray(sizes, dtype=float),
             subtree.min(axis=1), subtree.max(axis=1),
-            np.full(len(locations), np.nan) if score is None else score,
+            np.full(count, np.nan) if score is None else score,
+            np.full(pose.shape, np.nan), np.full(count, -1, dtype=np.intp),
         )
 
     @classmethod
     def of(cls, hyps, hierarchy: PartHierarchy) -> "HypothesisSet":
-        """Stack one part's `Hypothesis` rows (at least one)."""
+        """Stack one part's `Hypothesis` rows (at least one); no terms are
+        known."""
         hyps = list(hyps)
         if not hyps:
             raise ValueError("need at least one hypothesis")
         first = hyps[0]
         if any(h.node_id != first.node_id for h in hyps):
             raise ValueError("hypotheses of one set must belong to one part")
+        pose = pose_array([h.pose for h in hyps], hierarchy)
         return cls(
             first.node_id, first.level, tuple(n.id for n in hierarchy.composite_nodes),
             np.stack([np.asarray(h.locations, dtype=float) for h in hyps]),
-            pose_array([h.pose for h in hyps], hierarchy),
+            pose,
             np.array([h.object_size for h in hyps], dtype=float),
             np.stack([h.box.top_left for h in hyps]),
             np.stack([h.box.bottom_right for h in hyps]),
             np.array([h.score for h in hyps], dtype=float),
+            np.full(pose.shape, np.nan), np.full(len(hyps), -1, dtype=np.intp),
         )
 
     def __len__(self) -> int:
@@ -204,16 +234,27 @@ class HypothesisSet:
         )
 
     def take(self, index) -> "HypothesisSet":
-        """The rows `index`, in that order."""
+        """The rows `index`, in that order; a row's origin becomes the first
+        taken copy of its origin row, or -1 if that row is not taken."""
         index = np.asarray(index, dtype=np.intp)
-        return replace(self, **{name: getattr(self, name)[index] for name in _ROW_FIELDS})
+        rows = {name: getattr(self, name)[index] for name in _ROW_FIELDS}
+        origin = rows["origin"]
+        if (origin >= 0).any():
+            position = np.full(len(self), -1, dtype=np.intp)
+            taken, first = np.unique(index, return_index=True)
+            position[taken] = first
+            rows["origin"] = np.where(origin >= 0, position[origin], -1)
+        return replace(self, **rows)
 
     def concat(self, other: "HypothesisSet") -> "HypothesisSet":
-        """These rows followed by the rows of `other`, a set of the same part."""
-        return replace(self, **{
+        """These rows followed by the rows of `other`, a set of the same part;
+        origins keep pointing at the same rows."""
+        rows = {
             name: np.concatenate([getattr(self, name), getattr(other, name)])
             for name in _ROW_FIELDS
-        })
+        }
+        rows["origin"][len(self):] = np.where(other.origin >= 0, other.origin + len(self), -1)
+        return replace(self, **rows)
 
 
 def _no_hypotheses(node: PartNode, hierarchy: PartHierarchy) -> HypothesisSet:
@@ -383,6 +424,7 @@ def propose_hypotheses(
 def swap_subtrees(
     hyps: HypothesisSet,
     lower: dict[int, HypothesisSet],
+    stack: ScoreMapStack,
     hierarchy: PartHierarchy,
     params: InferenceParams,
 ) -> HypothesisSet:
@@ -395,6 +437,13 @@ def swap_subtrees(
     child, alternative), which takes over the alternative's subtree
     locations and poses.  Compatibility is tested as an H x M array per
     child.
+
+    A swapped row keeps its base row's terms except the part's own node's,
+    and takes the alternative's stored term of each node of the swapped
+    child's subtree where its own object size reads the same stored scale
+    (`pose_scale_indices`) as the alternative's; the rest are NaN.  When it
+    carries every term of the child's subtree, its `origin` is its base row
+    (or the base row's origin), whose terms it shares at every other node.
     """
     if not hyps:
         return hyps
@@ -420,6 +469,10 @@ def swap_subtrees(
     base = found[:, 0]
     locations = hyps.locations[base]
     pose = hyps.pose[base]
+    size = hyps.object_size[base]
+    terms = hyps.terms[base]
+    terms[:, hierarchy.composite_index(node.id)] = np.nan
+    origin = np.where(hyps.origin[base] >= 0, hyps.origin[base], base)
     for slot, child_id in enumerate(node.children):
         picked = np.flatnonzero(found[:, 1] == slot)
         if picked.size:
@@ -429,9 +482,24 @@ def swap_subtrees(
             locations[picked[:, None], rows] = pool.locations[alternative[:, None], rows]
             child_pose = pool.pose[alternative]
             pose[picked] = np.where(child_pose >= 0, child_pose, pose[picked])
-    return hyps.concat(
-        HypothesisSet.build(node, hierarchy, locations, pose, hyps.object_size[base])
-    )
+            below = hierarchy.composites_below(child_id)
+            if not below:
+                continue
+            columns = [hierarchy.composite_index(c) for c in below]
+            carried = pool.terms[alternative[:, None], columns]
+            if len(stack.scales) > 1:  # with one stored scale, every size reads it
+                for j, composite in enumerate(below):
+                    ours, theirs = (
+                        pose_scale_indices(sizes, composite, stack, hierarchy)
+                        for sizes in (size[picked], pool.object_size[alternative])
+                    )
+                    carried[ours != theirs, j] = np.nan
+            terms[picked[:, None], columns] = carried
+            origin[picked[np.isnan(carried).any(axis=1)]] = -1
+    swapped = HypothesisSet.build(node, hierarchy, locations, pose, size)
+    out = hyps.concat(replace(swapped, terms=terms))
+    out.origin[len(hyps):] = origin  # rows of `hyps`, which lead `out`
+    return out
 
 
 def prune_order(
@@ -489,12 +557,17 @@ def score_and_prune(
 
     Only the first copy, in creation order, of rows equal in subtree
     locations, subtree poses and object size (one unique over their bytes)
-    is scored, by its subtree spatial sum, with one kernel call per subtree
-    node.  Duplicates are hypotheses whose atomic locations all lie within
-    dedup_radius of a better-scoring survivor.  Scores that agree to 1e-9
-    keep earlier creation order (see `prune_order`).  Returns the kept rows,
-    best first, with their scores; `counts["scored"]`, if given, grows by
-    the number of rows scored.
+    is scored, by the pre-order sum of its subtree's node terms
+    (`subtree_total`).  A row's known terms are reused; a row with an
+    `origin` takes the terms it lacks, other than the part's own node's,
+    from its origin row once that is scored; every other
+    unknown term is computed by `subtree_terms`, one kernel call per subtree
+    node that has any.  Duplicates are hypotheses whose atomic locations all
+    lie within dedup_radius of a better-scoring survivor.  Scores that agree
+    to 1e-9 keep earlier creation order (see `prune_order`).  Returns the
+    kept rows, best first, with their scores and every subtree term;
+    `counts["scored"]` and `counts["kernel_rows"]`, if given, grow by the
+    number of rows scored and of (row, node) terms computed.
     """
     if not hyps:
         return hyps
@@ -504,14 +577,26 @@ def score_and_prune(
     key = np.hstack([np.ascontiguousarray(f).reshape(len(hyps), -1).view(np.uint8) for f in fields])
     _, first = np.unique(key.view(np.dtype((np.void, key.shape[1])))[:, 0], return_index=True)
     hyps = hyps.take(np.sort(first))
+    terms, shared = hyps.terms, None
+    if (hyps.origin >= 0).any():
+        shared = np.isnan(terms) & (hyps.origin >= 0)[:, None]
+        shared[:, columns[0]] = False  # the part's own node is never shared
+        terms = np.where(shared, 0.0, terms)  # placeholders, copied from the origin below
     if counts is not None:
         counts["scored"] = counts.get("scored", 0) + len(hyps)
-    scores = subtree_scores(
+        counts["kernel_rows"] = counts.get("kernel_rows", 0) + int(
+            np.count_nonzero(np.isnan(terms[:, columns]))
+        )
+    terms = subtree_terms(
         hyps.locations, hyps.node_id, hyps.pose, hyps.object_size,
-        stack, hierarchy, library, weights, bound,
+        stack, hierarchy, library, weights, bound, terms,
     )
+    if shared is not None:
+        terms = np.where(shared, terms[hyps.origin], terms)
+    scores = subtree_total(terms, hyps.node_id, hierarchy)
     kept = prune_order(scores, hyps.locations[:, rows], z, dedup_radius)
-    return replace(hyps, score=scores).take(kept)
+    origin = np.full(len(hyps), -1, dtype=np.intp)
+    return replace(hyps, score=scores, terms=terms, origin=origin).take(kept)
 
 
 _REFINE_CHUNK = 8  # roots ranked per array pass; caps the padded window memory
@@ -671,7 +756,7 @@ class InferenceResult:
     diagnostics: dict
     partial_configuration: np.ndarray
     partial_score: float
-    root_hypotheses: list[Hypothesis] = field(default_factory=list)
+    root_hypotheses: HypothesisSet
 
 
 def infer(
@@ -709,7 +794,7 @@ def infer(
     lower: dict[int, HypothesisSet] = seeds
     for level in range(2, hierarchy.levels + 1):
         current: dict[int, HypothesisSet] = {}
-        counts = {"proposed": 0, "augmented": 0, "scored": 0}
+        counts = {"proposed": 0, "augmented": 0, "scored": 0, "kernel_rows": 0}
         for node_index, node in enumerate(hierarchy.nodes_at_level(level)):
             rng = np.random.default_rng(
                 np.random.SeedSequence(params.seed, spawn_key=(level, node_index))
@@ -717,7 +802,7 @@ def infer(
             raw = propose_hypotheses(node, lower, library, hierarchy, params, rng)
             counts["proposed"] += len(raw)
             if level > 2:
-                raw = swap_subtrees(raw, lower, hierarchy, params)
+                raw = swap_subtrees(raw, lower, stack, hierarchy, params)
             counts["augmented"] += len(raw)
             current[node.id] = score_and_prune(
                 raw, stack, hierarchy, library, weights,
@@ -773,5 +858,5 @@ def infer(
         diagnostics=diagnostics,
         partial_configuration=partial_config,
         partial_score=float(partial_score),
-        root_hypotheses=list(roots),
+        root_hypotheses=roots,
     )

@@ -14,9 +14,15 @@ Every per-node (log-pose-prob, alignment score) pair comes from one batched
 kernel, `pose_terms`: for H hypotheses of a part it gathers each row's child
 geometry and exemplar, runs the bounded similarity fit on all rows at once,
 and looks the relation-type probabilities up at each row's nearest stored
-scale.  Inference scores a whole level with one kernel call per subtree
-node (`subtree_scores`, which reads each row's exemplar per node from an
-(H, C) pose array, see `pose_array`); `subtree_score` is its one-row call.
+scale (`pose_scale_indices`).  A part's spatial score is the pre-order sum
+(`subtree_total`) of its subtree's weighted node terms, which are
+independent of each other; `subtree_terms` computes them as an (H, C)
+matrix with at most one kernel call per subtree node, reading each row's
+exemplar per node from an (H, C) pose array (see `pose_array`).  Terms
+that are already known, such as those a swapped-in subtree carries from
+the level below, are passed in and not recomputed, so the kernel sees only
+the unknown (row, node) pairs.  `subtree_scores` is the sum with no known
+terms, and `subtree_score` its one-row call.
 
 Training features come from one batched pass, `feature_matrix`: for S
 configurations, each read on its own score-map stack, it gathers the atomic
@@ -67,6 +73,9 @@ __all__ = [
     "total_score",
     "pose_terms",
     "pose_array",
+    "pose_scale_indices",
+    "subtree_terms",
+    "subtree_total",
     "subtree_scores",
     "subtree_score",
     "refinement_score",
@@ -246,14 +255,25 @@ def pose_terms(
     return log_prob, -residual
 
 
+def pose_scale_indices(
+    size: np.ndarray, node_id: int, stack: ScoreMapStack, hierarchy: PartHierarchy
+) -> np.ndarray:
+    """Index of the stored scale that the term of node `node_id` reads, for
+    rows of object size `size` (H,): the one nearest the scale that the size
+    sets at the level of the node's children."""
+    level = hierarchy.node(node_id).level - 1
+    return stack.nearest_scale_indices(
+        hierarchy.scale.factor_from_size(np.asarray(size, dtype=float), level)
+    )
+
+
 def _log_pose_probs(node_id, labels, exemplar_index, current, size, stack, hierarchy):
     """Log-pose-probability of H rows: the floored log relation-type
     probabilities of each row's exemplar labels, read at the row's child
     geometry points `current` (H, K, 2) on the stored scale nearest the one
     its object size (H,) sets; rows are grouped by that stored scale."""
     node = hierarchy.node(node_id)
-    scale = hierarchy.scale.factor_from_size(np.asarray(size, dtype=float), node.level - 1)
-    scale_index = stack.nearest_scale_indices(scale)
+    scale_index = pose_scale_indices(size, node_id, stack, hierarchy)
     log_prob = np.zeros(len(exemplar_index))
     for idx in np.unique(scale_index).tolist():
         rows = np.flatnonzero(scale_index == idx)
@@ -307,6 +327,60 @@ def pose_array(poses, hierarchy: PartHierarchy) -> np.ndarray:
     return out
 
 
+def subtree_terms(
+    locations: np.ndarray,
+    node_id: int,
+    pose: np.ndarray,
+    size: np.ndarray,
+    stack: ScoreMapStack,
+    hierarchy: PartHierarchy,
+    library: ExemplarLibrary,
+    weights: WeightVector,
+    bound: AngleBound | float | None = None,
+    terms: np.ndarray | None = None,
+) -> np.ndarray:
+    """(H, C) weighted spatial terms of H hypotheses of one part, using their
+    stored poses.
+
+    `pose` (H, C) holds each row's exemplar index per composite node (see
+    `pose_array`).  Column j of the result holds node j's term
+    w_app * log-pose-prob + w_sim * alignment score, with the stored
+    exemplar, not a re-fit, for the nodes of the part's subtree, and NaN for
+    the others.  `terms` (H, C), if given, holds terms already known; only
+    its NaN entries of subtree nodes are computed, with one kernel call per
+    node that has any.
+    """
+    pose = np.asarray(pose, dtype=np.intp)
+    size = np.asarray(size, dtype=float)
+    out = np.full(pose.shape, np.nan) if terms is None else np.array(terms, dtype=float)
+    for composite in hierarchy.composites_below(node_id):
+        column = hierarchy.composite_index(composite)
+        rows = np.flatnonzero(np.isnan(out[:, column]))
+        if not rows.size:
+            continue
+        if rows.size == len(out):
+            rows = slice(None)  # every row: no gathered copies
+        index = pose[rows, column]
+        if np.any(index < 0):
+            raise ValueError(f"hypothesis subtree is missing a pose for node {composite}")
+        w_app, w_sim = weights.node_weights(hierarchy, composite)
+        log_prob, similarity = pose_terms(
+            locations[rows], composite, index, size[rows], stack, hierarchy, library, bound
+        )
+        out[rows, column] = w_app * log_prob + w_sim * similarity
+    return out
+
+
+def subtree_total(terms: np.ndarray, node_id: int, hierarchy: PartHierarchy) -> np.ndarray:
+    """(H,) spatial scores from the (H, C) terms of one part: its subtree's
+    node terms added in pre-order, one at a time, so that a row's score
+    depends only on its own terms."""
+    total = np.zeros(len(terms))
+    for composite in hierarchy.composites_below(node_id):
+        total += terms[:, hierarchy.composite_index(composite)]
+    return total
+
+
 def subtree_scores(
     locations: np.ndarray,
     node_id: int,
@@ -318,25 +392,13 @@ def subtree_scores(
     weights: WeightVector,
     bound: AngleBound | float | None = None,
 ) -> np.ndarray:
-    """Spatial score of H hypotheses of one part, using their stored poses.
-
-    `pose` (H, C) holds each row's exemplar index per composite node (see
-    `pose_array`).  Each composite node of the part's subtree adds its
-    weighted spatial term with the stored exemplar, not a re-fit; atomic
-    parts score zero.
-    """
-    pose = np.asarray(pose, dtype=np.intp)
-    total = np.zeros(len(pose))
-    for composite in hierarchy.composites_below(node_id):
-        index = pose[:, hierarchy.composite_index(composite)]
-        if np.any(index < 0):
-            raise ValueError(f"hypothesis subtree is missing a pose for node {composite}")
-        w_app, w_sim = weights.node_weights(hierarchy, composite)
-        log_prob, similarity = pose_terms(
-            locations, composite, index, size, stack, hierarchy, library, bound
-        )
-        total += w_app * log_prob + w_sim * similarity
-    return total
+    """Spatial score of H hypotheses of one part, using their stored poses:
+    the `subtree_total` of their `subtree_terms`, none known beforehand.
+    Atomic parts score zero."""
+    terms = subtree_terms(
+        locations, node_id, pose, size, stack, hierarchy, library, weights, bound
+    )
+    return subtree_total(terms, node_id, hierarchy)
 
 
 def subtree_score(

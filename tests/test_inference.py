@@ -249,13 +249,14 @@ def test_swap_zero_tolerance_identity(tiny3_setup):
     frozen = InferenceParams(
         z=4, samples_per_level=80, seed=0, compatibility_tolerance=1e-12
     )
-    augmented = swap_subtrees(raw_root, lower2, hierarchy, frozen)
+    augmented = swap_subtrees(raw_root, lower2, scene.stack, hierarchy, frozen)
     assert len(augmented) == len(raw_root)
 
 
 def test_swap_single_compatible_adds_one(tiny3_setup):
     hierarchy, annotations, library = tiny3_setup
     X = annotations[0].points
+    stack = scene_for(library, hierarchy, seed=3).stack
     root_hyp = hypothesis_from_config(X, hierarchy, library)
     root_hyp.object_size = 10.0
     alternative = hypothesis_from_config(X + 0.2, hierarchy, library)
@@ -274,7 +275,7 @@ def test_swap_single_compatible_adds_one(tiny3_setup):
     }
     params = InferenceParams(z=4, seed=0, compatibility_tolerance=0.1)
     roots = HypothesisSet.of([root_hyp], hierarchy)
-    out = swap_subtrees(roots, lower, hierarchy, params)
+    out = swap_subtrees(roots, lower, stack, hierarchy, params)
     assert len(out) == 2
     swapped = out.row(1)
     assert np.allclose(swapped.locations[rows], X[rows] + 0.2)
@@ -283,7 +284,7 @@ def test_swap_single_compatible_adds_one(tiny3_setup):
         BoundingBox((alt_locations[rows] + 100).min(0), (alt_locations[rows] + 100).max(0)),
     )
     lower = {10: HypothesisSet.of([far], hierarchy), 11: []}
-    out2 = swap_subtrees(roots, lower, hierarchy, params)
+    out2 = swap_subtrees(roots, lower, stack, hierarchy, params)
     assert len(out2) == 1
 
 
@@ -311,7 +312,7 @@ def test_swap_better_child_raises_score(tiny3_setup):
     params = InferenceParams(z=4, seed=0, compatibility_tolerance=0.25)
     out = swap_subtrees(
         HypothesisSet.of([degraded], hierarchy),
-        {10: HypothesisSet.of([good_child], hierarchy), 11: []}, hierarchy, params,
+        {10: HypothesisSet.of([good_child], hierarchy), 11: []}, scene.stack, hierarchy, params,
     )
     assert len(out) == 2
     out = scored(list(out), scene.stack, hierarchy, library, weights)
@@ -453,10 +454,14 @@ def test_level_diagnostics_count_distinct_rows_scored(tiny3_setup):
     params = InferenceParams(z=20, seed=5)
     result = infer(scene.stack, hierarchy, library, uniform_weights(hierarchy), params)
     levels = result.diagnostics["levels"]
-    assert "scored" not in levels[0]
+    assert "scored" not in levels[0] and "kernel_rows" not in levels[0]
     for level in levels[1:]:
         assert 0 < level["kept"] <= level["scored"] <= level["augmented"]
     assert all(level["scored"] < level["augmented"] for level in levels[1:])
+    # a level-2 row has one node to score; a swapped root row, sharing its
+    # base row's terms, computes fewer than the root's three
+    assert levels[1]["kernel_rows"] == levels[1]["scored"]
+    assert levels[2]["kernel_rows"] < 3 * levels[2]["scored"]
 
 
 def test_infer_full_beats_partial(tiny3_setup):
@@ -500,7 +505,7 @@ def test_infer_result_owns_its_configuration(tiny3_setup, mode):
         assert 0 <= winner < len(result.root_hypotheses)
         if mode == "full":
             refined, score = refine_hypothesis(
-                result.root_hypotheses[winner], scene.stack, hierarchy, weights, params
+                result.root_hypotheses.row(winner), scene.stack, hierarchy, weights, params
             )
             assert np.array_equal(result.configuration, refined)
             assert result.score == score
@@ -550,6 +555,18 @@ def test_params_reject_nan_radii(name):
         InferenceParams(**{name: -1.0})
     for value in (0.0, 2.5, math.inf):
         assert getattr(InferenceParams(**{name: value}), name) == value
+
+
+@pytest.mark.parametrize("name", ["z", "samples_per_level", "seed"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, np.True_, "3", np.float64(3.0)])
+def test_params_reject_non_integer_counts(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        InferenceParams(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["z", "samples_per_level", "seed"])
+def test_params_accept_numpy_integers(name):
+    assert getattr(InferenceParams(**{name: np.int64(3)}), name) == 3
 
 
 def test_params_reject_negative_seed():

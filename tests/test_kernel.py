@@ -31,6 +31,7 @@ from hierpose.inference import (
     refine_roots,
     score_and_prune,
     seed_atomic_hypotheses,
+    swap_subtrees,
 )
 from hierpose.scoring import (
     best_fit_pose,
@@ -253,10 +254,107 @@ def test_exact_copies_change_no_kept_row_or_score_bit(data):
         assert out.score.tobytes() == scores[kept].tobytes()
 
 
+def swapped_rows(data, one_scale=False):
+    """A model, a part with composite children, and its rows after
+    `swap_subtrees`: base rows from `random_rows`, as proposals leave them
+    (no terms known) or already scored, swapped with pools of each child
+    that `score_and_prune` has scored, so they carry their terms; maybe
+    swapped a second time, which can swap one child twice.  Object sizes
+    span both stored scales of limbs4 unless `one_scale`, which keeps them
+    below 37.5 and the base rows unscored."""
+    hierarchy, library, stack = model(data.draw(st.sampled_from(sorted(DOCS))))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    node = data.draw(st.sampled_from([n for n in hierarchy.composite_nodes if n.level >= 3]))
+    weights = random_weights(hierarchy, rng)
+
+    def rows_of(part, count):
+        locations, poses, sizes = random_rows(hierarchy, library, part.id, count, rng)
+        if one_scale:
+            sizes = rng.uniform(10.0, 30.0, count)
+        return HypothesisSet.build(part, hierarchy, locations, pose_array(poses, hierarchy), sizes)
+
+    lower = {}
+    for child in node.children:
+        pool = rows_of(hierarchy.node(child), data.draw(st.integers(1, 3)))
+        lower[child] = score_and_prune(pool, stack, hierarchy, library, weights, len(pool), 0.0)
+    hyps = rows_of(node, data.draw(st.integers(1, 4)))
+    if not one_scale and data.draw(st.booleans()):
+        hyps = score_and_prune(hyps, stack, hierarchy, library, weights, len(hyps), 0.0)
+    params = InferenceParams(compatibility_tolerance=data.draw(st.sampled_from([0.3, 1.0])))
+    for _ in range(data.draw(st.integers(1, 1 if one_scale else 2))):
+        hyps = swap_subtrees(hyps, lower, stack, hierarchy, params)
+    return hierarchy, library, stack, weights, hyps
+
+
+def no_terms(hyps):
+    """The same rows, with no term known and no origin."""
+    return replace(hyps, terms=np.full(hyps.terms.shape, np.nan),
+                   origin=np.full(len(hyps), -1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_swapped_rows_score_like_a_full_rescore(data):
+    """Reused and shared terms change no kept row and no score bit, with
+    exact copies interleaved: the kept rows, their scores and terms equal
+    those of scoring every term anew,
+    each score is its row's full `subtree_scores`, and within 1e-9 of the
+    recursive oracle."""
+    hierarchy, library, stack, weights, hyps = swapped_rows(data)
+    hyps = hyps.take(with_copies(data, len(hyps)))
+    z = data.draw(st.integers(1, len(hyps) + 1))
+    radius = data.draw(st.sampled_from([0.0, 2.0]))
+    out = score_and_prune(hyps, stack, hierarchy, library, weights, z, radius)
+    full = score_and_prune(no_terms(hyps), stack, hierarchy, library, weights, z, radius)
+    for name in ("locations", "pose", "object_size", "score", "terms"):
+        assert getattr(out, name).tobytes() == getattr(full, name).tobytes(), name
+    assert out.score.tobytes() == subtree_scores(
+        out.locations, out.node_id, out.pose, out.object_size,
+        stack, hierarchy, library, weights,
+    ).tobytes()
+    for i in range(len(out)):
+        naive = oracles.naive_subtree_score(out.row(i), stack, hierarchy, library, weights, None)
+        assert out.score[i] == pytest.approx(naive, abs=1e-9)
+
+
+def test_swap_carries_terms_only_at_the_same_scale():
+    """On the two-scale limbs4 stack a child's stored terms are carried into
+    a swapped row only when the row's object size reads the same stored
+    scale as the child's (37.5 is the boundary); otherwise they are left to
+    be computed, and the row takes no origin."""
+    hierarchy, library, stack = model("limbs4")
+    weights = random_weights(hierarchy, np.random.default_rng(2))
+    node, child = hierarchy.node(20), hierarchy.node(11)
+    rng = np.random.default_rng(4)
+    locations, poses, _ = random_rows(hierarchy, library, child.id, 1, rng)
+    pool = HypothesisSet.build(child, hierarchy, locations, pose_array(poses, hierarchy), [30.0])
+    pool = score_and_prune(pool, stack, hierarchy, library, weights, 1, 0.0)
+    column = hierarchy.composite_index(child.id)
+    assert np.isfinite(pool.terms[0, column])
+    locations, poses, _ = random_rows(hierarchy, library, node.id, 2, rng)
+    locations[:, hierarchy.atom_rows(child.id)] = pool.locations[0, hierarchy.atom_rows(child.id)]
+    hyps = HypothesisSet.build(
+        node, hierarchy, locations, pose_array(poses, hierarchy), [20.0, 45.0]
+    )
+    out = swap_subtrees(
+        hyps, {child.id: pool}, stack, hierarchy, InferenceParams(compatibility_tolerance=0.01)
+    )
+    assert len(out) == 4
+    assert out.terms[2, column] == pool.terms[0, column] and out.origin[2] == 0
+    assert np.isnan(out.terms[3, column]) and out.origin[3] == -1
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_score_and_prune_scores_each_distinct_row_once(data):
-    hierarchy, library, stack, weights, hyps = distinct_rows(data)
+    """Exact copies are scored once, and on one stored scale a swapped row
+    costs one kernel row, its own node's: the kernel sees the distinct base
+    rows at every subtree node, and the distinct swapped rows at the part's
+    own node only."""
+    hierarchy, library, stack, weights, hyps = swapped_rows(data, one_scale=True)
+    base = int(np.sum(hyps.origin < 0))
+    swapped = len(hyps) - base
+    nodes = len(hierarchy.composites_below(hyps.node_id))
     rows_seen = []
     kernel = scoring.pose_terms
 
@@ -270,8 +368,8 @@ def test_score_and_prune_scores_each_distinct_row_once(data):
             hyps.take(with_copies(data, len(hyps))), stack, hierarchy, library, weights,
             z=4, dedup_radius=2.0, counts=counts,
         )
-    assert rows_seen == [len(hyps)] * len(hierarchy.composites_below(hyps.node_id))
-    assert counts == {"scored": len(hyps)}
+    assert rows_seen == [base + swapped] + [base] * (nodes - 1)
+    assert counts == {"scored": base + swapped, "kernel_rows": base * nodes + swapped}
 
 
 # -- typed-error parity ----------------------------------------------------------

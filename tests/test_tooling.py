@@ -1,8 +1,10 @@
 """Smoke checks of the shipped entry points: each demo runs to exit 0,
 every name a module exports resolves, numpy is the one runtime
-dependency, and the format notes name every diagnostics key."""
+dependency, the format notes name every diagnostics key, and
+`HypothesisSet.take`/`concat` carry every per-row field."""
 
 import ast
+import dataclasses
 import importlib
 import os
 import pkgutil
@@ -11,10 +13,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hierpose
 from hierpose import InferenceParams, WeightVector, infer, load_hierarchy
+from hierpose.inference import _ROW_FIELDS, HypothesisSet
 from hierpose.synth import make_scene
 
 from conftest import annotations_tiny3, library_for, tiny3_doc
@@ -105,3 +109,26 @@ def test_formats_doc_names_every_diagnostics_key():
     assert {"level", "scored", "final_score"} <= keys
     missing = sorted(key for key in keys if f"`{key}`" not in section)
     assert not missing, f"docs/formats.md does not name diagnostics keys {missing}"
+
+
+def test_every_per_row_field_is_taken_and_concatenated():
+    """A per-row array field missing from `_ROW_FIELDS` would be dropped or
+    misaligned by `take` and `concat` without an error."""
+    hierarchy = load_hierarchy(tiny3_doc())
+    rows = 5  # unlike every other dimension of the set
+    node = hierarchy.root
+    locations = np.arange(rows * hierarchy.atomic_count * 2, dtype=float).reshape(rows, -1, 2)
+    pose = np.zeros((rows, len(hierarchy.composite_nodes)), dtype=np.intp)
+    hyps = HypothesisSet.build(node, hierarchy, locations, pose, np.ones(rows))
+    per_row = {
+        field.name for field in dataclasses.fields(hyps)
+        if isinstance(getattr(hyps, field.name), np.ndarray)
+        and len(getattr(hyps, field.name)) == rows
+    }
+    assert per_row == set(_ROW_FIELDS)
+    for out in (hyps.take([3, 1]), hyps.concat(hyps.take([2]))):
+        assert all(len(getattr(out, name)) == len(out.score) for name in per_row)
+    # origins keep pointing at their rows, or at none once those are gone
+    hyps.origin[[3, 4]] = [1, 2]
+    assert hyps.take([4, 2, 3, 2]).origin.tolist() == [1, -1, -1, -1]
+    assert hyps.concat(hyps).origin.tolist() == [-1, -1, -1, 1, 2, -1, -1, -1, 6, 7]
