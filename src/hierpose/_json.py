@@ -45,9 +45,13 @@ NUMBER = Either(int, float)  # a JSON number, kept as written
 
 
 def load(text: str, spec, where: str, error):
-    """`read` of the JSON document `text`."""
+    """`read` of the JSON document `text`; Python's NaN and ±Infinity tokens are rejected."""
+
+    def reject(name):
+        raise error(f"{where} holds {name}, which is not a JSON number")
+
     try:
-        value = json.loads(text)
+        value = json.loads(text, parse_constant=reject)
     except json.JSONDecodeError as exc:
         raise error(f"{where} is not valid JSON: {exc}") from None
     return read(value, spec, where, error)

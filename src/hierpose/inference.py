@@ -6,22 +6,24 @@ locations at level 2, composite anchors above), carrying over the exemplar's
 subtree and object size; every node of the subtree takes the drawn exemplar
 row, since row e of every node comes from one annotation.  From level 3 up, child
 subtrees may additionally be swapped with geometrically compatible lower
-hypotheses.  Exact copies are then dropped, each distinct hypothesis is
-scored once, and near duplicates are pruned to the best Z per part, testing
-a block of ranked candidates against the kept rows in one array op.
+hypotheses.  Exact copies are dropped (before the swap too), each distinct
+hypothesis is scored once, and near duplicates are pruned to the best Z per
+part, testing a block of ranked candidates against the kept rows in one
+array op.
 Surviving root hypotheses are refined per atomic part inside a disc and the
 best refined configuration wins (the first, in root order, on a tie).
 
 A score is a sum of independent per-node terms, so each hypothesis keeps
-its terms: a swapped hypothesis carries the stored terms of the subtree it
-takes from the level below (where its object size reads the same stored
-scale) and shares the other children's terms with the hypothesis it was
-swapped from (its origin), so scoring re-fits only the part's own node for
-it; a proposed hypothesis has every node of its subtree fitted.
+its terms, each either known or NaN (to be computed).  From level 3 up the
+distinct proposals get their children's subtree terms before the swap; a
+swapped hypothesis copies them, except the terms of the subtree it takes
+from the level below, which it carries from there (where its object size
+reads the same stored scale).  Scoring then fits the part's own node and
+whatever is still NaN.
 
 The hypotheses of one part are one `HypothesisSet`: stacked locations
 (H, N, 2), an (H, C) exemplar index per composite node, object sizes, box
-corners, scores, an (H, C) weighted term per node and each row's origin.
+corners, scores and an (H, C) weighted term per node.
 Seeding, proposal, swap and scoring/pruning take and return these sets, so
 the search never handles a hypothesis on its own;
 `Hypothesis` is the one-row view that `HypothesisSet.row` returns for the
@@ -39,6 +41,7 @@ level-2 nodes).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -104,6 +107,11 @@ class InferenceParams:
                 continue
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("max_angle", "compatibility_tolerance", "nms_radius", "dedup_radius",
+                     "search_radius_fraction"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if self.z < 1:
             raise ValueError("z must be >= 1")
         if self.samples_per_level is not None and self.samples_per_level < 1:
@@ -137,7 +145,7 @@ class Hypothesis:
     score: float = float("nan")
 
 
-_ROW_FIELDS = ("locations", "pose", "object_size", "lows", "highs", "score", "terms", "origin")
+_ROW_FIELDS = ("locations", "pose", "object_size", "lows", "highs", "score", "terms")
 
 
 @dataclass
@@ -150,11 +158,7 @@ class HypothesisSet:
     corners of each row's tight subtree box; scores are NaN until
     `score_and_prune` sets them.  `terms` holds each row's weighted spatial
     term per composite node, in the columns of `pose`, and NaN where it is
-    not known.  `origin` is, for a row that `swap_subtrees` made, the row of
-    this set whose terms it shares at the nodes it has no term for, other
-    than the part's own node; it is -1 for every other row, and for a row
-    whose origin row was not taken along with it.  An origin row has no
-    origin of its own.
+    not known and is still to be computed.
     """
 
     node_id: int
@@ -167,7 +171,6 @@ class HypothesisSet:
     highs: np.ndarray  # (H, 2)
     score: np.ndarray  # (H,)
     terms: np.ndarray  # (H, C); NaN where not known
-    origin: np.ndarray  # (H,) int; -1 unless made by a swap
 
     @classmethod
     def build(
@@ -183,13 +186,12 @@ class HypothesisSet:
         from the subtree locations, scores default to NaN, and no terms are
         known."""
         subtree = locations[:, hierarchy.atom_rows(node.id)]
-        count = len(locations)
         return cls(
             node.id, node.level, tuple(n.id for n in hierarchy.composite_nodes),
             locations, pose, np.asarray(sizes, dtype=float),
             subtree.min(axis=1), subtree.max(axis=1),
-            np.full(count, np.nan) if score is None else score,
-            np.full(pose.shape, np.nan), np.full(count, -1, dtype=np.intp),
+            np.full(len(locations), np.nan) if score is None else score,
+            np.full(pose.shape, np.nan),
         )
 
     @classmethod
@@ -211,7 +213,7 @@ class HypothesisSet:
             np.stack([h.box.top_left for h in hyps]),
             np.stack([h.box.bottom_right for h in hyps]),
             np.array([h.score for h in hyps], dtype=float),
-            np.full(pose.shape, np.nan), np.full(len(hyps), -1, dtype=np.intp),
+            np.full(pose.shape, np.nan),
         )
 
     def __len__(self) -> int:
@@ -234,27 +236,16 @@ class HypothesisSet:
         )
 
     def take(self, index) -> "HypothesisSet":
-        """The rows `index`, in that order; a row's origin becomes the first
-        taken copy of its origin row, or -1 if that row is not taken."""
+        """The rows `index`, in that order."""
         index = np.asarray(index, dtype=np.intp)
-        rows = {name: getattr(self, name)[index] for name in _ROW_FIELDS}
-        origin = rows["origin"]
-        if (origin >= 0).any():
-            position = np.full(len(self), -1, dtype=np.intp)
-            taken, first = np.unique(index, return_index=True)
-            position[taken] = first
-            rows["origin"] = np.where(origin >= 0, position[origin], -1)
-        return replace(self, **rows)
+        return replace(self, **{name: getattr(self, name)[index] for name in _ROW_FIELDS})
 
     def concat(self, other: "HypothesisSet") -> "HypothesisSet":
-        """These rows followed by the rows of `other`, a set of the same part;
-        origins keep pointing at the same rows."""
-        rows = {
+        """These rows followed by the rows of `other`, a set of the same part."""
+        return replace(self, **{
             name: np.concatenate([getattr(self, name), getattr(other, name)])
             for name in _ROW_FIELDS
-        }
-        rows["origin"][len(self):] = np.where(other.origin >= 0, other.origin + len(self), -1)
-        return replace(self, **rows)
+        })
 
 
 def _no_hypotheses(node: PartNode, hierarchy: PartHierarchy) -> HypothesisSet:
@@ -441,9 +432,7 @@ def swap_subtrees(
     A swapped row keeps its base row's terms except the part's own node's,
     and takes the alternative's stored term of each node of the swapped
     child's subtree where its own object size reads the same stored scale
-    (`pose_scale_indices`) as the alternative's; the rest are NaN.  When it
-    carries every term of the child's subtree, its `origin` is its base row
-    (or the base row's origin), whose terms it shares at every other node.
+    (`pose_scale_indices`) as the alternative's; the rest are NaN.
     """
     if not hyps:
         return hyps
@@ -472,7 +461,6 @@ def swap_subtrees(
     size = hyps.object_size[base]
     terms = hyps.terms[base]
     terms[:, hierarchy.composite_index(node.id)] = np.nan
-    origin = np.where(hyps.origin[base] >= 0, hyps.origin[base], base)
     for slot, child_id in enumerate(node.children):
         picked = np.flatnonzero(found[:, 1] == slot)
         if picked.size:
@@ -495,11 +483,8 @@ def swap_subtrees(
                     )
                     carried[ours != theirs, j] = np.nan
             terms[picked[:, None], columns] = carried
-            origin[picked[np.isnan(carried).any(axis=1)]] = -1
     swapped = HypothesisSet.build(node, hierarchy, locations, pose, size)
-    out = hyps.concat(replace(swapped, terms=terms))
-    out.origin[len(hyps):] = origin  # rows of `hyps`, which lead `out`
-    return out
+    return hyps.concat(replace(swapped, terms=terms))
 
 
 def prune_order(
@@ -542,6 +527,18 @@ def prune_order(
     return kept
 
 
+def _drop_copies(hyps: HypothesisSet, hierarchy: PartHierarchy) -> HypothesisSet:
+    """The first copy, in creation order, of each group of rows equal in
+    subtree locations, subtree poses and object size (one unique over their
+    bytes)."""
+    rows = hierarchy.atom_rows(hyps.node_id)
+    columns = [hierarchy.composite_index(n) for n in hierarchy.composites_below(hyps.node_id)]
+    fields = (hyps.locations[:, rows], hyps.pose[:, columns], hyps.object_size[:, None])
+    key = np.hstack([np.ascontiguousarray(f).reshape(len(hyps), -1).view(np.uint8) for f in fields])
+    _, first = np.unique(key.view(np.dtype((np.void, key.shape[1])))[:, 0], return_index=True)
+    return hyps.take(np.sort(first))
+
+
 def score_and_prune(
     hyps: HypothesisSet,
     stack: ScoreMapStack,
@@ -558,11 +555,9 @@ def score_and_prune(
     Only the first copy, in creation order, of rows equal in subtree
     locations, subtree poses and object size (one unique over their bytes)
     is scored, by the pre-order sum of its subtree's node terms
-    (`subtree_total`).  A row's known terms are reused; a row with an
-    `origin` takes the terms it lacks, other than the part's own node's,
-    from its origin row once that is scored; every other
-    unknown term is computed by `subtree_terms`, one kernel call per subtree
-    node that has any.  Duplicates are hypotheses whose atomic locations all
+    (`subtree_total`).  A row's known terms are reused and its NaN terms
+    are computed by `subtree_terms`, one kernel call per subtree node that
+    has any.  Duplicates are hypotheses whose atomic locations all
     lie within dedup_radius of a better-scoring survivor.  Scores that agree
     to 1e-9 keep earlier creation order (see `prune_order`).  Returns the
     kept rows, best first, with their scores and every subtree term;
@@ -571,32 +566,18 @@ def score_and_prune(
     """
     if not hyps:
         return hyps
-    rows = hierarchy.atom_rows(hyps.node_id)
-    columns = [hierarchy.composite_index(n) for n in hierarchy.composites_below(hyps.node_id)]
-    fields = (hyps.locations[:, rows], hyps.pose[:, columns], hyps.object_size[:, None])
-    key = np.hstack([np.ascontiguousarray(f).reshape(len(hyps), -1).view(np.uint8) for f in fields])
-    _, first = np.unique(key.view(np.dtype((np.void, key.shape[1])))[:, 0], return_index=True)
-    hyps = hyps.take(np.sort(first))
-    terms, shared = hyps.terms, None
-    if (hyps.origin >= 0).any():
-        shared = np.isnan(terms) & (hyps.origin >= 0)[:, None]
-        shared[:, columns[0]] = False  # the part's own node is never shared
-        terms = np.where(shared, 0.0, terms)  # placeholders, copied from the origin below
-    if counts is not None:
-        counts["scored"] = counts.get("scored", 0) + len(hyps)
-        counts["kernel_rows"] = counts.get("kernel_rows", 0) + int(
-            np.count_nonzero(np.isnan(terms[:, columns]))
-        )
+    hyps = _drop_copies(hyps, hierarchy)
     terms = subtree_terms(
         hyps.locations, hyps.node_id, hyps.pose, hyps.object_size,
-        stack, hierarchy, library, weights, bound, terms,
+        stack, hierarchy, library, weights, bound, hyps.terms,
     )
-    if shared is not None:
-        terms = np.where(shared, terms[hyps.origin], terms)
+    if counts is not None:
+        counts["scored"] = counts.get("scored", 0) + len(hyps)
+        computed = int(np.isnan(hyps.terms).sum() - np.isnan(terms).sum())
+        counts["kernel_rows"] = counts.get("kernel_rows", 0) + computed
     scores = subtree_total(terms, hyps.node_id, hierarchy)
-    kept = prune_order(scores, hyps.locations[:, rows], z, dedup_radius)
-    origin = np.full(len(hyps), -1, dtype=np.intp)
-    return replace(hyps, score=scores, terms=terms, origin=origin).take(kept)
+    kept = prune_order(scores, hyps.locations[:, hierarchy.atom_rows(hyps.node_id)], z, dedup_radius)
+    return replace(hyps, score=scores, terms=terms).take(kept)
 
 
 _REFINE_CHUNK = 8  # roots ranked per array pass; caps the padded window memory
@@ -801,8 +782,16 @@ def infer(
             )
             raw = propose_hypotheses(node, lower, library, hierarchy, params, rng)
             counts["proposed"] += len(raw)
-            if level > 2:
-                raw = swap_subtrees(raw, lower, stack, hierarchy, params)
+            if level > 2 and raw:
+                raw = _drop_copies(raw, hierarchy)
+                terms = raw.terms
+                for child_id in node.children:
+                    terms = subtree_terms(
+                        raw.locations, child_id, raw.pose, raw.object_size,
+                        stack, hierarchy, library, weights, params.max_angle, terms,
+                    )
+                counts["kernel_rows"] += int(np.isnan(raw.terms).sum() - np.isnan(terms).sum())
+                raw = swap_subtrees(replace(raw, terms=terms), lower, stack, hierarchy, params)
             counts["augmented"] += len(raw)
             current[node.id] = score_and_prune(
                 raw, stack, hierarchy, library, weights,

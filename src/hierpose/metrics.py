@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,8 +138,10 @@ def pcp_radius(
         sigma = np.asarray(sigmas, dtype=float)
     if sigma.shape != (n_parts,):
         raise ValueError(f"need {n_parts} sigmas, got {sigma.shape}")
-    if np.any(sigma <= 0):
-        raise ValueError("sigmas must be positive")
+    if not np.all(np.isfinite(sigma) & (sigma > 0)):
+        raise ValueError("sigmas must be finite and positive")
+    if not (math.isfinite(factor) and factor > 0):
+        raise ValueError(f"factor must be finite and positive, got {factor!r}")
     if visible is None:
         mask = np.ones((n_samples, n_parts), dtype=bool)
     else:
@@ -168,9 +171,11 @@ def pdj_curve(preds, gts, normalizers, thresholds) -> MetricReport:
         normalizers = np.full(preds.shape[0], float(normalizers))
     if normalizers.shape != (preds.shape[0],):
         raise ValueError("need one normalizer per sample")
-    if np.any(normalizers <= 0):
-        raise ValueError("normalizers must be positive")
+    if not np.all(np.isfinite(normalizers) & (normalizers > 0)):
+        raise ValueError("normalizers must be finite and positive")
     thresholds = [float(t) for t in thresholds]
+    if not all(math.isfinite(t) for t in thresholds):
+        raise ValueError("thresholds must be finite")
     normalized = np.linalg.norm(preds - gts, axis=2) / normalizers[:, None]
     rates = [float(np.mean(normalized <= t)) for t in thresholds]
     labels = tuple(repr(t) for t in thresholds)

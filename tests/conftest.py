@@ -136,6 +136,28 @@ def annotations_tiny3(count: int = 3) -> list[Annotation]:
     return [Annotation(f"img{i}", base_pose_tiny3(i)) for i in range(count)]
 
 
+def human_pose() -> np.ndarray:
+    """A hand-made pose for `configs/human_hierarchy.json`."""
+    return np.array(
+        [
+            (30, 95), (32, 75), (35, 55), (45, 55), (47, 75), (49, 95),
+            (15, 50), (22, 40), (32, 30), (48, 30), (56, 40), (62, 50),
+            (40, 25), (40, 10),
+        ],
+        dtype=float,
+    )
+
+
+def human_annotations(count=3) -> list[Annotation]:
+    """The human pose, then jittered copies of it."""
+    rng = np.random.default_rng(11)
+    out = []
+    for i in range(count):
+        jitter = rng.normal(0, 2.0, (14, 2)) if i else np.zeros((14, 2))
+        out.append(Annotation(f"h{i}", human_pose() + jitter, size=(120, 120)))
+    return out
+
+
 def library_for(hierarchy, annotations, atomic_bins=8, composite_bins=2, seed=0):
     model = RelationTypeModel.build(
         hierarchy, annotations, atomic_bins=atomic_bins,

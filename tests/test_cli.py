@@ -32,6 +32,7 @@ from hierpose import (
 from hierpose.cli import main
 from hierpose.inference import DEFAULT_MAX_ANGLE
 from hierpose.learning import TrainingSet
+from hierpose.metrics import pcp_radius, pdj_curve
 from hierpose.scoring import WeightVector, total_score
 
 import oracles
@@ -262,8 +263,11 @@ def test_infer_nan_bias_exit_1(workspace, capsys):
     path.write_text(json.dumps(doc))  # writes the bare token NaN
     assert main(["infer", str(infer_config(workspace))]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "bias must be finite" in err
+    assert err.startswith("error: ") and "weights holds NaN" in err
     assert "Traceback" not in err
+    # a NaN bias that does not come from JSON is caught by the weights
+    with pytest.raises(ValueError, match="bias must be finite"):
+        WeightVector(np.ones(6), np.ones(3), np.ones(3), math.nan)
 
 
 def with_params(workspace, **changes):
@@ -598,6 +602,47 @@ def test_eval_real_fields_must_be_json_numbers(workspace, capsys, metric, overri
     assert main(["eval", str(config)]) == 1
     assert_rejected(capsys, message)
     assert not (workspace / "out").exists()
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "metric, overrides, cli_message, library_message",
+    [
+        ("pcp_radius", {"sigmas": [NAN] * 6}, "config holds NaN", "sigmas must be finite"),
+        ("pcp_radius", {"sigmas": dict(SIGMAS, la=INF)}, "config holds Infinity",
+         "sigmas must be finite"),
+        ("pcp_radius", {"factor": NAN}, "config holds NaN", "factor must be finite"),
+        ("pcp_radius", {"factor": -INF}, "config holds -Infinity", "factor must be finite"),
+        ("pcp_radius", {"factor": -1.0}, "factor must be finite and positive, got -1.0",
+         "factor must be finite and positive"),
+        ("pdj", {"normalizer": NAN}, "config holds NaN", "normalizers must be finite"),
+        ("pdj", {"thresholds": [0.1, NAN]}, "config holds NaN", "thresholds must be finite"),
+    ],
+    ids=["nan-sigmas", "inf-sigma", "nan-factor", "-inf-factor", "negative-factor",
+         "nan-normalizer", "nan-threshold"],
+)
+def test_eval_rejects_non_finite_metric_parameters(
+    shared_workspace, capsys, metric, overrides, cli_message, library_message
+):
+    """A config written by Python's `json.dump`, which writes NaN and
+    Infinity, exits 1 without a report; the metric functions reject the same
+    values, and a factor <= 0, with ValueError."""
+    doc = {"sigmas": SIGMAS, "factor": 1.5} if metric == "pcp_radius" else {"thresholds": [0.1]}
+    doc.update(overrides)
+    config = eval_config(shared_workspace, metric, "non_finite", **doc)
+    assert main(["eval", str(config)]) == 1
+    assert_rejected(capsys, cli_message)
+    assert not (shared_workspace / "out" / "non_finite.report").exists()
+
+    gts = np.random.default_rng(0).random((3, 6, 2)) * 20
+    preds = gts + 0.5
+    with pytest.raises(ValueError, match=library_message):
+        if metric == "pcp_radius":
+            pcp_radius(preds, gts, doc["sigmas"], doc["factor"], part_names=tuple(SIGMAS))
+        else:
+            pdj_curve(preds, gts, doc.get("normalizer", 10.0), doc["thresholds"])
 
 
 def score_config(workspace, **overrides):

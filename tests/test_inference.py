@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -113,6 +114,23 @@ def test_infer_flat_maps_no_configuration(tiny3_setup):
     with pytest.raises(NoConfigurationError):
         infer(stack, hierarchy, library, uniform_weights(hierarchy),
               InferenceParams(z=3, seed=0))
+
+
+def test_infer_reports_a_level_without_proposals(tiny3_setup):
+    """A part above level 2 whose proposals all fail leaves its level empty,
+    which `infer` reports as no configuration."""
+    hierarchy, annotations, library = tiny3_setup
+    scene = scene_for(library, hierarchy, seed=1)
+    propose = inference.propose_hypotheses
+
+    def none_at_level_3(node, *args):
+        hyps = propose(node, *args)
+        return hyps.take([]) if node.level == 3 else hyps
+
+    with mock.patch.object(inference, "propose_hypotheses", none_at_level_3):
+        with pytest.raises(NoConfigurationError, match="level 3 is empty"):
+            infer(scene.stack, hierarchy, library, uniform_weights(hierarchy),
+                  InferenceParams(z=3, seed=0))
 
 
 def test_propose_exact_alignment(tiny3_setup):
@@ -557,10 +575,25 @@ def test_params_reject_nan_radii(name):
         assert getattr(InferenceParams(**{name: value}), name) == value
 
 
-@pytest.mark.parametrize("name", ["z", "samples_per_level", "seed"])
-@pytest.mark.parametrize("value", [2.5, 3.0, True, np.True_, "3", np.float64(3.0)])
-def test_params_reject_non_integer_counts(name, value):
-    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+COUNT_FIELDS = ("z", "samples_per_level", "seed")
+REAL_FIELDS = ("max_angle", "compatibility_tolerance", "nms_radius", "dedup_radius",
+               "search_radius_fraction")
+# values by test id; np.True_ and the two 3.0s need ids of their own
+NOT_COUNTS = {"2.5": 2.5, "3.0_0": 3.0, "True": True, "value3": np.True_, "3": "3",
+              "3.0_1": np.float64(3.0)}
+NOT_REALS = {"True": True, "np.True_": np.True_, "str": "1", "None": None}
+
+
+@pytest.mark.parametrize(
+    "name, value, kind",
+    [pytest.param(name, value, "an integer", id=f"{key}-{name}")
+     for key, value in NOT_COUNTS.items() for name in COUNT_FIELDS]
+    + [pytest.param(name, value, "a real number", id=f"{key}-{name}")
+       for key, value in NOT_REALS.items() for name in REAL_FIELDS],
+)
+def test_params_reject_non_integer_counts(name, value, kind):
+    """Bools and non-numbers are not numbers here, and counts must be integers."""
+    with pytest.raises(ValueError, match=f"{name} must be {kind}"):
         InferenceParams(**{name: value})
 
 

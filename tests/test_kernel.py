@@ -39,6 +39,7 @@ from hierpose.scoring import (
     pose_array,
     pose_terms,
     subtree_scores,
+    subtree_terms,
 )
 from hierpose.synth import make_scene
 
@@ -254,14 +255,28 @@ def test_exact_copies_change_no_kept_row_or_score_bit(data):
         assert out.score.tobytes() == scores[kept].tobytes()
 
 
+def with_child_terms(hyps, stack, hierarchy, library, weights):
+    """The rows with every term of their children's subtrees computed, as
+    `infer` gives the distinct proposals before the swap."""
+    terms = hyps.terms
+    for child_id in hierarchy.node(hyps.node_id).children:
+        terms = subtree_terms(
+            hyps.locations, child_id, hyps.pose, hyps.object_size,
+            stack, hierarchy, library, weights, None, terms,
+        )
+    return replace(hyps, terms=terms)
+
+
 def swapped_rows(data, one_scale=False):
-    """A model, a part with composite children, and its rows after
-    `swap_subtrees`: base rows from `random_rows`, as proposals leave them
-    (no terms known) or already scored, swapped with pools of each child
+    """A model, a part with composite children, its rows after
+    `swap_subtrees`, and how many of them lead as base rows: base rows from
+    `random_rows`, with no terms known, with their children's terms (as
+    `infer` swaps them) or already scored, swapped with pools of each child
     that `score_and_prune` has scored, so they carry their terms; maybe
     swapped a second time, which can swap one child twice.  Object sizes
     span both stored scales of limbs4 unless `one_scale`, which keeps them
-    below 37.5 and the base rows unscored."""
+    below 37.5, gives the base rows their children's terms and swaps
+    once."""
     hierarchy, library, stack = model(data.draw(st.sampled_from(sorted(DOCS))))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     node = data.draw(st.sampled_from([n for n in hierarchy.composite_nodes if n.level >= 3]))
@@ -278,29 +293,32 @@ def swapped_rows(data, one_scale=False):
         pool = rows_of(hierarchy.node(child), data.draw(st.integers(1, 3)))
         lower[child] = score_and_prune(pool, stack, hierarchy, library, weights, len(pool), 0.0)
     hyps = rows_of(node, data.draw(st.integers(1, 4)))
-    if not one_scale and data.draw(st.booleans()):
+    known = "children" if one_scale else data.draw(st.sampled_from(["none", "children", "all"]))
+    if known == "children":
+        hyps = with_child_terms(hyps, stack, hierarchy, library, weights)
+    elif known == "all":
         hyps = score_and_prune(hyps, stack, hierarchy, library, weights, len(hyps), 0.0)
+    bases = len(hyps)
     params = InferenceParams(compatibility_tolerance=data.draw(st.sampled_from([0.3, 1.0])))
     for _ in range(data.draw(st.integers(1, 1 if one_scale else 2))):
         hyps = swap_subtrees(hyps, lower, stack, hierarchy, params)
-    return hierarchy, library, stack, weights, hyps
+    return hierarchy, library, stack, weights, hyps, bases
 
 
 def no_terms(hyps):
-    """The same rows, with no term known and no origin."""
-    return replace(hyps, terms=np.full(hyps.terms.shape, np.nan),
-                   origin=np.full(len(hyps), -1))
+    """The same rows, with no term known."""
+    return replace(hyps, terms=np.full(hyps.terms.shape, np.nan))
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_swapped_rows_score_like_a_full_rescore(data):
-    """Reused and shared terms change no kept row and no score bit, with
+    """Copied and carried terms change no kept row and no score bit, with
     exact copies interleaved: the kept rows, their scores and terms equal
     those of scoring every term anew,
     each score is its row's full `subtree_scores`, and within 1e-9 of the
     recursive oracle."""
-    hierarchy, library, stack, weights, hyps = swapped_rows(data)
+    hierarchy, library, stack, weights, hyps, _ = swapped_rows(data)
     hyps = hyps.take(with_copies(data, len(hyps)))
     z = data.draw(st.integers(1, len(hyps) + 1))
     radius = data.draw(st.sampled_from([0.0, 2.0]))
@@ -321,7 +339,7 @@ def test_swap_carries_terms_only_at_the_same_scale():
     """On the two-scale limbs4 stack a child's stored terms are carried into
     a swapped row only when the row's object size reads the same stored
     scale as the child's (37.5 is the boundary); otherwise they are left to
-    be computed, and the row takes no origin."""
+    be computed."""
     hierarchy, library, stack = model("limbs4")
     weights = random_weights(hierarchy, np.random.default_rng(2))
     node, child = hierarchy.node(20), hierarchy.node(11)
@@ -340,21 +358,19 @@ def test_swap_carries_terms_only_at_the_same_scale():
         hyps, {child.id: pool}, stack, hierarchy, InferenceParams(compatibility_tolerance=0.01)
     )
     assert len(out) == 4
-    assert out.terms[2, column] == pool.terms[0, column] and out.origin[2] == 0
-    assert np.isnan(out.terms[3, column]) and out.origin[3] == -1
+    assert out.terms[2, column] == pool.terms[0, column]
+    assert np.isnan(out.terms[3, column])
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_score_and_prune_scores_each_distinct_row_once(data):
-    """Exact copies are scored once, and on one stored scale a swapped row
-    costs one kernel row, its own node's: the kernel sees the distinct base
-    rows at every subtree node, and the distinct swapped rows at the part's
-    own node only."""
-    hierarchy, library, stack, weights, hyps = swapped_rows(data, one_scale=True)
-    base = int(np.sum(hyps.origin < 0))
-    swapped = len(hyps) - base
-    nodes = len(hierarchy.composites_below(hyps.node_id))
+    """Exact copies are scored once, and on one stored scale, with the base
+    rows' children's terms known, every distinct row costs one kernel row,
+    its own node's: the kernel is called once, at the part's own node, on
+    the distinct base rows and the distinct swapped rows."""
+    hierarchy, library, stack, weights, hyps, bases = swapped_rows(data, one_scale=True)
+    swapped = len(hyps) - bases
     rows_seen = []
     kernel = scoring.pose_terms
 
@@ -368,8 +384,8 @@ def test_score_and_prune_scores_each_distinct_row_once(data):
             hyps.take(with_copies(data, len(hyps))), stack, hierarchy, library, weights,
             z=4, dedup_radius=2.0, counts=counts,
         )
-    assert rows_seen == [base + swapped] + [base] * (nodes - 1)
-    assert counts == {"scored": base + swapped, "kernel_rows": base * nodes + swapped}
+    assert rows_seen == [bases + swapped]
+    assert counts == {"scored": bases + swapped, "kernel_rows": bases + swapped}
 
 
 # -- typed-error parity ----------------------------------------------------------

@@ -31,27 +31,9 @@ from hierpose.hierarchy import object_size
 from hierpose.learning import hinge_objective
 
 import oracles
-from conftest import CONFIG_DIR, annotations_tiny3, base_pose_tiny3, library_for
-
-
-def human_pose() -> np.ndarray:
-    return np.array(
-        [
-            (30, 95), (32, 75), (35, 55), (45, 55), (47, 75), (49, 95),
-            (15, 50), (22, 40), (32, 30), (48, 30), (56, 40), (62, 50),
-            (40, 25), (40, 10),
-        ],
-        dtype=float,
-    )
-
-
-def human_annotations(count=3):
-    rng = np.random.default_rng(11)
-    out = []
-    for i in range(count):
-        jitter = rng.normal(0, 2.0, (14, 2)) if i else np.zeros((14, 2))
-        out.append(Annotation(f"h{i}", human_pose() + jitter, size=(120, 120)))
-    return out
+from conftest import (
+    CONFIG_DIR, annotations_tiny3, base_pose_tiny3, human_annotations, library_for,
+)
 
 
 def test_build_library_sizes_human(human_hierarchy):

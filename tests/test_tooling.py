@@ -1,7 +1,8 @@
 """Smoke checks of the shipped entry points: each demo runs to exit 0,
 every name a module exports resolves, numpy is the one runtime
-dependency, the format notes name every diagnostics key, and
-`HypothesisSet.take`/`concat` carry every per-row field."""
+dependency, the format notes name every diagnostics key,
+`HypothesisSet.take`/`concat` carry every per-row field, and `infer` fits
+each (part, subtree node) pair in one kernel call."""
 
 import ast
 import dataclasses
@@ -12,16 +13,17 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import hierpose
-from hierpose import InferenceParams, WeightVector, infer, load_hierarchy
+from hierpose import InferenceParams, WeightVector, infer, load_hierarchy, scoring
 from hierpose.inference import _ROW_FIELDS, HypothesisSet
 from hierpose.synth import make_scene
 
-from conftest import annotations_tiny3, library_for, tiny3_doc
+from conftest import CONFIG_DIR, annotations_tiny3, human_annotations, library_for, tiny3_doc
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -128,7 +130,35 @@ def test_every_per_row_field_is_taken_and_concatenated():
     assert per_row == set(_ROW_FIELDS)
     for out in (hyps.take([3, 1]), hyps.concat(hyps.take([2]))):
         assert all(len(getattr(out, name)) == len(out.score) for name in per_row)
-    # origins keep pointing at their rows, or at none once those are gone
-    hyps.origin[[3, 4]] = [1, 2]
-    assert hyps.take([4, 2, 3, 2]).origin.tolist() == [1, -1, -1, -1]
-    assert hyps.concat(hyps).origin.tolist() == [-1, -1, -1, 1, 2, -1, -1, -1, 6, 7]
+
+
+@pytest.mark.parametrize(
+    "doc, annotations, grid, calls",
+    [
+        (tiny3_doc(), annotations_tiny3(4), (48, 48), 5),
+        (CONFIG_DIR / "human_hierarchy.json", human_annotations(4), (96, 96), 20),
+    ],
+    ids=["tiny3", "human"],
+)
+def test_infer_calls_the_kernel_once_per_part_and_subtree_node(doc, annotations, grid, calls):
+    """On one stored scale a full `infer` calls `scoring.pose_terms` once per
+    composite part and node of its subtree: the children's nodes before the
+    swap and the part's own node after it.  A pass that fits a node twice,
+    such as the part's own node before the swap too, fails here."""
+    hierarchy = load_hierarchy(doc)
+    library, _ = library_for(hierarchy, annotations)
+    scene = make_scene(library, hierarchy, seed=0, grid=grid)
+    expected = sorted(
+        node for part in hierarchy.composite_nodes for node in hierarchy.composites_below(part.id)
+    )
+    assert len(expected) == calls
+    kernel, made = scoring.pose_terms, []
+
+    def counted(locations, node_id, *args, **kwargs):
+        made.append(node_id)
+        return kernel(locations, node_id, *args, **kwargs)
+
+    params = InferenceParams(z=4, samples_per_level=80, seed=0)
+    with mock.patch.object(scoring, "pose_terms", counted):
+        infer(scene.stack, hierarchy, library, WeightVector.uniform(hierarchy), params)
+    assert sorted(made) == expected
