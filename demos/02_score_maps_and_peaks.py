@@ -59,9 +59,9 @@ def main():
         print(f"  {name}: ({point[0]:.0f}, {point[1]:.0f})")
 
     stack = scene.stack
-    print("\ntop-3 peaks per part (x, y, marginal):")
+    print("\ntop-3 peaks per part (x, y, marginal) at stored scale 0:")
     for part in hierarchy.atomic_ids:
-        points, scores = top_peaks(stack, part, 1.0, 3, 2.0)
+        points, scores = top_peaks(stack, part, 0, 3, 2.0)
         rows = ", ".join(
             f"({p[0]:.0f},{p[1]:.0f})={s:.2f}" for p, s in zip(points, scores)
         )

@@ -10,11 +10,7 @@ from .appearance import (
     save_score_maps,
     top_peaks,
 )
-from .geometry import (
-    AngleBound,
-    SimilarityTransform,
-    fit_least_squares,
-)
+from .geometry import SimilarityTransform, fit_least_squares
 from .hierarchy import (
     AnchorSpec,
     BoundingBox,

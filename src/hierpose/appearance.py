@@ -137,11 +137,9 @@ class ScoreMapStack:
     def n_scales(self) -> int:
         return len(self.scales)
 
-    def nearest_scale_index(self, scale: float) -> int:
-        return int(np.argmin(np.abs(self._scale_values - scale)))
-
     def nearest_scale_indices(self, scales: np.ndarray) -> np.ndarray:
-        """`nearest_scale_index` of every element of a 1-D array."""
+        """Index of the stored scale nearest each element of a 1-D array of
+        scales (ties: the lower index)."""
         return np.argmin(np.abs(self._scale_values[None, :] - scales[:, None]), axis=1)
 
     def channel_rows(self, part: int, type_ids, scale_index: int = 0) -> np.ndarray:
@@ -368,17 +366,17 @@ def log_type_prob_composite(
 
 
 def top_peaks(
-    stack: ScoreMapStack, part: int, scale: float, count: int, nms_radius: float
+    stack: ScoreMapStack, part: int, scale_index: int, count: int, nms_radius: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Strict 8-neighborhood maxima of p(part | pixel), greedily NMS-pruned.
+    """Strict 8-neighborhood maxima of p(part | pixel) at one stored scale,
+    greedily NMS-pruned.
 
     Returns up to `count` (x, y) points ranked by descending score with
     pairwise distance >= nms_radius; row-major order breaks ties.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    idx = stack.nearest_scale_index(scale)
-    grid = stack.marginal(part, idx)
+    grid = stack.marginal(part, scale_index)
     padded = np.full((grid.shape[0] + 2, grid.shape[1] + 2), -np.inf)
     padded[1:-1, 1:-1] = grid
     center = padded[1:-1, 1:-1]
@@ -545,16 +543,13 @@ class RelationTypeModel:
         composite_bins: int = 24,
         seed: int = 0,
     ) -> "RelationTypeModel":
-        """Fit the model from annotated configurations.
-
-        `annotations` is any iterable of objects with a `.points` (N, 2)
-        array (plain arrays are accepted too).
-        """
+        """Fit the model from the `.points` (N, 2) configurations of an
+        iterable of `Annotation`s."""
         refs = cls.sibling_ring(hierarchy)
         atomic = {
             part: AtomicRelation(refs[part], atomic_bins) for part in hierarchy.atomic_ids
         }
-        configs = [np.asarray(getattr(a, "points", a), dtype=float) for a in annotations]
+        configs = [ann.points for ann in annotations]
         composite: dict[int, CompositeRelation] = {}
         for node in hierarchy.composite_nodes:
             if node.id == hierarchy.root.id:

@@ -4,7 +4,8 @@ Two fitting routines cover the needs of hypothesize-and-test inference: an
 exact two-point fit (used to align exemplars to hypothesis pairs) and a
 least-squares fit over k >= 2 correspondences with a rotation-angle bound
 (used to score how well a pose matches a stored exemplar).  Reflections are
-never produced.
+never produced.  The angle bound is one float in (0, pi], by default
+DEFAULT_MAX_ANGLE, which `check_max_angle` checks.
 
 Both fits and the child-geometry extraction work on stacks of H rows at
 once (`fit_two_points_batch`, `fit_least_squares_batch`, `child_points`);
@@ -29,7 +30,7 @@ SCALE_FLOOR = 1e-9
 
 __all__ = [
     "DEFAULT_MAX_ANGLE",
-    "AngleBound",
+    "check_max_angle",
     "SimilarityTransform",
     "child_points",
     "child_signature",
@@ -69,23 +70,13 @@ def transform_points(scale, angle, translation, pts) -> np.ndarray:
     return out + np.asarray(translation, dtype=float)[:, None, :]
 
 
-@dataclass(frozen=True)
-class AngleBound:
-    """Symmetric rotation constraint |angle| <= max_abs_angle."""
-
-    max_abs_angle: float = DEFAULT_MAX_ANGLE
-
-    def __post_init__(self):
-        if not 0.0 < self.max_abs_angle <= math.pi:
-            raise ValueError("max_abs_angle must lie in (0, pi]")
-
-
-def _max_angle(bound: "AngleBound | float | None") -> float:
-    if bound is None:
-        return DEFAULT_MAX_ANGLE
-    if isinstance(bound, AngleBound):
-        return bound.max_abs_angle
-    return AngleBound(float(bound)).max_abs_angle
+def check_max_angle(max_angle: float) -> float:
+    """The rotation bound |angle| <= max_angle as a float; it must lie in
+    (0, pi]."""
+    max_angle = float(max_angle)
+    if not 0.0 < max_angle <= math.pi:
+        raise ValueError("max_abs_angle must lie in (0, pi]")
+    return max_angle
 
 
 @dataclass(frozen=True)
@@ -140,7 +131,7 @@ def fit_two_points_batch(src, dst) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def fit_least_squares_batch(
-    src, dst, bound: AngleBound | float | None = None
+    src, dst, bound: float = DEFAULT_MAX_ANGLE
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Row-wise bounded least-squares similarity fits of (H, k, 2) stacks.
 
@@ -151,7 +142,7 @@ def fit_least_squares_batch(
     dst = np.asarray(dst, dtype=float)
     if src.shape != dst.shape or src.ndim != 3 or src.shape[2] != 2 or src.shape[1] < 2:
         raise ValueError("src and dst must be matching (H, k, 2) arrays with k >= 2")
-    max_angle = _max_angle(bound)
+    max_angle = check_max_angle(bound)
     rows, flat = src.shape[0], 2 * src.shape[1]
 
     src_mean = src.mean(axis=1)
@@ -185,7 +176,7 @@ def fit_least_squares_batch(
 
 
 def fit_least_squares(
-    src, dst, bound: AngleBound | float | None = None
+    src, dst, bound: float = DEFAULT_MAX_ANGLE
 ) -> tuple[SimilarityTransform, float]:
     """Least-squares similarity (no reflection) with a bounded rotation angle.
 

@@ -324,13 +324,11 @@ class PartHierarchy:
         return out
 
 
-def as_configuration(points, n_parts: int | None = None) -> np.ndarray:
+def as_configuration(points) -> np.ndarray:
     """Validate and return an (N, 2) float64 configuration array."""
     X = np.asarray(points, dtype=float)
     if X.ndim != 2 or X.shape[1] != 2:
         raise ValueError(f"configuration must be (N, 2), got {X.shape}")
-    if n_parts is not None and X.shape[0] != n_parts:
-        raise ValueError(f"configuration has {X.shape[0]} parts, expected {n_parts}")
     if not np.isfinite(X).all():
         raise ValueError("configuration contains non-finite coordinates")
     return X

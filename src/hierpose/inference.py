@@ -22,15 +22,15 @@ reads the same stored scale).  Scoring then fits the part's own node and
 whatever is still NaN.
 
 The hypotheses of one part are one `HypothesisSet`: stacked locations
-(H, N, 2), an (H, C) exemplar index per composite node, object sizes, box
-corners, scores and an (H, C) weighted term per node.
+(H, N, 2), an (H, C) exemplar index per composite node (-1 outside the
+subtree), object sizes, scores and an (H, C) weighted term per node.  No
+box is stored: a part's box is the min and max of its subtree's locations.
 Seeding, proposal, swap and scoring/pruning take and return these sets, so
-the search never handles a hypothesis on its own;
-`Hypothesis` is the one-row view that `HypothesisSet.row` returns for the
-surviving roots.  Refinement (`refine_roots`) sorts the roots by scale and
-window span and ranks each chunk of a few roots, all their atomic parts and
-candidate pixels, in one array pass; `refine_hypothesis` is its one-row
-call.
+the search never handles a hypothesis on its own; `Hypothesis` is the
+one-row view that `HypothesisSet.row` returns, with the same (C,) pose row.
+Refinement (`refine_roots`) sorts the roots by stored scale and window span
+and ranks each chunk of a few roots, all their atomic parts and candidate
+pixels, in one array pass; `refine_hypothesis` is its one-row call.
 
 Modes: "full" runs everything; "partial" stops before refinement and traces
 the best root hypothesis; "no-hier" collapses the model to a depth-2
@@ -47,16 +47,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .appearance import ScoreMapStack, _greedy_nms, log_marginals_at, top_peaks
-from .geometry import AngleBound, DEFAULT_MAX_ANGLE, fit_two_points_batch, transform_points
+from .geometry import DEFAULT_MAX_ANGLE, check_max_angle, fit_two_points_batch, transform_points
 from .hierarchy import BoundingBox, PartHierarchy, PartNode, ScaleParams, object_size
 from .learning import ExemplarArrays, ExemplarLibrary
 from .scoring import (
     WeightVector,
     best_fit_pose,
-    pose_array,
-    pose_scale_indices,
     refinement_score,
     refinement_scores,
+    scale_indices,
     subtree_terms,
     subtree_total,
 )
@@ -118,7 +117,7 @@ class InferenceParams:
             raise ValueError("samples_per_level must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        AngleBound(self.max_angle)
+        check_max_angle(self.max_angle)
         for name in ("compatibility_tolerance", "search_radius_fraction"):
             value = getattr(self, name)
             if not 0.0 < value <= 1.0:
@@ -139,13 +138,19 @@ class Hypothesis:
     node_id: int
     level: int
     locations: np.ndarray  # (N, 2); NaN outside the subtree
-    pose: dict[int, int]  # composite node -> exemplar index
+    pose: np.ndarray  # (C,) exemplar index per composite node; -1 outside the subtree
     object_size: float
-    box: BoundingBox
     score: float = float("nan")
 
+    @property
+    def box(self) -> BoundingBox:
+        """The tight box of the subtree: the min and max of the finite
+        locations."""
+        points = self.locations[np.isfinite(self.locations).all(axis=1)]
+        return BoundingBox(points.min(axis=0), points.max(axis=0))
 
-_ROW_FIELDS = ("locations", "pose", "object_size", "lows", "highs", "score", "terms")
+
+_ROW_FIELDS = ("locations", "pose", "object_size", "score", "terms")
 
 
 @dataclass
@@ -153,22 +158,18 @@ class HypothesisSet:
     """The hypotheses of one part, stacked; row i is one hypothesis.
 
     `pose` holds each row's exemplar index per composite node, one column
-    per node of `pose_nodes` (the hierarchy's `composite_nodes`), and -1
-    for nodes outside the part's subtree.  `lows` and `highs` are the
-    corners of each row's tight subtree box; scores are NaN until
-    `score_and_prune` sets them.  `terms` holds each row's weighted spatial
-    term per composite node, in the columns of `pose`, and NaN where it is
-    not known and is still to be computed.
+    per node of the hierarchy's `composite_nodes`, and -1 for nodes outside
+    the part's subtree.  Scores are NaN until `score_and_prune` sets them.
+    `terms` holds each row's weighted spatial term per composite node, in
+    the columns of `pose`, and NaN where it is not known and is still to be
+    computed.
     """
 
     node_id: int
     level: int
-    pose_nodes: tuple[int, ...]
     locations: np.ndarray  # (H, N, 2); NaN outside the subtree
     pose: np.ndarray  # (H, C) int
     object_size: np.ndarray  # (H,)
-    lows: np.ndarray  # (H, 2)
-    highs: np.ndarray  # (H, 2)
     score: np.ndarray  # (H,)
     terms: np.ndarray  # (H, C); NaN where not known
 
@@ -176,20 +177,15 @@ class HypothesisSet:
     def build(
         cls,
         node: PartNode,
-        hierarchy: PartHierarchy,
         locations: np.ndarray,
         pose: np.ndarray,
         sizes: np.ndarray,
         score: np.ndarray | None = None,
     ) -> "HypothesisSet":
-        """Hypotheses of one part from stacked arrays; boxes are computed
-        from the subtree locations, scores default to NaN, and no terms are
-        known."""
-        subtree = locations[:, hierarchy.atom_rows(node.id)]
+        """Hypotheses of one part from stacked arrays; scores default to NaN,
+        and no terms are known."""
         return cls(
-            node.id, node.level, tuple(n.id for n in hierarchy.composite_nodes),
-            locations, pose, np.asarray(sizes, dtype=float),
-            subtree.min(axis=1), subtree.max(axis=1),
+            node.id, node.level, locations, pose, np.asarray(sizes, dtype=float),
             np.full(len(locations), np.nan) if score is None else score,
             np.full(pose.shape, np.nan),
         )
@@ -204,14 +200,15 @@ class HypothesisSet:
         first = hyps[0]
         if any(h.node_id != first.node_id for h in hyps):
             raise ValueError("hypotheses of one set must belong to one part")
-        pose = pose_array([h.pose for h in hyps], hierarchy)
+        columns = len(hierarchy.composite_nodes)
+        if any(np.shape(h.pose) != (columns,) for h in hyps):
+            raise ValueError(f"a pose row needs one exemplar index per composite node ({columns})")
+        pose = np.array([h.pose for h in hyps], dtype=np.intp)
         return cls(
-            first.node_id, first.level, tuple(n.id for n in hierarchy.composite_nodes),
+            first.node_id, first.level,
             np.stack([np.asarray(h.locations, dtype=float) for h in hyps]),
             pose,
             np.array([h.object_size for h in hyps], dtype=float),
-            np.stack([h.box.top_left for h in hyps]),
-            np.stack([h.box.bottom_right for h in hyps]),
             np.array([h.score for h in hyps], dtype=float),
             np.full(pose.shape, np.nan),
         )
@@ -224,15 +221,9 @@ class HypothesisSet:
 
     def row(self, i: int) -> Hypothesis:
         """Hypothesis i as its own object."""
-        pose = {
-            node_id: int(index)
-            for node_id, index in zip(self.pose_nodes, self.pose[i].tolist())
-            if index >= 0
-        }
         return Hypothesis(
-            self.node_id, self.level, self.locations[i].copy(), pose,
-            float(self.object_size[i]), BoundingBox(self.lows[i], self.highs[i]),
-            float(self.score[i]),
+            self.node_id, self.level, self.locations[i].copy(), self.pose[i].copy(),
+            float(self.object_size[i]), float(self.score[i]),
         )
 
     def take(self, index) -> "HypothesisSet":
@@ -250,7 +241,7 @@ class HypothesisSet:
 
 def _no_hypotheses(node: PartNode, hierarchy: PartHierarchy) -> HypothesisSet:
     return HypothesisSet.build(
-        node, hierarchy, np.empty((0, hierarchy.atomic_count, 2)),
+        node, np.empty((0, hierarchy.atomic_count, 2)),
         np.empty((0, len(hierarchy.composite_nodes)), dtype=np.intp), np.empty(0),
     )
 
@@ -259,23 +250,15 @@ def hypothesis_from_config(
     X: np.ndarray,
     hierarchy: PartHierarchy,
     library: ExemplarLibrary,
-    bound: AngleBound | float | None = None,
+    bound: float = DEFAULT_MAX_ANGLE,
 ) -> Hypothesis:
     """Root hypothesis for a full configuration, with best-fit poses."""
-    pose = {
-        node.id: best_fit_pose(X, node.id, library, hierarchy, bound)[0]
+    pose = np.array([
+        best_fit_pose(X, node.id, library, hierarchy, bound)[0]
         for node in hierarchy.composite_nodes
-    }
+    ], dtype=np.intp)
     X = np.asarray(X, dtype=float)
-    pts = X[hierarchy.atom_rows(hierarchy.root.id)]
-    return Hypothesis(
-        node_id=hierarchy.root.id,
-        level=hierarchy.levels,
-        locations=X.copy(),
-        pose=pose,
-        object_size=object_size(X),
-        box=BoundingBox(pts.min(axis=0), pts.max(axis=0)),
-    )
+    return Hypothesis(hierarchy.root.id, hierarchy.levels, X.copy(), pose, object_size(X))
 
 
 def seed_atomic_hypotheses(
@@ -287,8 +270,8 @@ def seed_atomic_hypotheses(
     out: dict[int, HypothesisSet] = {}
     for part in hierarchy.atomic_ids:
         peaks = [
-            top_peaks(stack, part, maps.scale, params.z, params.nms_radius)
-            for maps in stack.scales
+            top_peaks(stack, part, index, params.z, params.nms_radius)
+            for index in range(stack.n_scales)
         ]
         order = np.argsort(-np.concatenate([score for _, score in peaks]), kind="stable")
         points = np.concatenate([point for point, _ in peaks])[order]
@@ -297,7 +280,7 @@ def seed_atomic_hypotheses(
         locations = np.full((count, n, 2), np.nan)
         locations[:, hierarchy.atom_index(part)] = picked
         out[part] = HypothesisSet.build(
-            hierarchy.node(part), hierarchy, locations,
+            hierarchy.node(part), locations,
             np.full((count, columns), -1, dtype=np.intp), np.zeros(count), np.zeros(count),
         )
     return out
@@ -354,8 +337,8 @@ def propose_hypotheses(
     rotation-free fit with the scale taken from the object-size ratio.
 
     All `params.samples` draws of the part are made in one array pass by
-    `_draw_proposals`; the fits, transforms and boxes of all draws are then
-    computed as arrays.
+    `_draw_proposals`; the fits and transforms of all draws are then computed
+    as arrays.
     """
     table = library.arrays(node.id)
     children = node.children
@@ -409,7 +392,7 @@ def propose_hypotheses(
     columns = [hierarchy.composite_index(nid) for nid in hierarchy.composites_below(node.id)]
     pose = np.full((len(keep), len(hierarchy.composite_nodes)), -1, dtype=np.intp)
     pose[:, columns] = chosen[keep, None]
-    return HypothesisSet.build(node, hierarchy, locations, pose, scale[keep] * exemplar_size[keep])
+    return HypothesisSet.build(node, locations, pose, scale[keep] * exemplar_size[keep])
 
 
 def swap_subtrees(
@@ -432,7 +415,7 @@ def swap_subtrees(
     A swapped row keeps its base row's terms except the part's own node's,
     and takes the alternative's stored term of each node of the swapped
     child's subtree where its own object size reads the same stored scale
-    (`pose_scale_indices`) as the alternative's; the rest are NaN.
+    (`scale_indices`) as the alternative's; the rest are NaN.
     """
     if not hyps:
         return hyps
@@ -443,10 +426,11 @@ def swap_subtrees(
         pool = lower.get(child_id)
         if not pool:
             continue
-        subtree = hyps.locations[:, hierarchy.atom_rows(child_id)]
+        rows = hierarchy.atom_rows(child_id)
+        current, other = hyps.locations[:, rows], pool.locations[:, rows]
         far = np.zeros((len(hyps), len(pool)), dtype=bool)
-        for current, other in ((subtree.min(axis=1), pool.lows), (subtree.max(axis=1), pool.highs)):
-            gap = other[None] - current[:, None]
+        for corner in (np.min, np.max):
+            gap = corner(other, axis=1)[None] - corner(current, axis=1)[:, None]
             far |= np.hypot(gap[..., 0], gap[..., 1]) > tolerance[:, None]
         hyp_index, alt_index = np.nonzero(~far)
         found.append(np.stack([hyp_index, np.full_like(hyp_index, slot), alt_index], axis=1))
@@ -477,13 +461,14 @@ def swap_subtrees(
             carried = pool.terms[alternative[:, None], columns]
             if len(stack.scales) > 1:  # with one stored scale, every size reads it
                 for j, composite in enumerate(below):
+                    level = hierarchy.node(composite).level - 1
                     ours, theirs = (
-                        pose_scale_indices(sizes, composite, stack, hierarchy)
+                        scale_indices(sizes, level, stack, hierarchy)
                         for sizes in (size[picked], pool.object_size[alternative])
                     )
                     carried[ours != theirs, j] = np.nan
             terms[picked[:, None], columns] = carried
-    swapped = HypothesisSet.build(node, hierarchy, locations, pose, size)
+    swapped = HypothesisSet.build(node, locations, pose, size)
     return hyps.concat(replace(swapped, terms=terms))
 
 
@@ -547,7 +532,7 @@ def score_and_prune(
     weights: WeightVector,
     z: int,
     dedup_radius: float,
-    bound: AngleBound | float | None = None,
+    bound: float = DEFAULT_MAX_ANGLE,
     counts: dict | None = None,
 ) -> HypothesisSet:
     """Score each distinct hypothesis of one part once, deduplicate, keep the top z.
@@ -600,7 +585,7 @@ def refine_roots(
     location; the exact starting point is always a candidate.  Ties prefer
     the smallest displacement, then the smallest y, then the smallest x.
 
-    Roots are sorted by (nearest scale index, window span), stably, and
+    Roots are sorted by (stored scale index, window span), stably, and
     ranked in chunks of up to `_REFINE_CHUNK` roots of one scale: a chunk is
     one (C, P, K) array of candidates, the pixels of a square window per
     part, padded to the chunk's largest span and masked to each part's disc,
@@ -613,11 +598,9 @@ def refine_roots(
     if not np.isfinite(roots.score).all():
         raise ValueError("root hypothesis must be scored before refinement")
     count, parts = centers.shape[:2]
-    sides = roots.highs - roots.lows
+    sides = centers.max(axis=1) - centers.min(axis=1)
     radius = params.search_radius_fraction * (0.5 * (sides[:, 0] + sides[:, 1]))
-    scale_index = stack.nearest_scale_indices(
-        hierarchy.scale.factor_from_size(roots.object_size, 1)
-    )
+    scale_index = scale_indices(roots.object_size, 1, stack, hierarchy)
     # candidate pixels: the integer window [ceil(c - r), floor(c + r)] per part
     low = np.ceil(centers - radius[:, None, None]).astype(int)
     high = np.floor(centers + radius[:, None, None]).astype(int)

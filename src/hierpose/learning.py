@@ -362,6 +362,8 @@ def augment_positives(
     jitter_fraction times the object size."""
     if jitter_fraction < 0:
         raise ValueError("jitter_fraction must be >= 0")
+    if copies < 0:
+        raise ValueError(f"copies must be >= 0, got {copies}")
     out = []
     for _ in range(copies):
         for ann in annotations:
@@ -476,6 +478,10 @@ def train_weights(
     negative: the others scale w by 1 - 1/t >= 0, so the clamp runs after
     violated steps only.  Deterministic given the seed.
     """
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError(f"c must be finite and > 0, got {c}")
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
     if len(np.unique(training.labels)) < 2:
         raise ValueError("training set must contain both classes")
     rng = np.random.default_rng(seed)

@@ -13,16 +13,18 @@ feature vector used for max-margin training.
 Every per-node (log-pose-prob, alignment score) pair comes from one batched
 kernel, `pose_terms`: for H hypotheses of a part it gathers each row's child
 geometry and exemplar, runs the bounded similarity fit on all rows at once,
-and looks the relation-type probabilities up at each row's nearest stored
-scale (`pose_scale_indices`).  A part's spatial score is the pre-order sum
-(`subtree_total`) of its subtree's weighted node terms, which are
-independent of each other; `subtree_terms` computes them as an (H, C)
-matrix with at most one kernel call per subtree node, reading each row's
-exemplar per node from an (H, C) pose array (see `pose_array`).  Terms
-that are already known, such as those a swapped-in subtree carries from
-the level below, are passed in and not recomputed, so the kernel sees only
-the unknown (row, node) pairs.  `subtree_scores` is the sum with no known
-terms, and `subtree_score` its one-row call.
+and looks the relation-type probabilities up at each row's stored scale.
+One rule, `scale_indices`, picks every stored scale read: the one nearest
+the scale a row's object size sets at the level read.  A part's spatial
+score is the pre-order sum (`subtree_total`) of its subtree's weighted node
+terms, which are independent of each other; `subtree_terms` computes them
+as an (H, C) matrix with at most one kernel call per subtree node, reading
+each row's exemplar per node from an (H, C) pose array (-1 outside the
+subtree).  Terms that are already known, such as those a swapped-in
+subtree carries from the level below, are passed in and not recomputed, so
+the kernel sees only the unknown (row, node) pairs; `subtree_score` is the
+sum for one hypothesis.  Every angle bound is one float, by default
+DEFAULT_MAX_ANGLE.
 
 Training features come from one batched pass, `feature_matrix`: for S
 configurations, each read on its own score-map stack, it gathers the atomic
@@ -56,7 +58,7 @@ from .appearance import (
     log_type_prob_composite,
 )
 from .geometry import (
-    AngleBound,
+    DEFAULT_MAX_ANGLE,
     child_points,
     child_signature,
     fit_least_squares_batch,
@@ -72,11 +74,9 @@ __all__ = [
     "spatial_score",
     "total_score",
     "pose_terms",
-    "pose_array",
-    "pose_scale_indices",
+    "scale_indices",
     "subtree_terms",
     "subtree_total",
-    "subtree_scores",
     "subtree_score",
     "refinement_score",
     "refinement_scores",
@@ -188,7 +188,7 @@ def best_fit_pose(
     node_id: int,
     library: ExemplarLibrary,
     hierarchy: PartHierarchy,
-    bound: AngleBound | float | None = None,
+    bound: float = DEFAULT_MAX_ANGLE,
 ) -> tuple[int, float]:
     """Row of the node's exemplar whose pose best matches X (ties: lowest
     index), and its alignment score."""
@@ -233,7 +233,7 @@ def pose_terms(
     stack: ScoreMapStack,
     hierarchy: PartHierarchy,
     library: ExemplarLibrary,
-    bound: AngleBound | float | None = None,
+    bound: float = DEFAULT_MAX_ANGLE,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(log-pose-probability, alignment score) of one node for H rows.
 
@@ -255,13 +255,13 @@ def pose_terms(
     return log_prob, -residual
 
 
-def pose_scale_indices(
-    size: np.ndarray, node_id: int, stack: ScoreMapStack, hierarchy: PartHierarchy
+def scale_indices(
+    size, level: int, stack: ScoreMapStack, hierarchy: PartHierarchy
 ) -> np.ndarray:
-    """Index of the stored scale that the term of node `node_id` reads, for
-    rows of object size `size` (H,): the one nearest the scale that the size
-    sets at the level of the node's children."""
-    level = hierarchy.node(node_id).level - 1
+    """Index of the stored scale that rows of object size `size` (H,) read
+    at hierarchy level `level`: the one nearest the scale the size sets
+    there.  Atomic appearance reads level 1; the term of a composite node
+    reads the level of the node's children."""
     return stack.nearest_scale_indices(
         hierarchy.scale.factor_from_size(np.asarray(size, dtype=float), level)
     )
@@ -273,7 +273,7 @@ def _log_pose_probs(node_id, labels, exemplar_index, current, size, stack, hiera
     geometry points `current` (H, K, 2) on the stored scale nearest the one
     its object size (H,) sets; rows are grouped by that stored scale."""
     node = hierarchy.node(node_id)
-    scale_index = pose_scale_indices(size, node_id, stack, hierarchy)
+    scale_index = scale_indices(size, node.level - 1, stack, hierarchy)
     log_prob = np.zeros(len(exemplar_index))
     for idx in np.unique(scale_index).tolist():
         rows = np.flatnonzero(scale_index == idx)
@@ -294,7 +294,7 @@ def spatial_score(
     hierarchy: PartHierarchy,
     library: ExemplarLibrary,
     weights: WeightVector,
-    bound: AngleBound | float | None = None,
+    bound: float = DEFAULT_MAX_ANGLE,
 ) -> float:
     """Sum of the spatial terms of every composite node, with best-fit poses:
     the composite slice of the feature vector, weighted."""
@@ -309,22 +309,11 @@ def total_score(
     hierarchy: PartHierarchy,
     library: ExemplarLibrary,
     weights: WeightVector,
-    bound: AngleBound | float | None = None,
+    bound: float = DEFAULT_MAX_ANGLE,
 ) -> float:
     """Full configuration energy, appearance + spatial + bias: the weights
     times the feature vector."""
     return float(weights.as_array() @ feature_vector(X, stack, hierarchy, library, bound))
-
-
-def pose_array(poses, hierarchy: PartHierarchy) -> np.ndarray:
-    """(H, C) exemplar indices of H {composite node: exemplar index} dicts,
-    one column per node of `hierarchy.composite_nodes`; -1 where a dict has
-    no entry."""
-    out = np.full((len(poses), len(hierarchy.composite_nodes)), -1, dtype=np.intp)
-    for row, pose in enumerate(poses):
-        for node_id, index in pose.items():
-            out[row, hierarchy.composite_index(node_id)] = index
-    return out
 
 
 def subtree_terms(
@@ -336,14 +325,14 @@ def subtree_terms(
     hierarchy: PartHierarchy,
     library: ExemplarLibrary,
     weights: WeightVector,
-    bound: AngleBound | float | None = None,
+    bound: float = DEFAULT_MAX_ANGLE,
     terms: np.ndarray | None = None,
 ) -> np.ndarray:
     """(H, C) weighted spatial terms of H hypotheses of one part, using their
     stored poses.
 
-    `pose` (H, C) holds each row's exemplar index per composite node (see
-    `pose_array`).  Column j of the result holds node j's term
+    `pose` (H, C) holds each row's exemplar index per node of
+    `hierarchy.composite_nodes`.  Column j of the result holds node j's term
     w_app * log-pose-prob + w_sim * alignment score, with the stored
     exemplar, not a re-fit, for the nodes of the part's subtree, and NaN for
     the others.  `terms` (H, C), if given, holds terms already known; only
@@ -381,41 +370,22 @@ def subtree_total(terms: np.ndarray, node_id: int, hierarchy: PartHierarchy) -> 
     return total
 
 
-def subtree_scores(
-    locations: np.ndarray,
-    node_id: int,
-    pose: np.ndarray,
-    size: np.ndarray,
-    stack: ScoreMapStack,
-    hierarchy: PartHierarchy,
-    library: ExemplarLibrary,
-    weights: WeightVector,
-    bound: AngleBound | float | None = None,
-) -> np.ndarray:
-    """Spatial score of H hypotheses of one part, using their stored poses:
-    the `subtree_total` of their `subtree_terms`, none known beforehand.
-    Atomic parts score zero."""
-    terms = subtree_terms(
-        locations, node_id, pose, size, stack, hierarchy, library, weights, bound
-    )
-    return subtree_total(terms, node_id, hierarchy)
-
-
 def subtree_score(
     hypothesis,
     stack: ScoreMapStack,
     hierarchy: PartHierarchy,
     library: ExemplarLibrary,
     weights: WeightVector,
-    bound: AngleBound | float | None = None,
+    bound: float = DEFAULT_MAX_ANGLE,
 ) -> float:
-    """`subtree_scores` of one hypothesis."""
-    scores = subtree_scores(
-        hypothesis.locations[None], hypothesis.node_id,
-        pose_array([hypothesis.pose], hierarchy), [hypothesis.object_size],
-        stack, hierarchy, library, weights, bound,
+    """Spatial score of one hypothesis with its stored poses: the
+    `subtree_total` of its `subtree_terms`, none known beforehand.  Atomic
+    parts score zero."""
+    terms = subtree_terms(
+        hypothesis.locations[None], hypothesis.node_id, hypothesis.pose[None],
+        [hypothesis.object_size], stack, hierarchy, library, weights, bound,
     )
-    return float(scores[0])
+    return float(subtree_total(terms, hypothesis.node_id, hierarchy)[0])
 
 
 def refinement_score(
@@ -436,10 +406,8 @@ def refinement_score(
     if not np.isfinite(root_hypothesis.score):
         raise ValueError("root hypothesis must be scored before refinement")
     X_hat = np.asarray(X_hat, dtype=float)
-    scale = hierarchy.scale.factor_from_size(root_hypothesis.object_size, 1)
-    log_probs = log_marginals_at(
-        stack, hierarchy.atomic_ids, X_hat[:, None], stack.nearest_scale_index(scale)
-    )
+    scale_index = int(scale_indices([root_hypothesis.object_size], 1, stack, hierarchy)[0])
+    log_probs = log_marginals_at(stack, hierarchy.atomic_ids, X_hat[:, None], scale_index)
     return float(refinement_scores(
         log_probs.T, X_hat[None], np.asarray(root_hypothesis.locations, dtype=float)[None],
         np.array([root_hypothesis.score], dtype=float), hierarchy, weights,
@@ -487,7 +455,7 @@ def feature_matrix(
     stack_index,
     hierarchy: PartHierarchy,
     library: ExemplarLibrary,
-    bound: AngleBound | float | None = None,
+    bound: float = DEFAULT_MAX_ANGLE,
 ) -> np.ndarray:
     """Feature rows of S configurations, each read on its own stack.
 
@@ -529,10 +497,10 @@ def _appearance_features(X: np.ndarray, groups, hierarchy: PartHierarchy) -> np.
     """(S, N) atomic log-probabilities of S configurations at the atomic
     scale; `groups` pairs each stack with the rows that read it, and each
     stack's rows are gathered once per stored scale."""
-    scale = hierarchy.scale.factor_from_size(object_size(X), 1)
+    size = object_size(X)
     out = np.empty(X.shape[:2])
     for stack, rows in groups:
-        scale_index = stack.nearest_scale_indices(scale[rows])
+        scale_index = scale_indices(size[rows], 1, stack, hierarchy)
         for idx in np.unique(scale_index).tolist():
             picked = rows[scale_index == idx]
             points = X[picked].transpose(1, 0, 2)  # (N, K, 2): one row per part
@@ -545,7 +513,7 @@ def feature_vector(
     stack: ScoreMapStack,
     hierarchy: PartHierarchy,
     library: ExemplarLibrary,
-    bound: AngleBound | float | None = None,
+    bound: float = DEFAULT_MAX_ANGLE,
 ) -> np.ndarray:
     """`feature_matrix` of one configuration."""
     return feature_matrix(np.asarray(X, dtype=float)[None], [stack], [0], hierarchy, library,
@@ -558,7 +526,7 @@ def build_training_set(
     stacks,
     hierarchy: PartHierarchy,
     library: ExemplarLibrary,
-    bound: AngleBound | float | None = None,
+    bound: float = DEFAULT_MAX_ANGLE,
 ) -> TrainingSet:
     """Feature rows for annotated configurations with +/-1 labels.
 

@@ -9,6 +9,7 @@ correct (part, relation-type) channels.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -113,6 +114,12 @@ def render_score_maps(
     bumps and uniform channel noise are rng-driven; per-pixel channel sums
     are exactly renormalized.
     """
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be finite and > 0, got {sigma}")
+    if not (math.isfinite(noise) and noise >= 0):
+        raise ValueError(f"noise must be finite and >= 0, got {noise}")
+    if distractors < 0:
+        raise ValueError(f"distractors must be >= 0, got {distractors}")
     if distractors or noise:
         if rng is None:
             raise ValueError("distractors/noise need an rng")
@@ -209,6 +216,10 @@ def make_scene(
     scales: tuple[float, ...] = (1.0,),
 ) -> SynthScene:
     """Sample a pose, place it inside the grid, and render its score maps."""
+    if not 0 <= margin < 0.5:
+        raise ValueError(f"margin must lie in [0, 0.5), got {margin}")
+    if not max_rotation >= 0:
+        raise ValueError(f"max_rotation must be >= 0, got {max_rotation}")
     rng = np.random.default_rng(seed)
     pose, chosen = generate_pose(library, hierarchy, rng, mix=mix, assignment=assignment)
 

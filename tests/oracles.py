@@ -24,13 +24,14 @@ import numpy as np
 from scipy import optimize
 
 from hierpose.appearance import LOG_FLOOR, PROB_FLOOR
-from hierpose.geometry import SimilarityTransform, _max_angle, fit_least_squares
-from hierpose.hierarchy import BoundingBox, object_size
+from hierpose.geometry import SimilarityTransform, fit_least_squares
+from hierpose.hierarchy import object_size
 from hierpose.inference import Hypothesis, _draw_proposals
 from hierpose.learning import hinge_objective
 from hierpose.scoring import feature_length, pose_terms, refinement_score, total_score
 
 FLOOR = 1e-6
+MAX_ANGLE = math.pi / 3  # the rotation bound that the scoring entry points default to
 
 
 class NaiveChildGeometry(NamedTuple):
@@ -133,7 +134,7 @@ def naive_similarity(current, exemplar, bound):
         raise ValueError(
             f"child geometry signature mismatch: {current.signature} vs {exemplar.signature}"
         )
-    return -naive_fit_least_squares(exemplar.points, current.points, _max_angle(bound))[2]
+    return -naive_fit_least_squares(exemplar.points, current.points, bound)[2]
 
 
 def naive_best_fit(X, node_id, library, hierarchy, bound):
@@ -219,8 +220,8 @@ def naive_subtree_score(hypothesis, stack, hierarchy, library, weights, bound):
         if node.is_atomic:
             return 0.0
         total = sum(recurse(child) for child in node.children)
-        index = hypothesis.pose.get(node_id)
-        if index is None:
+        index = int(hypothesis.pose[composites.index(node_id)])
+        if index < 0:
             raise ValueError(f"hypothesis subtree is missing a pose for node {node_id}")
         current = naive_child_geometry(hypothesis.locations, node_id, hierarchy)
         similarity = naive_similarity(current, stored_geometry(library, node_id, index), bound)
@@ -320,13 +321,15 @@ def naive_propose_hypotheses(node, lower, library, hierarchy, params, rng):
     after the draw is recomputed here one draw at a time.  `lower` maps
     child parts to `HypothesisSet`s; the drawn rows are read one by one
     through `HypothesisSet.row`, and the result is a list of `Hypothesis`
-    rows.  The pose of every subtree node is that node's exemplar with the
+    rows, each with a pose row of -1 outside the subtree.  The pose of every
+    subtree node is that node's exemplar with the
     drawn exemplar's source name, looked up by name, so that the library's
     pairing by row is checked on libraries whose names are distinct."""
     table = library.arrays(node.id)
     children = node.children
     rows = hierarchy.atom_rows(node.id)
-    pose_nodes = _naive_composites_below(node.id, hierarchy)
+    composites = [n.id for n in hierarchy.composite_nodes]
+    subtree_nodes = _naive_composites_below(node.id, hierarchy)
     pools = [lower.get(child_id) or [] for child_id in children]
     draws = _draw_proposals(rng, params.samples, len(table.sources), [len(p) for p in pools])
     out = []
@@ -352,11 +355,11 @@ def naive_propose_hypotheses(node, lower, library, hierarchy, params, rng):
         locations = np.full_like(exemplar_locations, np.nan)
         locations[rows] = transform.apply(exemplar_locations[rows])
         source = table.sources[index]
-        pose = {nid: library.arrays(nid).sources.index(source) for nid in pose_nodes}
+        pose = np.full(len(composites), -1, dtype=np.intp)
+        for nid in subtree_nodes:
+            pose[composites.index(nid)] = library.arrays(nid).sources.index(source)
         out.append(Hypothesis(
-            node.id, node.level, locations, pose,
-            transform.scale * exemplar_size,
-            BoundingBox(locations[rows].min(axis=0), locations[rows].max(axis=0)),
+            node.id, node.level, locations, pose, transform.scale * exemplar_size
         ))
     return out
 
@@ -364,9 +367,11 @@ def naive_propose_hypotheses(node, lower, library, hierarchy, params, rng):
 def naive_refine_hypothesis(root_hyp, stack, hierarchy, weights, params):
     """The per-part refinement loop: one disc, lookup and lexsort per atomic
     part (ties: max value, then min displacement, then min y, then min x)."""
-    radius = params.search_radius_fraction * root_hyp.box.mean_side
+    points = root_hyp.locations
+    box_sides = points.max(axis=0) - points.min(axis=0)
+    radius = params.search_radius_fraction * (0.5 * (box_sides[0] + box_sides[1]))
     scale = hierarchy.scale.factor_from_size(root_hyp.object_size, 1)
-    scale_index = stack.nearest_scale_index(scale)
+    scale_index = _nearest_scale(stack, scale)
     height, width = stack.scales[scale_index].grid_shape
     refined = root_hyp.locations.copy()
     for i, part in enumerate(hierarchy.atomic_ids):
@@ -477,7 +482,7 @@ def naive_train_weights(training, c=1.0, epochs=200, seed=0):
 def grid_search_pose_similarity(
     current,
     exemplar,
-    bound=None,
+    bound=MAX_ANGLE,
     scale_range: tuple[float, float] = (0.5, 2.0),
     scale_step: float = 0.02,
     angle_step: float = 0.01,
@@ -493,7 +498,7 @@ def grid_search_pose_similarity(
     """
     cur = np.asarray(current, dtype=float)
     ex = np.asarray(exemplar, dtype=float)
-    max_angle = _max_angle(bound)
+    max_angle = bound
     k = cur.shape[0]
 
     scales = np.arange(scale_range[0], scale_range[1] + scale_step / 2, scale_step)
@@ -546,7 +551,7 @@ def grid_search_pose_similarity(
 
 
 def exhaustive_best_config(
-    stack, hierarchy, library, weights, candidates, bound=None, budget=10**7
+    stack, hierarchy, library, weights, candidates, bound=MAX_ANGLE, budget=10**7
 ):
     """Exact argmax of the total score over per-part candidate locations.
 

@@ -196,14 +196,14 @@ def peak_stack(centers, grid=(16, 16)):
 
 def test_top_peaks_single_bump():
     stack = peak_stack([(7, 9, 1.0)])
-    points, scores = top_peaks(stack, 1, 1.0, 5, 2.0)
+    points, scores = top_peaks(stack, 1, 0, 5, 2.0)
     assert points.shape == (1, 2)
     assert np.allclose(points[0], (7, 9))
 
 
 def test_top_peaks_two_equal_bumps_row_major():
     stack = peak_stack([(3, 4, 1.0), (11, 4, 1.0)])
-    points, scores = top_peaks(stack, 1, 1.0, 2, 2.0)
+    points, scores = top_peaks(stack, 1, 0, 2, 2.0)
     assert points.shape == (2, 2)
     assert np.allclose(points[0], (3, 4))
     assert np.allclose(points[1], (11, 4))
@@ -214,13 +214,13 @@ def test_top_peaks_flat_map_empty():
     table = np.array([(0, 0), (1, 1)], dtype=np.uint32)
     atomic = np.full((2, 8, 8), 0.5, dtype=np.float32)
     stack = ScoreMapStack([ScaleMaps(1.0, table, atomic)])
-    points, scores = top_peaks(stack, 1, 1.0, 3, 2.0)
+    points, scores = top_peaks(stack, 1, 0, 3, 2.0)
     assert points.shape == (0, 2)
 
 
 def test_top_peaks_respects_budget_and_radius():
     stack = peak_stack([(2, 2, 1.0), (8, 2, 0.9), (14, 2, 0.8), (2, 9, 0.7), (8, 9, 0.6)])
-    points, scores = top_peaks(stack, 1, 1.0, 3, 2.0)
+    points, scores = top_peaks(stack, 1, 0, 3, 2.0)
     assert points.shape == (3, 2)
     assert all(scores[i] >= scores[i + 1] for i in range(len(scores) - 1))
     for i in range(len(points)):

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import operator
+import re
 import shutil
 import struct
 
@@ -34,6 +35,7 @@ from hierpose.inference import DEFAULT_MAX_ANGLE
 from hierpose.learning import TrainingSet
 from hierpose.metrics import pcp_radius, pdj_curve
 from hierpose.scoring import WeightVector, total_score
+from hierpose.synth import make_scene
 
 import oracles
 from conftest import annotations_tiny3, library_for, tiny3_doc
@@ -191,6 +193,38 @@ def test_synth_fields_must_have_json_types(workspace, capsys, section, key, valu
     assert main(["synth", str(path)]) == 1
     assert_rejected(capsys, message)
     assert not (workspace / "bad_scenes").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("sigma", 0.0, "sigma must be finite and > 0"),
+        ("sigma", -1.0, "sigma must be finite and > 0"),
+        ("sigma", math.inf, "sigma must be finite and > 0"),
+        ("noise", -0.5, "noise must be finite and >= 0"),
+        ("noise", math.nan, "noise must be finite and >= 0"),
+        ("distractors", -3, "distractors must be >= 0"),
+        ("margin", 0.6, "margin must lie in [0, 0.5)"),
+        ("margin", -0.1, "margin must lie in [0, 0.5)"),
+        ("max_rotation", -0.2, "max_rotation must be >= 0"),
+    ],
+)
+def test_synth_rejects_bad_scene_options(workspace, capsys, key, value, message):
+    """Scene options that used to be accepted (sigma 0 and negative noise
+    wrote score maps that `load_score_maps` rejects) or to fail inside numpy
+    (a negative max_rotation) raise a ValueError that names the field, from
+    `make_scene` and from `hierpose synth`, which exits 1 and writes no
+    scene.  JSON cannot carry the non-finite values, so only the library
+    sees those."""
+    hierarchy = load_hierarchy(workspace / "hierarchy.json")
+    library, _ = library_for(hierarchy, load_annotations(workspace / "annotations.json", hierarchy))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_scene(library, hierarchy, seed=0, grid=(48, 48), **{key: value})
+    if math.isfinite(value):
+        path, _ = synth_config(workspace, **{key: value})
+        assert main(["synth", str(path)]) == 1
+        assert_rejected(capsys, message)
+        assert not list((workspace / "bad_scenes").glob("scene_*"))
 
 
 def test_infer_smoke_and_determinism(workspace):
@@ -442,6 +476,39 @@ def test_train_real_fields_must_be_json_numbers(workspace, capsys, section, key,
     assert main(["train", str(config)]) == 1
     assert_rejected(capsys, f"{section} '{key}' must be a JSON number")
     assert not (workspace / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("train", "epochs", 0, "epochs must be >= 1"),
+        ("train", "epochs", -5, "epochs must be >= 1"),
+        ("train", "c", 0.0, "c must be finite and > 0"),
+        ("train", "c", -1.0, "c must be finite and > 0"),
+        ("train", "c", math.inf, "c must be finite and > 0"),
+        ("train", "c", math.nan, "c must be finite and > 0"),
+        ("augment", "copies", -1, "copies must be >= 0"),
+    ],
+)
+def test_train_rejects_bad_sgd_inputs(workspace, capsys, section, key, value, message):
+    """SGD inputs that used to be accepted (epochs <= 0 and c <= 0 wrote
+    all-zero weights, copies -1 ran as 0) raise a ValueError from
+    `train_weights` or `augment_positives`, and `hierpose train` exits 1 and
+    writes no weights.  JSON cannot carry the non-finite values, so only the
+    library sees those."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        if key == "copies":
+            augment_positives(annotations_tiny3(2), np.random.default_rng(0), 0.03, copies=value)
+        else:
+            training = TrainingSet(np.array([[1.0, 1.0], [-1.0, 1.0]]), np.array([1.0, -1.0]))
+            train_weights(training, **{key: value})
+    if math.isfinite(value):
+        doc = json.loads(train_config(workspace).read_text())
+        doc[section][key] = value
+        config = train_config(workspace, name="bad_sgd.json", **{section: doc[section]})
+        assert main(["train", str(config)]) == 1
+        assert_rejected(capsys, message)
+        assert not (workspace / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "score"])

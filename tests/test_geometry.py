@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from hierpose import (
-    AngleBound,
     ExemplarLibrary,
+    InferenceParams,
     SimilarityTransform,
     best_fit_pose,
     fit_least_squares,
@@ -13,14 +13,14 @@ from hierpose import (
 from hierpose.geometry import child_points, child_signature, fit_two_points_batch, transform_points
 
 from conftest import annotations_tiny3, library_for
-from oracles import grid_search_pose_similarity
+from oracles import MAX_ANGLE, grid_search_pose_similarity
 
 
 def random_geometry(rng, k=4, span=8.0):
     return rng.random((k, 2)) * span
 
 
-def similarity(current, exemplar, bound=None) -> float:
+def similarity(current, exemplar, bound=MAX_ANGLE) -> float:
     """Alignment score of an exemplar's points onto a pose: minus the
     residual of the bounded least-squares fit."""
     return -fit_least_squares(exemplar, current, bound)[1]
@@ -88,7 +88,7 @@ def test_fit_least_squares_clamps_angle():
     t, residual = fit_least_squares(src, dst, bound=math.pi / 2)
     assert abs(t.angle) == pytest.approx(math.pi / 2)
     assert residual > 0
-    unbounded, zero_residual = fit_least_squares(src, dst, bound=AngleBound(math.pi))
+    unbounded, zero_residual = fit_least_squares(src, dst, bound=math.pi)
     assert zero_residual == pytest.approx(0.0, abs=1e-9)
     assert abs(unbounded.angle) == pytest.approx(math.pi)
 
@@ -144,7 +144,7 @@ def test_pose_similarity_displaced_matches_oracle():
         displaced = pts.copy()
         displaced[0] += (1.3, -0.8)
         value = similarity(displaced, pts)
-        oracle = grid_search_pose_similarity(displaced, pts, None)
+        oracle = grid_search_pose_similarity(displaced, pts)
         assert value == pytest.approx(oracle, abs=1e-6)
         assert value < 0
 
@@ -178,3 +178,12 @@ def test_child_geometry_signature(tiny3):
     assert child_points(X, 10, tiny3).shape == (3, 2)
     assert child_signature(20, tiny3) == ("comp", "comp")
     assert child_points(X, 20, tiny3).shape == (6, 2)
+
+
+@pytest.mark.parametrize("bound", [0.0, -0.5, math.pi + 1e-9, math.nan, math.inf])
+def test_angle_bound_outside_zero_to_pi_is_rejected(bound):
+    src = random_geometry(np.random.default_rng(0), 3)
+    with pytest.raises(ValueError, match=r"max_abs_angle must lie in \(0, pi\]"):
+        fit_least_squares(src, src, bound)
+    with pytest.raises(ValueError, match=r"max_abs_angle must lie in \(0, pi\]"):
+        InferenceParams(max_angle=bound)

@@ -21,7 +21,6 @@ from hierpose.geometry import (
     fit_two_points_batch,
     transform_points,
 )
-from hierpose.hierarchy import BoundingBox
 from hierpose.inference import (
     Hypothesis,
     HypothesisSet,
@@ -32,7 +31,7 @@ from hierpose.inference import (
     seed_atomic_hypotheses,
     swap_subtrees,
 )
-from hierpose.scoring import subtree_scores
+from hierpose.scoring import subtree_terms, subtree_total
 from hierpose.synth import generate_pose, make_scene
 
 from conftest import annotations_tiny3, library_for
@@ -54,14 +53,21 @@ def scene_for(library, hierarchy, seed, **kwargs):
     return make_scene(library, hierarchy, seed=seed, grid=(48, 48), **kwargs)
 
 
+def subtree_pose(hierarchy, pose, node_id):
+    """`pose` with -1 outside the subtree of `node_id`."""
+    out = np.full_like(pose, -1)
+    columns = [hierarchy.composite_index(n) for n in hierarchy.composites_below(node_id)]
+    out[columns] = pose[columns]
+    return out
+
+
 def level1_from_truth(hierarchy, X):
     out = {}
+    no_pose = np.full(len(hierarchy.composite_nodes), -1, dtype=np.intp)
     for i, part in enumerate(hierarchy.atomic_ids):
         locations = np.full((hierarchy.atomic_count, 2), np.nan)
         locations[i] = X[i]
-        out[part] = HypothesisSet.of(
-            [Hypothesis(part, 1, locations, {}, 0.0, BoundingBox(X[i], X[i]), 0.0)], hierarchy
-        )
+        out[part] = HypothesisSet.of([Hypothesis(part, 1, locations, no_pose, 0.0, 0.0)], hierarchy)
     return out
 
 
@@ -145,9 +151,10 @@ def test_propose_exact_alignment(tiny3_setup):
         raw = propose_hypotheses(node, lower, library, hierarchy, params, rng)
         assert raw
         rows = hierarchy.atom_rows(node.id)
+        column = hierarchy.composite_index(node.id)
         errors = []
         for hyp in raw:
-            if library.arrays(node.id).sources[hyp.pose[node.id]] != source:
+            if library.arrays(node.id).sources[hyp.pose[column]] != source:
                 continue
             errors.append(np.abs(hyp.locations[rows] - X[rows]).max())
         assert errors and min(errors) < 1e-6
@@ -196,7 +203,7 @@ def test_propose_deterministic(tiny3_setup):
         assert np.array_equal(
             np.nan_to_num(x.locations), np.nan_to_num(y.locations)
         )
-        assert x.pose == y.pose
+        assert np.array_equal(x.pose, y.pose)
 
 
 def test_propose_rotated_scene_matches_oracle_alignment(tiny3_setup):
@@ -217,7 +224,7 @@ def test_propose_rotated_scene_matches_oracle_alignment(tiny3_setup):
     best = min(
         np.abs(hyp.locations[rows] - oracle_subtree).max()
         for hyp in raw
-        if hyp.pose[node.id] == 0
+        if hyp.pose[hierarchy.composite_index(node.id)] == 0
     )
     assert best < 2.0
 
@@ -283,11 +290,7 @@ def test_swap_single_compatible_adds_one(tiny3_setup):
     alt_locations[rows] = X[rows] + 0.2
     lower = {
         10: HypothesisSet.of([
-            Hypothesis(
-                10, 2, alt_locations, {10: alternative.pose[10]},
-                10.0,
-                BoundingBox(alt_locations[rows].min(0), alt_locations[rows].max(0)),
-            )
+            Hypothesis(10, 2, alt_locations, subtree_pose(hierarchy, alternative.pose, 10), 10.0)
         ], hierarchy),
         11: [],
     }
@@ -298,8 +301,7 @@ def test_swap_single_compatible_adds_one(tiny3_setup):
     swapped = out.row(1)
     assert np.allclose(swapped.locations[rows], X[rows] + 0.2)
     far = Hypothesis(
-        10, 2, alt_locations + 100, {10: 0}, 10.0,
-        BoundingBox((alt_locations[rows] + 100).min(0), (alt_locations[rows] + 100).max(0)),
+        10, 2, alt_locations + 100, subtree_pose(hierarchy, np.zeros_like(root_hyp.pose), 10), 10.0
     )
     lower = {10: HypothesisSet.of([far], hierarchy), 11: []}
     out2 = swap_subtrees(roots, lower, stack, hierarchy, params)
@@ -317,15 +319,11 @@ def test_swap_better_child_raises_score(tiny3_setup):
     rows = hierarchy.atom_rows(10)
     off = base.locations.copy()
     off[rows] += (1.6, 1.2)
-    degraded = Hypothesis(
-        20, 3, off, dict(base.pose), base.object_size,
-        BoundingBox(off[hierarchy.atom_rows(20)].min(0), off[hierarchy.atom_rows(20)].max(0)),
-    )
+    degraded = Hypothesis(20, 3, off, base.pose.copy(), base.object_size)
     good_child_locations = np.full_like(X, np.nan)
     good_child_locations[rows] = X[rows]
     good_child = Hypothesis(
-        10, 2, good_child_locations, {10: base.pose[10]}, base.object_size,
-        BoundingBox(X[rows].min(0), X[rows].max(0)),
+        10, 2, good_child_locations, subtree_pose(hierarchy, base.pose, 10), base.object_size
     )
     params = InferenceParams(z=4, seed=0, compatibility_tolerance=0.25)
     out = swap_subtrees(
@@ -369,9 +367,10 @@ def test_prune_ties_keep_creation_order_under_round_off(tiny3_setup):
     node = hierarchy.nodes_at_level(2)[0]
     hyps = propose_hypotheses(node, seeds, library, hierarchy, params, np.random.default_rng(0))
     locations = hyps.locations
-    scores = subtree_scores(
+    terms = subtree_terms(
         locations, node.id, hyps.pose, hyps.object_size, scene.stack, hierarchy, library, weights,
     )
+    scores = subtree_total(terms, node.id, hierarchy)
     points = locations[:, hierarchy.atom_rows(node.id)]
     # repeated draws give exact-duplicate hypotheses: ties that only
     # creation order can break
@@ -396,10 +395,6 @@ def test_refine_moves_to_peak_when_unpenalized(tiny3_setup):
                                    pose_similarity=0.0)
     hyp = hypothesis_from_config(X, hierarchy, library)
     hyp.locations[0] = X[0] + (2.0, 1.0)  # start off the bump
-    hyp.box = BoundingBox(
-        hyp.locations[hierarchy.atom_rows(20)].min(0),
-        hyp.locations[hierarchy.atom_rows(20)].max(0),
-    )
     hyp.score = subtree_score(hyp, scene.stack, hierarchy, library, weights)
     params = InferenceParams(z=4, seed=0)
     refined, value = refine_hypothesis(hyp, scene.stack, hierarchy, weights, params)
@@ -450,7 +445,7 @@ def test_infer_recovers_clean_scene(tiny3_setup):
         assert np.isfinite(hyp.locations).all()
         assert np.allclose(hyp.box.top_left, hyp.locations.min(axis=0))
         assert np.allclose(hyp.box.bottom_right, hyp.locations.max(axis=0))
-        assert set(hyp.pose) == {n.id for n in hierarchy.composite_nodes}
+        assert hyp.pose.shape == (len(hierarchy.composite_nodes),) and (hyp.pose >= 0).all()
 
 
 def test_infer_deterministic(tiny3_setup):

@@ -17,8 +17,8 @@ from scipy import stats
 
 from hierpose import Annotation, WeightVector, inference, load_hierarchy, scoring
 from hierpose.appearance import LOG_FLOOR, ScaleMaps, ScoreMapStack
-from hierpose.geometry import _max_angle, child_points, fit_least_squares_batch
-from hierpose.hierarchy import BoundingBox, object_size
+from hierpose.geometry import child_points, fit_least_squares_batch
+from hierpose.hierarchy import object_size
 from hierpose.inference import (
     Hypothesis,
     HypothesisSet,
@@ -36,10 +36,10 @@ from hierpose.inference import (
 from hierpose.scoring import (
     best_fit_pose,
     feature_matrix,
-    pose_array,
     pose_terms,
-    subtree_scores,
+    scale_indices,
     subtree_terms,
+    subtree_total,
 )
 from hierpose.synth import make_scene
 
@@ -70,29 +70,35 @@ def model(name: str):
 
 
 def random_rows(hierarchy, library, node_id, count, rng, off_grid=False):
-    """Stacked hypotheses of one part: subtree locations, independent random
-    exemplars per subtree node (so child poses come from other sources than
-    the parent's), and object sizes spread over both stored scales."""
+    """Stacked hypotheses of one part: subtree locations, an (H, C) pose
+    array of independent random exemplars per subtree node (so child poses
+    come from other sources than the parent's) and -1 elsewhere, and object
+    sizes spread over both stored scales."""
     rows = hierarchy.atom_rows(node_id)
     locations = np.full((count, hierarchy.atomic_count, 2), np.nan)
     locations[:, rows] = rng.random((count, len(rows), 2)) * (GRID - 2) + 1
     if off_grid:
         locations[:, rows] += rng.choice([0.0, -12.0, 14.0], size=(count, len(rows), 1))
-    poses = [
-        {nid: int(rng.integers(len(library.arrays(nid).sources)))
-         for nid in hierarchy.composites_below(node_id)}
-        for _ in range(count)
-    ]
+    poses = np.full((count, len(hierarchy.composite_nodes)), -1, dtype=np.intp)
+    for pose in poses:
+        for nid in hierarchy.composites_below(node_id):
+            pose[hierarchy.composite_index(nid)] = rng.integers(len(library.arrays(nid).sources))
     sizes = rng.uniform(10.0, 60.0, count)
     return locations, poses, sizes
 
 
 def as_hypothesis(hierarchy, node_id, locations, pose, size):
-    points = locations[hierarchy.atom_rows(node_id)]
-    return Hypothesis(
-        node_id, hierarchy.node(node_id).level, locations, pose, float(size),
-        BoundingBox(points.min(axis=0), points.max(axis=0)),
+    return Hypothesis(node_id, hierarchy.node(node_id).level, locations, pose, float(size))
+
+
+def stored_pose_scores(locations, node_id, pose, sizes, stack, hierarchy, library, weights,
+                       bound=oracles.MAX_ANGLE):
+    """Spatial scores of H rows with their stored poses: the `subtree_total`
+    of their `subtree_terms`, none known beforehand."""
+    terms = subtree_terms(
+        locations, node_id, pose, sizes, stack, hierarchy, library, weights, bound
     )
+    return subtree_total(terms, node_id, hierarchy)
 
 
 def random_weights(hierarchy, rng):
@@ -106,7 +112,7 @@ def random_weights(hierarchy, rng):
     seed=st.integers(0, 2**32 - 1),
     count=st.integers(1, 12),
     off_grid=st.booleans(),
-    bound=st.sampled_from([None, 0.2, 1.0, math.pi]),
+    bound=st.sampled_from([oracles.MAX_ANGLE, 0.2, 1.0, math.pi]),
 )
 def test_kernel_matches_scalar_oracle(name, seed, count, off_grid, bound):
     hierarchy, library, stack = model(name)
@@ -114,9 +120,8 @@ def test_kernel_matches_scalar_oracle(name, seed, count, off_grid, bound):
     node = hierarchy.composite_nodes[int(rng.integers(len(hierarchy.composite_nodes)))]
     locations, poses, sizes = random_rows(hierarchy, library, node.id, count, rng, off_grid)
     weights = random_weights(hierarchy, rng)
-    ours = subtree_scores(
-        locations, node.id, pose_array(poses, hierarchy), sizes,
-        stack, hierarchy, library, weights, bound,
+    ours = stored_pose_scores(
+        locations, node.id, poses, sizes, stack, hierarchy, library, weights, bound
     )
     for row in range(count):
         hyp = as_hypothesis(hierarchy, node.id, locations[row], poses[row], sizes[row])
@@ -130,10 +135,9 @@ def test_kernel_rows_span_both_scales_and_clamped_fits():
     rng = np.random.default_rng(3)
     root = hierarchy.root.id
     locations, poses, sizes = random_rows(hierarchy, library, root, 200, rng)
-    scale = hierarchy.scale.factor_from_size(sizes, hierarchy.root.level - 1)
-    assert set(stack.nearest_scale_indices(scale).tolist()) == {0, 1}
+    assert set(scale_indices(sizes, hierarchy.root.level - 1, stack, hierarchy).tolist()) == {0, 1}
     table = library.arrays(root)
-    index = np.array([pose[root] for pose in poses])
+    index = poses[:, hierarchy.composite_index(root)]
     current = np.stack([
         oracles.naive_child_geometry(X, root, hierarchy).points for X in locations
     ])
@@ -200,16 +204,15 @@ def distinct_rows(data):
     hierarchy, library, stack = model(data.draw(st.sampled_from(sorted(DOCS))))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     node = data.draw(st.sampled_from(hierarchy.composite_nodes))
-    locations, poses, sizes = random_rows(
+    locations, pose, sizes = random_rows(
         hierarchy, library, node.id, data.draw(st.integers(1, 8)), rng
     )
-    pose = pose_array(poses, hierarchy)
     column = hierarchy.composite_index(node.id)
     other_pose = pose[:1].copy()
     exemplars = len(library.arrays(node.id).sources)
     other_pose[0, column] = (other_pose[0, column] + 1) % exemplars
     hyps = HypothesisSet.build(
-        node, hierarchy, np.concatenate([locations, locations[:1], locations[:1]]),
+        node, np.concatenate([locations, locations[:1], locations[:1]]),
         np.concatenate([pose, pose[:1], other_pose]),
         np.concatenate([sizes, 2.0 * sizes[:1], sizes[:1]]),
     )
@@ -237,7 +240,7 @@ def test_exact_copies_change_no_kept_row_or_score_bit(data):
     radius = data.draw(st.sampled_from([0.0, 2.0, 6.0]))
 
     def scores_of(rows):
-        return subtree_scores(
+        return stored_pose_scores(
             rows.locations, rows.node_id, rows.pose, rows.object_size,
             stack, hierarchy, library, weights,
         )
@@ -262,7 +265,7 @@ def with_child_terms(hyps, stack, hierarchy, library, weights):
     for child_id in hierarchy.node(hyps.node_id).children:
         terms = subtree_terms(
             hyps.locations, child_id, hyps.pose, hyps.object_size,
-            stack, hierarchy, library, weights, None, terms,
+            stack, hierarchy, library, weights, oracles.MAX_ANGLE, terms,
         )
     return replace(hyps, terms=terms)
 
@@ -286,7 +289,7 @@ def swapped_rows(data, one_scale=False):
         locations, poses, sizes = random_rows(hierarchy, library, part.id, count, rng)
         if one_scale:
             sizes = rng.uniform(10.0, 30.0, count)
-        return HypothesisSet.build(part, hierarchy, locations, pose_array(poses, hierarchy), sizes)
+        return HypothesisSet.build(part, locations, poses, sizes)
 
     lower = {}
     for child in node.children:
@@ -316,7 +319,7 @@ def test_swapped_rows_score_like_a_full_rescore(data):
     """Copied and carried terms change no kept row and no score bit, with
     exact copies interleaved: the kept rows, their scores and terms equal
     those of scoring every term anew,
-    each score is its row's full `subtree_scores`, and within 1e-9 of the
+    each score is its row's full `stored_pose_scores`, and within 1e-9 of the
     recursive oracle."""
     hierarchy, library, stack, weights, hyps, _ = swapped_rows(data)
     hyps = hyps.take(with_copies(data, len(hyps)))
@@ -326,12 +329,14 @@ def test_swapped_rows_score_like_a_full_rescore(data):
     full = score_and_prune(no_terms(hyps), stack, hierarchy, library, weights, z, radius)
     for name in ("locations", "pose", "object_size", "score", "terms"):
         assert getattr(out, name).tobytes() == getattr(full, name).tobytes(), name
-    assert out.score.tobytes() == subtree_scores(
+    assert out.score.tobytes() == stored_pose_scores(
         out.locations, out.node_id, out.pose, out.object_size,
         stack, hierarchy, library, weights,
     ).tobytes()
     for i in range(len(out)):
-        naive = oracles.naive_subtree_score(out.row(i), stack, hierarchy, library, weights, None)
+        naive = oracles.naive_subtree_score(
+            out.row(i), stack, hierarchy, library, weights, oracles.MAX_ANGLE
+        )
         assert out.score[i] == pytest.approx(naive, abs=1e-9)
 
 
@@ -345,15 +350,13 @@ def test_swap_carries_terms_only_at_the_same_scale():
     node, child = hierarchy.node(20), hierarchy.node(11)
     rng = np.random.default_rng(4)
     locations, poses, _ = random_rows(hierarchy, library, child.id, 1, rng)
-    pool = HypothesisSet.build(child, hierarchy, locations, pose_array(poses, hierarchy), [30.0])
+    pool = HypothesisSet.build(child, locations, poses, [30.0])
     pool = score_and_prune(pool, stack, hierarchy, library, weights, 1, 0.0)
     column = hierarchy.composite_index(child.id)
     assert np.isfinite(pool.terms[0, column])
     locations, poses, _ = random_rows(hierarchy, library, node.id, 2, rng)
     locations[:, hierarchy.atom_rows(child.id)] = pool.locations[0, hierarchy.atom_rows(child.id)]
-    hyps = HypothesisSet.build(
-        node, hierarchy, locations, pose_array(poses, hierarchy), [20.0, 45.0]
-    )
+    hyps = HypothesisSet.build(node, locations, poses, [20.0, 45.0])
     out = swap_subtrees(
         hyps, {child.id: pool}, stack, hierarchy, InferenceParams(compatibility_tolerance=0.01)
     )
@@ -418,27 +421,25 @@ def check_parity(error, hierarchy, library, stack, locations, poses, sizes, bad=
     weights = WeightVector.uniform(hierarchy)
     node = hierarchy.root.id
     with pytest.raises(error):
-        subtree_scores(
-            locations, node, pose_array(poses, hierarchy), sizes,
-            stack, hierarchy, library, weights,
-        )
+        stored_pose_scores(locations, node, poses, sizes, stack, hierarchy, library, weights)
     good = [row for row in range(len(poses)) if row != bad]
-    subtree_scores(
-        locations[good], node, pose_array([poses[row] for row in good], hierarchy), sizes[good],
-        stack, hierarchy, library, weights,
+    stored_pose_scores(
+        locations[good], node, poses[good], sizes[good], stack, hierarchy, library, weights
     )
     for row in range(len(poses)):
         hyp = as_hypothesis(hierarchy, node, locations[row], poses[row], sizes[row])
         if row == bad:
             with pytest.raises(error):
-                oracles.naive_subtree_score(hyp, stack, hierarchy, library, weights, None)
+                oracles.naive_subtree_score(
+                    hyp, stack, hierarchy, library, weights, oracles.MAX_ANGLE
+                )
         else:
-            oracles.naive_subtree_score(hyp, stack, hierarchy, library, weights, None)
+            oracles.naive_subtree_score(hyp, stack, hierarchy, library, weights, oracles.MAX_ANGLE)
 
 
 def test_error_parity_missing_pose():
     hierarchy, library, stack, locations, poses, sizes = good_batch()
-    del poses[2][12]
+    poses[2, hierarchy.composite_index(12)] = -1
     check_parity(ValueError, hierarchy, library, stack, locations, poses, sizes)
 
 
@@ -472,15 +473,14 @@ def test_error_parity_identical_exemplar_points():
         table, locations=coincident, geometry=child_points(coincident, 11, hierarchy)
     ))
     assert np.all(library.arrays(11).geometry[1] == 1.0)
-    for row, pose in enumerate(poses):
-        pose[11] = 1 if row == 2 else 0
+    poses[:, hierarchy.composite_index(11)] = [0, 0, 1, 0]
     check_parity(ValueError, hierarchy, library, stack, locations, poses, sizes)
 
 
 def test_error_parity_missing_channel():
     hierarchy, library, stack, locations, poses, sizes = good_batch()
     sizes[2] = 60.0  # only this row reads the 2.0 scale
-    label = int(library.arrays(11).labels[1][poses[2][11]])
+    label = int(library.arrays(11).labels[1][poses[2, hierarchy.composite_index(11)]])
     stack = stack_without(stack, 1, channel=(1, label))
     check_parity(KeyError, hierarchy, library, stack, locations, poses, sizes)
 
@@ -501,8 +501,7 @@ def test_error_parity_composite_label_out_of_range(label):
     wrong = table.labels[11].copy()
     wrong[1] = label
     library = with_table(library, 20, replace(table, labels={**table.labels, 11: wrong}))
-    for row, pose in enumerate(poses):
-        pose[20] = 1 if row == 2 else 0
+    poses[:, hierarchy.composite_index(20)] = [0, 0, 1, 0]
     check_parity(KeyError, hierarchy, library, stack, locations, poses, sizes)
 
 
@@ -561,7 +560,7 @@ def random_configurations(hierarchy, library, count, rng):
     return X
 
 
-def naive_features(X, stacks, stack_index, hierarchy, library, bound=None):
+def naive_features(X, stacks, stack_index, hierarchy, library, bound=oracles.MAX_ANGLE):
     return np.stack([
         oracles.naive_feature_vector(X[s], stacks[stack_index[s]], hierarchy, library, bound)
         for s in range(len(X))
@@ -573,7 +572,7 @@ def naive_features(X, stacks, stack_index, hierarchy, library, bound=None):
     name=st.sampled_from(sorted(DOCS)),
     seed=st.integers(0, 2**32 - 1),
     count=st.integers(1, 12),
-    bound=st.sampled_from([None, 0.2, math.pi]),
+    bound=st.sampled_from([oracles.MAX_ANGLE, 0.2, math.pi]),
 )
 def test_feature_matrix_matches_scalar_oracle(name, seed, count, bound):
     hierarchy, library, stacks = feature_model(name)
@@ -586,7 +585,8 @@ def test_feature_matrix_matches_scalar_oracle(name, seed, count, bound):
 
 def test_best_fit_pose_matches_naive_fit_up_to_ties():
     """`best_fit_pose` against the exemplar loop of `naive_best_fit`, whose
-    fit is the naive one, on both models and under bounds None, 0.2 and pi.
+    fit is the naive one, on both models and under bounds pi/3 (the
+    default), 0.2 and pi.
     Tie rule: residuals within `tol` of the naive minimum tie (two-point
     fits are exact up to rounding for every exemplar, and the two fits round
     differently), and the library may pick any tied exemplar; a unique naive
@@ -596,15 +596,13 @@ def test_best_fit_pose_matches_naive_fit_up_to_ties():
     for name in sorted(DOCS):
         hierarchy, library, _ = feature_model(name)
         X = random_configurations(hierarchy, library, 30, np.random.default_rng(11))
-        for bound in [None, 0.2, math.pi]:
+        for bound in [oracles.MAX_ANGLE, 0.2, math.pi]:
             for row in X:
                 for node in hierarchy.composite_nodes:
                     geometry = library.arrays(node.id).geometry
                     current = oracles.naive_child_geometry(row, node.id, hierarchy)
                     residual = np.array([
-                        oracles.naive_fit_least_squares(
-                            points, current.points, _max_angle(bound)
-                        )[2]
+                        oracles.naive_fit_least_squares(points, current.points, bound)[2]
                         for points in geometry
                     ])
                     spread = np.sum((current.points - current.points.mean(axis=0)) ** 2)
@@ -628,9 +626,7 @@ def test_feature_inputs_reach_both_scales_off_grid_points_and_ties():
     """The property test's inputs reach what it is meant to cover."""
     hierarchy, library, stacks = feature_model("limbs4")
     X = random_configurations(hierarchy, library, 200, np.random.default_rng(4))
-    size = object_size(X)
-    scale = hierarchy.scale.factor_from_size(size, 1)
-    assert set(stacks[0].nearest_scale_indices(scale).tolist()) == {0, 1}
+    assert set(scale_indices(object_size(X), 1, stacks[0], hierarchy).tolist()) == {0, 1}
     features = feature_matrix(X, stacks, np.arange(200) % 2, hierarchy, library)
     assert np.sum(features[:, : hierarchy.atomic_count] == LOG_FLOOR) > 100
     exact = library.arrays(hierarchy.root.id).locations[0]
@@ -679,7 +675,9 @@ def check_feature_parity(error, X, stacks, stack_index, hierarchy, library, bad=
         naive_features(X[good], stacks, stack_index[good], hierarchy, library),
     )
     with pytest.raises(error):
-        oracles.naive_feature_vector(X[bad], stacks[stack_index[bad]], hierarchy, library, None)
+        oracles.naive_feature_vector(
+            X[bad], stacks[stack_index[bad]], hierarchy, library, oracles.MAX_ANGLE
+        )
 
 
 def on_grid_features_batch():
@@ -719,20 +717,44 @@ def assert_same_proposals(ours, naive, hierarchy):
     """`ours` is a HypothesisSet, `naive` the oracle's list of rows."""
     assert len(ours) == len(naive)
     naive = HypothesisSet.of(naive, hierarchy)
-    assert (ours.node_id, ours.level, ours.pose_nodes) == (
-        naive.node_id, naive.level, naive.pose_nodes
-    )
+    assert (ours.node_id, ours.level) == (naive.node_id, naive.level)
     assert np.array_equal(ours.pose, naive.pose)
     assert np.array_equal(np.isnan(ours.locations), np.isnan(naive.locations))
     assert np.allclose(ours.locations, naive.locations, atol=1e-9, equal_nan=True)
     assert np.allclose(ours.object_size, naive.object_size, atol=1e-9)
-    assert np.allclose(ours.lows, naive.lows, atol=1e-9)
-    assert np.allclose(ours.highs, naive.highs, atol=1e-9)
-    for i in range(len(ours)):
-        row = ours.row(i)
-        assert row.pose == naive.row(i).pose
-        assert np.array_equal(row.box.top_left, ours.lows[i])
-        assert np.array_equal(row.box.bottom_right, ours.highs[i])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), scored=st.booleans())
+def test_rows_give_subtree_boxes_and_stack_back_bit_for_bit(data, scored):
+    """For random sets, swapped or not and scored or not, each row's box is
+    the min and max of its subtree's locations, and `HypothesisSet.of`
+    stacks the rows back into every row field, bit for bit, with no term
+    known."""
+    hierarchy, library, stack, weights, hyps, _ = swapped_rows(data)
+    if scored:
+        hyps = score_and_prune(hyps, stack, hierarchy, library, weights, len(hyps), 0.0)
+    subtree = hyps.locations[:, hierarchy.atom_rows(hyps.node_id)]
+    rows = list(hyps)
+    for i, row in enumerate(rows):
+        assert row.box.top_left.tobytes() == subtree[i].min(axis=0).tobytes()
+        assert row.box.bottom_right.tobytes() == subtree[i].max(axis=0).tobytes()
+    again = HypothesisSet.of(rows, hierarchy)
+    assert (again.node_id, again.level) == (hyps.node_id, hyps.level)
+    for name in ("locations", "pose", "object_size", "score"):
+        ours, theirs = getattr(again, name), getattr(hyps, name)
+        assert (ours.dtype, ours.shape) == (theirs.dtype, theirs.shape), name
+        assert ours.tobytes() == theirs.tobytes(), name
+    assert np.isnan(again.terms).all() and again.terms.shape == hyps.terms.shape
+
+
+def test_of_rejects_a_pose_row_of_the_wrong_length():
+    hierarchy, library, _ = model("tiny3")
+    locations, poses, sizes = random_rows(hierarchy, library, 20, 2, np.random.default_rng(0))
+    hyps = [as_hypothesis(hierarchy, 20, locations[i], poses[i], sizes[i]) for i in range(2)]
+    hyps[1].pose = hyps[1].pose[:-1]
+    with pytest.raises(ValueError, match="one exemplar index per composite node"):
+        HypothesisSet.of(hyps, hierarchy)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -773,7 +795,9 @@ def test_propose_degenerate_pairs_fall_back_like_scalar_loop():
             locations[rows] = X[rows] + k
             # the right limb's anchor sits on the left limb's anchor
             locations[rows] += shift * (X[0] - X[3])
-            pool.append(as_hypothesis(hierarchy, node_id, locations, {node_id: k}, 8.0 + k))
+            pose = np.full(len(hierarchy.composite_nodes), -1, dtype=np.intp)
+            pose[hierarchy.composite_index(node_id)] = k
+            pool.append(as_hypothesis(hierarchy, node_id, locations, pose, 8.0 + k))
         lower[node_id] = HypothesisSet.of(pool, hierarchy)
     params = InferenceParams(z=4, samples_per_level=80, seed=0)
     ours = propose_hypotheses(
@@ -899,10 +923,10 @@ def refinement_center(kind, rng):
 
 
 def refinement_case(name, seed, kinds, fraction, variant, count):
-    """`count` root hypotheses on one model and one weight/map variant.  The
-    first has a tight box; the others have their own starting points,
-    object sizes and boxes, so that their discs, window spans and scales
-    differ."""
+    """`count` root hypotheses on one model and one weight/map variant.
+    Every root after the first has its own starting points, the last few of
+    which repeat one point, and its own object size, so that the roots'
+    boxes, discs, window spans and scales differ."""
     hierarchy, _, stack = model(name)
     rng = np.random.default_rng(seed)
     X = np.stack([refinement_center(kind, rng) for kind in kinds[: hierarchy.atomic_count]])
@@ -916,9 +940,10 @@ def refinement_case(name, seed, kinds, fraction, variant, count):
     if variant == "ridge maps":
         stack = marked_stack(stack, ridges(hierarchy, 2 * int(rng.integers(10)) + 1))
     # sizes on both sides of 37.5 read different scales of the limbs4 stack
+    no_pose = np.full(len(hierarchy.composite_nodes), -1, dtype=np.intp)
     hyps = [Hypothesis(
-        hierarchy.root.id, hierarchy.levels, X, {}, float(rng.uniform(5.0, 80.0)),
-        BoundingBox(X.min(axis=0), X.max(axis=0)), float(rng.normal()),
+        hierarchy.root.id, hierarchy.levels, X, no_pose, float(rng.uniform(5.0, 80.0)),
+        float(rng.normal()),
     )]
     rng = np.random.default_rng([seed, count])
     for _ in range(count - 1):
@@ -926,10 +951,11 @@ def refinement_case(name, seed, kinds, fraction, variant, count):
             refinement_center(kind, rng)
             for kind in rng.permutation(kinds)[: hierarchy.atomic_count]
         ])
-        low = X.min(axis=0)
+        distinct = int(rng.integers(1, len(X) + 1))
+        X = X[np.minimum(np.arange(len(X)), distinct - 1)]
         hyps.append(Hypothesis(
-            hierarchy.root.id, hierarchy.levels, X, {}, float(rng.uniform(5.0, 80.0)),
-            BoundingBox(low, low + rng.uniform(0.0, GRID + 6.0, size=2)), float(rng.normal()),
+            hierarchy.root.id, hierarchy.levels, X, no_pose, float(rng.uniform(5.0, 80.0)),
+            float(rng.normal()),
         ))
     return hyps, stack, hierarchy, weights, InferenceParams(search_radius_fraction=fraction)
 
@@ -972,12 +998,9 @@ def test_refine_chunks_mix_spans_and_scales():
         "limbs4", 5, ["free"] * 10, 0.15, "random", count
     )
     roots = HypothesisSet.of(hyps, hierarchy)
-    scale_index = stack.nearest_scale_indices(
-        hierarchy.scale.factor_from_size(roots.object_size, 1)
-    )
-    per_scale = np.bincount(scale_index, minlength=2)
+    per_scale = np.bincount(scale_indices(roots.object_size, 1, stack, hierarchy), minlength=2)
     assert (per_scale > 0).all()
-    radius = params.search_radius_fraction * 0.5 * (roots.highs - roots.lows).sum(axis=1)
+    radius = params.search_radius_fraction * np.array([hyp.box.mean_side for hyp in hyps])
     assert len(np.unique(np.floor(2 * radius))) >= 4
     with mock.patch("hierpose.inference.log_marginals_at", wraps=inference.log_marginals_at) as spy:
         refine_roots(roots, stack, hierarchy, weights, params)
@@ -1003,8 +1026,8 @@ def test_refine_tie_breaks_disc_edge_and_empty_discs(fraction):
     marks = {3: xx + yy == 11, 6: (xx == 18) & (yy == 3)}
     weights = WeightVector(np.ones(6), np.zeros(3), np.zeros(3))
     hyp = Hypothesis(
-        hierarchy.root.id, hierarchy.levels, starts, {}, 20.0,
-        BoundingBox(starts.min(axis=0), starts.max(axis=0)), 0.0,
+        hierarchy.root.id, hierarchy.levels, starts,
+        np.full(len(hierarchy.composite_nodes), -1, dtype=np.intp), 20.0, 0.0,
     )
     params = InferenceParams(search_radius_fraction=fraction)
     case = (hyp, marked_stack(stack, marks), hierarchy, weights, params)

@@ -15,13 +15,14 @@ from hierpose import (
 )
 from hierpose.appearance import ScaleMaps, ScoreMapStack, log_marginals_at
 from hierpose.inference import Hypothesis
-from hierpose.hierarchy import BoundingBox, object_size
+from hierpose.hierarchy import object_size
 from hierpose.scoring import (
     build_training_set,
     feature_length,
     load_weights,
     pose_terms,
     save_weights,
+    scale_indices,
 )
 
 import oracles
@@ -138,7 +139,7 @@ def test_best_fit_pose_matches_exhaustive(setup_tiny3):
         X = rng.random((6, 2)) * 20
         for node in hierarchy.composite_nodes:
             ours = best_fit_pose(X, node.id, library, hierarchy)
-            naive = oracles.naive_best_fit(X, node.id, library, hierarchy, None)
+            naive = oracles.naive_best_fit(X, node.id, library, hierarchy, oracles.MAX_ANGLE)
             assert ours[0] == naive[0]
             assert ours[1] == pytest.approx(naive[1], abs=1e-9)
 
@@ -166,7 +167,7 @@ def test_pose_score_matches_naive(setup_tiny3):
             node_term(X, node.id, stack, hierarchy, library, weights)
             for node in hierarchy.composite_nodes
         )
-        naive = oracles.naive_spatial(X, stack, hierarchy, library, weights, None)
+        naive = oracles.naive_spatial(X, stack, hierarchy, library, weights, oracles.MAX_ANGLE)
         assert ours == pytest.approx(naive, abs=1e-9)
 
 
@@ -198,7 +199,7 @@ def test_spatial_score_matches_naive(setup_tiny3):
         X = rng.random((6, 2)) * 20 + 1
         weights = random_weights(hierarchy, rng)
         ours = spatial_score(X, stack, hierarchy, library, weights)
-        naive = oracles.naive_spatial(X, stack, hierarchy, library, weights, None)
+        naive = oracles.naive_spatial(X, stack, hierarchy, library, weights, oracles.MAX_ANGLE)
         assert ours == pytest.approx(naive, abs=1e-9)
 
 
@@ -229,7 +230,7 @@ def test_total_score_matches_naive(setup_tiny3):
         X = rng.random((6, 2)) * 20 + 1
         weights = random_weights(hierarchy, rng)
         ours = total_score(X, stack, hierarchy, library, weights)
-        naive = oracles.naive_total(X, stack, hierarchy, library, weights, None)
+        naive = oracles.naive_total(X, stack, hierarchy, library, weights, oracles.MAX_ANGLE)
         assert ours == pytest.approx(naive, abs=1e-9)
 
 
@@ -238,8 +239,8 @@ def test_subtree_score_level1_is_zero(setup_tiny3):
     locations = np.full((6, 2), np.nan)
     locations[0] = (3.0, 3.0)
     hyp = Hypothesis(
-        node_id=1, level=1, locations=locations, pose={},
-        object_size=0.0, box=BoundingBox((3, 3), (3, 3)),
+        node_id=1, level=1, locations=locations,
+        pose=np.full(len(hierarchy.composite_nodes), -1), object_size=0.0,
     )
     weights = WeightVector.uniform(hierarchy)
     assert subtree_score(hyp, stack, hierarchy, library, weights) == 0.0
@@ -301,9 +302,9 @@ def test_refinement_score_locality(setup_tiny3):
     after = refinement_score(moved, hyp, stack, hierarchy, weights)
     # only part 2's appearance term and its parent's alignment penalty move
     part = hierarchy.atomic_ids[2]
-    scale = hierarchy.scale.factor_from_size(hyp.object_size, 1)
+    scale_index = int(scale_indices([hyp.object_size], 1, stack, hierarchy)[0])
     before_after = log_marginals_at(
-        stack, [part], np.stack([X[2], moved[2]])[None], stack.nearest_scale_index(scale)
+        stack, [part], np.stack([X[2], moved[2]])[None], scale_index
     )[0]
     phi_delta = weights.atomic[2] * (before_after[1] - before_after[0])
     beta = weights.node_weights(hierarchy, hierarchy.parent_of(part))[1]
@@ -368,7 +369,7 @@ def test_build_training_set_one_stack_rows_in_sample_order(setup_tiny3):
     hierarchy, annotations, library, stack = setup_tiny3
     positives, negatives = annotations[:2], annotations[2:]
     training = build_training_set(positives, negatives, stack, hierarchy, library)
-    naive = [oracles.naive_feature_vector(a.points, stack, hierarchy, library, None)
+    naive = [oracles.naive_feature_vector(a.points, stack, hierarchy, library, oracles.MAX_ANGLE)
              for a in annotations]
     assert np.array_equal(training.features, np.stack(naive))
     assert training.labels.tolist() == [1.0, 1.0, -1.0]

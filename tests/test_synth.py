@@ -91,7 +91,7 @@ def test_render_peaks_at_ground_truth(tiny3_library):
         library.atomic_bins, library.composite_bins, grid=(40, 40), sigma=1.2,
     )
     for i, part in enumerate(hierarchy.atomic_ids):
-        points, _ = top_peaks(stack, part, 1.0, 1, 2.0)
+        points, _ = top_peaks(stack, part, 0, 1, 2.0)
         assert np.allclose(points[0], X[i])
 
 
@@ -194,8 +194,8 @@ def test_oracle_similarity_agrees_random():
     for _ in range(10):
         src = rng.random((4, 2)) * 6
         dst = rng.random((4, 2)) * 6
-        _, residual = fit_least_squares(src, dst, None)
-        oracle = grid_search_pose_similarity(dst, src, None)
+        _, residual = fit_least_squares(src, dst)
+        oracle = grid_search_pose_similarity(dst, src)
         assert -residual == pytest.approx(oracle, abs=1e-6)
 
 

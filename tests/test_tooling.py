@@ -1,7 +1,8 @@
 """Smoke checks of the shipped entry points: each demo runs to exit 0,
 every name a module exports resolves, numpy is the one runtime
 dependency, the format notes name every diagnostics key,
-`HypothesisSet.take`/`concat` carry every per-row field, and `infer` fits
+`HypothesisSet.take`/`concat` carry every per-row field, one function picks
+every stored scale and no angle bound defaults to None, and `infer` fits
 each (part, subtree node) pair in one kernel call."""
 
 import ast
@@ -121,7 +122,7 @@ def test_every_per_row_field_is_taken_and_concatenated():
     node = hierarchy.root
     locations = np.arange(rows * hierarchy.atomic_count * 2, dtype=float).reshape(rows, -1, 2)
     pose = np.zeros((rows, len(hierarchy.composite_nodes)), dtype=np.intp)
-    hyps = HypothesisSet.build(node, hierarchy, locations, pose, np.ones(rows))
+    hyps = HypothesisSet.build(node, locations, pose, np.ones(rows))
     per_row = {
         field.name for field in dataclasses.fields(hyps)
         if isinstance(getattr(hyps, field.name), np.ndarray)
@@ -130,6 +131,46 @@ def test_every_per_row_field_is_taken_and_concatenated():
     assert per_row == set(_ROW_FIELDS)
     for out in (hyps.take([3, 1]), hyps.concat(hyps.take([2]))):
         assert all(len(getattr(out, name)) == len(out.score) for name in per_row)
+
+
+SCALE_STEPS = {"factor_from_size", "nearest_scale_indices"}
+
+
+def _called_name(call: ast.Call):
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def test_one_scale_rule_and_no_none_angle_bound():
+    """`scoring.scale_indices` is the one rule that turns object sizes into
+    stored scale indices: the library calls `factor_from_size` and
+    `nearest_scale_indices` nowhere else.  And no parameter named `bound`
+    defaults to None: every angle bound is a float."""
+    scale_calls, in_rule, none_bounds = set(), set(), []
+    for path in sorted((ROOT / "src" / "hierpose").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and _called_name(node) in SCALE_STEPS:
+                scale_calls.add((path.name, node.lineno, node.col_offset, _called_name(node)))
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if (path.name, node.name) == ("scoring.py", "scale_indices"):
+                in_rule |= {
+                    (path.name, call.lineno, call.col_offset, _called_name(call))
+                    for call in ast.walk(node)
+                    if isinstance(call, ast.Call) and _called_name(call) in SCALE_STEPS
+                }
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaults = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+            defaults += list(zip(args.kwonlyargs, args.kw_defaults))
+            none_bounds += [
+                f"{path.name}:{node.name}" for arg, default in defaults
+                if arg.arg == "bound"
+                and isinstance(default, ast.Constant) and default.value is None
+            ]
+    assert {call[3] for call in in_rule} == SCALE_STEPS
+    assert scale_calls == in_rule, f"scale picked outside scale_indices: {scale_calls - in_rule}"
+    assert not none_bounds, f"angle bounds that default to None: {none_bounds}"
 
 
 @pytest.mark.parametrize(
