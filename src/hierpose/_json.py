@@ -2,7 +2,8 @@
 
 `read` checks a parsed value against a spec of its shape and JSON types.  It
 converts nothing, except that a JSON integer becomes a float where a number
-is wanted.  A spec is `int`, `float`, `bool`, `str` or `object` (any value);
+is wanted, and it rejects a number that overflows to ±inf, such as 1e400.
+A spec is `int`, `float`, `bool`, `str` or `object` (any value);
 `[spec]`, a list, or `(spec, ...)`, a list of exactly that many entries;
 `{key: spec}`, an object with exactly these keys, where an `Optional` one may
 be absent; `Map(spec)`, an object with any keys; `Nullable(spec)`; or
@@ -15,6 +16,7 @@ list entry and `"<where>.<key>"` for a nested object.
 from __future__ import annotations
 
 import json
+import math
 
 _TYPE_NAMES = {int: "integer", float: "number", bool: "boolean", str: "string",
                list: "list", dict: "object"}
@@ -100,6 +102,8 @@ def read(value, spec, where: str, error):
     if isinstance(spec, Map):
         return {key: _read_field(value, key, spec.spec, where, error) for key in value}
     if kind is not dict:
+        if isinstance(value, float) and not math.isfinite(value):
+            raise error(f"{where} must be a finite number, got {value}")
         return float(value) if kind is float else value
     unknown = set(value) - set(spec)
     if unknown:

@@ -286,7 +286,6 @@ def cmd_synth(args) -> int:
     type_model = RelationTypeModel.build(hierarchy, annotations, **doc["type_model"])
     library = build_library(annotations, hierarchy, type_model)
     out_dir = _output_path(base, doc["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     for seed in seeds:
         scene = synth.make_scene(library, hierarchy, seed=seed, grid=grid, **options)
         synth.save_scene(scene, out_dir / f"scene_{seed}", hierarchy)

@@ -271,7 +271,10 @@ class PartHierarchy:
 
     def atom_index(self, part_id: int) -> int:
         """Row of an atomic part in the configuration array."""
-        return self._atom_index[part_id]
+        try:
+            return self._atom_index[part_id]
+        except KeyError:
+            raise KeyError(f"node {part_id} is not atomic") from None
 
     def composite_index(self, node_id: int) -> int:
         """Position of a composite node in `composite_nodes`."""

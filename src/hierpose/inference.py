@@ -35,8 +35,7 @@ pixels, in one array pass; `refine_hypothesis` is its one-row call.
 Modes: "full" runs everything; "partial" stops before refinement and traces
 the best root hypothesis; "no-hier" collapses the model to a depth-2
 hierarchy that only uses whole-object exemplars (`collapse_model`: the
-root's exemplar rows, with the atomic labels of the same rows of the
-level-2 nodes).
+same annotation rows, with the atoms' labels).
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ import numpy as np
 from .appearance import ScoreMapStack, _greedy_nms, log_marginals_at, top_peaks
 from .geometry import DEFAULT_MAX_ANGLE, check_max_angle, fit_two_points_batch, transform_points
 from .hierarchy import BoundingBox, PartHierarchy, PartNode, ScaleParams, object_size
-from .learning import ExemplarArrays, ExemplarLibrary
+from .learning import ExemplarLibrary
 from .scoring import (
     WeightVector,
     best_fit_pose,
@@ -340,16 +339,15 @@ def propose_hypotheses(
     `_draw_proposals`; the fits and transforms of all draws are then computed
     as arrays.
     """
-    table = library.arrays(node.id)
     children = node.children
     pools = [lower.get(child_id) or () for child_id in children]
     counts = [len(pool) for pool in pools]
-    chosen, slots, picks = _draw_proposals(rng, params.samples, len(table.sources), counts)
+    chosen, slots, picks = _draw_proposals(rng, params.samples, len(library.sources), counts)
     if not len(chosen):
         return _no_hypotheses(node, hierarchy)
 
     exemplar_points = np.stack(
-        [_alignment_points(table.locations, child_id, hierarchy) for child_id in children],
+        [_alignment_points(library.points, child_id, hierarchy) for child_id in children],
         axis=1,
     )  # (E, C, 2)
     offsets = np.cumsum([0] + counts)
@@ -376,7 +374,7 @@ def propose_hypotheses(
 
     # single usable anchor: no rotation, scale from the object-size ratio
     child_size = pool_sizes[targets[:, 0]]
-    exemplar_size = table.object_size[chosen]
+    exemplar_size = library.object_size[chosen]
     fallback = degenerate & ~((child_size <= 0) | (exemplar_size <= 0))
     scale[fallback] = child_size[fallback] / exemplar_size[fallback]
     translation[fallback] = dst[fallback, 0] - scale[fallback, None] * src[fallback, 0]
@@ -384,9 +382,9 @@ def propose_hypotheses(
 
     keep = np.flatnonzero(accepted)
     rows = hierarchy.atom_rows(node.id)
-    locations = np.full((len(keep),) + table.locations.shape[1:], np.nan)
+    locations = np.full((len(keep),) + library.points.shape[1:], np.nan)
     locations[:, rows] = transform_points(
-        scale[keep], angle[keep], translation[keep], table.locations[chosen[keep]][:, rows]
+        scale[keep], angle[keep], translation[keep], library.points[chosen[keep]][:, rows]
     )
     # row e of every node comes from one annotation: the subtree takes the drawn row
     columns = [hierarchy.composite_index(nid) for nid in hierarchy.composites_below(node.id)]
@@ -677,9 +675,8 @@ def collapse_model(
 ) -> tuple[PartHierarchy, ExemplarLibrary, WeightVector]:
     """Depth-2 view: the root directly over all atoms, whole-object exemplars.
 
-    The collapsed root keeps the root's exemplar rows; the atomic
-    relation-type labels of each row are joined from the same row of the
-    level-2 nodes.
+    The collapsed library is the same annotation rows with the atoms'
+    labels, which are their relation types under their level-2 parents.
     """
     root = hierarchy.root
     nodes = [
@@ -699,15 +696,11 @@ def collapse_model(
     flat = PartHierarchy(
         nodes, ScaleParams(hierarchy.scale.reference_length, (factors[0], factors[-1]))
     )
-    table = library.arrays(root.id)
-    labels = {}
-    for node in hierarchy.nodes_at_level(2):
-        labels.update(library.arrays(node.id).labels)
-    flat_table = ExemplarArrays.of(
-        root.id, flat, table.sources, table.object_size, table.locations, labels
-    )
     alpha, beta = weights.node_weights(hierarchy, root.id)
-    flat_library = ExemplarLibrary({root.id: flat_table}, library.atomic_bins, composite_bins={})
+    flat_library = ExemplarLibrary(
+        flat, library.sources, library.points, library.labels, library.atomic_bins,
+        composite_bins={},
+    )
     flat_weights = WeightVector(weights.atomic.copy(), [alpha], [beta], weights.bias)
     return flat, flat_library, flat_weights
 

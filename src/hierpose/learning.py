@@ -1,11 +1,11 @@
 """Exemplar library construction and max-margin weight training.
 
-Exemplars are extracted per composite part from annotated configurations.
-The library holds one set of read-only arrays per composite node: the
-source names, object sizes, subtree atomic locations and child geometry of
-its exemplars, and the relation-type label of every child.  Row e of every
-node comes from the same annotation, so a row index pairs exemplars across
-nodes.  Weight training is a binary hinge-loss problem solved by
+Exemplars are extracted from annotated configurations.  The library is one
+table of read-only annotation rows: the source names, full configurations,
+object sizes and the relation-type label of every non-root part.  Exemplar
+e of every part is annotation e, so a row index pairs exemplars across
+parts; each composite node keeps only the child geometry it derives from the
+rows.  Weight training is a binary hinge-loss problem solved by
 projected stochastic subgradient descent with non-negativity constraints on
 everything except the trailing bias component.
 """
@@ -28,7 +28,7 @@ from .geometry import child_points, child_signature
 from .hierarchy import BoundingBox, PartHierarchy, as_configuration, object_size
 
 LIBRARY_MAGIC = b"HPEL"
-LIBRARY_VERSION = 1
+LIBRARY_VERSION = 2
 NEGATIVE_MAX_IOU = 0.3  # a negative's root box overlaps the true one by less
 NEGATIVE_ATTEMPTS = 100  # placements tried per negative before it is skipped
 
@@ -127,59 +127,58 @@ def _read_only(values, dtype) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ExemplarArrays:
-    """The exemplars of one composite node, stacked in row order.
+    """What one composite node derives from the library's rows and the
+    hierarchy: the (E, K, 2) child geometry, read-only, and the child kinds
+    it was built for."""
 
-    Every array is a read-only copy.  `geometry` is derived from
-    `locations` once, by `of`, so an in-place edit would leave it stale.
-    """
-
-    sources: tuple[str, ...]  # (E,) source annotation names
-    object_size: np.ndarray  # (E,)
-    locations: np.ndarray  # (E, N, 2); NaN outside the node's subtree
-    labels: dict[int, np.ndarray]  # child -> (E,) relation-type labels
-    geometry: np.ndarray  # (E, K, 2) child geometry points
+    geometry: np.ndarray
     signature: tuple[str, ...]  # child kinds, see `child_signature`
 
     def __post_init__(self):
-        object.__setattr__(self, "sources", tuple(self.sources))
-        for name in ("object_size", "locations", "geometry"):
-            object.__setattr__(self, name, _read_only(getattr(self, name), float))
-        labels = {child: _read_only(values, np.intp) for child, values in self.labels.items()}
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "geometry", _read_only(self.geometry, float))
 
-    @classmethod
-    def of(cls, node_id, hierarchy, sources, object_size, locations, labels) -> "ExemplarArrays":
-        """The node's tables, with the child geometry of `locations`."""
-        return cls(
-            sources, object_size, locations, labels,
-            child_points(locations, node_id, hierarchy), child_signature(node_id, hierarchy),
-        )
+
+def _labelled_parts(hierarchy: PartHierarchy) -> list[int]:
+    """The parts that carry a relation-type label: every non-root part, by id."""
+    return sorted(node.id for node in hierarchy.nodes if node.id != hierarchy.root.id)
 
 
 class ExemplarLibrary:
-    """One `ExemplarArrays` per composite node, plus relation-type channel counts.
+    """One table of annotation rows, plus relation-type channel counts.
 
-    Every node lists the same sources in the same order: row e of one node
-    and row e of any other come from the same annotation, so a row index
-    pairs exemplars across nodes.
+    Exemplar e of every part is annotation e: `sources` (E,) names it,
+    `points` (E, N, 2) is its full configuration, `object_size` (E,) is
+    derived from `points`, and `labels` holds one (E,) column per non-root
+    part, the part's relation type under its parent.  `nodes` keeps, per
+    composite node, only what it derives from the hierarchy (see
+    `ExemplarArrays`).  Every array is a read-only copy.
     """
 
     def __init__(
         self,
-        nodes: dict[int, ExemplarArrays],
+        hierarchy: PartHierarchy,
+        sources,
+        points,
+        labels: dict[int, np.ndarray],
         atomic_bins: dict[int, int],
         composite_bins: dict[int, int],
     ):
-        self.nodes = dict(nodes)
+        self.sources = tuple(sources)
+        if not self.sources:
+            raise LibraryError("library holds no exemplars")
+        self.points = _read_only(points, float)
+        self.object_size = _read_only(object_size(self.points), float)
+        self.labels = {
+            part: _read_only(labels[part], np.intp) for part in _labelled_parts(hierarchy)
+        }
         self.atomic_bins = dict(atomic_bins)
         self.composite_bins = dict(composite_bins)
-        sources = {table.sources for table in self.nodes.values()}
-        if len({len(names) for names in sources}) > 1:
-            raise LibraryError("library nodes hold different exemplar counts")
-        if len(sources) > 1:
-            raise LibraryError("library nodes do not list the same sources in the same order")
-        if not any(sources):
-            raise LibraryError("library holds no exemplars")
+        self.nodes = {
+            node.id: ExemplarArrays(
+                child_points(self.points, node.id, hierarchy), child_signature(node.id, hierarchy)
+            )
+            for node in hierarchy.composite_nodes
+        }
 
     def arrays(self, node_id: int) -> ExemplarArrays:
         try:
@@ -193,8 +192,7 @@ def build_library(
     hierarchy: PartHierarchy,
     type_model: RelationTypeModel,
 ) -> ExemplarLibrary:
-    """Extract one exemplar per (annotation, composite node); row e of every
-    node comes from annotation e.
+    """One exemplar row per annotation, in annotation order.
 
     Every composite part is treated as a standalone object whose exemplars
     only model the spatial layout of its children.
@@ -206,24 +204,19 @@ def build_library(
     points = np.reshape(
         [ann.points for ann in annotations], (len(annotations), hierarchy.atomic_count, 2)
     )
-    sources = [ann.image for ann in annotations]
-    sizes = [object_size(X) for X in points]
-    nodes = {}
-    for node in hierarchy.composite_nodes:
-        labels = {
-            child: [
-                type_model.atomic_label(X, child, hierarchy) if hierarchy.node(child).is_atomic
-                else type_model.composite_label(X, child, hierarchy)
-                for X in points
-            ]
-            for child in node.children
-        }
-        locations = np.full_like(points, np.nan)
-        rows = hierarchy.atom_rows(node.id)
-        locations[:, rows] = points[:, rows]
-        nodes[node.id] = ExemplarArrays.of(node.id, hierarchy, sources, sizes, locations, labels)
+    labels = {
+        part: [
+            type_model.atomic_label(X, part, hierarchy) if hierarchy.node(part).is_atomic
+            else type_model.composite_label(X, part, hierarchy)
+            for X in points
+        ]
+        for part in _labelled_parts(hierarchy)
+    }
     return ExemplarLibrary(
-        nodes,
+        hierarchy,
+        [ann.image for ann in annotations],
+        points,
+        labels,
         atomic_bins=type_model.atomic_bins_map(hierarchy),
         composite_bins=type_model.composite_bins_map(),
     )
@@ -245,22 +238,13 @@ def save_library(library: ExemplarLibrary, path) -> None:
 
     pack_bins(library.atomic_bins)
     pack_bins(library.composite_bins)
-    out += struct.pack("<I", len(library.nodes))
-    for node_id in sorted(library.nodes):
-        table = library.nodes[node_id]
-        children = sorted(table.labels)
-        out += struct.pack("<II", node_id, len(table.sources))
-        for e, source in enumerate(table.sources):
-            raw = source.encode("utf-8")
-            out += struct.pack("<I", len(raw)) + raw
-            out += struct.pack("<d", table.object_size[e])
-            rows = np.nonzero(np.isfinite(table.locations[e, :, 0]))[0]
-            out += struct.pack("<I", len(rows))
-            out += rows.astype("<u4").tobytes()
-            out += table.locations[e, rows].astype("<f8").tobytes()
-            out += struct.pack("<I", len(children))
-            for child in children:
-                out += struct.pack("<II", child, table.labels[child][e])
+    out += struct.pack("<II", *library.points.shape[:2])
+    for source in library.sources:
+        raw = source.encode("utf-8")
+        out += struct.pack("<I", len(raw)) + raw
+    out += library.points.astype("<f8").tobytes()
+    for part in sorted(library.labels):
+        out += library.labels[part].astype("<u4").tobytes()
     Path(path).write_bytes(bytes(out))
 
 
@@ -268,13 +252,11 @@ def load_library(path, hierarchy: PartHierarchy) -> ExemplarLibrary:
     """Read an "HPEL" container written by `save_library`.
 
     Every read is bounds-checked and every field is checked against the
-    hierarchy: nodes are composite, each exemplar covers exactly its node's
-    subtree rows with finite coordinates and a finite positive object size,
-    and labels one child of the node each, within the child's bin count.
-    Keys are strictly increasing, as `save_library` writes them, so a file
-    that loads re-saves bit-exact.  Every composite node of the hierarchy must
-    be present, and every node must list the same sources in the same order
-    (see `ExemplarLibrary`).  Anything else raises `LibraryError`.
+    hierarchy: each row holds one finite point per atomic part, with a
+    finite and positive object size, and each label lies within its part's
+    bin count.  Bin keys are strictly increasing, as `save_library` writes
+    them, so a file that loads re-saves bit-exact.  Anything else raises
+    `LibraryError`.
     """
     reader = _Reader(Path(path).read_bytes(), LibraryError, "library")
 
@@ -293,63 +275,41 @@ def load_library(path, hierarchy: PartHierarchy) -> ExemplarLibrary:
         raise LibraryError(f"unsupported library version {version}")
     atomic_bins = pairs(*reader.unpack("<I"), "atomic bin parts")
     composite_bins = pairs(*reader.unpack("<I"), "composite bin parts")
-    (n_nodes,) = reader.unpack("<I")
-    nodes: dict[int, ExemplarArrays] = {}
-    n_parts = hierarchy.atomic_count
-    for _ in range(n_nodes):
-        node_id, n_ex = reader.unpack("<II")
-        if nodes and node_id <= max(nodes):
-            raise LibraryError("library node ids are not strictly increasing")
+    n_ex, n_parts = reader.unpack("<II")
+    if n_parts != hierarchy.atomic_count:
+        raise LibraryError(
+            f"library rows hold {n_parts} parts, the hierarchy {hierarchy.atomic_count}"
+        )
+    sources = []
+    for index in range(n_ex):
+        (source_len,) = reader.unpack("<I")
         try:
-            node = hierarchy.node(node_id)
-        except KeyError:
-            raise LibraryError(f"library node {node_id} is not in the hierarchy") from None
-        if node.is_atomic:
-            raise LibraryError(f"library node {node_id} is atomic")
-        rows = hierarchy.atom_rows(node_id)
-        bins = {
-            child: (atomic_bins if hierarchy.node(child).is_atomic else composite_bins).get(child, 0)
-            for child in node.children
-        }
-        sources, sizes, locations, labels = [], [], [], {child: [] for child in node.children}
-        for index in range(n_ex):
-            where = f"exemplar {index} of node {node_id}"
-            (source_len,) = reader.unpack("<I")
-            try:
-                sources.append(str(reader.take(source_len), "utf-8"))
-            except UnicodeDecodeError:
-                raise LibraryError(f"{where}: source name is not UTF-8") from None
-            (size_value,) = reader.unpack("<d")
-            if not (math.isfinite(size_value) and size_value > 0):
-                raise LibraryError(f"{where}: object size {size_value!r} is not finite and positive")
-            sizes.append(size_value)
-            (n_atoms,) = reader.unpack("<I")
-            stored_rows = reader.array("<u4", n_atoms, (n_atoms,))
-            coords = reader.array("<f8", 2 * n_atoms, (n_atoms, 2))
-            if not np.array_equal(stored_rows, rows):
-                raise LibraryError(f"{where}: atom rows are not the node's subtree rows")
-            if not np.isfinite(coords).all():
-                raise LibraryError(f"{where}: non-finite coordinates")
-            placed = np.full((n_parts, 2), np.nan)
-            placed[rows] = coords
-            locations.append(placed)
-            stored = pairs(*reader.unpack("<I"), f"{where}: label children")
-            if sorted(stored) != sorted(node.children):
-                raise LibraryError(f"{where}: labels are not one per child of the node")
-            for child, label in stored.items():
-                if not 1 <= label <= bins[child]:
-                    raise LibraryError(
-                        f"{where}: label {label} of child {child} is outside 1..{bins[child]}"
-                    )
-                labels[child].append(label)
-        locations = np.reshape(locations, (n_ex, n_parts, 2))
-        nodes[node_id] = ExemplarArrays.of(node_id, hierarchy, sources, sizes, locations, labels)
+            sources.append(str(reader.take(source_len), "utf-8"))
+        except UnicodeDecodeError:
+            raise LibraryError(f"source of exemplar {index} is not UTF-8") from None
+    points = reader.array("<f8", 2 * n_ex * n_parts, (n_ex, n_parts, 2))
+    if not np.isfinite(points).all():
+        raise LibraryError("library points hold non-finite coordinates")
+    with np.errstate(over="ignore"):  # an overflowing extent is reported below
+        sizes = object_size(points)
+    bad = np.flatnonzero(~(np.isfinite(sizes) & (sizes > 0)))
+    if len(bad):
+        raise LibraryError(
+            f"exemplar {bad[0]}: object size {float(sizes[bad[0]])!r} is not finite and positive"
+        )
+    labels = {}
+    for part in _labelled_parts(hierarchy):
+        column = reader.array("<u4", n_ex, (n_ex,))
+        bins = (atomic_bins if hierarchy.node(part).is_atomic else composite_bins).get(part, 0)
+        bad = np.flatnonzero((column < 1) | (column > bins))
+        if len(bad):
+            raise LibraryError(
+                f"exemplar {bad[0]}: label {column[bad[0]]} of part {part} is outside 1..{bins}"
+            )
+        labels[part] = column
     if reader.pos != len(reader.data):
         raise LibraryError("trailing bytes after library payload")
-    missing = [node.id for node in hierarchy.composite_nodes if node.id not in nodes]
-    if missing:
-        raise LibraryError(f"library lacks composite node {missing[0]} of the hierarchy")
-    return ExemplarLibrary(nodes, atomic_bins, composite_bins)
+    return ExemplarLibrary(hierarchy, sources, points, labels, atomic_bins, composite_bins)
 
 
 # -- training data ------------------------------------------------------------

@@ -250,7 +250,7 @@ def pose_terms(
         table.geometry[exemplar_index], current, bound
     )
     log_prob = _log_pose_probs(
-        node_id, table.labels, exemplar_index, current, size, stack, hierarchy
+        node_id, library.labels, exemplar_index, current, size, stack, hierarchy
     )
     return log_prob, -residual
 
@@ -485,7 +485,7 @@ def feature_matrix(
         best, similarity = _best_fits(table.geometry, current, bound)
         for stack, rows in groups:
             out[rows, column] = _log_pose_probs(
-                node.id, table.labels, best[rows], current[rows], size[rows], stack, hierarchy
+                node.id, library.labels, best[rows], current[rows], size[rows], stack, hierarchy
             )
         out[:, column + 1] = similarity
         column += 2

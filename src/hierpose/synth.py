@@ -54,7 +54,7 @@ def generate_pose(
         if assignment is not None and node_id in assignment:
             row = assignment[node_id]
         elif mix or parent_row is None:
-            row = int(rng.integers(len(library.arrays(node_id).sources)))
+            row = int(rng.integers(len(library.sources)))
         else:
             row = parent_row
         chosen[node_id] = row
@@ -70,7 +70,7 @@ def generate_pose(
 
     def place(node_id: int, transform: SimilarityTransform, row: int) -> None:
         node = hierarchy.node(node_id)
-        locations = library.arrays(node_id).locations[row]
+        locations = library.points[row]
         placed = np.full_like(locations, np.nan)
         rows = hierarchy.atom_rows(node_id)
         placed[rows] = transform.apply(locations[rows])
@@ -81,7 +81,7 @@ def generate_pose(
             else:
                 target = anchor_box_points(placed, child_id)
                 child_row = pick(child_id, row)
-                source = library.arrays(child_id).locations[child_row]
+                source = library.points[child_row]
                 fit, _ = fit_least_squares(anchor_box_points(source, child_id), target, bound=np.pi)
                 place(child_id, fit, child_row)
 
@@ -242,9 +242,8 @@ def make_scene(
     for level in range(2, hierarchy.levels + 1):
         target = atomic_labels if level == 2 else composite_labels
         for node in hierarchy.nodes_at_level(level):
-            labels = library.arrays(node.id).labels
             for child_id in node.children:
-                target[child_id] = int(labels[child_id][chosen[node.id]])
+                target[child_id] = int(library.labels[child_id][chosen[node.id]])
 
     stack = render_score_maps(
         X,
@@ -274,9 +273,7 @@ def make_scene(
         "snap": snap,
         "scales": list(scales),
         "assignment": {str(node): index for node, index in sorted(chosen.items())},
-        "sources": {
-            str(node): library.arrays(node).sources[row] for node, row in sorted(chosen.items())
-        },
+        "sources": {str(node): library.sources[row] for node, row in sorted(chosen.items())},
     }
     return SynthScene(configuration=X, stack=stack, provenance=provenance)
 

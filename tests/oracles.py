@@ -13,7 +13,9 @@ refinement loop that the batched library code replaced are kept here, as
 they were, to check the batched code against, and so are the plain SGD loop
 that clamps after every step (`naive_train_weights`) and the prune that
 drops copies with a row sort before its greedy pass (`naive_prune_order`).
-`exhaustive_best_config` enumerates configurations to check the search.
+`exhaustive_best_config` scores every configuration of a candidate product
+in one batch to check the search; `naive_exhaustive_best_config` is its
+one-configuration-at-a-time loop.
 """
 
 import itertools
@@ -28,7 +30,9 @@ from hierpose.geometry import SimilarityTransform, fit_least_squares
 from hierpose.hierarchy import object_size
 from hierpose.inference import Hypothesis, _draw_proposals
 from hierpose.learning import hinge_objective
-from hierpose.scoring import feature_length, pose_terms, refinement_score, total_score
+from hierpose.scoring import (
+    feature_length, feature_matrix, pose_terms, refinement_score, total_score,
+)
 
 FLOOR = 1e-6
 MAX_ANGLE = math.pi / 3  # the rotation bound that the scoring entry points default to
@@ -122,9 +126,11 @@ def stored_geometry(library, node_id, index):
 
 
 def stored_labels(library, node_id, index):
-    """{child: relation-type label} of exemplar row `index` of a node."""
-    labels = library.arrays(node_id).labels
-    return {child: int(values[index]) for child, values in labels.items()}
+    """{part: relation-type label} of exemplar row `index` of a node.  Row e
+    of every node is annotation e, so the row holds one label per non-root
+    part; the node reads those of its children."""
+    library.arrays(node_id)  # the node must have exemplars
+    return {part: int(values[index]) for part, values in library.labels.items()}
 
 
 def naive_similarity(current, exemplar, bound):
@@ -140,7 +146,7 @@ def naive_similarity(current, exemplar, bound):
 def naive_best_fit(X, node_id, library, hierarchy, bound):
     current = naive_child_geometry(X, node_id, hierarchy)
     best_index, best_value = None, -np.inf
-    for index in range(len(library.arrays(node_id).sources)):
+    for index in range(len(library.sources)):
         value = naive_similarity(current, stored_geometry(library, node_id, index), bound)
         if value > best_value:
             best_index, best_value = index, value
@@ -321,20 +327,18 @@ def naive_propose_hypotheses(node, lower, library, hierarchy, params, rng):
     after the draw is recomputed here one draw at a time.  `lower` maps
     child parts to `HypothesisSet`s; the drawn rows are read one by one
     through `HypothesisSet.row`, and the result is a list of `Hypothesis`
-    rows, each with a pose row of -1 outside the subtree.  The pose of every
-    subtree node is that node's exemplar with the
-    drawn exemplar's source name, looked up by name, so that the library's
-    pairing by row is checked on libraries whose names are distinct."""
-    table = library.arrays(node.id)
+    rows, each with a pose row of -1 outside the subtree.  Every subtree
+    node's pose is the drawn row, since exemplar e of every part is
+    annotation e."""
     children = node.children
     rows = hierarchy.atom_rows(node.id)
     composites = [n.id for n in hierarchy.composite_nodes]
     subtree_nodes = _naive_composites_below(node.id, hierarchy)
     pools = [lower.get(child_id) or [] for child_id in children]
-    draws = _draw_proposals(rng, params.samples, len(table.sources), [len(p) for p in pools])
+    draws = _draw_proposals(rng, params.samples, len(library.sources), [len(p) for p in pools])
     out = []
     for index, slots, picks in zip(*(d.tolist() for d in draws)):
-        exemplar_locations, exemplar_size = table.locations[index], table.object_size[index]
+        exemplar_locations, exemplar_size = library.points[index], library.object_size[index]
         chosen = [(children[slot], pools[slot].row(pick)) for slot, pick in zip(slots, picks)]
         src = np.array([
             _naive_alignment_point(exemplar_locations, cid, hierarchy) for cid, _ in chosen
@@ -354,10 +358,9 @@ def naive_propose_hypotheses(node, lower, library, hierarchy, params, rng):
             transform = SimilarityTransform(scale, 0.0, dst[0] - scale * src[0])
         locations = np.full_like(exemplar_locations, np.nan)
         locations[rows] = transform.apply(exemplar_locations[rows])
-        source = table.sources[index]
         pose = np.full(len(composites), -1, dtype=np.intp)
         for nid in subtree_nodes:
-            pose[composites.index(nid)] = library.arrays(nid).sources.index(source)
+            pose[composites.index(nid)] = index
         out.append(Hypothesis(
             node.id, node.level, locations, pose, transform.scale * exemplar_size
         ))
@@ -550,29 +553,51 @@ def grid_search_pose_similarity(
     return -best
 
 
+def _candidate_lists(hierarchy, candidates, budget):
+    """Each part's candidates sorted lexicographically; raises when their
+    Cartesian product exceeds `budget`."""
+    lists = []
+    for cand in candidates:
+        cand = np.asarray(cand, dtype=float).reshape(-1, 2)
+        lists.append(cand[np.lexsort((cand[:, 1], cand[:, 0]))])
+    if len(lists) != hierarchy.atomic_count:
+        raise ValueError("need one candidate list per atomic part")
+    total = math.prod(len(cand) for cand in lists)
+    if total > budget:
+        raise ValueError(f"candidate budget exceeded: {total} > {budget}")
+    return lists
+
+
 def exhaustive_best_config(
-    stack, hierarchy, library, weights, candidates, bound=MAX_ANGLE, budget=10**7
+    stack, hierarchy, library, weights, candidates, bound=MAX_ANGLE, budget=10**5
 ):
     """Exact argmax of the total score over per-part candidate locations.
 
-    Ties resolve to the lexicographically smallest configuration.  Raises
-    when the Cartesian product exceeds the budget.
+    The feature rows of the whole Cartesian product come from one
+    `feature_matrix` pass; each score is the weights' dot product with its
+    row, summed as `total_score` sums it.  Ties resolve to the
+    lexicographically smallest configuration.  Raises when the product
+    exceeds the budget.
     """
-    lists = []
-    total = 1
-    for cand in candidates:
-        cand = np.asarray(cand, dtype=float).reshape(-1, 2)
-        order = np.lexsort((cand[:, 1], cand[:, 0]))
-        lists.append(cand[order])
-        total *= len(cand)
-    if len(lists) != hierarchy.atomic_count:
-        raise ValueError("need one candidate list per atomic part")
-    if total > budget:
-        raise ValueError(f"candidate budget exceeded: {total} > {budget}")
+    lists = _candidate_lists(hierarchy, candidates, budget)
+    index = np.indices([len(cand) for cand in lists]).reshape(len(lists), -1)
+    X = np.stack([cand[i] for cand, i in zip(lists, index)], axis=1)  # product order
+    features = feature_matrix(X, [stack], np.zeros(len(X), dtype=np.intp), hierarchy, library,
+                              bound)
+    w = weights.as_array()
+    scores = np.array([w @ row for row in features])  # as `total_score` sums each row
+    best = int(np.argmax(scores))
+    return X[best].copy(), float(scores[best])
+
+
+def naive_exhaustive_best_config(
+    stack, hierarchy, library, weights, candidates, bound=MAX_ANGLE, budget=10**5
+):
+    """`exhaustive_best_config` one configuration at a time, with `total_score`."""
     best_score = -np.inf
     best = None
     X = np.empty((hierarchy.atomic_count, 2))
-    for combo in itertools.product(*lists):
+    for combo in itertools.product(*_candidate_lists(hierarchy, candidates, budget)):
         X[:] = combo
         score = total_score(X, stack, hierarchy, library, weights, bound)
         if score > best_score:

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 import hierpose.cli
 from hierpose import (
-    ExemplarLibrary,
     HierarchyError,
     augment_positives,
     generate_negatives,
@@ -31,7 +30,7 @@ from hierpose import (
     train_weights,
 )
 from hierpose.cli import main
-from hierpose.inference import DEFAULT_MAX_ANGLE
+from hierpose.inference import DEFAULT_MAX_ANGLE, collapse_model
 from hierpose.learning import TrainingSet
 from hierpose.metrics import pcp_radius, pdj_curve
 from hierpose.scoring import WeightVector, total_score
@@ -39,6 +38,13 @@ from hierpose.synth import make_scene
 
 import oracles
 from conftest import annotations_tiny3, library_for, tiny3_doc
+
+
+def overflowing_json(doc) -> str:
+    """`doc` as JSON text with each infinity written as 1e400 or -1e400:
+    number literals that Python's parser reads as +-inf, where it rejects
+    the Infinity token as such."""
+    return json.dumps(doc).replace("Infinity", "1e400")
 
 
 def make_workspace(tmp_path):
@@ -117,7 +123,7 @@ def infer_config(workspace, name="infer.json", **overrides):
     }
     doc.update(overrides)
     path = workspace / name
-    path.write_text(json.dumps(doc))
+    path.write_text(overflowing_json(doc))
     return path
 
 
@@ -152,7 +158,7 @@ def synth_config(workspace, **scenes):
     doc["scenes"].update(scenes)
     doc["output_dir"] = "bad_scenes"
     path = workspace / "bad_synth.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(overflowing_json(doc))
     return path, doc
 
 
@@ -203,6 +209,7 @@ def test_synth_fields_must_have_json_types(workspace, capsys, section, key, valu
         ("sigma", math.inf, "sigma must be finite and > 0"),
         ("noise", -0.5, "noise must be finite and >= 0"),
         ("noise", math.nan, "noise must be finite and >= 0"),
+        ("noise", -math.inf, "noise must be finite and >= 0"),
         ("distractors", -3, "distractors must be >= 0"),
         ("margin", 0.6, "margin must lie in [0, 0.5)"),
         ("margin", -0.1, "margin must lie in [0, 0.5)"),
@@ -214,17 +221,19 @@ def test_synth_rejects_bad_scene_options(workspace, capsys, key, value, message)
     wrote score maps that `load_score_maps` rejects) or to fail inside numpy
     (a negative max_rotation) raise a ValueError that names the field, from
     `make_scene` and from `hierpose synth`, which exits 1 and writes no
-    scene.  JSON cannot carry the non-finite values, so only the library
-    sees those."""
+    scene directory.  JSON cannot carry NaN, so only the library sees it; an
+    infinity is written as 1e400 or -1e400, which the config reader rejects
+    before the library sees it."""
     hierarchy = load_hierarchy(workspace / "hierarchy.json")
     library, _ = library_for(hierarchy, load_annotations(workspace / "annotations.json", hierarchy))
     with pytest.raises(ValueError, match=re.escape(message)):
         make_scene(library, hierarchy, seed=0, grid=(48, 48), **{key: value})
-    if math.isfinite(value):
-        path, _ = synth_config(workspace, **{key: value})
-        assert main(["synth", str(path)]) == 1
-        assert_rejected(capsys, message)
-        assert not list((workspace / "bad_scenes").glob("scene_*"))
+    if math.isnan(value):
+        return
+    path, _ = synth_config(workspace, **{key: value})
+    assert main(["synth", str(path)]) == 1
+    assert_rejected(capsys, message if math.isfinite(value) else f"scenes '{key}' must be a finite")
+    assert not (workspace / "bad_scenes").exists()
 
 
 def test_infer_smoke_and_determinism(workspace):
@@ -266,28 +275,27 @@ def infer_with_edited_library(workspace, capsys, old: bytes, new: bytes) -> str:
 
 
 def test_infer_corrupt_library_exit_1(workspace, capsys):
-    # the atom rows 0, 1, 2 of the first exemplar of node 10; row 1000 lies
-    # past the end of the configuration
-    rows = struct.pack("<3I", 0, 1, 2)
-    err = infer_with_edited_library(workspace, capsys, rows, struct.pack("<3I", 1000, 1, 2))
-    assert "subtree rows" in err
-
-
-def test_infer_library_sources_out_of_step_exit_1(workspace, capsys):
-    # renames the source of the first exemplar of node 10 only
-    err = infer_with_edited_library(workspace, capsys, b"img0", b"mix0")
-    assert "same sources in the same order" in err
+    # the exemplar and part counts; 1000 parts per row is not the hierarchy's 6
+    library = load_library(workspace / "library.hpel", load_hierarchy(workspace / "hierarchy.json"))
+    counts = struct.pack("<II", len(library.sources), 6)
+    err = infer_with_edited_library(
+        workspace, capsys, counts, struct.pack("<II", len(library.sources), 1000)
+    )
+    assert "hold 1000 parts, the hierarchy 6" in err
 
 
 def test_infer_library_without_a_node_exit_1(workspace, capsys):
+    """A library of the collapsed model has no node 11, nor the label
+    columns of nodes 10 and 11, so it ends early for the full hierarchy."""
     path = workspace / "library.hpel"
-    library = load_library(path, load_hierarchy(workspace / "hierarchy.json"))
-    nodes = {nid: table for nid, table in library.nodes.items() if nid != 11}
-    save_library(ExemplarLibrary(nodes, library.atomic_bins, library.composite_bins), path)
+    hierarchy = load_hierarchy(workspace / "hierarchy.json")
+    weights = load_weights(workspace / "weights.json", hierarchy)
+    _, flat_library, _ = collapse_model(hierarchy, load_library(path, hierarchy), weights)
+    save_library(flat_library, path)
     assert main(["infer", str(infer_config(workspace))]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "lacks composite node 11 " in err
+    assert "truncated library file" in err
 
 
 def test_infer_nan_bias_exit_1(workspace, capsys):
@@ -358,11 +366,14 @@ def assert_rejected(capsys, message):
         ("compatibility_tolerance", "0.1"),
         ("dedup_radius", True),
         ("search_radius_fraction", {"value": 0.15}),
+        ("nms_radius", math.inf),  # written as 1e400, which overflows
+        ("max_angle", -math.inf),
     ],
 )
 def test_infer_real_params_must_be_json_numbers(workspace, capsys, key, value):
+    overflows = isinstance(value, float) and math.isinf(value)
     assert main(["infer", str(with_params(workspace, **{key: value}))]) == 1
-    assert_rejected(capsys, f"params '{key}' must be a JSON number")
+    assert_rejected(capsys, f"params '{key}' must be a {'finite' if overflows else 'JSON'} number")
     assert not (workspace / "out").exists()
 
 
@@ -839,6 +850,13 @@ def test_key_error_prints_its_message_without_repr_quotes(shared_workspace, caps
     assert capsys.readouterr().err == "error: unknown part name 'zz'\n"
 
 
+def test_composite_segment_endpoint_is_named_not_atomic(shared_workspace, capsys):
+    config = eval_config(shared_workspace, "pcp_segments", "composite_part",
+                         segments=[{"name": "upper", "a": "la", "b": "left"}])
+    assert main(["eval", str(config)]) == 1
+    assert capsys.readouterr().err == "error: node 10 is not atomic\n"
+
+
 def replaced(doc, path, value):
     """A copy of `doc` with the value at `path` (keys and list indices)
     replaced by `value`, or added under the last key."""
@@ -863,6 +881,8 @@ BAD_HIERARCHIES = [
     (("nodes", 0, "id"), True),
     (("levels",), 3.7),
     (("nodes", 1, "name"), None),
+    (("scale", "reference_length"), math.inf),  # written as 1e400, which overflows
+    (("scale", "level_factors", 0), -math.inf),
 ]
 BAD_WEIGHTS = [
     (("atomic",), 5),
@@ -883,7 +903,7 @@ BAD_ANNOTATIONS = [
 
 
 def write_json(workspace, name, doc):
-    (workspace / name).write_text(json.dumps(doc))
+    (workspace / name).write_text(overflowing_json(doc))
     return workspace / name
 
 

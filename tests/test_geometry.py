@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from hierpose import (
-    ExemplarLibrary,
     InferenceParams,
     SimilarityTransform,
+    WeightVector,
     best_fit_pose,
+    collapse_model,
     fit_least_squares,
 )
 from hierpose.geometry import child_points, child_signature, fit_two_points_batch, transform_points
@@ -150,13 +151,12 @@ def test_pose_similarity_displaced_matches_oracle():
 
 
 def test_pose_similarity_signature_mismatch(tiny3):
-    # level-2 exemplars (three atoms) filed under the root (two composites)
+    # a library of the collapsed model, whose root has six atomic children,
+    # read with the full hierarchy, whose root has two composite ones
     library, _ = library_for(tiny3, annotations_tiny3(3))
-    misfiled = ExemplarLibrary(
-        {20: library.arrays(10)}, library.atomic_bins, library.composite_bins
-    )
+    flat = collapse_model(tiny3, library, WeightVector.uniform(tiny3))[1]
     with pytest.raises(ValueError, match="signature"):
-        best_fit_pose(annotations_tiny3(1)[0].points, 20, misfiled, tiny3)
+        best_fit_pose(annotations_tiny3(1)[0].points, 20, flat, tiny3)
 
 
 def test_pose_similarity_transform_invariance_of_current():

@@ -154,7 +154,7 @@ def test_propose_exact_alignment(tiny3_setup):
         column = hierarchy.composite_index(node.id)
         errors = []
         for hyp in raw:
-            if library.arrays(node.id).sources[hyp.pose[column]] != source:
+            if library.sources[hyp.pose[column]] != source:
                 continue
             errors.append(np.abs(hyp.locations[rows] - X[rows]).max())
         assert errors and min(errors) < 1e-6
@@ -179,7 +179,7 @@ def test_rows_pair_exemplars_when_source_names_repeat(tiny3):
             for nid in tiny3.composites_below(node.id):
                 assert np.array_equal(hyps.pose[:, tiny3.composite_index(nid)], own)
             rows = tiny3.atom_rows(node.id)
-            stored = library.arrays(node.id).locations[own][:, rows]
+            stored = library.points[own][:, rows]
             for source, placed in zip(stored, hyps.locations[:, rows]):
                 assert fit_least_squares(source, placed, bound=math.pi)[1] < 1e-9
             current[node.id] = hyps
@@ -217,7 +217,7 @@ def test_propose_rotated_scene_matches_oracle_alignment(tiny3_setup):
     node = hierarchy.nodes_at_level(2)[0]
     rows = hierarchy.atom_rows(node.id)
     raw = propose_hypotheses(node, lower, library, hierarchy, params, rng)
-    subtree = library.arrays(node.id).locations[0][rows][None]
+    subtree = library.points[0][rows][None]
     oracle_subtree = transform_points(
         *fit_two_points_batch(subtree[:, :2], truth[rows][None, :2]), subtree
     )[0]
@@ -553,10 +553,12 @@ def test_collapse_model_joins_labels(tiny3_setup):
     flat, flat_library, flat_weights = collapse_model(hierarchy, library, weights)
     assert flat.levels == 2
     assert flat.atomic_count == hierarchy.atomic_count
-    labels = flat_library.arrays(flat.root.id).labels
-    assert set(labels) == set(hierarchy.atomic_ids)
-    for part in hierarchy.atomic_ids:  # row e keeps the labels of row e
-        assert np.array_equal(labels[part], library.arrays(hierarchy.parent_of(part)).labels[part])
+    # the same annotation rows, with the atoms' labels
+    assert flat_library.sources == library.sources
+    assert np.array_equal(flat_library.points, library.points)
+    assert set(flat_library.labels) == set(hierarchy.atomic_ids)
+    for part in hierarchy.atomic_ids:
+        assert np.array_equal(flat_library.labels[part], library.labels[part])
     assert flat_weights.pose_appearance.shape == (1,)
 
 

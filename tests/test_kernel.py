@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from hierpose import Annotation, WeightVector, inference, load_hierarchy, scoring
+from hierpose import Annotation, ExemplarLibrary, WeightVector, inference, load_hierarchy, scoring
 from hierpose.appearance import LOG_FLOOR, ScaleMaps, ScoreMapStack
-from hierpose.geometry import child_points, fit_least_squares_batch
+from hierpose.geometry import fit_least_squares_batch
 from hierpose.hierarchy import object_size
 from hierpose.inference import (
     Hypothesis,
@@ -82,7 +82,7 @@ def random_rows(hierarchy, library, node_id, count, rng, off_grid=False):
     poses = np.full((count, len(hierarchy.composite_nodes)), -1, dtype=np.intp)
     for pose in poses:
         for nid in hierarchy.composites_below(node_id):
-            pose[hierarchy.composite_index(nid)] = rng.integers(len(library.arrays(nid).sources))
+            pose[hierarchy.composite_index(nid)] = rng.integers(len(library.sources))
     sizes = rng.uniform(10.0, 60.0, count)
     return locations, poses, sizes
 
@@ -209,7 +209,7 @@ def distinct_rows(data):
     )
     column = hierarchy.composite_index(node.id)
     other_pose = pose[:1].copy()
-    exemplars = len(library.arrays(node.id).sources)
+    exemplars = len(library.sources)
     other_pose[0, column] = (other_pose[0, column] + 1) % exemplars
     hyps = HypothesisSet.build(
         node, np.concatenate([locations, locations[:1], locations[:1]]),
@@ -455,23 +455,26 @@ def test_error_parity_zero_object_size():
     check_parity(ValueError, hierarchy, library, stack, locations, poses, sizes)
 
 
-def with_table(library, node_id, table):
-    """A fresh library that holds `table` for one node."""
-    return type(library)(
-        {**library.nodes, node_id: table}, library.atomic_bins, library.composite_bins
+def with_rows(library, hierarchy, rows, sources=None, points=None, labels=None):
+    """A fresh library of the given `rows` of `library`, in that order, with
+    their sources, points or labels replaced where given."""
+    return ExemplarLibrary(
+        hierarchy,
+        [library.sources[row] for row in rows] if sources is None else sources,
+        library.points[rows] if points is None else points,
+        {part: values[rows] for part, values in library.labels.items()} if labels is None
+        else labels,
+        library.atomic_bins, library.composite_bins,
     )
 
 
 def test_error_parity_identical_exemplar_points():
     hierarchy, library, stack, locations, poses, sizes = good_batch()
-    # exemplar 1 of node 11 has coincident subtree atoms, so all its child
-    # points are equal
-    table = library.arrays(11)
-    coincident = table.locations.copy()
+    # exemplar 1 has coincident atoms under node 11, so all the child points
+    # of its node-11 geometry are equal
+    coincident = library.points.copy()
     coincident[1, hierarchy.atom_rows(11)] = 1.0
-    library = with_table(library, 11, replace(
-        table, locations=coincident, geometry=child_points(coincident, 11, hierarchy)
-    ))
+    library = with_rows(library, hierarchy, np.arange(len(coincident)), points=coincident)
     assert np.all(library.arrays(11).geometry[1] == 1.0)
     poses[:, hierarchy.composite_index(11)] = [0, 0, 1, 0]
     check_parity(ValueError, hierarchy, library, stack, locations, poses, sizes)
@@ -480,7 +483,7 @@ def test_error_parity_identical_exemplar_points():
 def test_error_parity_missing_channel():
     hierarchy, library, stack, locations, poses, sizes = good_batch()
     sizes[2] = 60.0  # only this row reads the 2.0 scale
-    label = int(library.arrays(11).labels[1][poses[2, hierarchy.composite_index(11)]])
+    label = int(library.labels[1][poses[2, hierarchy.composite_index(11)]])
     stack = stack_without(stack, 1, channel=(1, label))
     check_parity(KeyError, hierarchy, library, stack, locations, poses, sizes)
 
@@ -497,27 +500,16 @@ def test_error_parity_composite_label_out_of_range(label):
     """Composite child 11 has 3 types: label 0 must not read the last type's
     map, and label 4 must not escape as an IndexError."""
     hierarchy, library, stack, locations, poses, sizes = good_batch()
-    table = library.arrays(20)
-    wrong = table.labels[11].copy()
+    wrong = library.labels[11].copy()
     wrong[1] = label
-    library = with_table(library, 20, replace(table, labels={**table.labels, 11: wrong}))
+    library = with_rows(
+        library, hierarchy, np.arange(len(wrong)), labels={**library.labels, 11: wrong}
+    )
     poses[:, hierarchy.composite_index(20)] = [0, 0, 1, 0]
     check_parity(KeyError, hierarchy, library, stack, locations, poses, sizes)
 
 
 # -- batched features ------------------------------------------------------------
-
-
-def take_rows(table, rows):
-    """The exemplar arrays of one node restricted to `rows`, in that order."""
-    return replace(
-        table,
-        sources=tuple(table.sources[row] for row in rows),
-        object_size=table.object_size[rows],
-        locations=table.locations[rows],
-        geometry=table.geometry[rows],
-        labels={child: labels[rows] for child, labels in table.labels.items()},
-    )
 
 
 @lru_cache(maxsize=None)
@@ -532,18 +524,14 @@ def feature_model(name: str):
         grid=(GRID, GRID), scales=SCALES[name],
     )
     bins = {**library.atomic_bins, **library.composite_bins}
-    nodes = {}
-    for nid, table in library.nodes.items():
-        extended = take_rows(table, np.arange(len(table.sources) + 1) % len(table.sources))
-        nodes[nid] = replace(
-            extended,
-            sources=table.sources + (table.sources[0] + "#copy",),
-            labels={
-                child: np.append(labels, labels[0] % bins[child] + 1)
-                for child, labels in table.labels.items()
-            },
-        )
-    library = type(library)(nodes, library.atomic_bins, library.composite_bins)
+    library = with_rows(
+        library, hierarchy, np.arange(len(library.sources) + 1) % len(library.sources),
+        sources=library.sources + (library.sources[0] + "#copy",),
+        labels={
+            part: np.append(labels, labels[0] % bins[part] + 1)
+            for part, labels in library.labels.items()
+        },
+    )
     return hierarchy, library, [stack, other]
 
 
@@ -556,7 +544,7 @@ def random_configurations(hierarchy, library, count, rng):
     jump = (rng.random((count, hierarchy.atomic_count)) < 0.15)[..., None]
     X += jump * rng.choice([-45.0, 50.0], size=(count, hierarchy.atomic_count, 1))
     exact = rng.random(count) < 1 / 3
-    X[exact] = library.arrays(hierarchy.root.id).locations[0]
+    X[exact] = library.points[0]
     return X
 
 
@@ -629,8 +617,8 @@ def test_feature_inputs_reach_both_scales_off_grid_points_and_ties():
     assert set(scale_indices(object_size(X), 1, stacks[0], hierarchy).tolist()) == {0, 1}
     features = feature_matrix(X, stacks, np.arange(200) % 2, hierarchy, library)
     assert np.sum(features[:, : hierarchy.atomic_count] == LOG_FLOOR) > 100
-    exact = library.arrays(hierarchy.root.id).locations[0]
-    copy = len(library.arrays(11).sources) - 1
+    exact = library.points[0]
+    copy = len(library.sources) - 1
     assert best_fit_pose(exact, 11, library, hierarchy)[0] == 0
     log_prob, similarity = pose_terms(
         np.stack([exact, exact]), 11, [0, copy], [25.0, 25.0], stacks[0], hierarchy, library
@@ -642,11 +630,7 @@ def feature_peak_bytes(count):
     """tracemalloc peak of `feature_matrix` over `count` rows with a limbs4
     library of `count` exemplars per node, as one per annotation gives."""
     hierarchy, library, stacks = feature_model("limbs4")
-    nodes = {
-        nid: take_rows(table, np.arange(count) % len(table.sources))
-        for nid, table in library.nodes.items()
-    }
-    library = type(library)(nodes, library.atomic_bins, library.composite_bins)
+    library = with_rows(library, hierarchy, np.arange(count) % len(library.sources))
     X = random_configurations(hierarchy, library, count, np.random.default_rng(3))
     stack_index = np.arange(count) % 2
     feature_matrix(X, stacks, stack_index, hierarchy, library)  # fills the stacks' caches
@@ -704,7 +688,7 @@ def test_feature_error_parity_missing_channel():
     # row 2 alone reads a third stack, which lacks the channel its best-fit
     # exemplar of node 11 needs for part 1
     best, _ = best_fit_pose(X[2], 11, library, hierarchy)
-    label = int(library.arrays(11).labels[1][best])
+    label = int(library.labels[1][best])
     stacks = stacks + [stack_without(stacks[1], 0, channel=(1, label))]
     stack_index[2] = 2
     check_feature_parity(KeyError, X, stacks, stack_index, hierarchy, library)

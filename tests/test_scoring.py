@@ -386,7 +386,7 @@ def test_total_monotone_in_lit_channel(setup_tiny3):
     part = hierarchy.atomic_ids[0]
     parent = hierarchy.parent_of(part)
     index, _ = best_fit_pose(X, parent, library, hierarchy)
-    label = library.arrays(parent).labels[part][index]
+    label = library.labels[part][index]
     col = int(np.floor(X[0][0] + 0.5))
     row = int(np.floor(X[0][1] + 0.5))
     stack.scales[0].atomic[stack.channel_rows(part, [label], 0)[0], row, col] += 0.05

@@ -22,7 +22,10 @@ from hierpose.synth import (
 )
 
 from conftest import annotations_tiny3, library_for
-from oracles import exhaustive_best_config, grid_search_pose_similarity, stored_labels
+from oracles import (
+    exhaustive_best_config, grid_search_pose_similarity, naive_exhaustive_best_config,
+    stored_labels,
+)
 
 
 @pytest.fixture()
@@ -72,12 +75,13 @@ def test_generate_pose_mixed_sources(tiny3_library):
 
 
 def labels_for(library, hierarchy, chosen):
+    """Atomic and composite relation-type labels: each part's, from its
+    parent's row in `chosen`."""
     atomic, composite = {}, {}
-    for node in hierarchy.nodes_at_level(2):
-        atomic.update(stored_labels(library, node.id, chosen[node.id]))
-    for level in range(3, hierarchy.levels + 1):
-        for node in hierarchy.nodes_at_level(level):
-            composite.update(stored_labels(library, node.id, chosen[node.id]))
+    for node in hierarchy.composite_nodes:
+        labels = stored_labels(library, node.id, chosen[node.id])
+        for child in node.children:
+            (atomic if hierarchy.node(child).is_atomic else composite)[child] = labels[child]
     return atomic, composite
 
 
@@ -266,3 +270,20 @@ def test_exhaustive_best_config_budget():
         exhaustive_best_config(
             stack, hierarchy, library, weights, [big, big], budget=10**6
         )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_exhaustive_best_config_matches_scalar_loop(tiny3_library, seed):
+    """The batched enumeration picks the same configuration with the same
+    score, bit for bit, as the loop over `total_score`."""
+    hierarchy, _, library = tiny3_library
+    scene = make_scene(library, hierarchy, seed=seed, grid=(32, 32), mix=True, distractors=2)
+    rng = np.random.default_rng(seed)
+    weights = WeightVector(rng.random(6), rng.random(3), rng.random(3), float(rng.normal()))
+    candidates = [point + [(-1.0, 0.0), (0.0, 0.0), (0.0, 1.0)] for point in scene.configuration]
+    best, score = exhaustive_best_config(scene.stack, hierarchy, library, weights, candidates)
+    naive_best, naive_score = naive_exhaustive_best_config(
+        scene.stack, hierarchy, library, weights, candidates
+    )
+    assert best.tobytes() == naive_best.tobytes()
+    assert score == naive_score

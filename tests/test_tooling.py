@@ -1,6 +1,7 @@
 """Smoke checks of the shipped entry points: each demo runs to exit 0,
 every name a module exports resolves, numpy is the one runtime
-dependency, the format notes name every diagnostics key,
+dependency, the format notes name every diagnostics key and each binary
+container's version,
 `HypothesisSet.take`/`concat` carry every per-row field, one function picks
 every stored scale and no angle bound defaults to None, and `infer` fits
 each (part, subtree node) pair in one kernel call."""
@@ -20,7 +21,9 @@ import numpy as np
 import pytest
 
 import hierpose
-from hierpose import InferenceParams, WeightVector, infer, load_hierarchy, scoring
+from hierpose import (
+    InferenceParams, WeightVector, appearance, infer, learning, load_hierarchy, scoring,
+)
 from hierpose.inference import _ROW_FIELDS, HypothesisSet
 from hierpose.synth import make_scene
 
@@ -112,6 +115,18 @@ def test_formats_doc_names_every_diagnostics_key():
     assert {"level", "scored", "final_score"} <= keys
     missing = sorted(key for key in keys if f"`{key}`" not in section)
     assert not missing, f"docs/formats.md does not name diagnostics keys {missing}"
+
+
+@pytest.mark.parametrize("magic, version", [
+    ("HPSM", appearance.FORMAT_VERSION), ("HPEL", learning.LIBRARY_VERSION),
+])
+def test_formats_doc_states_each_container_version(magic, version):
+    """The layout block of each binary container in the format notes shows
+    the version that the code writes and reads."""
+    text = (ROOT / "docs" / "formats.md").read_text()
+    block = re.search(rf'^magic +4 bytes +"{magic}"\nversion +u32 +(\d+)$', text, re.MULTILINE)
+    assert block is not None, f"no {magic} layout block"
+    assert int(block.group(1)) == version
 
 
 def test_every_per_row_field_is_taken_and_concatenated():
