@@ -1,8 +1,8 @@
 """Walk through the part hierarchy and the similarity-alignment toolkit.
 
-Loads the reference human hierarchy, computes boxes/anchors/relations for a
-stick-figure pose, then shows the two transform fits and the exemplar pose
-similarity score.
+Loads the reference human hierarchy, computes boxes, anchors and relation
+types for a stick-figure pose, then shows the two transform fits and the
+exemplar pose similarity score.
 """
 
 import math
@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 
 from hierpose import (
+    Annotation,
+    RelationTypeModel,
     SimilarityTransform,
-    composite_relation,
     fit_least_squares,
     load_hierarchy,
     object_size,
@@ -48,10 +49,17 @@ def main():
             f"[{box.bottom_right[0]:.0f},{box.bottom_right[1]:.0f}]  anchor {anchor}"
         )
 
-    arm_anchor = human.anchor_point(POSE, human.id_of("r_arm"))
-    head_box = human.tight_box(POSE, human.id_of("head"))
-    relation = composite_relation(arm_anchor, head_box)
-    print(f"\nrelation r_arm -> head box (tl-a, br-a): {relation}")
+    # relation types: each non-root part against its next sibling, an atom
+    # by the orientation of the offset, a composite by the nearest of the
+    # centroids fitted to jittered copies of the pose
+    rng = np.random.default_rng(0)
+    copies = [Annotation(f"p{i}", POSE + rng.normal(0, 2.0, POSE.shape)) for i in range(6)]
+    model = RelationTypeModel.build(human, copies, atomic_bins=12, composite_bins=2)
+    labels = model.labels(POSE[None], human)
+    print("\nrelation types (12 orientation bins, 2 composite clusters):")
+    for part in human.node(human.id_of("r_arm")).children + (human.id_of("r_arm"),):
+        reference = human.name_of(human.reference_of(part))
+        print(f"  {human.name_of(part):10s} against {reference:10s} type {labels[part][0]}")
 
     print("\n-- exact two-point fit --")
     scale, angle, translation = fit_two_points_batch([[(0, 0), (1, 0)]], [[(10, 10), (10, 14)]])

@@ -3,10 +3,8 @@
 from .appearance import (
     RelationTypeModel,
     ScoreMapStack,
-    assign_relation_type,
     fit_relation_clusters,
     load_score_maps,
-    orientation_bin,
     save_score_maps,
     top_peaks,
 )
@@ -19,8 +17,6 @@ from .hierarchy import (
     PartNode,
     ScaleParams,
     as_configuration,
-    atomic_relation,
-    composite_relation,
     load_hierarchy,
     object_size,
 )

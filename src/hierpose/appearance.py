@@ -10,7 +10,8 @@ probabilities at a 1e-6 floor before taking logs.  Channels are found by
 (part, type) key in a sorted key array per scale.  A full p(part | pixel)
 map is built only for peak seeding (`top_peaks`); every other marginal
 lookup reads that map if it exists and otherwise sums the part's channels
-at the looked-up pixels only, with the same bits either way.
+at the looked-up pixels only, with the same bits either way.  The type ids
+of those channels come from one batched rule, `RelationTypeModel.labels`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hierarchy import PartHierarchy, atomic_relation, composite_relation, object_size
+from .hierarchy import PartHierarchy, object_size
 
 PROB_FLOOR = 1e-6
 LOG_FLOOR = math.log(PROB_FLOOR)
@@ -46,11 +47,9 @@ __all__ = [
     "log_type_prob_atomic",
     "log_type_prob_composite",
     "top_peaks",
-    "orientation_bin",
     "fit_relation_clusters",
-    "assign_relation_type",
-    "AtomicRelation",
-    "CompositeRelation",
+    "annotation_points",
+    "CoincidentPartsError",
     "RelationTypeModel",
 ]
 
@@ -417,18 +416,6 @@ def _greedy_nms(points: np.ndarray, radius: float, count: int) -> list[int]:
 # -- relation types ----------------------------------------------------------
 
 
-def orientation_bin(offset, bins: int) -> int:
-    """Uniform orientation bin of a nonzero offset; angle 0 maps to type 1."""
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    dx, dy = float(offset[0]), float(offset[1])
-    if dx == 0.0 and dy == 0.0:
-        raise ValueError("zero offset has no orientation")
-    angle = math.atan2(dy, dx) % (2.0 * math.pi)
-    width = 2.0 * math.pi / bins
-    return 1 + int(angle // width) % bins
-
-
 def fit_relation_clusters(vectors, count: int, seed: int = 0) -> np.ndarray:
     """Deterministic k-means (k-means++ init, at most KMEANS_MAX_ITER
     iterations).
@@ -461,8 +448,7 @@ def fit_relation_clusters(vectors, count: int, seed: int = 0) -> np.ndarray:
 
     assignment = np.full(vectors.shape[0], -1)
     for _ in range(KMEANS_MAX_ITER):
-        d2 = np.sum((vectors[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-        new_assignment = np.argmin(d2, axis=1)
+        new_assignment = _nearest_centroid(vectors, centroids)
         if np.array_equal(new_assignment, assignment):
             break
         assignment = new_assignment
@@ -473,66 +459,56 @@ def fit_relation_clusters(vectors, count: int, seed: int = 0) -> np.ndarray:
     return centroids
 
 
-def assign_relation_type(vector, centroids: np.ndarray) -> int:
-    """1-based index of the nearest centroid; ties go to the lowest index."""
-    vector = np.asarray(vector, dtype=float)
-    d2 = np.sum((np.asarray(centroids, dtype=float) - vector) ** 2, axis=1)
-    return int(np.argmin(d2)) + 1
+def _nearest_centroid(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """0-based index of the centroid nearest each (E, D) row in squared
+    distance; ties go to the lowest index."""
+    return np.argmin(np.sum((vectors[:, None, :] - centroids[None, :, :]) ** 2, axis=2), axis=1)
 
 
-@dataclass(frozen=True)
-class AtomicRelation:
-    """Orientation binning of an atomic part against its reference sibling."""
-
-    neighbor: int
-    bins: int
-
-    def __post_init__(self):
-        if self.bins < 2:
-            raise ValueError("atomic relation needs at least 2 bins")
+def _composite_vectors(points: np.ndarray, part: int, hierarchy: PartHierarchy) -> np.ndarray:
+    """(E, 4) relation of a composite part to its reference in each (N, 2)
+    row of `points`: the reference's tight-box corners minus the part's
+    anchor, (tl - anchor, br - anchor), over the row's object size."""
+    anchor = hierarchy.anchor_point(points, part)
+    box = points[:, hierarchy.atom_rows(hierarchy.reference_of(part))]
+    corners = np.concatenate([box.min(axis=1) - anchor, box.max(axis=1) - anchor], axis=1)
+    return corners / object_size(points)[:, None]
 
 
-@dataclass(frozen=True)
-class CompositeRelation:
-    """Clustered 4-vector relation of a composite part to its reference sibling."""
-
-    reference: int
-    centroids: np.ndarray
-
-    def __post_init__(self):
-        centroids = np.asarray(self.centroids, dtype=float)
-        if centroids.ndim != 2 or centroids.shape[0] < 2:
-            raise ValueError("composite relation needs at least 2 centroids")
-        if not np.isfinite(centroids).all():
-            raise ValueError("centroids must be finite")
-        object.__setattr__(self, "centroids", centroids)
-
-    @property
-    def bins(self) -> int:
-        return self.centroids.shape[0]
+def annotation_points(annotations, hierarchy: PartHierarchy) -> np.ndarray:
+    """The (E, N, 2) points of a list of `Annotation`s; an annotation whose
+    points all coincide raises ValueError naming it."""
+    for ann in annotations:
+        if object_size(ann.points) <= 0:
+            raise ValueError(f"degenerate annotation {ann.image!r}: all points identical")
+    return np.reshape(
+        [ann.points for ann in annotations], (len(annotations), hierarchy.atomic_count, 2)
+    )
 
 
-@dataclass
+class CoincidentPartsError(ValueError):
+    """A row puts an atomic part on its reference, whose zero offset has
+    no orientation; `row` is the row's index."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
+
+
+@dataclass(frozen=True, eq=False)
 class RelationTypeModel:
-    """Relation-type assignment rules for atomic and composite parts.
+    """The relation type of every non-root part against its reference
+    (`PartHierarchy.reference_of`).
 
-    The reference of each part is its next sibling in canonical child order
-    (wrapping), which keeps every non-root part typed without any extra
-    configuration.
+    An atomic part's type is the uniform orientation bin, out of
+    `atomic_bins`, of the offset from it to its reference; angle 0 is type
+    1.  A non-root composite part's type is 1 + the index of the centroid
+    nearest its relation vector (`_composite_vectors`), out of its
+    `centroids` (k, 4).
     """
 
-    atomic: dict[int, AtomicRelation]
-    composite: dict[int, CompositeRelation]
-
-    @staticmethod
-    def sibling_ring(hierarchy: PartHierarchy) -> dict[int, int]:
-        """Reference map: each child points at the next sibling."""
-        refs: dict[int, int] = {}
-        for node in hierarchy.composite_nodes:
-            kids = node.children
-            for i, child in enumerate(kids):
-                refs[child] = kids[(i + 1) % len(kids)]
-        return refs
+    atomic_bins: int
+    centroids: dict[int, np.ndarray]
 
     @classmethod
     def build(
@@ -543,47 +519,49 @@ class RelationTypeModel:
         composite_bins: int = 24,
         seed: int = 0,
     ) -> "RelationTypeModel":
-        """Fit the model from the `.points` (N, 2) configurations of an
-        iterable of `Annotation`s."""
-        refs = cls.sibling_ring(hierarchy)
-        atomic = {
-            part: AtomicRelation(refs[part], atomic_bins) for part in hierarchy.atomic_ids
+        """Fit the composite centroids from a list of `Annotation`s."""
+        for name, value, least in (
+            ("atomic_bins", atomic_bins, 2), ("composite_bins", composite_bins, 2), ("seed", seed, 0)
+        ):
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+        points = annotation_points(annotations, hierarchy)
+        centroids = {
+            node.id: fit_relation_clusters(
+                _composite_vectors(points, node.id, hierarchy), composite_bins, seed=seed
+            )
+            for node in hierarchy.composite_nodes
+            if node.id != hierarchy.root.id
         }
-        configs = [ann.points for ann in annotations]
-        composite: dict[int, CompositeRelation] = {}
-        for node in hierarchy.composite_nodes:
-            if node.id == hierarchy.root.id:
-                continue
-            vectors = []
-            for X in configs:
-                size = object_size(X)
-                if size <= 0:
-                    raise ValueError("degenerate annotation: zero-extent configuration")
-                rel = composite_relation(
-                    hierarchy.anchor_point(X, node.id),
-                    hierarchy.tight_box(X, refs[node.id]),
-                )
-                vectors.append(rel / size)
-            centroids = fit_relation_clusters(np.array(vectors), composite_bins, seed=seed)
-            composite[node.id] = CompositeRelation(refs[node.id], centroids)
-        return cls(atomic=atomic, composite=composite)
+        return cls(atomic_bins, centroids)
 
-    def atomic_label(self, X: np.ndarray, part: int, hierarchy: PartHierarchy) -> int:
-        spec = self.atomic[part]
-        offset = atomic_relation(
-            X[hierarchy.atom_index(part)], X[hierarchy.atom_index(spec.neighbor)]
-        )
-        return orientation_bin(offset, spec.bins)
-
-    def composite_label(self, X: np.ndarray, part: int, hierarchy: PartHierarchy) -> int:
-        spec = self.composite[part]
-        rel = composite_relation(
-            hierarchy.anchor_point(X, part), hierarchy.tight_box(X, spec.reference)
-        )
-        return assign_relation_type(rel / object_size(X), spec.centroids)
+    def labels(self, points, hierarchy: PartHierarchy) -> dict[int, np.ndarray]:
+        """{part: (E,) relation types} of every non-root part, by part id,
+        in (E, N, 2) finite `points`.  An atomic part on its reference
+        raises `CoincidentPartsError`."""
+        points = np.asarray(points, dtype=float)
+        atoms = hierarchy.atomic_ids
+        refs = [hierarchy.atom_index(hierarchy.reference_of(part)) for part in atoms]
+        offset = points[:, refs] - points
+        coincide = np.argwhere((offset == 0.0).all(axis=2))
+        if len(coincide):
+            row, atom = coincide[0]
+            raise CoincidentPartsError(
+                f"parts {hierarchy.name_of(atoms[atom])!r} and "
+                f"{hierarchy.name_of(atoms[refs[atom]])!r} coincide, "
+                "and a zero offset has no orientation",
+                int(row),
+            )
+        angle = np.arctan2(offset[..., 1], offset[..., 0]) % (2.0 * math.pi)
+        bins = 1 + (angle // (2.0 * math.pi / self.atomic_bins)).astype(np.intp) % self.atomic_bins
+        out = {part: bins[:, i] for i, part in enumerate(atoms)}
+        for part, centroids in self.centroids.items():
+            vectors = _composite_vectors(points, part, hierarchy)
+            out[part] = _nearest_centroid(vectors, centroids) + 1
+        return dict(sorted(out.items()))
 
     def atomic_bins_map(self, hierarchy: PartHierarchy) -> dict[int, int]:
-        return {part: spec.bins for part, spec in self.atomic.items()}
+        return dict.fromkeys(hierarchy.atomic_ids, self.atomic_bins)
 
     def composite_bins_map(self) -> dict[int, int]:
-        return {part: spec.bins for part, spec in self.composite.items()}
+        return {part: len(centroids) for part, centroids in self.centroids.items()}

@@ -28,8 +28,6 @@ __all__ = [
     "PartHierarchy",
     "load_hierarchy",
     "as_configuration",
-    "atomic_relation",
-    "composite_relation",
     "object_size",
 ]
 
@@ -263,6 +261,12 @@ class PartHierarchy:
     def parent_of(self, node_id: int) -> int | None:
         return self._parent.get(node_id)
 
+    def reference_of(self, node_id: int) -> int:
+        """The part a non-root part's relation type is read against: its
+        next sibling in its parent's child order, wrapping."""
+        siblings = self._by_id[self._parent[node_id]].children
+        return siblings[(siblings.index(node_id) + 1) % len(siblings)]
+
     def nodes_at_level(self, level: int) -> tuple[PartNode, ...]:
         return tuple(n for n in self.nodes if n.level == level)
 
@@ -335,17 +339,6 @@ def as_configuration(points) -> np.ndarray:
     if not np.isfinite(X).all():
         raise ValueError("configuration contains non-finite coordinates")
     return X
-
-
-def atomic_relation(x_i, x_j) -> np.ndarray:
-    """Offset from part i to part j."""
-    return np.asarray(x_j, dtype=float) - np.asarray(x_i, dtype=float)
-
-
-def composite_relation(anchor, box: BoundingBox) -> np.ndarray:
-    """4-vector (tl - anchor, br - anchor) relating an anchor to a sibling box."""
-    a = np.asarray(anchor, dtype=float)
-    return np.concatenate([box.top_left - a, box.bottom_right - a])
 
 
 def object_size(X: np.ndarray) -> float | np.ndarray:

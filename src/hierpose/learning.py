@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _json
 from ._json import NUMBER, Either, Nullable, Optional
-from .appearance import RelationTypeModel, _Reader
+from .appearance import CoincidentPartsError, RelationTypeModel, _Reader, annotation_points
 from .geometry import child_points, child_signature
 from .hierarchy import BoundingBox, PartHierarchy, as_configuration, object_size
 
@@ -143,6 +143,22 @@ def _labelled_parts(hierarchy: PartHierarchy) -> list[int]:
     return sorted(node.id for node in hierarchy.nodes if node.id != hierarchy.root.id)
 
 
+def _check_bin_parts(hierarchy: PartHierarchy, atomic_bins, composite_bins) -> None:
+    """Raise LibraryError unless the atomic bins are keyed by the atomic
+    parts and the composite bins by the non-root composite parts."""
+    parts = _labelled_parts(hierarchy)
+    atomic = [part for part in parts if hierarchy.node(part).is_atomic]
+    for what, bins, expected in (
+        ("atomic", atomic_bins, atomic),
+        ("non-root composite", composite_bins, [part for part in parts if part not in atomic]),
+    ):
+        if sorted(bins) != expected:
+            raise LibraryError(
+                f"library has {what} bins for parts {sorted(bins)}, "
+                f"the hierarchy's {what} parts are {expected}"
+            )
+
+
 class ExemplarLibrary:
     """One table of annotation rows, plus relation-type channel counts.
 
@@ -151,7 +167,9 @@ class ExemplarLibrary:
     derived from `points`, and `labels` holds one (E,) column per non-root
     part, the part's relation type under its parent.  `nodes` keeps, per
     composite node, only what it derives from the hierarchy (see
-    `ExemplarArrays`).  Every array is a read-only copy.
+    `ExemplarArrays`).  Every array is a read-only copy.  The atomic bins
+    must be keyed by the atomic parts and the composite bins by the non-root
+    composite parts, or `LibraryError` is raised.
     """
 
     def __init__(
@@ -166,6 +184,7 @@ class ExemplarLibrary:
         self.sources = tuple(sources)
         if not self.sources:
             raise LibraryError("library holds no exemplars")
+        _check_bin_parts(hierarchy, atomic_bins, composite_bins)
         self.points = _read_only(points, float)
         self.object_size = _read_only(object_size(self.points), float)
         self.labels = {
@@ -198,20 +217,11 @@ def build_library(
     only model the spatial layout of its children.
     """
     annotations = list(annotations)
-    for ann in annotations:
-        if object_size(ann.points) <= 0:
-            raise ValueError(f"degenerate annotation {ann.image!r}: all points identical")
-    points = np.reshape(
-        [ann.points for ann in annotations], (len(annotations), hierarchy.atomic_count, 2)
-    )
-    labels = {
-        part: [
-            type_model.atomic_label(X, part, hierarchy) if hierarchy.node(part).is_atomic
-            else type_model.composite_label(X, part, hierarchy)
-            for X in points
-        ]
-        for part in _labelled_parts(hierarchy)
-    }
+    points = annotation_points(annotations, hierarchy)
+    try:
+        labels = type_model.labels(points, hierarchy)
+    except CoincidentPartsError as exc:
+        raise ValueError(f"annotation {annotations[exc.row].image!r}: {exc}") from None
     return ExemplarLibrary(
         hierarchy,
         [ann.image for ann in annotations],
@@ -252,11 +262,12 @@ def load_library(path, hierarchy: PartHierarchy) -> ExemplarLibrary:
     """Read an "HPEL" container written by `save_library`.
 
     Every read is bounds-checked and every field is checked against the
-    hierarchy: each row holds one finite point per atomic part, with a
-    finite and positive object size, and each label lies within its part's
-    bin count.  Bin keys are strictly increasing, as `save_library` writes
-    them, so a file that loads re-saves bit-exact.  Anything else raises
-    `LibraryError`.
+    hierarchy: the atomic bins are keyed by the atomic parts and the
+    composite bins by the non-root composite parts, each row holds one
+    finite point per atomic part, with a finite and positive object size,
+    and each label lies within its part's bin count.  Bin keys are strictly
+    increasing, as `save_library` writes them, so a file that loads
+    re-saves bit-exact.  Anything else raises `LibraryError`.
     """
     reader = _Reader(Path(path).read_bytes(), LibraryError, "library")
 
@@ -275,6 +286,7 @@ def load_library(path, hierarchy: PartHierarchy) -> ExemplarLibrary:
         raise LibraryError(f"unsupported library version {version}")
     atomic_bins = pairs(*reader.unpack("<I"), "atomic bin parts")
     composite_bins = pairs(*reader.unpack("<I"), "composite bin parts")
+    _check_bin_parts(hierarchy, atomic_bins, composite_bins)
     n_ex, n_parts = reader.unpack("<II")
     if n_parts != hierarchy.atomic_count:
         raise LibraryError(
@@ -300,7 +312,7 @@ def load_library(path, hierarchy: PartHierarchy) -> ExemplarLibrary:
     labels = {}
     for part in _labelled_parts(hierarchy):
         column = reader.array("<u4", n_ex, (n_ex,))
-        bins = (atomic_bins if hierarchy.node(part).is_atomic else composite_bins).get(part, 0)
+        bins = (atomic_bins if hierarchy.node(part).is_atomic else composite_bins)[part]
         bad = np.flatnonzero((column < 1) | (column > bins))
         if len(bad):
             raise LibraryError(

@@ -158,6 +158,28 @@ def human_annotations(count=3) -> list[Annotation]:
     return out
 
 
+def bird_pose() -> np.ndarray:
+    """A hand-placed side view, beak to the left, for
+    `configs/bird_hierarchy.json`, in the order of its atoms."""
+    return np.array(
+        [
+            (58, 36), (10, 30), (50, 64), (34, 52), (28, 20), (20, 24), (24, 28), (50, 82),
+            (62, 46), (38, 24), (26, 30), (56, 84), (66, 50), (90, 56), (24, 40),
+        ],
+        dtype=float,
+    )
+
+
+def bird_annotations(count=12) -> list[Annotation]:
+    """The bird pose, then copies of it jittered by 2 px (Gaussian sigma)."""
+    rng = np.random.default_rng(11)
+    base = bird_pose()
+    out = [Annotation("b0", base)]
+    for i in range(1, count):
+        out.append(Annotation(f"b{i}", base + rng.normal(0, 2.0, base.shape)))
+    return out
+
+
 def library_for(hierarchy, annotations, atomic_bins=8, composite_bins=2, seed=0):
     model = RelationTypeModel.build(
         hierarchy, annotations, atomic_bins=atomic_bins,

@@ -15,7 +15,10 @@ that clamps after every step (`naive_train_weights`) and the prune that
 drops copies with a row sort before its greedy pass (`naive_prune_order`).
 `exhaustive_best_config` scores every configuration of a candidate product
 in one batch to check the search; `naive_exhaustive_best_config` is its
-one-configuration-at-a-time loop.
+one-configuration-at-a-time loop.  `naive_relation_labels` is the scalar
+relation-type rule, one (row, part) at a time, as it was before the batched
+`RelationTypeModel.labels`; it takes boxes, anchors and object sizes from the
+one-configuration forms of the hierarchy helpers.
 """
 
 import itertools
@@ -117,6 +120,62 @@ def naive_child_geometry(X, node_id, hierarchy):
     if not np.isfinite(pts).all():
         raise ValueError(f"child geometry of node {node_id} uses undefined locations")
     return NaiveChildGeometry(pts, tuple(sig))
+
+
+def naive_sibling_ring(hierarchy):
+    """Reference map of the relation types: each child of a composite node
+    points at the next child in the node's child order, wrapping."""
+    refs = {}
+    for node in hierarchy.composite_nodes:
+        kids = node.children
+        for i, child in enumerate(kids):
+            refs[child] = kids[(i + 1) % len(kids)]
+    return refs
+
+
+def naive_orientation_bin(offset, bins):
+    """Uniform orientation bin of a nonzero offset; angle 0 maps to type 1."""
+    dx, dy = float(offset[0]), float(offset[1])
+    if dx == 0.0 and dy == 0.0:
+        raise ValueError("zero offset has no orientation")
+    angle = math.atan2(dy, dx) % (2.0 * math.pi)
+    width = 2.0 * math.pi / bins
+    return 1 + int(angle // width) % bins
+
+
+def naive_box_corner_vector(anchor, top_left, bottom_right):
+    """4-vector (tl - anchor, br - anchor) relating an anchor to a box."""
+    a = np.asarray(anchor, dtype=float)
+    return np.concatenate([np.asarray(top_left) - a, np.asarray(bottom_right) - a])
+
+
+def naive_nearest_centroid(vector, centroids):
+    """1-based index of the nearest centroid; ties go to the lowest index."""
+    d2 = np.sum((np.asarray(centroids, dtype=float) - np.asarray(vector, dtype=float)) ** 2, axis=1)
+    return int(np.argmin(d2)) + 1
+
+
+def naive_relation_labels(points, hierarchy, model):
+    """{part: [label per row]} of every non-root part, one (row, part) at a
+    time: an atom's orientation bin of the offset to its reference, a
+    composite's nearest centroid of its anchor-to-reference-box vector over
+    the object size."""
+    refs = naive_sibling_ring(hierarchy)
+    labels = {}
+    for part in sorted(refs):
+        column = []
+        for X in np.asarray(points, dtype=float):
+            if hierarchy.node(part).is_atomic:
+                offset = X[hierarchy.atom_index(refs[part])] - X[hierarchy.atom_index(part)]
+                column.append(naive_orientation_bin(offset, model.atomic_bins))
+            else:
+                box = hierarchy.tight_box(X, refs[part])
+                rel = naive_box_corner_vector(
+                    hierarchy.anchor_point(X, part), box.top_left, box.bottom_right
+                )
+                column.append(naive_nearest_centroid(rel / object_size(X), model.centroids[part]))
+        labels[part] = column
+    return labels
 
 
 def stored_geometry(library, node_id, index):

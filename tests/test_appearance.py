@@ -1,30 +1,34 @@
 import math
+import re
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hierpose import load_score_maps
+from hierpose import load_hierarchy, load_score_maps, object_size
 from hierpose.appearance import (
     LOG_FLOOR,
     PROB_FLOOR,
     CompositeMaps,
     ScaleMaps,
     ScoreMapError,
+    CoincidentPartsError,
+    RelationTypeModel,
     ScoreMapStack,
-    assign_relation_type,
     fit_relation_clusters,
     log_marginals_at,
     log_type_prob_atomic,
     log_type_prob_composite,
-    orientation_bin,
     save_score_maps,
     top_peaks,
 )
 
-from conftest import random_stack
+import oracles
+from conftest import (
+    CONFIG_DIR, base_pose_tiny3, limbs4_doc, random_stack, tiny2_doc, tiny3_doc,
+)
 
 
 def two_type_stack(values: dict[tuple[int, int], float], grid=(5, 5), composite=None):
@@ -228,25 +232,33 @@ def test_top_peaks_respects_budget_and_radius():
             assert np.hypot(*(points[i] - points[j])) >= 2.0
 
 
-def test_orientation_bin_examples():
-    assert orientation_bin((1, 0), 12) == 1
-    assert orientation_bin((0, 1), 12) == 4
-    assert orientation_bin((-1, -1e-12), 12) == 7
+def atomic_type(offset, bins, tiny2) -> int:
+    """Relation type of tiny2's part 1 at the origin, whose reference (part
+    2) lies at `offset` from it; part 3 sits apart from both."""
+    points = np.array([[(0.0, 0.0), offset, (5.0, 7.0)]])
+    return int(RelationTypeModel(bins, {}).labels(points, tiny2)[1][0])
 
 
-def test_orientation_bin_zero_offset():
-    with pytest.raises(ValueError, match="zero offset"):
-        orientation_bin((0, 0), 12)
+def test_orientation_bin_examples(tiny2):
+    assert atomic_type((1, 0), 12, tiny2) == 1
+    assert atomic_type((0, 1), 12, tiny2) == 4
+    assert atomic_type((-1, -1e-12), 12, tiny2) == 7
 
 
-def test_orientation_bin_scale_invariant():
+def test_orientation_bin_zero_offset(tiny2):
+    with pytest.raises(CoincidentPartsError, match="'a' and 'b' coincide.*zero offset") as info:
+        atomic_type((0, 0), 12, tiny2)
+    assert info.value.row == 0
+
+
+def test_orientation_bin_scale_invariant(tiny2):
     rng = np.random.default_rng(1)
     for _ in range(50):
         offset = rng.normal(size=2)
         if np.allclose(offset, 0):
             continue
         factor = float(rng.random() * 10 + 0.1)
-        assert orientation_bin(offset, 12) == orientation_bin(offset * factor, 12)
+        assert atomic_type(offset, 12, tiny2) == atomic_type(offset * factor, 12, tiny2)
 
 
 def test_fit_relation_clusters_two_blobs():
@@ -255,16 +267,89 @@ def test_fit_relation_clusters_two_blobs():
     b = rng.normal((5, 5, 5, 5), 0.1, (20, 4))
     vectors = np.vstack([a, b])
     centroids = fit_relation_clusters(vectors, 2, seed=0)
-    types_a = {assign_relation_type(v, centroids) for v in a}
-    types_b = {assign_relation_type(v, centroids) for v in b}
+    types_a = {oracles.naive_nearest_centroid(v, centroids) for v in a}
+    types_b = {oracles.naive_nearest_centroid(v, centroids) for v in b}
     assert len(types_a) == 1 and len(types_b) == 1
     assert types_a != types_b
 
 
-def test_assign_relation_type_centroid_identity():
-    centroids = np.array([[0.0, 0.0, 0.0, 0.0], [3.0, 3.0, 3.0, 3.0]])
-    assert assign_relation_type(centroids[0], centroids) == 1
-    assert assign_relation_type(centroids[1], centroids) == 2
+def test_assign_relation_type_centroid_identity(tiny3):
+    """A composite part's type is the index of the centroid equal to its
+    relation vector, next to centroids a little off it."""
+    points = np.array([base_pose_tiny3(0)])
+    # the box of part 11 spans (13, 2)-(17, 9), the anchor of part 10 is
+    # (2, 2) and the object size 11
+    vector = np.array([11.0, 0.0, 15.0, 7.0]) / 11.0
+    off = vector + 0.01
+    for centroids, expected in (([vector, off], 1), ([off, vector], 2)):
+        model = RelationTypeModel(8, {10: np.array(centroids), 11: np.array([off, vector])})
+        assert model.labels(points, tiny3)[10].tolist() == [expected]
+
+
+TYPED_HIERARCHIES = {
+    name: load_hierarchy(source)
+    for name, source in (
+        ("tiny2", tiny2_doc()), ("tiny3", tiny3_doc()), ("limbs4", limbs4_doc()),
+        ("bird", CONFIG_DIR / "bird_hierarchy.json"),
+        ("human", CONFIG_DIR / "human_hierarchy.json"),
+    )
+}
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_labels_match_scalar_oracle_bit_for_bit(data):
+    """`RelationTypeModel.labels` gives every label of the scalar rule, one
+    (row, part) at a time, at 2 to 32 atomic bins.  Points are arbitrary
+    floats, integers, or a scaled 9 x 9 lattice, on which most offsets are
+    axis-aligned or diagonal and centroid distances often tie.  Where the
+    scalar rule meets a zero offset, `labels` raises instead."""
+    hierarchy = TYPED_HIERARCHIES[data.draw(st.sampled_from(sorted(TYPED_HIERARCHIES)))]
+    shape = (data.draw(st.integers(1, 5)), hierarchy.atomic_count, 2)
+    kind = data.draw(st.sampled_from(["float", "integer", "lattice"]))
+    if kind == "float":
+        values = st.floats(-1e3, 1e3, allow_subnormal=False)
+    elif kind == "integer":
+        values = st.integers(-60, 60)
+    else:
+        values = st.integers(-4, 4)
+    coordinates = data.draw(st.lists(values, min_size=math.prod(shape), max_size=math.prod(shape)))
+    points = np.reshape(np.array(coordinates, dtype=float), shape)
+    if kind == "lattice":
+        points *= data.draw(st.sampled_from([1.0, 0.1, 1 / 3, 2.5, 1e-3]))
+    assume(np.all(object_size(points) > 0))
+    centroid = st.lists(
+        st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), st.floats(-2, 2)),
+        min_size=4, max_size=4,
+    )
+    model = RelationTypeModel(data.draw(st.integers(2, 32)), {
+        node.id: np.array(data.draw(st.lists(centroid, min_size=2, max_size=6)))
+        for node in hierarchy.composite_nodes if node.id != hierarchy.root.id
+    })
+    try:
+        expected = oracles.naive_relation_labels(points, hierarchy, model)
+    except ValueError as exc:
+        assert "zero offset" in str(exc)
+        with pytest.raises(CoincidentPartsError):
+            model.labels(points, hierarchy)
+        return
+    labels = model.labels(points, hierarchy)
+    assert list(labels) == list(expected)
+    assert {part: column.tolist() for part, column in labels.items()} == expected
+
+
+@pytest.mark.parametrize("doc", [tiny2_doc, tiny3_doc])
+@pytest.mark.parametrize("field, value", [
+    ("atomic_bins", 1), ("composite_bins", 1), ("composite_bins", 0), ("seed", -1),
+])
+def test_type_model_arguments_are_checked_by_name(doc, field, value):
+    """Whatever the depth, and before any annotation is read.  tiny2 has no
+    composite part to fit, and used to accept a negative seed and too few
+    composite bins; on tiny3 a negative seed failed inside numpy."""
+    arguments = {"atomic_bins": 8, "composite_bins": 2, "seed": 0, field: value}
+    least = 0 if field == "seed" else 2
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be >= {least}, got {value}")):
+        RelationTypeModel.build(load_hierarchy(doc()), None, **arguments)
 
 
 def test_fit_relation_clusters_duplicates_single_cluster():

@@ -285,8 +285,8 @@ def test_infer_corrupt_library_exit_1(workspace, capsys):
 
 
 def test_infer_library_without_a_node_exit_1(workspace, capsys):
-    """A library of the collapsed model has no node 11, nor the label
-    columns of nodes 10 and 11, so it ends early for the full hierarchy."""
+    """A library of the collapsed model has no composite bins, nor the label
+    columns of nodes 10 and 11; the loader says it does not fit."""
     path = workspace / "library.hpel"
     hierarchy = load_hierarchy(workspace / "hierarchy.json")
     weights = load_weights(workspace / "weights.json", hierarchy)
@@ -295,7 +295,7 @@ def test_infer_library_without_a_node_exit_1(workspace, capsys):
     assert main(["infer", str(infer_config(workspace))]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "truncated library file" in err
+    assert "non-root composite bins for parts [], the hierarchy's non-root composite" in err
 
 
 def test_infer_nan_bias_exit_1(workspace, capsys):
@@ -531,6 +531,31 @@ def test_max_angle_must_be_a_json_number(workspace, capsys, command):
     assert main([command, str(config)]) == 1
     assert_rejected(capsys, "config 'max_angle' must be a JSON number")
     assert not (workspace / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "synth"])
+@pytest.mark.parametrize("key, value, message", [
+    ("atomic_bins", 1, "atomic_bins must be >= 2, got 1"),
+    ("composite_bins", 0, "composite_bins must be >= 2, got 0"),
+    ("seed", -1, "seed must be >= 0, got -1"),
+])
+def test_type_model_values_exit_1_naming_the_field(shared_workspace, capsys, command, key, value,
+                                                   message):
+    """A negative seed used to fail inside numpy's random generator."""
+    if command == "train":
+        doc = json.loads(train_config(shared_workspace).read_text())
+        doc["type_model"][key] = value
+        doc["output"] = {"weights": "bad_types/weights.json", "log": "bad_types/log.json"}
+        config = train_config(shared_workspace, name="bad_types.json", **doc)
+        output = shared_workspace / "bad_types"
+    else:
+        config, doc = synth_config(shared_workspace)
+        doc["type_model"][key] = value
+        config.write_text(json.dumps(doc))
+        output = shared_workspace / "bad_scenes"
+    assert main([command, str(config)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not output.exists()
 
 
 def test_train_empty_annotations_exit_1(workspace):

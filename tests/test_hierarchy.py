@@ -6,12 +6,12 @@ import pytest
 from hierpose import (
     BoundingBox,
     HierarchyError,
+    RelationTypeModel,
     ScaleParams,
-    atomic_relation,
-    composite_relation,
     load_hierarchy,
     object_size,
 )
+from hierpose.appearance import CoincidentPartsError
 
 from conftest import tiny2_doc, tiny3_doc
 
@@ -168,26 +168,61 @@ def test_anchor_weights_must_sum_to_one():
         load_hierarchy(doc)
 
 
+def atomic_type(x_i, x_j, bins=12) -> int:
+    """Relation type of tiny2's part 1 at `x_i` against its reference, part
+    2, at `x_j`; part 3 sits apart from both."""
+    points = np.array([[x_i, x_j, (50.0, -70.0)]], dtype=float)
+    return int(RelationTypeModel(bins, {}).labels(points, load_hierarchy(tiny2_doc()))[1][0])
+
+
 def test_atomic_relation_examples():
-    assert np.allclose(atomic_relation((1, 2), (4, 6)), (3, 4))
-    assert np.allclose(atomic_relation((3, 3), (3, 3)), (0, 0))
-    assert np.allclose(atomic_relation((4, 6), (1, 2)), (-3, -4))
+    """The offset from part i to part j is x_j - x_i: (3, 4) lies in the
+    second of 12 bins and (-3, -4) in the eighth; no offset has no type."""
+    assert atomic_type((1, 2), (4, 6)) == 2
+    assert atomic_type((4, 6), (1, 2)) == 8
+    with pytest.raises(CoincidentPartsError, match="coincide"):
+        atomic_type((3, 3), (3, 3))
 
 
 def test_atomic_relation_antisymmetric():
+    """Swapping the two parts turns the offset by half a turn, so the type
+    moves by half of an even bin count."""
     rng = np.random.default_rng(2)
     for _ in range(20):
         a, b = rng.random(2), rng.random(2)
-        assert np.allclose(atomic_relation(a, b), -atomic_relation(b, a))
+        assert atomic_type(b, a) == (atomic_type(a, b) - 1 + 6) % 12 + 1
+
+
+def composite_type(anchor, box_points, centroids) -> int:
+    """Relation type of tiny3's part 10 with its anchor (part 1) at
+    `anchor`, against the box of its reference, part 11, whose three atoms
+    are `box_points`; parts 2 and 3 sit inside that box."""
+    points = np.array([[anchor, box_points[1], box_points[2], *box_points]], dtype=float)
+    model = RelationTypeModel(8, {10: np.asarray(centroids, dtype=float), 11: np.zeros((2, 4))})
+    return int(model.labels(points, load_hierarchy(tiny3_doc()))[10][0])
 
 
 def test_composite_relation_examples():
-    box = BoundingBox((0, 0), (4, 4))
-    assert np.allclose(composite_relation((1, 1), box), (-1, -1, 3, 3))
-    box = BoundingBox((2, 3), (5, 9))
-    assert np.allclose(composite_relation((2, 3), box), (0, 0, 3, 6))
-    box = BoundingBox((2, 0), (2, 0))
-    assert np.allclose(composite_relation((2, 0), box), (0, 0, 0, 0))
+    """The relation vector is (tl - anchor, br - anchor) over the object
+    size, here the mean side of the reference box: the centroid equal to it
+    is picked over centroids a little off it in each coordinate."""
+    for anchor, box_points, vector in (
+        ((1, 1), [(0, 0), (4, 4), (2, 1)], (-1, -1, 3, 3)),
+        ((2, 3), [(2, 3), (5, 9), (3, 4)], (0, 0, 3, 6)),
+    ):
+        size = object_size(np.array(box_points, dtype=float))
+        exact = np.array(vector, dtype=float) / size
+        near = [exact + 0.01 * np.eye(4)[j] for j in range(4)] + [exact - 0.01]
+        for at in range(len(near) + 1):
+            centroids = near[:at] + [exact] + near[at:]
+            assert composite_type(anchor, box_points, centroids) == at + 1
+
+
+def test_composite_relation_point_box_has_coincident_atoms():
+    """A reference box shrunk to a point puts sibling atoms on one point,
+    which has no atomic type, so `labels` raises."""
+    with pytest.raises(CoincidentPartsError, match="coincide"):
+        composite_type((2, 0), [(2, 0), (2, 0), (2, 0)], np.zeros((2, 4)))
 
 
 def test_scale_factor_examples():

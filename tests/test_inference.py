@@ -34,7 +34,7 @@ from hierpose.inference import (
 from hierpose.scoring import subtree_terms, subtree_total
 from hierpose.synth import generate_pose, make_scene
 
-from conftest import annotations_tiny3, library_for
+from conftest import annotations_tiny3, bird_annotations, library_for
 
 
 @pytest.fixture()
@@ -446,6 +446,25 @@ def test_infer_recovers_clean_scene(tiny3_setup):
         assert np.allclose(hyp.box.top_left, hyp.locations.min(axis=0))
         assert np.allclose(hyp.box.bottom_right, hyp.locations.max(axis=0))
         assert hyp.pose.shape == (len(hierarchy.composite_nodes),) and (hyp.pose >= 0).all()
+
+
+def test_infer_recovers_bird_mix_scenes(bird_hierarchy):
+    """`configs/bird_hierarchy.json` end to end: library, mix scenes and a
+    full search at z=8.  Its `head` has 7 children, read in child order for
+    the relation types, and the widest child geometry of any config."""
+    head = bird_hierarchy.node(bird_hierarchy.id_of("head"))
+    assert head.children == (2, 5, 6, 7, 11, 10, 15)
+    assert [bird_hierarchy.reference_of(child) for child in head.children] == [
+        5, 6, 7, 11, 10, 15, 2,
+    ]
+    library, _ = library_for(bird_hierarchy, bird_annotations(), atomic_bins=12, composite_bins=4)
+    weights = uniform_weights(bird_hierarchy)
+    within = []
+    for seed in range(4):
+        scene = make_scene(library, bird_hierarchy, seed=seed, grid=(96, 96), mix=True)
+        result = infer(scene.stack, bird_hierarchy, library, weights, InferenceParams(z=8, seed=seed))
+        within.append(np.hypot(*(result.configuration - scene.configuration).T) <= 2.0)
+    assert np.mean(within) >= 0.95
 
 
 def test_infer_deterministic(tiny3_setup):

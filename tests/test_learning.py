@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 import tempfile
 from functools import lru_cache
@@ -80,6 +81,31 @@ def test_build_library_rejects_degenerate(tiny3):
     bad = Annotation("dup", np.ones((6, 2)))
     with pytest.raises(ValueError, match="degenerate"):
         build_library([bad], tiny3, model)
+
+
+def test_build_library_names_coincident_siblings(tiny3):
+    """Two sibling atoms on one point have no relation type; the error names
+    the annotation and both parts."""
+    annotations = annotations_tiny3(3)
+    library, model = library_for(tiny3, annotations)
+    annotations[1].points[1] = annotations[1].points[0]
+    message = "annotation 'img1': parts 'la' and 'lb' coincide, and a zero offset"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_library(annotations, tiny3, model)
+
+
+def test_library_bins_must_fit_the_hierarchy(tiny3):
+    """The constructor checks the bin keys as `load_library` does."""
+    library, _ = library_for(tiny3, annotations_tiny3(3))
+    for atomic_bins, composite_bins, message in (
+        (library.atomic_bins, {**library.composite_bins, 99: 2}, "parts [10, 11, 99]"),
+        ({**library.atomic_bins, 20: 2}, library.composite_bins, "parts [1, 2, 3, 4, 5, 6, 20]"),
+    ):
+        with pytest.raises(LibraryError, match=re.escape(message)):
+            ExemplarLibrary(
+                tiny3, library.sources, library.points, library.labels, atomic_bins,
+                composite_bins,
+            )
 
 
 def test_augment_zero_jitter_identical(tiny3):
@@ -397,6 +423,7 @@ def corrupt_tiny3_library(kind, hierarchy):
     library, _ = library_for(hierarchy, annotations_tiny3(3))
     sources, points = library.sources, library.points.copy()
     labels = {part: values.copy() for part, values in library.labels.items()}
+    atomic_bins, composite_bins = library.atomic_bins, library.composite_bins
     if kind == "non-finite coordinate":
         points[0, 0, 1] = math.inf
     elif kind == "zero size":
@@ -412,9 +439,18 @@ def corrupt_tiny3_library(kind, hierarchy):
         labels = {part: values[:0] for part, values in labels.items()}
     elif kind == "other part count":
         points = points[:, :5]
+    elif kind == "composite bins of an unknown part":
+        composite_bins = {**composite_bins, 99: 2}
+    elif kind == "atomic bins of a composite part":
+        atomic_bins = {**atomic_bins, 10: 8}
+    elif kind == "atomic bins missing a part":
+        atomic_bins = {part: bins for part, bins in atomic_bins.items() if part != 6}
+    elif kind == "collapsed model's library":  # no composite bins nor their labels
+        composite_bins = {}
+        labels = {part: labels[part] for part in atomic_bins}
     data = library_bytes(SimpleNamespace(
         sources=sources, points=points, labels=labels,
-        atomic_bins=library.atomic_bins, composite_bins=library.composite_bins,
+        atomic_bins=atomic_bins, composite_bins=composite_bins,
     ))
     if kind == "source not UTF-8":
         data = data.replace(b"img0", b"\xffmg0", 1)
@@ -442,6 +478,16 @@ def corrupt_tiny3_library(kind, hierarchy):
     ("trailing bytes", "trailing bytes"),
     ("bad version", "unsupported library version 1"),
     ("bad magic", "bad magic"),
+    ("composite bins of an unknown part", re.escape(
+        "non-root composite bins for parts [10, 11, 99], "
+        "the hierarchy's non-root composite parts are [10, 11]"
+    )),
+    ("atomic bins of a composite part", re.escape(
+        "atomic bins for parts [1, 2, 3, 4, 5, 6, 10], "
+        "the hierarchy's atomic parts are [1, 2, 3, 4, 5, 6]"
+    )),
+    ("atomic bins missing a part", re.escape("atomic bins for parts [1, 2, 3, 4, 5],")),
+    ("collapsed model's library", re.escape("non-root composite bins for parts [],")),
 ])
 def test_invalid_library_field_raises_library_error(kind, message, tiny3):
     data = corrupt_tiny3_library(kind, tiny3)
