@@ -47,8 +47,10 @@ from .learning import (
 )
 from .metrics import MetricReport, Segment, emit_report, pcp_radius, pcp_segments, pdj_curve
 from .scoring import (
+    ModelMismatchError,
     WeightVector,
     best_fit_pose,
+    check_model,
     feature_vector,
     load_weights,
     refinement_score,

@@ -9,9 +9,11 @@ group their rows by the stored scale nearest each row's scale) and clamps
 probabilities at a 1e-6 floor before taking logs.  Channels are found by
 (part, type) key in a sorted key array per scale.  A full p(part | pixel)
 map is built only for peak seeding (`top_peaks`); every other marginal
-lookup reads that map if it exists and otherwise sums the part's channels
-at the looked-up pixels only, with the same bits either way.  The type ids
-of those channels come from one batched rule, `RelationTypeModel.labels`.
+lookup reads those maps if they are built and otherwise sums the parts'
+channels at the looked-up pixels only, with the same bits either way:
+`ScoreMapStack.marginal_at` for one part, and `marginals_at` in one gather
+for pairs of any parts.  The type ids of those channels come from one
+batched rule, `RelationTypeModel.labels`.
 """
 
 from __future__ import annotations
@@ -104,8 +106,9 @@ class ScaleMaps:
 
 class ScoreMapStack:
     """Immutable multi-scale stack.  The full marginal map of a part is
-    built and cached only when `marginal` is asked for it; `marginal_at`
-    reads that map if it is cached and gathers at pixels otherwise."""
+    built and cached only when `marginal` is asked for it; `marginal_at` and
+    `marginals_at` read the maps if they are cached and gather at pixels
+    otherwise."""
 
     def __init__(self, scales: list[ScaleMaps]):
         if not scales:
@@ -130,6 +133,11 @@ class ScoreMapStack:
                 raise ScoreMapError(f"duplicate channel {(int(row[0]), int(row[1]))}")
             self._keys.append(keys)
             self._key_rows.append(order)
+        # per scale, once a marginal is first asked: `_part_channels`, and a
+        # (parts, H * W) table of the marginal maps in its order with the
+        # rows built so far; `_marginals` holds each built row as a map
+        self._part_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._marginal_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._marginals: dict[tuple[int, int], np.ndarray] = {}
 
     @property
@@ -141,45 +149,92 @@ class ScoreMapStack:
         scales (ties: the lower index)."""
         return np.argmin(np.abs(self._scale_values[None, :] - scales[:, None]), axis=1)
 
-    def channel_rows(self, part: int, type_ids, scale_index: int = 0) -> np.ndarray:
-        """Atomic-tensor rows of the (part, type) channels, one per type id."""
+    def channel_rows(self, part, type_ids, scale_index: int = 0) -> np.ndarray:
+        """Atomic-tensor rows of the (part, type) channels, one per type id;
+        `part` is one part id or an array of one per type id.  Every key is
+        found in one search."""
         type_ids = np.asarray(type_ids, dtype=np.int64)
+        parts = np.broadcast_to(np.asarray(part, dtype=np.int64), type_ids.shape)
         keys, rows = self._keys[scale_index], self._key_rows[scale_index]
-        valid = (type_ids >= 0) & (type_ids <= _ID_MAX) & (0 <= part <= _ID_MAX)
-        wanted = np.uint64((part & _ID_MAX) << 32) | np.where(valid, type_ids, 0).astype(np.uint64)
+        valid = (type_ids >= 0) & (type_ids <= _ID_MAX) & (parts >= 0) & (parts <= _ID_MAX)
+        wanted = np.where(valid, parts, 0).astype(np.uint64) << np.uint64(32)
+        wanted |= np.where(valid, type_ids, 0).astype(np.uint64)
         at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
         missing = ~valid | (keys[at] != wanted)
         if missing.any():
-            raise KeyError(f"no channel for part {part}, type {int(type_ids[missing][0])}")
+            first = np.flatnonzero(missing.ravel())[0]
+            raise KeyError(
+                f"no channel for part {int(parts.flat[first])}, type {int(type_ids.flat[first])}"
+            )
         return rows[at]
 
-    def _part_rows(self, part: int, scale_index: int) -> np.ndarray:
-        """Atomic-tensor rows of every type channel of `part`, in table order."""
-        rows = np.flatnonzero(self.scales[scale_index].channel_table[:, 0] == part)
-        if part == 0 or rows.size == 0:
-            raise KeyError(f"no channels for part {part}")
-        return rows
+    def _part_channels(self, scale_index: int) -> tuple[np.ndarray, np.ndarray]:
+        """The part ids of the scale's channel table, sorted, and each part's
+        atomic-tensor rows in table order, padded with -1."""
+        if scale_index not in self._part_tables:
+            owner = self.scales[scale_index].channel_table[:, 0].astype(np.int64)
+            parts = np.unique(owner)
+            rows = [np.flatnonzero(owner == part) for part in parts]
+            padded = np.full((len(parts), max(map(len, rows))), -1, dtype=np.intp)
+            for i, part_rows in enumerate(rows):
+                padded[i, : len(part_rows)] = part_rows
+            self._part_tables[scale_index] = (parts, padded)
+        return self._part_tables[scale_index]
+
+    def _part_positions(self, parts, scale_index: int) -> np.ndarray:
+        """Row of each part id in the scale's `_part_channels`; a part with
+        no type channel raises KeyError."""
+        parts = np.asarray(parts, dtype=np.int64)
+        known = self._part_channels(scale_index)[0]
+        at = np.minimum(np.searchsorted(known, parts), len(known) - 1)
+        missing = (known[at] != parts) | (parts == 0)
+        if missing.any():
+            raise KeyError(f"no channels for part {int(parts[missing][0])}")
+        return at
 
     def marginal(self, part: int, scale_index: int = 0) -> np.ndarray:
         """p(part | pixel): type channels summed, as float64."""
         key = (part, scale_index)
         cached = self._marginals.get(key)
         if cached is None:
-            rows = self._part_rows(part, scale_index)
-            cached = _channel_sum(self.scales[scale_index].atomic[rows])
-            self._marginals[key] = cached
+            at = int(self._part_positions([part], scale_index)[0])
+            rows = self._part_channels(scale_index)[1][at]
+            maps = self.scales[scale_index]
+            if scale_index not in self._marginal_tables:
+                count = len(self._part_channels(scale_index)[0])
+                self._marginal_tables[scale_index] = (
+                    np.empty((count, maps.atomic[0].size)), np.zeros(count, dtype=bool)
+                )
+            table, built = self._marginal_tables[scale_index]
+            table[at] = _channel_sum(maps.atomic[rows[rows >= 0]]).ravel()
+            built[at] = True
+            cached = self._marginals[key] = table[at].reshape(maps.grid_shape)
         return cached
 
     def marginal_at(self, part: int, pixel: np.ndarray, scale_index: int = 0) -> np.ndarray:
         """`marginal(part, scale_index).ravel()[pixel]`, bit for bit, without
-        building the map: a cached map is read, otherwise only the part's
-        channels at `pixel` are summed, in the same channel order."""
+        building the map: a cached map is read, otherwise `marginals_at`."""
         cached = self._marginals.get((part, scale_index))
         if cached is not None:
             return cached.ravel()[pixel]
-        rows = self._part_rows(part, scale_index)
+        return self.marginals_at(np.full(np.shape(pixel), part), pixel, scale_index)
+
+    def marginals_at(self, parts, pixel, scale_index: int = 0) -> np.ndarray:
+        """p(parts[i] | pixel[i]) of 1-D arrays of part ids and flat pixel
+        indices, bit for bit as `marginal`, in one gather: of the built maps
+        if every part's is built, else of every pair's channels, which are
+        then summed in table order as float64."""
+        at = self._part_positions(parts, scale_index)
+        pixel = np.asarray(pixel)
+        if scale_index in self._marginal_tables:
+            table, built = self._marginal_tables[scale_index]
+            if built[at].all():
+                return table[at, pixel]
+        rows = self._part_channels(scale_index)[1][at]
         atomic = self.scales[scale_index].atomic
-        return _channel_sum(atomic.reshape(len(atomic), -1)[rows[:, None], pixel])
+        values = atomic.reshape(len(atomic), -1)[rows, pixel[:, None]].astype(np.float64)
+        values[rows < 0] = 0.0  # padding: adding +0.0 leaves a sum's bits unchanged
+        return np.cumsum(values, axis=1)[:, -1]  # left to right, as `_channel_sum`
 
     def composite_maps(self, part: int, scale_index: int = 0) -> CompositeMaps:
         maps = self.scales[scale_index].composite.get(part)
@@ -321,23 +376,26 @@ def log_marginals_at(stack: ScoreMapStack, parts, points, scale_index: int) -> n
 
 
 def log_type_prob_atomic(
-    stack: ScoreMapStack, part: int, labels, points, scale_index: int
+    stack: ScoreMapStack, part, labels, points, scale_index: int
 ) -> np.ndarray:
-    """Per row: floored log p(label | part, pixel) at an atomic part's point.
+    """Per item: floored log p(label | part, pixel) at an atomic part's point.
 
-    `labels` (H,) and `points` (H, 2) are per row, all read at one stored
-    scale; off-grid points read LOG_FLOOR.  Only the looked-up pixels are
-    gathered.
+    `labels` has any shape, `points` that shape plus (2,), and `part` is one
+    part id or an array of one per item; all are read at one stored scale,
+    and off-grid points read LOG_FLOOR.  Only the looked-up pixels are
+    gathered: the on-grid items of every part take one channel-key search,
+    one joint gather and one marginal gather (`marginals_at`).
     """
     labels = np.asarray(labels)
+    parts = np.broadcast_to(np.asarray(part, dtype=np.int64), labels.shape)
     pixel, on_grid = _pixels(np.asarray(points, dtype=float), stack.scales[scale_index].grid_shape)
-    pixel = pixel[on_grid]
+    pixel, parts = pixel[on_grid], parts[on_grid]
     atomic = stack.scales[scale_index].atomic
-    channels = stack.channel_rows(part, labels[on_grid], scale_index)
+    channels = stack.channel_rows(parts, labels[on_grid], scale_index)
     joint = atomic.reshape(len(atomic), -1)[channels, pixel].astype(np.float64)
-    denom = stack.marginal_at(part, pixel, scale_index)
+    denom = stack.marginals_at(parts, pixel, scale_index)
     cond = np.divide(joint, denom, out=np.zeros_like(joint), where=denom > 0.0)
-    out = np.full(len(labels), LOG_FLOOR)
+    out = np.full(labels.shape, LOG_FLOOR)
     out[on_grid] = np.log(np.maximum(cond, PROB_FLOOR))
     return out
 

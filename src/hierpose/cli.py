@@ -184,10 +184,18 @@ def cmd_train(args) -> int:
     )
 
     cache: dict = {}
+
+    def stack_of(image: str):
+        loaded = len(cache)
+        stack = _stack_for(image.split("#")[0], maps_path, cache)
+        if len(cache) > loaded:  # a newly loaded stack is checked before it is read
+            scoring.check_model(hierarchy, library, None, stack)
+        return stack
+
     training = scoring.build_training_set(
         positives,
         negatives,
-        lambda image: _stack_for(image.split("#")[0], maps_path, cache),
+        stack_of,
         hierarchy,
         library,
         bound,
@@ -299,6 +307,7 @@ def cmd_score(args) -> int:
     library = load_library(_input_path(doc, "libraries", base), hierarchy)
     weights = load_weights(_input_path(doc, "weights", base), hierarchy)
     stack = load_score_maps(_input_path(doc, "score_maps", base))
+    scoring.check_model(hierarchy, library, weights, stack)
     poses = load_annotations(_input_path(doc, "pose", base), hierarchy)
     bound = doc.get("max_angle", inference.DEFAULT_MAX_ANGLE)
     points = np.reshape([ann.points for ann in poses], (len(poses), hierarchy.atomic_count, 2))

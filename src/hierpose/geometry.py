@@ -143,10 +143,16 @@ def fit_least_squares_batch(
     if src.shape != dst.shape or src.ndim != 3 or src.shape[2] != 2 or src.shape[1] < 2:
         raise ValueError("src and dst must be matching (H, k, 2) arrays with k >= 2")
     max_angle = check_max_angle(bound)
-    rows, flat = src.shape[0], 2 * src.shape[1]
+    rows, k = src.shape[:2]
+    flat = 2 * k
 
-    src_mean = src.mean(axis=1)
-    dst_mean = dst.mean(axis=1)
+    # the means: numpy sums a middle axis point by point, in order, and so
+    # does this loop, with less overhead per row
+    src_sum, dst_sum = src[:, 0].copy(), dst[:, 0].copy()
+    for i in range(1, k):
+        src_sum += src[:, i]
+        dst_sum += dst[:, i]
+    src_mean, dst_mean = src_sum / k, dst_sum / k
     sc = src - src_mean[:, None]
     dc = dst - dst_mean[:, None]
     spread = (sc * sc).reshape(rows, flat).sum(axis=1)
@@ -166,11 +172,19 @@ def fit_least_squares_batch(
     )
     angle = _wrap_fitted(np.where(np.abs(angle) > max_angle, endpoint, angle))
 
-    gain = a * np.cos(angle) + b * np.sin(angle)
+    cos, sin = np.cos(angle), np.sin(angle)
+    gain = a * cos + b * sin
     scale = np.maximum(gain / spread, SCALE_FLOOR)
-    zero = np.zeros((rows, 2))
-    translation = dst_mean - transform_points(scale, angle, zero, src_mean[:, None])[:, 0]
-    fitted = transform_points(scale, angle, translation, src)
+    # `transform_points` of the source mean (plus a zero translation) and
+    # of the source points, with the cosine and sine computed once
+    x, y = scale * src_mean[:, 0], scale * src_mean[:, 1]
+    translation = dst_mean - (np.stack([cos * x - sin * y, sin * x + cos * y], axis=-1) + 0.0)
+    x, y = scale[:, None] * src[..., 0], scale[:, None] * src[..., 1]
+    cos, sin = cos[:, None], sin[:, None]
+    fitted = np.empty_like(src)
+    fitted[..., 0] = cos * x - sin * y
+    fitted[..., 1] = sin * x + cos * y
+    fitted += translation[:, None, :]
     residual = ((dst - fitted) ** 2).reshape(rows, flat).sum(axis=1)
     return scale, angle, translation, residual
 

@@ -4,22 +4,29 @@ Level-1 hypotheses are score-map peaks.  At each level above, exemplars are
 similarity-aligned onto randomly chosen pairs of lower hypotheses (atomic
 locations at level 2, composite anchors above), carrying over the exemplar's
 subtree and object size; every node of the subtree takes the drawn exemplar
-row, since row e of every node comes from one annotation.  From level 3 up, child
-subtrees may additionally be swapped with geometrically compatible lower
-hypotheses.  Exact copies are dropped (before the swap too), each distinct
-hypothesis is scored once, and near duplicates are pruned to the best Z per
-part, testing a block of ranked candidates against the kept rows in one
-array op.
-Surviving root hypotheses are refined per atomic part inside a disc and the
-best refined configuration wins (the first, in root order, on a tie).
+row, since row e of every node comes from one annotation.  From level 3 up,
+child subtrees may additionally be swapped with geometrically compatible
+lower hypotheses.  Exact copies are dropped (before the swap too), each
+distinct hypothesis is scored once, and near duplicates are pruned to the
+best Z per part, testing a block of ranked candidates against the kept rows
+in one array op.  Surviving root hypotheses are refined per atomic part
+inside a disc and the best refined configuration wins (the first, in root
+order, on a tie).
 
 A score is a sum of independent per-node terms, so each hypothesis keeps
-its terms, each either known or NaN (to be computed).  From level 3 up the
-distinct proposals get their children's subtree terms before the swap; a
-swapped hypothesis copies them, except the terms of the subtree it takes
-from the level below, which it carries from there (where its object size
-reads the same stored scale).  Scoring then fits the part's own node and
-whatever is still NaN.
+its terms, each either known or NaN (to be computed), and the terms of
+different parts can be computed together.  `infer` runs each level as
+stages over all of its parts: (1) propose for every part, each from its
+own random stream; from level 3 up, (2) drop exact copies, (3) give every
+part's proposals their children's subtree terms in one fill pass and (4)
+swap; then drop exact copies, (5) fill every remaining NaN term of every
+part's subtree in one more pass, and (6) prune each part.  A fill pass
+(`_fill_parts`, over `scoring.fill_terms`) makes one kernel call per child
+signature among the nodes it computes.  A swapped hypothesis copies its
+base row's terms, except those of the subtree it takes from the level
+below, which it carries from there (where its object size reads the same
+stored scale), so pass (5) fits the part's own node and whatever is still
+NaN.  `score_and_prune` is the one-part call of passes (5) and (6).
 
 The hypotheses of one part are one `HypothesisSet`: stacked locations
 (H, N, 2), an (H, C) exemplar index per composite node (-1 outside the
@@ -52,10 +59,12 @@ from .learning import ExemplarLibrary
 from .scoring import (
     WeightVector,
     best_fit_pose,
+    check_model,
+    fill_terms,
     refinement_score,
     refinement_scores,
     scale_indices,
-    subtree_terms,
+    subtree_scope,
     subtree_total,
 )
 
@@ -514,6 +523,8 @@ def _drop_copies(hyps: HypothesisSet, hierarchy: PartHierarchy) -> HypothesisSet
     """The first copy, in creation order, of each group of rows equal in
     subtree locations, subtree poses and object size (one unique over their
     bytes)."""
+    if not hyps:
+        return hyps
     rows = hierarchy.atom_rows(hyps.node_id)
     columns = [hierarchy.composite_index(n) for n in hierarchy.composites_below(hyps.node_id)]
     fields = (hyps.locations[:, rows], hyps.pose[:, columns], hyps.object_size[:, None])
@@ -533,34 +544,71 @@ def score_and_prune(
     bound: float = DEFAULT_MAX_ANGLE,
     counts: dict | None = None,
 ) -> HypothesisSet:
-    """Score each distinct hypothesis of one part once, deduplicate, keep the top z.
+    """Score each distinct hypothesis of one part once, deduplicate, keep the
+    top z: the one-part call of `_score_parts`."""
+    return _score_parts(
+        [hyps], stack, hierarchy, library, weights, z, dedup_radius, bound, counts
+    )[0]
+
+
+def _fill_parts(
+    sets: list[HypothesisSet], tops, stack, hierarchy, library, weights, bound, counts
+) -> list[HypothesisSet]:
+    """The sets, each with every NaN term of the subtrees of its `tops` (a
+    tuple of node ids per set) computed, in one `fill_terms` pass over the
+    rows of all of them."""
+    scope = np.concatenate([
+        subtree_scope(hierarchy, nodes, len(hyps)) for hyps, nodes in zip(sets, tops)
+    ])
+    fields = [[getattr(hyps, name) for hyps in sets]
+              for name in ("locations", "pose", "object_size", "terms")]
+    terms = fill_terms(
+        *(field[0] if len(sets) == 1 else np.concatenate(field) for field in fields),
+        scope, stack, hierarchy, library, weights, bound, counts,
+    )
+    ends = np.cumsum([len(hyps) for hyps in sets])[:-1]
+    return [replace(hyps, terms=part) for hyps, part in zip(sets, np.split(terms, ends))]
+
+
+def _score_parts(
+    sets: list[HypothesisSet],
+    stack: ScoreMapStack,
+    hierarchy: PartHierarchy,
+    library: ExemplarLibrary,
+    weights: WeightVector,
+    z: int,
+    dedup_radius: float,
+    bound: float,
+    counts: dict | None,
+) -> list[HypothesisSet]:
+    """Score each distinct hypothesis of several parts once, deduplicate,
+    keep the top z per part.
 
     Only the first copy, in creation order, of rows equal in subtree
     locations, subtree poses and object size (one unique over their bytes)
     is scored, by the pre-order sum of its subtree's node terms
-    (`subtree_total`).  A row's known terms are reused and its NaN terms
-    are computed by `subtree_terms`, one kernel call per subtree node that
-    has any.  Duplicates are hypotheses whose atomic locations all
-    lie within dedup_radius of a better-scoring survivor.  Scores that agree
-    to 1e-9 keep earlier creation order (see `prune_order`).  Returns the
-    kept rows, best first, with their scores and every subtree term;
-    `counts["scored"]` and `counts["kernel_rows"]`, if given, grow by the
-    number of rows scored and of (row, node) terms computed.
+    (`subtree_total`).  A row's known terms are reused, and the NaN terms
+    of every part's subtree are computed in one `fill_terms` pass, one
+    kernel call per child signature.  Duplicates are hypotheses whose atomic
+    locations all lie within dedup_radius of a better-scoring survivor.
+    Scores that agree to 1e-9 keep earlier creation order (see
+    `prune_order`).  Returns each part's kept rows, best first, with their
+    scores and every subtree term; `counts["scored"]`,
+    `counts["kernel_rows"]` and `counts["kernel_calls"]`, if given, grow by
+    the rows scored, the (row, node) terms computed and the kernel calls.
     """
-    if not hyps:
-        return hyps
-    hyps = _drop_copies(hyps, hierarchy)
-    terms = subtree_terms(
-        hyps.locations, hyps.node_id, hyps.pose, hyps.object_size,
-        stack, hierarchy, library, weights, bound, hyps.terms,
-    )
+    sets = [_drop_copies(hyps, hierarchy) for hyps in sets]
     if counts is not None:
-        counts["scored"] = counts.get("scored", 0) + len(hyps)
-        computed = int(np.isnan(hyps.terms).sum() - np.isnan(terms).sum())
-        counts["kernel_rows"] = counts.get("kernel_rows", 0) + computed
-    scores = subtree_total(terms, hyps.node_id, hierarchy)
-    kept = prune_order(scores, hyps.locations[:, hierarchy.atom_rows(hyps.node_id)], z, dedup_radius)
-    return replace(hyps, score=scores, terms=terms).take(kept)
+        counts["scored"] = counts.get("scored", 0) + sum(len(hyps) for hyps in sets)
+    sets = _fill_parts(
+        sets, [(hyps.node_id,) for hyps in sets], stack, hierarchy, library, weights, bound, counts
+    )
+    out = []
+    for hyps in sets:
+        scores = subtree_total(hyps.terms, hyps.node_id, hierarchy)
+        points = hyps.locations[:, hierarchy.atom_rows(hyps.node_id)]
+        out.append(replace(hyps, score=scores).take(prune_order(scores, points, z, dedup_radius)))
+    return out
 
 
 _REFINE_CHUNK = 8  # roots ranked per array pass; caps the padded window memory
@@ -726,14 +774,19 @@ def infer(
 ) -> InferenceResult:
     """Run the full inference procedure and return the best configuration.
 
-    Deterministic given the seed: each (level, part) has its own RNG
-    stream, derived from (seed, level, part index), and all proposal draws
-    of that part are taken from it in one array pass (`_draw_proposals`).
+    The model is checked against the stack first (`check_model`), and in
+    "no-hier" mode the collapsed model too, so a mismatch raises
+    `ModelMismatchError` before the search.  Deterministic given the seed:
+    each (level, part) has its own RNG stream, derived from (seed, level,
+    part index), and all proposal draws of that part are taken from it in
+    one array pass (`_draw_proposals`).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    check_model(hierarchy, library, weights, stack)
     if mode == "no-hier":
         hierarchy, library, weights = collapse_model(hierarchy, library, weights)
+        check_model(hierarchy, library, weights, stack)
 
     seeds = seed_atomic_hypotheses(stack, hierarchy, params)
     level_diags: list[dict] = []
@@ -750,29 +803,33 @@ def infer(
 
     lower: dict[int, HypothesisSet] = seeds
     for level in range(2, hierarchy.levels + 1):
-        current: dict[int, HypothesisSet] = {}
-        counts = {"proposed": 0, "augmented": 0, "scored": 0, "kernel_rows": 0}
-        for node_index, node in enumerate(hierarchy.nodes_at_level(level)):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(params.seed, spawn_key=(level, node_index))
+        nodes = hierarchy.nodes_at_level(level)
+        counts = {"proposed": 0, "augmented": 0, "scored": 0, "kernel_rows": 0, "kernel_calls": 0}
+        sets = [
+            propose_hypotheses(
+                node, lower, library, hierarchy, params,
+                np.random.default_rng(
+                    np.random.SeedSequence(params.seed, spawn_key=(level, index))
+                ),
             )
-            raw = propose_hypotheses(node, lower, library, hierarchy, params, rng)
-            counts["proposed"] += len(raw)
-            if level > 2 and raw:
-                raw = _drop_copies(raw, hierarchy)
-                terms = raw.terms
-                for child_id in node.children:
-                    terms = subtree_terms(
-                        raw.locations, child_id, raw.pose, raw.object_size,
-                        stack, hierarchy, library, weights, params.max_angle, terms,
-                    )
-                counts["kernel_rows"] += int(np.isnan(raw.terms).sum() - np.isnan(terms).sum())
-                raw = swap_subtrees(replace(raw, terms=terms), lower, stack, hierarchy, params)
-            counts["augmented"] += len(raw)
-            current[node.id] = score_and_prune(
-                raw, stack, hierarchy, library, weights,
-                params.z, params.dedup_radius, params.max_angle, counts=counts,
+            for index, node in enumerate(nodes)
+        ]
+        counts["proposed"] = sum(len(hyps) for hyps in sets)
+        if level > 2:
+            sets = [_drop_copies(hyps, hierarchy) for hyps in sets]
+            sets = _fill_parts(
+                sets, [node.children for node in nodes],
+                stack, hierarchy, library, weights, params.max_angle, counts,
             )
+            sets = [swap_subtrees(hyps, lower, stack, hierarchy, params) for hyps in sets]
+        counts["augmented"] = sum(len(hyps) for hyps in sets)
+        current = dict(zip(
+            (node.id for node in nodes),
+            _score_parts(
+                sets, stack, hierarchy, library, weights,
+                params.z, params.dedup_radius, params.max_angle, counts,
+            ),
+        ))
         kept = sum(len(v) for v in current.values())
         best = max(
             (float(hyps.score.max()) for hyps in current.values() if hyps), default=None

@@ -11,20 +11,23 @@ which is linear in the weights, so the same quantities double as the
 feature vector used for max-margin training.
 
 Every per-node (log-pose-prob, alignment score) pair comes from one batched
-kernel, `pose_terms`: for H hypotheses of a part it gathers each row's child
-geometry and exemplar, runs the bounded similarity fit on all rows at once,
-and looks the relation-type probabilities up at each row's stored scale.
-One rule, `scale_indices`, picks every stored scale read: the one nearest
-the scale a row's object size sets at the level read.  A part's spatial
-score is the pre-order sum (`subtree_total`) of its subtree's weighted node
-terms, which are independent of each other; `subtree_terms` computes them
-as an (H, C) matrix with at most one kernel call per subtree node, reading
-each row's exemplar per node from an (H, C) pose array (-1 outside the
-subtree).  Terms that are already known, such as those a swapped-in
-subtree carries from the level below, are passed in and not recomputed, so
-the kernel sees only the unknown (row, node) pairs; `subtree_score` is the
-sum for one hypothesis.  Every angle bound is one float, by default
-DEFAULT_MAX_ANGLE.
+kernel, `pose_terms`: for M (row, node) pairs whose nodes share a child
+signature it gathers each pair's child geometry and exemplar, runs the
+bounded similarity fit on all pairs at once, and looks the relation-type
+probabilities up at each pair's stored scale, all atomic children in one
+lookup.  One rule, `scale_indices`, picks every stored scale read: the one
+nearest the scale a row's object size sets at the level read.  A part's
+spatial score is the pre-order sum (`subtree_total`) of its subtree's
+weighted node terms, which are independent of each other.  `fill_terms`
+computes the wanted ones of H rows of any parts, kept as an (H, C) matrix
+with NaN where a term is unknown, reading each row's exemplar per node
+from an (H, C) pose array (-1 outside the subtree): known terms, such as
+those a swapped-in subtree carries from the level below, are not
+recomputed, and the pairs of all nodes with one child signature go to one
+kernel call.  `subtree_score` is the sum for one hypothesis.  Every angle
+bound is one float, by default DEFAULT_MAX_ANGLE.  `check_model` checks,
+before a search or a training run, that a hierarchy, library, weights and
+stack fit together, and raises `ModelMismatchError` if not.
 
 Training features come from one batched pass, `feature_matrix`: for S
 configurations, each read on its own score-map stack, it gathers the atomic
@@ -67,6 +70,8 @@ from .hierarchy import PartHierarchy, object_size
 from .learning import ExemplarLibrary, TrainingSet
 
 __all__ = [
+    "ModelMismatchError",
+    "check_model",
     "WeightVector",
     "save_weights",
     "load_weights",
@@ -75,7 +80,8 @@ __all__ = [
     "total_score",
     "pose_terms",
     "scale_indices",
-    "subtree_terms",
+    "fill_terms",
+    "subtree_scope",
     "subtree_total",
     "subtree_score",
     "refinement_score",
@@ -183,6 +189,71 @@ def load_weights(path, hierarchy: PartHierarchy) -> WeightVector:
 # -- scoring -----------------------------------------------------------------
 
 
+class ModelMismatchError(ValueError):
+    """A hierarchy, exemplar library, weights and score-map stack that do
+    not fit together."""
+
+
+def check_model(
+    hierarchy: PartHierarchy,
+    library: ExemplarLibrary,
+    weights: WeightVector | None,
+    stack: ScoreMapStack,
+) -> None:
+    """Raise `ModelMismatchError` unless a search can read all it needs.
+
+    The library must hold the hierarchy's composite nodes and one label
+    column per non-root part; `weights`, if
+    given (training has none yet), one atomic weight per atomic part and one
+    pose weight pair per composite node.  At every stored scale the stack
+    must hold a channel for each (atomic part, type) the library labels, and
+    maps for each non-root composite part with a type for each of its
+    labels.  The channels of all parts are found in one search per scale.
+    """
+    def compare(what: str, have, want) -> None:
+        if set(have) != set(want):
+            extra, missing = sorted(set(have) - set(want)), sorted(set(want) - set(have))
+            raise ModelMismatchError(
+                f"{what} do not match the hierarchy: extra {extra}, missing {missing}"
+            )
+
+    composites = [node.id for node in hierarchy.composite_nodes]
+    compare("library nodes", library.nodes, composites)
+    compare("library label parts", library.labels,
+            [node.id for node in hierarchy.nodes if node.id != hierarchy.root.id])
+    if weights is not None and (
+        len(weights.atomic), len(weights.pose_appearance)
+    ) != (hierarchy.atomic_count, len(composites)):
+        raise ModelMismatchError(
+            f"weights for {len(weights.atomic)} atomic parts and {len(weights.pose_appearance)} "
+            f"composite nodes, the hierarchy has {hierarchy.atomic_count} and {len(composites)}"
+        )
+    atoms = hierarchy.atomic_ids
+    parts = np.repeat(atoms, len(library.sources))
+    types = np.concatenate([library.labels[part] for part in atoms])
+    for index, maps in enumerate(stack.scales):
+        try:
+            stack.channel_rows(parts, types, index)
+        except KeyError as exc:
+            raise ModelMismatchError(f"{exc.args[0]} at scale {maps.scale}") from None
+        for part in library.labels:
+            if hierarchy.node(part).is_atomic:
+                continue
+            found = maps.composite.get(part)
+            if found is None:
+                raise ModelMismatchError(
+                    f"no composite maps for part {part} at scale {maps.scale}"
+                )
+            labels = library.labels[part]
+            bad = labels[(labels < 1) | (labels > len(found.data))]
+            if bad.size:
+                raise ModelMismatchError(
+                    f"no composite type {int(bad[0])} for part {part} "
+                    f"({len(found.data)} types) at scale {maps.scale}"
+                )
+
+
+
 def best_fit_pose(
     X: np.ndarray,
     node_id: int,
@@ -227,7 +298,7 @@ def _check_signature(signature, node_id: int, hierarchy: PartHierarchy) -> None:
 
 def pose_terms(
     locations: np.ndarray,
-    node_id: int,
+    nodes,
     exemplar_index: np.ndarray,
     size: np.ndarray,
     stack: ScoreMapStack,
@@ -235,24 +306,46 @@ def pose_terms(
     library: ExemplarLibrary,
     bound: float = DEFAULT_MAX_ANGLE,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(log-pose-probability, alignment score) of one node for H rows.
+    """(log-pose-probability, alignment score) of M (row, node) pairs.
 
-    `locations` is (H, N, 2), `exemplar_index` (H,) picks each row's exemplar
-    of the node and `size` (H,) is each row's object size, which sets the
-    score-map scale.  The alignment score is the negative residual of the
-    bounded least-squares fit of the exemplar's child geometry onto the row's.
+    `nodes` is one composite node id or (M,) ids of nodes that share one
+    child signature (`child_signature`).  `locations` (M, N, 2) holds each
+    pair's row, `exemplar_index` (M,) the exemplar of the pair's node and
+    `size` (M,) the row's object size, which sets the score-map scale.  The
+    alignment score is the negative residual of the bounded least-squares fit
+    of the exemplar's child geometry onto the row's.  All pairs share one
+    fit and, per stored scale, one relation-type lookup (`_log_pose_probs`);
+    each pair's terms are computed by the same arithmetic whatever else
+    shares the call.  Pairs of one node that are adjacent are handled as
+    one run, so callers pass them node by node.
     """
-    table = library.arrays(node_id)
-    _check_signature(table.signature, node_id, hierarchy)
     exemplar_index = np.asarray(exemplar_index, dtype=np.intp)
-    current = child_points(locations, node_id, hierarchy)
-    _, _, _, residual = fit_least_squares_batch(
-        table.geometry[exemplar_index], current, bound
-    )
+    nodes = np.broadcast_to(np.asarray(nodes, dtype=np.intp), exemplar_index.shape)
+    runs = _node_runs(nodes)
+    signature = child_signature(runs[0][0], hierarchy)
+    current = np.empty((len(nodes), sum(1 if kind == "atom" else 3 for kind in signature), 2))
+    exemplars = np.empty_like(current)
+    for node_id, run in runs:
+        table = library.arrays(node_id)
+        _check_signature(table.signature, node_id, hierarchy)
+        if table.signature != signature:
+            raise ValueError(
+                f"one kernel call needs one child signature: node {node_id} has "
+                f"{table.signature}, node {runs[0][0]} {signature}"
+            )
+        current[run] = child_points(locations[run], node_id, hierarchy)
+        exemplars[run] = table.geometry[exemplar_index[run]]
+    _, _, _, residual = fit_least_squares_batch(exemplars, current, bound)
     log_prob = _log_pose_probs(
-        node_id, library.labels, exemplar_index, current, size, stack, hierarchy
+        runs, library.labels, exemplar_index, current, size, stack, hierarchy
     )
     return log_prob, -residual
+
+
+def _node_runs(nodes: np.ndarray) -> list[tuple[int, slice]]:
+    """(node id, slice) of each run of equal adjacent entries of `nodes`."""
+    bounds = [0] + (np.flatnonzero(nodes[1:] != nodes[:-1]) + 1).tolist() + [len(nodes)]
+    return [(int(nodes[a]), slice(a, b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
 
 def scale_indices(
@@ -267,24 +360,58 @@ def scale_indices(
     )
 
 
-def _log_pose_probs(node_id, labels, exemplar_index, current, size, stack, hierarchy):
-    """Log-pose-probability of H rows: the floored log relation-type
-    probabilities of each row's exemplar labels, read at the row's child
-    geometry points `current` (H, K, 2) on the stored scale nearest the one
-    its object size (H,) sets; rows are grouped by that stored scale."""
-    node = hierarchy.node(node_id)
-    scale_index = scale_indices(size, node.level - 1, stack, hierarchy)
+def _log_pose_probs(runs, labels, exemplar_index, current, size, stack, hierarchy):
+    """Log-pose-probability of M (row, node) pairs whose nodes share one
+    child signature, given as (node id, slice of pairs) `runs`: the floored
+    log relation-type probabilities of each pair's exemplar labels, read at
+    its child geometry points `current` (M, K, 2) on the stored scale
+    nearest the one its object size (M,) sets at its node's level, and
+    added child by child (0 + c1 + c2 + ...).
+
+    Pairs are grouped by stored scale.  Per scale, the atomic children of
+    every pair are looked up in one `log_type_prob_atomic` call, and each
+    part that is a composite child in one `log_type_prob_composite` call.
+    """
+    size = np.asarray(size, dtype=float)
+    nodes = [hierarchy.node(node_id) for node_id, _ in runs]
+    atomic = [hierarchy.node(child).is_atomic for child in nodes[0].children]
+    children = np.empty((len(exemplar_index), len(atomic)), dtype=np.int64)
+    types = np.empty(children.shape, dtype=np.intp)
+    level = np.empty(len(exemplar_index), dtype=np.intp)
+    for node, (_, run) in zip(nodes, runs):
+        children[run] = node.children
+        for slot, child in enumerate(node.children):
+            types[run, slot] = labels[child][exemplar_index[run]]
+        level[run] = node.level
+    levels = sorted({node.level for node in nodes})
+    scale_index = np.empty(len(exemplar_index), dtype=np.intp)
+    for at in levels:
+        rows = slice(None) if len(levels) == 1 else level == at
+        scale_index[rows] = scale_indices(size[rows], at - 1, stack, hierarchy)
+    point = np.cumsum([0] + [1 if kind else 3 for kind in atomic])[:-1]  # first point per child
+    atoms = [slot for slot, kind in enumerate(atomic) if kind]
+    owners = {  # the parts that fill each composite child slot
+        slot: sorted({node.children[slot] for node in nodes})
+        for slot, kind in enumerate(atomic) if not kind
+    }
+    present = np.flatnonzero(np.bincount(scale_index, minlength=stack.n_scales)).tolist()
     log_prob = np.zeros(len(exemplar_index))
-    for idx in np.unique(scale_index).tolist():
-        rows = np.flatnonzero(scale_index == idx)
-        point = 0  # atomic children own one geometry point, composite ones three
-        for child in node.children:
-            atomic = hierarchy.node(child).is_atomic
-            lookup = log_type_prob_atomic if atomic else log_type_prob_composite
-            log_prob[rows] += lookup(
-                stack, child, labels[child][exemplar_index[rows]], current[rows, point], idx
+    for idx in present:
+        rows = slice(None) if len(present) == 1 else np.flatnonzero(scale_index == idx)
+        parts, kinds, points = children[rows], types[rows], current[rows]
+        values = np.empty(parts.shape)
+        if atoms:
+            values[:, atoms] = log_type_prob_atomic(
+                stack, parts[:, atoms], kinds[:, atoms], points[:, point[atoms]], idx
             )
-            point += 1 if atomic else 3
+        for slot, slot_parts in owners.items():
+            for part in slot_parts:
+                mine = slice(None) if len(slot_parts) == 1 else parts[:, slot] == part
+                values[mine, slot] = log_type_prob_composite(
+                    stack, part, kinds[mine, slot], points[mine, point[slot]], idx
+                )
+        for slot in range(len(atomic)):
+            log_prob[rows] += values[:, slot]
     return log_prob
 
 
@@ -316,48 +443,71 @@ def total_score(
     return float(weights.as_array() @ feature_vector(X, stack, hierarchy, library, bound))
 
 
-def subtree_terms(
+def fill_terms(
     locations: np.ndarray,
-    node_id: int,
     pose: np.ndarray,
     size: np.ndarray,
+    terms: np.ndarray,
+    scope: np.ndarray,
     stack: ScoreMapStack,
     hierarchy: PartHierarchy,
     library: ExemplarLibrary,
     weights: WeightVector,
     bound: float = DEFAULT_MAX_ANGLE,
-    terms: np.ndarray | None = None,
+    counts: dict | None = None,
 ) -> np.ndarray:
-    """(H, C) weighted spatial terms of H hypotheses of one part, using their
-    stored poses.
+    """A copy of `terms` (H, C) with every NaN term inside `scope` computed.
 
-    `pose` (H, C) holds each row's exemplar index per node of
-    `hierarchy.composite_nodes`.  Column j of the result holds node j's term
-    w_app * log-pose-prob + w_sim * alignment score, with the stored
-    exemplar, not a re-fit, for the nodes of the part's subtree, and NaN for
-    the others.  `terms` (H, C), if given, holds terms already known; only
-    its NaN entries of subtree nodes are computed, with one kernel call per
-    node that has any.
+    Row h of `locations` (H, N, 2), `pose` (H, C) and `size` (H,) is one
+    hypothesis, of any part; `pose` holds its exemplar index per node of
+    `hierarchy.composite_nodes`.  `scope` (H, C) marks the (row, node) pairs
+    whose terms are wanted; a known term is not recomputed.  Term (h, j) is
+    w_app * log-pose-prob + w_sim * alignment score of node j with row h's
+    stored exemplar, not a re-fit.  The pairs of all nodes that share a
+    child signature go to one `pose_terms` call, so a pass makes one kernel
+    call per signature that has any pair.  `counts["kernel_rows"]` and
+    `counts["kernel_calls"]`, if given, grow by the pairs computed and the
+    calls made.
     """
     pose = np.asarray(pose, dtype=np.intp)
     size = np.asarray(size, dtype=float)
-    out = np.full(pose.shape, np.nan) if terms is None else np.array(terms, dtype=float)
-    for composite in hierarchy.composites_below(node_id):
-        column = hierarchy.composite_index(composite)
-        rows = np.flatnonzero(np.isnan(out[:, column]))
-        if not rows.size:
-            continue
-        if rows.size == len(out):
-            rows = slice(None)  # every row: no gathered copies
-        index = pose[rows, column]
+    out = np.array(terms, dtype=float)
+    todo = np.asarray(scope, dtype=bool) & np.isnan(out)
+    ids = np.array([node.id for node in hierarchy.composite_nodes])
+    groups: dict[tuple[str, ...], list[int]] = {}
+    for column in np.flatnonzero(todo.any(axis=0)).tolist():
+        groups.setdefault(child_signature(int(ids[column]), hierarchy), []).append(column)
+    for columns in groups.values():
+        columns = np.array(columns)
+        slot, row = np.nonzero(todo[:, columns].T)  # node by node, rows in order
+        column = columns[slot]
+        index = pose[row, column]
         if np.any(index < 0):
-            raise ValueError(f"hypothesis subtree is missing a pose for node {composite}")
-        w_app, w_sim = weights.node_weights(hierarchy, composite)
+            raise ValueError(
+                f"hypothesis subtree is missing a pose for node {ids[column[index < 0][0]]}"
+            )
+        # one node's rows that form one block are passed as views, not copies
+        block = len(columns) == 1 and row[-1] - row[0] + 1 == len(row)
+        rows = slice(row[0], row[-1] + 1) if block else row
         log_prob, similarity = pose_terms(
-            locations[rows], composite, index, size[rows], stack, hierarchy, library, bound
+            locations[rows], ids[column], index, size[rows], stack, hierarchy, library, bound
         )
-        out[rows, column] = w_app * log_prob + w_sim * similarity
+        w_app, w_sim = weights.pose_appearance[column], weights.pose_similarity[column]
+        out[row, column] = w_app * log_prob + w_sim * similarity
+    if counts is not None:
+        counts["kernel_rows"] = counts.get("kernel_rows", 0) + int(todo.sum())
+        counts["kernel_calls"] = counts.get("kernel_calls", 0) + len(groups)
     return out
+
+
+def subtree_scope(hierarchy: PartHierarchy, node_ids, count: int) -> np.ndarray:
+    """(count, C) `fill_terms` scope that wants, on every row, each node of
+    the subtrees of `node_ids`."""
+    scope = np.zeros((count, len(hierarchy.composite_nodes)), dtype=bool)
+    scope[:, [
+        hierarchy.composite_index(c) for top in node_ids for c in hierarchy.composites_below(top)
+    ]] = True
+    return scope
 
 
 def subtree_total(terms: np.ndarray, node_id: int, hierarchy: PartHierarchy) -> np.ndarray:
@@ -379,11 +529,13 @@ def subtree_score(
     bound: float = DEFAULT_MAX_ANGLE,
 ) -> float:
     """Spatial score of one hypothesis with its stored poses: the
-    `subtree_total` of its `subtree_terms`, none known beforehand.  Atomic
-    parts score zero."""
-    terms = subtree_terms(
-        hypothesis.locations[None], hypothesis.node_id, hypothesis.pose[None],
-        [hypothesis.object_size], stack, hierarchy, library, weights, bound,
+    `subtree_total` of its subtree's terms (`fill_terms`), none known
+    beforehand.  Atomic parts score zero."""
+    pose = np.asarray(hypothesis.pose, dtype=np.intp)[None]
+    terms = fill_terms(
+        np.asarray(hypothesis.locations, dtype=float)[None], pose, [hypothesis.object_size],
+        np.full(pose.shape, np.nan), subtree_scope(hierarchy, [hypothesis.node_id], 1),
+        stack, hierarchy, library, weights, bound,
     )
     return float(subtree_total(terms, hypothesis.node_id, hierarchy)[0])
 
@@ -485,7 +637,8 @@ def feature_matrix(
         best, similarity = _best_fits(table.geometry, current, bound)
         for stack, rows in groups:
             out[rows, column] = _log_pose_probs(
-                node.id, library.labels, best[rows], current[rows], size[rows], stack, hierarchy
+                [(node.id, slice(None))], library.labels, best[rows], current[rows], size[rows],
+                stack, hierarchy,
             )
         out[:, column + 1] = similarity
         column += 2

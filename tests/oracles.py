@@ -18,7 +18,11 @@ in one batch to check the search; `naive_exhaustive_best_config` is its
 one-configuration-at-a-time loop.  `naive_relation_labels` is the scalar
 relation-type rule, one (row, part) at a time, as it was before the batched
 `RelationTypeModel.labels`; it takes boxes, anchors and object sizes from the
-one-configuration forms of the hierarchy helpers.
+one-configuration forms of the hierarchy helpers.  `per_node_subtree_terms`
+is the per-node fill that the grouped `fill_terms` replaced: one kernel call
+per node, each with one relation-type lookup per child, reading a cached
+marginal map where there is one, as the library did before its lookups were
+fused; the grouped fill must equal it bit for bit.
 """
 
 import itertools
@@ -28,13 +32,16 @@ from typing import NamedTuple
 import numpy as np
 from scipy import optimize
 
-from hierpose.appearance import LOG_FLOOR, PROB_FLOOR
-from hierpose.geometry import SimilarityTransform, fit_least_squares
+from hierpose.appearance import LOG_FLOOR, PROB_FLOOR, _pixels, log_type_prob_composite
+from hierpose.geometry import (
+    SimilarityTransform, child_points, fit_least_squares, fit_least_squares_batch,
+    transform_points,
+)
 from hierpose.hierarchy import object_size
 from hierpose.inference import Hypothesis, _draw_proposals
 from hierpose.learning import hinge_objective
 from hierpose.scoring import (
-    feature_length, feature_matrix, pose_terms, refinement_score, total_score,
+    feature_length, feature_matrix, pose_terms, refinement_score, scale_indices, total_score,
 )
 
 FLOOR = 1e-6
@@ -302,6 +309,112 @@ def naive_subtree_score(hypothesis, stack, hierarchy, library, weights, bound):
         )
 
     return recurse(hypothesis.node_id)
+
+
+def per_node_subtree_terms(locations, node_id, pose, size, stack, hierarchy, library, weights,
+                           bound, terms=None):
+    """(H, C) weighted terms of H hypotheses of one part, node by node: the
+    NaN entries of `terms` (or all, if None) of each subtree node, in
+    pre-order, with one `per_node_pose_terms` call per node that has any."""
+    pose = np.asarray(pose, dtype=np.intp)
+    size = np.asarray(size, dtype=float)
+    out = np.full(pose.shape, np.nan) if terms is None else np.array(terms, dtype=float)
+    for composite in hierarchy.composites_below(node_id):
+        column = hierarchy.composite_index(composite)
+        rows = np.flatnonzero(np.isnan(out[:, column]))
+        if not rows.size:
+            continue
+        index = pose[rows, column]
+        if np.any(index < 0):
+            raise ValueError(f"hypothesis subtree is missing a pose for node {composite}")
+        w_app, w_sim = weights.node_weights(hierarchy, composite)
+        log_prob, similarity = per_node_pose_terms(
+            locations[rows], composite, index, size[rows], stack, hierarchy, library, bound
+        )
+        out[rows, column] = w_app * log_prob + w_sim * similarity
+    return out
+
+
+def per_node_pose_terms(locations, node_id, exemplar_index, size, stack, hierarchy, library,
+                        bound):
+    """(log-pose-probability, alignment score) of H rows of one node: the
+    bounded fit of the stored exemplars and, per stored scale, one lookup
+    per child, added in child order."""
+    exemplar_index = np.asarray(exemplar_index, dtype=np.intp)
+    current = child_points(locations, node_id, hierarchy)
+    _, _, _, residual = fit_least_squares_batch(
+        library.arrays(node_id).geometry[exemplar_index], current, bound
+    )
+    node = hierarchy.node(node_id)
+    scale_index = scale_indices(size, node.level - 1, stack, hierarchy)
+    log_prob = np.zeros(len(exemplar_index))
+    for idx in np.unique(scale_index).tolist():
+        rows = np.flatnonzero(scale_index == idx)
+        point = 0
+        for child in node.children:
+            atomic = hierarchy.node(child).is_atomic
+            lookup = _one_part_log_type_prob_atomic if atomic else log_type_prob_composite
+            labels = library.labels[child][exemplar_index[rows]]
+            log_prob[rows] += lookup(stack, child, labels, current[rows, point], idx)
+            point += 1 if atomic else 3
+    return log_prob, -residual
+
+
+def _one_part_log_type_prob_atomic(stack, part, labels, points, scale_index):
+    """Floored log p(label | part, pixel) of one atomic part's rows, with the
+    part's marginal read from its cached map, or else summed from its
+    channels at the looked-up pixels in table order."""
+    labels = np.asarray(labels)
+    pixel, on_grid = _pixels(np.asarray(points, dtype=float), stack.scales[scale_index].grid_shape)
+    pixel = pixel[on_grid]
+    atomic = stack.scales[scale_index].atomic
+    flat = atomic.reshape(len(atomic), -1)
+    joint = flat[stack.channel_rows(part, labels[on_grid], scale_index), pixel].astype(np.float64)
+    cached = stack._marginals.get((part, scale_index))
+    if cached is not None:
+        denom = cached.ravel()[pixel]
+    else:
+        rows = np.flatnonzero(stack.scales[scale_index].channel_table[:, 0] == part)
+        if part == 0 or rows.size == 0:
+            raise KeyError(f"no channels for part {part}")
+        denom = flat[rows[0], pixel].astype(np.float64)
+        for row in rows[1:]:
+            denom += flat[row, pixel]
+    cond = np.divide(joint, denom, out=np.zeros_like(joint), where=denom > 0.0)
+    out = np.full(len(labels), LOG_FLOOR)
+    out[on_grid] = np.log(np.maximum(cond, PROB_FLOOR))
+    return out
+
+
+def reference_fit_least_squares_batch(src, dst, bound):
+    """`geometry.fit_least_squares_batch` as it was written before its means
+    and fitted points were computed in fewer passes: numpy means over the
+    point axis and two `transform_points`; the library fit must equal it
+    bit for bit."""
+    rows, flat = src.shape[0], 2 * src.shape[1]
+    src_mean = src.mean(axis=1)
+    dst_mean = dst.mean(axis=1)
+    sc = src - src_mean[:, None]
+    dc = dst - dst_mean[:, None]
+    spread = (sc * sc).reshape(rows, flat).sum(axis=1)
+    a = (sc * dc).reshape(rows, flat).sum(axis=1)
+    b = (sc[..., 0] * dc[..., 1] - sc[..., 1] * dc[..., 0]).sum(axis=1)
+    angle = np.where((a == 0.0) & (b == 0.0), 0.0, np.arctan2(b, a))
+    gain_pos = a * math.cos(bound) + b * math.sin(bound)
+    gain_neg = a * math.cos(bound) - b * math.sin(bound)
+    endpoint = np.where(
+        gain_pos > gain_neg, bound,
+        np.where(gain_neg > gain_pos, -bound, np.copysign(bound, angle)),
+    )
+    angle = np.where(np.abs(angle) > bound, endpoint, angle)
+    angle = np.where(angle <= -math.pi, angle + 2.0 * math.pi, angle)
+    gain = a * np.cos(angle) + b * np.sin(angle)
+    scale = np.maximum(gain / spread, 1e-9)
+    zero = np.zeros((rows, 2))
+    translation = dst_mean - transform_points(scale, angle, zero, src_mean[:, None])[:, 0]
+    fitted = transform_points(scale, angle, translation, src)
+    residual = ((dst - fitted) ** 2).reshape(rows, flat).sum(axis=1)
+    return scale, angle, translation, residual
 
 
 def naive_prune_order(scores, points, z, dedup_radius):

@@ -515,6 +515,28 @@ def test_marginal_at_equals_full_map_bit_for_bit(count, tiny_tail):
                     assert np.all(gathered == 1.0)
 
 
+@pytest.mark.parametrize("tiny_tail", [False, True])
+@pytest.mark.parametrize("built", [(), (1,), (1, 2)])
+def test_marginals_at_mixed_parts_equal_full_maps_bit_for_bit(built, tiny_tail):
+    """One `marginals_at` gather over pairs of several parts gives each pair
+    the bits of its part's full map, whether none, some or all of the maps
+    are built; with some unbuilt it sums channels in table order."""
+    rng = np.random.default_rng(3)
+    stack = unsorted_channel_stack(tiny_tail)
+    for scale_index, maps in enumerate(stack.scales):
+        for part in built:
+            stack.marginal(part, scale_index)
+        parts = rng.choice([1, 2], 30)
+        pixel = rng.integers(0, maps.atomic[0].size, 30)
+        gathered = stack.marginals_at(parts, pixel, scale_index)
+        full = np.array([
+            stack.marginal(int(part), scale_index).ravel()[p] for part, p in zip(parts, pixel)
+        ])
+        assert gathered.tobytes() == full.tobytes()
+    with pytest.raises(KeyError, match="no channels for part 0"):
+        stack.marginals_at([1, 0], [0, 0])
+
+
 def test_log_marginals_at_equals_floored_log_of_full_map():
     stack = unsorted_channel_stack()
     points = np.array([[[0.2, 0.4], [5.6, 4.5], [3.0, 2.0], [-1.0, 0.0]],

@@ -794,8 +794,10 @@ def test_infer_no_solution_exit_2(workspace, tiny3):
     from hierpose.learning import load_library
 
     library = load_library(workspace / "library.hpel", tiny3)
-    table = [(0, 0)] + [(p, 1) for p in tiny3.atomic_ids]
-    atomic = np.full((7, 12, 12), 1.0 / 7.0, dtype=np.float32)
+    table = [(0, 0)] + [
+        (p, m) for p in tiny3.atomic_ids for m in range(1, library.atomic_bins[p] + 1)
+    ]
+    atomic = np.full((len(table), 12, 12), 1.0 / len(table), dtype=np.float32)
     composite = {
         part: CompositeMaps(part, 2, np.full((bins, 12, 12), 1.0 / bins, dtype=np.float32))
         for part, bins in library.composite_bins.items()
@@ -804,6 +806,40 @@ def test_infer_no_solution_exit_2(workspace, tiny3):
     save_score_maps(flat, workspace / "flat.hpsm")
     config = infer_config(workspace, name="flat.json", score_maps="flat.hpsm")
     assert main(["infer", str(config)]) == 2
+
+
+def test_infer_stack_with_fewer_types_exit_1(workspace, tiny3, capsys):
+    """A stack with fewer atomic types than the library labels is a model
+    mismatch: `infer` exits 1 before the search, naming the part, the type
+    and the scale, in every mode."""
+    import numpy as np
+
+    from hierpose.appearance import ScaleMaps, ScoreMapStack, save_score_maps
+
+    stack = load_score_maps(workspace / "scenes" / "scene_0" / "maps.hpsm")
+    maps = stack.scales[0]
+    keep = maps.channel_table[:, 1] <= 1
+    atomic = maps.atomic[keep] / maps.atomic[keep].sum(axis=0)
+    save_score_maps(
+        ScoreMapStack([ScaleMaps(1.0, maps.channel_table[keep], atomic, maps.composite)]),
+        workspace / "fewer.hpsm",
+    )
+    config = infer_config(workspace, name="fewer.json", score_maps="fewer.hpsm")
+    for mode in ("full", "partial", "no-hier"):
+        assert main(["infer", str(config), "--mode", mode]) == 1
+        err = capsys.readouterr().err
+        assert re.search(r"no channel for part \d+, type \d+ at scale 1\.0", err)
+
+
+def test_train_library_with_more_types_than_the_stack_exit_1(workspace, capsys):
+    """`train` checks each stack against the model when it loads it: a type
+    model with more atomic bins than the score maps hold exits 1."""
+    types = {"atomic_bins": 24, "composite_bins": 2, "seed": 0}
+    config = train_config(workspace, name="more_bins.json", type_model=types)
+    assert main(["train", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"no channel for part \d+, type \d+ at scale 1\.0", err)
+    assert not (workspace / "out" / "trained.json").exists()
 
 
 def test_score_matches_total_score_per_pose(shared_workspace, capsys):

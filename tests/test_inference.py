@@ -31,7 +31,7 @@ from hierpose.inference import (
     seed_atomic_hypotheses,
     swap_subtrees,
 )
-from hierpose.scoring import subtree_terms, subtree_total
+from hierpose.scoring import fill_terms, subtree_scope, subtree_total
 from hierpose.synth import generate_pose, make_scene
 
 from conftest import annotations_tiny3, bird_annotations, library_for
@@ -107,8 +107,10 @@ def test_seed_truncates_to_budget(tiny3):
 
 def test_infer_flat_maps_no_configuration(tiny3_setup):
     hierarchy, annotations, library = tiny3_setup
-    table = [(0, 0)] + [(p, 1) for p in hierarchy.atomic_ids]
-    atomic = np.full((7, 16, 16), 1.0 / 7.0, dtype=np.float32)
+    table = [(0, 0)] + [
+        (p, m) for p in hierarchy.atomic_ids for m in range(1, library.atomic_bins[p] + 1)
+    ]
+    atomic = np.full((len(table), 16, 16), 1.0 / len(table), dtype=np.float32)
     composite = {}
     from hierpose.appearance import CompositeMaps
 
@@ -367,8 +369,9 @@ def test_prune_ties_keep_creation_order_under_round_off(tiny3_setup):
     node = hierarchy.nodes_at_level(2)[0]
     hyps = propose_hypotheses(node, seeds, library, hierarchy, params, np.random.default_rng(0))
     locations = hyps.locations
-    terms = subtree_terms(
-        locations, node.id, hyps.pose, hyps.object_size, scene.stack, hierarchy, library, weights,
+    terms = fill_terms(
+        locations, hyps.pose, hyps.object_size, hyps.terms,
+        subtree_scope(hierarchy, [node.id], len(hyps)), scene.stack, hierarchy, library, weights,
     )
     scores = subtree_total(terms, node.id, hierarchy)
     points = locations[:, hierarchy.atom_rows(node.id)]

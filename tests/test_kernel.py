@@ -17,9 +17,11 @@ from scipy import stats
 
 from hierpose import Annotation, ExemplarLibrary, WeightVector, inference, load_hierarchy, scoring
 from hierpose.appearance import LOG_FLOOR, ScaleMaps, ScoreMapStack
-from hierpose.geometry import fit_least_squares_batch
+from hierpose.geometry import child_signature, fit_least_squares_batch
 from hierpose.hierarchy import object_size
 from hierpose.inference import (
+    MODES,
+    collapse_model,
     Hypothesis,
     HypothesisSet,
     InferenceParams,
@@ -34,17 +36,22 @@ from hierpose.inference import (
     swap_subtrees,
 )
 from hierpose.scoring import (
+    ModelMismatchError,
     best_fit_pose,
+    check_model,
     feature_matrix,
+    fill_terms,
     pose_terms,
     scale_indices,
-    subtree_terms,
+    subtree_scope,
     subtree_total,
 )
 from hierpose.synth import make_scene
 
 import oracles
-from conftest import annotations_tiny3, library_for, limbs4_doc, random_stack, tiny3_doc
+from conftest import (
+    CONFIG_DIR, annotations_tiny3, library_for, limbs4_doc, random_stack, tiny3_doc,
+)
 
 GRID = 20
 # limbs4 has reference length 25: object sizes below 37.5 read the 1.0 scale,
@@ -94,9 +101,10 @@ def as_hypothesis(hierarchy, node_id, locations, pose, size):
 def stored_pose_scores(locations, node_id, pose, sizes, stack, hierarchy, library, weights,
                        bound=oracles.MAX_ANGLE):
     """Spatial scores of H rows with their stored poses: the `subtree_total`
-    of their `subtree_terms`, none known beforehand."""
-    terms = subtree_terms(
-        locations, node_id, pose, sizes, stack, hierarchy, library, weights, bound
+    of their subtree's terms, none known beforehand."""
+    terms = fill_terms(
+        locations, pose, sizes, np.full(np.shape(pose), np.nan),
+        subtree_scope(hierarchy, [node_id], len(pose)), stack, hierarchy, library, weights, bound,
     )
     return subtree_total(terms, node_id, hierarchy)
 
@@ -149,6 +157,28 @@ def test_kernel_rows_span_both_scales_and_clamped_fits():
         )
         assert angle[row] == pytest.approx(naive_angle, abs=1e-12)
         assert residual[row] == pytest.approx(naive_residual, rel=1e-9, abs=1e-9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 40),
+    k=st.sampled_from([2, 3, 6, 9, 12]),
+    bound=st.sampled_from([oracles.MAX_ANGLE, 0.2, 1.0, math.pi]),
+)
+def test_batched_fit_equals_its_reference_bit_for_bit(seed, rows, k, bound):
+    """The bounded fit gives the bits of `oracles.reference_fit_least_squares_batch`,
+    the same arithmetic with numpy means and `transform_points`, on points
+    spread over many magnitudes so that any other order of additions
+    shows."""
+    rng = np.random.default_rng(seed)
+    src, dst = (
+        rng.normal(size=(rows, k, 2)) * 10.0 ** rng.uniform(-6, 6, (rows, k, 2)) for _ in range(2)
+    )
+    ours = fit_least_squares_batch(src, dst, bound)
+    reference = oracles.reference_fit_least_squares_batch(src, dst, bound)
+    for got, want in zip(ours, reference):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_batched_fit_matches_scalar_fit():
@@ -261,12 +291,11 @@ def test_exact_copies_change_no_kept_row_or_score_bit(data):
 def with_child_terms(hyps, stack, hierarchy, library, weights):
     """The rows with every term of their children's subtrees computed, as
     `infer` gives the distinct proposals before the swap."""
-    terms = hyps.terms
-    for child_id in hierarchy.node(hyps.node_id).children:
-        terms = subtree_terms(
-            hyps.locations, child_id, hyps.pose, hyps.object_size,
-            stack, hierarchy, library, weights, oracles.MAX_ANGLE, terms,
-        )
+    terms = fill_terms(
+        hyps.locations, hyps.pose, hyps.object_size, hyps.terms,
+        subtree_scope(hierarchy, hierarchy.node(hyps.node_id).children, len(hyps)),
+        stack, hierarchy, library, weights, oracles.MAX_ANGLE,
+    )
     return replace(hyps, terms=terms)
 
 
@@ -388,7 +417,129 @@ def test_score_and_prune_scores_each_distinct_row_once(data):
             z=4, dedup_radius=2.0, counts=counts,
         )
     assert rows_seen == [bases + swapped]
-    assert counts == {"scored": bases + swapped, "kernel_rows": bases + swapped}
+    assert counts == {"scored": bases + swapped, "kernel_rows": bases + swapped, "kernel_calls": 1}
+
+
+# -- grouped fill ----------------------------------------------------------------
+
+
+FILL_DOCS = {**DOCS, "human": lambda: CONFIG_DIR / "human_hierarchy.json"}
+
+
+@lru_cache(maxsize=None)
+def fill_model(name: str, scales: tuple[float, ...]):
+    """`model(name)` with the human hierarchy too, on the given stored scales."""
+    hierarchy = load_hierarchy(FILL_DOCS[name]())
+    rng = np.random.default_rng(7)
+    annotations = [
+        Annotation(f"a{k}", rng.random((hierarchy.atomic_count, 2)) * 16 + 2)
+        for k in range(4)
+    ]
+    # nine types per part: more than numpy's pairwise sum adds one at a time,
+    # so a marginal summed in another order than table order shows
+    library, types = library_for(hierarchy, annotations, atomic_bins=9, composite_bins=3)
+    stack = random_stack(
+        hierarchy, types.atomic_bins_map(hierarchy), types.composite_bins_map(), rng,
+        grid=(GRID, GRID), scales=scales,
+    )
+    return hierarchy, library, stack
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_grouped_fill_equals_the_per_node_oracle_bit_for_bit(data):
+    """One `fill_terms` pass over the rows of all parts of a level computes
+    every wanted (row, node) term with the bits of the per-node path it
+    replaced (`oracles.per_node_subtree_terms`: one kernel call per node,
+    one lookup per child, built marginal maps read where there are some),
+    keeps every known or unwanted term, and makes one kernel call per child
+    signature: on tiny3, limbs4 and human, on one stored scale and on three,
+    with off-grid points, with known and NaN terms mixed, and with the
+    parts' own subtrees, their children's or any of their nodes in scope."""
+    name = data.draw(st.sampled_from(sorted(FILL_DOCS)))
+    scales = data.draw(st.sampled_from([(1.0,), (0.7, 1.0, 1.4)]))
+    hierarchy, library, shared = fill_model(name, scales)
+    stack = ScoreMapStack(list(shared.scales))  # no marginal map built yet
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    for part in hierarchy.atomic_ids:
+        for index in range(stack.n_scales):
+            if data.draw(st.booleans()):
+                stack.marginal(part, index)
+    weights = random_weights(hierarchy, rng)
+    level = data.draw(st.integers(2, hierarchy.levels))
+    wanted_nodes = data.draw(st.sampled_from(["own", "children", "some"]))
+    forget = data.draw(st.sampled_from([0.3, 1.0]))
+    blocks, expected = [], []
+    for node in hierarchy.nodes_at_level(level):
+        count = data.draw(st.integers(0, 5))
+        locations, pose, _ = random_rows(
+            hierarchy, library, node.id, count, rng, data.draw(st.booleans())
+        )
+        size = hierarchy.scale.reference_length * rng.uniform(0.5, 1.6, count)
+        tops = node.children if wanted_nodes == "children" else (node.id,)
+        scope = subtree_scope(hierarchy, tops, count)
+        if wanted_nodes == "some":
+            scope &= rng.random(scope.shape) < 0.5
+        known = rng.normal(size=pose.shape)
+        known[rng.random(pose.shape) < forget] = np.nan
+        terms = known
+        for top in tops:
+            terms = oracles.per_node_subtree_terms(
+                locations, top, pose, size, stack, hierarchy, library, weights,
+                oracles.MAX_ANGLE, terms,
+            )
+        blocks.append((locations, pose, size, known, scope))
+        expected.append(np.where(scope, terms, known))
+    locations, pose, size, known, scope = (np.concatenate(field) for field in zip(*blocks))
+    wanted = scope & np.isnan(known)
+    signatures = {
+        child_signature(node.id, hierarchy)
+        for node, column in zip(hierarchy.composite_nodes, wanted.T) if column.any()
+    }
+    calls, kernel = [], scoring.pose_terms
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    counts = {}
+    with mock.patch.object(scoring, "pose_terms", counted):
+        terms = fill_terms(
+            locations, pose, size, known, scope, stack, hierarchy, library, weights,
+            oracles.MAX_ANGLE, counts,
+        )
+    assert np.array_equal(terms, np.concatenate(expected), equal_nan=True)
+    assert np.array_equal(terms[~wanted], known[~wanted], equal_nan=True)
+    assert len(calls) == len(signatures)
+    assert counts == {"kernel_rows": int(wanted.sum()), "kernel_calls": len(signatures)}
+
+
+def test_one_kernel_call_takes_nodes_of_one_child_signature_only():
+    """`pose_terms` computes the pairs of several nodes in one call only when
+    their children are of the same kinds; nodes of two signatures raise."""
+    hierarchy, library, stack = model("tiny3")
+    rng = np.random.default_rng(2)
+    locations, poses, sizes = random_rows(hierarchy, library, hierarchy.root.id, 4, rng)
+    index = poses[:, hierarchy.composite_index(10)]
+    same = pose_terms(locations, [10, 10, 11, 11], index, sizes, stack, hierarchy, library)
+    assert all(np.isfinite(terms).all() for terms in same)
+    with pytest.raises(ValueError, match="one child signature"):
+        pose_terms(locations, [10, 10, 20, 20], index, sizes, stack, hierarchy, library)
+
+
+def test_grouped_fill_inputs_reach_scales_off_grid_points_and_several_nodes_per_call():
+    """The property test's inputs reach what it is meant to cover: rows of
+    every stored scale of a 3-scale stack, off-grid child points, and calls
+    that mix several nodes."""
+    hierarchy, library, stack = fill_model("human", (0.7, 1.0, 1.4))
+    rng = np.random.default_rng(1)
+    sizes = hierarchy.scale.reference_length * rng.uniform(0.5, 1.6, 200)
+    assert set(scale_indices(sizes, 1, stack, hierarchy).tolist()) == {0, 1, 2}
+    limbs = [node.id for node in hierarchy.nodes_at_level(2)
+             if len(node.children) == 3]
+    assert len(limbs) == 4
+    locations, _, _ = random_rows(hierarchy, library, limbs[0], 200, rng, off_grid=True)
+    assert np.any((locations < 0) | (locations >= GRID))
 
 
 # -- typed-error parity ----------------------------------------------------------
@@ -507,6 +658,89 @@ def test_error_parity_composite_label_out_of_range(label):
     )
     poses[:, hierarchy.composite_index(20)] = [0, 0, 1, 0]
     check_parity(KeyError, hierarchy, library, stack, locations, poses, sizes)
+
+
+# -- model checks ----------------------------------------------------------------
+
+
+def stack_with_fewer_types(stack, scale_index, part, types):
+    """Copy of a stack whose atomic part `part` (or composite part, if it has
+    maps) keeps only its first `types` types at one scale."""
+    scales = []
+    for i, maps in enumerate(stack.scales):
+        table, atomic, comps = maps.channel_table, maps.atomic, dict(maps.composite)
+        if i == scale_index and part in comps:
+            comps[part] = replace(comps[part], data=comps[part].data[:types])
+        elif i == scale_index:
+            keep = (table[:, 0] != part) | (table[:, 1] <= types)
+            table, atomic = table[keep], atomic[keep]
+        scales.append(ScaleMaps(maps.scale, table, atomic, comps))
+    return ScoreMapStack(scales)
+
+
+CASES = ("channel", "composite maps", "atomic bins", "composite bins", "missing nodes",
+         "extra nodes", "weights")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_mismatched_model_never_reaches_the_search(data):
+    """`infer`, in every mode, raises `ModelMismatchError` before the search
+    for a stack that lacks a channel, composite maps or types the library
+    labels, or a library or weights with extra or missing nodes; a
+    lookup `KeyError` from the kernel never escapes.  Stack errors name the
+    part, the type where there is one, and the scale."""
+    hierarchy, library, stack = model(data.draw(st.sampled_from(sorted(DOCS))))
+    weights = WeightVector.uniform(hierarchy)
+    case = data.draw(st.sampled_from(CASES))
+    index = data.draw(st.integers(0, stack.n_scales - 1))
+    atoms = hierarchy.atomic_ids
+    composites = [p for p in library.labels if not hierarchy.node(p).is_atomic]
+    flat = collapse_model(hierarchy, library, weights)
+    if case == "channel":
+        part = data.draw(st.sampled_from(atoms))
+        label = data.draw(st.sampled_from(sorted(set(library.labels[part].tolist()))))
+        stack, message = stack_without(stack, index, channel=(part, label)), f"part {part}, type"
+    elif case == "composite maps":
+        part = data.draw(st.sampled_from(composites))
+        stack, message = stack_without(stack, index, composite=part), f"part {part}"
+    elif case in ("atomic bins", "composite bins"):
+        part = data.draw(st.sampled_from(atoms if case == "atomic bins" else composites))
+        stack = stack_with_fewer_types(stack, index, part, int(library.labels[part].max()) - 1)
+        message = f"type {int(library.labels[part].max())}"
+    elif case == "missing nodes":
+        library, message = flat[1], "missing"
+    elif case == "extra nodes":
+        hierarchy, message = flat[0], "extra"
+    else:
+        weights, message = flat[2], "weights"
+    if case in ("channel", "composite maps", "atomic bins", "composite bins"):
+        message += f".* at scale {stack.scales[index].scale}"
+    with pytest.raises(ModelMismatchError, match=message):
+        check_model(hierarchy, library, weights, stack)
+    for mode in MODES:
+        with pytest.raises(ModelMismatchError, match=message):
+            inference.infer(stack, hierarchy, library, weights, InferenceParams(z=2), mode)
+
+
+def test_every_model_check_case_reaches_the_kernel_without_the_check():
+    """Each stack case of the property above is a real mismatch: with
+    `check_model` skipped, the search fails inside the kernel with a
+    `KeyError`."""
+    hierarchy, library, stack = model("tiny3")
+    weights = WeightVector.uniform(hierarchy)
+    label = int(library.labels[1].max())
+    bad = [
+        stack_without(stack, 0, channel=(1, label)),
+        stack_without(stack, 0, composite=10),
+        stack_with_fewer_types(stack, 0, 1, label - 1),
+        stack_with_fewer_types(stack, 0, 10, int(library.labels[10].max()) - 1),
+    ]
+    params = InferenceParams(z=30, samples_per_level=600)
+    with mock.patch.object(inference, "check_model", lambda *args: None):
+        for broken in bad:
+            with pytest.raises(KeyError):
+                inference.infer(broken, hierarchy, library, weights, params)
 
 
 # -- batched features ------------------------------------------------------------

@@ -24,6 +24,7 @@ import hierpose
 from hierpose import (
     InferenceParams, WeightVector, appearance, infer, learning, load_hierarchy, scoring,
 )
+from hierpose.geometry import child_signature
 from hierpose.inference import _ROW_FIELDS, HypothesisSet
 from hierpose.synth import make_scene
 
@@ -191,30 +192,83 @@ def test_one_scale_rule_and_no_none_angle_bound():
 @pytest.mark.parametrize(
     "doc, annotations, grid, calls",
     [
-        (tiny3_doc(), annotations_tiny3(4), (48, 48), 5),
-        (CONFIG_DIR / "human_hierarchy.json", human_annotations(4), (96, 96), 20),
+        (tiny3_doc(), annotations_tiny3(4), (48, 48), 3),
+        (CONFIG_DIR / "human_hierarchy.json", human_annotations(4), (96, 96), 11),
     ],
     ids=["tiny3", "human"],
 )
-def test_infer_calls_the_kernel_once_per_part_and_subtree_node(doc, annotations, grid, calls):
+def test_infer_calls_the_kernel_once_per_stage_level_and_signature(doc, annotations, grid, calls):
     """On one stored scale a full `infer` calls `scoring.pose_terms` once per
-    composite part and node of its subtree: the children's nodes before the
-    swap and the part's own node after it.  A pass that fits a node twice,
-    such as the part's own node before the swap too, fails here."""
+    (stage, level, child signature): from level 3 up, once per signature of
+    the children's subtree nodes before the swap, and at every level once
+    per signature of the level's own nodes after it, with the nodes of all
+    parts that share a signature in one call.  A pass that splits a
+    signature, or fits a node twice, fails here; so does a level whose
+    `kernel_calls` disagrees with the calls made."""
     hierarchy = load_hierarchy(doc)
     library, _ = library_for(hierarchy, annotations)
     scene = make_scene(library, hierarchy, seed=0, grid=grid)
-    expected = sorted(
-        node for part in hierarchy.composite_nodes for node in hierarchy.composites_below(part.id)
-    )
+    expected = []
+    for level in range(2, hierarchy.levels + 1):
+        nodes = hierarchy.nodes_at_level(level)
+        below = [
+            c for node in nodes for part in node.children for c in hierarchy.composites_below(part)
+        ]
+        for stage in (below, [node.id for node in nodes]):
+            signatures = {}
+            for node in stage:
+                signatures.setdefault(child_signature(node, hierarchy), []).append(node)
+            expected += [(level, sorted(group)) for group in signatures.values()]
     assert len(expected) == calls
     kernel, made = scoring.pose_terms, []
 
-    def counted(locations, node_id, *args, **kwargs):
-        made.append(node_id)
-        return kernel(locations, node_id, *args, **kwargs)
+    def counted(locations, nodes, *args, **kwargs):
+        made.append(sorted(set(np.broadcast_to(nodes, len(locations)).tolist())))
+        return kernel(locations, nodes, *args, **kwargs)
 
     params = InferenceParams(z=4, samples_per_level=80, seed=0)
     with mock.patch.object(scoring, "pose_terms", counted):
-        infer(scene.stack, hierarchy, library, WeightVector.uniform(hierarchy), params)
-    assert sorted(made) == expected
+        result = infer(scene.stack, hierarchy, library, WeightVector.uniform(hierarchy), params)
+    assert sorted(made) == sorted(group for _, group in expected)
+    per_level = [level.get("kernel_calls") for level in result.diagnostics["levels"]]
+    assert per_level == [None] + [
+        sum(level == at for at, _ in expected) for level in range(2, hierarchy.levels + 1)
+    ]
+
+
+def test_three_scales_add_at_most_one_call_per_signature_and_level():
+    """On a 0.7/1.0/1.4 human stack, a swapped row whose carried child terms
+    were read at another stored scale recomputes them in the level's one
+    scoring pass, beside the part's own node: each level makes no more
+    kernel calls than on one stored scale plus one per child signature of
+    the nodes below it, and its `kernel_calls` counts the calls made."""
+    hierarchy = load_hierarchy(CONFIG_DIR / "human_hierarchy.json")
+    library, _ = library_for(hierarchy, human_annotations(4))
+    weights = WeightVector.uniform(hierarchy)
+    kernel, made = scoring.pose_terms, []
+
+    def counted(*args, **kwargs):
+        made.append(1)
+        return kernel(*args, **kwargs)
+
+    calls = {}
+    for scales in ((1.0,), (0.7, 1.0, 1.4)):
+        for seed in (0, 1, 2):
+            scene = make_scene(library, hierarchy, seed=seed, grid=(96, 96), scales=scales)
+            params = InferenceParams(z=4, samples_per_level=80, seed=seed)
+            made.clear()
+            with mock.patch.object(scoring, "pose_terms", counted):
+                result = infer(scene.stack, hierarchy, library, weights, params)
+            levels = [level["kernel_calls"] for level in result.diagnostics["levels"][1:]]
+            assert sum(levels) == len(made)
+            calls[scales, seed] = levels
+    assert any(calls[(0.7, 1.0, 1.4), seed] != calls[(1.0,), seed] for seed in (0, 1, 2))
+    for seed in (0, 1, 2):
+        for level, (one, three) in enumerate(
+            zip(calls[(1.0,), seed], calls[(0.7, 1.0, 1.4), seed]), start=2
+        ):
+            below = {
+                child_signature(node.id, hierarchy)
+                for node in hierarchy.composite_nodes if node.level < level
+            }
+            assert three <= one + len(below)
