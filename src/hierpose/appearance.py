@@ -7,13 +7,13 @@ stand in for whatever produced the detection scores; the library only reads
 them.  Every lookup gathers nearest pixels at one stored scale (callers
 group their rows by the stored scale nearest each row's scale) and clamps
 probabilities at a 1e-6 floor before taking logs.  Channels are found by
-(part, type) key in a sorted key array per scale.  A full p(part | pixel)
-map is built only for peak seeding (`top_peaks`); every other marginal
-lookup reads those maps if they are built and otherwise sums the parts'
-channels at the looked-up pixels only, with the same bits either way:
-`ScoreMapStack.marginal_at` for one part, and `marginals_at` in one gather
-for pairs of any parts.  The type ids of those channels come from one
-batched rule, `RelationTypeModel.labels`.
+(part, type) key in a sorted key array per scale.  The marginal
+p(part | pixel) has one form, a per-scale table of every part's map, which
+only peak seeding (`top_peaks`, through `ScoreMapStack.marginal`) builds;
+every other marginal lookup is one `marginals_at` gather, of that table if
+it is built and otherwise of the parts' channels at the looked-up pixels
+only, summed with the same bits.  The type ids of those channels come from
+one batched rule, `RelationTypeModel.labels`.
 """
 
 from __future__ import annotations
@@ -105,10 +105,10 @@ class ScaleMaps:
 
 
 class ScoreMapStack:
-    """Immutable multi-scale stack.  The full marginal map of a part is
-    built and cached only when `marginal` is asked for it; `marginal_at` and
-    `marginals_at` read the maps if they are cached and gather at pixels
-    otherwise."""
+    """Immutable multi-scale stack.  A scale's marginal maps are built once,
+    all together, when `marginal` is first asked for one of them;
+    `marginals_at` reads them if they are built and gathers the channels at
+    the pixels otherwise."""
 
     def __init__(self, scales: list[ScaleMaps]):
         if not scales:
@@ -133,12 +133,10 @@ class ScoreMapStack:
                 raise ScoreMapError(f"duplicate channel {(int(row[0]), int(row[1]))}")
             self._keys.append(keys)
             self._key_rows.append(order)
-        # per scale, once a marginal is first asked: `_part_channels`, and a
-        # (parts, H * W) table of the marginal maps in its order with the
-        # rows built so far; `_marginals` holds each built row as a map
+        # per scale, once first asked: `_part_channels`, and the read-only
+        # (parts, H * W) table of every part's marginal map in its order
         self._part_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._marginal_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._marginals: dict[tuple[int, int], np.ndarray] = {}
+        self._marginal_tables: dict[int, np.ndarray] = {}
 
     @property
     def n_scales(self) -> int:
@@ -193,48 +191,37 @@ class ScoreMapStack:
         return at
 
     def marginal(self, part: int, scale_index: int = 0) -> np.ndarray:
-        """p(part | pixel): type channels summed, as float64."""
-        key = (part, scale_index)
-        cached = self._marginals.get(key)
-        if cached is None:
-            at = int(self._part_positions([part], scale_index)[0])
-            rows = self._part_channels(scale_index)[1][at]
-            maps = self.scales[scale_index]
-            if scale_index not in self._marginal_tables:
-                count = len(self._part_channels(scale_index)[0])
-                self._marginal_tables[scale_index] = (
-                    np.empty((count, maps.atomic[0].size)), np.zeros(count, dtype=bool)
-                )
-            table, built = self._marginal_tables[scale_index]
-            table[at] = _channel_sum(maps.atomic[rows[rows >= 0]]).ravel()
-            built[at] = True
-            cached = self._marginals[key] = table[at].reshape(maps.grid_shape)
-        return cached
-
-    def marginal_at(self, part: int, pixel: np.ndarray, scale_index: int = 0) -> np.ndarray:
-        """`marginal(part, scale_index).ravel()[pixel]`, bit for bit, without
-        building the map: a cached map is read, otherwise `marginals_at`."""
-        cached = self._marginals.get((part, scale_index))
-        if cached is not None:
-            return cached.ravel()[pixel]
-        return self.marginals_at(np.full(np.shape(pixel), part), pixel, scale_index)
+        """p(part | pixel): type channels summed, as float64.  The first call
+        at a scale builds the marginal maps of all its parts."""
+        at = int(self._part_positions([part], scale_index)[0])
+        if scale_index not in self._marginal_tables:
+            parts, rows = self._part_channels(scale_index)
+            atomic = self.scales[scale_index].atomic
+            table = np.zeros((len(parts), atomic[0].size))
+            for i in np.flatnonzero(parts):  # the background row (part 0) is never read
+                table[i] = _channel_sum(atomic[rows[i][rows[i] >= 0]]).ravel()
+            table.flags.writeable = False
+            self._marginal_tables[scale_index] = table
+        return self._marginal_tables[scale_index][at].reshape(self.scales[scale_index].grid_shape)
 
     def marginals_at(self, parts, pixel, scale_index: int = 0) -> np.ndarray:
-        """p(parts[i] | pixel[i]) of 1-D arrays of part ids and flat pixel
-        indices, bit for bit as `marginal`, in one gather: of the built maps
-        if every part's is built, else of every pair's channels, which are
-        then summed in table order as float64."""
-        at = self._part_positions(parts, scale_index)
+        """p(parts[i] | pixel[i]) of an array of part ids and one of flat
+        pixel indices that broadcast together, bit for bit as `marginal`:
+        the part ids are searched as given, then one gather reads the
+        scale's marginal table if `marginal` built it, else every item's
+        channels, which are summed in table order as float64."""
         pixel = np.asarray(pixel)
-        if scale_index in self._marginal_tables:
-            table, built = self._marginal_tables[scale_index]
-            if built[at].all():
-                return table[at, pixel]
-        rows = self._part_channels(scale_index)[1][at]
+        at = self._part_positions(parts, scale_index)
         atomic = self.scales[scale_index].atomic
-        values = atomic.reshape(len(atomic), -1)[rows, pixel[:, None]].astype(np.float64)
-        values[rows < 0] = 0.0  # padding: adding +0.0 leaves a sum's bits unchanged
-        return np.cumsum(values, axis=1)[:, -1]  # left to right, as `_channel_sum`
+        size = atomic[0].size  # gathers take flat indices: faster than (row, pixel) pairs
+        table = self._marginal_tables.get(scale_index)
+        if table is not None:
+            return table.ravel()[at * size + pixel]
+        rows = self._part_channels(scale_index)[1][at]
+        values = atomic.ravel()[rows * size + pixel[..., None]].astype(np.float64)
+        # padding rows read 0: adding +0.0 leaves a sum's bits unchanged
+        values = np.where(rows < 0, 0.0, values)
+        return np.cumsum(values, axis=-1)[..., -1]  # left to right, as `_channel_sum`
 
     def composite_maps(self, part: int, scale_index: int = 0) -> CompositeMaps:
         maps = self.scales[scale_index].composite.get(part)
@@ -367,9 +354,7 @@ def log_marginals_at(stack: ScoreMapStack, parts, points, scale_index: int) -> n
     log of `parts[p]`'s marginal at one stored scale; off-grid points read
     LOG_FLOOR."""
     pixel, on_grid = _pixels(np.asarray(points, dtype=float), stack.scales[scale_index].grid_shape)
-    marginals = np.stack([
-        stack.marginal_at(part, pixel[i], scale_index) for i, part in enumerate(parts)
-    ])
+    marginals = stack.marginals_at(np.asarray(parts)[:, None], pixel, scale_index)
     out = np.log(np.maximum(marginals, PROB_FLOOR))
     out[~on_grid] = LOG_FLOOR
     return out

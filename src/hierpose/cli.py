@@ -223,9 +223,19 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _by_image(annotations, key: str) -> dict:
+    """{image: annotation} of the `key` file; a repeated image raises."""
+    by_image = {}
+    for ann in annotations:
+        if ann.image in by_image:
+            raise ConfigError(f"{key} file repeats image {ann.image!r}")
+        by_image[ann.image] = ann
+    return by_image
+
+
 def _match_annotations(preds, gts):
-    pred_by_image = {a.image: a for a in preds}
-    gt_by_image = {a.image: a for a in gts}
+    pred_by_image = _by_image(preds, "predictions")
+    gt_by_image = _by_image(gts, "ground_truth")
     if set(pred_by_image) != set(gt_by_image):
         raise ConfigError("prediction and ground-truth image sets differ")
     images = sorted(pred_by_image)

@@ -224,14 +224,19 @@ class PartHierarchy:
             self._name_to_id[node.name] = node.id
 
         self._atoms_below: dict[int, tuple[int, ...]] = {}
+        self._composites_below: dict[int, tuple[int, ...]] = {}
         for node in self.nodes:  # children precede parents in canonical order
             if node.is_atomic:
                 self._atoms_below[node.id] = (node.id,)
+                self._composites_below[node.id] = ()
             else:
                 atoms: list[int] = []
+                composites = [node.id]
                 for child_id in node.children:
                     atoms.extend(self._atoms_below[child_id])
+                    composites.extend(self._composites_below[child_id])
                 self._atoms_below[node.id] = tuple(sorted(atoms))
+                self._composites_below[node.id] = tuple(composites)
 
         for node in self.composite_nodes:
             below = set(self._atoms_below[node.id])
@@ -292,13 +297,10 @@ class PartHierarchy:
 
     def composites_below(self, node_id: int) -> tuple[int, ...]:
         """Composite nodes of the subtree rooted at `node_id`, in pre-order."""
-        node = self.node(node_id)
-        if node.is_atomic:
-            return ()
-        below = [node_id]
-        for child in node.children:
-            below.extend(self.composites_below(child))
-        return tuple(below)
+        try:
+            return self._composites_below[node_id]
+        except KeyError:
+            raise KeyError(f"unknown node id {node_id}") from None
 
     @property
     def atomic_names(self) -> tuple[str, ...]:

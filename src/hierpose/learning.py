@@ -332,8 +332,8 @@ def augment_positives(
 ) -> list[Annotation]:
     """Jittered copies of the positives; displacement norm stays within
     jitter_fraction times the object size."""
-    if jitter_fraction < 0:
-        raise ValueError("jitter_fraction must be >= 0")
+    if not (math.isfinite(jitter_fraction) and jitter_fraction >= 0):
+        raise ValueError(f"jitter_fraction must be finite and >= 0, got {jitter_fraction}")
     if copies < 0:
         raise ValueError(f"copies must be >= 0, got {copies}")
     out = []
@@ -369,6 +369,10 @@ def generate_negatives(
     NEGATIVE_ATTEMPTS placements are tried per negative.  Images too small
     for a disjoint placement are skipped with a warning.
     """
+    if per_positive < 0:
+        raise ValueError(f"per_positive must be >= 0, got {per_positive}")
+    if noise_sigma is not None and not (math.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     out = []
     for ann in annotations:
         if isinstance(image_extents, dict):

@@ -362,24 +362,20 @@ def per_node_pose_terms(locations, node_id, exemplar_index, size, stack, hierarc
 
 def _one_part_log_type_prob_atomic(stack, part, labels, points, scale_index):
     """Floored log p(label | part, pixel) of one atomic part's rows, with the
-    part's marginal read from its cached map, or else summed from its
-    channels at the looked-up pixels in table order."""
+    part's marginal summed from its channels at the looked-up pixels in
+    table order."""
     labels = np.asarray(labels)
     pixel, on_grid = _pixels(np.asarray(points, dtype=float), stack.scales[scale_index].grid_shape)
     pixel = pixel[on_grid]
     atomic = stack.scales[scale_index].atomic
     flat = atomic.reshape(len(atomic), -1)
     joint = flat[stack.channel_rows(part, labels[on_grid], scale_index), pixel].astype(np.float64)
-    cached = stack._marginals.get((part, scale_index))
-    if cached is not None:
-        denom = cached.ravel()[pixel]
-    else:
-        rows = np.flatnonzero(stack.scales[scale_index].channel_table[:, 0] == part)
-        if part == 0 or rows.size == 0:
-            raise KeyError(f"no channels for part {part}")
-        denom = flat[rows[0], pixel].astype(np.float64)
-        for row in rows[1:]:
-            denom += flat[row, pixel]
+    rows = np.flatnonzero(stack.scales[scale_index].channel_table[:, 0] == part)
+    if part == 0 or rows.size == 0:
+        raise KeyError(f"no channels for part {part}")
+    denom = flat[rows[0], pixel].astype(np.float64)
+    for row in rows[1:]:
+        denom += flat[row, pixel]
     cond = np.divide(joint, denom, out=np.zeros_like(joint), where=denom > 0.0)
     out = np.full(len(labels), LOG_FLOOR)
     out[on_grid] = np.log(np.maximum(cond, PROB_FLOOR))

@@ -499,17 +499,32 @@ def test_train_real_fields_must_be_json_numbers(workspace, capsys, section, key,
         ("train", "c", math.inf, "c must be finite and > 0"),
         ("train", "c", math.nan, "c must be finite and > 0"),
         ("augment", "copies", -1, "copies must be >= 0"),
+        ("augment", "jitter_fraction", -0.1, "jitter_fraction must be finite and >= 0"),
+        ("augment", "jitter_fraction", math.nan, "jitter_fraction must be finite and >= 0"),
+        ("augment", "jitter_fraction", math.inf, "jitter_fraction must be finite and >= 0"),
+        ("negatives", "per_positive", -2, "per_positive must be >= 0"),
+        ("negatives", "noise_sigma", -1.0, "noise_sigma must be finite and >= 0"),
+        ("negatives", "noise_sigma", math.nan, "noise_sigma must be finite and >= 0"),
+        ("negatives", "noise_sigma", math.inf, "noise_sigma must be finite and >= 0"),
     ],
 )
 def test_train_rejects_bad_sgd_inputs(workspace, capsys, section, key, value, message):
-    """SGD inputs that used to be accepted (epochs <= 0 and c <= 0 wrote
-    all-zero weights, copies -1 ran as 0) raise a ValueError from
-    `train_weights` or `augment_positives`, and `hierpose train` exits 1 and
-    writes no weights.  JSON cannot carry the non-finite values, so only the
-    library sees those."""
+    """SGD and training-sample inputs that used to be accepted (epochs <= 0
+    and c <= 0 wrote all-zero weights, copies -1 ran as 0, a non-finite
+    jitter_fraction gave non-finite positives, per_positive -2 and a NaN
+    noise_sigma gave no negatives, noise_sigma -1 raised numpy's bare
+    "scale < 0") raise a ValueError naming the field from `train_weights`,
+    `augment_positives` or `generate_negatives`, and `hierpose train` exits
+    1 and writes no weights.  JSON cannot carry the non-finite values, so
+    only the library sees those."""
     with pytest.raises(ValueError, match=re.escape(message)):
-        if key == "copies":
-            augment_positives(annotations_tiny3(2), np.random.default_rng(0), 0.03, copies=value)
+        if section == "augment":
+            augment_positives(
+                annotations_tiny3(2), np.random.default_rng(0), **{"jitter_fraction": 0.03, key: value}
+            )
+        elif section == "negatives":
+            generate_negatives(annotations_tiny3(2), (100.0, 100.0), np.random.default_rng(0),
+                               **{key: value})
         else:
             training = TrainingSet(np.array([[1.0, 1.0], [-1.0, 1.0]]), np.array([1.0, -1.0]))
             train_weights(training, **{key: value})
@@ -682,6 +697,18 @@ def test_eval_mismatched_sets_exit_1(workspace):
         workspace, "pdj", "mismatch", thresholds=[0.1], predictions="other.json"
     )
     assert main(["eval", str(config)]) == 1
+
+
+@pytest.mark.parametrize("key", ["predictions", "ground_truth"])
+def test_eval_repeated_image_exit_1_names_file_and_image(workspace, capsys, key):
+    """Predictions [x, x] against ground truth [x] scored one sample, taken
+    from the last x, and exited 0."""
+    records = json.loads((workspace / "annotations.json").read_text())
+    (workspace / "twice.json").write_text(json.dumps(records + records[:1]))
+    config = eval_config(workspace, "pdj", "repeated", thresholds=[0.1], **{key: "twice.json"})
+    assert main(["eval", str(config)]) == 1
+    assert_rejected(capsys, f"{key} file repeats image {records[0]['image']!r}")
+    assert not (workspace / "out" / "repeated.report").exists()
 
 
 SIGMAS = {name: 2.0 for name in ("la", "lb", "lc", "ra", "rb", "rc")}

@@ -13,7 +13,7 @@ from hierpose import (
 )
 from hierpose.appearance import CoincidentPartsError
 
-from conftest import tiny2_doc, tiny3_doc
+from conftest import CONFIG_DIR, limbs4_doc, tiny2_doc, tiny3_doc
 
 
 def test_human_reference_hierarchy(human_hierarchy):
@@ -89,6 +89,31 @@ def test_unknown_document_keys_rejected():
 def test_canonical_node_order(tiny3):
     order = [(n.level, n.id) for n in tiny3.nodes]
     assert order == sorted(order)
+
+
+def recursive_composites_below(hierarchy, node_id):
+    """Pre-order composite nodes of a subtree, rebuilt by recursion."""
+    node = hierarchy.node(node_id)
+    if node.is_atomic:
+        return ()
+    below = (node_id,)
+    for child in node.children:
+        below += recursive_composites_below(hierarchy, child)
+    return below
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [tiny2_doc(), tiny3_doc(), limbs4_doc(),
+     CONFIG_DIR / "human_hierarchy.json", CONFIG_DIR / "bird_hierarchy.json"],
+    ids=["tiny2", "tiny3", "limbs4", "human", "bird"],
+)
+def test_composites_below_equals_recursive_oracle(doc):
+    hierarchy = load_hierarchy(doc)
+    for node in hierarchy.nodes:
+        assert hierarchy.composites_below(node.id) == recursive_composites_below(hierarchy, node.id)
+    with pytest.raises(KeyError, match="unknown node id 999"):
+        hierarchy.composites_below(999)
 
 
 def test_load_from_json_text():

@@ -390,7 +390,7 @@ def test_total_monotone_in_lit_channel(setup_tiny3):
     col = int(np.floor(X[0][0] + 0.5))
     row = int(np.floor(X[0][1] + 0.5))
     stack.scales[0].atomic[stack.channel_rows(part, [label], 0)[0], row, col] += 0.05
-    stack._marginals.clear()
+    stack = ScoreMapStack(list(stack.scales))
     after = total_score(X, stack, hierarchy, library, weights)
     assert after >= before - 1e-12
 

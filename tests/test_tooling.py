@@ -3,8 +3,9 @@ every name a module exports resolves, numpy is the one runtime
 dependency, the format notes name every diagnostics key and each binary
 container's version,
 `HypothesisSet.take`/`concat` carry every per-row field, one function picks
-every stored scale and no angle bound defaults to None, and `infer` fits
-each (part, subtree node) pair in one kernel call."""
+every stored scale and no angle bound defaults to None, one method builds
+the marginal table, and `infer` fits each (part, subtree node) pair in one
+kernel call."""
 
 import ast
 import dataclasses
@@ -187,6 +188,33 @@ def test_one_scale_rule_and_no_none_angle_bound():
     assert {call[3] for call in in_rule} == SCALE_STEPS
     assert scale_calls == in_rule, f"scale picked outside scale_indices: {scale_calls - in_rule}"
     assert not none_bounds, f"angle bounds that default to None: {none_bounds}"
+
+
+MARGINAL_CACHES = {"_marginal_tables", "_part_tables"}
+
+
+def test_one_marginal_table():
+    """`ScoreMapStack.marginal` is the one place that sums a part's channels
+    into maps (`_channel_sum`), and no module but `appearance` names the
+    stack's marginal or part tables, so the marginal keeps one form."""
+    sums, in_rule, outside = set(), set(), []
+    for path in sorted((ROOT / "src" / "hierpose").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and _called_name(node) == "_channel_sum":
+                sums.add((path.name, node.lineno, node.col_offset))
+            if (path.name, getattr(node, "name", None)) == ("appearance.py", "ScoreMapStack"):
+                in_rule |= {
+                    (path.name, call.lineno, call.col_offset)
+                    for method in node.body if getattr(method, "name", None) == "marginal"
+                    for call in ast.walk(method)
+                    if isinstance(call, ast.Call) and _called_name(call) == "_channel_sum"
+                }
+            names = {getattr(node, field, None) for field in ("attr", "id")} & MARGINAL_CACHES
+            if path.name != "appearance.py" and names:
+                outside.append(f"{path.name}:{node.lineno} {names.pop()}")
+    assert len(in_rule) == 1
+    assert sums == in_rule, f"channels summed outside ScoreMapStack.marginal: {sums - in_rule}"
+    assert not outside, f"marginal caches named outside appearance: {outside}"
 
 
 @pytest.mark.parametrize(
