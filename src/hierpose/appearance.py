@@ -13,7 +13,9 @@ only peak seeding (`top_peaks`, through `ScoreMapStack.marginal`) builds;
 every other marginal lookup is one `marginals_at` gather, of that table if
 it is built and otherwise of the parts' channels at the looked-up pixels
 only, summed with the same bits.  The type ids of those channels come from
-one batched rule, `RelationTypeModel.labels`.
+one batched rule, `RelationTypeModel.labels`.  A loaded stack's range and
+normalization are checked per tensor by two cheap screens
+(`ScoreMapStack.validate`), and exactly where a screen fails.
 """
 
 from __future__ import annotations
@@ -231,13 +233,17 @@ class ScoreMapStack:
 
     def validate(self) -> None:
         """Check value range (NaN fails it) and per-pixel normalization of
-        every tensor, to within NORM_TOL."""
+        every tensor, to within NORM_TOL.  A tensor that passes `_screened`
+        surely passes the exact check (`min`, `max` and a float64 per-pixel
+        sum), which runs only on the others."""
         for maps in self.scales:
             tensors = [(f"scale {maps.scale}: atomic", maps.atomic)] + [
                 (f"composite part {part} at scale {maps.scale}:", comp.data)
                 for part, comp in maps.composite.items()
             ]
             for name, data in tensors:
+                if _screened(data):
+                    continue
                 if not (data.min() >= -NORM_TOL and data.max() <= 1.0 + NORM_TOL):
                     raise ScoreMapError(f"{name} values outside [0, 1] or NaN")
                 sums = data.sum(axis=0, dtype=np.float64)
@@ -248,6 +254,29 @@ class ScoreMapStack:
                         f"{name} channels sum to {sums[worst]:.6f} "
                         f"at pixel (row={worst[0]}, col={worst[1]})"
                     )
+
+
+_HIGH_BITS = int(np.float32(1.0 + NORM_TOL).view(np.uint32))
+
+
+def _screened(data: np.ndarray) -> bool:
+    """Whether a (C, H, W) float32 tensor surely passes the exact check of
+    `ScoreMapStack.validate`, by two cheaper passes.  (1) As uint32, the
+    bits of +0 up to float32(1 + NORM_TOL) are the smallest patterns, and
+    those of -0, negatives, +inf and NaN lie above them, so one integer
+    `max` tells that every value lies in that range.  (2) Then a float32
+    per-pixel sum s of C values x >= 0 lies within g * sum(x) of the exact
+    sum, g = (C-1)u / (1 - (C-1)u) with u = 2**-24, and so does the exact
+    check's float64 sum, with a far smaller u; so
+    |s - 1| <= NORM_TOL - 2 * g * (1 + NORM_TOL) / (1 - g) leaves that
+    float64 sum, and every value, within NORM_TOL of 1."""
+    if int(data.view(np.uint32).max()) > _HIGH_BITS:
+        return False
+    rounding = (len(data) - 1) * 2.0**-24
+    g = rounding / (1.0 - rounding)
+    deviation = float(np.abs(np.add.reduce(data, axis=0) - np.float32(1.0)).max())
+    return deviation <= NORM_TOL - 2.0 * g * (1.0 + NORM_TOL) / (1.0 - g)
+
 
 
 def _channel_sum(channels: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ import numpy as np
 from . import _json, inference, learning, scoring, synth
 from ._json import NUMBER, Either, Map, Nullable, Optional
 from .appearance import RelationTypeModel, load_score_maps
+from .geometry import check_max_angle
 from .hierarchy import load_hierarchy, object_size
 from .inference import InferenceParams, NoConfigurationError, infer
 from .learning import (
@@ -148,6 +149,7 @@ def _stack_for(image: str, maps_path: Path, cache: dict):
 def cmd_train(args) -> int:
     base = Path(args.config).resolve().parent
     doc = _load_config(args.config, _TRAIN)
+    bound = check_max_angle(doc.get("max_angle", inference.DEFAULT_MAX_ANGLE))
     if args.seed is not None:
         doc["augment"]["seed"] = args.seed
     hierarchy = load_hierarchy(_input_path(doc, "hierarchy", base))
@@ -155,7 +157,6 @@ def cmd_train(args) -> int:
     if not annotations:
         raise ConfigError("annotation file is empty")
     maps_path = _input_path(doc, "score_maps", base)
-    bound = doc.get("max_angle", inference.DEFAULT_MAX_ANGLE)
     aug, neg, train, out = doc["augment"], doc["negatives"], doc["train"], doc["output"]
 
     holdout = train["holdout_fraction"]
@@ -182,12 +183,15 @@ def cmd_train(args) -> int:
         noise_sigma=neg["noise_sigma"],
         per_positive=neg["per_positive"],
     )
+    # a negative is named "<image>#neg<k>" after its positive and reads the positive's maps
+    for negative in negatives:
+        negative.image = negative.image.rpartition("#neg")[0]
 
     cache: dict = {}
 
     def stack_of(image: str):
         loaded = len(cache)
-        stack = _stack_for(image.split("#")[0], maps_path, cache)
+        stack = _stack_for(image, maps_path, cache)
         if len(cache) > loaded:  # a newly loaded stack is checked before it is read
             scoring.check_model(hierarchy, library, None, stack)
         return stack
@@ -313,13 +317,13 @@ def cmd_synth(args) -> int:
 def cmd_score(args) -> int:
     base = Path(args.config).resolve().parent
     doc = _load_config(args.config, _SCORE)
+    bound = check_max_angle(doc.get("max_angle", inference.DEFAULT_MAX_ANGLE))
     hierarchy = load_hierarchy(_input_path(doc, "hierarchy", base))
     library = load_library(_input_path(doc, "libraries", base), hierarchy)
     weights = load_weights(_input_path(doc, "weights", base), hierarchy)
     stack = load_score_maps(_input_path(doc, "score_maps", base))
     scoring.check_model(hierarchy, library, weights, stack)
     poses = load_annotations(_input_path(doc, "pose", base), hierarchy)
-    bound = doc.get("max_angle", inference.DEFAULT_MAX_ANGLE)
     points = np.reshape([ann.points for ann in poses], (len(poses), hierarchy.atomic_count, 2))
     features = scoring.feature_matrix(points, [stack], [0] * len(poses), hierarchy, library, bound)
     for ann, row in zip(poses, features):

@@ -75,7 +75,7 @@ def check_max_angle(max_angle: float) -> float:
     (0, pi]."""
     max_angle = float(max_angle)
     if not 0.0 < max_angle <= math.pi:
-        raise ValueError("max_abs_angle must lie in (0, pi]")
+        raise ValueError(f"max_angle must lie in (0, pi], got {max_angle}")
     return max_angle
 
 

@@ -31,13 +31,14 @@ stack fit together, and raises `ModelMismatchError` if not.
 
 Training features come from one batched pass, `feature_matrix`: for S
 configurations, each read on its own score-map stack, it gathers the atomic
-columns at each row's nearest scale, fits each exemplar of a composite
-node to all rows in one bounded fit, keeps each row's best exemplar, and
-reads the relation types with the lookup half of `pose_terms`, once per
-stack.  `feature_vector` and `best_fit_pose` are one-row calls of it and
-of its best-fit step; `build_training_set` stacks all samples, taking one
-shared stack or a per-image stack lookup.  `total_score` is the weights
-times the feature vector, and `spatial_score` weights its composite slice.
+columns at each row's nearest scale, fits blocks of a composite node's
+exemplars to all rows in bounded fits of at most `_FIT_ROWS` pairs, keeps
+each row's best exemplar, and reads the relation types with the lookup
+half of `pose_terms`, once per (child signature, stack).  `feature_vector`
+and `best_fit_pose` are one-row calls of it and of its best-fit step;
+`build_training_set` stacks all samples, taking one shared stack or a
+per-image stack lookup.  `total_score` is the weights times the feature
+vector, and `spatial_score` weights its composite slice.
 Candidate refinements are scored by a separable approximation that freezes
 everything except the atomic appearance terms and the level-2 alignment
 penalties; `refinement_scores` scores many refined roots at once, and
@@ -271,20 +272,33 @@ def best_fit_pose(
     return int(best[0]), float(similarity[0])
 
 
+_FIT_ROWS = 1024  # (row, exemplar) pairs per bounded fit of `_best_fits`
+
+
 def _best_fits(exemplars: np.ndarray, current: np.ndarray, bound) -> tuple[np.ndarray, np.ndarray]:
     """Per row of `current` (S, K, 2): the index of the best-fitting of the
     (E, K, 2) exemplar geometries (ties: lowest index) and its alignment
-    score.  Each exemplar is fitted to all S rows in one bounded fit, so
-    memory grows with S, not with S x E."""
-    best = np.zeros(len(current), dtype=np.intp)
-    best_score = np.full(len(current), -np.inf)
-    for e, exemplar in enumerate(exemplars):
+    score; a NaN score is never picked, and a row with no score above -inf
+    keeps exemplar 0 at -inf.  Each block of max(1, _FIT_ROWS // S)
+    exemplars is fitted to all S rows in one bounded fit, so memory grows
+    with S, not with S x E."""
+    count = len(current)
+    step = max(1, _FIT_ROWS // max(count, 1))
+    best = np.zeros(count, dtype=np.intp)
+    best_score = np.full(count, -np.inf)
+    rows = np.arange(count)
+    for start in range(0, len(exemplars), step):
+        block = exemplars[start : start + step]
         _, _, _, residual = fit_least_squares_batch(
-            np.broadcast_to(exemplar, current.shape), current, bound
+            np.repeat(block, count, axis=0), np.tile(current, (len(block), 1, 1)), bound
         )
-        better = -residual > best_score
-        best[better] = e
-        best_score[better] = -residual[better]
+        score = -residual.reshape(len(block), count)
+        score[np.isnan(score)] = -np.inf
+        pick = score.argmax(axis=0)  # the first maximum of each row
+        value = score[pick, rows]
+        better = value > best_score
+        best[better] = start + pick[better]
+        best_score[better] = value[better]
     return best, best_score
 
 
@@ -615,7 +629,9 @@ def feature_matrix(
     Each row holds the per-atom log-probabilities at the atomic scale, one
     (log-pose-prob, similarity) pair per composite node with the node's
     best-fitting exemplar (ties: lowest index), and a trailing constant 1,
-    so that total_score == <weights, features>.
+    so that total_score == <weights, features>.  The log-pose-probs of all
+    nodes with one child signature are read in one `_log_pose_probs` call
+    per stack.
     """
     X = np.asarray(configurations, dtype=float)
     stack_index = np.asarray(stack_index, dtype=np.intp)
@@ -629,19 +645,27 @@ def feature_matrix(
     size = object_size(X)
     out = np.empty((len(X), feature_length(hierarchy)))
     out[:, : hierarchy.atomic_count] = _appearance_features(X, groups, hierarchy)
-    column = hierarchy.atomic_count
-    for node in hierarchy.composite_nodes:
+    signatures: dict[tuple[str, ...], list] = {}
+    for index, node in enumerate(hierarchy.composite_nodes):
         table = library.arrays(node.id)
         _check_signature(table.signature, node.id, hierarchy)
         current = child_points(X, node.id, hierarchy)
         best, similarity = _best_fits(table.geometry, current, bound)
-        for stack, rows in groups:
-            out[rows, column] = _log_pose_probs(
-                [(node.id, slice(None))], library.labels, best[rows], current[rows], size[rows],
-                stack, hierarchy,
-            )
+        column = hierarchy.atomic_count + 2 * index
         out[:, column + 1] = similarity
-        column += 2
+        signatures.setdefault(table.signature, []).append((node.id, column, current, best))
+    # one lookup per (child signature, stack): each node's rows of the stack are one run
+    for fits in signatures.values():
+        columns = [column for _, column, _, _ in fits]
+        for stack, rows in groups:
+            runs = [(node_id, slice(k * len(rows), (k + 1) * len(rows)))
+                    for k, (node_id, *_) in enumerate(fits)]
+            log_prob = _log_pose_probs(
+                runs, library.labels, np.concatenate([best[rows] for *_, best in fits]),
+                np.concatenate([current[rows] for _, _, current, _ in fits]),
+                np.tile(size[rows], len(fits)), stack, hierarchy,
+            )
+            out[rows[:, None], columns] = log_prob.reshape(len(fits), -1).T
     out[:, -1] = 1.0
     return out
 

@@ -23,6 +23,12 @@ is the per-node fill that the grouped `fill_terms` replaced: one kernel call
 per node, each with one relation-type lookup per child, reading a cached
 marginal map where there is one, as the library did before its lookups were
 fused; the grouped fill must equal it bit for bit.
+`three_pass_validate` is the score-map check as it was before its screens,
+`per_exemplar_best_fits` the best-fit loop that fitted one exemplar per
+call, and `per_node_feature_matrix` the feature pass that looked each
+node's relation types up once per stack; the library must accept and
+reject exactly as the first, with the same message, and equal the other two
+bit for bit.
 """
 
 import itertools
@@ -32,7 +38,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy import optimize
 
-from hierpose.appearance import LOG_FLOOR, PROB_FLOOR, _pixels, log_type_prob_composite
+from hierpose.appearance import (
+    LOG_FLOOR, NORM_TOL, PROB_FLOOR, ScoreMapError, _pixels, log_type_prob_composite,
+)
 from hierpose.geometry import (
     SimilarityTransform, child_points, fit_least_squares, fit_least_squares_batch,
     transform_points,
@@ -41,7 +49,8 @@ from hierpose.hierarchy import object_size
 from hierpose.inference import Hypothesis, _draw_proposals
 from hierpose.learning import hinge_objective
 from hierpose.scoring import (
-    feature_length, feature_matrix, pose_terms, refinement_score, scale_indices, total_score,
+    _appearance_features, _check_signature, _log_pose_probs, feature_length, feature_matrix,
+    pose_terms, refinement_score, scale_indices, total_score,
 )
 
 FLOOR = 1e-6
@@ -379,6 +388,72 @@ def _one_part_log_type_prob_atomic(stack, part, labels, points, scale_index):
     cond = np.divide(joint, denom, out=np.zeros_like(joint), where=denom > 0.0)
     out = np.full(len(labels), LOG_FLOOR)
     out[on_grid] = np.log(np.maximum(cond, PROB_FLOOR))
+    return out
+
+
+def three_pass_validate(stack):
+    """Per tensor of every scale: `min` and `max` within NORM_TOL of [0, 1]
+    (NaN fails), then each pixel's float64 channel sum within NORM_TOL of 1,
+    reporting the worst pixel."""
+    for maps in stack.scales:
+        tensors = [(f"scale {maps.scale}: atomic", maps.atomic)] + [
+            (f"composite part {part} at scale {maps.scale}:", comp.data)
+            for part, comp in maps.composite.items()
+        ]
+        for name, data in tensors:
+            if not (data.min() >= -NORM_TOL and data.max() <= 1.0 + NORM_TOL):
+                raise ScoreMapError(f"{name} values outside [0, 1] or NaN")
+            sums = data.sum(axis=0, dtype=np.float64)
+            err = np.abs(sums - 1.0)
+            worst = np.unravel_index(int(err.argmax()), err.shape)
+            if err[worst] > NORM_TOL:
+                raise ScoreMapError(
+                    f"{name} channels sum to {sums[worst]:.6f} "
+                    f"at pixel (row={worst[0]}, col={worst[1]})"
+                )
+
+
+def per_exemplar_best_fits(exemplars, current, bound):
+    """Each exemplar fitted to all S rows in its own bounded fit, keeping a
+    running best with a strict `>`: ties go to the lowest index, and a NaN
+    score is never picked."""
+    best = np.zeros(len(current), dtype=np.intp)
+    best_score = np.full(len(current), -np.inf)
+    for e, exemplar in enumerate(exemplars):
+        _, _, _, residual = fit_least_squares_batch(
+            np.broadcast_to(exemplar, current.shape), current, bound
+        )
+        better = -residual > best_score
+        best[better] = e
+        best_score[better] = -residual[better]
+    return best, best_score
+
+
+def per_node_feature_matrix(configurations, stacks, stack_index, hierarchy, library, bound):
+    """`feature_matrix` node by node: per composite node the loop of
+    `per_exemplar_best_fits`, then one `_log_pose_probs` call per stack."""
+    X = np.asarray(configurations, dtype=float)
+    stack_index = np.asarray(stack_index, dtype=np.intp)
+    groups = [
+        (stacks[g], np.flatnonzero(stack_index == g)) for g in np.unique(stack_index).tolist()
+    ]
+    size = object_size(X)
+    out = np.empty((len(X), feature_length(hierarchy)))
+    out[:, : hierarchy.atomic_count] = _appearance_features(X, groups, hierarchy)
+    column = hierarchy.atomic_count
+    for node in hierarchy.composite_nodes:
+        table = library.arrays(node.id)
+        _check_signature(table.signature, node.id, hierarchy)
+        current = child_points(X, node.id, hierarchy)
+        best, similarity = per_exemplar_best_fits(table.geometry, current, bound)
+        for stack, rows in groups:
+            out[rows, column] = _log_pose_probs(
+                [(node.id, slice(None))], library.labels, best[rows], current[rows], size[rows],
+                stack, hierarchy,
+            )
+        out[:, column + 1] = similarity
+        column += 2
+    out[:, -1] = 1.0
     return out
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hierpose import load_hierarchy, load_score_maps, object_size
 from hierpose.appearance import (
     LOG_FLOOR,
+    NORM_TOL,
     PROB_FLOOR,
     CompositeMaps,
     ScaleMaps,
@@ -23,6 +24,7 @@ from hierpose.appearance import (
     log_type_prob_composite,
     save_score_maps,
     top_peaks,
+    _screened,
 )
 
 import oracles
@@ -448,6 +450,131 @@ def test_load_rejects_bad_normalization(tmp_path):
     save_score_maps(stack, path)
     with pytest.raises(ScoreMapError, match=r"row=1, col=3"):
         load_score_maps(path)
+
+
+HIGH = np.float32(1.0 + NORM_TOL)  # the largest value the range check accepts
+EDGE_VALUES = [  # special values, and float32 values at both ends of the range check
+    -0.0, math.nan, math.inf, -math.inf, 0.0, 1.0, -NORM_TOL,
+    *np.nextafter(np.float32(-NORM_TOL), np.float32([-1.0, 1.0])).tolist(),
+    *np.nextafter(HIGH, np.float32([0.0, 2.0])).tolist(), float(HIGH),
+]
+SUM_OFFSETS = [  # per-pixel sums, as offsets from 1: near 1, and near 1 +/- NORM_TOL
+    0.0, 1e-7, -1e-7, 0.5, -0.3,
+    *[sign * (NORM_TOL + d) for sign in (1, -1) for d in (0.0, 1e-8, -1e-8, 3e-7, -3e-7, -3e-5)],
+]
+
+
+def normalization_tensor(seed, channels, grid, offset, edits):
+    """(channels, *grid) float32 tensor whose pixels share out sums unevenly,
+    a third of them zeros: a random third of the pixels sum to 1 + `offset`,
+    the others to within 1e-4 of 1.  Then each (flat position, value) of
+    `edits` is written over one entry."""
+    rng = np.random.default_rng(seed)
+    weights = rng.random((channels, *grid)) ** 4 * (rng.random((channels, *grid)) < 2 / 3)
+    weights[0] += 1e-6
+    target = 1.0 + np.where(rng.random(grid) < 1 / 3, offset, rng.uniform(-1e-4, 1e-4, grid))
+    data = (weights / weights.sum(axis=0) * target).astype(np.float32)
+    for position, value in edits:
+        data.flat[position % data.size] = value
+    return data
+
+
+def normalization_stack(seed, atomic_channels, composite_types, grid, offsets, atomic_edits,
+                        composite_edits):
+    """One-scale stack of a `normalization_tensor` atomic tensor (background
+    plus part 1's types) and, if `composite_types`, one composite block."""
+    table = np.array([(0, 0)] + [(1, t) for t in range(1, atomic_channels)], dtype=np.uint32)
+    atomic = normalization_tensor(seed, atomic_channels, grid, offsets[0], atomic_edits)
+    composite = {}
+    if composite_types:
+        data = normalization_tensor(seed + 1, composite_types, grid, offsets[1], composite_edits)
+        composite[10] = CompositeMaps(10, 2, data)
+    return ScoreMapStack([ScaleMaps(1.0, table, atomic, composite)])
+
+
+def validate_outcome(check, stack):
+    """None if `check(stack)` passes, else its ScoreMapError message."""
+    try:
+        check(stack)
+    except ScoreMapError as exc:
+        return str(exc)
+    return None
+
+
+EDITS = st.lists(
+    st.tuples(st.integers(0, 10**6), st.sampled_from(EDGE_VALUES)), max_size=3
+).map(lambda edits: [] if len(edits) == 3 else edits)  # a quarter of tensors are unedited
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 2),
+    atomic_channels=st.integers(1, 300),
+    composite_types=st.one_of(st.none(), st.integers(1, 300)),
+    grid=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    offsets=st.tuples(st.sampled_from(SUM_OFFSETS), st.sampled_from(SUM_OFFSETS)),
+    atomic_edits=EDITS,
+    composite_edits=EDITS,
+)
+def test_screened_validate_matches_three_pass_oracle(seed, atomic_channels, composite_types, grid,
+                                                     offsets, atomic_edits, composite_edits):
+    """`validate` accepts exactly the stacks the three-pass check accepts,
+    and rejects the others with its message: on sums within a few ulps of
+    the tolerance edges, values down to -NORM_TOL, -0.0, NaN, +/-inf, and
+    one float32 ulp either side of the largest accepted value."""
+    stack = normalization_stack(seed, atomic_channels, composite_types, grid, offsets,
+                                atomic_edits, composite_edits)
+    assert validate_outcome(ScoreMapStack.validate, stack) == validate_outcome(
+        oracles.three_pass_validate, stack
+    )
+
+
+def test_validate_inputs_reach_every_screen_outcome():
+    """The property test's tensors reach all four outcomes: screened, failing
+    a screen but passing the exact check (on the range screen and on the sum
+    screen), and rejected for the range and for the sums."""
+    rng = np.random.default_rng(5)
+    seen = set()
+    for _ in range(400):
+        channels = int(rng.integers(1, 301))
+        edits = [(int(rng.integers(10**6)), EDGE_VALUES[int(rng.integers(len(EDGE_VALUES)))])
+                 for _ in range(int(rng.integers(0, 2)))]
+        offset = SUM_OFFSETS[int(rng.integers(len(SUM_OFFSETS)))]
+        data = normalization_tensor(int(rng.integers(2**32 - 1)), channels, (3, 3), offset, edits)
+        stack = ScoreMapStack([ScaleMaps(1.0, np.array(
+            [(0, 0)] + [(1, t) for t in range(1, channels)], dtype=np.uint32), data)])
+        message = validate_outcome(oracles.three_pass_validate, stack)
+        if message is not None:
+            seen.add("sum rejected" if "sum to" in message else "range rejected")
+        elif _screened(data):
+            seen.add("screened")
+        else:
+            in_range = data.view(np.uint32).max() <= HIGH.view(np.uint32)
+            seen.add("passed after the sum screen" if in_range else "passed after the range screen")
+    assert seen == {"screened", "passed after the sum screen", "passed after the range screen",
+                    "range rejected", "sum rejected"}
+
+
+@pytest.mark.parametrize("value, sums", [
+    (-0.0, 1.0),  # fails the range screen
+    (-NORM_TOL / 2, 1.0),  # fails the range screen
+    (0.0, float(np.nextafter(HIGH, np.float32(0.0)))),  # fails the sum screen
+])
+def test_load_accepts_maps_that_fail_only_a_screen(tmp_path, value, sums):
+    """A file whose tensor fails a screen but passes the exact check loads
+    bit-exact: one entry is written over, and one pixel's two channels sum
+    to `sums` in float64."""
+    table = np.array([(0, 0), (1, 1)], dtype=np.uint32)
+    atomic = np.full((2, 4, 4), 0.5, dtype=np.float32)
+    atomic[0, 0, 0] = value
+    atomic[1, 0, 0] = sums - value
+    atomic[:, 2, 2] = [0.5, np.float32(sums - 0.5)]
+    stack = ScoreMapStack([ScaleMaps(1.0, table, atomic)])
+    assert not _screened(stack.scales[0].atomic)
+    path = tmp_path / "edge.hpsm"
+    save_score_maps(stack, path)
+    save_score_maps(load_score_maps(path), tmp_path / "again.hpsm")
+    assert (tmp_path / "again.hpsm").read_bytes() == path.read_bytes()
 
 
 def test_load_rejects_bad_magic(tmp_path):

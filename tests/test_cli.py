@@ -605,15 +605,15 @@ def test_train_per_image_maps_matches_oracle_features(workspace, tiny3):
     positives = annotations + augment_positives(
         annotations, np.random.default_rng(1), jitter_fraction=0.03, copies=2
     )
-    negatives = generate_negatives(
-        annotations, None, np.random.default_rng(2), noise_sigma=None, per_positive=2
-    )
+    rng = np.random.default_rng(2)
+    negatives = [  # one positive at a time, in order, so each negative knows its positive
+        (negative, ann.image) for ann in annotations
+        for negative in generate_negatives([ann], None, rng, noise_sigma=None, per_positive=2)
+    ]
     stacks = {a.image: load_score_maps(workspace / "maps" / f"{a.image}.hpsm") for a in annotations}
     features = np.stack([
-        oracles.naive_feature_vector(
-            a.points, stacks[a.image.split("#")[0]], tiny3, library, DEFAULT_MAX_ANGLE
-        )
-        for a in positives + negatives
+        oracles.naive_feature_vector(a.points, stacks[image], tiny3, library, DEFAULT_MAX_ANGLE)
+        for a, image in [(a, a.image) for a in positives] + negatives
     ])
     labels = np.array([1.0] * len(positives) + [-1.0] * len(negatives))
     training = TrainingSet(features, labels)
@@ -631,6 +631,45 @@ def test_train_per_image_maps_matches_oracle_features(workspace, tiny3):
         "c": 5.0,
         "seed": 3,
     }
+
+
+def test_train_reads_the_maps_of_image_names_with_hash(workspace, tiny3):
+    """An image name may hold '#', even "#neg<k>": positives and their jittered
+    copies read the maps of their name as written, and each negative those of
+    the positive it was made from, so renaming every image (and its maps)
+    leaves the trained weights and log unchanged."""
+    annotations, config = per_image_maps(workspace, tiny3)
+    assert main(["train", str(config)]) == 0
+    expected = [(workspace / "out" / name).read_bytes() for name in ("trained.json", "train_log.json")]
+    (workspace / "hashed").mkdir()
+    for ann in annotations:
+        shutil.copy(workspace / "maps" / f"{ann.image}.hpsm",
+                    workspace / "hashed" / f"{ann.image}#neg0.hpsm")
+        ann.image += "#neg0"
+    save_annotations(annotations, tiny3, workspace / "hashed.json")
+    config = train_config(
+        workspace, name="hashed_train.json", annotations="hashed.json", score_maps="hashed",
+        output={"weights": "hashed_out/trained.json", "log": "hashed_out/train_log.json"},
+    )
+    assert main(["train", str(config)]) == 0
+    assert [
+        (workspace / "hashed_out" / name).read_bytes() for name in ("trained.json", "train_log.json")
+    ] == expected
+
+
+@pytest.mark.parametrize("command", ["train", "score"])
+@pytest.mark.parametrize("max_angle", [4.0, 0.0, -1.0])
+def test_bad_max_angle_exits_1_before_any_file_is_read(workspace, capsys, command, max_angle):
+    """The key is checked as soon as the config is read: the inputs it names
+    do not exist here, and the error names the key and its value."""
+    doc = {"hierarchy": "absent.json", "max_angle": max_angle}
+    if command == "train":
+        config = train_config(workspace, name="bad_angle.json", **doc)
+    else:
+        config = score_config(workspace, **doc)
+    assert main([command, str(config)]) == 1
+    assert capsys.readouterr().err == f"error: max_angle must lie in (0, pi], got {max_angle}\n"
+    assert not (workspace / "out").exists()
 
 
 def test_train_missing_per_image_maps_exit_1(workspace, tiny3, capsys):

@@ -183,7 +183,7 @@ def test_child_geometry_signature(tiny3):
 @pytest.mark.parametrize("bound", [0.0, -0.5, math.pi + 1e-9, math.nan, math.inf])
 def test_angle_bound_outside_zero_to_pi_is_rejected(bound):
     src = random_geometry(np.random.default_rng(0), 3)
-    with pytest.raises(ValueError, match=r"max_abs_angle must lie in \(0, pi\]"):
+    with pytest.raises(ValueError, match=r"max_angle must lie in \(0, pi\], got "):
         fit_least_squares(src, src, bound)
-    with pytest.raises(ValueError, match=r"max_abs_angle must lie in \(0, pi\]"):
+    with pytest.raises(ValueError, match=r"max_angle must lie in \(0, pi\], got "):
         InferenceParams(max_angle=bound)

@@ -884,6 +884,113 @@ def test_feature_matrix_memory_grows_linearly():
     assert large < 2_000_000  # fitting all 160,000 (row, exemplar) pairs at once peaks over 100 MB
 
 
+def assert_same_bits(ours, theirs):
+    for a, b in zip(ours, theirs):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    points=st.integers(2, 7),
+    pool=st.integers(1, 6),
+    exemplars=st.integers(1, 40),
+    rows=st.integers(1, 40),
+    budget=st.sampled_from([1, 2, 5, 7, 16, 1024]),
+    bound=st.sampled_from([oracles.MAX_ANGLE, 0.2, math.pi]),
+)
+def test_best_fits_match_the_per_exemplar_loop(seed, points, pool, exemplars, rows, budget,
+                                              bound):
+    """Blocks of exemplars fitted in one call pick the exemplar and score of
+    the one-exemplar-per-call loop bit for bit, whatever the row budget: the
+    exemplars repeat rows of a small pool, so ties are common, some rows
+    copy an exemplar exactly, and blocks straddle the budget."""
+    rng = np.random.default_rng(seed)
+    geometry = rng.normal(size=(pool, points, 2)) * 10
+    exemplar_rows = geometry[rng.integers(pool, size=exemplars)]
+    current = rng.normal(size=(rows, points, 2)) * 10
+    copies = rng.random(rows) < 0.3
+    current[copies] = exemplar_rows[rng.integers(exemplars, size=int(copies.sum()))]
+    with mock.patch.object(scoring, "_FIT_ROWS", budget):
+        ours = scoring._best_fits(exemplar_rows, current, bound)
+    assert_same_bits(ours, oracles.per_exemplar_best_fits(exemplar_rows, current, bound))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    exemplar_values=st.lists(st.sampled_from([0.0, 1.0, 2.0, math.inf, math.nan]), min_size=1,
+                             max_size=20),
+    row_values=st.lists(st.sampled_from([0.0, 0.5, math.inf]), min_size=1, max_size=10),
+    budget=st.sampled_from([1, 3, 8, 1024]),
+)
+def test_best_fits_never_pick_nan_or_infinite_residuals(exemplar_values, row_values, budget):
+    """With a stand-in fit whose residual is the exemplar's first x plus the
+    row's, NaN and infinite residuals are never picked, a row with no finite
+    residual keeps exemplar 0 at -inf, and ties go to the lowest index, as in
+    the loop."""
+    def fit(src, dst, bound):
+        residual = src[:, 0, 0] + dst[:, 0, 0]
+        return None, None, None, residual
+
+    exemplars = np.zeros((len(exemplar_values), 2, 2))
+    exemplars[:, 0, 0] = exemplar_values
+    current = np.zeros((len(row_values), 2, 2))
+    current[:, 0, 0] = row_values
+    with mock.patch.object(scoring, "fit_least_squares_batch", fit), \
+            mock.patch.object(scoring, "_FIT_ROWS", budget), \
+            mock.patch.object(oracles, "fit_least_squares_batch", fit):
+        ours = scoring._best_fits(exemplars, current, oracles.MAX_ANGLE)
+        expected = oracles.per_exemplar_best_fits(exemplars, current, oracles.MAX_ANGLE)
+    assert_same_bits(ours, expected)
+
+
+@pytest.mark.parametrize("rows, exemplars", [
+    (1, 1), (1, 1500), (32, 31), (32, 32), (33, 32), (1024, 2), (1100, 3),
+], ids=["one", "one row", "below", "at", "above", "one per call", "rows over budget"])
+def test_best_fits_at_the_row_budget(rows, exemplars):
+    """S x E below, at and above the default budget: S = 33 fits blocks of
+    31 exemplars, the last one short, and more rows than the budget fit one
+    exemplar per call.  The calls made are ceil(E / max(1, budget // S))."""
+    rng = np.random.default_rng(rows * 7919 + exemplars)
+    geometry = rng.normal(size=(exemplars, 4, 2)) * 10
+    geometry[1::2] = geometry[::2][: len(geometry[1::2])]  # every odd exemplar ties
+    current = rng.normal(size=(rows, 4, 2)) * 10
+    calls = []
+
+    def counted(src, dst, bound):
+        calls.append(len(src))
+        return fit_least_squares_batch(src, dst, bound)
+
+    with mock.patch.object(scoring, "fit_least_squares_batch", counted):
+        ours = scoring._best_fits(geometry, current, oracles.MAX_ANGLE)
+    step = max(1, scoring._FIT_ROWS // rows)
+    assert len(calls) == math.ceil(exemplars / step)
+    assert max(calls) == rows * min(step, exemplars)
+    assert_same_bits(ours, oracles.per_exemplar_best_fits(geometry, current, oracles.MAX_ANGLE))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(DOCS)),
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 30),
+    budget=st.sampled_from([1, 4, 9, 1024]),
+)
+def test_feature_matrix_matches_the_per_node_loop(name, seed, count, budget):
+    """One lookup per (child signature, stack) and blocked best fits give the
+    features of the per-(node, stack) loop bit for bit, on both stacks."""
+    hierarchy, library, stacks = feature_model(name)
+    rng = np.random.default_rng(seed)
+    X = random_configurations(hierarchy, library, count, rng)
+    stack_index = rng.integers(len(stacks), size=count)
+    with mock.patch.object(scoring, "_FIT_ROWS", budget):
+        ours = feature_matrix(X, stacks, stack_index, hierarchy, library)
+    expected = oracles.per_node_feature_matrix(
+        X, stacks, stack_index, hierarchy, library, oracles.MAX_ANGLE
+    )
+    assert ours.tobytes() == expected.tobytes()
+
+
 def check_feature_parity(error, X, stacks, stack_index, hierarchy, library, bad=2):
     with pytest.raises(error):
         feature_matrix(X, stacks, stack_index, hierarchy, library)

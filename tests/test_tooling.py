@@ -4,8 +4,9 @@ dependency, the format notes name every diagnostics key and each binary
 container's version,
 `HypothesisSet.take`/`concat` carry every per-row field, one function picks
 every stored scale and no angle bound defaults to None, one method builds
-the marginal table, and `infer` fits each (part, subtree node) pair in one
-kernel call."""
+the marginal table, `infer` fits each (part, subtree node) pair in one
+kernel call, and `feature_matrix` fits blocks of exemplars and looks each
+child signature up once per stack."""
 
 import ast
 import dataclasses
@@ -262,6 +263,46 @@ def test_infer_calls_the_kernel_once_per_stage_level_and_signature(doc, annotati
     assert per_level == [None] + [
         sum(level == at for at, _ in expected) for level in range(2, hierarchy.levels + 1)
     ]
+
+
+@pytest.mark.parametrize("rows, budget", [(30, 1024), (30, 64), (700, 1024), (1100, 1024)])
+def test_feature_matrix_calls_per_node_and_per_signature_and_stack(rows, budget):
+    """On the human model with three stacks, `feature_matrix` makes
+    ceil(E / max(1, budget // S)) bounded fits per composite node and one
+    `_log_pose_probs` call per (child signature, stack), 4 per stack, each
+    with every node of the signature as one run."""
+    hierarchy = load_hierarchy(CONFIG_DIR / "human_hierarchy.json")
+    annotations = human_annotations(12)
+    library, _ = library_for(hierarchy, annotations)
+    stacks = [make_scene(library, hierarchy, seed=seed, grid=(96, 96)).stack for seed in (0, 1, 2)]
+    rng = np.random.default_rng(0)
+    X = np.stack([annotations[k].points for k in rng.integers(len(annotations), size=rows)])
+    stack_index = np.arange(rows) % len(stacks)
+    fit, lookup, fits, lookups = scoring.fit_least_squares_batch, scoring._log_pose_probs, [], []
+
+    def counted_fit(*args, **kwargs):
+        fits.append(1)
+        return fit(*args, **kwargs)
+
+    def counted_lookup(runs, labels, exemplar_index, current, size, stack, hierarchy):
+        lookups.append((id(stack), child_signature(runs[0][0], hierarchy),
+                        sorted(node for node, _ in runs)))
+        return lookup(runs, labels, exemplar_index, current, size, stack, hierarchy)
+
+    with mock.patch.object(scoring, "fit_least_squares_batch", counted_fit), \
+            mock.patch.object(scoring, "_log_pose_probs", counted_lookup), \
+            mock.patch.object(scoring, "_FIT_ROWS", budget):
+        scoring.feature_matrix(X, stacks, stack_index, hierarchy, library)
+    composites = [node.id for node in hierarchy.composite_nodes]
+    blocks = -(-len(library.sources) // max(1, budget // rows))
+    assert len(fits) == len(composites) * blocks
+    signatures = {}
+    for node in composites:
+        signatures.setdefault(child_signature(node, hierarchy), []).append(node)
+    assert len(signatures) == 4
+    assert sorted(lookups) == sorted(
+        (id(stack), signature, nodes) for stack in stacks for signature, nodes in signatures.items()
+    )
 
 
 def test_three_scales_add_at_most_one_call_per_signature_and_level():
