@@ -108,15 +108,17 @@ _SCORE = {
 def cmd_infer(args) -> int:
     base = Path(args.config).resolve().parent
     doc = _load_config(args.config, _INFER)
+    if args.seed is not None:
+        doc["params"]["seed"] = args.seed
+    params = InferenceParams(**doc["params"])
+    mode = args.mode or doc.get("mode", "full")
+    if mode not in inference.MODES:
+        raise ConfigError(f"mode must be one of {inference.MODES}")
     hierarchy = load_hierarchy(_input_path(doc, "hierarchy", base))
     library = load_library(_input_path(doc, "libraries", base), hierarchy)
     weights = load_weights(_input_path(doc, "weights", base), hierarchy)
     maps_path = _input_path(doc, "score_maps", base)
     stack = load_score_maps(maps_path)
-    if args.seed is not None:
-        doc["params"]["seed"] = args.seed
-    params = InferenceParams(**doc["params"])
-    mode = args.mode or doc.get("mode", "full")
     out = doc["output"]
 
     result = infer(stack, hierarchy, library, weights, params, mode=mode)
@@ -132,18 +134,6 @@ def cmd_infer(args) -> int:
     lines.append(json.dumps(summary, sort_keys=True))
     _output_path(base, out["diagnostics"]).write_text("\n".join(lines) + "\n")
     return 0
-
-
-def _stack_for(image: str, maps_path: Path, cache: dict):
-    if maps_path.is_dir():
-        path = maps_path / f"{image}.hpsm"
-        if not path.exists():
-            raise ConfigError(f"missing score-map file: {path}")
-    else:
-        path = maps_path
-    if path not in cache:
-        cache[path] = load_score_maps(path)
-    return cache[path]
 
 
 def cmd_train(args) -> int:
@@ -187,22 +177,23 @@ def cmd_train(args) -> int:
     for negative in negatives:
         negative.image = negative.image.rpartition("#neg")[0]
 
-    cache: dict = {}
+    def map_file(image: str) -> Path:
+        if not maps_path.is_dir():
+            return maps_path
+        path = maps_path / f"{image}.hpsm"
+        if not path.exists():
+            raise ConfigError(f"missing score-map file: {path}")
+        return path
 
-    def stack_of(image: str):
-        loaded = len(cache)
-        stack = _stack_for(image, maps_path, cache)
-        if len(cache) > loaded:  # a newly loaded stack is checked before it is read
-            scoring.check_model(hierarchy, library, None, stack)
+    def checked_stack(path: Path):
+        stack = load_score_maps(path)
+        scoring.check_model(hierarchy, library, None, stack)
         return stack
 
+    # every map file is named before the first loads; each loads once, in
+    # order of first appearance, and is released before the next loads
     training = scoring.build_training_set(
-        positives,
-        negatives,
-        stack_of,
-        hierarchy,
-        library,
-        bound,
+        positives, negatives, map_file, hierarchy, library, bound, load=checked_stack
     )
 
     weights_array, objective = train_weights(

@@ -30,15 +30,19 @@ before a search or a training run, that a hierarchy, library, weights and
 stack fit together, and raises `ModelMismatchError` if not.
 
 Training features come from one batched pass, `feature_matrix`: for S
-configurations, each read on its own score-map stack, it gathers the atomic
-columns at each row's nearest scale, fits blocks of a composite node's
-exemplars to all rows in bounded fits of at most `_FIT_ROWS` pairs, keeps
-each row's best exemplar, and reads the relation types with the lookup
-half of `pose_terms`, once per (child signature, stack).  `feature_vector`
-and `best_fit_pose` are one-row calls of it and of its best-fit step;
-`build_training_set` stacks all samples, taking one shared stack or a
-per-image stack lookup.  `total_score` is the weights times the feature
-vector, and `spatial_score` weights its composite slice.
+configurations, each read on its own score-map stack, it first fits blocks
+of a composite node's exemplars to all rows in bounded fits of at most
+`_FIT_ROWS` pairs and keeps each row's best exemplar, which needs no stack.
+Then it draws the stacks one at a time, in order: per stack it gathers its
+rows' atomic columns at each row's nearest scale and reads the relation
+types with the lookup half of `pose_terms`, once per child signature, and
+releases the stack before drawing the next, so a generator that loads each
+stack keeps one in memory.  `feature_vector` and `best_fit_pose` are
+one-row calls of it and of its best-fit step; `build_training_set` stacks
+all samples, taking one shared stack or a per-image source, and streams
+the per-image stacks, each loaded once, in order of first appearance.
+`total_score` is the weights times the feature vector, and `spatial_score`
+weights its composite slice.
 Candidate refinements are scored by a separable approximation that freezes
 everything except the atomic appearance terms and the level-2 alignment
 penalties; `refinement_scores` scores many refined roots at once, and
@@ -625,26 +629,28 @@ def feature_matrix(
 ) -> np.ndarray:
     """Feature rows of S configurations, each read on its own stack.
 
-    `configurations` is (S, N, 2); row s reads `stacks[stack_index[s]]`.
-    Each row holds the per-atom log-probabilities at the atomic scale, one
-    (log-pose-prob, similarity) pair per composite node with the node's
-    best-fitting exemplar (ties: lowest index), and a trailing constant 1,
-    so that total_score == <weights, features>.  The log-pose-probs of all
-    nodes with one child signature are read in one `_log_pose_probs` call
-    per stack.
+    `configurations` is (S, N, 2); row s reads stack `stack_index[s]` of
+    `stacks`, any iterable that yields the stacks 0, 1, ... in order (a list,
+    or a generator that loads each one).  Each row holds the per-atom
+    log-probabilities at the atomic scale, one (log-pose-prob, similarity)
+    pair per composite node with the node's best-fitting exemplar (ties:
+    lowest index), and a trailing constant 1, so that
+    total_score == <weights, features>.
+
+    The stack-free part comes first: every node's best fits and similarities
+    over all S rows.  Then each stack is drawn once, in order: its rows'
+    atomic columns are gathered, the log-pose-probs of all nodes with one
+    child signature are read in one `_log_pose_probs` call, and the stack is
+    released before the next one is drawn.
     """
     X = np.asarray(configurations, dtype=float)
     stack_index = np.asarray(stack_index, dtype=np.intp)
     if X.ndim != 3 or X.shape[1:] != (hierarchy.atomic_count, 2):
         raise ValueError(f"configurations must be (S, {hierarchy.atomic_count}, 2)")
-    if stack_index.shape != (len(X),):
-        raise ValueError("need one stack index per configuration")
-    groups = [
-        (stacks[g], np.flatnonzero(stack_index == g)) for g in np.unique(stack_index).tolist()
-    ]
+    if stack_index.shape != (len(X),) or (stack_index < 0).any():
+        raise ValueError("need one non-negative stack index per configuration")
     size = object_size(X)
     out = np.empty((len(X), feature_length(hierarchy)))
-    out[:, : hierarchy.atomic_count] = _appearance_features(X, groups, hierarchy)
     signatures: dict[tuple[str, ...], list] = {}
     for index, node in enumerate(hierarchy.composite_nodes):
         table = library.arrays(node.id)
@@ -654,34 +660,54 @@ def feature_matrix(
         column = hierarchy.atomic_count + 2 * index
         out[:, column + 1] = similarity
         signatures.setdefault(table.signature, []).append((node.id, column, current, best))
-    # one lookup per (child signature, stack): each node's rows of the stack are one run
-    for fits in signatures.values():
-        columns = [column for _, column, _, _ in fits]
-        for stack, rows in groups:
-            runs = [(node_id, slice(k * len(rows), (k + 1) * len(rows)))
-                    for k, (node_id, *_) in enumerate(fits)]
-            log_prob = _log_pose_probs(
-                runs, library.labels, np.concatenate([best[rows] for *_, best in fits]),
-                np.concatenate([current[rows] for _, _, current, _ in fits]),
-                np.tile(size[rows], len(fits)), stack, hierarchy,
-            )
-            out[rows[:, None], columns] = log_prob.reshape(len(fits), -1).T
+    # not zip or enumerate over `stacks`: each keeps its last tuple, and with
+    # it the old stack, until the next one has been drawn
+    source = iter(stacks)
+    for group in range(stack_index.max(initial=-1) + 1):
+        stack = next(source, None)
+        if stack is None:
+            raise ValueError(f"no stack for stack index {group}")
+        rows = np.flatnonzero(stack_index == group)
+        if len(rows):
+            _read_stack(out, rows, X, size, stack, signatures.values(), hierarchy, library)
+        del stack  # released before the next stack is drawn
     out[:, -1] = 1.0
     return out
 
 
-def _appearance_features(X: np.ndarray, groups, hierarchy: PartHierarchy) -> np.ndarray:
-    """(S, N) atomic log-probabilities of S configurations at the atomic
-    scale; `groups` pairs each stack with the rows that read it, and each
-    stack's rows are gathered once per stored scale."""
-    size = object_size(X)
+def _read_stack(out, rows, X, size, stack, signatures, hierarchy, library) -> None:
+    """Fill the columns of `out` read on `stack` at `rows`, the rows that
+    read it: the atomic log-probabilities, and per child signature one
+    `_log_pose_probs` call with each node's rows as one run.  `X` and `size`
+    are the configurations and object sizes of all rows, and `signatures`
+    lists per child signature each node's (id, column, child points, best
+    exemplars) over all rows."""
+    size = size[rows]
+    out[rows, : hierarchy.atomic_count] = _appearance_features(X[rows], size, stack, hierarchy)
+    for fits in signatures:
+        columns = [column for _, column, _, _ in fits]
+        runs = [(node_id, slice(k * len(rows), (k + 1) * len(rows)))
+                for k, (node_id, *_) in enumerate(fits)]
+        log_prob = _log_pose_probs(
+            runs, library.labels, np.concatenate([best[rows] for *_, best in fits]),
+            np.concatenate([current[rows] for _, _, current, _ in fits]),
+            np.tile(size, len(fits)), stack, hierarchy,
+        )
+        out[rows[:, None], columns] = log_prob.reshape(len(fits), -1).T
+
+
+def _appearance_features(
+    X: np.ndarray, size: np.ndarray, stack: ScoreMapStack, hierarchy: PartHierarchy
+) -> np.ndarray:
+    """(R, N) atomic log-probabilities at the atomic scale of R
+    configurations of object sizes `size` (R,) that all read `stack`; the
+    rows are gathered once per stored scale."""
     out = np.empty(X.shape[:2])
-    for stack, rows in groups:
-        scale_index = scale_indices(size[rows], 1, stack, hierarchy)
-        for idx in np.unique(scale_index).tolist():
-            picked = rows[scale_index == idx]
-            points = X[picked].transpose(1, 0, 2)  # (N, K, 2): one row per part
-            out[picked] = log_marginals_at(stack, hierarchy.atomic_ids, points, idx).T
+    scale_index = scale_indices(size, 1, stack, hierarchy)
+    for idx in np.unique(scale_index).tolist():
+        picked = scale_index == idx
+        points = X[picked].transpose(1, 0, 2)  # (N, K, 2): one row per part
+        out[picked] = log_marginals_at(stack, hierarchy.atomic_ids, points, idx).T
     return out
 
 
@@ -704,28 +730,31 @@ def build_training_set(
     hierarchy: PartHierarchy,
     library: ExemplarLibrary,
     bound: float = DEFAULT_MAX_ANGLE,
+    load=None,
 ) -> TrainingSet:
     """Feature rows for annotated configurations with +/-1 labels.
 
     `stacks` is one ScoreMapStack shared by every sample, or a function that
-    returns the stack of a sample's image name.  Rows follow the samples,
-    positives first; every feature is extracted in one `feature_matrix` pass.
+    names the map source of a sample's image (such as its map file); then
+    `load(source)` returns that source's stack.  Every sample's source is
+    named before any stack loads.  Samples are grouped by source in order of
+    first appearance, and the groups' stacks are loaded in that order, one
+    at a time, each released before the next loads.  Rows follow the
+    samples, positives first; every feature is extracted in one
+    `feature_matrix` pass.
     """
     positives, negatives = list(positives), list(negatives)
     samples = positives + negatives
     if not samples:
         raise ValueError("no training samples")
-    lookup = (lambda image: stacks) if isinstance(stacks, ScoreMapStack) else stacks
-    distinct, position, stack_index = [], {}, []
-    for ann in samples:
-        stack = lookup(ann.image)
-        if id(stack) not in position:
-            position[id(stack)] = len(distinct)
-            distinct.append(stack)
-        stack_index.append(position[id(stack)])
+    if isinstance(stacks, ScoreMapStack):
+        loaded, stack_index = [stacks], [0] * len(samples)
+    else:
+        position: dict = {}
+        stack_index = [position.setdefault(stacks(ann.image), len(position)) for ann in samples]
+        loaded = map(load, position)
     features = feature_matrix(
-        np.stack([ann.points for ann in samples]), distinct, stack_index,
-        hierarchy, library, bound,
+        np.stack([ann.points for ann in samples]), loaded, stack_index, hierarchy, library, bound,
     )
     labels = np.concatenate([np.ones(len(positives)), -np.ones(len(negatives))])
     return TrainingSet(features, labels)

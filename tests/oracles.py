@@ -439,7 +439,10 @@ def per_node_feature_matrix(configurations, stacks, stack_index, hierarchy, libr
     ]
     size = object_size(X)
     out = np.empty((len(X), feature_length(hierarchy)))
-    out[:, : hierarchy.atomic_count] = _appearance_features(X, groups, hierarchy)
+    for stack, rows in groups:
+        out[rows, : hierarchy.atomic_count] = _appearance_features(
+            X[rows], size[rows], stack, hierarchy
+        )
     column = hierarchy.atomic_count
     for node in hierarchy.composite_nodes:
         table = library.arrays(node.id)

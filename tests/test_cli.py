@@ -8,6 +8,8 @@ import operator
 import re
 import shutil
 import struct
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from hierpose import (
     load_weights,
     save_annotations,
     save_library,
+    save_score_maps,
     save_weights,
     train_weights,
 )
@@ -657,7 +660,7 @@ def test_train_reads_the_maps_of_image_names_with_hash(workspace, tiny3):
     ] == expected
 
 
-@pytest.mark.parametrize("command", ["train", "score"])
+@pytest.mark.parametrize("command", ["train", "score", "infer"])
 @pytest.mark.parametrize("max_angle", [4.0, 0.0, -1.0])
 def test_bad_max_angle_exits_1_before_any_file_is_read(workspace, capsys, command, max_angle):
     """The key is checked as soon as the config is read: the inputs it names
@@ -665,18 +668,108 @@ def test_bad_max_angle_exits_1_before_any_file_is_read(workspace, capsys, comman
     doc = {"hierarchy": "absent.json", "max_angle": max_angle}
     if command == "train":
         config = train_config(workspace, name="bad_angle.json", **doc)
-    else:
+    elif command == "score":
         config = score_config(workspace, **doc)
+    else:
+        params = json.loads(infer_config(workspace).read_text())["params"]
+        config = infer_config(workspace, name="bad_angle.json", hierarchy="absent.json",
+                              params={**params, "max_angle": max_angle})
     assert main([command, str(config)]) == 1
     assert capsys.readouterr().err == f"error: max_angle must lie in (0, pi], got {max_angle}\n"
     assert not (workspace / "out").exists()
 
 
-def test_train_missing_per_image_maps_exit_1(workspace, tiny3, capsys):
+def test_infer_bad_mode_exits_1_before_any_file_is_read(workspace, capsys):
+    config = infer_config(workspace, name="bad_mode.json", hierarchy="absent.json", mode="bogus")
+    assert main(["infer", str(config)]) == 1
+    assert capsys.readouterr().err == "error: mode must be one of ('full', 'partial', 'no-hier')\n"
+    assert not (workspace / "out").exists()
+
+
+def counted_loads(monkeypatch) -> tuple[list, list]:
+    """Patch the CLI's `load_score_maps` to record the name of each file it
+    loads and, just before each load, how many stacks loaded earlier are
+    still reachable."""
+    loads, alive, refs = [], [], []
+
+    def load(path):
+        alive.append(sum(ref() is not None for ref in refs))
+        stack = load_score_maps(path)
+        loads.append(path.name)
+        refs.append(weakref.ref(stack))
+        return stack
+
+    monkeypatch.setattr(hierpose.cli, "load_score_maps", load)
+    return loads, alive
+
+
+def test_train_missing_per_image_maps_exit_1(workspace, tiny3, capsys, monkeypatch):
+    """Every map file is named before the first loads."""
     _, config = per_image_maps(workspace, tiny3)
     (workspace / "maps" / "img1.hpsm").unlink()
+    loads, _ = counted_loads(monkeypatch)
     assert main(["train", str(config)]) == 1
     assert "img1.hpsm" in capsys.readouterr().err
+    assert loads == []
+
+
+def test_train_corrupt_per_image_map_exit_1_with_the_loader_message(workspace, tiny3, capsys):
+    _, config = per_image_maps(workspace, tiny3)
+    path = workspace / "maps" / "img1.hpsm"
+    path.write_bytes(path.read_bytes()[:-4])
+    with pytest.raises(ValueError) as error:
+        load_score_maps(path)
+    assert main(["train", str(config)]) == 1
+    assert capsys.readouterr().err == f"error: {error.value}\n"
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["per image", "one file"])
+def test_train_loads_each_map_once_and_holds_one_at_a_time(workspace, tiny3, monkeypatch, shared):
+    """Each map file loads once, in order of first appearance (here not the
+    order of the names), and every stack loaded earlier is unreachable when
+    the next load starts; one shared file loads once."""
+    annotations, config = per_image_maps(workspace, tiny3)
+    save_annotations([annotations[k] for k in (2, 0, 1)], tiny3, workspace / "three.json")
+    if shared:
+        config = train_config(workspace, name="shared.json", annotations="three.json")
+    loads, alive = counted_loads(monkeypatch)
+    assert main(["train", str(config)]) == 0
+    assert loads == (["maps.hpsm"] if shared else ["img2.hpsm", "img0.hpsm", "img1.hpsm"])
+    assert alive == [0] * len(loads)
+
+
+def train_peak_bytes(tmp_path, count: int) -> tuple[int, int]:
+    """tracemalloc peak of `hierpose train` over `count` tiny3 images, each
+    with its own copy of one 96x96 map file, and the size of that file."""
+    (tmp_path / "hierarchy.json").write_text(json.dumps(tiny3_doc()))
+    hierarchy = load_hierarchy(tmp_path / "hierarchy.json")
+    annotations = annotations_tiny3(count)
+    library, _ = library_for(hierarchy, annotations[:5])
+    maps = tmp_path / "maps"
+    maps.mkdir()
+    save_score_maps(make_scene(library, hierarchy, seed=0, grid=(96, 96)).stack, maps / "one.hpsm")
+    for ann in annotations:
+        ann.size = (24, 24)
+        shutil.copy(maps / "one.hpsm", maps / f"{ann.image}.hpsm")
+    save_annotations(annotations, hierarchy, tmp_path / "annotations.json")
+    config = train_config(tmp_path, score_maps="maps")
+    assert main(["train", str(config)]) == 0  # warm-up: later runs allocate the same
+    tracemalloc.start()
+    try:
+        assert main(["train", str(config)]) == 0
+        return tracemalloc.get_traced_memory()[1], (maps / "one.hpsm").stat().st_size
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("count", [4, 16])
+def test_train_memory_is_one_stack_whatever_the_image_count(tmp_path, count):
+    """`train` holds one image's stack at a time, so its peak stays within
+    one map file plus a fixed margin as the images grow; holding every stack
+    peaked at 8 MB on 4 images and 32 MB on 16."""
+    peak, stack_bytes = train_peak_bytes(tmp_path, count)
+    assert stack_bytes > 1_900_000
+    assert peak < stack_bytes + 1_000_000
 
 
 def eval_config(workspace, metric, name, **overrides):

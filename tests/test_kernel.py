@@ -5,6 +5,7 @@ proposal draw, and scoring each distinct hypothesis once."""
 
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 from functools import lru_cache
 from unittest import mock
@@ -989,6 +990,102 @@ def test_feature_matrix_matches_the_per_node_loop(name, seed, count, budget):
         X, stacks, stack_index, hierarchy, library, oracles.MAX_ANGLE
     )
     assert ours.tobytes() == expected.tobytes()
+
+
+@lru_cache(maxsize=None)
+def four_stacks(name: str):
+    """`feature_model(name)` with two more stacks of the same channels."""
+    hierarchy, library, stacks = feature_model(name)
+    more = [
+        random_stack(hierarchy, library.atomic_bins, library.composite_bins,
+                     np.random.default_rng(seed), grid=(GRID, GRID), scales=SCALES[name])
+        for seed in (9, 10)
+    ]
+    return hierarchy, library, stacks + more
+
+
+class Draws:
+    """Hands out a new ScoreMapStack over the maps of a given one, keeping
+    only a weak reference to it, and records, just before each draw, how
+    many earlier draws are still reachable."""
+
+    def __init__(self):
+        self.refs, self.alive = [], []
+
+    def __call__(self, stack: ScoreMapStack) -> ScoreMapStack:
+        self.alive.append(sum(ref() is not None for ref in self.refs))
+        fresh = ScoreMapStack(stack.scales)
+        self.refs.append(weakref.ref(fresh))
+        return fresh
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(DOCS)),
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 30),
+)
+def test_feature_matrix_reads_a_generator_of_stacks_one_at_a_time(name, seed, count):
+    """Stacks drawn from a generator give the per-node loop's features bit
+    for bit on four stacks.  Each stack is drawn once, none past the last
+    index read, and each is unreachable before the next is drawn."""
+    hierarchy, library, stacks = four_stacks(name)
+    rng = np.random.default_rng(seed)
+    X = random_configurations(hierarchy, library, count, rng)
+    stack_index = rng.integers(len(stacks), size=count)
+    draw = Draws()
+    ours = feature_matrix(X, map(draw, stacks), stack_index, hierarchy, library)
+    expected = oracles.per_node_feature_matrix(
+        X, stacks, stack_index, hierarchy, library, oracles.MAX_ANGLE
+    )
+    assert ours.tobytes() == expected.tobytes()
+    assert draw.alive == [0] * (stack_index.max() + 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(DOCS)),
+    seed=st.integers(0, 2**32 - 1),
+    images=st.lists(st.sampled_from("abcd"), min_size=1, max_size=24),
+    cut=st.integers(0, 24),
+)
+def test_build_training_set_loads_each_source_once_in_order_of_first_appearance(
+    name, seed, images, cut
+):
+    """With per-image sources, each source loads once, in order of first
+    appearance, and is unreachable before the next loads; the rows equal
+    the per-node loop's over the stacks in that order, bit for bit."""
+    hierarchy, library, stacks = four_stacks(name)
+    X = random_configurations(hierarchy, library, len(images), np.random.default_rng(seed))
+    samples = [Annotation(image, X[k]) for k, image in enumerate(images)]
+    cut = min(cut, len(samples))
+    stack_of = dict(zip("ABCD", stacks))
+    draw, loads = Draws(), []
+
+    def load(source):
+        loads.append(source)
+        return draw(stack_of[source])
+
+    training = scoring.build_training_set(
+        samples[:cut], samples[cut:], str.upper, hierarchy, library, load=load
+    )
+    order = list(dict.fromkeys(image.upper() for image in images))
+    assert loads == order
+    assert draw.alive == [0] * len(order)
+    expected = oracles.per_node_feature_matrix(
+        X, [stack_of[source] for source in order], [order.index(i.upper()) for i in images],
+        hierarchy, library, oracles.MAX_ANGLE,
+    )
+    assert training.features.tobytes() == expected.tobytes()
+    assert training.labels.tolist() == [1.0] * cut + [-1.0] * (len(samples) - cut)
+
+
+def test_feature_matrix_needs_a_stack_for_every_index():
+    hierarchy, library, stacks, X, stack_index = on_grid_features_batch()
+    with pytest.raises(ValueError, match="no stack for stack index 1"):
+        feature_matrix(X, iter(stacks[:1]), stack_index, hierarchy, library)
+    with pytest.raises(ValueError, match="one non-negative stack index per configuration"):
+        feature_matrix(X, stacks, -stack_index, hierarchy, library)
 
 
 def check_feature_parity(error, X, stacks, stack_index, hierarchy, library, bad=2):
