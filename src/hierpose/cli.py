@@ -31,7 +31,7 @@ from .learning import (
     save_library,
     train_weights,
 )
-from .metrics import Segment, emit_report, pcp_radius, pcp_segments, pdj_curve
+from .metrics import REPORT_FORMATS, Segment, emit_report, pcp_radius, pcp_segments, pdj_curve
 from .scoring import load_weights, save_weights, WeightVector
 
 __all__ = ["main", "console_main"]
@@ -241,60 +241,69 @@ def _match_annotations(preds, gts):
     )
 
 
+# each metric's required config key, and what it holds
+_METRIC_KEYS = {"pcp_segments": ("segments", "list"), "pcp_radius": ("sigmas", "map"),
+                "pdj": ("thresholds", "list")}
+
+
 def cmd_eval(args) -> int:
     base = Path(args.config).resolve().parent
     doc = _load_config(args.config, _EVAL)
+    metric = doc["metric"]
+    if metric not in _METRIC_KEYS:
+        raise ConfigError(f"unknown metric {metric!r}")
+    key, kind = _METRIC_KEYS[metric]
+    if key not in doc:
+        raise ConfigError(f"{metric} needs a '{key}' {kind}")
+    if doc["format"] not in REPORT_FORMATS:
+        raise ConfigError(f"unknown report format {doc['format']!r}")
+    normalizer = doc.get("normalizer", "gt_box_mean_side")
+    if metric == "pdj" and isinstance(normalizer, str) and normalizer != "gt_box_mean_side":
+        raise ConfigError(f"unknown normalizer {normalizer!r}")
     hierarchy = load_hierarchy(_input_path(doc, "hierarchy", base))
     preds = load_annotations(_input_path(doc, "predictions", base), hierarchy)
     gts = load_annotations(_input_path(doc, "ground_truth", base), hierarchy)
     pred_pts, gt_pts, images = _match_annotations(preds, gts)
 
-    metric = doc["metric"]
     if metric == "pcp_segments":
-        if "segments" not in doc:
-            raise ConfigError("pcp_segments needs a 'segments' list")
         row = lambda name: hierarchy.atom_index(hierarchy.id_of(name))
         segments = [Segment(s["name"], row(s["a"]), row(s["b"])) for s in doc["segments"]]
         report = pcp_segments(pred_pts, gt_pts, segments)
     elif metric == "pcp_radius":
-        if "sigmas" not in doc:
-            raise ConfigError("pcp_radius needs a 'sigmas' map")
         report = pcp_radius(pred_pts, gt_pts, doc["sigmas"], factor=doc.get("factor", 1.5),
                             part_names=hierarchy.atomic_names)
-    elif metric == "pdj":
-        if "thresholds" not in doc:
-            raise ConfigError("pdj needs a 'thresholds' list")
-        normalizer = doc.get("normalizer", "gt_box_mean_side")
-        if normalizer == "gt_box_mean_side":
-            values = [object_size(g) for g in gt_pts]
-        elif isinstance(normalizer, dict):
+    else:
+        if isinstance(normalizer, dict):
             if missing := sorted(set(images) - set(normalizer)):
                 raise ConfigError(f"config 'normalizer' has no entry for image {missing[0]!r}")
             values = [normalizer[i] for i in images]
         elif isinstance(normalizer, float):
             values = [normalizer] * len(gt_pts)
-        else:
-            raise ConfigError(f"unknown normalizer {normalizer!r}")
+        else:  # "gt_box_mean_side"
+            values = [object_size(g) for g in gt_pts]
         report = pdj_curve(pred_pts, gt_pts, values, doc["thresholds"])
-    else:
-        raise ConfigError(f"unknown metric {metric!r}")
 
-    _output_path(base, doc["output"]).write_text(emit_report(report, doc["format"]))
+    text = emit_report(report, doc["format"])
+    _output_path(base, doc["output"]).write_text(text)
     return 0
 
 
 def cmd_synth(args) -> int:
     base = Path(args.config).resolve().parent
     doc = _load_config(args.config, _SYNTH)
-    hierarchy = load_hierarchy(_input_path(doc, "hierarchy", base))
-    annotations = load_annotations(_input_path(doc, "annotations", base), hierarchy)
     # absent optional fields take make_scene's defaults
     options = dict(doc["scenes"])
     seeds, grid = options.pop("seeds"), tuple(options.pop("grid"))
     if isinstance(seeds, dict):
         seeds = list(range(seeds["start"], seeds["start"] + seeds["count"]))
-    if args.seed is not None:
-        seeds = [args.seed]
+    field = "scenes 'seeds'" if args.seed is None else "--seed"
+    seeds = seeds if args.seed is None else [args.seed]
+    if not seeds:
+        raise ConfigError(f"{field} names no seed")
+    if min(seeds) < 0:
+        raise ConfigError(f"{field} must be >= 0, got {min(seeds)}")
+    hierarchy = load_hierarchy(_input_path(doc, "hierarchy", base))
+    annotations = load_annotations(_input_path(doc, "annotations", base), hierarchy)
 
     type_model = RelationTypeModel.build(hierarchy, annotations, **doc["type_model"])
     library = build_library(annotations, hierarchy, type_model)

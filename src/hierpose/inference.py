@@ -6,27 +6,29 @@ locations at level 2, composite anchors above), carrying over the exemplar's
 subtree and object size; every node of the subtree takes the drawn exemplar
 row, since row e of every node comes from one annotation.  From level 3 up,
 child subtrees may additionally be swapped with geometrically compatible
-lower hypotheses.  Exact copies are dropped (before the swap too), each
-distinct hypothesis is scored once, and near duplicates are pruned to the
-best Z per part, testing a block of ranked candidates against the kept rows
-in one array op.  Surviving root hypotheses are refined per atomic part
-inside a disc and the best refined configuration wins (the first, in root
-order, on a tie).
+lower hypotheses.  Exact copies among the proposals are dropped, every
+hypothesis is scored, and near duplicates (copies made by a swap too) are
+pruned to the best Z per part, testing a block of ranked candidates against
+the kept rows in one array op.  Surviving root hypotheses are refined per
+atomic part inside a disc and the best refined configuration wins (the
+first, in root order, on a tie).
 
 A score is a sum of independent per-node terms, so each hypothesis keeps
 its terms, each either known or NaN (to be computed), and the terms of
 different parts can be computed together.  `infer` runs each level as
 stages over all of its parts: (1) propose for every part, each from its
-own random stream; from level 3 up, (2) drop exact copies, (3) give every
-part's proposals their children's subtree terms in one fill pass and (4)
-swap; then drop exact copies, (5) fill every remaining NaN term of every
-part's subtree in one more pass, and (6) prune each part.  A fill pass
-(`_fill_parts`, over `scoring.fill_terms`) makes one kernel call per child
-signature among the nodes it computes.  A swapped hypothesis copies its
-base row's terms, except those of the subtree it takes from the level
-below, which it carries from there (where its object size reads the same
-stored scale), so pass (5) fits the part's own node and whatever is still
-NaN.  `score_and_prune` is the one-part call of passes (5) and (6).
+own random stream, and (2) drop exact copies; from level 3 up, (3) give
+every part's proposals their children's subtree terms in one fill pass and
+(4) swap; then (5) fill every remaining NaN term of every part's subtree in
+one more pass, and (6) prune each part, which drops the copies a swap made
+(a copy scores to its first copy's bits and lies within any dedup_radius
+of it).  A fill pass (`_fill_parts`, over `scoring.fill_terms`) makes one
+kernel call per child signature among the nodes it computes.  A swapped
+hypothesis copies its base row's terms, except those of the subtree it
+takes from the level below, which it carries from there (where its object
+size reads the same stored scale), so pass (5) fits the part's own node
+and whatever is still NaN.  `score_and_prune` is the one-part call of
+passes (5) and (6).
 
 The hypotheses of one part are one `HypothesisSet`: stacked locations
 (H, N, 2), an (H, C) exemplar index per composite node (-1 outside the
@@ -544,8 +546,8 @@ def score_and_prune(
     bound: float = DEFAULT_MAX_ANGLE,
     counts: dict | None = None,
 ) -> HypothesisSet:
-    """Score each distinct hypothesis of one part once, deduplicate, keep the
-    top z: the one-part call of `_score_parts`."""
+    """Score every hypothesis of one part, deduplicate, keep the top z: the
+    one-part call of `_score_parts`."""
     return _score_parts(
         [hyps], stack, hierarchy, library, weights, z, dedup_radius, bound, counts
     )[0]
@@ -581,23 +583,21 @@ def _score_parts(
     bound: float,
     counts: dict | None,
 ) -> list[HypothesisSet]:
-    """Score each distinct hypothesis of several parts once, deduplicate,
-    keep the top z per part.
+    """Score every hypothesis of several parts, deduplicate, keep the top z
+    per part.
 
-    Only the first copy, in creation order, of rows equal in subtree
-    locations, subtree poses and object size (one unique over their bytes)
-    is scored, by the pre-order sum of its subtree's node terms
+    A row is scored by the pre-order sum of its subtree's node terms
     (`subtree_total`).  A row's known terms are reused, and the NaN terms
     of every part's subtree are computed in one `fill_terms` pass, one
     kernel call per child signature.  Duplicates are hypotheses whose atomic
     locations all lie within dedup_radius of a better-scoring survivor.
     Scores that agree to 1e-9 keep earlier creation order (see
-    `prune_order`).  Returns each part's kept rows, best first, with their
-    scores and every subtree term; `counts["scored"]`,
+    `prune_order`), so of exact copies, which score to the same bits, only
+    the first can be kept.  Returns each part's kept rows, best first, with
+    their scores and every subtree term; `counts["scored"]`,
     `counts["kernel_rows"]` and `counts["kernel_calls"]`, if given, grow by
     the rows scored, the (row, node) terms computed and the kernel calls.
     """
-    sets = [_drop_copies(hyps, hierarchy) for hyps in sets]
     if counts is not None:
         counts["scored"] = counts.get("scored", 0) + sum(len(hyps) for hyps in sets)
     sets = _fill_parts(
@@ -815,8 +815,8 @@ def infer(
             for index, node in enumerate(nodes)
         ]
         counts["proposed"] = sum(len(hyps) for hyps in sets)
+        sets = [_drop_copies(hyps, hierarchy) for hyps in sets]
         if level > 2:
-            sets = [_drop_copies(hyps, hierarchy) for hyps in sets]
             sets = _fill_parts(
                 sets, [node.children for node in nodes],
                 stack, hierarchy, library, weights, params.max_angle, counts,

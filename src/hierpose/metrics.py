@@ -184,6 +184,9 @@ def pdj_curve(preds, gts, normalizers, thresholds) -> MetricReport:
     return MetricReport("pdj", labels, rates, aggregate, preds.shape[0], params)
 
 
+REPORT_FORMATS = ("json", "csv")  # the formats `emit_report` writes
+
+
 def emit_report(report: MetricReport, fmt: str = "json") -> str:
     """Serialize a report; JSON is lossless, CSV is label,rate rows."""
     if fmt == "json":

@@ -28,11 +28,15 @@ fused; the grouped fill must equal it bit for bit.
 call, and `per_node_feature_matrix` the feature pass that looked each
 node's relation types up once per stack; the library must accept and
 reject exactly as the first, with the same message, and equal the other two
-bit for bit.
+bit for bit.  `copy_dropping_score_parts` is the scoring pass as it was when
+it dropped exact copies itself, before it filled, totalled and pruned; the
+library, which leaves the copies a swap makes to the prune, must keep the
+same rows with the same bits.
 """
 
 import itertools
 import math
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -46,11 +50,13 @@ from hierpose.geometry import (
     transform_points,
 )
 from hierpose.hierarchy import object_size
-from hierpose.inference import Hypothesis, _draw_proposals
+from hierpose.inference import (
+    Hypothesis, _draw_proposals, _drop_copies, _fill_parts, prune_order,
+)
 from hierpose.learning import hinge_objective
 from hierpose.scoring import (
     _appearance_features, _check_signature, _log_pose_probs, feature_length, feature_matrix,
-    pose_terms, refinement_score, scale_indices, total_score,
+    pose_terms, refinement_score, scale_indices, subtree_total, total_score,
 )
 
 FLOOR = 1e-6
@@ -508,6 +514,26 @@ def naive_prune_order(scores, points, z, dedup_radius):
         if len(kept) == z:
             break
     return kept
+
+
+def copy_dropping_score_parts(sets, stack, hierarchy, library, weights, z, dedup_radius, bound,
+                              counts):
+    """`inference._score_parts` with its own copy pass: only the first copy,
+    in creation order, of rows equal in subtree locations, subtree poses and
+    object size (`_drop_copies`) is filled, totalled and pruned;
+    `counts["scored"]` grows by the rows left."""
+    sets = [_drop_copies(hyps, hierarchy) for hyps in sets]
+    if counts is not None:
+        counts["scored"] = counts.get("scored", 0) + sum(len(hyps) for hyps in sets)
+    sets = _fill_parts(
+        sets, [(hyps.node_id,) for hyps in sets], stack, hierarchy, library, weights, bound, counts
+    )
+    out = []
+    for hyps in sets:
+        scores = subtree_total(hyps.terms, hyps.node_id, hierarchy)
+        points = hyps.locations[:, hierarchy.atom_rows(hyps.node_id)]
+        out.append(replace(hyps, score=scores).take(prune_order(scores, points, z, dedup_radius)))
+    return out
 
 
 def naive_fit_least_squares(src, dst, max_angle):

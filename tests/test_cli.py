@@ -239,6 +239,29 @@ def test_synth_rejects_bad_scene_options(workspace, capsys, key, value, message)
     assert not (workspace / "bad_scenes").exists()
 
 
+@pytest.mark.parametrize(
+    "seeds, flag, message",
+    [
+        ({"start": 0, "count": -3}, None, "scenes 'seeds' names no seed"),
+        ({"start": 0, "count": 0}, None, "scenes 'seeds' names no seed"),
+        ([], None, "scenes 'seeds' names no seed"),
+        ({"start": -2, "count": 3}, None, "scenes 'seeds' must be >= 0, got -2"),
+        ([3, -1], None, "scenes 'seeds' must be >= 0, got -1"),
+        ([0], "-1", "--seed must be >= 0, got -1"),
+    ],
+)
+def test_synth_rejects_an_empty_or_negative_seed_set(workspace, capsys, seeds, flag, message):
+    """An empty seed set used to exit 0 having written no scene, and a
+    negative seed to fail inside numpy with a message that named no field;
+    both exit 1 before any input is read or directory made."""
+    path, doc = synth_config(workspace, seeds=seeds)
+    doc["hierarchy"] = "absent.json"
+    path.write_text(json.dumps(doc))
+    assert main(["synth", str(path)] + (["--seed", flag] if flag else [])) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (workspace / "bad_scenes").exists()
+
+
 def test_infer_smoke_and_determinism(workspace):
     config = infer_config(workspace)
     assert main(["infer", str(config)]) == 0
@@ -844,6 +867,32 @@ def test_eval_repeated_image_exit_1_names_file_and_image(workspace, capsys, key)
 
 
 SIGMAS = {name: 2.0 for name in ("la", "lb", "lc", "ra", "rb", "rc")}
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"metric": "bogus", "thresholds": [0.1]}, "unknown metric 'bogus'"),
+        ({"metric": "pcp_segments", "sigmas": SIGMAS}, "pcp_segments needs a 'segments' list"),
+        ({"metric": "pcp_radius"}, "pcp_radius needs a 'sigmas' map"),
+        ({"metric": "pdj", "sigmas": SIGMAS}, "pdj needs a 'thresholds' list"),
+        ({"metric": "pdj", "thresholds": [0.1], "format": "xml"}, "unknown report format 'xml'"),
+        ({"metric": "pdj", "thresholds": [0.1], "normalizer": "bogus"},
+         "unknown normalizer 'bogus'"),
+    ],
+    ids=["metric", "segments", "sigmas", "thresholds", "format", "normalizer"],
+)
+def test_eval_bad_config_exits_1_before_any_file_is_read(workspace, capsys, overrides, message):
+    """Each value is checked as soon as the config is read: the inputs it
+    names do not exist here, and no output directory is made.  A bad format
+    used to be found only when the report was written, after every input
+    was read and the metric computed, and left the output's directories
+    behind."""
+    doc = {"hierarchy": "absent.json", "output": "reports/deep/out.txt", **overrides}
+    config = eval_config(workspace, doc.pop("metric"), "bad_config", **doc)
+    assert main(["eval", str(config)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (workspace / "reports").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,8 @@
 """The batched pose-term kernel, the batched feature pass, array-built
 proposals, the prune and the chunked refinement against the scalar oracles
 in `oracles.py`, including typed-error parity on one bad row, the one-pass
-proposal draw, and scoring each distinct hypothesis once."""
+proposal draw, and the scoring pass that leaves exact copies to the prune
+against the one that dropped them first."""
 
 import math
 import tracemalloc
@@ -302,18 +303,28 @@ def with_child_terms(hyps, stack, hierarchy, library, weights):
 
 def swapped_rows(data, one_scale=False):
     """A model, a part with composite children, its rows after
-    `swap_subtrees`, and how many of them lead as base rows: base rows from
-    `random_rows`, with no terms known, with their children's terms (as
-    `infer` swaps them) or already scored, swapped with pools of each child
-    that `score_and_prune` has scored, so they carry their terms; maybe
-    swapped a second time, which can swap one child twice.  Object sizes
-    span both stored scales of limbs4 unless `one_scale`, which keeps them
-    below 37.5, gives the base rows their children's terms and swaps
-    once."""
+    `swap_subtrees`, and how many of them lead as base rows (see
+    `swapped_part`)."""
     hierarchy, library, stack = model(data.draw(st.sampled_from(sorted(DOCS))))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     node = data.draw(st.sampled_from([n for n in hierarchy.composite_nodes if n.level >= 3]))
     weights = random_weights(hierarchy, rng)
+    hyps, bases = swapped_part(data, rng, node, hierarchy, library, stack, weights, one_scale)
+    return hierarchy, library, stack, weights, hyps, bases
+
+
+def swapped_part(data, rng, node, hierarchy, library, stack, weights, one_scale=False,
+                 self_swaps=False):
+    """Rows of `node` after `swap_subtrees`, and how many of them lead as
+    base rows: base rows from `random_rows`, with no terms known, with their
+    children's terms (as `infer` swaps them) or already scored, swapped with
+    pools of each child that `score_and_prune` has scored, so they carry
+    their terms; maybe swapped a second time, which can swap one child
+    twice.  Object sizes span both stored scales of limbs4 unless
+    `one_scale`, which keeps them below 37.5, gives the base rows their
+    children's terms and swaps once.  With `self_swaps`, each child's pool
+    also holds every base row's own child subtree, so a swap makes a copy of
+    its base row that carries the pool's child terms."""
 
     def rows_of(part, count):
         locations, poses, sizes = random_rows(hierarchy, library, part.id, count, rng)
@@ -321,21 +332,38 @@ def swapped_rows(data, one_scale=False):
             sizes = rng.uniform(10.0, 30.0, count)
         return HypothesisSet.build(part, locations, poses, sizes)
 
-    lower = {}
-    for child in node.children:
-        pool = rows_of(hierarchy.node(child), data.draw(st.integers(1, 3)))
-        lower[child] = score_and_prune(pool, stack, hierarchy, library, weights, len(pool), 0.0)
+    pools = {
+        child: rows_of(hierarchy.node(child), data.draw(st.integers(1, 3)))
+        for child in node.children
+    }
     hyps = rows_of(node, data.draw(st.integers(1, 4)))
     known = "children" if one_scale else data.draw(st.sampled_from(["none", "children", "all"]))
     if known == "children":
         hyps = with_child_terms(hyps, stack, hierarchy, library, weights)
     elif known == "all":
         hyps = score_and_prune(hyps, stack, hierarchy, library, weights, len(hyps), 0.0)
+    lower = {}
+    for child, pool in pools.items():
+        if self_swaps:
+            pool = pool.concat(own_subtrees(hyps, hierarchy.node(child), hierarchy))
+        lower[child] = score_and_prune(pool, stack, hierarchy, library, weights, len(pool), 0.0)
     bases = len(hyps)
     params = InferenceParams(compatibility_tolerance=data.draw(st.sampled_from([0.3, 1.0])))
     for _ in range(data.draw(st.integers(1, 1 if one_scale else 2))):
         hyps = swap_subtrees(hyps, lower, stack, hierarchy, params)
-    return hierarchy, library, stack, weights, hyps, bases
+    return hyps, bases
+
+
+def own_subtrees(hyps, child, hierarchy):
+    """The `child` subtree of each row: its locations and poses, NaN and -1
+    elsewhere, at the row's object size, with no terms known."""
+    locations = np.full(hyps.locations.shape, np.nan)
+    rows = hierarchy.atom_rows(child.id)
+    locations[:, rows] = hyps.locations[:, rows]
+    pose = np.full(hyps.pose.shape, -1, dtype=np.intp)
+    columns = [hierarchy.composite_index(c) for c in hierarchy.composites_below(child.id)]
+    pose[:, columns] = hyps.pose[:, columns]
+    return HypothesisSet.build(child, locations, pose, hyps.object_size)
 
 
 def no_terms(hyps):
@@ -395,15 +423,70 @@ def test_swap_carries_terms_only_at_the_same_scale():
     assert np.isnan(out.terms[3, column])
 
 
+def first_copies(hyps, hierarchy):
+    """Each row's first copy, in creation order: the first row with the same
+    subtree locations, subtree poses and object size."""
+    rows = hierarchy.atom_rows(hyps.node_id)
+    columns = [hierarchy.composite_index(n) for n in hierarchy.composites_below(hyps.node_id)]
+    first = {}
+    return np.array([
+        first.setdefault((
+            hyps.locations[i, rows].tobytes(), hyps.pose[i, columns].tobytes(),
+            hyps.object_size[i].tobytes(),
+        ), i)
+        for i in range(len(hyps))
+    ])
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_score_and_prune_scores_each_distinct_row_once(data):
-    """Exact copies are scored once, and on one stored scale, with the base
-    rows' children's terms known, every distinct row costs one kernel row,
+def test_score_parts_keeps_what_the_copy_dropping_pass_keeps(data):
+    """Scoring every row, exact copies included, and leaving the copies to
+    the prune keeps the rows, order, scores and terms, bit for bit, of the
+    pass that dropped the copies first (`oracles.copy_dropping_score_parts`),
+    on two parts at once.  The rows are swapped rows with copies
+    interleaved, and maybe self swaps: copies of their base rows whose child
+    terms are carried from a pool, not computed with the base row; every
+    copy scores to its first copy's bits."""
+    hierarchy, library, stack = model(data.draw(st.sampled_from(sorted(DOCS))))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    weights = random_weights(hierarchy, rng)
+    sets = []
+    for _ in range(2):
+        node = data.draw(st.sampled_from([n for n in hierarchy.composite_nodes if n.level >= 3]))
+        self_swaps = data.draw(st.booleans())
+        hyps, bases = swapped_part(
+            data, rng, node, hierarchy, library, stack, weights, self_swaps=self_swaps
+        )
+        if self_swaps:  # each base row is compatible with its own subtree
+            assert len(set(first_copies(hyps, hierarchy).tolist())) <= len(hyps) - bases
+        sets.append(hyps.take(with_copies(data, len(hyps))))
+    z = data.draw(st.integers(1, max(len(hyps) for hyps in sets) + 1))
+    radius = data.draw(st.sampled_from([0.0, 2.0]))
+    args = (stack, hierarchy, library, weights, z, radius, oracles.MAX_ANGLE, None)
+    ours = inference._score_parts(sets, *args)
+    theirs = oracles.copy_dropping_score_parts(sets, *args)
+    for out, want in zip(ours, theirs):
+        for name in ("locations", "pose", "object_size", "score", "terms"):
+            assert getattr(out, name).tobytes() == getattr(want, name).tobytes(), name
+    filled = inference._fill_parts(
+        sets, [(hyps.node_id,) for hyps in sets], stack, hierarchy, library, weights,
+        oracles.MAX_ANGLE, None,
+    )
+    for hyps in filled:
+        scores = subtree_total(hyps.terms, hyps.node_id, hierarchy)
+        assert scores.tobytes() == scores[first_copies(hyps, hierarchy)].tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_score_and_prune_scores_every_row_once(data):
+    """Every row is scored, exact copies too, and on one stored scale, with
+    the base rows' children's terms known, every row costs one kernel row,
     its own node's: the kernel is called once, at the part's own node, on
-    the distinct base rows and the distinct swapped rows."""
-    hierarchy, library, stack, weights, hyps, bases = swapped_rows(data, one_scale=True)
-    swapped = len(hyps) - bases
+    all the rows; the kept rows are those of the copy-dropping pass."""
+    hierarchy, library, stack, weights, hyps, _ = swapped_rows(data, one_scale=True)
+    rows = hyps.take(with_copies(data, len(hyps)))
     rows_seen = []
     kernel = scoring.pose_terms
 
@@ -413,12 +496,85 @@ def test_score_and_prune_scores_each_distinct_row_once(data):
 
     counts = {}
     with mock.patch.object(scoring, "pose_terms", counted):
-        score_and_prune(
-            hyps.take(with_copies(data, len(hyps))), stack, hierarchy, library, weights,
-            z=4, dedup_radius=2.0, counts=counts,
+        out = score_and_prune(
+            rows, stack, hierarchy, library, weights, z=4, dedup_radius=2.0, counts=counts,
         )
-    assert rows_seen == [bases + swapped]
-    assert counts == {"scored": bases + swapped, "kernel_rows": bases + swapped, "kernel_calls": 1}
+    assert rows_seen == [len(rows)]
+    assert counts == {"scored": len(rows), "kernel_rows": len(rows), "kernel_calls": 1}
+    [want] = oracles.copy_dropping_score_parts(
+        [rows], stack, hierarchy, library, weights, 4, 2.0, oracles.MAX_ANGLE, None
+    )
+    for name in ("locations", "pose", "object_size", "score", "terms"):
+        assert getattr(out, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def infer_both_ways(stack, hierarchy, library, weights, params, mode):
+    """`infer` as it is, and with the copy-dropping scoring pass patched in:
+    the two must agree bit for bit in every output and every diagnostic
+    but `scored` and `kernel_rows`, which count the copies only the first
+    scores.  Returns the result and the rows each way scored per level from
+    level 2 up."""
+    ours = inference.infer(stack, hierarchy, library, weights, params, mode)
+    with mock.patch.object(inference, "_score_parts", oracles.copy_dropping_score_parts):
+        theirs = inference.infer(stack, hierarchy, library, weights, params, mode)
+    for name in ("configuration", "score", "partial_configuration", "partial_score"):
+        assert np.asarray(getattr(ours, name)).tobytes() == \
+            np.asarray(getattr(theirs, name)).tobytes(), name
+    for name in ("locations", "pose", "object_size", "score", "terms"):
+        assert getattr(ours.root_hypotheses, name).tobytes() == \
+            getattr(theirs.root_hypotheses, name).tobytes(), name
+    scored = []
+    for diagnostics in (ours.diagnostics, theirs.diagnostics):
+        levels = diagnostics.pop("levels")
+        scored.append([level.pop("scored") for level in levels[1:]])
+        for level in levels[1:]:
+            level.pop("kernel_rows")
+        diagnostics["levels"] = levels
+    assert ours.diagnostics == theirs.diagnostics
+    return ours, *scored
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_infer_matches_the_copy_dropping_pass_on_tiny3(mode):
+    hierarchy = load_hierarchy(tiny3_doc())
+    library, _ = library_for(hierarchy, annotations_tiny3(4))
+    scene = make_scene(library, hierarchy, seed=1, grid=(48, 48), distractors=3)
+    weights = WeightVector.uniform(hierarchy, pose_appearance=0.3, pose_similarity=0.05)
+    _, ours, theirs = infer_both_ways(
+        scene.stack, hierarchy, library, weights, InferenceParams(z=10, seed=1), mode
+    )
+    if mode == "no-hier":  # no swaps, no copies left for the prune
+        assert ours == theirs
+    else:
+        assert ours[0] == theirs[0] and ours[1] > theirs[1]
+
+
+def test_infer_matches_the_copy_dropping_pass_on_two_scales():
+    """On limbs4 scenes rendered at scales 1.0 and 2.0, whose root rows read
+    both, and with swaps that make copies at level 3."""
+    hierarchy = load_hierarchy(limbs4_doc())
+    rng = np.random.default_rng(7)
+    annotations = [
+        Annotation(f"a{k}", rng.random((hierarchy.atomic_count, 2)) * 36 + 2) for k in range(4)
+    ]
+    library, _ = library_for(hierarchy, annotations, atomic_bins=6, composite_bins=3)
+    weights = WeightVector.uniform(hierarchy, pose_appearance=0.3, pose_similarity=0.05)
+    copies, scales = 0, set()
+    for seed in (0, 1):
+        scene = make_scene(
+            library, hierarchy, seed=seed, grid=(64, 64), scales=(1.0, 2.0), mix=True,
+            distractors=2,
+        )
+        params = InferenceParams(
+            z=3, samples_per_level=1000, seed=seed, compatibility_tolerance=1.0
+        )
+        result, ours, theirs = infer_both_ways(
+            scene.stack, hierarchy, library, weights, params, "full"
+        )
+        copies += sum(ours) - sum(theirs)
+        sizes = result.root_hypotheses.object_size
+        scales |= set(scale_indices(sizes, 1, scene.stack, hierarchy).tolist())
+    assert copies > 0 and scales == {0, 1}
 
 
 # -- grouped fill ----------------------------------------------------------------

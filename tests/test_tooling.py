@@ -4,9 +4,9 @@ dependency, the format notes name every diagnostics key and each binary
 container's version,
 `HypothesisSet.take`/`concat` carry every per-row field, one function picks
 every stored scale and no angle bound defaults to None, one method builds
-the marginal table, `infer` fits each (part, subtree node) pair in one
-kernel call, and `feature_matrix` fits blocks of exemplars and looks each
-child signature up once per stack."""
+the marginal table, `infer` drops exact copies in one place and fits each
+(part, subtree node) pair in one kernel call, and `feature_matrix` fits
+blocks of exemplars and looks each child signature up once per stack."""
 
 import ast
 import dataclasses
@@ -216,6 +216,28 @@ def test_one_marginal_table():
     assert len(in_rule) == 1
     assert sums == in_rule, f"channels summed outside ScoreMapStack.marginal: {sums - in_rule}"
     assert not outside, f"marginal caches named outside appearance: {outside}"
+
+
+def test_one_copy_pass():
+    """`_drop_copies` is called from one place under `src/`, in `infer`, so
+    exact copies are dropped once per level and the prune removes the
+    copies a swap makes."""
+    def drops(tree):
+        return [
+            node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _called_name(node) == "_drop_copies"
+        ]
+
+    sites, in_infer = [], []
+    for path in sorted((ROOT / "src" / "hierpose").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        sites += [(path.name, line) for line in drops(tree)]
+        in_infer += [
+            (path.name, line) for node in tree.body
+            if (path.name, getattr(node, "name", None)) == ("inference.py", "infer")
+            for line in drops(node)
+        ]
+    assert len(sites) == 1 and sites == in_infer, f"copy passes: {sites}"
 
 
 @pytest.mark.parametrize(
