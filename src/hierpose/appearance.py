@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -292,21 +291,22 @@ def _channel_sum(channels: np.ndarray) -> np.ndarray:
 
 
 def save_score_maps(stack: ScoreMapStack, path) -> None:
-    """Write the little-endian "HPSM" container (bit-exact round trip)."""
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<II", FORMAT_VERSION, stack.n_scales)
-    for maps in stack.scales:
-        c, h, w = maps.atomic.shape
-        out += struct.pack("<dIII", maps.scale, h, w, c)
-        out += maps.channel_table.astype("<u4").tobytes()
-        out += maps.atomic.astype("<f4").tobytes()
-        out += struct.pack("<I", len(maps.composite))
-        for part in sorted(maps.composite):
-            comp = maps.composite[part]
-            out += struct.pack("<III", comp.part_id, comp.level, comp.data.shape[0])
-            out += comp.data.astype("<f4").tobytes()
-    Path(path).write_bytes(bytes(out))
+    """Write the little-endian "HPSM" container (bit-exact round trip),
+    each header and tensor straight to the file, with no copy of a tensor
+    that is already little-endian and contiguous."""
+    with open(path, "wb") as out:
+        out.write(MAGIC)
+        out.write(struct.pack("<II", FORMAT_VERSION, stack.n_scales))
+        for maps in stack.scales:
+            c, h, w = maps.atomic.shape
+            out.write(struct.pack("<dIII", maps.scale, h, w, c))
+            out.write(np.ascontiguousarray(maps.channel_table, "<u4"))
+            out.write(np.ascontiguousarray(maps.atomic, "<f4"))
+            out.write(struct.pack("<I", len(maps.composite)))
+            for part in sorted(maps.composite):
+                comp = maps.composite[part]
+                out.write(struct.pack("<III", comp.part_id, comp.level, comp.data.shape[0]))
+                out.write(np.ascontiguousarray(comp.data, "<f4"))
 
 
 class _Reader:

@@ -241,9 +241,13 @@ def _match_annotations(preds, gts):
     )
 
 
-# each metric's required config key, and what it holds
-_METRIC_KEYS = {"pcp_segments": ("segments", "list"), "pcp_radius": ("sigmas", "map"),
-                "pdj": ("thresholds", "list")}
+# each metric: the key it needs and its kind, and every key it reads
+_METRIC_KEYS = {
+    "pcp_segments": ("segments", "list", {"segments"}),
+    "pcp_radius": ("sigmas", "map", {"sigmas", "factor"}),
+    "pdj": ("thresholds", "list", {"thresholds", "normalizer"}),
+}
+_ANY_METRIC_KEY = set().union(*(reads for _, _, reads in _METRIC_KEYS.values()))
 
 
 def cmd_eval(args) -> int:
@@ -252,13 +256,15 @@ def cmd_eval(args) -> int:
     metric = doc["metric"]
     if metric not in _METRIC_KEYS:
         raise ConfigError(f"unknown metric {metric!r}")
-    key, kind = _METRIC_KEYS[metric]
+    key, kind, reads = _METRIC_KEYS[metric]
     if key not in doc:
         raise ConfigError(f"{metric} needs a '{key}' {kind}")
+    if unread := sorted((_ANY_METRIC_KEY - reads).intersection(doc)):
+        raise ConfigError(f"{metric} does not read '{unread[0]}'")
     if doc["format"] not in REPORT_FORMATS:
         raise ConfigError(f"unknown report format {doc['format']!r}")
     normalizer = doc.get("normalizer", "gt_box_mean_side")
-    if metric == "pdj" and isinstance(normalizer, str) and normalizer != "gt_box_mean_side":
+    if isinstance(normalizer, str) and normalizer != "gt_box_mean_side":
         raise ConfigError(f"unknown normalizer {normalizer!r}")
     hierarchy = load_hierarchy(_input_path(doc, "hierarchy", base))
     preds = load_annotations(_input_path(doc, "predictions", base), hierarchy)

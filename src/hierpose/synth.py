@@ -116,6 +116,8 @@ def render_score_maps(
     """
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"sigma must be finite and > 0, got {sigma}")
+    if 2.0 * sigma * sigma == 0:
+        raise ValueError(f"sigma is too small: 2 * sigma**2 underflows to 0, got {sigma}")
     if not (math.isfinite(noise) and noise >= 0):
         raise ValueError(f"noise must be finite and >= 0, got {noise}")
     if distractors < 0:
@@ -139,27 +141,50 @@ def render_score_maps(
             channel_of[(part, m)] = len(table)
             table.append((part, m))
 
-    foreground = np.zeros((len(table) - 1, height, width))
+    # Only the rows a bump or the noise lights are held, as float64 maps.
+    # Every value is >= +0, so an all-+0 row changes no per-pixel sum: summing
+    # the lit rows in row order gives numpy's axis-0 sum over every row bit
+    # for bit, and the cap and background follow as over a dense tensor.
+    lit: dict[int, np.ndarray] = {}
+
+    def light(row: int, values: np.ndarray) -> None:
+        if row in lit:
+            lit[row] += values
+        else:
+            lit[row] = values
+
+    def row_sum(maps) -> np.ndarray:
+        total = np.zeros((height, width))
+        for values in maps:
+            total += values
+        return total
+
     for row, part in enumerate(hierarchy.atomic_ids):
         label = atomic_labels[part]
-        foreground[channel_of[(part, label)] - 1] += amplitude * bump(X[row])
+        light(channel_of[(part, label)], amplitude * bump(X[row]))
     for _ in range(distractors):
         part = int(rng.choice(hierarchy.atomic_ids))
         label = int(rng.integers(1, atomic_bins[part] + 1))
         center = rng.random(2) * (width - 1, height - 1)
         strength = amplitude * (0.3 + 0.6 * rng.random())
-        foreground[channel_of[(part, label)] - 1] += strength * bump(center)
+        light(channel_of[(part, label)], strength * bump(center))
     if noise:
-        foreground += noise * rng.random(foreground.shape)
+        # row by row, the same stream as one (C, H, W) draw
+        for row in range(1, len(table)):
+            light(row, noise * rng.random((height, width)))
 
     cap = 0.98
-    total = foreground.sum(axis=0)
+    rows = sorted(lit)
+    total = row_sum(lit[row] for row in rows)
     over = total > cap
     if np.any(over):
-        foreground[:, over] *= cap / total[over]
-    foreground32 = foreground.astype(np.float32)
-    background = (1.0 - foreground32.astype(np.float64).sum(axis=0)).astype(np.float32)
-    atomic = np.concatenate([background[None], foreground32], axis=0)
+        shrink = cap / total[over]
+        for values in lit.values():
+            values[over] *= shrink
+    atomic = np.empty((len(table), height, width), dtype=np.float32)
+    for row in range(1, len(table)):
+        atomic[row] = lit.pop(row, 0.0)
+    atomic[0] = 1.0 - row_sum(atomic[row] for row in rows)
 
     composite: dict[int, CompositeMaps] = {}
     for part, bins in composite_bins.items():
@@ -177,16 +202,12 @@ def render_score_maps(
         composite[part] = CompositeMaps(part, hierarchy.node(part).level, data)
 
     maps = []
-    for scale in scales:
-        maps.append(
-            ScaleMaps(
-                scale=float(scale),
-                channel_table=np.array(table, dtype=np.uint32),
-                atomic=atomic.copy(),
-                composite={p: CompositeMaps(c.part_id, c.level, c.data.copy())
-                           for p, c in composite.items()},
-            )
-        )
+    for index, scale in enumerate(scales):
+        if index:
+            atomic = atomic.copy()
+            composite = {p: CompositeMaps(c.part_id, c.level, c.data.copy())
+                         for p, c in composite.items()}
+        maps.append(ScaleMaps(float(scale), np.array(table, dtype=np.uint32), atomic, composite))
     return ScoreMapStack(maps)
 
 
@@ -220,6 +241,10 @@ def make_scene(
         raise ValueError(f"margin must lie in [0, 0.5), got {margin}")
     if not max_rotation >= 0:
         raise ValueError(f"max_rotation must be >= 0, got {max_rotation}")
+    if max_rotation > math.pi:
+        raise ValueError(f"max_rotation must be <= pi, got {max_rotation}")
+    if min(grid) < 2:
+        raise ValueError(f"grid sides must be >= 2, got {list(grid)}")
     rng = np.random.default_rng(seed)
     pose, chosen = generate_pose(library, hierarchy, rng, mix=mix, assignment=assignment)
 

@@ -31,19 +31,25 @@ reject exactly as the first, with the same message, and equal the other two
 bit for bit.  `copy_dropping_score_parts` is the scoring pass as it was when
 it dropped exact copies itself, before it filled, totalled and pruned; the
 library, which leaves the copies a swap makes to the prune, must keep the
-same rows with the same bits.
+same rows with the same bits.  `dense_render_score_maps` is the renderer as
+it was when it held a float64 map of every channel, and
+`buffered_save_score_maps` the writer that built the whole container in
+memory; `make_scene` and `save_score_maps` must give their bytes.
 """
 
 import itertools
 import math
+import struct
 from dataclasses import replace
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 from scipy import optimize
 
 from hierpose.appearance import (
-    LOG_FLOOR, NORM_TOL, PROB_FLOOR, ScoreMapError, _pixels, log_type_prob_composite,
+    FORMAT_VERSION, LOG_FLOOR, MAGIC, NORM_TOL, PROB_FLOOR, CompositeMaps, ScaleMaps,
+    ScoreMapError, ScoreMapStack, _pixels, log_type_prob_composite,
 )
 from hierpose.geometry import (
     SimilarityTransform, child_points, fit_least_squares, fit_least_squares_batch,
@@ -417,6 +423,109 @@ def three_pass_validate(stack):
                     f"{name} channels sum to {sums[worst]:.6f} "
                     f"at pixel (row={worst[0]}, col={worst[1]})"
                 )
+
+
+def dense_render_score_maps(
+    X, hierarchy, atomic_labels, composite_labels, atomic_bins, composite_bins,
+    grid=(64, 64), sigma=1.5, amplitude=0.8, distractors=0, noise=0.0, rng=None,
+    scales=(1.0,),
+):
+    """`synth.render_score_maps` as it was before it kept only the lit rows:
+    one dense float64 foreground of every channel, noise drawn for all of
+    them at once, and every scale a copy of the finished tensors."""
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be finite and > 0, got {sigma}")
+    if not (math.isfinite(noise) and noise >= 0):
+        raise ValueError(f"noise must be finite and >= 0, got {noise}")
+    if distractors < 0:
+        raise ValueError(f"distractors must be >= 0, got {distractors}")
+    if distractors or noise:
+        if rng is None:
+            raise ValueError("distractors/noise need an rng")
+    height, width = int(grid[0]), int(grid[1])
+    if not 0 < amplitude <= 0.9:
+        raise ValueError("amplitude must lie in (0, 0.9]")
+    yy, xx = np.mgrid[0:height, 0:width].astype(float)
+
+    def bump(center, spread=sigma):
+        d2 = (xx - center[0]) ** 2 + (yy - center[1]) ** 2
+        return np.exp(-d2 / (2.0 * spread * spread))
+
+    table = [(0, 0)]
+    channel_of = {}
+    for part in hierarchy.atomic_ids:
+        for m in range(1, atomic_bins[part] + 1):
+            channel_of[(part, m)] = len(table)
+            table.append((part, m))
+
+    foreground = np.zeros((len(table) - 1, height, width))
+    for row, part in enumerate(hierarchy.atomic_ids):
+        label = atomic_labels[part]
+        foreground[channel_of[(part, label)] - 1] += amplitude * bump(X[row])
+    for _ in range(distractors):
+        part = int(rng.choice(hierarchy.atomic_ids))
+        label = int(rng.integers(1, atomic_bins[part] + 1))
+        center = rng.random(2) * (width - 1, height - 1)
+        strength = amplitude * (0.3 + 0.6 * rng.random())
+        foreground[channel_of[(part, label)] - 1] += strength * bump(center)
+    if noise:
+        foreground += noise * rng.random(foreground.shape)
+
+    cap = 0.98
+    total = foreground.sum(axis=0)
+    over = total > cap
+    if np.any(over):
+        foreground[:, over] *= cap / total[over]
+    foreground32 = foreground.astype(np.float32)
+    background = (1.0 - foreground32.astype(np.float64).sum(axis=0)).astype(np.float32)
+    atomic = np.concatenate([background[None], foreground32], axis=0)
+
+    composite = {}
+    for part, bins in composite_bins.items():
+        label = composite_labels[part]
+        anchor = hierarchy.anchor_point(X, part)
+        mixture = amplitude * bump(anchor, spread=2.0 * sigma)
+        data = np.empty((bins, height, width), dtype=np.float32)
+        uniform = (1.0 - mixture) / bins
+        for m in range(1, bins + 1):
+            value = uniform + (mixture if m == label else 0.0)
+            if m < bins:
+                data[m - 1] = value.astype(np.float32)
+        head = data[: bins - 1].astype(np.float64).sum(axis=0)
+        data[bins - 1] = (1.0 - head).astype(np.float32)
+        composite[part] = CompositeMaps(part, hierarchy.node(part).level, data)
+
+    maps = []
+    for scale in scales:
+        maps.append(
+            ScaleMaps(
+                scale=float(scale),
+                channel_table=np.array(table, dtype=np.uint32),
+                atomic=atomic.copy(),
+                composite={p: CompositeMaps(c.part_id, c.level, c.data.copy())
+                           for p, c in composite.items()},
+            )
+        )
+    return ScoreMapStack(maps)
+
+
+def buffered_save_score_maps(stack, path):
+    """`save_score_maps` as it was before it streamed: the whole container
+    built in one `bytearray`, then written at once."""
+    out = bytearray()
+    out += MAGIC
+    out += struct.pack("<II", FORMAT_VERSION, stack.n_scales)
+    for maps in stack.scales:
+        c, h, w = maps.atomic.shape
+        out += struct.pack("<dIII", maps.scale, h, w, c)
+        out += maps.channel_table.astype("<u4").tobytes()
+        out += maps.atomic.astype("<f4").tobytes()
+        out += struct.pack("<I", len(maps.composite))
+        for part in sorted(maps.composite):
+            comp = maps.composite[part]
+            out += struct.pack("<III", comp.part_id, comp.level, comp.data.shape[0])
+            out += comp.data.astype("<f4").tobytes()
+    Path(path).write_bytes(bytes(out))
 
 
 def per_exemplar_best_fits(exemplars, current, bound):

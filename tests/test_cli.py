@@ -216,26 +216,38 @@ def test_synth_fields_must_have_json_types(workspace, capsys, section, key, valu
         ("distractors", -3, "distractors must be >= 0"),
         ("margin", 0.6, "margin must lie in [0, 0.5)"),
         ("margin", -0.1, "margin must lie in [0, 0.5)"),
+        ("sigma", 1e-300, "sigma is too small: 2 * sigma**2 underflows to 0"),
         ("max_rotation", -0.2, "max_rotation must be >= 0"),
+        ("max_rotation", 3.2, "max_rotation must be <= pi, got 3.2"),
+        ("max_rotation", 1e308, "max_rotation must be <= pi, got 1e+308"),
+        ("grid", [1, 1], "grid sides must be >= 2, got [1, 1]"),
+        ("grid", [48, 1], "grid sides must be >= 2, got [48, 1]"),
+        ("grid", [0, 0], "grid sides must be >= 2, got [0, 0]"),
+        ("grid", [-5, 48], "grid sides must be >= 2, got [-5, 48]"),
     ],
 )
 def test_synth_rejects_bad_scene_options(workspace, capsys, key, value, message):
-    """Scene options that used to be accepted (sigma 0 and negative noise
-    wrote score maps that `load_score_maps` rejects) or to fail inside numpy
-    (a negative max_rotation) raise a ValueError that names the field, from
-    `make_scene` and from `hierpose synth`, which exits 1 and writes no
-    scene directory.  JSON cannot carry NaN, so only the library sees it; an
-    infinity is written as 1e400 or -1e400, which the config reader rejects
-    before the library sees it."""
+    """Scene options that used to be accepted (sigma 0, a sigma whose
+    2 * sigma**2 underflows, and negative noise wrote score maps that
+    `load_score_maps` rejects) or to fail inside numpy (a negative
+    max_rotation, or one so large that `rng.uniform` overflows) raise a
+    ValueError that names the field, from `make_scene` and from
+    `hierpose synth`, which exits 1 and writes no scene directory.  A 1x1
+    grid used to write poses with every part at (0, 0), which
+    `build_library` rejects as degenerate, and [0, 0] and [-5, 48] failed
+    with messages that did not name the grid.  JSON cannot carry NaN, so
+    only the library sees it; an infinity is written as 1e400 or -1e400,
+    which the config reader rejects before the library sees it."""
     hierarchy = load_hierarchy(workspace / "hierarchy.json")
     library, _ = library_for(hierarchy, load_annotations(workspace / "annotations.json", hierarchy))
     with pytest.raises(ValueError, match=re.escape(message)):
-        make_scene(library, hierarchy, seed=0, grid=(48, 48), **{key: value})
-    if math.isnan(value):
+        make_scene(library, hierarchy, seed=0, **{"grid": (48, 48), key: value})
+    if not isinstance(value, list) and math.isnan(value):
         return
     path, _ = synth_config(workspace, **{key: value})
     assert main(["synth", str(path)]) == 1
-    assert_rejected(capsys, message if math.isfinite(value) else f"scenes '{key}' must be a finite")
+    overflows = isinstance(value, float) and math.isinf(value)
+    assert_rejected(capsys, f"scenes '{key}' must be a finite" if overflows else message)
     assert not (workspace / "bad_scenes").exists()
 
 
@@ -867,6 +879,7 @@ def test_eval_repeated_image_exit_1_names_file_and_image(workspace, capsys, key)
 
 
 SIGMAS = {name: 2.0 for name in ("la", "lb", "lc", "ra", "rb", "rc")}
+SEGMENTS = [{"name": "upper", "a": "la", "b": "lb"}]
 
 
 @pytest.mark.parametrize(
@@ -879,15 +892,35 @@ SIGMAS = {name: 2.0 for name in ("la", "lb", "lc", "ra", "rb", "rc")}
         ({"metric": "pdj", "thresholds": [0.1], "format": "xml"}, "unknown report format 'xml'"),
         ({"metric": "pdj", "thresholds": [0.1], "normalizer": "bogus"},
          "unknown normalizer 'bogus'"),
+        ({"metric": "pcp_segments", "segments": SEGMENTS, "normalizer": "bogus"},
+         "pcp_segments does not read 'normalizer'"),
+        ({"metric": "pcp_segments", "segments": SEGMENTS, "thresholds": [0.1]},
+         "pcp_segments does not read 'thresholds'"),
+        ({"metric": "pcp_segments", "segments": SEGMENTS, "sigmas": SIGMAS},
+         "pcp_segments does not read 'sigmas'"),
+        ({"metric": "pcp_segments", "segments": SEGMENTS, "factor": 1.5},
+         "pcp_segments does not read 'factor'"),
+        ({"metric": "pdj", "thresholds": [0.1], "segments": SEGMENTS},
+         "pdj does not read 'segments'"),
+        ({"metric": "pdj", "thresholds": [0.1], "factor": 1.5}, "pdj does not read 'factor'"),
+        ({"metric": "pcp_radius", "sigmas": SIGMAS, "thresholds": [0.1]},
+         "pcp_radius does not read 'thresholds'"),
+        ({"metric": "pcp_radius", "sigmas": SIGMAS, "factor": 1.5, "segments": SEGMENTS,
+          "normalizer": "bogus"}, "pcp_radius does not read 'normalizer'"),
     ],
-    ids=["metric", "segments", "sigmas", "thresholds", "format", "normalizer"],
+    ids=["metric", "segments", "sigmas", "thresholds", "format", "normalizer",
+         "segments-normalizer", "segments-thresholds", "segments-sigmas", "segments-factor",
+         "pdj-segments", "pdj-factor", "radius-thresholds", "radius-first-unread"],
 )
 def test_eval_bad_config_exits_1_before_any_file_is_read(workspace, capsys, overrides, message):
     """Each value is checked as soon as the config is read: the inputs it
     names do not exist here, and no output directory is made.  A bad format
     used to be found only when the report was written, after every input
     was read and the metric computed, and left the output's directories
-    behind."""
+    behind.  Each metric reads only its own keys (`pcp_segments` its
+    segments, `pcp_radius` its sigmas and factor, `pdj` its thresholds and
+    normalizer); a key of another metric used to be ignored, and the run
+    exited 0 with a report.  The first such key is named."""
     doc = {"hierarchy": "absent.json", "output": "reports/deep/out.txt", **overrides}
     config = eval_config(workspace, doc.pop("metric"), "bad_config", **doc)
     assert main(["eval", str(config)]) == 1

@@ -1,7 +1,11 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hierpose import (
     WeightVector,
@@ -11,7 +15,8 @@ from hierpose import (
     top_peaks,
     total_score,
 )
-from hierpose.appearance import log_marginals_at
+from hierpose import synth
+from hierpose.appearance import load_score_maps, log_marginals_at, save_score_maps
 from hierpose.geometry import child_points
 from hierpose.synth import (
     generate_pose,
@@ -21,10 +26,12 @@ from hierpose.synth import (
     save_scene,
 )
 
-from conftest import annotations_tiny3, library_for
+from conftest import (
+    CONFIG_DIR, annotations_tiny3, bird_annotations, human_annotations, library_for, tiny3_doc,
+)
 from oracles import (
-    exhaustive_best_config, grid_search_pose_similarity, naive_exhaustive_best_config,
-    stored_labels,
+    buffered_save_score_maps, dense_render_score_maps, exhaustive_best_config,
+    grid_search_pose_similarity, naive_exhaustive_best_config, stored_labels,
 )
 
 
@@ -170,6 +177,138 @@ def test_make_scene_deterministic(tiny3_library):
     assert np.array_equal(a.configuration, b.configuration)
     assert np.array_equal(a.stack.scales[0].atomic, b.stack.scales[0].atomic)
     assert a.provenance == b.provenance
+
+
+@functools.cache
+def scene_model(name):
+    """A hierarchy and its library for the tiny3, human or bird config; the
+    human one with the 12 atomic and 4 composite types of the benchmark."""
+    if name == "tiny3":
+        hierarchy = load_hierarchy(tiny3_doc())
+        return hierarchy, library_for(hierarchy, annotations_tiny3(4))[0]
+    hierarchy = load_hierarchy(CONFIG_DIR / f"{name}_hierarchy.json")
+    if name == "human":
+        return hierarchy, library_for(hierarchy, human_annotations(6), 12, 4)[0]
+    return hierarchy, library_for(hierarchy, bird_annotations(12))[0]
+
+
+def dense_scene(library, hierarchy, **options):
+    """`make_scene` with the dense renderer it used before."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(synth, "render_score_maps", dense_render_score_maps)
+        return make_scene(library, hierarchy, **options)
+
+
+def assert_same_tensors(a, b):
+    assert len(a.scales) == len(b.scales)
+    for x, y in zip(a.scales, b.scales):
+        assert x.scale == y.scale
+        assert x.channel_table.tobytes() == y.channel_table.tobytes()
+        assert x.atomic.shape == y.atomic.shape and x.atomic.tobytes() == y.atomic.tobytes()
+        assert sorted(x.composite) == sorted(y.composite)
+        for part, comp in x.composite.items():
+            other = y.composite[part]
+            assert (comp.part_id, comp.level) == (other.part_id, other.level)
+            assert comp.data.shape == other.data.shape
+            assert comp.data.tobytes() == other.data.tobytes()
+
+
+def test_make_scene_gives_the_dense_renderers_bytes():
+    """The renderer holds only the rows a bump or the noise lights and must
+    give the dense renderer's bytes in every tensor, with the 0.98 cap on
+    the foreground firing (small grids crowd the parts, noise adds to every
+    row) and not firing."""
+    at_cap = []
+
+    @settings(max_examples=80)
+    @given(
+        name=st.sampled_from(["tiny3", "human", "bird"]),
+        seed=st.integers(0, 2**20),
+        grid=st.tuples(st.integers(2, 40), st.integers(2, 40)),
+        amplitude=st.floats(0.05, 0.9),
+        sigma=st.floats(0.4, 4.0),
+        distractors=st.integers(0, 5),
+        noise=st.one_of(st.just(0.0), st.floats(1e-4, 0.05)),
+        scales=st.lists(st.sampled_from([0.7, 1.0, 1.4]), min_size=1, max_size=3, unique=True),
+        mix=st.booleans(),
+    )
+    def check(name, seed, grid, amplitude, sigma, distractors, noise, scales, mix):
+        hierarchy, library = scene_model(name)
+        options = dict(
+            seed=seed, grid=grid, amplitude=amplitude, sigma=sigma, distractors=distractors,
+            noise=noise, scales=tuple(scales), mix=mix,
+        )
+        scene = make_scene(library, hierarchy, **options)
+        oracle = dense_scene(library, hierarchy, **options)
+        assert np.array_equal(scene.configuration, oracle.configuration)
+        assert scene.provenance == oracle.provenance
+        assert_same_tensors(scene.stack, oracle.stack)
+        # a capped pixel's foreground sums to 0.98 up to float32 rounding
+        at_cap.append((noise > 0, bool((oracle.stack.scales[0].atomic[0] < 0.02 + 1e-6).any())))
+
+    check()
+    assert {capped for _, capped in at_cap} == {True, False}
+    assert any(capped for noisy, capped in at_cap if not noisy)
+
+
+def stack_bytes(stack):
+    return sum(
+        m.channel_table.nbytes + m.atomic.nbytes + sum(c.data.nbytes for c in m.composite.values())
+        for m in stack.scales
+    )
+
+
+def test_save_score_maps_writes_the_buffered_writers_bytes(tmp_path):
+    """The streaming writer gives the bytes of the writer that built the
+    container in memory, also from tensors that are not float32, not
+    contiguous or big-endian, which it converts as it writes."""
+    hierarchy, library = scene_model("human")
+    scene = make_scene(library, hierarchy, seed=4, grid=(30, 22), noise=0.01,
+                       scales=(0.7, 1.0, 1.4))
+    first = scene.stack.scales[0]
+    first.atomic = first.atomic.astype(np.float64)
+    first.channel_table = first.channel_table.astype(">u4")
+    second = scene.stack.scales[1]
+    second.atomic = np.asfortranarray(second.atomic)
+    for comp in second.composite.values():
+        comp.data = comp.data.astype(">f4")
+    save_score_maps(scene.stack, tmp_path / "streamed.hpsm")
+    buffered_save_score_maps(scene.stack, tmp_path / "buffered.hpsm")
+    written = (tmp_path / "streamed.hpsm").read_bytes()
+    assert written == (tmp_path / "buffered.hpsm").read_bytes()
+    save_score_maps(load_score_maps(tmp_path / "streamed.hpsm"), tmp_path / "again.hpsm")
+    assert (tmp_path / "again.hpsm").read_bytes() == written
+
+
+def test_make_scene_memory_is_the_stack_plus_the_lit_rows():
+    """A human 96x96 scene holds one float32 tensor and the float64 maps of
+    the rows its parts light; the dense renderer peaked at 33.7 MB for a
+    7.26 MB stack."""
+    hierarchy, library = scene_model("human")
+    make_scene(library, hierarchy, seed=0, grid=(96, 96), mix=True)  # warm-up
+    tracemalloc.start()
+    try:
+        scene = make_scene(library, hierarchy, seed=1, grid=(96, 96), mix=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stack_bytes(scene.stack) > 7_000_000
+    assert peak <= stack_bytes(scene.stack) + 3_000_000
+
+
+def test_save_score_maps_copies_no_tensor(tmp_path):
+    """The writer streams each tensor to the file; building the container in
+    memory peaked at 15.3 MB for a 7.26 MB stack."""
+    hierarchy, library = scene_model("human")
+    stack = make_scene(library, hierarchy, seed=1, grid=(96, 96), mix=True).stack
+    save_score_maps(stack, tmp_path / "warm.hpsm")
+    tracemalloc.start()
+    try:
+        save_score_maps(stack, tmp_path / "maps.hpsm")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_000_000
 
 
 def test_oracle_similarity_identical_is_zero():
