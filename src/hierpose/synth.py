@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -181,7 +182,7 @@ def render_score_maps(
         shrink = cap / total[over]
         for values in lit.values():
             values[over] *= shrink
-    atomic = np.empty((len(table), height, width), dtype=np.float32)
+    atomic = _mapped_array((len(table), height, width), np.float32)
     for row in range(1, len(table)):
         atomic[row] = lit.pop(row, 0.0)
     atomic[0] = 1.0 - row_sum(atomic[row] for row in rows)
@@ -191,7 +192,7 @@ def render_score_maps(
         label = composite_labels[part]
         anchor = hierarchy.anchor_point(X, part)
         mixture = amplitude * bump(anchor, spread=2.0 * sigma)
-        data = np.empty((bins, height, width), dtype=np.float32)
+        data = _mapped_array((bins, height, width), np.float32)
         uniform = (1.0 - mixture) / bins
         for m in range(1, bins + 1):
             value = uniform + (mixture if m == label else 0.0)
@@ -204,11 +205,40 @@ def render_score_maps(
     maps = []
     for index, scale in enumerate(scales):
         if index:
-            atomic = atomic.copy()
-            composite = {p: CompositeMaps(c.part_id, c.level, c.data.copy())
+            atomic = _mapped_copy(atomic)
+            composite = {p: CompositeMaps(c.part_id, c.level, _mapped_copy(c.data))
                          for p, c in composite.items()}
         maps.append(ScaleMaps(float(scale), np.array(table, dtype=np.uint32), atomic, composite))
     return ScoreMapStack(maps)
+
+
+def _mapped_array(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An array on a private anonymous memory map of its own, for a
+    rendered tensor.
+
+    A tensor takes megabytes.  Taken from malloc, the first one freed raises
+    glibc's mmap threshold and the later ones land on the brk heap, whose
+    size then depends on where small allocations fell between them: 30
+    renders and saves, each freeing the scene before last, peaked at 54 or
+    60 MB of resident memory as the process environment changed by one byte.
+    A map of its own is returned to the system when the array is freed.  It
+    gets the huge-page advice that numpy gives its own arrays of 4 MB and up.
+    """
+    count = math.prod(shape)
+    size = max(count * np.dtype(dtype).itemsize, 1)
+    if hasattr(mmap, "MAP_PRIVATE"):  # not shared with forked children
+        buffer = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    else:
+        buffer = mmap.mmap(-1, size)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        buffer.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buffer, dtype, count).reshape(shape)
+
+
+def _mapped_copy(array: np.ndarray) -> np.ndarray:
+    copy = _mapped_array(array.shape, array.dtype)
+    copy[...] = array
+    return copy
 
 
 @dataclass
