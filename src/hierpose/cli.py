@@ -391,6 +391,9 @@ def main(argv=None) -> int:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # a fallback: sizes are not yet bounded before the work
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 def console_main() -> None:

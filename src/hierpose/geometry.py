@@ -12,8 +12,11 @@ once (`fit_two_points_batch`, `fit_least_squares_batch`, `child_points`);
 `fit_least_squares` is the one-row call of the bounded fit.  The child
 geometry of a composite part stacks its children's points in canonical
 child order: an atomic child gives its location, a composite child its
-anchor point and its tight-box corners (tl, br).  `child_signature` records
-the child kinds, so that only like-for-like geometries are compared.
+anchor point and its tight-box corners (tl, br).  Every child sits one
+level below its parent, so the kinds follow from the level: a level-2
+part's children are all atoms, read in one gather, and the children of a
+part above level 2 all composites.  `child_signature` records the child
+kinds, so that only like-for-like geometries are compared.
 """
 
 from __future__ import annotations
@@ -209,11 +212,10 @@ def fit_least_squares(
 
 
 def child_signature(node_id: int, hierarchy: PartHierarchy) -> tuple[str, ...]:
-    """Child kinds of a composite node in canonical child order."""
-    return tuple(
-        "atom" if hierarchy.node(child).is_atomic else "comp"
-        for child in hierarchy.node(node_id).children
-    )
+    """Child kinds of a composite node in canonical child order: "atom" per
+    child at level 2, "comp" above."""
+    node = hierarchy.node(node_id)
+    return ("atom" if node.level == 2 else "comp",) * len(node.children)
 
 
 def child_points(locations, node_id: int, hierarchy: PartHierarchy) -> np.ndarray:
@@ -227,16 +229,16 @@ def child_points(locations, node_id: int, hierarchy: PartHierarchy) -> np.ndarra
     if node.is_atomic:
         raise ValueError(f"node {node_id} is atomic and has no child geometry")
     X = np.asarray(locations, dtype=float)
-    points: list[np.ndarray] = []
-    for child_id in node.children:
-        if hierarchy.node(child_id).is_atomic:
-            points.append(X[..., hierarchy.atom_index(child_id), :])
-        else:
+    if node.level == 2:
+        pts = X[..., [hierarchy.atom_index(child_id) for child_id in node.children], :]
+    else:
+        points: list[np.ndarray] = []
+        for child_id in node.children:
             subtree = X[..., hierarchy.atom_rows(child_id), :]
-            points.append(hierarchy.anchor_point(X, child_id))
-            points.append(subtree.min(axis=-2))
-            points.append(subtree.max(axis=-2))
-    pts = np.stack(points, axis=-2)
+            points += [
+                hierarchy.anchor_point(X, child_id), subtree.min(axis=-2), subtree.max(axis=-2)
+            ]
+        pts = np.stack(points, axis=-2)
     if not np.isfinite(pts).all():
         raise ValueError(f"child geometry of node {node_id} uses undefined locations")
     return pts

@@ -140,7 +140,8 @@ class ScaleParams:
 
 
 class PartHierarchy:
-    """Validated part tree with canonical node order (by level, then id)."""
+    """Validated part tree with canonical node order (by level, then id); it
+    builds each node's atom rows and subtree pose columns once."""
 
     def __init__(self, nodes: list[PartNode], scale: ScaleParams):
         by_id: dict[int, PartNode] = {}
@@ -225,18 +226,20 @@ class PartHierarchy:
 
         self._atoms_below: dict[int, tuple[int, ...]] = {}
         self._composites_below: dict[int, tuple[int, ...]] = {}
+        self._atom_rows: dict[int, np.ndarray] = {}
+        self._subtree_columns: dict[int, np.ndarray] = {}
         for node in self.nodes:  # children precede parents in canonical order
-            if node.is_atomic:
-                self._atoms_below[node.id] = (node.id,)
-                self._composites_below[node.id] = ()
-            else:
-                atoms: list[int] = []
-                composites = [node.id]
-                for child_id in node.children:
-                    atoms.extend(self._atoms_below[child_id])
-                    composites.extend(self._composites_below[child_id])
-                self._atoms_below[node.id] = tuple(sorted(atoms))
-                self._composites_below[node.id] = tuple(composites)
+            atoms, composites = ([node.id], []) if node.is_atomic else ([], [node.id])
+            for child_id in node.children:
+                atoms.extend(self._atoms_below[child_id])
+                composites.extend(self._composites_below[child_id])
+            atoms.sort()
+            self._atoms_below[node.id] = tuple(atoms)
+            self._composites_below[node.id] = tuple(composites)
+            rows = np.array([self._atom_index[p] for p in atoms], dtype=np.intp)
+            columns = np.array([self._composite_index[c] for c in composites], dtype=np.intp)
+            rows.flags.writeable = columns.flags.writeable = False
+            self._atom_rows[node.id], self._subtree_columns[node.id] = rows, columns
 
         for node in self.composite_nodes:
             below = set(self._atoms_below[node.id])
@@ -293,12 +296,20 @@ class PartHierarchy:
             raise KeyError(f"node {node_id} is not composite") from None
 
     def atom_rows(self, node_id: int) -> np.ndarray:
-        return np.array([self._atom_index[p] for p in self._atoms_below[node_id]])
+        """Configuration rows of `atoms_below(node_id)`, read-only."""
+        return self._atom_rows[node_id]
 
     def composites_below(self, node_id: int) -> tuple[int, ...]:
         """Composite nodes of the subtree rooted at `node_id`, in pre-order."""
         try:
             return self._composites_below[node_id]
+        except KeyError:
+            raise KeyError(f"unknown node id {node_id}") from None
+
+    def subtree_columns(self, node_id: int) -> np.ndarray:
+        """Pose columns of `composites_below(node_id)`, in pre-order, read-only."""
+        try:
+            return self._subtree_columns[node_id]
         except KeyError:
             raise KeyError(f"unknown node id {node_id}") from None
 
@@ -386,13 +397,9 @@ def load_hierarchy(document) -> PartHierarchy:
         if raw.get("anchor") is not None:
             weights: dict[int, float] = {}
             for key, w in raw["anchor"].items():
-                if key in names:
-                    pid = names[key]
-                elif str(key).isdigit():
-                    pid = int(key)
-                else:
+                if key not in names:
                     raise HierarchyError(f"anchor references unknown part {key!r}")
-                weights[pid] = w
+                weights[names[key]] = w
             anchor = AnchorSpec(weights)
         children = tuple(raw.get("children") or ())
         nodes.append(PartNode(raw["id"], raw["name"], raw["level"], children, anchor))

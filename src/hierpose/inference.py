@@ -336,39 +336,42 @@ def propose_hypotheses(
     hierarchy: PartHierarchy,
     params: InferenceParams,
     rng: np.random.Generator,
+    counts: dict | None = None,
 ) -> HypothesisSet:
     """Randomly align the node's exemplars onto pairs of lower hypotheses.
 
     Each draw picks an exemplar and two distinct child slots, fits the exact
-    two-point similarity from the exemplar's child points (locations at level
-    2, anchors above) onto the chosen lower hypotheses, and transforms the
-    exemplar's full subtree.  Draws whose fitted rotation exceeds the angle
+    two-point similarity from the exemplar's child points (each child's first
+    point in the stored child geometry) onto the chosen lower hypotheses, and
+    transforms the exemplar's full subtree.  Draws whose fitted rotation exceeds the angle
     bound are rejected; nearly coincident anchor pairs fall back to a
     rotation-free fit with the scale taken from the object-size ratio.
 
     All `params.samples` draws of the part are made in one array pass by
     `_draw_proposals`; the fits and transforms of all draws are then computed
-    as arrays.
+    as arrays.  `counts["empty_pool"]`, `["rejected_angle"]`,
+    `["rejected_degenerate"]` and `["fallback"]`, if given, grow by the draws
+    that touch an empty pool, fail the angle bound, are degenerate with no
+    usable size ratio, and are kept by the size-ratio fit.
     """
     children = node.children
     pools = [lower.get(child_id) or () for child_id in children]
-    counts = [len(pool) for pool in pools]
-    chosen, slots, picks = _draw_proposals(rng, params.samples, len(library.sources), counts)
+    sizes = [len(pool) for pool in pools]
+    chosen, slots, picks = _draw_proposals(rng, params.samples, len(library.sources), sizes)
+    if counts is not None:
+        counts["empty_pool"] = counts.get("empty_pool", 0) + params.samples - len(chosen)
     if not len(chosen):
         return _no_hypotheses(node, hierarchy)
 
-    exemplar_points = np.stack(
-        [_alignment_points(library.points, child_id, hierarchy) for child_id in children],
-        axis=1,
-    )  # (E, C, 2)
-    offsets = np.cumsum([0] + counts)
+    offsets = np.cumsum([0] + sizes)
     pool_points = np.concatenate([
         _alignment_points(pool.locations, child_id, hierarchy)
         for child_id, pool in zip(children, pools) if pool
     ])
     pool_sizes = np.concatenate([pool.object_size for pool in pools if pool])
     targets = offsets[slots] + picks  # (A, 2) rows of pool_points
-    src = exemplar_points[chosen[:, None], slots]  # (A, 2, 2)
+    step = 1 if node.level == 2 else 3  # points per child: a location, or anchor, tl, br
+    src = library.arrays(node.id).geometry[chosen[:, None], step * slots]  # (A, 2, 2)
     dst = pool_points[targets]
 
     segment_src = src[:, 1] - src[:, 0]
@@ -381,7 +384,7 @@ def propose_hypotheses(
     translation = np.zeros((len(chosen), 2))
     pair = ~degenerate
     scale[pair], angle[pair], translation[pair] = fit_two_points_batch(src[pair], dst[pair])
-    accepted = pair & ~(np.abs(angle) > params.max_angle)
+    turned = pair & (np.abs(angle) > params.max_angle)
 
     # single usable anchor: no rotation, scale from the object-size ratio
     child_size = pool_sizes[targets[:, 0]]
@@ -389,18 +392,20 @@ def propose_hypotheses(
     fallback = degenerate & ~((child_size <= 0) | (exemplar_size <= 0))
     scale[fallback] = child_size[fallback] / exemplar_size[fallback]
     translation[fallback] = dst[fallback, 0] - scale[fallback, None] * src[fallback, 0]
-    accepted |= fallback
+    if counts is not None:
+        for key, drawn in (("rejected_angle", turned),
+                           ("rejected_degenerate", degenerate & ~fallback), ("fallback", fallback)):
+            counts[key] = counts.get(key, 0) + int(drawn.sum())
 
-    keep = np.flatnonzero(accepted)
+    keep = np.flatnonzero((pair & ~turned) | fallback)
     rows = hierarchy.atom_rows(node.id)
     locations = np.full((len(keep),) + library.points.shape[1:], np.nan)
     locations[:, rows] = transform_points(
         scale[keep], angle[keep], translation[keep], library.points[chosen[keep]][:, rows]
     )
     # row e of every node comes from one annotation: the subtree takes the drawn row
-    columns = [hierarchy.composite_index(nid) for nid in hierarchy.composites_below(node.id)]
     pose = np.full((len(keep), len(hierarchy.composite_nodes)), -1, dtype=np.intp)
-    pose[:, columns] = chosen[keep, None]
+    pose[:, hierarchy.subtree_columns(node.id)] = chosen[keep, None]
     return HypothesisSet.build(node, locations, pose, scale[keep] * exemplar_size[keep])
 
 
@@ -463,13 +468,10 @@ def swap_subtrees(
             locations[picked[:, None], rows] = pool.locations[alternative[:, None], rows]
             child_pose = pool.pose[alternative]
             pose[picked] = np.where(child_pose >= 0, child_pose, pose[picked])
-            below = hierarchy.composites_below(child_id)
-            if not below:
-                continue
-            columns = [hierarchy.composite_index(c) for c in below]
+            columns = hierarchy.subtree_columns(child_id)
             carried = pool.terms[alternative[:, None], columns]
             if len(stack.scales) > 1:  # with one stored scale, every size reads it
-                for j, composite in enumerate(below):
+                for j, composite in enumerate(hierarchy.composites_below(child_id)):
                     level = hierarchy.node(composite).level - 1
                     ours, theirs = (
                         scale_indices(sizes, level, stack, hierarchy)
@@ -527,8 +529,7 @@ def _drop_copies(hyps: HypothesisSet, hierarchy: PartHierarchy) -> HypothesisSet
     bytes)."""
     if not hyps:
         return hyps
-    rows = hierarchy.atom_rows(hyps.node_id)
-    columns = [hierarchy.composite_index(n) for n in hierarchy.composites_below(hyps.node_id)]
+    rows, columns = hierarchy.atom_rows(hyps.node_id), hierarchy.subtree_columns(hyps.node_id)
     fields = (hyps.locations[:, rows], hyps.pose[:, columns], hyps.object_size[:, None])
     key = np.hstack([np.ascontiguousarray(f).reshape(len(hyps), -1).view(np.uint8) for f in fields])
     _, first = np.unique(key.view(np.dtype((np.void, key.shape[1])))[:, 0], return_index=True)
@@ -804,13 +805,17 @@ def infer(
     lower: dict[int, HypothesisSet] = seeds
     for level in range(2, hierarchy.levels + 1):
         nodes = hierarchy.nodes_at_level(level)
-        counts = {"proposed": 0, "augmented": 0, "scored": 0, "kernel_rows": 0, "kernel_calls": 0}
+        counts = dict.fromkeys((
+            "proposed", "empty_pool", "rejected_angle", "rejected_degenerate", "fallback",
+            "augmented", "scored", "kernel_rows", "kernel_calls",
+        ), 0)
         sets = [
             propose_hypotheses(
                 node, lower, library, hierarchy, params,
                 np.random.default_rng(
                     np.random.SeedSequence(params.seed, spawn_key=(level, index))
                 ),
+                counts,
             )
             for index, node in enumerate(nodes)
         ]

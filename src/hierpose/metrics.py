@@ -7,6 +7,7 @@ parameters.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import math
@@ -201,11 +202,11 @@ def emit_report(report: MetricReport, fmt: str = "json") -> str:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
         out = io.StringIO()
-        out.write("label,rate\n")
-        for label, rate in zip(report.labels, report.rates):
-            out.write(f"{label},{rate!r}\n")
+        writer = csv.writer(out, lineterminator="\n")  # quotes a label that needs it
+        writer.writerow(("label", "rate"))
+        writer.writerows((label, repr(rate)) for label, rate in zip(report.labels, report.rates))
         if report.aggregate is not None:
-            out.write(f"aggregate,{report.aggregate!r}\n")
+            writer.writerow(("aggregate", repr(report.aggregate)))
         return out.getvalue()
     raise ValueError(f"unknown report format {fmt!r}")
 

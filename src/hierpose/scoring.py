@@ -14,12 +14,15 @@ Every per-node (log-pose-prob, alignment score) pair comes from one batched
 kernel, `pose_terms`: for M (row, node) pairs whose nodes share a child
 signature it gathers each pair's child geometry and exemplar, runs the
 bounded similarity fit on all pairs at once, and looks the relation-type
-probabilities up at each pair's stored scale, all atomic children in one
-lookup.  One rule, `scale_indices`, picks every stored scale read: the one
-nearest the scale a row's object size sets at the level read.  A part's
-spatial score is the pre-order sum (`subtree_total`) of its subtree's
-weighted node terms, which are independent of each other.  `fill_terms`
-computes the wanted ones of H rows of any parts, kept as an (H, C) matrix
+probabilities up at each pair's stored scale.  Child kinds follow from the
+level rule (every child sits one level below its parent): a level-2 node's
+children are all atoms, looked up in one call, and those of a node above
+all composites, each read at its anchor.  One rule, `scale_indices`, picks
+every stored scale read: the one nearest the scale a row's object size sets
+at the level read.  A part's spatial score is the pre-order sum
+(`subtree_total`) of its subtree's weighted node terms, which are
+independent of each other.  `fill_terms` computes the wanted ones of H
+rows of any parts, kept as an (H, C) matrix
 with NaN where a term is unknown, reading each row's exemplar per node
 from an (H, C) pose array (-1 outside the subtree): known terms, such as
 those a swapped-in subtree carries from the level below, are not
@@ -386,14 +389,15 @@ def _log_pose_probs(runs, labels, exemplar_index, current, size, stack, hierarch
     nearest the one its object size (M,) sets at its node's level, and
     added child by child (0 + c1 + c2 + ...).
 
-    Pairs are grouped by stored scale.  Per scale, the atomic children of
-    every pair are looked up in one `log_type_prob_atomic` call, and each
-    part that is a composite child in one `log_type_prob_composite` call.
+    Pairs are grouped by stored scale.  Per scale, level-2 pairs look all
+    their children up in one `log_type_prob_atomic` call; above level 2 each
+    part that is a child looks up its anchors in one
+    `log_type_prob_composite` call.
     """
     size = np.asarray(size, dtype=float)
     nodes = [hierarchy.node(node_id) for node_id, _ in runs]
-    atomic = [hierarchy.node(child).is_atomic for child in nodes[0].children]
-    children = np.empty((len(exemplar_index), len(atomic)), dtype=np.int64)
+    atomic = nodes[0].level == 2  # the level rule: all children atoms, or none
+    children = np.empty((len(exemplar_index), len(nodes[0].children)), dtype=np.int64)
     types = np.empty(children.shape, dtype=np.intp)
     level = np.empty(len(exemplar_index), dtype=np.intp)
     for node, (_, run) in zip(nodes, runs):
@@ -406,29 +410,25 @@ def _log_pose_probs(runs, labels, exemplar_index, current, size, stack, hierarch
     for at in levels:
         rows = slice(None) if len(levels) == 1 else level == at
         scale_index[rows] = scale_indices(size[rows], at - 1, stack, hierarchy)
-    point = np.cumsum([0] + [1 if kind else 3 for kind in atomic])[:-1]  # first point per child
-    atoms = [slot for slot, kind in enumerate(atomic) if kind]
-    owners = {  # the parts that fill each composite child slot
-        slot: sorted({node.children[slot] for node in nodes})
-        for slot, kind in enumerate(atomic) if not kind
-    }
+    owners = [] if atomic else [  # the parts that fill each composite child slot
+        sorted({node.children[slot] for node in nodes}) for slot in range(children.shape[1])
+    ]
     present = np.flatnonzero(np.bincount(scale_index, minlength=stack.n_scales)).tolist()
     log_prob = np.zeros(len(exemplar_index))
     for idx in present:
         rows = slice(None) if len(present) == 1 else np.flatnonzero(scale_index == idx)
         parts, kinds, points = children[rows], types[rows], current[rows]
-        values = np.empty(parts.shape)
-        if atoms:
-            values[:, atoms] = log_type_prob_atomic(
-                stack, parts[:, atoms], kinds[:, atoms], points[:, point[atoms]], idx
-            )
-        for slot, slot_parts in owners.items():
-            for part in slot_parts:
-                mine = slice(None) if len(slot_parts) == 1 else parts[:, slot] == part
-                values[mine, slot] = log_type_prob_composite(
-                    stack, part, kinds[mine, slot], points[mine, point[slot]], idx
-                )
-        for slot in range(len(atomic)):
+        if atomic:
+            values = log_type_prob_atomic(stack, parts, kinds, points, idx)
+        else:
+            values, anchors = np.empty(parts.shape), points[:, ::3]
+            for slot, slot_parts in enumerate(owners):
+                for part in slot_parts:
+                    mine = slice(None) if len(slot_parts) == 1 else parts[:, slot] == part
+                    values[mine, slot] = log_type_prob_composite(
+                        stack, part, kinds[mine, slot], anchors[mine, slot], idx
+                    )
+        for slot in range(values.shape[1]):
             log_prob[rows] += values[:, slot]
     return log_prob
 
@@ -522,9 +522,8 @@ def subtree_scope(hierarchy: PartHierarchy, node_ids, count: int) -> np.ndarray:
     """(count, C) `fill_terms` scope that wants, on every row, each node of
     the subtrees of `node_ids`."""
     scope = np.zeros((count, len(hierarchy.composite_nodes)), dtype=bool)
-    scope[:, [
-        hierarchy.composite_index(c) for top in node_ids for c in hierarchy.composites_below(top)
-    ]] = True
+    for top in node_ids:
+        scope[:, hierarchy.subtree_columns(top)] = True
     return scope
 
 
@@ -533,8 +532,8 @@ def subtree_total(terms: np.ndarray, node_id: int, hierarchy: PartHierarchy) -> 
     node terms added in pre-order, one at a time, so that a row's score
     depends only on its own terms."""
     total = np.zeros(len(terms))
-    for composite in hierarchy.composites_below(node_id):
-        total += terms[:, hierarchy.composite_index(composite)]
+    for column in hierarchy.subtree_columns(node_id).tolist():
+        total += terms[:, column]
     return total
 
 

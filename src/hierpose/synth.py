@@ -19,7 +19,7 @@ import numpy as np
 from . import _json
 from ._json import NUMBER, Map
 from .appearance import CompositeMaps, ScaleMaps, ScoreMapStack, save_score_maps, load_score_maps
-from .geometry import SimilarityTransform, fit_least_squares
+from .geometry import SimilarityTransform, child_points, fit_least_squares
 from .hierarchy import PartHierarchy
 from .learning import Annotation, ExemplarLibrary, load_annotations, save_annotations
 
@@ -63,28 +63,21 @@ def generate_pose(
 
     X = np.full((hierarchy.atomic_count, 2), np.nan)
 
-    def anchor_box_points(locations: np.ndarray, node_id: int) -> np.ndarray:
-        box = hierarchy.tight_box(locations, node_id)
-        return np.stack(
-            [hierarchy.anchor_point(locations, node_id), box.top_left, box.bottom_right]
-        )
-
     def place(node_id: int, transform: SimilarityTransform, row: int) -> None:
-        node = hierarchy.node(node_id)
-        locations = library.points[row]
-        placed = np.full_like(locations, np.nan)
         rows = hierarchy.atom_rows(node_id)
-        placed[rows] = transform.apply(locations[rows])
-        for child_id in node.children:
-            child = hierarchy.node(child_id)
-            if child.is_atomic:
-                X[hierarchy.atom_index(child_id)] = placed[hierarchy.atom_index(child_id)]
-            else:
-                target = anchor_box_points(placed, child_id)
-                child_row = pick(child_id, row)
-                source = library.points[child_row]
-                fit, _ = fit_least_squares(anchor_box_points(source, child_id), target, bound=np.pi)
-                place(child_id, fit, child_row)
+        placed = np.full_like(library.points[row], np.nan)
+        placed[rows] = transform.apply(library.points[row][rows])
+        if hierarchy.node(node_id).level == 2:  # every child is an atom
+            X[rows] = placed[rows]
+            return
+        # every child is a composite: fit its stored triple, at its own row, onto the placed one
+        targets = child_points(placed, node_id, hierarchy)
+        sources = library.arrays(node_id).geometry
+        for slot, child_id in enumerate(hierarchy.node(node_id).children):
+            child_row = pick(child_id, row)
+            triple = slice(3 * slot, 3 * slot + 3)
+            fit, _ = fit_least_squares(sources[child_row, triple], targets[triple], bound=np.pi)
+            place(child_id, fit, child_row)
 
     place(hierarchy.root.id, SimilarityTransform.identity(), pick(hierarchy.root.id, None))
     if not np.isfinite(X).all():

@@ -5,11 +5,15 @@ import io
 import json
 import math
 import operator
+import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -362,6 +366,36 @@ def test_infer_negative_seed_exit_1(workspace, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "seed must be >= 0" in err
     assert "Traceback" not in err
+    assert not (workspace / "out").exists()
+
+
+def test_infer_out_of_memory_exits_1_with_one_line(workspace):
+    """A `MemoryError` ends in exit 1 and one `error:` line, not a traceback.
+    `infer` with 10**15 draws per level runs in a child process whose address
+    space is capped, so its allocation fails at once."""
+    resource = pytest.importorskip("resource")
+    cap = 2 * 1024**3
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    child = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+        "from hierpose.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    src = str(Path(hierpose.cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    config = with_params(workspace, samples_per_level=10**15)
+    done = subprocess.run(
+        [sys.executable, "-c", child, "infer", str(config)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: out of memory: ") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
     assert not (workspace / "out").exists()
 
 
@@ -1185,6 +1219,7 @@ BAD_HIERARCHIES = [
     (("nodes", 1, "name"), None),
     (("scale", "reference_length"), math.inf),  # written as 1e400, which overflows
     (("scale", "level_factors", 0), -math.inf),
+    (("nodes", 6, "anchor"), {"1": 1.0}),  # a part id, not a part name
 ]
 BAD_WEIGHTS = [
     (("atomic",), 5),

@@ -116,6 +116,32 @@ def test_composites_below_equals_recursive_oracle(doc):
         hierarchy.composites_below(999)
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [tiny2_doc(), tiny3_doc(), limbs4_doc(),
+     CONFIG_DIR / "human_hierarchy.json", CONFIG_DIR / "bird_hierarchy.json"],
+    ids=["tiny2", "tiny3", "limbs4", "human", "bird"],
+)
+def test_atom_rows_and_subtree_columns_equal_a_rebuild(doc):
+    """Each node's atom rows and pre-order pose columns equal a rebuild from
+    `atoms_below` and `composites_below`; both are read-only intp arrays,
+    built once, so repeated calls return the same array."""
+    hierarchy = load_hierarchy(doc)
+    for node in hierarchy.nodes:
+        rows, columns = hierarchy.atom_rows(node.id), hierarchy.subtree_columns(node.id)
+        rebuilt_rows = [hierarchy.atom_index(p) for p in hierarchy.atoms_below(node.id)]
+        rebuilt_columns = [hierarchy.composite_index(c) for c in hierarchy.composites_below(node.id)]
+        assert rows.tolist() == rebuilt_rows and columns.tolist() == rebuilt_columns
+        for array in (rows, columns):
+            assert array.dtype == np.intp and not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        assert hierarchy.atom_rows(node.id) is rows
+        assert hierarchy.subtree_columns(node.id) is columns
+    with pytest.raises(KeyError, match="unknown node id 999"):
+        hierarchy.subtree_columns(999)
+
+
 def test_load_from_json_text():
     hierarchy = load_hierarchy(json.dumps(tiny2_doc()))
     assert hierarchy.atomic_count == 3

@@ -10,6 +10,7 @@ from hierpose import (
     collapse_model,
     hypothesis_from_config,
     infer,
+    load_hierarchy,
     refine_hypothesis,
     subtree_score,
 )
@@ -34,7 +35,9 @@ from hierpose.inference import (
 from hierpose.scoring import fill_terms, subtree_scope, subtree_total
 from hierpose.synth import generate_pose, make_scene
 
-from conftest import annotations_tiny3, bird_annotations, library_for
+from conftest import (
+    CONFIG_DIR, annotations_tiny3, bird_annotations, human_annotations, library_for, tiny3_doc,
+)
 
 
 @pytest.fixture()
@@ -244,6 +247,79 @@ def test_propose_rejects_out_of_bound_rotation(tiny3_setup):
         # the strongly rotated truth
         rows = hierarchy.atom_rows(node.id)
         assert np.abs(hyp.locations[rows] - truth[rows]).max() > 0.5
+
+
+def test_propose_counts_each_draw_by_outcome(tiny3_setup):
+    """`counts` puts every draw in one bin.  At level 2, draws that touch the
+    empty pool of `lc` are `empty_pool`, and the coincident pair (`la`,
+    `lb`), whose seeds have no object size, is `rejected_degenerate`.  At
+    level 3, coincident anchors of sized hypotheses are each a kept
+    `fallback`.  A strongly rotated truth rejects draws by angle."""
+    hierarchy, annotations, library = tiny3_setup
+    params = InferenceParams(z=5, samples_per_level=60, seed=0)
+    lower = level1_from_truth(hierarchy, np.full((6, 2), 10.0))
+    lower[3] = lower[3].take([])
+    counts = {}
+    node = hierarchy.node(10)
+    hyps = propose_hypotheses(node, lower, library, hierarchy, params, np.random.default_rng(0), counts)
+    assert len(hyps) == 0
+    assert counts["empty_pool"] > 0 and counts["rejected_degenerate"] > 0
+    assert counts["empty_pool"] + counts["rejected_degenerate"] == 60
+    assert counts["rejected_angle"] == counts["fallback"] == 0
+
+    X = annotations[0].points.copy()
+    X[3] = X[0]  # the anchors of `left` (la) and `right` (ra) coincide
+    pose = np.zeros(len(hierarchy.composite_nodes), dtype=np.intp)
+    lower = {}
+    for child in (10, 11):
+        locations = np.full_like(X, np.nan)
+        locations[hierarchy.atom_rows(child)] = X[hierarchy.atom_rows(child)]
+        lower[child] = HypothesisSet.of(
+            [Hypothesis(child, 2, locations, subtree_pose(hierarchy, pose, child), 5.0)], hierarchy
+        )
+    counts = {}
+    hyps = propose_hypotheses(
+        hierarchy.root, lower, library, hierarchy, params, np.random.default_rng(0), counts
+    )
+    assert counts == {"empty_pool": 0, "rejected_angle": 0, "rejected_degenerate": 0,
+                      "fallback": 60}
+    assert len(hyps) == 60
+
+    truth = SimilarityTransform(1.0, 1.5, (30.0, 5.0)).apply(annotations[0].points)
+    counts = {}
+    hyps = propose_hypotheses(
+        node, level1_from_truth(hierarchy, truth), library, hierarchy, params,
+        np.random.default_rng(0), counts,
+    )
+    assert counts["rejected_angle"] > 0
+    assert len(hyps) + counts["rejected_angle"] == 60
+
+
+@pytest.mark.parametrize("scene_seed", [0, 1, 2])
+@pytest.mark.parametrize("model", ["tiny3", "human"])
+def test_level_diagnostics_account_for_every_draw(model, scene_seed):
+    """From level 2 up, samples x parts = proposed + empty_pool +
+    rejected_angle + rejected_degenerate, and fallbacks are among the
+    proposed."""
+    if model == "tiny3":
+        hierarchy = load_hierarchy(tiny3_doc())
+        library, _ = library_for(hierarchy, annotations_tiny3(4))
+        grid = (48, 48)
+    else:
+        hierarchy = load_hierarchy(CONFIG_DIR / "human_hierarchy.json")
+        library, _ = library_for(hierarchy, human_annotations(4))
+        grid = (96, 96)
+    scene = make_scene(library, hierarchy, seed=scene_seed, grid=grid, mix=True, noise=0.03)
+    params = InferenceParams(z=4, samples_per_level=80, seed=scene_seed)
+    result = infer(scene.stack, hierarchy, library, uniform_weights(hierarchy), params)
+    levels = result.diagnostics["levels"][1:]
+    assert [level["level"] for level in levels] == list(range(2, hierarchy.levels + 1))
+    for level in levels:
+        parts = len(hierarchy.nodes_at_level(level["level"]))
+        drawn = sum(level[key] for key in (
+            "proposed", "empty_pool", "rejected_angle", "rejected_degenerate"))
+        assert drawn == params.samples * parts
+        assert 0 <= level["fallback"] <= level["proposed"]
 
 
 def scored(hyps, stack, hierarchy, library, weights):

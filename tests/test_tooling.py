@@ -4,7 +4,8 @@ dependency, the format notes name every diagnostics key and each binary
 container's version,
 `HypothesisSet.take`/`concat` carry every per-row field, one function picks
 every stored scale and no angle bound defaults to None, one method builds
-the marginal table, `infer` drops exact copies in one place and fits each
+the marginal table, `PartHierarchy` alone builds a subtree's pose columns,
+`infer` drops exact copies in one place and fits each
 (part, subtree node) pair in one kernel call, and `feature_matrix` fits
 blocks of exemplars and looks each child signature up once per stack."""
 
@@ -216,6 +217,32 @@ def test_one_marginal_table():
     assert len(in_rule) == 1
     assert sums == in_rule, f"channels summed outside ScoreMapStack.marginal: {sums - in_rule}"
     assert not outside, f"marginal caches named outside appearance: {outside}"
+
+
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+
+
+def test_one_owner_of_subtree_columns():
+    """`PartHierarchy` builds each subtree's pose columns once
+    (`subtree_columns`): outside `hierarchy.py` no comprehension iterates
+    `composites_below(...)` and calls `composite_index`."""
+    def calls(tree, name):
+        return any(
+            isinstance(node, ast.Call) and _called_name(node) == name for node in ast.walk(tree)
+        )
+
+    rebuilds = []
+    for path in sorted((ROOT / "src" / "hierpose").rglob("*.py")):
+        if path.name == "hierarchy.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, COMPREHENSIONS)
+                and any(calls(gen.iter, "composites_below") for gen in node.generators)
+                and calls(node, "composite_index")
+            ):
+                rebuilds.append(f"{path.name}:{node.lineno}")
+    assert not rebuilds, f"subtree pose columns rebuilt outside PartHierarchy: {rebuilds}"
 
 
 def test_one_copy_pass():
