@@ -77,7 +77,7 @@ def main():
 
     # pose similarity: minus the residual of the exemplar's fit onto the pose
     print("\n-- pose similarity (zero iff a bound-respecting similarity image) --")
-    arm = child_points(POSE, human.id_of("r_arm"), human)
+    arm = child_points(POSE, human.id_of("r_arm"), human).reshape(-1, 2)  # one point per atom
     moved = SimilarityTransform(2.0, 0.2, (5.0, -3.0)).apply(arm)
     bent = arm + [(0, 0), (6, -4), (0, 0)]
     print(f"  transformed copy: {-fit_least_squares(arm, moved)[1]:+.2e}")

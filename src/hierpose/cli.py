@@ -229,14 +229,19 @@ def _by_image(annotations, key: str) -> dict:
 
 
 def _match_annotations(preds, gts):
+    """Per image, in sorted order: the predicted points, the ground-truth
+    points and the ground truth's visibility flags (all visible where a
+    record has none), and the image names."""
     pred_by_image = _by_image(preds, "predictions")
     gt_by_image = _by_image(gts, "ground_truth")
     if set(pred_by_image) != set(gt_by_image):
         raise ConfigError("prediction and ground-truth image sets differ")
     images = sorted(pred_by_image)
+    truths = [gt_by_image[i] for i in images]
     return (
         [pred_by_image[i].points for i in images],
-        [gt_by_image[i].points for i in images],
+        [gt.points for gt in truths],
+        [np.ones(len(gt.points), bool) if gt.visible is None else gt.visible for gt in truths],
         images,
     )
 
@@ -269,7 +274,7 @@ def cmd_eval(args) -> int:
     hierarchy = load_hierarchy(_input_path(doc, "hierarchy", base))
     preds = load_annotations(_input_path(doc, "predictions", base), hierarchy)
     gts = load_annotations(_input_path(doc, "ground_truth", base), hierarchy)
-    pred_pts, gt_pts, images = _match_annotations(preds, gts)
+    pred_pts, gt_pts, visible, images = _match_annotations(preds, gts)
 
     if metric == "pcp_segments":
         row = lambda name: hierarchy.atom_index(hierarchy.id_of(name))
@@ -277,7 +282,7 @@ def cmd_eval(args) -> int:
         report = pcp_segments(pred_pts, gt_pts, segments)
     elif metric == "pcp_radius":
         report = pcp_radius(pred_pts, gt_pts, doc["sigmas"], factor=doc.get("factor", 1.5),
-                            part_names=hierarchy.atomic_names)
+                            visible=visible, part_names=hierarchy.atomic_names)
     else:
         if isinstance(normalizer, dict):
             if missing := sorted(set(images) - set(normalizer)):

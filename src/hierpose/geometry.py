@@ -10,13 +10,14 @@ DEFAULT_MAX_ANGLE, which `check_max_angle` checks.
 Both fits and the child-geometry extraction work on stacks of H rows at
 once (`fit_two_points_batch`, `fit_least_squares_batch`, `child_points`);
 `fit_least_squares` is the one-row call of the bounded fit.  The child
-geometry of a composite part stacks its children's points in canonical
-child order: an atomic child gives its location, a composite child its
-anchor point and its tight-box corners (tl, br).  Every child sits one
-level below its parent, so the kinds follow from the level: a level-2
-part's children are all atoms, read in one gather, and the children of a
-part above level 2 all composites.  `child_signature` records the child
-kinds, so that only like-for-like geometries are compared.
+geometry of a composite part is an (n, S, 2) array in canonical child
+order, S points per child: an atomic child gives its location (S = 1), a
+composite child its anchor point and its tight-box corners (anchor, tl, br;
+S = 3).  Every child sits one level below its parent, so the kinds follow
+from the level: a level-2 part's children are all atoms, read in one
+gather, and the children of a part above level 2 all composites.  A
+child's point 0 is where it is aligned and looked up, and the shape tells
+the kinds apart, so `child_points` is the one place that knows the layout.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "check_max_angle",
     "SimilarityTransform",
     "child_points",
-    "child_signature",
     "fit_two_points_batch",
     "fit_least_squares",
     "fit_least_squares_batch",
@@ -136,17 +136,21 @@ def fit_two_points_batch(src, dst) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def fit_least_squares_batch(
     src, dst, bound: float = DEFAULT_MAX_ANGLE
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Row-wise bounded least-squares similarity fits of (H, k, 2) stacks.
+    """Row-wise bounded least-squares similarity fits of (H, ..., 2) stacks.
 
-    Returns (scale, angle, translation, residual) with shapes (H,), (H,),
-    (H, 2), (H,); see `fit_least_squares` for the rules of one row.
+    Each row's points are taken in order, flattened to k = prod(...) >= 2
+    points.  Returns (scale, angle, translation, residual) with shapes (H,),
+    (H,), (H, 2), (H,); see `fit_least_squares` for the rules of one row.
     """
     src = np.asarray(src, dtype=float)
     dst = np.asarray(dst, dtype=float)
-    if src.shape != dst.shape or src.ndim != 3 or src.shape[2] != 2 or src.shape[1] < 2:
-        raise ValueError("src and dst must be matching (H, k, 2) arrays with k >= 2")
+    if src.shape != dst.shape or src.ndim < 3 or src.shape[-1] != 2:
+        raise ValueError("src and dst must be matching (H, ..., 2) arrays")
+    rows, k = len(src), math.prod(src.shape[1:-1])
+    if k < 2:
+        raise ValueError("src and dst must hold k >= 2 points per row")
+    src, dst = src.reshape(rows, k, 2), dst.reshape(rows, k, 2)
     max_angle = check_max_angle(bound)
-    rows, k = src.shape[:2]
     flat = 2 * k
 
     # the means: numpy sums a middle axis point by point, in order, and so
@@ -211,19 +215,14 @@ def fit_least_squares(
     return transform, float(residual[0])
 
 
-def child_signature(node_id: int, hierarchy: PartHierarchy) -> tuple[str, ...]:
-    """Child kinds of a composite node in canonical child order: "atom" per
-    child at level 2, "comp" above."""
-    node = hierarchy.node(node_id)
-    return ("atom" if node.level == 2 else "comp",) * len(node.children)
-
-
 def child_points(locations, node_id: int, hierarchy: PartHierarchy) -> np.ndarray:
     """Child geometry points of a composite node for stacked configurations.
 
     `locations` is (..., N, 2) and may carry NaN rows for atoms outside the
     node's subtree; only the subtree rows are read.  The result is
-    (..., K, 2), K being 1 per atomic child and 3 per composite child.
+    (..., n, S, 2) for the node's n children: each atomic child's location
+    (S = 1) at level 2, each composite child's anchor, tl and br (S = 3)
+    above.
     """
     node = hierarchy.node(node_id)
     if node.is_atomic:
@@ -231,6 +230,7 @@ def child_points(locations, node_id: int, hierarchy: PartHierarchy) -> np.ndarra
     X = np.asarray(locations, dtype=float)
     if node.level == 2:
         pts = X[..., [hierarchy.atom_index(child_id) for child_id in node.children], :]
+        pts = pts[..., None, :]
     else:
         points: list[np.ndarray] = []
         for child_id in node.children:
@@ -238,8 +238,7 @@ def child_points(locations, node_id: int, hierarchy: PartHierarchy) -> np.ndarra
             points += [
                 hierarchy.anchor_point(X, child_id), subtree.min(axis=-2), subtree.max(axis=-2)
             ]
-        pts = np.stack(points, axis=-2)
+        pts = np.stack(points, axis=-2).reshape(X.shape[:-2] + (len(node.children), 3, 2))
     if not np.isfinite(pts).all():
         raise ValueError(f"child geometry of node {node_id} uses undefined locations")
     return pts
-

@@ -23,12 +23,12 @@ every part's proposals their children's subtree terms in one fill pass and
 one more pass, and (6) prune each part, which drops the copies a swap made
 (a copy scores to its first copy's bits and lies within any dedup_radius
 of it).  A fill pass (`_fill_parts`, over `scoring.fill_terms`) makes one
-kernel call per child signature among the nodes it computes.  A swapped
-hypothesis copies its base row's terms, except those of the subtree it
-takes from the level below, which it carries from there (where its object
-size reads the same stored scale), so pass (5) fits the part's own node
-and whatever is still NaN.  `score_and_prune` is the one-part call of
-passes (5) and (6).
+kernel call per child geometry shape among the nodes it computes.  A
+swapped hypothesis copies its base row's terms, except those of the
+subtree it takes from the level below, which it carries from there (where
+its object size reads the same stored scale), so pass (5) fits the part's
+own node and whatever is still NaN.  `score_and_prune` is the one-part
+call of passes (5) and (6).
 
 The hypotheses of one part are one `HypothesisSet`: stacked locations
 (H, N, 2), an (H, C) exemplar index per composite node (-1 outside the
@@ -341,11 +341,13 @@ def propose_hypotheses(
     """Randomly align the node's exemplars onto pairs of lower hypotheses.
 
     Each draw picks an exemplar and two distinct child slots, fits the exact
-    two-point similarity from the exemplar's child points (each child's first
-    point in the stored child geometry) onto the chosen lower hypotheses, and
-    transforms the exemplar's full subtree.  Draws whose fitted rotation exceeds the angle
-    bound are rejected; nearly coincident anchor pairs fall back to a
-    rotation-free fit with the scale taken from the object-size ratio.
+    two-point similarity from the exemplar's child points (point 0 of each
+    child in the stored child geometry) onto the chosen lower hypotheses, and
+    transforms the exemplar's full subtree.  Draws whose fitted rotation
+    exceeds the angle bound are rejected; nearly coincident anchor pairs fall
+    back to a rotation-free fit with the scale taken from the object-size
+    ratio.  Level-1 seeds carry object size 0, so at level 2 that fallback
+    never fires: a coincident pair there is always rejected as degenerate.
 
     All `params.samples` draws of the part are made in one array pass by
     `_draw_proposals`; the fits and transforms of all draws are then computed
@@ -370,8 +372,7 @@ def propose_hypotheses(
     ])
     pool_sizes = np.concatenate([pool.object_size for pool in pools if pool])
     targets = offsets[slots] + picks  # (A, 2) rows of pool_points
-    step = 1 if node.level == 2 else 3  # points per child: a location, or anchor, tl, br
-    src = library.arrays(node.id).geometry[chosen[:, None], step * slots]  # (A, 2, 2)
+    src = library.geometry[node.id][chosen[:, None], slots, 0]  # (A, 2, 2)
     dst = pool_points[targets]
 
     segment_src = src[:, 1] - src[:, 0]
@@ -590,8 +591,9 @@ def _score_parts(
     A row is scored by the pre-order sum of its subtree's node terms
     (`subtree_total`).  A row's known terms are reused, and the NaN terms
     of every part's subtree are computed in one `fill_terms` pass, one
-    kernel call per child signature.  Duplicates are hypotheses whose atomic
-    locations all lie within dedup_radius of a better-scoring survivor.
+    kernel call per child geometry shape.  Duplicates are hypotheses whose
+    atomic locations all lie within dedup_radius of a better-scoring
+    survivor.
     Scores that agree to 1e-9 keep earlier creation order (see
     `prune_order`), so of exact copies, which score to the same bits, only
     the first can be kept.  Returns each part's kept rows, best first, with

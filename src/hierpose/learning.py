@@ -5,9 +5,9 @@ table of read-only annotation rows: the source names, full configurations,
 object sizes and the relation-type label of every non-root part.  Exemplar
 e of every part is annotation e, so a row index pairs exemplars across
 parts; each composite node keeps only the child geometry it derives from the
-rows.  Weight training is a binary hinge-loss problem solved by
-projected stochastic subgradient descent with non-negativity constraints on
-everything except the trailing bias component.
+rows (`child_points`).  Weight training is a binary hinge-loss problem
+solved by projected stochastic subgradient descent with non-negativity
+constraints on everything except the trailing bias component.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from . import _json
 from ._json import NUMBER, Either, Nullable, Optional
 from .appearance import CoincidentPartsError, RelationTypeModel, _Reader, annotation_points
-from .geometry import child_points, child_signature
+from .geometry import child_points
 from .hierarchy import BoundingBox, PartHierarchy, as_configuration, object_size
 
 LIBRARY_MAGIC = b"HPEL"
@@ -36,7 +36,6 @@ __all__ = [
     "Annotation",
     "load_annotations",
     "save_annotations",
-    "ExemplarArrays",
     "ExemplarLibrary",
     "LibraryError",
     "build_library",
@@ -125,19 +124,6 @@ def _read_only(values, dtype) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class ExemplarArrays:
-    """What one composite node derives from the library's rows and the
-    hierarchy: the (E, K, 2) child geometry, read-only, and the child kinds
-    it was built for."""
-
-    geometry: np.ndarray
-    signature: tuple[str, ...]  # child kinds, see `child_signature`
-
-    def __post_init__(self):
-        object.__setattr__(self, "geometry", _read_only(self.geometry, float))
-
-
 def _labelled_parts(hierarchy: PartHierarchy) -> list[int]:
     """The parts that carry a relation-type label: every non-root part, by id."""
     return sorted(node.id for node in hierarchy.nodes if node.id != hierarchy.root.id)
@@ -165,9 +151,9 @@ class ExemplarLibrary:
     Exemplar e of every part is annotation e: `sources` (E,) names it,
     `points` (E, N, 2) is its full configuration, `object_size` (E,) is
     derived from `points`, and `labels` holds one (E,) column per non-root
-    part, the part's relation type under its parent.  `nodes` keeps, per
-    composite node, only what it derives from the hierarchy (see
-    `ExemplarArrays`).  Every array is a read-only copy.  The atomic bins
+    part, the part's relation type under its parent.  `geometry` keeps, per
+    composite node id, the (E, n, S, 2) child geometry of every row
+    (`child_points`).  Every array is a read-only copy.  The atomic bins
     must be keyed by the atomic parts and the composite bins by the non-root
     composite parts, or `LibraryError` is raised.
     """
@@ -192,18 +178,10 @@ class ExemplarLibrary:
         }
         self.atomic_bins = dict(atomic_bins)
         self.composite_bins = dict(composite_bins)
-        self.nodes = {
-            node.id: ExemplarArrays(
-                child_points(self.points, node.id, hierarchy), child_signature(node.id, hierarchy)
-            )
+        self.geometry = {
+            node.id: _read_only(child_points(self.points, node.id, hierarchy), float)
             for node in hierarchy.composite_nodes
         }
-
-    def arrays(self, node_id: int) -> ExemplarArrays:
-        try:
-            return self.nodes[node_id]
-        except KeyError:
-            raise KeyError(f"library has no exemplars for node {node_id}") from None
 
 
 def build_library(
@@ -363,11 +341,12 @@ def generate_negatives(
 ) -> list[Annotation]:
     """Positives re-placed at incorrect regions with Gaussian location noise.
 
-    `image_extents` is a (width, height) pair or a {image: (w, h)} mapping;
-    a placement is accepted when the displaced root box stays inside the
-    image and overlaps the true root box with IoU < NEGATIVE_MAX_IOU;
-    NEGATIVE_ATTEMPTS placements are tried per negative.  Images too small
-    for a disjoint placement are skipped with a warning.
+    `image_extents` is a (width, height) pair shared by every image, or None
+    to read each annotation's own `size`; a placement is accepted when the
+    displaced root box stays inside the image and overlaps the true root box
+    with IoU < NEGATIVE_MAX_IOU; NEGATIVE_ATTEMPTS placements are tried per
+    negative.  Images too small for a disjoint placement are skipped with a
+    warning.
     """
     if per_positive < 0:
         raise ValueError(f"per_positive must be >= 0, got {per_positive}")
@@ -375,10 +354,7 @@ def generate_negatives(
         raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     out = []
     for ann in annotations:
-        if isinstance(image_extents, dict):
-            extent = image_extents[ann.image]
-        else:
-            extent = image_extents or ann.size
+        extent = image_extents or ann.size
         if extent is None:
             raise ValueError(f"no image extent known for {ann.image!r}")
         width, height = float(extent[0]), float(extent[1])

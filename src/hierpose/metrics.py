@@ -202,9 +202,11 @@ def emit_report(report: MetricReport, fmt: str = "json") -> str:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
         out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")  # quotes a label that needs it
+        writer = csv.writer(out, lineterminator="\n")  # quotes a label holding , " or \n
+        quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)  # and one with \r
         writer.writerow(("label", "rate"))
-        writer.writerows((label, repr(rate)) for label, rate in zip(report.labels, report.rates))
+        for label, rate in zip(report.labels, report.rates):
+            (quoted if "\r" in label else writer).writerow((label, repr(rate)))
         if report.aggregate is not None:
             writer.writerow(("aggregate", repr(report.aggregate)))
         return out.getvalue()

@@ -11,26 +11,28 @@ which is linear in the weights, so the same quantities double as the
 feature vector used for max-margin training.
 
 Every per-node (log-pose-prob, alignment score) pair comes from one batched
-kernel, `pose_terms`: for M (row, node) pairs whose nodes share a child
-signature it gathers each pair's child geometry and exemplar, runs the
-bounded similarity fit on all pairs at once, and looks the relation-type
-probabilities up at each pair's stored scale.  Child kinds follow from the
-level rule (every child sits one level below its parent): a level-2 node's
-children are all atoms, looked up in one call, and those of a node above
-all composites, each read at its anchor.  One rule, `scale_indices`, picks
-every stored scale read: the one nearest the scale a row's object size sets
-at the level read.  A part's spatial score is the pre-order sum
-(`subtree_total`) of its subtree's weighted node terms, which are
-independent of each other.  `fill_terms` computes the wanted ones of H
-rows of any parts, kept as an (H, C) matrix
-with NaN where a term is unknown, reading each row's exemplar per node
-from an (H, C) pose array (-1 outside the subtree): known terms, such as
-those a swapped-in subtree carries from the level below, are not
-recomputed, and the pairs of all nodes with one child signature go to one
-kernel call.  `subtree_score` is the sum for one hypothesis.  Every angle
-bound is one float, by default DEFAULT_MAX_ANGLE.  `check_model` checks,
-before a search or a training run, that a hierarchy, library, weights and
-stack fit together, and raises `ModelMismatchError` if not.
+kernel, `pose_terms`: for M (row, node) pairs whose nodes' stored child
+geometry has one shape (n children, S points each) it gathers each pair's
+child geometry and exemplar, runs the bounded similarity fit on all pairs
+at once, and looks the relation-type probabilities up at each pair's
+stored scale, at each child's point 0.  Child kinds follow from the level
+rule (every child sits one level below its parent) and show in the shape:
+a level-2 node's children are all atoms (S = 1), looked up in one call,
+and those of a node above all composites (S = 3), each read at its anchor.
+One rule, `scale_indices`, picks every stored scale read: the one nearest
+the scale a row's object size sets at the level read.  A part's spatial
+score is the pre-order sum (`subtree_total`) of its subtree's weighted node
+terms, which are independent of each other.  `fill_terms` computes the
+wanted ones of H rows of any parts, kept as an (H, C) matrix with NaN where
+a term is unknown, reading each row's exemplar per node from an (H, C) pose
+array (-1 outside the subtree): known terms, such as those a swapped-in
+subtree carries from the level below, are not recomputed, and the pairs of
+all nodes with one child geometry shape go to one kernel call.
+`subtree_score` is the sum for one hypothesis.  Every angle bound is one
+float, by default DEFAULT_MAX_ANGLE.  `check_model` checks, before a search
+or a training run, that a hierarchy, library, weights and stack fit
+together, the shape of every node's stored child geometry included, and
+raises `ModelMismatchError` if not.
 
 Training features come from one batched pass, `feature_matrix`: for S
 configurations, each read on its own score-map stack, it first fits blocks
@@ -38,9 +40,9 @@ of a composite node's exemplars to all rows in bounded fits of at most
 `_FIT_ROWS` pairs and keeps each row's best exemplar, which needs no stack.
 Then it draws the stacks one at a time, in order: per stack it gathers its
 rows' atomic columns at each row's nearest scale and reads the relation
-types with the lookup half of `pose_terms`, once per child signature, and
-releases the stack before drawing the next, so a generator that loads each
-stack keeps one in memory.  `feature_vector` and `best_fit_pose` are
+types with the lookup half of `pose_terms`, once per child geometry shape,
+and releases the stack before drawing the next, so a generator that loads
+each stack keeps one in memory.  `feature_vector` and `best_fit_pose` are
 one-row calls of it and of its best-fit step; `build_training_set` stacks
 all samples, taking one shared stack or a per-image source, and streams
 the per-image stacks, each loaded once, in order of first appearance.
@@ -68,12 +70,7 @@ from .appearance import (
     log_type_prob_atomic,
     log_type_prob_composite,
 )
-from .geometry import (
-    DEFAULT_MAX_ANGLE,
-    child_points,
-    child_signature,
-    fit_least_squares_batch,
-)
+from .geometry import DEFAULT_MAX_ANGLE, child_points, fit_least_squares_batch
 from .hierarchy import PartHierarchy, object_size
 from .learning import ExemplarLibrary, TrainingSet
 
@@ -210,8 +207,10 @@ def check_model(
 ) -> None:
     """Raise `ModelMismatchError` unless a search can read all it needs.
 
-    The library must hold the hierarchy's composite nodes and one label
-    column per non-root part; `weights`, if
+    The library must hold the hierarchy's composite nodes, each with the
+    child geometry shape the hierarchy gives it (E rows, n children, one
+    point per atomic child at level 2 and three per composite child above),
+    and one label column per non-root part; `weights`, if
     given (training has none yet), one atomic weight per atomic part and one
     pose weight pair per composite node.  At every stored scale the stack
     must hold a channel for each (atomic part, type) the library labels, and
@@ -226,7 +225,15 @@ def check_model(
             )
 
     composites = [node.id for node in hierarchy.composite_nodes]
-    compare("library nodes", library.nodes, composites)
+    compare("library nodes", library.geometry, composites)
+    for node in hierarchy.composite_nodes:
+        have = library.geometry[node.id].shape[1:]
+        want = (len(node.children), 1 if node.level == 2 else 3, 2)
+        if have != want:
+            raise ModelMismatchError(
+                f"library child geometry of node {node.id} has shape {have}, "
+                f"the hierarchy's {want}"
+            )
     compare("library label parts", library.labels,
             [node.id for node in hierarchy.nodes if node.id != hierarchy.root.id])
     if weights is not None and (
@@ -271,11 +278,8 @@ def best_fit_pose(
 ) -> tuple[int, float]:
     """Row of the node's exemplar whose pose best matches X (ties: lowest
     index), and its alignment score."""
-    table = library.arrays(node_id)
-    _check_signature(table.signature, node_id, hierarchy)
-    best, similarity = _best_fits(
-        table.geometry, child_points(np.asarray(X, dtype=float)[None], node_id, hierarchy), bound
-    )
+    current = child_points(np.asarray(X, dtype=float)[None], node_id, hierarchy)
+    best, similarity = _best_fits(library.geometry[node_id], current, bound)
     return int(best[0]), float(similarity[0])
 
 
@@ -283,10 +287,10 @@ _FIT_ROWS = 1024  # (row, exemplar) pairs per bounded fit of `_best_fits`
 
 
 def _best_fits(exemplars: np.ndarray, current: np.ndarray, bound) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of `current` (S, K, 2): the index of the best-fitting of the
-    (E, K, 2) exemplar geometries (ties: lowest index) and its alignment
-    score; a NaN score is never picked, and a row with no score above -inf
-    keeps exemplar 0 at -inf.  Each block of max(1, _FIT_ROWS // S)
+    """Per row of `current` (S, n, P, 2): the index of the best-fitting of
+    the (E, n, P, 2) exemplar geometries (ties: lowest index) and its
+    alignment score; a NaN score is never picked, and a row with no score
+    above -inf keeps exemplar 0 at -inf.  Each block of max(1, _FIT_ROWS // S)
     exemplars is fitted to all S rows in one bounded fit, so memory grows
     with S, not with S x E."""
     count = len(current)
@@ -297,7 +301,8 @@ def _best_fits(exemplars: np.ndarray, current: np.ndarray, bound) -> tuple[np.nd
     for start in range(0, len(exemplars), step):
         block = exemplars[start : start + step]
         _, _, _, residual = fit_least_squares_batch(
-            np.repeat(block, count, axis=0), np.tile(current, (len(block), 1, 1)), bound
+            np.repeat(block, count, axis=0),
+            np.tile(current, (len(block),) + (1,) * (current.ndim - 1)), bound,
         )
         score = -residual.reshape(len(block), count)
         score[np.isnan(score)] = -np.inf
@@ -307,14 +312,6 @@ def _best_fits(exemplars: np.ndarray, current: np.ndarray, bound) -> tuple[np.nd
         best[better] = start + pick[better]
         best_score[better] = value[better]
     return best, best_score
-
-
-def _check_signature(signature, node_id: int, hierarchy: PartHierarchy) -> None:
-    expected = child_signature(node_id, hierarchy)
-    if signature != expected:
-        raise ValueError(
-            f"child geometry signature mismatch: {expected} vs {signature}"
-        )
 
 
 def pose_terms(
@@ -329,9 +326,9 @@ def pose_terms(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(log-pose-probability, alignment score) of M (row, node) pairs.
 
-    `nodes` is one composite node id or (M,) ids of nodes that share one
-    child signature (`child_signature`).  `locations` (M, N, 2) holds each
-    pair's row, `exemplar_index` (M,) the exemplar of the pair's node and
+    `nodes` is one composite node id or (M,) ids of nodes whose stored
+    child geometry has one shape (n, S, 2).  `locations` (M, N, 2) holds
+    each pair's row, `exemplar_index` (M,) the exemplar of the pair's node and
     `size` (M,) the row's object size, which sets the score-map scale.  The
     alignment score is the negative residual of the bounded least-squares fit
     of the exemplar's child geometry onto the row's.  All pairs share one
@@ -343,19 +340,18 @@ def pose_terms(
     exemplar_index = np.asarray(exemplar_index, dtype=np.intp)
     nodes = np.broadcast_to(np.asarray(nodes, dtype=np.intp), exemplar_index.shape)
     runs = _node_runs(nodes)
-    signature = child_signature(runs[0][0], hierarchy)
-    current = np.empty((len(nodes), sum(1 if kind == "atom" else 3 for kind in signature), 2))
+    shape = library.geometry[runs[0][0]].shape[1:]
+    current = np.empty((len(nodes),) + shape)
     exemplars = np.empty_like(current)
     for node_id, run in runs:
-        table = library.arrays(node_id)
-        _check_signature(table.signature, node_id, hierarchy)
-        if table.signature != signature:
+        geometry = library.geometry[node_id]
+        if geometry.shape[1:] != shape:
             raise ValueError(
-                f"one kernel call needs one child signature: node {node_id} has "
-                f"{table.signature}, node {runs[0][0]} {signature}"
+                f"one kernel call needs one child geometry shape: node {node_id} has "
+                f"{geometry.shape[1:]}, node {runs[0][0]} {shape}"
             )
         current[run] = child_points(locations[run], node_id, hierarchy)
-        exemplars[run] = table.geometry[exemplar_index[run]]
+        exemplars[run] = geometry[exemplar_index[run]]
     _, _, _, residual = fit_least_squares_batch(exemplars, current, bound)
     log_prob = _log_pose_probs(
         runs, library.labels, exemplar_index, current, size, stack, hierarchy
@@ -383,9 +379,10 @@ def scale_indices(
 
 def _log_pose_probs(runs, labels, exemplar_index, current, size, stack, hierarchy):
     """Log-pose-probability of M (row, node) pairs whose nodes share one
-    child signature, given as (node id, slice of pairs) `runs`: the floored
-    log relation-type probabilities of each pair's exemplar labels, read at
-    its child geometry points `current` (M, K, 2) on the stored scale
+    child geometry shape, given as (node id, slice of pairs) `runs`: the
+    floored log relation-type probabilities of each pair's exemplar labels,
+    read at point 0 of each child of its child geometry `current`
+    (M, n, S, 2) on the stored scale
     nearest the one its object size (M,) sets at its node's level, and
     added child by child (0 + c1 + c2 + ...).
 
@@ -417,16 +414,16 @@ def _log_pose_probs(runs, labels, exemplar_index, current, size, stack, hierarch
     log_prob = np.zeros(len(exemplar_index))
     for idx in present:
         rows = slice(None) if len(present) == 1 else np.flatnonzero(scale_index == idx)
-        parts, kinds, points = children[rows], types[rows], current[rows]
+        parts, kinds, points = children[rows], types[rows], current[rows, :, 0]
         if atomic:
             values = log_type_prob_atomic(stack, parts, kinds, points, idx)
         else:
-            values, anchors = np.empty(parts.shape), points[:, ::3]
+            values = np.empty(parts.shape)
             for slot, slot_parts in enumerate(owners):
                 for part in slot_parts:
                     mine = slice(None) if len(slot_parts) == 1 else parts[:, slot] == part
                     values[mine, slot] = log_type_prob_composite(
-                        stack, part, kinds[mine, slot], anchors[mine, slot], idx
+                        stack, part, kinds[mine, slot], points[mine, slot], idx
                     )
         for slot in range(values.shape[1]):
             log_prob[rows] += values[:, slot]
@@ -481,9 +478,9 @@ def fill_terms(
     `hierarchy.composite_nodes`.  `scope` (H, C) marks the (row, node) pairs
     whose terms are wanted; a known term is not recomputed.  Term (h, j) is
     w_app * log-pose-prob + w_sim * alignment score of node j with row h's
-    stored exemplar, not a re-fit.  The pairs of all nodes that share a
-    child signature go to one `pose_terms` call, so a pass makes one kernel
-    call per signature that has any pair.  `counts["kernel_rows"]` and
+    stored exemplar, not a re-fit.  The pairs of all nodes whose stored
+    child geometry has one shape go to one `pose_terms` call, so a pass
+    makes one kernel call per such shape that has any pair.  `counts["kernel_rows"]` and
     `counts["kernel_calls"]`, if given, grow by the pairs computed and the
     calls made.
     """
@@ -492,9 +489,9 @@ def fill_terms(
     out = np.array(terms, dtype=float)
     todo = np.asarray(scope, dtype=bool) & np.isnan(out)
     ids = np.array([node.id for node in hierarchy.composite_nodes])
-    groups: dict[tuple[str, ...], list[int]] = {}
+    groups: dict[tuple[int, ...], list[int]] = {}
     for column in np.flatnonzero(todo.any(axis=0)).tolist():
-        groups.setdefault(child_signature(int(ids[column]), hierarchy), []).append(column)
+        groups.setdefault(library.geometry[int(ids[column])].shape[1:], []).append(column)
     for columns in groups.values():
         columns = np.array(columns)
         slot, row = np.nonzero(todo[:, columns].T)  # node by node, rows in order
@@ -639,8 +636,8 @@ def feature_matrix(
     The stack-free part comes first: every node's best fits and similarities
     over all S rows.  Then each stack is drawn once, in order: its rows'
     atomic columns are gathered, the log-pose-probs of all nodes with one
-    child signature are read in one `_log_pose_probs` call, and the stack is
-    released before the next one is drawn.
+    child geometry shape are read in one `_log_pose_probs` call, and the
+    stack is released before the next one is drawn.
     """
     X = np.asarray(configurations, dtype=float)
     stack_index = np.asarray(stack_index, dtype=np.intp)
@@ -650,15 +647,14 @@ def feature_matrix(
         raise ValueError("need one non-negative stack index per configuration")
     size = object_size(X)
     out = np.empty((len(X), feature_length(hierarchy)))
-    signatures: dict[tuple[str, ...], list] = {}
+    shapes: dict[tuple[int, ...], list] = {}
     for index, node in enumerate(hierarchy.composite_nodes):
-        table = library.arrays(node.id)
-        _check_signature(table.signature, node.id, hierarchy)
+        geometry = library.geometry[node.id]
         current = child_points(X, node.id, hierarchy)
-        best, similarity = _best_fits(table.geometry, current, bound)
+        best, similarity = _best_fits(geometry, current, bound)
         column = hierarchy.atomic_count + 2 * index
         out[:, column + 1] = similarity
-        signatures.setdefault(table.signature, []).append((node.id, column, current, best))
+        shapes.setdefault(geometry.shape[1:], []).append((node.id, column, current, best))
     # not zip or enumerate over `stacks`: each keeps its last tuple, and with
     # it the old stack, until the next one has been drawn
     source = iter(stacks)
@@ -668,22 +664,22 @@ def feature_matrix(
             raise ValueError(f"no stack for stack index {group}")
         rows = np.flatnonzero(stack_index == group)
         if len(rows):
-            _read_stack(out, rows, X, size, stack, signatures.values(), hierarchy, library)
+            _read_stack(out, rows, X, size, stack, shapes.values(), hierarchy, library)
         del stack  # released before the next stack is drawn
     out[:, -1] = 1.0
     return out
 
 
-def _read_stack(out, rows, X, size, stack, signatures, hierarchy, library) -> None:
+def _read_stack(out, rows, X, size, stack, shapes, hierarchy, library) -> None:
     """Fill the columns of `out` read on `stack` at `rows`, the rows that
-    read it: the atomic log-probabilities, and per child signature one
+    read it: the atomic log-probabilities, and per child geometry shape one
     `_log_pose_probs` call with each node's rows as one run.  `X` and `size`
-    are the configurations and object sizes of all rows, and `signatures`
-    lists per child signature each node's (id, column, child points, best
+    are the configurations and object sizes of all rows, and `shapes` lists
+    per child geometry shape each node's (id, column, child points, best
     exemplars) over all rows."""
     size = size[rows]
     out[rows, : hierarchy.atomic_count] = _appearance_features(X[rows], size, stack, hierarchy)
-    for fits in signatures:
+    for fits in shapes:
         columns = [column for _, column, _, _ in fits]
         runs = [(node_id, slice(k * len(rows), (k + 1) * len(rows)))
                 for k, (node_id, *_) in enumerate(fits)]

@@ -72,11 +72,10 @@ def generate_pose(
             return
         # every child is a composite: fit its stored triple, at its own row, onto the placed one
         targets = child_points(placed, node_id, hierarchy)
-        sources = library.arrays(node_id).geometry
+        sources = library.geometry[node_id]
         for slot, child_id in enumerate(hierarchy.node(node_id).children):
             child_row = pick(child_id, row)
-            triple = slice(3 * slot, 3 * slot + 3)
-            fit, _ = fit_least_squares(sources[child_row, triple], targets[triple], bound=np.pi)
+            fit, _ = fit_least_squares(sources[child_row, slot], targets[slot], bound=np.pi)
             place(child_id, fit, child_row)
 
     place(hierarchy.root.id, SimilarityTransform.identity(), pick(hierarchy.root.id, None))

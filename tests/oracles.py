@@ -61,7 +61,7 @@ from hierpose.inference import (
 )
 from hierpose.learning import hinge_objective
 from hierpose.scoring import (
-    _appearance_features, _check_signature, _log_pose_probs, feature_length, feature_matrix,
+    _appearance_features, _log_pose_probs, feature_length, feature_matrix,
     pose_terms, refinement_score, scale_indices, subtree_total, total_score,
 )
 
@@ -207,16 +207,19 @@ def naive_relation_labels(points, hierarchy, model):
 
 
 def stored_geometry(library, node_id, index):
-    """The child geometry the library stores for exemplar row `index`."""
-    table = library.arrays(node_id)
-    return NaiveChildGeometry(table.geometry[index], table.signature)
+    """The child geometry the library stores for exemplar row `index`, its
+    (n, S, 2) points flattened in order: S = 1 point per atomic child, 3 per
+    composite child."""
+    stored = library.geometry[node_id][index]
+    kind = "atom" if stored.shape[1] == 1 else "comp"
+    return NaiveChildGeometry(stored.reshape(-1, 2), (kind,) * len(stored))
 
 
 def stored_labels(library, node_id, index):
     """{part: relation-type label} of exemplar row `index` of a node.  Row e
     of every node is annotation e, so the row holds one label per non-root
     part; the node reads those of its children."""
-    library.arrays(node_id)  # the node must have exemplars
+    library.geometry[node_id]  # the node must have exemplars
     return {part: int(values[index]) for part, values in library.labels.items()}
 
 
@@ -364,8 +367,9 @@ def per_node_pose_terms(locations, node_id, exemplar_index, size, stack, hierarc
     exemplar_index = np.asarray(exemplar_index, dtype=np.intp)
     current = child_points(locations, node_id, hierarchy)
     _, _, _, residual = fit_least_squares_batch(
-        library.arrays(node_id).geometry[exemplar_index], current, bound
+        library.geometry[node_id][exemplar_index], current, bound
     )
+    current = current.reshape(len(current), math.prod(current.shape[1:-1]), 2)
     node = hierarchy.node(node_id)
     scale_index = scale_indices(size, node.level - 1, stack, hierarchy)
     log_prob = np.zeros(len(exemplar_index))
@@ -560,10 +564,8 @@ def per_node_feature_matrix(configurations, stacks, stack_index, hierarchy, libr
         )
     column = hierarchy.atomic_count
     for node in hierarchy.composite_nodes:
-        table = library.arrays(node.id)
-        _check_signature(table.signature, node.id, hierarchy)
         current = child_points(X, node.id, hierarchy)
-        best, similarity = per_exemplar_best_fits(table.geometry, current, bound)
+        best, similarity = per_exemplar_best_fits(library.geometry[node.id], current, bound)
         for stack, rows in groups:
             out[rows, column] = _log_pose_probs(
                 [(node.id, slice(None))], library.labels, best[rows], current[rows], size[rows],
@@ -832,8 +834,8 @@ def _one_row_best_fit(X, node_id, library, hierarchy, bound):
     checks the selection up to such ties (test_scoring)."""
     current = naive_child_geometry(X, node_id, hierarchy)
     best_index, best_value = None, -np.inf
-    for index, geometry in enumerate(library.arrays(node_id).geometry):
-        value = -fit_least_squares(geometry, current.points, bound)[1]
+    for index, geometry in enumerate(library.geometry[node_id]):
+        value = -fit_least_squares(geometry.reshape(-1, 2), current.points, bound)[1]
         if value > best_value:
             best_index, best_value = index, value
     return best_index

@@ -890,6 +890,26 @@ def test_eval_byte_stable(workspace):
     assert (workspace / "out" / "radius.report").read_bytes() == first
 
 
+def test_eval_pcp_radius_scores_visible_parts_only(workspace):
+    """`pcp_radius` reads the ground truth's `visible` flags: a part marked
+    occluded is not scored, however far its prediction lies, and a record
+    without flags is all visible."""
+    truth = json.loads((workspace / "annotations.json").read_text())[:2]
+    truth[0]["visible"] = {"la": False}
+    preds = json.loads(json.dumps(truth))
+    del preds[0]["visible"]
+    preds[0]["parts"]["la"][0] += 50.0
+    (workspace / "truth.json").write_text(json.dumps(truth))
+    (workspace / "preds.json").write_text(json.dumps(preds))
+    config = eval_config(workspace, "pcp_radius", "visible", sigmas=SIGMAS, factor=1.5,
+                         predictions="preds.json", ground_truth="truth.json")
+    assert main(["eval", str(config)]) == 0
+    report = json.loads((workspace / "out" / "visible.report").read_text())
+    assert report["labels"][0] == "la"
+    assert report["rates"] == [1.0] * 6
+    assert report["aggregate"] == 1.0
+
+
 def test_eval_mismatched_sets_exit_1(workspace):
     other = workspace / "other.json"
     records = json.loads((workspace / "annotations.json").read_text())[:2]

@@ -11,7 +11,7 @@ from hierpose import (
     collapse_model,
     fit_least_squares,
 )
-from hierpose.geometry import child_points, child_signature, fit_two_points_batch, transform_points
+from hierpose.geometry import child_points, fit_two_points_batch, transform_points
 
 from conftest import annotations_tiny3, library_for
 from oracles import MAX_ANGLE, grid_search_pose_similarity
@@ -155,7 +155,7 @@ def test_pose_similarity_signature_mismatch(tiny3):
     # read with the full hierarchy, whose root has two composite ones
     library, _ = library_for(tiny3, annotations_tiny3(3))
     flat = collapse_model(tiny3, library, WeightVector.uniform(tiny3))[1]
-    with pytest.raises(ValueError, match="signature"):
+    with pytest.raises(ValueError, match="matching"):
         best_fit_pose(annotations_tiny3(1)[0].points, 20, flat, tiny3)
 
 
@@ -174,10 +174,8 @@ def test_pose_similarity_transform_invariance_of_current():
 
 def test_child_geometry_signature(tiny3):
     X = np.arange(12, dtype=float).reshape(6, 2)
-    assert child_signature(10, tiny3) == ("atom", "atom", "atom")
-    assert child_points(X, 10, tiny3).shape == (3, 2)
-    assert child_signature(20, tiny3) == ("comp", "comp")
-    assert child_points(X, 20, tiny3).shape == (6, 2)
+    assert child_points(X, 10, tiny3).shape == (3, 1, 2)
+    assert child_points(X, 20, tiny3).shape == (2, 3, 2)
 
 
 @pytest.mark.parametrize("bound", [0.0, -0.5, math.pi + 1e-9, math.nan, math.inf])

@@ -295,6 +295,25 @@ def test_propose_counts_each_draw_by_outcome(tiny3_setup):
     assert len(hyps) + counts["rejected_angle"] == 60
 
 
+def test_level_2_coincident_seeds_never_take_the_fallback(tiny3_setup):
+    """Level-1 seeds carry object size 0, so at level 2 a draw of two
+    coincident seeds has no size ratio to fall back on: it is
+    `rejected_degenerate`, never a `fallback`."""
+    hierarchy, annotations, library = tiny3_setup
+    params = InferenceParams(z=5, samples_per_level=60, seed=0)
+    seeds = seed_atomic_hypotheses(scene_for(library, hierarchy, seed=0).stack, hierarchy, params)
+    assert all(len(pool) and not pool.object_size.any() for pool in seeds.values())
+    X = annotations[0].points.copy()
+    X[1] = X[0]  # the seeds of la and lb coincide
+    counts = {}
+    hyps = propose_hypotheses(
+        hierarchy.node(10), level1_from_truth(hierarchy, X), library, hierarchy, params,
+        np.random.default_rng(0), counts,
+    )
+    assert counts["rejected_degenerate"] > 0 and counts["fallback"] == 0
+    assert len(hyps) + counts["rejected_angle"] + counts["rejected_degenerate"] == 60
+
+
 @pytest.mark.parametrize("scene_seed", [0, 1, 2])
 @pytest.mark.parametrize("model", ["tiny3", "human"])
 def test_level_diagnostics_account_for_every_draw(model, scene_seed):

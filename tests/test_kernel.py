@@ -19,7 +19,7 @@ from scipy import stats
 
 from hierpose import Annotation, ExemplarLibrary, WeightVector, inference, load_hierarchy, scoring
 from hierpose.appearance import LOG_FLOOR, ScaleMaps, ScoreMapStack
-from hierpose.geometry import child_signature, fit_least_squares_batch
+from hierpose.geometry import fit_least_squares_batch
 from hierpose.hierarchy import object_size
 from hierpose.inference import (
     MODES,
@@ -146,16 +146,16 @@ def test_kernel_rows_span_both_scales_and_clamped_fits():
     root = hierarchy.root.id
     locations, poses, sizes = random_rows(hierarchy, library, root, 200, rng)
     assert set(scale_indices(sizes, hierarchy.root.level - 1, stack, hierarchy).tolist()) == {0, 1}
-    table = library.arrays(root)
+    geometry = library.geometry[root].reshape(len(library.sources), -1, 2)
     index = poses[:, hierarchy.composite_index(root)]
     current = np.stack([
         oracles.naive_child_geometry(X, root, hierarchy).points for X in locations
     ])
-    _, angle, _, residual = fit_least_squares_batch(table.geometry[index], current, 0.2)
+    _, angle, _, residual = fit_least_squares_batch(geometry[index], current, 0.2)
     assert np.sum(np.abs(angle) == 0.2) > 50
     for row in range(0, 200, 7):
         _, naive_angle, naive_residual = oracles.naive_fit_least_squares(
-            table.geometry[index[row]], current[row], 0.2
+            geometry[index[row]], current[row], 0.2
         )
         assert angle[row] == pytest.approx(naive_angle, abs=1e-12)
         assert residual[row] == pytest.approx(naive_residual, rel=1e-9, abs=1e-9)
@@ -610,7 +610,7 @@ def test_grouped_fill_equals_the_per_node_oracle_bit_for_bit(data):
     replaced (`oracles.per_node_subtree_terms`: one kernel call per node,
     one lookup per child, built marginal maps read where there are some),
     keeps every known or unwanted term, and makes one kernel call per child
-    signature: on tiny3, limbs4 and human, on one stored scale and on three,
+    geometry shape: on tiny3, limbs4 and human, on one stored scale and on three,
     with off-grid points, with known and NaN terms mixed, and with the
     parts' own subtrees, their children's or any of their nodes in scope."""
     name = data.draw(st.sampled_from(sorted(FILL_DOCS)))
@@ -649,8 +649,8 @@ def test_grouped_fill_equals_the_per_node_oracle_bit_for_bit(data):
         expected.append(np.where(scope, terms, known))
     locations, pose, size, known, scope = (np.concatenate(field) for field in zip(*blocks))
     wanted = scope & np.isnan(known)
-    signatures = {
-        child_signature(node.id, hierarchy)
+    shapes = {
+        library.geometry[node.id].shape[1:]
         for node, column in zip(hierarchy.composite_nodes, wanted.T) if column.any()
     }
     calls, kernel = [], scoring.pose_terms
@@ -667,20 +667,20 @@ def test_grouped_fill_equals_the_per_node_oracle_bit_for_bit(data):
         )
     assert np.array_equal(terms, np.concatenate(expected), equal_nan=True)
     assert np.array_equal(terms[~wanted], known[~wanted], equal_nan=True)
-    assert len(calls) == len(signatures)
-    assert counts == {"kernel_rows": int(wanted.sum()), "kernel_calls": len(signatures)}
+    assert len(calls) == len(shapes)
+    assert counts == {"kernel_rows": int(wanted.sum()), "kernel_calls": len(shapes)}
 
 
 def test_one_kernel_call_takes_nodes_of_one_child_signature_only():
     """`pose_terms` computes the pairs of several nodes in one call only when
-    their children are of the same kinds; nodes of two signatures raise."""
+    their child geometry has one shape; nodes of two shapes raise."""
     hierarchy, library, stack = model("tiny3")
     rng = np.random.default_rng(2)
     locations, poses, sizes = random_rows(hierarchy, library, hierarchy.root.id, 4, rng)
     index = poses[:, hierarchy.composite_index(10)]
     same = pose_terms(locations, [10, 10, 11, 11], index, sizes, stack, hierarchy, library)
     assert all(np.isfinite(terms).all() for terms in same)
-    with pytest.raises(ValueError, match="one child signature"):
+    with pytest.raises(ValueError, match="one child geometry shape"):
         pose_terms(locations, [10, 10, 20, 20], index, sizes, stack, hierarchy, library)
 
 
@@ -783,7 +783,7 @@ def test_error_parity_identical_exemplar_points():
     coincident = library.points.copy()
     coincident[1, hierarchy.atom_rows(11)] = 1.0
     library = with_rows(library, hierarchy, np.arange(len(coincident)), points=coincident)
-    assert np.all(library.arrays(11).geometry[1] == 1.0)
+    assert np.all(library.geometry[11][1] == 1.0)
     poses[:, hierarchy.composite_index(11)] = [0, 0, 1, 0]
     check_parity(ValueError, hierarchy, library, stack, locations, poses, sizes)
 
@@ -900,6 +900,32 @@ def test_every_model_check_case_reaches_the_kernel_without_the_check():
                 inference.infer(broken, hierarchy, library, weights, params)
 
 
+def test_a_library_of_other_child_geometry_fails_the_model_check():
+    """A tiny3 library read with a tiny3 variant whose limbs hold 2 and 4
+    atoms (the same parts, labels and bins) fails `check_model`, which names
+    the node and both child geometry shapes, in every mode before any kernel
+    call; without the check the proposal step indexes past the stored
+    children."""
+    hierarchy, library, stack = model("tiny3")
+    doc = tiny3_doc()
+    doc["nodes"][6]["children"], doc["nodes"][7]["children"] = [1, 2], [3, 4, 5, 6]
+    variant = load_hierarchy(doc)
+    weights = WeightVector.uniform(variant)
+    message = r"node 10 has shape \(3, 1, 2\), the hierarchy's \(2, 1, 2\)"
+    calls = []
+    with mock.patch.object(scoring, "pose_terms", lambda *args: calls.append(args)):
+        with pytest.raises(ModelMismatchError, match=message):
+            check_model(variant, library, weights, stack)
+        for mode in MODES:
+            with pytest.raises(ModelMismatchError, match=message):
+                inference.infer(stack, variant, library, weights, InferenceParams(z=2), mode)
+    assert not calls
+    params = InferenceParams(z=30, samples_per_level=600)
+    with mock.patch.object(inference, "check_model", lambda *args: None):
+        with pytest.raises(IndexError):
+            inference.infer(stack, variant, library, weights, params)
+
+
 # -- batched features ------------------------------------------------------------
 
 
@@ -978,7 +1004,7 @@ def test_best_fit_pose_matches_naive_fit_up_to_ties():
         for bound in [oracles.MAX_ANGLE, 0.2, math.pi]:
             for row in X:
                 for node in hierarchy.composite_nodes:
-                    geometry = library.arrays(node.id).geometry
+                    geometry = library.geometry[node.id].reshape(len(library.sources), -1, 2)
                     current = oracles.naive_child_geometry(row, node.id, hierarchy)
                     residual = np.array([
                         oracles.naive_fit_least_squares(points, current.points, bound)[2]
@@ -1134,7 +1160,7 @@ def test_best_fits_at_the_row_budget(rows, exemplars):
     budget=st.sampled_from([1, 4, 9, 1024]),
 )
 def test_feature_matrix_matches_the_per_node_loop(name, seed, count, budget):
-    """One lookup per (child signature, stack) and blocked best fits give the
+    """One lookup per (child geometry shape, stack) and blocked best fits give the
     features of the per-(node, stack) loop bit for bit, on both stacks."""
     hierarchy, library, stacks = feature_model(name)
     rng = np.random.default_rng(seed)

@@ -49,7 +49,7 @@ def test_build_library_sizes_human(human_hierarchy):
         node.id for node in human_hierarchy.nodes if node.id != human_hierarchy.root.id
     )
     for node in human_hierarchy.composite_nodes:
-        assert len(library.arrays(node.id).geometry) == 1
+        assert len(library.geometry[node.id]) == 1
 
 
 def test_build_library_counts_scale_with_augmentation(tiny3):
@@ -60,7 +60,7 @@ def test_build_library_counts_scale_with_augmentation(tiny3):
     library, _ = library_for(tiny3, doubled)
     assert len(library.sources) == 4
     for node in tiny3.composite_nodes:
-        assert len(library.arrays(node.id).geometry) == 4
+        assert len(library.geometry[node.id]) == 4
 
 
 def test_build_library_round_trip_similarity(tiny3):
@@ -293,10 +293,10 @@ def assert_same_library(a, b, hierarchy):
     for part in a.labels:
         assert np.array_equal(a.labels[part], b.labels[part])
     assert (a.atomic_bins, a.composite_bins) == (b.atomic_bins, b.composite_bins)
-    assert sorted(a.nodes) == sorted(b.nodes) == [node.id for node in hierarchy.composite_nodes]
-    for node_id in a.nodes:
-        assert a.arrays(node_id).signature == b.arrays(node_id).signature
-        assert a.arrays(node_id).geometry.tobytes() == b.arrays(node_id).geometry.tobytes()
+    assert sorted(a.geometry) == sorted(b.geometry) == [node.id for node in hierarchy.composite_nodes]
+    for node_id in a.geometry:
+        assert a.geometry[node_id].shape == b.geometry[node_id].shape
+        assert a.geometry[node_id].tobytes() == b.geometry[node_id].tobytes()
 
 
 def test_library_binary_round_trip(tmp_path, tiny3):
@@ -340,12 +340,13 @@ def test_library_of_random_rows_round_trips_bit_exact(data):
     assert_same_library(library, loaded, hierarchy)
     for node in hierarchy.composite_nodes:
         expected = child_points(points, node.id, hierarchy)
-        assert loaded.arrays(node.id).geometry.tobytes() == expected.tobytes()
+        assert loaded.geometry[node.id].shape == expected.shape
+        assert loaded.geometry[node.id].tobytes() == expected.tobytes()
 
 
 def test_library_arrays_are_read_only(tiny3):
     library, _ = library_for(tiny3, annotations_tiny3(3))
-    for values in (library.points, library.object_size, library.arrays(10).geometry,
+    for values in (library.points, library.object_size, library.geometry[10],
                    library.labels[1]):
         with pytest.raises(ValueError, match="read-only"):
             values[0] = 0

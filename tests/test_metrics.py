@@ -157,15 +157,17 @@ def test_emit_report_empty_csv_header_only():
 
 
 def test_emit_report_csv_quotes_labels():
-    """A label holding a comma, a quote or a line break reads back through
-    `csv.reader` as written, and a plain label keeps its unquoted bytes."""
+    """A label holding a comma, a quote or a line break, a bare `\r` too,
+    reads back through `csv.reader` as written, and a plain label keeps its
+    unquoted bytes."""
     gt = simple_gt()
-    segments = [Segment("a,b", 0, 1), Segment('c\n"d"', 1, 2), Segment("plain", 0, 2)]
+    segments = [Segment("a,b", 0, 1), Segment('c\n"d"', 1, 2), Segment("plain", 0, 2),
+                Segment("e\rf", 0, 1)]
     text = emit_report(pcp_segments(gt, gt, segments), "csv")
     rows = list(csv.reader(io.StringIO(text, newline="")))
     assert rows == [
         ["label", "rate"], ["a,b", "1.0"], ['c\n"d"', "1.0"], ["plain", "1.0"],
-        ["aggregate", "1.0"],
+        ["e\rf", "1.0"], ["aggregate", "1.0"],
     ]
     assert "\nplain,1.0\n" in text
 

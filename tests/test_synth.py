@@ -52,7 +52,8 @@ def test_generate_pose_unmixed_reproduces_source(tiny3_library):
     for node in hierarchy.composite_nodes:
         assert chosen[node.id] == row
         _, residual = fit_least_squares(
-            library.arrays(node.id).geometry[row], child_points(X, node.id, hierarchy)
+            library.geometry[node.id][row].reshape(-1, 2),
+            child_points(X, node.id, hierarchy).reshape(-1, 2),
         )
         assert -residual >= -1e-6
 

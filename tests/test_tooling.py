@@ -6,8 +6,9 @@ container's version,
 every stored scale and no angle bound defaults to None, one method builds
 the marginal table, `PartHierarchy` alone builds a subtree's pose columns,
 `infer` drops exact copies in one place and fits each
-(part, subtree node) pair in one kernel call, and `feature_matrix` fits
-blocks of exemplars and looks each child signature up once per stack."""
+(part, subtree node) pair in one kernel call, `feature_matrix` fits
+blocks of exemplars and looks each child geometry shape up once per stack,
+and `geometry.child_points` alone knows the child geometry's layout."""
 
 import ast
 import dataclasses
@@ -27,7 +28,6 @@ import hierpose
 from hierpose import (
     InferenceParams, WeightVector, appearance, infer, learning, load_hierarchy, scoring,
 )
-from hierpose.geometry import child_signature
 from hierpose.inference import _ROW_FIELDS, HypothesisSet
 from hierpose.synth import make_scene
 
@@ -245,6 +245,58 @@ def test_one_owner_of_subtree_columns():
     assert not rebuilds, f"subtree pose columns rebuilt outside PartHierarchy: {rebuilds}"
 
 
+def _stride_sites(tree) -> list[int]:
+    """Lines of indices (subscripts and `slice(...)` calls) that step by 3
+    or multiply by 3, a literal or a name assigned from an expression that
+    holds one: the per-child stride of a flat child geometry."""
+    def three(node):
+        return isinstance(node, ast.Constant) and type(node.value) is int and node.value == 3
+
+    def stride(part):
+        if isinstance(part, ast.Slice):
+            return part.step is not None and three(part.step)
+        return isinstance(part, ast.BinOp) and isinstance(part.op, ast.Mult) and any(
+            three(side) or (isinstance(side, ast.Name) and side.id in bound)
+            for side in (part.left, part.right)
+        )
+
+    bound = {
+        target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+        and any(three(part) for part in ast.walk(node.value))
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript):
+            indices = [node.slice]
+        elif isinstance(node, ast.Call) and _called_name(node) == "slice":
+            indices = node.args
+        else:
+            continue
+        if any(stride(part) for index in indices for part in ast.walk(index)):
+            sites.append(node.lineno)
+    return sites
+
+
+def test_one_owner_of_the_child_geometry_layout():
+    """`geometry.child_points` alone knows how many points each child has:
+    the stored child geometry is (E, n, S, 2), so outside `geometry.py` no
+    subscript steps by 3 or multiplies by 3 to find a child's points, and
+    no module names `child_signature` or `ExemplarArrays`."""
+    strides, names = [], []
+    for path in sorted((ROOT / "src" / "hierpose").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        names += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if {getattr(node, key, None) for key in ("id", "attr", "name")}
+            & {"child_signature", "ExemplarArrays"}
+        ]
+        if path.name != "geometry.py":
+            strides += [f"{path.name}:{line}" for line in _stride_sites(tree)]
+    assert not strides, f"child geometry indexed by a stride of 3: {strides}"
+    assert not names, f"child kinds recorded outside the geometry's shape: {names}"
+
+
 def test_one_copy_pass():
     """`_drop_copies` is called from one place under `src/`, in `infer`, so
     exact copies are dropped once per level and the prune removes the
@@ -277,11 +329,11 @@ def test_one_copy_pass():
 )
 def test_infer_calls_the_kernel_once_per_stage_level_and_signature(doc, annotations, grid, calls):
     """On one stored scale a full `infer` calls `scoring.pose_terms` once per
-    (stage, level, child signature): from level 3 up, once per signature of
-    the children's subtree nodes before the swap, and at every level once
-    per signature of the level's own nodes after it, with the nodes of all
-    parts that share a signature in one call.  A pass that splits a
-    signature, or fits a node twice, fails here; so does a level whose
+    (stage, level, child geometry shape): from level 3 up, once per shape
+    of the children's subtree nodes before the swap, and at every level once
+    per shape of the level's own nodes after it, with the nodes of all
+    parts that share a shape in one call.  A pass that splits a shape, or
+    fits a node twice, fails here; so does a level whose
     `kernel_calls` disagrees with the calls made."""
     hierarchy = load_hierarchy(doc)
     library, _ = library_for(hierarchy, annotations)
@@ -293,10 +345,10 @@ def test_infer_calls_the_kernel_once_per_stage_level_and_signature(doc, annotati
             c for node in nodes for part in node.children for c in hierarchy.composites_below(part)
         ]
         for stage in (below, [node.id for node in nodes]):
-            signatures = {}
+            shapes = {}
             for node in stage:
-                signatures.setdefault(child_signature(node, hierarchy), []).append(node)
-            expected += [(level, sorted(group)) for group in signatures.values()]
+                shapes.setdefault(library.geometry[node].shape[1:], []).append(node)
+            expected += [(level, sorted(group)) for group in shapes.values()]
     assert len(expected) == calls
     kernel, made = scoring.pose_terms, []
 
@@ -318,8 +370,8 @@ def test_infer_calls_the_kernel_once_per_stage_level_and_signature(doc, annotati
 def test_feature_matrix_calls_per_node_and_per_signature_and_stack(rows, budget):
     """On the human model with three stacks, `feature_matrix` makes
     ceil(E / max(1, budget // S)) bounded fits per composite node and one
-    `_log_pose_probs` call per (child signature, stack), 4 per stack, each
-    with every node of the signature as one run."""
+    `_log_pose_probs` call per (child geometry shape, stack), 4 per stack,
+    each with every node of the shape as one run."""
     hierarchy = load_hierarchy(CONFIG_DIR / "human_hierarchy.json")
     annotations = human_annotations(12)
     library, _ = library_for(hierarchy, annotations)
@@ -334,7 +386,7 @@ def test_feature_matrix_calls_per_node_and_per_signature_and_stack(rows, budget)
         return fit(*args, **kwargs)
 
     def counted_lookup(runs, labels, exemplar_index, current, size, stack, hierarchy):
-        lookups.append((id(stack), child_signature(runs[0][0], hierarchy),
+        lookups.append((id(stack), current.shape[1:],
                         sorted(node for node, _ in runs)))
         return lookup(runs, labels, exemplar_index, current, size, stack, hierarchy)
 
@@ -345,12 +397,12 @@ def test_feature_matrix_calls_per_node_and_per_signature_and_stack(rows, budget)
     composites = [node.id for node in hierarchy.composite_nodes]
     blocks = -(-len(library.sources) // max(1, budget // rows))
     assert len(fits) == len(composites) * blocks
-    signatures = {}
+    shapes = {}
     for node in composites:
-        signatures.setdefault(child_signature(node, hierarchy), []).append(node)
-    assert len(signatures) == 4
+        shapes.setdefault(library.geometry[node].shape[1:], []).append(node)
+    assert len(shapes) == 4
     assert sorted(lookups) == sorted(
-        (id(stack), signature, nodes) for stack in stacks for signature, nodes in signatures.items()
+        (id(stack), shape, nodes) for stack in stacks for shape, nodes in shapes.items()
     )
 
 
@@ -358,8 +410,8 @@ def test_three_scales_add_at_most_one_call_per_signature_and_level():
     """On a 0.7/1.0/1.4 human stack, a swapped row whose carried child terms
     were read at another stored scale recomputes them in the level's one
     scoring pass, beside the part's own node: each level makes no more
-    kernel calls than on one stored scale plus one per child signature of
-    the nodes below it, and its `kernel_calls` counts the calls made."""
+    kernel calls than on one stored scale plus one per child geometry shape
+    of the nodes below it, and its `kernel_calls` counts the calls made."""
     hierarchy = load_hierarchy(CONFIG_DIR / "human_hierarchy.json")
     library, _ = library_for(hierarchy, human_annotations(4))
     weights = WeightVector.uniform(hierarchy)
@@ -386,7 +438,7 @@ def test_three_scales_add_at_most_one_call_per_signature_and_level():
             zip(calls[(1.0,), seed], calls[(0.7, 1.0, 1.4), seed]), start=2
         ):
             below = {
-                child_signature(node.id, hierarchy)
+                library.geometry[node.id].shape[1:]
                 for node in hierarchy.composite_nodes if node.level < level
             }
             assert three <= one + len(below)
