@@ -99,6 +99,10 @@ _SYNTH = {
         "scales": Optional([NUMBER]),
     },
 }
+# `synth` sizes, checked before any file is read: a grid side sets every
+# rendered row and the pixel coordinate grids, the count the seed list
+SYNTH_MAX_GRID_SIDE = 1024
+SYNTH_MAX_SCENES = 10_000
 _SCORE = {
     "hierarchy": str, "libraries": str, "weights": str, "score_maps": str, "pose": str,
     "max_angle": Optional(float),
@@ -305,6 +309,11 @@ def cmd_synth(args) -> int:
     # absent optional fields take make_scene's defaults
     options = dict(doc["scenes"])
     seeds, grid = options.pop("seeds"), tuple(options.pop("grid"))
+    if max(grid) > SYNTH_MAX_GRID_SIDE:
+        raise ConfigError(f"scenes 'grid' sides must be <= {SYNTH_MAX_GRID_SIDE}, got {list(grid)}")
+    count = seeds["count"] if isinstance(seeds, dict) else len(seeds)
+    if count > SYNTH_MAX_SCENES:
+        raise ConfigError(f"scenes 'seeds' names {count} seeds, more than {SYNTH_MAX_SCENES}")
     if isinstance(seeds, dict):
         seeds = list(range(seeds["start"], seeds["start"] + seeds["count"]))
     field = "scenes 'seeds'" if args.seed is None else "--seed"

@@ -226,14 +226,8 @@ def check_model(
 
     composites = [node.id for node in hierarchy.composite_nodes]
     compare("library nodes", library.geometry, composites)
-    for node in hierarchy.composite_nodes:
-        have = library.geometry[node.id].shape[1:]
-        want = (len(node.children), 1 if node.level == 2 else 3, 2)
-        if have != want:
-            raise ModelMismatchError(
-                f"library child geometry of node {node.id} has shape {have}, "
-                f"the hierarchy's {want}"
-            )
+    for node in composites:
+        _node_geometry(library, node, hierarchy)
     compare("library label parts", library.labels,
             [node.id for node in hierarchy.nodes if node.id != hierarchy.root.id])
     if weights is not None and (
@@ -269,6 +263,23 @@ def check_model(
 
 
 
+def _node_geometry(library: ExemplarLibrary, node_id: int, hierarchy: PartHierarchy) -> np.ndarray:
+    """The library's (E, n, S, 2) child geometry of a composite node;
+    `ModelMismatchError` unless n and S are the hierarchy's (one point per
+    atomic child at level 2, three per composite child above)."""
+    node = hierarchy.node(node_id)
+    geometry = library.geometry.get(node_id)
+    if geometry is None:
+        raise ModelMismatchError(f"library has no child geometry for node {node_id}")
+    have = geometry.shape[1:]
+    want = (len(node.children), 1 if node.level == 2 else 3, 2)
+    if have != want:
+        raise ModelMismatchError(
+            f"library child geometry of node {node_id} has shape {have}, the hierarchy's {want}"
+        )
+    return geometry
+
+
 def best_fit_pose(
     X: np.ndarray,
     node_id: int,
@@ -278,8 +289,9 @@ def best_fit_pose(
 ) -> tuple[int, float]:
     """Row of the node's exemplar whose pose best matches X (ties: lowest
     index), and its alignment score."""
+    geometry = _node_geometry(library, node_id, hierarchy)
     current = child_points(np.asarray(X, dtype=float)[None], node_id, hierarchy)
-    best, similarity = _best_fits(library.geometry[node_id], current, bound)
+    best, similarity = _best_fits(geometry, current, bound)
     return int(best[0]), float(similarity[0])
 
 

@@ -256,6 +256,31 @@ def test_synth_rejects_bad_scene_options(workspace, capsys, key, value, message)
 
 
 @pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("grid", [10**9, 10**9], "scenes 'grid' sides must be <= 1024, got [1000000000, 1000000000]"),
+        ("grid", [96, 1025], "scenes 'grid' sides must be <= 1024, got [96, 1025]"),
+        ("seeds", {"start": 0, "count": 10**15},
+         "scenes 'seeds' names 1000000000000000 seeds, more than 10000"),
+        ("seeds", list(range(10_001)), "scenes 'seeds' names 10001 seeds, more than 10000"),
+    ],
+    ids=["absurd-grid", "grid-1025", "absurd-count", "seed-list"],
+)
+def test_synth_sizes_are_bounded_before_any_file_is_read(workspace, key, value, message):
+    """A grid side above 1024 or more than 10,000 scenes exits 1 naming the
+    key, before any file is read or directory made.  The run is a child
+    process with a capped address space, so a missed check fails fast: the
+    absurd grid would ask for its pixel coordinates, and the count for its
+    seed list."""
+    path, doc = synth_config(workspace, **{key: value})
+    doc["hierarchy"] = "absent.json"
+    path.write_text(json.dumps(doc))
+    done = run_capped(["synth", str(path)])
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", f"error: {message}\n")
+    assert not (workspace / "bad_scenes").exists()
+
+
+@pytest.mark.parametrize(
     "seeds, flag, message",
     [
         ({"start": 0, "count": -3}, None, "scenes 'seeds' names no seed"),
@@ -369,10 +394,9 @@ def test_infer_negative_seed_exit_1(workspace, capsys, argv):
     assert not (workspace / "out").exists()
 
 
-def test_infer_out_of_memory_exits_1_with_one_line(workspace):
-    """A `MemoryError` ends in exit 1 and one `error:` line, not a traceback.
-    `infer` with 10**15 draws per level runs in a child process whose address
-    space is capped, so its allocation fails at once."""
+def run_capped(argv) -> subprocess.CompletedProcess:
+    """`hierpose <argv>` in a child process whose address space is capped at
+    2 GB, so that an allocation an unchecked size asks for fails at once."""
     resource = pytest.importorskip("resource")
     cap = 2 * 1024**3
     hard = resource.getrlimit(resource.RLIMIT_AS)[1]
@@ -387,11 +411,17 @@ def test_infer_out_of_memory_exits_1_with_one_line(workspace):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     src = str(Path(hierpose.cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    config = with_params(workspace, samples_per_level=10**15)
-    done = subprocess.run(
-        [sys.executable, "-c", child, "infer", str(config)],
-        env=env, capture_output=True, text=True, timeout=120,
+    return subprocess.run(
+        [sys.executable, "-c", child, *argv], env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def test_infer_out_of_memory_exits_1_with_one_line(workspace):
+    """A `MemoryError` ends in exit 1 and one `error:` line, not a traceback.
+    `infer` with 10**15 draws per level runs in a child process whose address
+    space is capped, so its allocation fails at once."""
+    config = with_params(workspace, samples_per_level=10**15)
+    done = run_capped(["infer", str(config)])
     assert done.returncode == 1, done.stderr
     assert done.stdout == ""
     assert done.stderr.startswith("error: out of memory: ") and done.stderr.count("\n") == 1

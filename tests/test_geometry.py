@@ -5,11 +5,13 @@ import pytest
 
 from hierpose import (
     InferenceParams,
+    ModelMismatchError,
     SimilarityTransform,
     WeightVector,
     best_fit_pose,
     collapse_model,
     fit_least_squares,
+    hypothesis_from_config,
 )
 from hierpose.geometry import child_points, fit_two_points_batch, transform_points
 
@@ -152,11 +154,17 @@ def test_pose_similarity_displaced_matches_oracle():
 
 def test_pose_similarity_signature_mismatch(tiny3):
     # a library of the collapsed model, whose root has six atomic children,
-    # read with the full hierarchy, whose root has two composite ones
+    # read with the full hierarchy, whose root has two composite ones: the
+    # error names the node and both shapes, as `check_model`'s does
     library, _ = library_for(tiny3, annotations_tiny3(3))
     flat = collapse_model(tiny3, library, WeightVector.uniform(tiny3))[1]
-    with pytest.raises(ValueError, match="matching"):
-        best_fit_pose(annotations_tiny3(1)[0].points, 20, flat, tiny3)
+    message = r"node 20 has shape \(6, 1, 2\), the hierarchy's \(2, 3, 2\)"
+    X = annotations_tiny3(1)[0].points
+    with pytest.raises(ModelMismatchError, match=message):
+        best_fit_pose(X, 20, flat, tiny3)
+    # the search's first node, 10, is not in the collapsed library at all
+    with pytest.raises(ModelMismatchError, match="library has no child geometry for node 10"):
+        hypothesis_from_config(X, tiny3, flat)
 
 
 def test_pose_similarity_transform_invariance_of_current():

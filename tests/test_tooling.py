@@ -8,7 +8,8 @@ the marginal table, `PartHierarchy` alone builds a subtree's pose columns,
 `infer` drops exact copies in one place and fits each
 (part, subtree node) pair in one kernel call, `feature_matrix` fits
 blocks of exemplars and looks each child geometry shape up once per stack,
-and `geometry.child_points` alone knows the child geometry's layout."""
+`geometry.child_points` alone knows the child geometry's layout, and
+`synth._mapped_array` alone maps memory, never with huge pages."""
 
 import ast
 import dataclasses
@@ -295,6 +296,24 @@ def test_one_owner_of_the_child_geometry_layout():
             strides += [f"{path.name}:{line}" for line in _stride_sites(tree)]
     assert not strides, f"child geometry indexed by a stride of 3: {strides}"
     assert not names, f"child kinds recorded outside the geometry's shape: {names}"
+
+
+def test_one_memory_map_and_no_huge_pages():
+    """`synth._mapped_array` is the one place under `src/` that maps memory
+    or advises the kernel on it, so every rendered tensor leaves the rows
+    it never writes uncommitted; and no file asks for huge pages, which
+    would commit 2 MB around each written row."""
+    sites, huge = [], []
+    for path in sorted((ROOT / "src" / "hierpose").rglob("*.py")):
+        text = path.read_text()
+        huge += [path.name] if "MADV_HUGEPAGE" in text else []
+        for top in ast.parse(text, str(path)).body:
+            sites += [
+                (path.name, getattr(top, "name", None), node.lineno) for node in ast.walk(top)
+                if isinstance(node, ast.Call) and _called_name(node) in {"mmap", "madvise", "memmap"}
+            ]
+    assert not huge, f"huge pages asked for in {huge}"
+    assert sites and {site[:2] for site in sites} == {("synth.py", "_mapped_array")}, sites
 
 
 def test_one_copy_pass():
