@@ -6,10 +6,12 @@ reference sibling, conditional type tensors p(type | part, pixel).  Stacks
 stand in for whatever produced the detection scores; the library only reads
 them.  Every lookup gathers nearest pixels at one stored scale (callers
 group their rows by the stored scale nearest each row's scale) and clamps
-probabilities at a 1e-6 floor before taking logs.  Channels are found by
+probabilities at a 1e-6 floor before taking logs.  The two relation-type
+lookups have one form: each takes one part id, or one per item, and reads
+all its items at one scale in one call.  Channels are found by
 (part, type) key in a sorted key array per scale.  The marginal
 p(part | pixel) has one form, a per-scale table of every part's map, which
-only peak seeding (`top_peaks`, through `ScoreMapStack.marginal`) builds;
+only peak ranking (`_ranked_maxima`, through `ScoreMapStack.marginal`) builds;
 every other marginal lookup is one `marginals_at` gather, of that table if
 it is built and otherwise of the parts' channels at the looked-up pixels
 only, summed with the same bits.  The type ids of those channels come from
@@ -415,24 +417,31 @@ def log_type_prob_atomic(
 
 
 def log_type_prob_composite(
-    stack: ScoreMapStack, part: int, labels, anchors, scale_index: int
+    stack: ScoreMapStack, part, labels, anchors, scale_index: int
 ) -> np.ndarray:
-    """Per row: floored log relation-type probability at a composite anchor.
+    """Per item: floored log relation-type probability at a composite anchor.
 
-    Arguments are per row as in `log_type_prob_atomic`.  A label outside
-    1..T, T being the part's type count at that scale, raises KeyError.
+    Arguments are per item as in `log_type_prob_atomic`, `part` one part id
+    or one per item.  A label outside 1..T, T being its part's type count at
+    that scale, raises KeyError.  Each part's items are gathered in one read.
     """
     labels = np.asarray(labels)
-    data = stack.composite_maps(part, scale_index).data
-    bad = (labels < 1) | (labels > len(data))
-    if bad.any():
-        raise KeyError(
-            f"no composite type {int(labels[bad][0])} for part {part} ({len(data)} types)"
-        )
-    pixel, on_grid = _pixels(np.asarray(anchors, dtype=float), data.shape[1:])
-    values = data.reshape(len(data), -1)[labels[on_grid] - 1, pixel[on_grid]].astype(np.float64)
-    out = np.full(len(labels), LOG_FLOOR)
-    out[on_grid] = np.log(np.maximum(values, PROB_FLOOR))
+    parts = np.broadcast_to(np.asarray(part, dtype=np.int64), labels.shape)
+    # every composite tensor lies on its scale's atomic grid (`ScaleMaps`)
+    pixel, on_grid = _pixels(np.asarray(anchors, dtype=float), stack.scales[scale_index].grid_shape)
+    out = np.full(labels.shape, LOG_FLOOR)
+    for one in sorted(set(parts.ravel().tolist())):
+        data = stack.composite_maps(one, scale_index).data
+        mine = parts == one
+        kinds = labels[mine]
+        bad = (kinds < 1) | (kinds > len(data))
+        if bad.any():
+            raise KeyError(
+                f"no composite type {int(kinds[bad][0])} for part {one} ({len(data)} types)"
+            )
+        mine &= on_grid
+        values = data.reshape(len(data), -1)[labels[mine] - 1, pixel[mine]].astype(np.float64)
+        out[mine] = np.log(np.maximum(values, PROB_FLOOR))
     return out
 
 
@@ -447,6 +456,17 @@ def top_peaks(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    points, scores = _ranked_maxima(stack, part, scale_index)
+    kept = _greedy_nms(points, nms_radius, count)
+    return points[kept], scores[kept]
+
+
+def _ranked_maxima(
+    stack: ScoreMapStack, part: int, scale_index: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every strict 8-neighborhood maximum of p(part | pixel) at one stored
+    scale: (K, 2) (x, y) points and their (K,) scores, by descending score
+    (ties: row-major order)."""
     grid = stack.marginal(part, scale_index)
     padded = np.full((grid.shape[0] + 2, grid.shape[1] + 2), -np.inf)
     padded[1:-1, 1:-1] = grid
@@ -458,14 +478,10 @@ def top_peaks(
                 continue
             neighbor = padded[1 + dr : padded.shape[0] - 1 + dr, 1 + dc : padded.shape[1] - 1 + dc]
             strict &= center > neighbor
-    rows, cols = np.nonzero(strict)
-    if rows.size == 0:
-        return np.empty((0, 2)), np.empty(0)
-    order = np.lexsort((cols, rows, -grid[rows, cols]))
+    rows, cols = np.nonzero(strict)  # row-major: a stable sort keeps it among ties
+    order = np.argsort(-grid[rows, cols], kind="stable")
     rows, cols = rows[order], cols[order]
-    points = np.stack([cols, rows], axis=1).astype(float)
-    kept = _greedy_nms(points, nms_radius, count)
-    return points[kept], grid[rows[kept], cols[kept]]
+    return np.stack([cols, rows], axis=1).astype(float), grid[rows, cols]
 
 
 def _greedy_nms(points: np.ndarray, radius: float, count: int) -> list[int]:

@@ -103,6 +103,12 @@ _SYNTH = {
 # rendered row and the pixel coordinate grids, the count the seed list
 SYNTH_MAX_GRID_SIDE = 1024
 SYNTH_MAX_SCENES = 10_000
+# `train` sizes, checked before any file is read: jittered copies and
+# negatives per positive multiply the samples held in memory, epochs the
+# run time
+TRAIN_MAX_COPIES = 1_000
+TRAIN_MAX_NEGATIVES = 1_000
+TRAIN_MAX_EPOCHS = 10_000
 _SCORE = {
     "hierarchy": str, "libraries": str, "weights": str, "score_maps": str, "pose": str,
     "max_angle": Optional(float),
@@ -144,6 +150,11 @@ def cmd_train(args) -> int:
     base = Path(args.config).resolve().parent
     doc = _load_config(args.config, _TRAIN)
     bound = check_max_angle(doc.get("max_angle", inference.DEFAULT_MAX_ANGLE))
+    for section, key, limit in (("augment", "copies", TRAIN_MAX_COPIES),
+                                ("negatives", "per_positive", TRAIN_MAX_NEGATIVES),
+                                ("train", "epochs", TRAIN_MAX_EPOCHS)):
+        if doc[section][key] > limit:
+            raise ConfigError(f"{section} '{key}' must be <= {limit}, got {doc[section][key]}")
     if args.seed is not None:
         doc["augment"]["seed"] = args.seed
     hierarchy = load_hierarchy(_input_path(doc, "hierarchy", base))

@@ -54,7 +54,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .appearance import ScoreMapStack, _greedy_nms, log_marginals_at, top_peaks
+from .appearance import ScoreMapStack, _greedy_nms, _ranked_maxima, log_marginals_at
 from .geometry import DEFAULT_MAX_ANGLE, check_max_angle, fit_two_points_batch, transform_points
 from .hierarchy import BoundingBox, PartHierarchy, PartNode, ScaleParams, object_size
 from .learning import ExemplarLibrary
@@ -274,15 +274,14 @@ def hypothesis_from_config(
 def seed_atomic_hypotheses(
     stack: ScoreMapStack, hierarchy: PartHierarchy, params: InferenceParams
 ) -> dict[int, HypothesisSet]:
-    """Top peaks of every atomic part, as hypotheses; the peaks of all scales,
-    best first (ties: lower scale, then rank), pass the same NMS again."""
+    """Top peaks of every atomic part, as hypotheses: the strict maxima of
+    all scales, ranked together by descending score (ties: lower scale, then
+    row-major order), pass one greedy NMS to z points (`top_peaks` at one
+    scale)."""
     n, columns = hierarchy.atomic_count, len(hierarchy.composite_nodes)
     out: dict[int, HypothesisSet] = {}
     for part in hierarchy.atomic_ids:
-        peaks = [
-            top_peaks(stack, part, index, params.z, params.nms_radius)
-            for index in range(stack.n_scales)
-        ]
+        peaks = [_ranked_maxima(stack, part, index) for index in range(stack.n_scales)]
         order = np.argsort(-np.concatenate([score for _, score in peaks]), kind="stable")
         points = np.concatenate([point for point, _ in peaks])[order]
         picked = points[_greedy_nms(points, params.nms_radius, params.z)]
@@ -452,7 +451,9 @@ def swap_subtrees(
     found = np.concatenate(found) if found else np.empty((0, 3), dtype=np.intp)
     if not len(found):
         return hyps
-    found = found[np.lexsort(found.T[::-1])]
+    # slot-major blocks of row-major (hypothesis, alternative) pairs: a stable
+    # sort on the hypothesis gives (hypothesis, child, alternative) order
+    found = found[np.argsort(found[:, 0], kind="stable")]
 
     base = found[:, 0]
     locations = hyps.locations[base]
@@ -674,18 +675,15 @@ def refine_roots(
                 (rows <= high[chunk, :, 1, None])[..., :, None]
                 & (cols <= high[chunk, :, 0, None])[..., None, :]
             )
-            xs = np.broadcast_to(cols[..., None, :], inside.shape).astype(float)
-            ys = np.broadcast_to(rows[..., :, None], inside.shape).astype(float)
+            # the window's pixels in row-major order, NaN (never in the disc)
+            # past the part's own window, then the part's starting point
             start = centers[chunk]
-            dist = np.hypot(xs - start[..., 0, None, None], ys - start[..., 1, None, None])
-            valid = inside & (dist <= radius[chunk, None, None, None])
-            # ... plus the starting point of each part
-            xs = np.concatenate([xs.reshape(c, parts, -1), start[..., :1]], axis=2)
-            ys = np.concatenate([ys.reshape(c, parts, -1), start[..., 1:]], axis=2)
-            dist = np.concatenate([dist.reshape(c, parts, -1), np.zeros((c, parts, 1))], axis=2)
-            valid = np.concatenate(
-                [valid.reshape(c, parts, -1), np.ones((c, parts, 1), dtype=bool)], axis=2
-            )
+            xs = np.where(inside, cols[..., None, :], np.nan).reshape(c, parts, -1)
+            ys = np.where(inside, rows[..., :, None], np.nan).reshape(c, parts, -1)
+            xs = np.concatenate([xs, start[..., :1]], axis=2)
+            ys = np.concatenate([ys, start[..., 1:]], axis=2)
+            dist = np.hypot(xs - start[..., :1], ys - start[..., 1:])
+            valid = dist <= radius[chunk, None, None]
             points = np.stack([xs, ys], axis=-1).transpose(1, 0, 2, 3)  # (P, C, K, 2)
             log_values = log_marginals_at(
                 stack, hierarchy.atomic_ids, points.reshape(parts, -1, 2),
@@ -693,10 +691,10 @@ def refine_roots(
             ).reshape(parts, c, -1).transpose(1, 0, 2)
             values = w_atomic * log_values - penalty * dist * dist
 
-            # the lexicographically best valid candidate: (max value, min dist, min y, min x)
+            # max value, then min dist: as candidates run row-major with the start
+            # point last, the first one left has the least y, then the least x
             best = valid & (values == np.where(valid, values, -np.inf).max(axis=2, keepdims=True))
-            for key in (dist, ys, xs):
-                best &= key == np.where(best, key, np.inf).min(axis=2, keepdims=True)
+            best &= dist == np.where(best, dist, np.inf).min(axis=2, keepdims=True)
             choice = best.argmax(axis=2)[..., None]
             refined[chunk] = np.stack(
                 [np.take_along_axis(key, choice, axis=2)[..., 0] for key in (xs, ys)], axis=-1
@@ -756,6 +754,10 @@ def collapse_model(
     return flat, flat_library, flat_weights
 
 
+# a level's proposal-draw counters, which also name what emptied it
+_DRAW_COUNTS = ("proposed", "empty_pool", "rejected_angle", "rejected_degenerate", "fallback")
+
+
 @dataclass
 class InferenceResult:
     configuration: np.ndarray
@@ -807,8 +809,7 @@ def infer(
     lower: dict[int, HypothesisSet] = seeds
     for level in range(2, hierarchy.levels + 1):
         nodes = hierarchy.nodes_at_level(level)
-        counts = dict.fromkeys((
-            "proposed", "empty_pool", "rejected_angle", "rejected_degenerate", "fallback",
+        counts = dict.fromkeys(_DRAW_COUNTS + (
             "augmented", "scored", "kernel_rows", "kernel_calls",
         ), 0)
         sets = [
@@ -854,7 +855,10 @@ def infer(
             }
         )
         if kept == 0:
-            raise NoConfigurationError(f"no configuration found: level {level} is empty")
+            draws = ", ".join(f"{counts[key]} {key}" for key in _DRAW_COUNTS)
+            raise NoConfigurationError(
+                f"no configuration found: level {level} is empty (draws: {draws})"
+            )
         lower = current
 
     roots = lower[hierarchy.root.id]

@@ -17,8 +17,9 @@ child geometry and exemplar, runs the bounded similarity fit on all pairs
 at once, and looks the relation-type probabilities up at each pair's
 stored scale, at each child's point 0.  Child kinds follow from the level
 rule (every child sits one level below its parent) and show in the shape:
-a level-2 node's children are all atoms (S = 1), looked up in one call,
-and those of a node above all composites (S = 3), each read at its anchor.
+a level-2 node's children are all atoms (S = 1), and those of a node
+above all composites (S = 3), each read at its anchor; either kind is
+looked up in one call per stored scale.
 One rule, `scale_indices`, picks every stored scale read: the one nearest
 the scale a row's object size sets at the level read.  A part's spatial
 score is the pre-order sum (`subtree_total`) of its subtree's weighted node
@@ -398,14 +399,14 @@ def _log_pose_probs(runs, labels, exemplar_index, current, size, stack, hierarch
     nearest the one its object size (M,) sets at its node's level, and
     added child by child (0 + c1 + c2 + ...).
 
-    Pairs are grouped by stored scale.  Per scale, level-2 pairs look all
-    their children up in one `log_type_prob_atomic` call; above level 2 each
-    part that is a child looks up its anchors in one
-    `log_type_prob_composite` call.
+    Pairs are grouped by stored scale.  Per scale, one call looks up every
+    child of every pair: `log_type_prob_atomic` at level 2, where all
+    children are atoms, and `log_type_prob_composite` above.
     """
     size = np.asarray(size, dtype=float)
     nodes = [hierarchy.node(node_id) for node_id, _ in runs]
-    atomic = nodes[0].level == 2  # the level rule: all children atoms, or none
+    # the level rule: a level-2 node's children are all atoms, any other's none
+    lookup = log_type_prob_atomic if nodes[0].level == 2 else log_type_prob_composite
     children = np.empty((len(exemplar_index), len(nodes[0].children)), dtype=np.int64)
     types = np.empty(children.shape, dtype=np.intp)
     level = np.empty(len(exemplar_index), dtype=np.intp)
@@ -419,24 +420,11 @@ def _log_pose_probs(runs, labels, exemplar_index, current, size, stack, hierarch
     for at in levels:
         rows = slice(None) if len(levels) == 1 else level == at
         scale_index[rows] = scale_indices(size[rows], at - 1, stack, hierarchy)
-    owners = [] if atomic else [  # the parts that fill each composite child slot
-        sorted({node.children[slot] for node in nodes}) for slot in range(children.shape[1])
-    ]
     present = np.flatnonzero(np.bincount(scale_index, minlength=stack.n_scales)).tolist()
     log_prob = np.zeros(len(exemplar_index))
     for idx in present:
         rows = slice(None) if len(present) == 1 else np.flatnonzero(scale_index == idx)
-        parts, kinds, points = children[rows], types[rows], current[rows, :, 0]
-        if atomic:
-            values = log_type_prob_atomic(stack, parts, kinds, points, idx)
-        else:
-            values = np.empty(parts.shape)
-            for slot, slot_parts in enumerate(owners):
-                for part in slot_parts:
-                    mine = slice(None) if len(slot_parts) == 1 else parts[:, slot] == part
-                    values[mine, slot] = log_type_prob_composite(
-                        stack, part, kinds[mine, slot], points[mine, slot], idx
-                    )
+        values = lookup(stack, children[rows], types[rows], current[rows, :, 0], idx)
         for slot in range(values.shape[1]):
             log_prob[rows] += values[:, slot]
     return log_prob

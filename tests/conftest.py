@@ -16,6 +16,7 @@ from hierpose import (
     load_hierarchy,
 )
 from hierpose.appearance import CompositeMaps, ScaleMaps
+from hierpose.synth import make_scene
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -186,6 +187,18 @@ def library_for(hierarchy, annotations, atomic_bins=8, composite_bins=2, seed=0)
         composite_bins=composite_bins, seed=seed,
     )
     return build_library(annotations, hierarchy, model), model
+
+
+def root_draws_all_turned():
+    """(human hierarchy, library, stack) of a three-scale mix scene whose
+    every root draw fails the angle bound, with both child pools full: a
+    full-mode `infer` with z=8, seed 8 and uniform weights finds level 4
+    empty, having proposed 0 of its 160 draws."""
+    human = load_hierarchy(CONFIG_DIR / "human_hierarchy.json")
+    library, _ = library_for(human, human_annotations(6))
+    scene = make_scene(library, human, seed=701, grid=(96, 96), mix=True, noise=0.05,
+                       distractors=3, scales=(0.7, 1.0, 1.4))
+    return human, library, scene.stack
 
 
 def random_stack(

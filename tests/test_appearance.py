@@ -184,6 +184,32 @@ def test_log_type_prob_composite_rejects_label_outside_types():
             log_type_prob_composite(stack, 7, [1, label], [(2, 2), (50, 50)], 0)
 
 
+def test_log_type_prob_composite_takes_one_part_per_item():
+    """Items of several parts, in a 2-D shape, read bit for bit what each
+    part's own call reads; a label is checked against its own part's type
+    count, so part 8's type 3 is rejected where part 7's is not."""
+    rng = np.random.default_rng(0)
+    table = np.array([(0, 0), (1, 1)], dtype=np.uint32)
+    atomic = np.zeros((2, 5, 5), dtype=np.float32)
+    atomic[0] = 1.0
+    data = {part: rng.random((types, 5, 5)) for part, types in ((7, 4), (8, 2))}
+    composite = {
+        part: CompositeMaps(part, 2, maps / maps.sum(axis=0)) for part, maps in data.items()
+    }
+    stack = ScoreMapStack([ScaleMaps(1.0, table, atomic, composite)])
+    parts = np.array([[7, 8, 7], [8, 8, 7]])
+    labels = np.array([[3, 2, 1], [1, 2, 4]])
+    anchors = np.array([[(0, 0), (4.4, 1), (2, 2)], [(9, 9), (3, 0.6), (1, 4)]], dtype=float)
+    values = log_type_prob_composite(stack, parts, labels, anchors, 0)
+    assert values.shape == (2, 3) and values[1, 0] == LOG_FLOOR
+    for part in (7, 8):
+        mine = parts == part
+        alone = log_type_prob_composite(stack, part, labels[mine], anchors[mine], 0)
+        assert values[mine].tobytes() == alone.tobytes()
+    with pytest.raises(KeyError, match=re.escape("no composite type 3 for part 8 (2 types)")):
+        log_type_prob_composite(stack, parts, np.where(parts == 8, 3, 1), anchors, 0)
+
+
 def gaussian_grid(centers, grid=(16, 16), amplitude=0.5, sigma=1.2):
     h, w = grid
     yy, xx = np.mgrid[0:h, 0:w].astype(float)

@@ -37,14 +37,14 @@ from hierpose import (
     train_weights,
 )
 from hierpose.cli import main
-from hierpose.inference import DEFAULT_MAX_ANGLE, collapse_model
+from hierpose.inference import DEFAULT_MAX_ANGLE, InferenceParams, collapse_model
 from hierpose.learning import TrainingSet
 from hierpose.metrics import pcp_radius, pdj_curve
 from hierpose.scoring import WeightVector, total_score
 from hierpose.synth import make_scene
 
 import oracles
-from conftest import annotations_tiny3, library_for, tiny3_doc
+from conftest import CONFIG_DIR, annotations_tiny3, library_for, root_draws_all_turned, tiny3_doc
 
 
 def overflowing_json(doc) -> str:
@@ -416,6 +416,30 @@ def run_capped(argv) -> subprocess.CompletedProcess:
     )
 
 
+def test_infer_names_the_draw_counters_of_an_empty_level(tmp_path, capsys):
+    """`hierpose infer` on a scene whose every root draw fails the angle
+    bound exits 2 with one `error:` line that ends with the empty level's
+    draw counters, and writes no pose."""
+    human, library, stack = root_draws_all_turned()
+    save_library(library, tmp_path / "library.hpel")
+    save_weights(WeightVector.uniform(human), human, tmp_path / "weights.json")
+    save_score_maps(stack, tmp_path / "maps.hpsm")
+    params = InferenceParams(z=8, seed=8)
+    config = tmp_path / "infer.json"
+    config.write_text(json.dumps({
+        "hierarchy": str(CONFIG_DIR / "human_hierarchy.json"), "libraries": "library.hpel",
+        "weights": "weights.json", "score_maps": "maps.hpsm", "mode": "full",
+        "params": {name: getattr(params, name) for name in hierpose.cli._INFER["params"]},
+        "output": {"pose": "out/pose.json", "diagnostics": "out/diag.jsonl"},
+    }))
+    assert main(["infer", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        "error: no configuration found: level 4 is empty (draws: 0 proposed, 0 empty_pool, "
+        "160 rejected_angle, 0 rejected_degenerate, 0 fallback)\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_infer_out_of_memory_exits_1_with_one_line(workspace):
     """A `MemoryError` ends in exit 1 and one `error:` line, not a traceback.
     `infer` with 10**15 draws per level runs in a child process whose address
@@ -637,6 +661,30 @@ def test_train_rejects_bad_sgd_inputs(workspace, capsys, section, key, value, me
         assert main(["train", str(config)]) == 1
         assert_rejected(capsys, message)
         assert not (workspace / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "section, key, limit",
+    [
+        ("augment", "copies", 1000),
+        ("negatives", "per_positive", 1000),
+        ("train", "epochs", 10_000),
+    ],
+)
+def test_train_sizes_are_bounded_before_any_file_is_read(workspace, section, key, limit):
+    """An absurd jitter-copy count, negatives per positive or epoch count
+    exits 1 naming the key, before any file is read or output written.  The
+    run is a child process with a capped address space, so a missed check
+    fails fast; each limit is far above the values the tests, demos and
+    bench use."""
+    doc = json.loads(train_config(workspace).read_text())
+    doc[section][key] = 10**15
+    config = train_config(workspace, name="huge.json", hierarchy="absent.json",
+                          **{section: doc[section]})
+    done = run_capped(["train", str(config)])
+    message = f"error: {section} '{key}' must be <= {limit}, got {10**15}\n"
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", message)
+    assert not (workspace / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "score"])

@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -15,7 +17,7 @@ from hierpose import (
     subtree_score,
 )
 from hierpose import inference
-from hierpose.appearance import ScaleMaps, ScoreMapStack
+from hierpose.appearance import ScaleMaps, ScoreMapStack, top_peaks
 from hierpose.geometry import (
     SimilarityTransform,
     fit_least_squares,
@@ -36,7 +38,8 @@ from hierpose.scoring import fill_terms, subtree_scope, subtree_total
 from hierpose.synth import generate_pose, make_scene
 
 from conftest import (
-    CONFIG_DIR, annotations_tiny3, bird_annotations, human_annotations, library_for, tiny3_doc,
+    CONFIG_DIR, annotations_tiny3, bird_annotations, human_annotations, library_for,
+    root_draws_all_turned, tiny3_doc,
 )
 
 
@@ -108,6 +111,36 @@ def test_seed_truncates_to_budget(tiny3):
         assert picked == [(5.0, 5.0), (15.0, 5.0), (25.0, 5.0)]
 
 
+def test_seed_ranks_the_maxima_of_all_scales_before_one_nms(tiny3):
+    """A peak that no kept seed suppresses is kept whatever the budget: the
+    maxima of every scale are ranked together before one greedy NMS, so a
+    scale's own top z cannot push it out.  Part 1 has one-pixel peaks at
+    (4, 5) and (6, 5) (0.05) and (15, 15) (0.03) on scale 0 and at (5, 5)
+    (0.06) on scale 1; with z=2 the old per-scale cut kept (4, 5) and
+    (6, 5), both suppressed by (5, 5), and lost (15, 15)."""
+    table = np.array([(0, 0)] + [(p, 1) for p in tiny3.atomic_ids], np.uint32)
+
+    def scale(value, peaks):
+        atomic = np.zeros((len(table), 20, 20), dtype=np.float32)
+        for (x, y), height in peaks:
+            atomic[1, y, x] = height
+        atomic[0] = 1.0 - atomic[1]
+        return ScaleMaps(value, table, atomic)
+
+    first = scale(1.0, [((4, 5), 0.05), ((6, 5), 0.05), ((15, 15), 0.03)])
+    stack = ScoreMapStack([first, scale(2.0, [((5, 5), 0.06)])])
+    params = InferenceParams(nms_radius=2.0)
+    for z in (2, 3):
+        seeds = seed_atomic_hypotheses(stack, tiny3, replace(params, z=z))[1]
+        assert seeds.locations[:, tiny3.atom_index(1)].tolist() == [[5.0, 5.0], [15.0, 15.0]]
+    # one scale's peaks are `top_peaks`', and a scale held twice changes nothing
+    points, _ = top_peaks(stack, 1, 0, 2, 2.0)
+    assert points.tolist() == [[4.0, 5.0], [6.0, 5.0]]
+    twice = ScoreMapStack([first, replace(first, scale=2.0)])
+    seeds = seed_atomic_hypotheses(twice, tiny3, replace(params, z=2))[1]
+    assert seeds.locations[:, tiny3.atom_index(1)].tolist() == points.tolist()
+
+
 def test_infer_flat_maps_no_configuration(tiny3_setup):
     hierarchy, annotations, library = tiny3_setup
     table = [(0, 0)] + [
@@ -142,6 +175,18 @@ def test_infer_reports_a_level_without_proposals(tiny3_setup):
         with pytest.raises(NoConfigurationError, match="level 3 is empty"):
             infer(scene.stack, hierarchy, library, uniform_weights(hierarchy),
                   InferenceParams(z=3, seed=0))
+
+
+def test_an_empty_level_names_its_draw_counters():
+    """`NoConfigurationError` ends with the draw counters of the level it
+    found empty: here every root draw failed the angle bound."""
+    human, library, stack = root_draws_all_turned()
+    message = (
+        "no configuration found: level 4 is empty (draws: 0 proposed, 0 empty_pool, "
+        "160 rejected_angle, 0 rejected_degenerate, 0 fallback)"
+    )
+    with pytest.raises(NoConfigurationError, match=f"^{re.escape(message)}$"):
+        infer(stack, human, library, WeightVector.uniform(human), InferenceParams(z=8, seed=8))
 
 
 def test_propose_exact_alignment(tiny3_setup):

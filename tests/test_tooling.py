@@ -8,6 +8,7 @@ the marginal table, `PartHierarchy` alone builds a subtree's pose columns,
 `infer` drops exact copies in one place and fits each
 (part, subtree node) pair in one kernel call, `feature_matrix` fits
 blocks of exemplars and looks each child geometry shape up once per stack,
+`_log_pose_probs` makes one relation-type lookup per stored scale,
 `geometry.child_points` alone knows the child geometry's layout, and
 `synth._mapped_array` alone maps memory, never with huge pages."""
 
@@ -461,3 +462,45 @@ def test_three_scales_add_at_most_one_call_per_signature_and_level():
                 for node in hierarchy.composite_nodes if node.level < level
             }
             assert three <= one + len(below)
+
+
+@pytest.mark.parametrize("scales", [(1.0,), (0.7, 1.0, 1.4)], ids=["one-scale", "three-scales"])
+def test_one_relation_type_lookup_per_stored_scale(scales):
+    """Every `_log_pose_probs` call of a human `infer` makes exactly one
+    relation-type lookup per stored scale that its rows read, at that
+    scale: `log_type_prob_atomic` for the children of level-2 nodes and
+    `log_type_prob_composite` for those above, one call for every child
+    part alike.  A lookup per child part or per child slot fails here."""
+    hierarchy = load_hierarchy(CONFIG_DIR / "human_hierarchy.json")
+    library, _ = library_for(hierarchy, human_annotations(6))
+    scene = make_scene(library, hierarchy, seed=3, grid=(96, 96), mix=True, scales=scales)
+    log_pose_probs, made, seen = scoring._log_pose_probs, [], []
+
+    def counted_probs(runs, labels, exemplar_index, current, size, stack, hierarchy):
+        levels = {hierarchy.node(node_id).level for node_id, _ in runs}
+        read = set()
+        for node_id, run in runs:
+            level = hierarchy.node(node_id).level - 1
+            read |= set(scoring.scale_indices(size[run], level, stack, hierarchy).tolist())
+        made.clear()
+        out = log_pose_probs(runs, labels, exemplar_index, current, size, stack, hierarchy)
+        kind = "atomic" if levels == {2} else "composite"
+        assert sorted(made) == [(kind, index) for index in sorted(read)]
+        seen.append((kind, len(read)))
+        return out
+
+    def counted(kind, lookup):
+        def call(stack, part, labels, points, scale_index):
+            made.append((kind, scale_index))
+            return lookup(stack, part, labels, points, scale_index)
+        return call
+
+    with mock.patch.object(scoring, "_log_pose_probs", counted_probs), \
+            mock.patch.object(scoring, "log_type_prob_atomic",
+                              counted("atomic", scoring.log_type_prob_atomic)), \
+            mock.patch.object(scoring, "log_type_prob_composite",
+                              counted("composite", scoring.log_type_prob_composite)):
+        infer(scene.stack, hierarchy, library, WeightVector.uniform(hierarchy),
+              InferenceParams(z=8, seed=0))
+    assert {kind for kind, _ in seen} == {"atomic", "composite"}
+    assert max(count for _, count in seen) == len(scales)
