@@ -23,6 +23,7 @@ normalization are checked per tensor by two cheap screens
 from __future__ import annotations
 
 import math
+import mmap
 import struct
 from dataclasses import dataclass, field
 
@@ -36,7 +37,8 @@ NORM_TOL = 1e-3  # slack of the [0, 1] range and per-pixel sum checks
 KMEANS_MAX_ITER = 100
 
 MAGIC = b"HPSM"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+ATOMIC_MAX_BYTES = 2**30  # n_channels * H * W * 4 of one loaded atomic tensor
 _ID_MAX = 0xFFFFFFFF  # part and type ids are u32
 
 __all__ = [
@@ -237,24 +239,32 @@ class ScoreMapStack:
         every tensor, to within NORM_TOL.  A tensor that passes `_screened`
         surely passes the exact check (`min`, `max` and a float64 per-pixel
         sum), which runs only on the others."""
-        for maps in self.scales:
-            tensors = [(f"scale {maps.scale}: atomic", maps.atomic)] + [
-                (f"composite part {part} at scale {maps.scale}:", comp.data)
-                for part, comp in maps.composite.items()
-            ]
-            for name, data in tensors:
-                if _screened(data):
-                    continue
-                if not (data.min() >= -NORM_TOL and data.max() <= 1.0 + NORM_TOL):
-                    raise ScoreMapError(f"{name} values outside [0, 1] or NaN")
-                sums = data.sum(axis=0, dtype=np.float64)
-                err = np.abs(sums - 1.0)
-                worst = np.unravel_index(int(err.argmax()), err.shape)
-                if err[worst] > NORM_TOL:
-                    raise ScoreMapError(
-                        f"{name} channels sum to {sums[worst]:.6f} "
-                        f"at pixel (row={worst[0]}, col={worst[1]})"
-                    )
+        _validate(self, [maps.atomic for maps in self.scales])
+
+
+def _validate(stack: ScoreMapStack, atomic_screens: list[np.ndarray]) -> None:
+    """`ScoreMapStack.validate`, screening each scale's atomic tensor by
+    `atomic_screens`: the tensor itself, or those of its rows that hold a
+    set bit, since the other rows are +0.0, which changes no bound of
+    `_screened` and no sum.  The exact check always reads the whole tensor."""
+    for maps, screen in zip(stack.scales, atomic_screens):
+        tensors = [(f"scale {maps.scale}: atomic", maps.atomic, screen)] + [
+            (f"composite part {part} at scale {maps.scale}:", comp.data, comp.data)
+            for part, comp in maps.composite.items()
+        ]
+        for name, data, screen in tensors:
+            if _screened(screen):
+                continue
+            if not (data.min() >= -NORM_TOL and data.max() <= 1.0 + NORM_TOL):
+                raise ScoreMapError(f"{name} values outside [0, 1] or NaN")
+            sums = data.sum(axis=0, dtype=np.float64)
+            err = np.abs(sums - 1.0)
+            worst = np.unravel_index(int(err.argmax()), err.shape)
+            if err[worst] > NORM_TOL:
+                raise ScoreMapError(
+                    f"{name} channels sum to {sums[worst]:.6f} "
+                    f"at pixel (row={worst[0]}, col={worst[1]})"
+                )
 
 
 _HIGH_BITS = int(np.float32(1.0 + NORM_TOL).view(np.uint32))
@@ -295,7 +305,9 @@ def _channel_sum(channels: np.ndarray) -> np.ndarray:
 def save_score_maps(stack: ScoreMapStack, path) -> None:
     """Write the little-endian "HPSM" container (bit-exact round trip),
     each header and tensor straight to the file, with no copy of a tensor
-    that is already little-endian and contiguous."""
+    that is already little-endian and contiguous.  Of each atomic tensor
+    only the rows that hold a set bit are written, after their ids; a row
+    of -0.0 is one of them, and the rows left out read +0.0 when loaded."""
     with open(path, "wb") as out:
         out.write(MAGIC)
         out.write(struct.pack("<II", FORMAT_VERSION, stack.n_scales))
@@ -303,7 +315,13 @@ def save_score_maps(stack: ScoreMapStack, path) -> None:
             c, h, w = maps.atomic.shape
             out.write(struct.pack("<dIII", maps.scale, h, w, c))
             out.write(np.ascontiguousarray(maps.channel_table, "<u4"))
-            out.write(np.ascontiguousarray(maps.atomic, "<f4"))
+            atomic = np.ascontiguousarray(maps.atomic, "<f4")
+            # one max per row over the bits, with no full-size temporary
+            rows = np.flatnonzero(atomic.view("<u4").reshape(c, h * w).max(axis=1, initial=0))
+            out.write(struct.pack("<I", len(rows)))
+            out.write(rows.astype("<u4"))
+            for row in rows.tolist():
+                out.write(atomic[row])
             out.write(struct.pack("<I", len(maps.composite)))
             for part in sorted(maps.composite):
                 comp = maps.composite[part]
@@ -338,7 +356,13 @@ class _Reader:
 
 
 def load_score_maps(path) -> ScoreMapStack:
-    """Read an "HPSM" container and validate normalization invariants."""
+    """Read an "HPSM" container and validate normalization invariants.
+
+    The file is read into one buffer, and the composite tensors are views
+    of it.  An atomic tensor whose rows are all stored is one too; any
+    other is a zero `_mapped_array` with the stored rows copied in, so the
+    rows the file leaves out commit no memory.  Its range and sums are
+    screened on the stored rows alone."""
     reader = _Reader(np.fromfile(path, dtype=np.uint8), ScoreMapError, "score-map")
     if reader.take(4) != MAGIC:
         raise ScoreMapError(f"bad magic in {path}: not a score-map file")
@@ -346,10 +370,35 @@ def load_score_maps(path) -> ScoreMapStack:
     if version != FORMAT_VERSION:
         raise ScoreMapError(f"unsupported score-map version {version}")
     scales: list[ScaleMaps] = []
+    screens: list[np.ndarray] = []
     for _ in range(n_scales):
         scale, h, w, c = reader.unpack("<dIII")
+        if 0 in (c, h, w):
+            raise ScoreMapError(f"empty atomic tensor {(c, h, w)}")
+        if 4 * c * h * w > ATOMIC_MAX_BYTES:
+            raise ScoreMapError(
+                f"scale {scale}: atomic tensor of n_channels x H x W = {c} x {h} x {w} "
+                f"float32 values exceeds {ATOMIC_MAX_BYTES} bytes"
+            )
         table = reader.array("<u4", c * 2, (c, 2))
-        atomic = reader.array("<f4", c * h * w, (c, h, w))
+        (n_stored,) = reader.unpack("<I")
+        if not 1 <= n_stored <= c:
+            raise ScoreMapError(f"scale {scale}: n_stored must lie in [1, {c}], got {n_stored}")
+        rows = reader.array("<u4", n_stored, (n_stored,))
+        if rows[-1] >= c or np.any(rows[1:] <= rows[:-1]):
+            raise ScoreMapError(
+                f"scale {scale}: stored row ids must increase strictly and stay below {c}"
+            )
+        stored = reader.array("<f4", n_stored * h * w, (n_stored, h, w))
+        empty = np.flatnonzero(stored.view("<u4").reshape(n_stored, h * w).max(axis=1) == 0)
+        if empty.size:
+            raise ScoreMapError(f"scale {scale}: stored row {rows[empty[0]]} holds only +0.0")
+        if n_stored == c:
+            atomic = stored
+        else:
+            atomic = _mapped_array((c, h, w), np.float32)
+            atomic[rows] = stored
+        screens.append(stored)
         (n_comp,) = reader.unpack("<I")
         composite: dict[int, CompositeMaps] = {}
         for _ in range(n_comp):
@@ -362,8 +411,34 @@ def load_score_maps(path) -> ScoreMapStack:
     if reader.pos != len(reader.data):
         raise ScoreMapError("trailing bytes after score-map payload")
     stack = ScoreMapStack(scales)
-    stack.validate()
+    _validate(stack, screens)
     return stack
+
+
+def _mapped_array(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A zero array on a private anonymous memory map of its own, for a
+    rendered or loaded tensor.
+
+    A tensor takes megabytes.  Taken from malloc, the first one freed raises
+    glibc's mmap threshold and the later ones land on the brk heap, whose
+    size then depends on where small allocations fell between them: 30
+    renders and saves, each freeing the scene before last, peaked at 54 or
+    60 MB of resident memory as the process environment changed by one byte.
+    A map of its own is returned to the system when the array is freed.
+
+    Only the pages a caller writes are committed, so a row the caller never
+    writes reads +0.0 and costs no memory.  The map is advised against huge
+    pages, where one written row would commit 2 MB.
+    """
+    count = math.prod(shape)
+    size = max(count * np.dtype(dtype).itemsize, 1)
+    if hasattr(mmap, "MAP_PRIVATE"):  # not shared with forked children
+        buffer = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    else:
+        buffer = mmap.mmap(-1, size)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buffer.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buffer, dtype, count).reshape(shape)
 
 
 # -- probability lookups ----------------------------------------------------

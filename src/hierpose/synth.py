@@ -18,7 +18,9 @@ import numpy as np
 
 from . import _json
 from ._json import NUMBER, Map
-from .appearance import CompositeMaps, ScaleMaps, ScoreMapStack, save_score_maps, load_score_maps
+from .appearance import (
+    CompositeMaps, ScaleMaps, ScoreMapStack, _mapped_array, load_score_maps, save_score_maps,
+)
 from .geometry import SimilarityTransform, child_points, fit_least_squares
 from .hierarchy import PartHierarchy
 from .learning import Annotation, ExemplarLibrary, load_annotations, save_annotations
@@ -213,39 +215,13 @@ def render_score_maps(
     return ScoreMapStack(maps)
 
 
-def _mapped_array(shape: tuple[int, ...], dtype) -> np.ndarray:
-    """A zero array on a private anonymous memory map of its own, for a
-    rendered tensor.
-
-    A tensor takes megabytes.  Taken from malloc, the first one freed raises
-    glibc's mmap threshold and the later ones land on the brk heap, whose
-    size then depends on where small allocations fell between them: 30
-    renders and saves, each freeing the scene before last, peaked at 54 or
-    60 MB of resident memory as the process environment changed by one byte.
-    A map of its own is returned to the system when the array is freed.
-
-    Only the pages a caller writes are committed, so a row the caller never
-    writes reads +0.0 and costs no memory.  The map is advised against huge
-    pages, where one written row would commit 2 MB.
-    """
-    count = math.prod(shape)
-    size = max(count * np.dtype(dtype).itemsize, 1)
-    if hasattr(mmap, "MAP_PRIVATE"):  # not shared with forked children
-        buffer = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-    else:
-        buffer = mmap.mmap(-1, size)
-    if hasattr(mmap, "MADV_NOHUGEPAGE"):
-        buffer.madvise(mmap.MADV_NOHUGEPAGE)
-    return np.frombuffer(buffer, dtype, count).reshape(shape)
-
-
 def _map_zero_pages(array: np.ndarray) -> None:
     """Read one byte of each page of a `_mapped_array` once its writes are
     done.  A page never written then maps the kernel's shared zero page,
-    which the resident set does not count.  Left untouched, it would be
-    first read inside `write()` when the tensor is saved, where the kernel
-    faults it far more slowly: a human 96x96 scene then took 17 ms to save,
-    against 6 ms.  Read before the writes, a written page would fault twice."""
+    which the resident set does not count.  Left untouched, it would fault
+    at its first read instead, in the save's row scan or in a lookup, so the
+    cost would move out of the render (a human 96x96 scene: 1.4 ms).  Read
+    before the writes, a written page would fault twice."""
     array.reshape(-1).view(np.uint8)[:: mmap.PAGESIZE].max()
 
 

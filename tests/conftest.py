@@ -1,4 +1,5 @@
 import copy
+import struct
 import tempfile
 from pathlib import Path
 
@@ -228,6 +229,39 @@ def random_stack(
             ScaleMaps(float(scale), np.array(table, dtype=np.uint32), atomic, composite)
         )
     return ScoreMapStack(maps)
+
+
+def hpsm_v1_bytes(stack: ScoreMapStack) -> bytes:
+    """`stack` in the score-map container's version 1 layout, which stored
+    every atomic row and so had no stored-row count or ids."""
+    out = [b"HPSM", struct.pack("<II", 1, stack.n_scales)]
+    for maps in stack.scales:
+        c, h, w = maps.atomic.shape
+        out += [struct.pack("<dIII", maps.scale, h, w, c), maps.channel_table.astype("<u4").tobytes(),
+                maps.atomic.astype("<f4").tobytes(), struct.pack("<I", len(maps.composite))]
+        for part in sorted(maps.composite):
+            comp = maps.composite[part]
+            out += [struct.pack("<III", comp.part_id, comp.level, comp.data.shape[0]),
+                    comp.data.astype("<f4").tobytes()]
+    return b"".join(out)
+
+
+def sparse_hpsm_bytes(channels: int, grid, stored, values=None) -> bytes:
+    """A one-scale HPSM file, written field by field: its channel table
+    names `channels` channels (the background, then part 1's types 1, 2, ...),
+    it stores the atomic rows `stored` with `values` (ones if None) and has
+    no composite block."""
+    h, w = grid
+    table = np.zeros((channels, 2), "<u4")
+    table[1:, 0] = 1
+    table[1:, 1] = np.arange(1, channels)
+    if values is None:
+        values = np.ones((len(stored), h, w))
+    return b"".join([
+        b"HPSM", struct.pack("<IIdIII", 2, 1, 1.0, h, w, channels), table.tobytes(),
+        struct.pack(f"<I{len(stored)}I", len(stored), *stored),
+        np.asarray(values, "<f4").tobytes(), struct.pack("<I", 0),
+    ])
 
 
 def deep_copy_annotations(annotations):

@@ -34,7 +34,8 @@ library, which leaves the copies a swap makes to the prune, must keep the
 same rows with the same bits.  `dense_render_score_maps` is the renderer as
 it was when it held a float64 map of every channel, and
 `buffered_save_score_maps` the writer that built the whole container in
-memory; `make_scene` and `save_score_maps` must give their bytes.
+memory, in the layout that stores only the atomic rows holding a set bit;
+`make_scene` and `save_score_maps` must give their bytes.
 """
 
 import itertools
@@ -515,7 +516,8 @@ def dense_render_score_maps(
 
 def buffered_save_score_maps(stack, path):
     """`save_score_maps` as it was before it streamed: the whole container
-    built in one `bytearray`, then written at once."""
+    built in one `bytearray`, then written at once.  Each atomic row whose
+    bytes are not all zero is stored, after the count and ids of those rows."""
     out = bytearray()
     out += MAGIC
     out += struct.pack("<II", FORMAT_VERSION, stack.n_scales)
@@ -523,7 +525,10 @@ def buffered_save_score_maps(stack, path):
         c, h, w = maps.atomic.shape
         out += struct.pack("<dIII", maps.scale, h, w, c)
         out += maps.channel_table.astype("<u4").tobytes()
-        out += maps.atomic.astype("<f4").tobytes()
+        rows = [row.astype("<f4").tobytes() for row in maps.atomic]
+        stored = [k for k, row in enumerate(rows) if row.strip(b"\0")]
+        out += struct.pack(f"<I{len(stored)}I", len(stored), *stored)
+        out += b"".join(rows[k] for k in stored)
         out += struct.pack("<I", len(maps.composite))
         for part in sorted(maps.composite):
             comp = maps.composite[part]

@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hierpose import load_hierarchy, load_score_maps, object_size
@@ -28,8 +28,10 @@ from hierpose.appearance import (
 )
 
 import oracles
+from hierpose import appearance
 from conftest import (
-    CONFIG_DIR, base_pose_tiny3, limbs4_doc, random_stack, tiny2_doc, tiny3_doc,
+    CONFIG_DIR, base_pose_tiny3, hpsm_v1_bytes, limbs4_doc, random_stack, sparse_hpsm_bytes,
+    tiny2_doc, tiny3_doc,
 )
 
 
@@ -448,15 +450,19 @@ def test_load_rejects_truncation_at_every_section_boundary(tmp_path, tiny3):
         tiny3, {p: 2 for p in tiny3.atomic_ids}, {10: 3, 11: 3}, np.random.default_rng(6),
         grid=(7, 9), scales=(1.0, 2.0),
     )
+    atomic = stack.scales[1].atomic  # the second scale stores all rows but row 3
+    atomic[0] += atomic[3]
+    atomic[3] = 0.0
     path = tmp_path / "maps.hpsm"
     save_score_maps(stack, path)
     data = path.read_bytes()
     # magic, then version and scale count; per scale: header, channel table,
-    # atomic tensor, composite count, and per composite part header and data
+    # stored-row count, stored row ids, stored rows, composite count, and per
+    # composite part header and data
     sections = [4, 8]
-    for maps in stack.scales:
+    for maps, stored in zip(stack.scales, (13, 12)):
         c, h, w = maps.atomic.shape
-        sections += [20, 8 * c, 4 * c * h * w, 4]
+        sections += [20, 8 * c, 4, 4 * stored, 4 * stored * h * w, 4]
         for part in sorted(maps.composite):
             sections += [12, 4 * maps.composite[part].data.size]
     boundaries = np.cumsum(sections)
@@ -465,6 +471,64 @@ def test_load_rejects_truncation_at_every_section_boundary(tmp_path, tiny3):
         path.write_bytes(data[:cut])
         with pytest.raises(ScoreMapError, match="truncated"):
             load_score_maps(path)
+
+
+def test_load_rejects_version_1(tmp_path, tiny3):
+    """A file of the layout that stored every atomic row is rejected by its
+    version; no reader of that layout is kept."""
+    stack = random_stack(tiny3, {p: 2 for p in tiny3.atomic_ids}, {10: 3}, np.random.default_rng(2))
+    path = tmp_path / "old.hpsm"
+    path.write_bytes(hpsm_v1_bytes(stack))
+    with pytest.raises(ScoreMapError, match="^unsupported score-map version 1$"):
+        load_score_maps(path)
+
+
+def no_map(*args):
+    raise AssertionError("a memory map was made")
+
+
+@pytest.mark.parametrize("channels, grid, stored, values, message", [
+    (60_000, (96, 96), [0], None,
+     r"^scale 1.0: atomic tensor of n_channels x H x W = 60000 x 96 x 96 float32 values "
+     r"exceeds 1073741824 bytes$"),
+    (4, (3, 3), [], None, r"^scale 1.0: n_stored must lie in \[1, 4\], got 0$"),
+    (2, (3, 3), [0, 1, 2], None, r"n_stored must lie in \[1, 2\], got 3$"),
+    (4, (3, 3), [0, 0], None, "stored row ids must increase strictly and stay below 4$"),
+    (4, (3, 3), [2, 1], None, "stored row ids must increase strictly"),
+    (4, (3, 3), [0, 4], None, "stored row ids must increase strictly"),
+    (4, (3, 3), [0, 2], [np.ones((3, 3)), np.zeros((3, 3))], "stored row 2 holds only [+]0.0$"),
+])
+def test_load_checks_the_stored_rows_before_any_map(tmp_path, monkeypatch, channels, grid, stored,
+                                                   values, message):
+    """The rows a file leaves out take none of its bytes, so the tensor
+    size (at most 2**30 bytes), the stored-row count (at least one, at most
+    n_channels) and ids (strictly increasing, below n_channels) are checked
+    before any memory map is made, and a stored row must hold a set bit."""
+    path = tmp_path / "bad.hpsm"
+    path.write_bytes(sparse_hpsm_bytes(channels, grid, stored, values))
+    monkeypatch.setattr(appearance, "_mapped_array", no_map)
+    with pytest.raises(ScoreMapError, match=message):
+        load_score_maps(path)
+
+
+def test_loaded_rows_left_out_read_plus_zero_and_a_dense_scale_maps_nothing(
+    tmp_path, monkeypatch, tiny3
+):
+    """A file that stores rows 0 and 2 of four loads them there and +0.0 in
+    the others; a scale that stores every row is read with no memory map."""
+    values = np.stack([np.full((3, 3), 0.25), np.full((3, 3), 0.75)])
+    path = tmp_path / "sparse.hpsm"
+    path.write_bytes(sparse_hpsm_bytes(4, (3, 3), [0, 2], values))
+    atomic = load_score_maps(path).scales[0].atomic
+    assert atomic.tobytes() == np.stack(
+        [values[0], np.zeros((3, 3)), values[1], np.zeros((3, 3))]
+    ).astype(np.float32).tobytes()
+    assert atomic.flags.writeable and atomic.flags.c_contiguous
+    stack = random_stack(tiny3, {p: 2 for p in tiny3.atomic_ids}, {10: 3}, np.random.default_rng(3))
+    save_score_maps(stack, tmp_path / "dense.hpsm")
+    monkeypatch.setattr(appearance, "_mapped_array", no_map)
+    loaded = load_score_maps(tmp_path / "dense.hpsm")
+    assert loaded.scales[0].atomic.tobytes() == stack.scales[0].atomic.tobytes()
 
 
 def test_load_rejects_bad_normalization(tmp_path):
@@ -553,6 +617,50 @@ def test_screened_validate_matches_three_pass_oracle(seed, atomic_channels, comp
     assert validate_outcome(ScoreMapStack.validate, stack) == validate_outcome(
         oracles.three_pass_validate, stack
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 2),
+    atomic_channels=st.integers(1, 40),
+    composite_types=st.one_of(st.none(), st.integers(1, 40)),
+    grid=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    offsets=st.tuples(st.sampled_from(SUM_OFFSETS), st.sampled_from(SUM_OFFSETS)),
+    atomic_edits=EDITS,
+    cleared=st.lists(st.tuples(st.integers(0, 39), st.sampled_from([0.0, -0.0])), max_size=40),
+)
+@example(seed=0, atomic_channels=2, composite_types=None, grid=(1, 1), offsets=(0.0, 0.0),
+         atomic_edits=[], cleared=[(1, 0.0), (0, 0.0)])  # no row holds a set bit
+def test_load_of_stored_rows_matches_validate_of_the_whole_tensor(
+    tmp_path_factory, seed, atomic_channels, composite_types, grid, offsets, atomic_edits, cleared
+):
+    """A saved file stores exactly the atomic rows that hold a set bit, and
+    loading it accepts or rejects, with the same message, as `validate` of
+    the whole stack: on rows set to +0.0 or -0.0 (their mass moved to the
+    background), rows that are +0.0 by chance, sums near the tolerance
+    edges and special values.  An accepted file loads bit-exact.  A file
+    that stores no row is rejected by its stored-row count."""
+    stack = normalization_stack(seed, atomic_channels, composite_types, grid, offsets,
+                                atomic_edits, [])
+    atomic = stack.scales[0].atomic
+    for row, zero in cleared:
+        row %= atomic_channels
+        moved, atomic[row] = atomic[row].copy(), zero
+        if row:
+            atomic[0] += moved
+    path = tmp_path_factory.getbasetemp() / "stored.hpsm"
+    save_score_maps(stack, path)
+    data = path.read_bytes()
+    at = 32 + 8 * atomic_channels  # magic, version, scale count, scale header, channel table
+    (n_stored,) = struct.unpack_from("<I", data, at)
+    lit = np.flatnonzero(atomic.view(np.uint32).reshape(atomic_channels, -1).any(axis=1))
+    assert struct.unpack_from(f"<{n_stored}I", data, at + 4) == tuple(lit.tolist())
+    expected = validate_outcome(ScoreMapStack.validate, stack)
+    if not lit.size:
+        expected = f"scale 1.0: n_stored must lie in [1, {atomic_channels}], got 0"
+    assert validate_outcome(load_score_maps, path) == expected
+    if expected is None:
+        assert load_score_maps(path).scales[0].atomic.tobytes() == atomic.tobytes()
 
 
 def test_validate_inputs_reach_every_screen_outcome():
@@ -759,13 +867,17 @@ HPSM_WORDS = st.one_of(
 
 def header_words(stack) -> list[int]:
     """Byte offsets of the header words of an HPSM file: version, scale
-    count, and per scale the two words of the scale, H, W, the channel and
-    composite counts, and each composite block's part, level and type count."""
+    count, and per scale the two words of the scale, H, W, the channel,
+    stored-row and composite counts, each stored row id, and each composite
+    block's part, level and type count.  Every atomic row of `stack` must
+    hold a set bit, so that all are stored."""
     offsets, pos = [4, 8], 12
     for maps in stack.scales:
         c, h, w = maps.atomic.shape
         offsets += [pos, pos + 4, pos + 8, pos + 12, pos + 16]
-        pos += 20 + 8 * c + 4 * c * h * w
+        pos += 20 + 8 * c
+        offsets += [pos + 4 * k for k in range(c + 1)]
+        pos += 4 + 4 * c + 4 * c * h * w
         offsets.append(pos)
         pos += 4
         for part in sorted(maps.composite):

@@ -11,7 +11,6 @@ import shutil
 import struct
 import subprocess
 import sys
-import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -44,7 +43,10 @@ from hierpose.scoring import WeightVector, total_score
 from hierpose.synth import make_scene
 
 import oracles
-from conftest import CONFIG_DIR, annotations_tiny3, library_for, root_draws_all_turned, tiny3_doc
+from conftest import (
+    CONFIG_DIR, annotations_tiny3, hpsm_v1_bytes, library_for, root_draws_all_turned,
+    sparse_hpsm_bytes, tiny3_doc,
+)
 
 
 def overflowing_json(doc) -> str:
@@ -402,11 +404,20 @@ def run_capped(argv) -> subprocess.CompletedProcess:
     hard = resource.getrlimit(resource.RLIMIT_AS)[1]
     if hard != resource.RLIM_INFINITY:
         cap = min(cap, hard)
+    return run_child(argv, f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n")
+
+
+def run_child(argv, before: str = "", after: str = "") -> subprocess.CompletedProcess:
+    """`hierpose <argv>` in a child process, with the Python lines `before`
+    and `after` it run there; `resource` and `sys` are imported and `code`
+    holds the exit code."""
     child = (
         "import resource, sys\n"
-        f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+        f"{before}"
         "from hierpose.cli import main\n"
-        "sys.exit(main(sys.argv[1:]))\n"
+        "code = main(sys.argv[1:])\n"
+        f"{after}"
+        "sys.exit(code)\n"
     )
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     src = str(Path(hierpose.cli.__file__).resolve().parents[1])
@@ -687,6 +698,32 @@ def test_train_sizes_are_bounded_before_any_file_is_read(workspace, section, key
     assert not (workspace / "out").exists()
 
 
+def test_train_rejects_a_version_1_map_file(workspace, capsys):
+    """A map file of the layout that stored every atomic row exits 1 with
+    the version message, and `train` writes nothing."""
+    stack = load_score_maps(workspace / "scenes" / "scene_0" / "maps.hpsm")
+    (workspace / "old.hpsm").write_bytes(hpsm_v1_bytes(stack))
+    config = train_config(workspace, name="old.json", score_maps="old.hpsm")
+    assert main(["train", str(config)]) == 1
+    assert_rejected(capsys, "unsupported score-map version 1")
+    assert not (workspace / "out").exists()
+
+
+def test_train_bounds_a_map_files_unstored_channels(workspace):
+    """A map file whose channel table claims 60,000 channels of 96x96 (a
+    2.2 GB tensor) but stores one row exits 1 naming the field, before any
+    memory is mapped.  The run is a child process with a capped address
+    space, so a missed check fails there."""
+    (workspace / "huge.hpsm").write_bytes(sparse_hpsm_bytes(60_000, (96, 96), [0]))
+    config = train_config(workspace, name="huge.json", score_maps="huge.hpsm")
+    done = run_capped(["train", str(config)])
+    assert (done.returncode, done.stdout) == (1, ""), done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "n_channels x H x W = 60000 x 96 x 96" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (workspace / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "score"])
 def test_max_angle_must_be_a_json_number(workspace, capsys, command):
     if command == "train":
@@ -885,38 +922,48 @@ def test_train_loads_each_map_once_and_holds_one_at_a_time(workspace, tiny3, mon
     assert alive == [0] * len(loads)
 
 
-def train_peak_bytes(tmp_path, count: int) -> tuple[int, int]:
-    """tracemalloc peak of `hierpose train` over `count` tiny3 images, each
-    with its own copy of one 96x96 map file, and the size of that file."""
+def train_peak_rss(tmp_path, count: int) -> tuple[int, int]:
+    """Peak resident memory, in bytes, of a child process that runs
+    `hierpose train` once over `count` tiny3 images, each with its own copy
+    of one noisy 96x96 map file, and the size of that file.  Noise lights
+    every atomic row, so the file stores them all.  The child reads the peak
+    of its own address space (`VmHWM`): Linux's `ru_maxrss` would also count
+    the resident set of the test process it was started from."""
+    status = Path("/proc/self/status")
+    if "VmHWM:" not in (status.read_text() if status.exists() else ""):
+        pytest.skip("no VmHWM in /proc/self/status")
+    tmp_path.mkdir()
     (tmp_path / "hierarchy.json").write_text(json.dumps(tiny3_doc()))
     hierarchy = load_hierarchy(tmp_path / "hierarchy.json")
     annotations = annotations_tiny3(count)
     library, _ = library_for(hierarchy, annotations[:5])
     maps = tmp_path / "maps"
     maps.mkdir()
-    save_score_maps(make_scene(library, hierarchy, seed=0, grid=(96, 96)).stack, maps / "one.hpsm")
+    scene = make_scene(library, hierarchy, seed=0, grid=(96, 96), noise=0.01)
+    save_score_maps(scene.stack, maps / "one.hpsm")
     for ann in annotations:
         ann.size = (24, 24)
         shutil.copy(maps / "one.hpsm", maps / f"{ann.image}.hpsm")
     save_annotations(annotations, hierarchy, tmp_path / "annotations.json")
     config = train_config(tmp_path, score_maps="maps")
-    assert main(["train", str(config)]) == 0  # warm-up: later runs allocate the same
-    tracemalloc.start()
-    try:
-        assert main(["train", str(config)]) == 0
-        return tracemalloc.get_traced_memory()[1], (maps / "one.hpsm").stat().st_size
-    finally:
-        tracemalloc.stop()
+    done = run_child(
+        ["train", str(config)],
+        after="print(next(line.split()[1] for line in open('/proc/self/status') "
+              "if line.startswith('VmHWM:')))\n",
+    )
+    assert done.returncode == 0, done.stderr
+    return int(done.stdout) * 1024, (maps / "one.hpsm").stat().st_size
 
 
-@pytest.mark.parametrize("count", [4, 16])
-def test_train_memory_is_one_stack_whatever_the_image_count(tmp_path, count):
-    """`train` holds one image's stack at a time, so its peak stays within
-    one map file plus a fixed margin as the images grow; holding every stack
-    peaked at 8 MB on 4 images and 32 MB on 16."""
-    peak, stack_bytes = train_peak_bytes(tmp_path, count)
+def test_train_memory_is_one_stack_whatever_the_image_count(tmp_path):
+    """`train` holds one image's stack at a time, so 16 images peak within
+    1 MB of 4 images.  The peak is that of a child process, since the
+    tensors a load maps are not traced by tracemalloc; holding every stack
+    would add a 2 MB map file per image."""
+    peak_4, stack_bytes = train_peak_rss(tmp_path / "four", 4)
+    peak_16, _ = train_peak_rss(tmp_path / "sixteen", 16)
     assert stack_bytes > 1_900_000
-    assert peak < stack_bytes + 1_000_000
+    assert peak_16 - peak_4 < 1_000_000, (peak_4, peak_16)
 
 
 def eval_config(workspace, metric, name, **overrides):

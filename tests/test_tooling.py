@@ -10,7 +10,7 @@ the marginal table, `PartHierarchy` alone builds a subtree's pose columns,
 blocks of exemplars and looks each child geometry shape up once per stack,
 `_log_pose_probs` makes one relation-type lookup per stored scale,
 `geometry.child_points` alone knows the child geometry's layout, and
-`synth._mapped_array` alone maps memory, never with huge pages."""
+`appearance._mapped_array` alone maps memory, never with huge pages."""
 
 import ast
 import dataclasses
@@ -300,10 +300,10 @@ def test_one_owner_of_the_child_geometry_layout():
 
 
 def test_one_memory_map_and_no_huge_pages():
-    """`synth._mapped_array` is the one place under `src/` that maps memory
-    or advises the kernel on it, so every rendered tensor leaves the rows
-    it never writes uncommitted; and no file asks for huge pages, which
-    would commit 2 MB around each written row."""
+    """`appearance._mapped_array` is the one place under `src/` that maps
+    memory or advises the kernel on it, so every rendered or loaded tensor
+    leaves the rows it never writes uncommitted; and no file asks for huge
+    pages, which would commit 2 MB around each written row."""
     sites, huge = [], []
     for path in sorted((ROOT / "src" / "hierpose").rglob("*.py")):
         text = path.read_text()
@@ -314,7 +314,7 @@ def test_one_memory_map_and_no_huge_pages():
                 if isinstance(node, ast.Call) and _called_name(node) in {"mmap", "madvise", "memmap"}
             ]
     assert not huge, f"huge pages asked for in {huge}"
-    assert sites and {site[:2] for site in sites} == {("synth.py", "_mapped_array")}, sites
+    assert sites and {site[:2] for site in sites} == {("appearance.py", "_mapped_array")}, sites
 
 
 def test_one_copy_pass():
