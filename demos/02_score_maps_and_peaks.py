@@ -1,8 +1,9 @@
 """Render a synthetic score-map stack and query it.
 
 Builds a small exemplar library, renders Gaussian-bump score maps for one
-sampled pose (with distractors), then extracts peaks and probability terms
-and round-trips the binary container.
+sampled pose (with distractors), then seeds each part at its top peaks as
+inference does, reads probability terms and round-trips the binary
+container.
 """
 
 import math
@@ -18,9 +19,9 @@ from hierpose import (
     load_hierarchy,
     load_score_maps,
     save_score_maps,
-    top_peaks,
 )
 from hierpose.appearance import log_marginals_at
+from hierpose.inference import InferenceParams, seed_atomic_hypotheses
 from hierpose.synth import make_scene
 
 HIERARCHY = {
@@ -59,11 +60,13 @@ def main():
         print(f"  {name}: ({point[0]:.0f}, {point[1]:.0f})")
 
     stack = scene.stack
-    print("\ntop-3 peaks per part (x, y, marginal) at stored scale 0:")
-    for part in hierarchy.atomic_ids:
-        points, scores = top_peaks(stack, part, 0, 3, 2.0)
+    print("\nseeds per part, z=3 (x, y, marginal):")
+    seeds = seed_atomic_hypotheses(stack, hierarchy, InferenceParams(z=3, nms_radius=2.0))
+    for row, part in enumerate(hierarchy.atomic_ids):
+        marginal = stack.marginal(part, 0)
         rows = ", ".join(
-            f"({p[0]:.0f},{p[1]:.0f})={s:.2f}" for p, s in zip(points, scores)
+            f"({x:.0f},{y:.0f})={marginal[int(y), int(x)]:.2f}"
+            for x, y in seeds[part].locations[:, row]
         )
         print(f"  {hierarchy.name_of(part)}: {rows}")
 

@@ -6,7 +6,6 @@ from .appearance import (
     fit_relation_clusters,
     load_score_maps,
     save_score_maps,
-    top_peaks,
 )
 from .geometry import SimilarityTransform, fit_least_squares
 from .hierarchy import (

@@ -2,7 +2,8 @@
 
 `read` checks a parsed value against a spec of its shape and JSON types.  It
 converts nothing, except that a JSON integer becomes a float where a number
-is wanted, and it rejects a number that overflows to ±inf, such as 1e400.
+is wanted, and it rejects ±inf (1e400, or an integer too long for `int`, which
+`load` reads as ±inf) and, where a number is wanted, an integer too large for a float.
 A spec is `int`, `float`, `bool`, `str` or `object` (any value);
 `[spec]`, a list, or `(spec, ...)`, a list of exactly that many entries;
 `{key: spec}`, an object with exactly these keys, where an `Optional` one may
@@ -16,7 +17,7 @@ list entry and `"<where>.<key>"` for a nested object.
 from __future__ import annotations
 
 import json
-import math
+import sys
 
 _TYPE_NAMES = {int: "integer", float: "number", bool: "boolean", str: "string",
                list: "list", dict: "object"}
@@ -52,8 +53,14 @@ def load(text: str, spec, where: str, error):
     def reject(name):
         raise error(f"{where} holds {name}, which is not a JSON number")
 
+    def integer(digits):
+        try:
+            return int(digits)
+        except ValueError:  # more digits than `sys.get_int_max_str_digits()`
+            return float(digits)
+
     try:
-        value = json.loads(text, parse_constant=reject)
+        value = json.loads(text, parse_constant=reject, parse_int=integer)
     except json.JSONDecodeError as exc:
         raise error(f"{where} is not valid JSON: {exc}") from None
     return read(value, spec, where, error)
@@ -82,14 +89,13 @@ def _pick(spec, value):
 
 
 def _read_field(value: dict, key: str, spec, where: str, error):
-    spec = _pick(spec, value[key])
-    where = f"{where}.{key}" if _json_type(spec) is dict else f"{where} {key!r}"
-    return read(value[key], spec, where, error)
+    nested = _json_type(_pick(spec, value[key])) is dict
+    return read(value[key], spec, f"{where}.{key}" if nested else f"{where} {key!r}", error)
 
 
 def read(value, spec, where: str, error):
     """`value` checked against `spec`; raises `error` naming `where`."""
-    spec = _pick(spec, value)
+    wanted, spec = spec, _pick(spec, value)
     if isinstance(spec, Nullable):
         return None if value is None else read(value, spec.spec, where, error)
     kind = _json_type(spec)
@@ -102,8 +108,10 @@ def read(value, spec, where: str, error):
     if isinstance(spec, Map):
         return {key: _read_field(value, key, spec.spec, where, error) for key in value}
     if kind is not dict:
-        if isinstance(value, float) and not math.isfinite(value):
-            raise error(f"{where} must be a finite number, got {value}")
+        if type(value) in (int, float) and not abs(value) <= sys.float_info.max:
+            if isinstance(value, float) or _pick(wanted, 0.0) is float:  # ±inf, or a number wanted
+                got = value if isinstance(value, float) else "an integer too large for a float"
+                raise error(f"{where} must be a finite number, got {got}")
         return float(value) if kind is float else value
     unknown = set(value) - set(spec)
     if unknown:

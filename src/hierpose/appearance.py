@@ -2,22 +2,24 @@
 
 A stack stores, per scale, an atomic tensor of p(part, relation_type | pixel)
 channels (channel (0, 0) is background) and, for composite parts that have a
-reference sibling, conditional type tensors p(type | part, pixel).  Stacks
-stand in for whatever produced the detection scores; the library only reads
-them.  Every lookup gathers nearest pixels at one stored scale (callers
+reference sibling, conditional type tensors p(type | part, pixel), one
+(T, H, W) float32 array per part id.  Stacks stand in for whatever produced
+the detection scores; the library only reads them, and scales may share
+their arrays.  Every lookup gathers nearest pixels at one stored scale (callers
 group their rows by the stored scale nearest each row's scale) and clamps
 probabilities at a 1e-6 floor before taking logs.  The two relation-type
 lookups have one form: each takes one part id, or one per item, and reads
 all its items at one scale in one call.  Channels are found by
 (part, type) key in a sorted key array per scale.  The marginal
 p(part | pixel) has one form, a per-scale table of every part's map, which
-only peak ranking (`_ranked_maxima`, through `ScoreMapStack.marginal`) builds;
+only peak ranking (`_ranked_maxima`, which seeding calls, through
+`ScoreMapStack.marginal`) builds;
 every other marginal lookup is one `marginals_at` gather, of that table if
 it is built and otherwise of the parts' channels at the looked-up pixels
 only, summed with the same bits.  The type ids of those channels come from
 one batched rule, `RelationTypeModel.labels`.  A loaded stack's range and
-normalization are checked per tensor by two cheap screens
-(`ScoreMapStack.validate`), and exactly where a screen fails.
+normalization are checked per tensor by two cheap screens (`_validate`),
+and exactly where a screen fails.
 """
 
 from __future__ import annotations
@@ -35,9 +37,10 @@ PROB_FLOOR = 1e-6
 LOG_FLOOR = math.log(PROB_FLOOR)
 NORM_TOL = 1e-3  # slack of the [0, 1] range and per-pixel sum checks
 KMEANS_MAX_ITER = 100
+TYPE_BINS_MAX = 1_000  # relation types per part, atomic and composite
 
 MAGIC = b"HPSM"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 ATOMIC_MAX_BYTES = 2**30  # n_channels * H * W * 4 of one loaded atomic tensor
 _ID_MAX = 0xFFFFFFFF  # part and type ids are u32
 
@@ -45,7 +48,6 @@ __all__ = [
     "PROB_FLOOR",
     "LOG_FLOOR",
     "ScoreMapError",
-    "CompositeMaps",
     "ScaleMaps",
     "ScoreMapStack",
     "load_score_maps",
@@ -53,7 +55,6 @@ __all__ = [
     "log_marginals_at",
     "log_type_prob_atomic",
     "log_type_prob_composite",
-    "top_peaks",
     "fit_relation_clusters",
     "annotation_points",
     "CoincidentPartsError",
@@ -66,29 +67,15 @@ class ScoreMapError(ValueError):
 
 
 @dataclass
-class CompositeMaps:
-    """Conditional relation-type maps p(type | part, pixel) for one part."""
-
-    part_id: int
-    level: int
-    data: np.ndarray  # (T, H, W) float32
-
-    def __post_init__(self):
-        self.data = np.ascontiguousarray(self.data, dtype=np.float32)
-        if self.data.ndim != 3:
-            raise ScoreMapError("composite maps must be (T, H, W)")
-        if 0 in self.data.shape:
-            raise ScoreMapError(f"composite part {self.part_id}: empty maps {self.data.shape}")
-
-
-@dataclass
 class ScaleMaps:
-    """All maps stored for a single scale."""
+    """All maps stored for a single scale.  The composite dict is the
+    scale's own; its arrays, like the atomic tensor, may be shared with
+    other scales."""
 
     scale: float
     channel_table: np.ndarray  # (C, 2) uint32 rows of (part_id, type_id)
     atomic: np.ndarray  # (C, H, W) float32
-    composite: dict[int, CompositeMaps] = field(default_factory=dict)
+    composite: dict[int, np.ndarray] = field(default_factory=dict)  # part: (T, H, W) float32
 
     def __post_init__(self):
         self.channel_table = np.ascontiguousarray(self.channel_table, dtype=np.uint32)
@@ -99,8 +86,15 @@ class ScaleMaps:
             raise ScoreMapError("channel table does not match atomic tensor")
         if 0 in self.atomic.shape:
             raise ScoreMapError(f"empty atomic tensor {self.atomic.shape}")
-        if any(comp.data.shape[1:] != self.grid_shape for comp in self.composite.values()):
-            raise ScoreMapError("composite maps do not match the atomic grid")
+        self.composite = {part: np.ascontiguousarray(data, dtype=np.float32)
+                          for part, data in self.composite.items()}
+        for part, data in self.composite.items():
+            if data.ndim != 3:
+                raise ScoreMapError("composite maps must be (T, H, W)")
+            if 0 in data.shape:
+                raise ScoreMapError(f"composite part {part}: empty maps {data.shape}")
+            if data.shape[1:] != self.grid_shape:
+                raise ScoreMapError("composite maps do not match the atomic grid")
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ScoreMapError(f"scale must be finite and positive, got {self.scale}")
 
@@ -152,7 +146,7 @@ class ScoreMapStack:
         scales (ties: the lower index)."""
         return np.argmin(np.abs(self._scale_values[None, :] - scales[:, None]), axis=1)
 
-    def channel_rows(self, part, type_ids, scale_index: int = 0) -> np.ndarray:
+    def channel_rows(self, part, type_ids, scale_index: int) -> np.ndarray:
         """Atomic-tensor rows of the (part, type) channels, one per type id;
         `part` is one part id or an array of one per type id.  Every key is
         found in one search."""
@@ -195,7 +189,7 @@ class ScoreMapStack:
             raise KeyError(f"no channels for part {int(parts[missing][0])}")
         return at
 
-    def marginal(self, part: int, scale_index: int = 0) -> np.ndarray:
+    def marginal(self, part: int, scale_index: int) -> np.ndarray:
         """p(part | pixel): type channels summed, as float64.  The first call
         at a scale builds the marginal maps of all its parts."""
         at = int(self._part_positions([part], scale_index)[0])
@@ -209,7 +203,7 @@ class ScoreMapStack:
             self._marginal_tables[scale_index] = table
         return self._marginal_tables[scale_index][at].reshape(self.scales[scale_index].grid_shape)
 
-    def marginals_at(self, parts, pixel, scale_index: int = 0) -> np.ndarray:
+    def marginals_at(self, parts, pixel, scale_index: int) -> np.ndarray:
         """p(parts[i] | pixel[i]) of an array of part ids and one of flat
         pixel indices that broadcast together, bit for bit as `marginal`:
         the part ids are searched as given, then one gather reads the
@@ -228,29 +222,19 @@ class ScoreMapStack:
         values = np.where(rows < 0, 0.0, values)
         return np.cumsum(values, axis=-1)[..., -1]  # left to right, as `_channel_sum`
 
-    def composite_maps(self, part: int, scale_index: int = 0) -> CompositeMaps:
-        maps = self.scales[scale_index].composite.get(part)
-        if maps is None:
-            raise KeyError(f"no composite maps for part {part}")
-        return maps
-
-    def validate(self) -> None:
-        """Check value range (NaN fails it) and per-pixel normalization of
-        every tensor, to within NORM_TOL.  A tensor that passes `_screened`
-        surely passes the exact check (`min`, `max` and a float64 per-pixel
-        sum), which runs only on the others."""
-        _validate(self, [maps.atomic for maps in self.scales])
-
 
 def _validate(stack: ScoreMapStack, atomic_screens: list[np.ndarray]) -> None:
-    """`ScoreMapStack.validate`, screening each scale's atomic tensor by
-    `atomic_screens`: the tensor itself, or those of its rows that hold a
-    set bit, since the other rows are +0.0, which changes no bound of
-    `_screened` and no sum.  The exact check always reads the whole tensor."""
+    """Check value range (NaN fails it) and per-pixel normalization of every
+    tensor, to within NORM_TOL.  A tensor that passes `_screened` surely
+    passes the exact check (`min`, `max` and a float64 per-pixel sum),
+    which runs only on the others and reads the whole tensor.  Each scale's
+    atomic tensor is screened by `atomic_screens`: the tensor, or those of
+    its rows that hold a set bit, since the other rows are +0.0, which
+    changes no bound of `_screened` and no sum."""
     for maps, screen in zip(stack.scales, atomic_screens):
         tensors = [(f"scale {maps.scale}: atomic", maps.atomic, screen)] + [
-            (f"composite part {part} at scale {maps.scale}:", comp.data, comp.data)
-            for part, comp in maps.composite.items()
+            (f"composite part {part} at scale {maps.scale}:", data, data)
+            for part, data in maps.composite.items()
         ]
         for name, data, screen in tensors:
             if _screened(screen):
@@ -272,7 +256,7 @@ _HIGH_BITS = int(np.float32(1.0 + NORM_TOL).view(np.uint32))
 
 def _screened(data: np.ndarray) -> bool:
     """Whether a (C, H, W) float32 tensor surely passes the exact check of
-    `ScoreMapStack.validate`, by two cheaper passes.  (1) As uint32, the
+    `_validate`, by two cheaper passes.  (1) As uint32, the
     bits of +0 up to float32(1 + NORM_TOL) are the smallest patterns, and
     those of -0, negatives, +inf and NaN lie above them, so one integer
     `max` tells that every value lies in that range.  (2) Then a float32
@@ -287,7 +271,6 @@ def _screened(data: np.ndarray) -> bool:
     g = rounding / (1.0 - rounding)
     deviation = float(np.abs(np.add.reduce(data, axis=0) - np.float32(1.0)).max())
     return deviation <= NORM_TOL - 2.0 * g * (1.0 + NORM_TOL) / (1.0 - g)
-
 
 
 def _channel_sum(channels: np.ndarray) -> np.ndarray:
@@ -324,9 +307,9 @@ def save_score_maps(stack: ScoreMapStack, path) -> None:
                 out.write(atomic[row])
             out.write(struct.pack("<I", len(maps.composite)))
             for part in sorted(maps.composite):
-                comp = maps.composite[part]
-                out.write(struct.pack("<III", comp.part_id, comp.level, comp.data.shape[0]))
-                out.write(np.ascontiguousarray(comp.data, "<f4"))
+                data = maps.composite[part]
+                out.write(struct.pack("<II", part, data.shape[0]))
+                out.write(np.ascontiguousarray(data, "<f4"))
 
 
 class _Reader:
@@ -400,13 +383,12 @@ def load_score_maps(path) -> ScoreMapStack:
             atomic[rows] = stored
         screens.append(stored)
         (n_comp,) = reader.unpack("<I")
-        composite: dict[int, CompositeMaps] = {}
+        composite: dict[int, np.ndarray] = {}
         for _ in range(n_comp):
-            part, level, n_types = reader.unpack("<III")
+            part, n_types = reader.unpack("<II")
             if part <= max(composite, default=-1):
                 raise ScoreMapError(f"composite part {part} out of order or repeated")
-            data = reader.array("<f4", n_types * h * w, (n_types, h, w))
-            composite[part] = CompositeMaps(part, level, data)
+            composite[part] = reader.array("<f4", n_types * h * w, (n_types, h, w))
         scales.append(ScaleMaps(scale, table, atomic, composite))
     if reader.pos != len(reader.data):
         raise ScoreMapError("trailing bytes after score-map payload")
@@ -506,7 +488,9 @@ def log_type_prob_composite(
     pixel, on_grid = _pixels(np.asarray(anchors, dtype=float), stack.scales[scale_index].grid_shape)
     out = np.full(labels.shape, LOG_FLOOR)
     for one in sorted(set(parts.ravel().tolist())):
-        data = stack.composite_maps(one, scale_index).data
+        data = stack.scales[scale_index].composite.get(one)
+        if data is None:
+            raise KeyError(f"no composite maps for part {one}")
         mine = parts == one
         kinds = labels[mine]
         bad = (kinds < 1) | (kinds > len(data))
@@ -518,22 +502,6 @@ def log_type_prob_composite(
         values = data.reshape(len(data), -1)[labels[mine] - 1, pixel[mine]].astype(np.float64)
         out[mine] = np.log(np.maximum(values, PROB_FLOOR))
     return out
-
-
-def top_peaks(
-    stack: ScoreMapStack, part: int, scale_index: int, count: int, nms_radius: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Strict 8-neighborhood maxima of p(part | pixel) at one stored scale,
-    greedily NMS-pruned.
-
-    Returns up to `count` (x, y) points ranked by descending score with
-    pairwise distance >= nms_radius; row-major order breaks ties.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    points, scores = _ranked_maxima(stack, part, scale_index)
-    kept = _greedy_nms(points, nms_radius, count)
-    return points[kept], scores[kept]
 
 
 def _ranked_maxima(
@@ -683,11 +651,7 @@ class RelationTypeModel:
         seed: int = 0,
     ) -> "RelationTypeModel":
         """Fit the composite centroids from a list of `Annotation`s."""
-        for name, value, least in (
-            ("atomic_bins", atomic_bins, 2), ("composite_bins", composite_bins, 2), ("seed", seed, 0)
-        ):
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}, got {value}")
+        cls.check_arguments(atomic_bins, composite_bins, seed)
         points = annotation_points(annotations, hierarchy)
         centroids = {
             node.id: fit_relation_clusters(
@@ -697,6 +661,18 @@ class RelationTypeModel:
             if node.id != hierarchy.root.id
         }
         return cls(atomic_bins, centroids)
+
+    @staticmethod
+    def check_arguments(atomic_bins: int, composite_bins: int, seed: int) -> None:
+        """ValueError naming the first argument of `build` out of its range:
+        each bin count in [2, TYPE_BINS_MAX], the seed >= 0."""
+        for name, value, least, most in (("atomic_bins", atomic_bins, 2, TYPE_BINS_MAX),
+                                         ("composite_bins", composite_bins, 2, TYPE_BINS_MAX),
+                                         ("seed", seed, 0, math.inf)):
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+            if value > most:
+                raise ValueError(f"{name} must be <= {most}, got {value}")
 
     def labels(self, points, hierarchy: PartHierarchy) -> dict[int, np.ndarray]:
         """{part: (E,) relation types} of every non-root part, by part id,

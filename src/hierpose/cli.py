@@ -150,6 +150,7 @@ def cmd_train(args) -> int:
     base = Path(args.config).resolve().parent
     doc = _load_config(args.config, _TRAIN)
     bound = check_max_angle(doc.get("max_angle", inference.DEFAULT_MAX_ANGLE))
+    RelationTypeModel.check_arguments(**doc["type_model"])
     for section, key, limit in (("augment", "copies", TRAIN_MAX_COPIES),
                                 ("negatives", "per_positive", TRAIN_MAX_NEGATIVES),
                                 ("train", "epochs", TRAIN_MAX_EPOCHS)):
@@ -325,6 +326,7 @@ def cmd_synth(args) -> int:
     count = seeds["count"] if isinstance(seeds, dict) else len(seeds)
     if count > SYNTH_MAX_SCENES:
         raise ConfigError(f"scenes 'seeds' names {count} seeds, more than {SYNTH_MAX_SCENES}")
+    RelationTypeModel.check_arguments(**doc["type_model"])
     if isinstance(seeds, dict):
         seeds = list(range(seeds["start"], seeds["start"] + seeds["count"]))
     field = "scenes 'seeds'" if args.seed is None else "--seed"

@@ -276,8 +276,8 @@ def seed_atomic_hypotheses(
 ) -> dict[int, HypothesisSet]:
     """Top peaks of every atomic part, as hypotheses: the strict maxima of
     all scales, ranked together by descending score (ties: lower scale, then
-    row-major order), pass one greedy NMS to z points (`top_peaks` at one
-    scale)."""
+    row-major order), pass one greedy NMS to z points, each at distance
+    >= nms_radius from every point kept before it."""
     n, columns = hierarchy.atomic_count, len(hierarchy.composite_nodes)
     out: dict[int, HypothesisSet] = {}
     for part in hierarchy.atomic_ids:

@@ -255,13 +255,12 @@ def check_model(
                     f"no composite maps for part {part} at scale {maps.scale}"
                 )
             labels = library.labels[part]
-            bad = labels[(labels < 1) | (labels > len(found.data))]
+            bad = labels[(labels < 1) | (labels > len(found))]
             if bad.size:
                 raise ModelMismatchError(
                     f"no composite type {int(bad[0])} for part {part} "
-                    f"({len(found.data)} types) at scale {maps.scale}"
+                    f"({len(found)} types) at scale {maps.scale}"
                 )
-
 
 
 def _node_geometry(library: ExemplarLibrary, node_id: int, hierarchy: PartHierarchy) -> np.ndarray:

@@ -18,9 +18,7 @@ import numpy as np
 
 from . import _json
 from ._json import NUMBER, Map
-from .appearance import (
-    CompositeMaps, ScaleMaps, ScoreMapStack, _mapped_array, load_score_maps, save_score_maps,
-)
+from .appearance import ScaleMaps, ScoreMapStack, _mapped_array, load_score_maps, save_score_maps
 from .geometry import SimilarityTransform, child_points, fit_least_squares
 from .hierarchy import PartHierarchy
 from .learning import Annotation, ExemplarLibrary, load_annotations, save_annotations
@@ -111,10 +109,10 @@ def render_score_maps(
 
     Each tensor is a zero map from `_mapped_array`, and of the atomic tensor
     only row 0 and the rows a bump or the noise lights are written; an unlit
-    row reads +0.0, as a written zero would, but commits no memory.  Each
-    further scale gets maps of its own with the same rows written.  Once
-    written, each atomic tensor's unlit pages are mapped to the kernel's
-    zero page (`_map_zero_pages`).
+    row reads +0.0, as a written zero would, but commits no memory.  Once
+    written, the atomic tensor's unlit pages are mapped to the kernel's zero
+    page (`_map_zero_pages`).  The maps do not depend on the scale, so every
+    scale holds the same atomic tensor and composite arrays.
     """
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"sigma must be finite and > 0, got {sigma}")
@@ -124,9 +122,8 @@ def render_score_maps(
         raise ValueError(f"noise must be finite and >= 0, got {noise}")
     if distractors < 0:
         raise ValueError(f"distractors must be >= 0, got {distractors}")
-    if distractors or noise:
-        if rng is None:
-            raise ValueError("distractors/noise need an rng")
+    if (distractors or noise) and rng is None:
+        raise ValueError("distractors/noise need an rng")
     height, width = int(grid[0]), int(grid[1])
     if not 0 < amplitude <= 0.9:
         raise ValueError("amplitude must lie in (0, 0.9]")
@@ -187,32 +184,20 @@ def render_score_maps(
     for row in rows:
         atomic[row] = lit.pop(row)
     atomic[0] = 1.0 - row_sum(atomic[row] for row in rows)
-    written = [0] + rows
+    _map_zero_pages(atomic)  # every composite row is written
 
-    composite: dict[int, CompositeMaps] = {}
+    composite: dict[int, np.ndarray] = {}
     for part, bins in composite_bins.items():
         label = composite_labels[part]
-        anchor = hierarchy.anchor_point(X, part)
-        mixture = amplitude * bump(anchor, spread=2.0 * sigma)
+        mixture = amplitude * bump(hierarchy.anchor_point(X, part), spread=2.0 * sigma)
         data = _mapped_array((bins, height, width), np.float32)
         uniform = (1.0 - mixture) / bins
-        for m in range(1, bins + 1):
-            value = uniform + (mixture if m == label else 0.0)
-            if m < bins:
-                data[m - 1] = value.astype(np.float32)
+        for m in range(1, bins):  # the last type takes what the others leave
+            data[m - 1] = uniform + (mixture if m == label else 0.0)
         head = data[: bins - 1].astype(np.float64).sum(axis=0)
         data[bins - 1] = (1.0 - head).astype(np.float32)
-        composite[part] = CompositeMaps(part, hierarchy.node(part).level, data)
-
-    maps = []
-    for index, scale in enumerate(scales):
-        if index:
-            atomic = _mapped_copy(atomic, written)
-            composite = {p: CompositeMaps(c.part_id, c.level, _mapped_copy(c.data))
-                         for p, c in composite.items()}
-        _map_zero_pages(atomic)  # every composite row is written
-        maps.append(ScaleMaps(float(scale), np.array(table, dtype=np.uint32), atomic, composite))
-    return ScoreMapStack(maps)
+        composite[part] = data
+    return ScoreMapStack([ScaleMaps(float(scale), table, atomic, composite) for scale in scales])
 
 
 def _map_zero_pages(array: np.ndarray) -> None:
@@ -223,15 +208,6 @@ def _map_zero_pages(array: np.ndarray) -> None:
     cost would move out of the render (a human 96x96 scene: 1.4 ms).  Read
     before the writes, a written page would fault twice."""
     array.reshape(-1).view(np.uint8)[:: mmap.PAGESIZE].max()
-
-
-def _mapped_copy(array: np.ndarray, rows=None) -> np.ndarray:
-    """A copy of `array` on a map of its own, with only `rows` written if
-    given: the other rows must read +0.0, as they do in the copy."""
-    copy = _mapped_array(array.shape, array.dtype)
-    for row in range(len(array)) if rows is None else rows:
-        copy[row] = array[row]
-    return copy
 
 
 @dataclass

@@ -16,7 +16,7 @@ from hierpose import (
     build_library,
     load_hierarchy,
 )
-from hierpose.appearance import CompositeMaps, ScaleMaps
+from hierpose.appearance import FORMAT_VERSION, ScaleMaps
 from hierpose.synth import make_scene
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -224,25 +224,33 @@ def random_stack(
         for part, bins in composite_bins.items():
             data = rng.random((bins, height, width))
             data /= data.sum(axis=0)
-            composite[part] = CompositeMaps(part, hierarchy.node(part).level, data)
+            composite[part] = data
         maps.append(
             ScaleMaps(float(scale), np.array(table, dtype=np.uint32), atomic, composite)
         )
     return ScoreMapStack(maps)
 
 
-def hpsm_v1_bytes(stack: ScoreMapStack) -> bytes:
-    """`stack` in the score-map container's version 1 layout, which stored
-    every atomic row and so had no stored-row count or ids."""
-    out = [b"HPSM", struct.pack("<II", 1, stack.n_scales)]
+def hpsm_old_bytes(stack: ScoreMapStack, version: int, hierarchy: PartHierarchy) -> bytes:
+    """`stack` in an older layout of the score-map container, whose
+    composite blocks held each part's level: version 1 stored every atomic
+    row, and version 2 every row that holds a set bit, after their count
+    and ids."""
+    out = [b"HPSM", struct.pack("<II", version, stack.n_scales)]
     for maps in stack.scales:
         c, h, w = maps.atomic.shape
-        out += [struct.pack("<dIII", maps.scale, h, w, c), maps.channel_table.astype("<u4").tobytes(),
-                maps.atomic.astype("<f4").tobytes(), struct.pack("<I", len(maps.composite))]
+        atomic = maps.atomic.astype("<f4")
+        out += [struct.pack("<dIII", maps.scale, h, w, c),
+                maps.channel_table.astype("<u4").tobytes()]
+        if version == 2:
+            rows = np.flatnonzero(atomic.view("<u4").reshape(c, -1).max(axis=1))
+            out += [struct.pack(f"<I{len(rows)}I", len(rows), *rows.tolist())]
+            atomic = atomic[rows]
+        out += [atomic.tobytes(), struct.pack("<I", len(maps.composite))]
         for part in sorted(maps.composite):
-            comp = maps.composite[part]
-            out += [struct.pack("<III", comp.part_id, comp.level, comp.data.shape[0]),
-                    comp.data.astype("<f4").tobytes()]
+            data = maps.composite[part]
+            out += [struct.pack("<III", part, hierarchy.node(part).level, data.shape[0]),
+                    data.astype("<f4").tobytes()]
     return b"".join(out)
 
 
@@ -258,7 +266,7 @@ def sparse_hpsm_bytes(channels: int, grid, stored, values=None) -> bytes:
     if values is None:
         values = np.ones((len(stored), h, w))
     return b"".join([
-        b"HPSM", struct.pack("<IIdIII", 2, 1, 1.0, h, w, channels), table.tobytes(),
+        b"HPSM", struct.pack("<IIdIII", FORMAT_VERSION, 1, 1.0, h, w, channels), table.tobytes(),
         struct.pack(f"<I{len(stored)}I", len(stored), *stored),
         np.asarray(values, "<f4").tobytes(), struct.pack("<I", 0),
     ])

@@ -49,7 +49,7 @@ import numpy as np
 from scipy import optimize
 
 from hierpose.appearance import (
-    FORMAT_VERSION, LOG_FLOOR, MAGIC, NORM_TOL, PROB_FLOOR, CompositeMaps, ScaleMaps,
+    FORMAT_VERSION, LOG_FLOOR, MAGIC, NORM_TOL, PROB_FLOOR, ScaleMaps,
     ScoreMapError, ScoreMapStack, _pixels, log_type_prob_composite,
 )
 from hierpose.geometry import (
@@ -278,10 +278,10 @@ def naive_pose_log_prob(X, node_id, labels, stack, hierarchy, size):
             anchor = np.zeros(2)
             for pid, w in hierarchy.node(child).anchor.weights.items():
                 anchor += w * np.asarray(X[hierarchy.atom_index(pid)], dtype=float)
-            comp = maps.composite[child]
-            if not 1 <= label <= comp.data.shape[0]:
+            data = maps.composite[child]
+            if not 1 <= label <= data.shape[0]:
                 raise KeyError(f"no composite type {label} for part {child}")
-            value = _lookup(comp.data[label - 1].astype(np.float64), anchor)
+            value = _lookup(data[label - 1].astype(np.float64), anchor)
             total += math.log(max(value, FLOOR)) if value is not None else math.log(FLOOR)
     return total
 
@@ -414,8 +414,8 @@ def three_pass_validate(stack):
     reporting the worst pixel."""
     for maps in stack.scales:
         tensors = [(f"scale {maps.scale}: atomic", maps.atomic)] + [
-            (f"composite part {part} at scale {maps.scale}:", comp.data)
-            for part, comp in maps.composite.items()
+            (f"composite part {part} at scale {maps.scale}:", data)
+            for part, data in maps.composite.items()
         ]
         for name, data in tensors:
             if not (data.min() >= -NORM_TOL and data.max() <= 1.0 + NORM_TOL):
@@ -498,7 +498,7 @@ def dense_render_score_maps(
                 data[m - 1] = value.astype(np.float32)
         head = data[: bins - 1].astype(np.float64).sum(axis=0)
         data[bins - 1] = (1.0 - head).astype(np.float32)
-        composite[part] = CompositeMaps(part, hierarchy.node(part).level, data)
+        composite[part] = data
 
     maps = []
     for scale in scales:
@@ -507,8 +507,7 @@ def dense_render_score_maps(
                 scale=float(scale),
                 channel_table=np.array(table, dtype=np.uint32),
                 atomic=atomic.copy(),
-                composite={p: CompositeMaps(c.part_id, c.level, c.data.copy())
-                           for p, c in composite.items()},
+                composite={p: data.copy() for p, data in composite.items()},
             )
         )
     return ScoreMapStack(maps)
@@ -531,9 +530,8 @@ def buffered_save_score_maps(stack, path):
         out += b"".join(rows[k] for k in stored)
         out += struct.pack("<I", len(maps.composite))
         for part in sorted(maps.composite):
-            comp = maps.composite[part]
-            out += struct.pack("<III", comp.part_id, comp.level, comp.data.shape[0])
-            out += comp.data.astype("<f4").tobytes()
+            out += struct.pack("<II", part, maps.composite[part].shape[0])
+            out += maps.composite[part].astype("<f4").tobytes()
     Path(path).write_bytes(bytes(out))
 
 

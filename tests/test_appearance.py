@@ -12,7 +12,6 @@ from hierpose.appearance import (
     LOG_FLOOR,
     NORM_TOL,
     PROB_FLOOR,
-    CompositeMaps,
     ScaleMaps,
     ScoreMapError,
     CoincidentPartsError,
@@ -23,14 +22,14 @@ from hierpose.appearance import (
     log_type_prob_atomic,
     log_type_prob_composite,
     save_score_maps,
-    top_peaks,
     _screened,
 )
+from hierpose.inference import InferenceParams, seed_atomic_hypotheses
 
 import oracles
 from hierpose import appearance
 from conftest import (
-    CONFIG_DIR, base_pose_tiny3, hpsm_v1_bytes, limbs4_doc, random_stack, sparse_hpsm_bytes,
+    CONFIG_DIR, base_pose_tiny3, hpsm_old_bytes, limbs4_doc, random_stack, sparse_hpsm_bytes,
     tiny2_doc, tiny3_doc,
 )
 
@@ -140,12 +139,12 @@ def test_channels_found_by_arbitrary_u32_ids_in_any_table_order():
     table = np.array([(top, 7), (0, 0), (2**31 + 5, top), (top, 3)], dtype=np.uint32)
     atomic = np.full((4, 2, 3), 0.25, dtype=np.float32)
     stack = ScoreMapStack([ScaleMaps(1.0, table, atomic)])
-    assert stack.channel_rows(top, [3, 7, 3]).tolist() == [3, 0, 3]
-    assert stack.channel_rows(2**31 + 5, [top]).tolist() == [2]
+    assert stack.channel_rows(top, [3, 7, 3], 0).tolist() == [3, 0, 3]
+    assert stack.channel_rows(2**31 + 5, [top], 0).tolist() == [2]
     assert log_type_prob_atomic(stack, top, [7], [(1, 1)], 0) == pytest.approx([math.log(0.5)])
     for part, type_id in [(top, 4), (top, -1), (top, 2**32 + 7), (2**31 + 5, 0), (0, 1)]:
         with pytest.raises(KeyError, match="no channel"):
-            stack.channel_rows(part, [3, type_id])
+            stack.channel_rows(part, [3, type_id], 0)
     with pytest.raises(ScoreMapError, match="duplicate channel"):
         ScoreMapStack([ScaleMaps(1.0, np.vstack([table, table[:1]]), np.zeros((5, 2, 3)))])
 
@@ -157,7 +156,7 @@ def composite_stack(value: float, bins: int = 4, label: int = 1):
     data = np.full((bins, 5, 5), (1.0 - value) / (bins - 1), dtype=np.float32)
     data[label - 1] = value
     return ScoreMapStack(
-        [ScaleMaps(1.0, table, atomic, {7: CompositeMaps(7, 2, data)})]
+        [ScaleMaps(1.0, table, atomic, {7: data})]
     )
 
 
@@ -195,9 +194,7 @@ def test_log_type_prob_composite_takes_one_part_per_item():
     atomic = np.zeros((2, 5, 5), dtype=np.float32)
     atomic[0] = 1.0
     data = {part: rng.random((types, 5, 5)) for part, types in ((7, 4), (8, 2))}
-    composite = {
-        part: CompositeMaps(part, 2, maps / maps.sum(axis=0)) for part, maps in data.items()
-    }
+    composite = {part: maps / maps.sum(axis=0) for part, maps in data.items()}
     stack = ScoreMapStack([ScaleMaps(1.0, table, atomic, composite)])
     parts = np.array([[7, 8, 7], [8, 8, 7]])
     labels = np.array([[3, 2, 1], [1, 2, 4]])
@@ -221,40 +218,41 @@ def gaussian_grid(centers, grid=(16, 16), amplitude=0.5, sigma=1.2):
     return out
 
 
-def peak_stack(centers, grid=(16, 16)):
-    bump = gaussian_grid(centers, grid)
-    table = np.array([(0, 0), (1, 1)], dtype=np.uint32)
-    atomic = np.stack([1.0 - bump, bump]).astype(np.float32)
-    return ScoreMapStack([ScaleMaps(1.0, table, atomic)])
+def top_peaks(marginal, z, nms_radius=2.0):
+    """The top peaks of part 1 as inference seeds them
+    (`seed_atomic_hypotheses`, the one seed path), and the marginal at
+    each: on a one-scale tiny2 stack whose part 1 has the map `marginal`
+    and whose parts 2 and 3 read 0 everywhere."""
+    table = np.array([(0, 0), (1, 1), (2, 1), (3, 1)], dtype=np.uint32)
+    atomic = np.zeros((4, *marginal.shape), dtype=np.float32)
+    atomic[0], atomic[1] = 1.0 - marginal, marginal
+    stack = ScoreMapStack([ScaleMaps(1.0, table, atomic)])
+    params = InferenceParams(z=z, nms_radius=nms_radius)
+    seeds = seed_atomic_hypotheses(stack, load_hierarchy(tiny2_doc()), params)
+    assert len(seeds[2]) == len(seeds[3]) == 0
+    points = seeds[1].locations[:, 0]
+    return points, stack.marginal(1, 0)[points[:, 1].astype(int), points[:, 0].astype(int)]
 
 
 def test_top_peaks_single_bump():
-    stack = peak_stack([(7, 9, 1.0)])
-    points, scores = top_peaks(stack, 1, 0, 5, 2.0)
-    assert points.shape == (1, 2)
-    assert np.allclose(points[0], (7, 9))
+    points, _ = top_peaks(gaussian_grid([(7, 9, 1.0)]), z=5)
+    assert points.tolist() == [[7.0, 9.0]]
 
 
 def test_top_peaks_two_equal_bumps_row_major():
-    stack = peak_stack([(3, 4, 1.0), (11, 4, 1.0)])
-    points, scores = top_peaks(stack, 1, 0, 2, 2.0)
-    assert points.shape == (2, 2)
-    assert np.allclose(points[0], (3, 4))
-    assert np.allclose(points[1], (11, 4))
+    points, scores = top_peaks(gaussian_grid([(3, 4, 1.0), (11, 4, 1.0)]), z=2)
+    assert points.tolist() == [[3.0, 4.0], [11.0, 4.0]]
     assert scores[0] == pytest.approx(scores[1], rel=1e-6)
 
 
 def test_top_peaks_flat_map_empty():
-    table = np.array([(0, 0), (1, 1)], dtype=np.uint32)
-    atomic = np.full((2, 8, 8), 0.5, dtype=np.float32)
-    stack = ScoreMapStack([ScaleMaps(1.0, table, atomic)])
-    points, scores = top_peaks(stack, 1, 0, 3, 2.0)
+    points, _ = top_peaks(np.full((8, 8), 0.5), z=3)
     assert points.shape == (0, 2)
 
 
 def test_top_peaks_respects_budget_and_radius():
-    stack = peak_stack([(2, 2, 1.0), (8, 2, 0.9), (14, 2, 0.8), (2, 9, 0.7), (8, 9, 0.6)])
-    points, scores = top_peaks(stack, 1, 0, 3, 2.0)
+    centers = [(2, 2, 1.0), (8, 2, 0.9), (14, 2, 0.8), (2, 9, 0.7), (8, 9, 0.6)]
+    points, scores = top_peaks(gaussian_grid(centers), z=3)
     assert points.shape == (3, 2)
     assert all(scores[i] >= scores[i + 1] for i in range(len(scores) - 1))
     for i in range(len(points)):
@@ -382,6 +380,19 @@ def test_type_model_arguments_are_checked_by_name(doc, field, value):
         RelationTypeModel.build(load_hierarchy(doc()), None, **arguments)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("atomic_bins", 1001), ("atomic_bins", 10**20), ("composite_bins", 10**400),
+], ids=["atomic-1001", "atomic-1e20", "composite-1e400"])
+def test_type_model_bin_counts_are_bounded(field, value):
+    """At most `TYPE_BINS_MAX` types per part, checked before any annotation
+    is read: 10**20 atomic bins used to overflow in `labels`, and 10**400
+    in its float division."""
+    arguments = {"atomic_bins": 8, "composite_bins": 2, "seed": 0, field: value}
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be <= 1000, got {value}")):
+        RelationTypeModel.build(load_hierarchy(tiny3_doc()), None, **arguments)
+    assert appearance.TYPE_BINS_MAX == 1000
+
+
 def test_fit_relation_clusters_duplicates_single_cluster():
     vectors = np.tile([1.0, 2.0, 3.0, 4.0], (6, 1))
     centroids = fit_relation_clusters(vectors, 1, seed=3)
@@ -417,7 +428,7 @@ def test_round_trip_two_scales(tmp_path, tiny3):
         assert np.array_equal(a.atomic, b.atomic)
         assert np.array_equal(a.channel_table, b.channel_table)
         for part in a.composite:
-            assert np.array_equal(a.composite[part].data, b.composite[part].data)
+            assert np.array_equal(a.composite[part], b.composite[part])
 
 
 def test_loaded_tensors_are_writable_and_independent(tmp_path, tiny3):
@@ -433,7 +444,7 @@ def test_loaded_tensors_are_writable_and_independent(tmp_path, tiny3):
         for maps in s.scales:
             yield maps.atomic
             for part in sorted(maps.composite):
-                yield maps.composite[part].data
+                yield maps.composite[part]
 
     for saved, a, b in zip(tensors(stack), tensors(first), tensors(second)):
         for loaded in (a, b):
@@ -464,7 +475,7 @@ def test_load_rejects_truncation_at_every_section_boundary(tmp_path, tiny3):
         c, h, w = maps.atomic.shape
         sections += [20, 8 * c, 4, 4 * stored, 4 * stored * h * w, 4]
         for part in sorted(maps.composite):
-            sections += [12, 4 * maps.composite[part].data.size]
+            sections += [8, 4 * maps.composite[part].size]
     boundaries = np.cumsum(sections)
     assert boundaries[-1] == len(data)
     for cut in [0, *boundaries[:-1].tolist()]:
@@ -478,9 +489,27 @@ def test_load_rejects_version_1(tmp_path, tiny3):
     version; no reader of that layout is kept."""
     stack = random_stack(tiny3, {p: 2 for p in tiny3.atomic_ids}, {10: 3}, np.random.default_rng(2))
     path = tmp_path / "old.hpsm"
-    path.write_bytes(hpsm_v1_bytes(stack))
+    path.write_bytes(hpsm_old_bytes(stack, 1, tiny3))
     with pytest.raises(ScoreMapError, match="^unsupported score-map version 1$"):
         load_score_maps(path)
+
+
+def test_load_rejects_version_2(tmp_path, tiny3):
+    """A file of the layout whose composite blocks held each part's level is
+    rejected by its version; with those words taken out, its bytes are the
+    current layout's."""
+    stack = random_stack(tiny3, {p: 2 for p in tiny3.atomic_ids}, {10: 3, 11: 2},
+                         np.random.default_rng(2))
+    old = hpsm_old_bytes(stack, 2, tiny3)
+    (tmp_path / "old.hpsm").write_bytes(old)
+    with pytest.raises(ScoreMapError, match="^unsupported score-map version 2$"):
+        load_score_maps(tmp_path / "old.hpsm")
+    save_score_maps(stack, tmp_path / "new.hpsm")
+    new = (tmp_path / "new.hpsm").read_bytes()
+    levels = [old.index(struct.pack("<III", part, 2, types)) + 4
+              for part, types in ((10, 3), (11, 2))]
+    assert new == b"".join([old[:4], struct.pack("<I", 3), old[8 : levels[0]],
+                            old[levels[0] + 4 : levels[1]], old[levels[1] + 4 :]])
 
 
 def no_map(*args):
@@ -578,8 +607,13 @@ def normalization_stack(seed, atomic_channels, composite_types, grid, offsets, a
     composite = {}
     if composite_types:
         data = normalization_tensor(seed + 1, composite_types, grid, offsets[1], composite_edits)
-        composite[10] = CompositeMaps(10, 2, data)
+        composite[10] = data
     return ScoreMapStack([ScaleMaps(1.0, table, atomic, composite)])
+
+
+def validate(stack):
+    """The loader's check, `appearance._validate`, screening whole tensors."""
+    appearance._validate(stack, [maps.atomic for maps in stack.scales])
 
 
 def validate_outcome(check, stack):
@@ -614,7 +648,7 @@ def test_screened_validate_matches_three_pass_oracle(seed, atomic_channels, comp
     one float32 ulp either side of the largest accepted value."""
     stack = normalization_stack(seed, atomic_channels, composite_types, grid, offsets,
                                 atomic_edits, composite_edits)
-    assert validate_outcome(ScoreMapStack.validate, stack) == validate_outcome(
+    assert validate_outcome(validate, stack) == validate_outcome(
         oracles.three_pass_validate, stack
     )
 
@@ -655,7 +689,7 @@ def test_load_of_stored_rows_matches_validate_of_the_whole_tensor(
     (n_stored,) = struct.unpack_from("<I", data, at)
     lit = np.flatnonzero(atomic.view(np.uint32).reshape(atomic_channels, -1).any(axis=1))
     assert struct.unpack_from(f"<{n_stored}I", data, at + 4) == tuple(lit.tolist())
-    expected = validate_outcome(ScoreMapStack.validate, stack)
+    expected = validate_outcome(validate, stack)
     if not lit.size:
         expected = f"scale 1.0: n_stored must lie in [1, {atomic_channels}], got 0"
     assert validate_outcome(load_score_maps, path) == expected
@@ -729,7 +763,7 @@ def two_scale_stack():
         composite = {}
         for part in (10, 11):
             data = rng.random((2, h, w))
-            composite[part] = CompositeMaps(part, 2, data / data.sum(axis=0))
+            composite[part] = data / data.sum(axis=0)
         scales.append(ScaleMaps(scale, table, atomic / atomic.sum(axis=0), composite))
     return ScoreMapStack(scales)
 
@@ -793,7 +827,7 @@ def test_marginals_at_mixed_parts_equal_full_maps_bit_for_bit(built, tiny_tail):
         if tiny_tail:
             assert np.all(values[parts == 2] == 1.0)
     with pytest.raises(KeyError, match="no channels for part 0"):
-        stack.marginals_at([1, 0], [0, 0])
+        stack.marginals_at([1, 0], [0, 0], 0)
 
 
 def test_log_marginals_at_equals_floored_log_of_full_map():
@@ -816,7 +850,7 @@ def corrupt_hpsm(kind: str, tmp_path):
     if kind == "NaN pixel":
         maps.atomic[2, 1, 1] = np.nan
     elif kind == "NaN composite pixel":
-        maps.composite[10].data[0, 0, 0] = np.nan
+        maps.composite[10][0, 0, 0] = np.nan
     elif kind in ("NaN scale", "inf scale"):
         maps.scale = math.nan if kind == "NaN scale" else math.inf
     elif kind == "0 channels":
@@ -826,11 +860,15 @@ def corrupt_hpsm(kind: str, tmp_path):
         shape = (4, 0, 4) if kind == "H = 0" else (4, 3, 0)
         maps.atomic, maps.composite = np.zeros(shape, np.float32), {}
     elif kind == "0-type composite":
-        maps.composite[10].data = np.zeros((0, 3, 4), np.float32)
-    elif kind == "repeated composite part":
-        maps.composite[11].part_id = 10
+        maps.composite[10] = np.zeros((0, 3, 4), np.float32)
     path = tmp_path / "bad.hpsm"
     save_score_maps(stack, path)
+    if kind == "repeated composite part":  # the last block, part 11's, names part 10
+        data = bytearray(path.read_bytes())
+        data[-8 - 4 * maps.composite[11].size : -4 - 4 * maps.composite[11].size] = (
+            struct.pack("<I", 10)
+        )
+        path.write_bytes(bytes(data))
     return path
 
 
@@ -852,7 +890,7 @@ def test_load_rejects_invalid_field(kind, message, tmp_path):
 
 def test_scale_maps_reject_composite_grid_mismatch():
     table = np.array([(0, 0), (1, 1)], dtype=np.uint32)
-    composite = {7: CompositeMaps(7, 2, np.full((2, 4, 5), 0.5))}
+    composite = {7: np.full((2, 4, 5), 0.5)}
     with pytest.raises(ScoreMapError, match="do not match the atomic grid"):
         ScaleMaps(1.0, table, np.full((2, 5, 4), 0.5), composite)
 
@@ -869,7 +907,7 @@ def header_words(stack) -> list[int]:
     """Byte offsets of the header words of an HPSM file: version, scale
     count, and per scale the two words of the scale, H, W, the channel,
     stored-row and composite counts, each stored row id, and each composite
-    block's part, level and type count.  Every atomic row of `stack` must
+    block's part and type count.  Every atomic row of `stack` must
     hold a set bit, so that all are stored."""
     offsets, pos = [4, 8], 12
     for maps in stack.scales:
@@ -881,8 +919,8 @@ def header_words(stack) -> list[int]:
         offsets.append(pos)
         pos += 4
         for part in sorted(maps.composite):
-            offsets += [pos, pos + 4, pos + 8]
-            pos += 12 + 4 * maps.composite[part].data.size
+            offsets += [pos, pos + 4]
+            pos += 8 + 4 * maps.composite[part].size
     return offsets
 
 

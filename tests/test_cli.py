@@ -44,7 +44,7 @@ from hierpose.synth import make_scene
 
 import oracles
 from conftest import (
-    CONFIG_DIR, annotations_tiny3, hpsm_v1_bytes, library_for, root_draws_all_turned,
+    CONFIG_DIR, annotations_tiny3, hpsm_old_bytes, library_for, root_draws_all_turned,
     sparse_hpsm_bytes, tiny3_doc,
 )
 
@@ -199,6 +199,8 @@ def test_synth_truncating_config_rejected(workspace, capsys):
         ("scenes", "sigma", None, "scenes 'sigma' must be a JSON number"),
         ("scenes", "amplitude", "0.8", "scenes 'amplitude' must be a JSON number"),
         ("scenes", "scales", [1.0, None], "scenes 'scales' 1 must be a JSON number"),
+        ("scenes", "scales", [1.0, 10**400],  # used to end in an OverflowError traceback
+         "scenes 'scales' 1 must be a finite number, got an integer too large for a float"),
     ],
 )
 def test_synth_fields_must_have_json_types(workspace, capsys, section, key, value, message):
@@ -698,14 +700,72 @@ def test_train_sizes_are_bounded_before_any_file_is_read(workspace, section, key
     assert not (workspace / "out").exists()
 
 
-def test_train_rejects_a_version_1_map_file(workspace, capsys):
-    """A map file of the layout that stored every atomic row exits 1 with
-    the version message, and `train` writes nothing."""
+def train_on_an_old_map_file(workspace, capsys, tiny3, version):
+    """`train` on the workspace's map file written in the layout of
+    `version` exits 1 with the version message, and writes nothing."""
     stack = load_score_maps(workspace / "scenes" / "scene_0" / "maps.hpsm")
-    (workspace / "old.hpsm").write_bytes(hpsm_v1_bytes(stack))
+    (workspace / "old.hpsm").write_bytes(hpsm_old_bytes(stack, version, tiny3))
     config = train_config(workspace, name="old.json", score_maps="old.hpsm")
     assert main(["train", str(config)]) == 1
-    assert_rejected(capsys, "unsupported score-map version 1")
+    assert_rejected(capsys, f"unsupported score-map version {version}")
+    assert not (workspace / "out").exists()
+
+
+def test_train_rejects_a_version_1_map_file(workspace, capsys, tiny3):
+    """The layout that stored every atomic row."""
+    train_on_an_old_map_file(workspace, capsys, tiny3, 1)
+
+
+def test_train_rejects_a_version_2_map_file(workspace, capsys, tiny3):
+    """The layout whose composite blocks held each part's level."""
+    train_on_an_old_map_file(workspace, capsys, tiny3, 2)
+
+
+@pytest.mark.parametrize("command", ["train", "synth"])
+@pytest.mark.parametrize("key, value", [("atomic_bins", 10**20), ("composite_bins", 10**400)],
+                         ids=["atomic-1e20", "composite-1e400"])
+def test_type_bins_are_bounded_before_any_file_is_read(workspace, command, key, value):
+    """A relation-type bin count above 1,000 exits 1 naming the key, before
+    any file is read or directory made, by the check of
+    `RelationTypeModel.build`; 10**20 atomic bins used to overflow in
+    `RelationTypeModel.labels` and 10**400 in its float division, each a
+    traceback.  The run is a child process with a capped address space."""
+    if command == "train":
+        doc = json.loads(train_config(workspace).read_text())
+        doc["type_model"][key] = value
+        config = train_config(workspace, name="huge.json", hierarchy="absent.json",
+                              type_model=doc["type_model"])
+        output = workspace / "out"
+    else:
+        config, doc = synth_config(workspace)
+        doc["type_model"][key] = value
+        doc["hierarchy"] = "absent.json"
+        config.write_text(json.dumps(doc))
+        output = workspace / "bad_scenes"
+    done = run_capped([command, str(config)])
+    message = f"error: {key} must be <= 1000, got {value}\n"
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", message)
+    assert not output.exists()
+
+
+@pytest.mark.parametrize("key, digits, message", [
+    ("max_angle", 401, "config 'max_angle' must be a finite number, "
+                       "got an integer too large for a float"),
+    ("max_angle", 5001, "config 'max_angle' must be a finite number, got inf"),
+    ("epochs", 5001, "config.train 'epochs' must be a JSON integer, got Infinity"),
+], ids=["max_angle-401-digits", "max_angle-5001-digits", "epochs-5001-digits"])
+def test_train_huge_json_integers_exit_1_naming_the_field(workspace, key, digits, message):
+    """An integer too large for a float where a number is wanted used to end
+    in an OverflowError traceback, and one of more digits than Python
+    converts to `int` in a `json` ValueError that named no field; such an
+    integer now reads as inf."""
+    text = train_config(workspace).read_text()
+    if key == "max_angle":
+        text = text.replace('{"hierarchy"', '{"max_angle": 0, "hierarchy"')
+    text = re.sub(rf'"{key}": [0-9]+', f'"{key}": 1{"0" * (digits - 1)}', text)
+    (workspace / "huge.json").write_text(text)
+    done = run_child(["train", str(workspace / "huge.json")])
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", f"error: {message}\n")
     assert not (workspace / "out").exists()
 
 
@@ -1223,7 +1283,7 @@ def test_unknown_flag_fails_fast(workspace):
 def test_infer_no_solution_exit_2(workspace, tiny3):
     import numpy as np
 
-    from hierpose.appearance import CompositeMaps, ScaleMaps, ScoreMapStack, save_score_maps
+    from hierpose.appearance import ScaleMaps, ScoreMapStack, save_score_maps
     from hierpose.learning import load_library
 
     library = load_library(workspace / "library.hpel", tiny3)
@@ -1232,7 +1292,7 @@ def test_infer_no_solution_exit_2(workspace, tiny3):
     ]
     atomic = np.full((len(table), 12, 12), 1.0 / len(table), dtype=np.float32)
     composite = {
-        part: CompositeMaps(part, 2, np.full((bins, 12, 12), 1.0 / bins, dtype=np.float32))
+        part: np.full((bins, 12, 12), 1.0 / bins, dtype=np.float32)
         for part, bins in library.composite_bins.items()
     }
     flat = ScoreMapStack([ScaleMaps(1.0, np.array(table, np.uint32), atomic, composite)])

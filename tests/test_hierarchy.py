@@ -147,6 +147,25 @@ def test_load_from_json_text():
     assert hierarchy.atomic_count == 3
 
 
+@pytest.mark.parametrize("digits, message", [
+    (401, "must be a finite number, got an integer too large for a float"),
+    (5001, "must be a finite number, got inf"),
+], ids=["401-digits", "5001-digits"])
+def test_huge_json_integers_raise_hierarchy_error(digits, message):
+    """An integer too large for a float, where a number is wanted, used to
+    raise OverflowError, and one of more digits than Python converts to
+    `int` a plain ValueError from `json`; both now raise HierarchyError
+    naming the field (the longer one reads as inf)."""
+    huge = "1" + "0" * (digits - 1)
+    text = json.dumps(tiny2_doc()).replace('"reference_length": 10.0', f'"reference_length": {huge}')
+    with pytest.raises(HierarchyError, match=f"^hierarchy.scale 'reference_length' {message}$"):
+        load_hierarchy(text)
+    doc = tiny2_doc()
+    doc["scale"]["reference_length"] = 10**400
+    with pytest.raises(HierarchyError, match="must be a finite number, got an integer too large"):
+        load_hierarchy(doc)
+
+
 def test_tight_box_min_max(tiny2):
     X = np.array([[0.0, 0.0], [2.0, 4.0], [1.0, 1.0]])
     box = tiny2.tight_box(X, 10)

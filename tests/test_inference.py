@@ -17,7 +17,7 @@ from hierpose import (
     subtree_score,
 )
 from hierpose import inference
-from hierpose.appearance import ScaleMaps, ScoreMapStack, top_peaks
+from hierpose.appearance import ScaleMaps, ScoreMapStack
 from hierpose.geometry import (
     SimilarityTransform,
     fit_least_squares,
@@ -133,12 +133,13 @@ def test_seed_ranks_the_maxima_of_all_scales_before_one_nms(tiny3):
     for z in (2, 3):
         seeds = seed_atomic_hypotheses(stack, tiny3, replace(params, z=z))[1]
         assert seeds.locations[:, tiny3.atom_index(1)].tolist() == [[5.0, 5.0], [15.0, 15.0]]
-    # one scale's peaks are `top_peaks`', and a scale held twice changes nothing
-    points, _ = top_peaks(stack, 1, 0, 2, 2.0)
-    assert points.tolist() == [[4.0, 5.0], [6.0, 5.0]]
+    # one scale alone gives its own two peaks, and a scale held twice changes nothing
+    alone = seed_atomic_hypotheses(ScoreMapStack([first]), tiny3, replace(params, z=2))[1]
+    points = alone.locations[:, tiny3.atom_index(1)].tolist()
+    assert points == [[4.0, 5.0], [6.0, 5.0]]
     twice = ScoreMapStack([first, replace(first, scale=2.0)])
     seeds = seed_atomic_hypotheses(twice, tiny3, replace(params, z=2))[1]
-    assert seeds.locations[:, tiny3.atom_index(1)].tolist() == points.tolist()
+    assert seeds.locations[:, tiny3.atom_index(1)].tolist() == points
 
 
 def test_infer_flat_maps_no_configuration(tiny3_setup):
@@ -147,13 +148,10 @@ def test_infer_flat_maps_no_configuration(tiny3_setup):
         (p, m) for p in hierarchy.atomic_ids for m in range(1, library.atomic_bins[p] + 1)
     ]
     atomic = np.full((len(table), 16, 16), 1.0 / len(table), dtype=np.float32)
-    composite = {}
-    from hierpose.appearance import CompositeMaps
-
-    for part, bins in library.composite_bins.items():
-        composite[part] = CompositeMaps(
-            part, 2, np.full((bins, 16, 16), 1.0 / bins, dtype=np.float32)
-        )
+    composite = {
+        part: np.full((bins, 16, 16), 1.0 / bins, dtype=np.float32)
+        for part, bins in library.composite_bins.items()
+    }
     stack = ScoreMapStack([ScaleMaps(1.0, np.array(table, np.uint32), atomic, composite)])
     with pytest.raises(NoConfigurationError):
         infer(stack, hierarchy, library, uniform_weights(hierarchy),

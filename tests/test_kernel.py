@@ -827,7 +827,7 @@ def stack_with_fewer_types(stack, scale_index, part, types):
     for i, maps in enumerate(stack.scales):
         table, atomic, comps = maps.channel_table, maps.atomic, dict(maps.composite)
         if i == scale_index and part in comps:
-            comps[part] = replace(comps[part], data=comps[part].data[:types])
+            comps[part] = comps[part][:types]
         elif i == scale_index:
             keep = (table[:, 0] != part) | (table[:, 1] <= types)
             table, atomic = table[keep], atomic[keep]

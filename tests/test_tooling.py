@@ -9,12 +9,15 @@ the marginal table, `PartHierarchy` alone builds a subtree's pose columns,
 (part, subtree node) pair in one kernel call, `feature_matrix` fits
 blocks of exemplars and looks each child geometry shape up once per stack,
 `_log_pose_probs` makes one relation-type lookup per stored scale,
-`geometry.child_points` alone knows the child geometry's layout, and
-`appearance._mapped_array` alone maps memory, never with huge pages."""
+`geometry.child_points` alone knows the child geometry's layout,
+`appearance._mapped_array` alone maps memory, never with huge pages, no
+`ScoreMapStack` method defaults its scale index, and every composite map
+is a plain array."""
 
 import ast
 import dataclasses
 import importlib
+import inspect
 import os
 import pkgutil
 import re
@@ -315,6 +318,37 @@ def test_one_memory_map_and_no_huge_pages():
             ]
     assert not huge, f"huge pages asked for in {huge}"
     assert sites and {site[:2] for site in sites} == {("appearance.py", "_mapped_array")}, sites
+
+
+def test_no_default_scale_index_and_composite_maps_are_arrays(tmp_path):
+    """No public `ScoreMapStack` method defaults `scale_index`, so a caller
+    cannot read scale 0 by leaving the index out; and every
+    `ScaleMaps.composite` value is a contiguous float32 `np.ndarray`,
+    whether rendered, loaded or built from a nested list."""
+    takes, defaulted = set(), []
+    for name, method in vars(appearance.ScoreMapStack).items():
+        if name.startswith("_") or not inspect.isfunction(method):
+            continue
+        param = inspect.signature(method).parameters.get("scale_index")
+        if param is not None:
+            takes.add(name)
+            defaulted += [name] if param.default is not inspect.Parameter.empty else []
+    assert {"channel_rows", "marginal", "marginals_at"} <= takes
+    assert not defaulted, f"ScoreMapStack methods that default scale_index: {defaulted}"
+
+    hierarchy = load_hierarchy(tiny3_doc())
+    library, _ = library_for(hierarchy, annotations_tiny3(4))
+    rendered = make_scene(library, hierarchy, seed=0, grid=(16, 16), scales=(1.0, 2.0)).stack
+    appearance.save_score_maps(rendered, tmp_path / "maps.hpsm")
+    loaded = appearance.load_score_maps(tmp_path / "maps.hpsm")
+    table = np.array([(0, 0), (1, 1)], dtype=np.uint32)
+    built = appearance.ScaleMaps(1.0, table, np.full((2, 2, 2), 0.5), {7: [[[1.0, 1.0]] * 2]})
+    scales = [*rendered.scales, *loaded.scales, built]
+    assert all(maps.composite for maps in scales)
+    for maps in scales:
+        for data in maps.composite.values():
+            assert isinstance(data, np.ndarray)
+            assert data.dtype == np.float32 and data.flags.c_contiguous
 
 
 def test_one_copy_pass():
