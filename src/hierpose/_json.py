@@ -103,6 +103,14 @@ def read(value, spec, where: str, error):
         want = _TYPE_NAMES[kind] + (f" of {len(spec)}" if isinstance(spec, tuple) else "")
         raise error(f"{where} must be a JSON {want}, got {json.dumps(value, default=repr)}")
     if kind is list:
+        # all-`float` or all-`int` entries are checked in one pass (the exact type
+        # test excludes bool); the per-entry path below names a failure
+        plain = spec if isinstance(spec, tuple) else spec[:1]
+        if all(s is float for s in plain):
+            if all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in value):
+                return [float(v) for v in value]
+        elif all(s is int for s in plain) and all(type(v) is int for v in value):
+            return list(value)
         specs = spec if isinstance(spec, tuple) else spec * len(value)
         return [read(v, s, f"{where} {i}", error) for i, (v, s) in enumerate(zip(value, specs))]
     if isinstance(spec, Map):

@@ -99,6 +99,12 @@ _SYNTH = {
         "scales": Optional([NUMBER]),
     },
 }
+# `infer` sizes, checked before any file is read: z sets the hypotheses kept
+# per part, and the prune compares up to 2·z of them pairwise; the draws per
+# level (20·z by default) set every proposal array and the swap's
+# draws x z compatibility test
+INFER_MAX_Z = 1_000
+INFER_MAX_SAMPLES = 100_000
 # `synth` sizes, checked before any file is read: a grid side sets every
 # rendered row and the pixel coordinate grids, the count the seed list
 SYNTH_MAX_GRID_SIDE = 1024
@@ -118,6 +124,10 @@ _SCORE = {
 def cmd_infer(args) -> int:
     base = Path(args.config).resolve().parent
     doc = _load_config(args.config, _INFER)
+    for key, limit in (("z", INFER_MAX_Z), ("samples_per_level", INFER_MAX_SAMPLES)):
+        value = doc["params"][key]
+        if value is not None and value > limit:
+            raise ConfigError(f"params '{key}' must be <= {limit}, got {value}")
     if args.seed is not None:
         doc["params"]["seed"] = args.seed
     params = InferenceParams(**doc["params"])
@@ -418,7 +428,7 @@ def main(argv=None) -> int:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 1
-    except MemoryError as exc:  # a fallback: sizes are not yet bounded before the work
+    except MemoryError as exc:  # a fallback: sizes are bounded one at a time, not in combination
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 

@@ -23,7 +23,9 @@ import numpy as np
 
 from . import _json
 from ._json import NUMBER, Either, Nullable, Optional
-from .appearance import CoincidentPartsError, RelationTypeModel, _Reader, annotation_points
+from .appearance import (
+    TYPE_BINS_MAX, CoincidentPartsError, RelationTypeModel, _Reader, annotation_points,
+)
 from .geometry import child_points
 from .hierarchy import BoundingBox, PartHierarchy, as_configuration, object_size
 
@@ -31,6 +33,9 @@ LIBRARY_MAGIC = b"HPEL"
 LIBRARY_VERSION = 2
 NEGATIVE_MAX_IOU = 0.3  # a negative's root box overlaps the true one by less
 NEGATIVE_ATTEMPTS = 100  # placements tried per negative before it is skipped
+# `train_weights` checks the margins of up to _BLOCK_MAX SGD steps at once,
+# once _BLOCK_MIN steps in a row are satisfied
+_BLOCK_MIN, _BLOCK_MAX = 16, 1024
 
 __all__ = [
     "Annotation",
@@ -131,7 +136,8 @@ def _labelled_parts(hierarchy: PartHierarchy) -> list[int]:
 
 def _check_bin_parts(hierarchy: PartHierarchy, atomic_bins, composite_bins) -> None:
     """Raise LibraryError unless the atomic bins are keyed by the atomic
-    parts and the composite bins by the non-root composite parts."""
+    parts and the composite bins by the non-root composite parts, each
+    count at most TYPE_BINS_MAX."""
     parts = _labelled_parts(hierarchy)
     atomic = [part for part in parts if hierarchy.node(part).is_atomic]
     for what, bins, expected in (
@@ -143,6 +149,11 @@ def _check_bin_parts(hierarchy: PartHierarchy, atomic_bins, composite_bins) -> N
                 f"library has {what} bins for parts {sorted(bins)}, "
                 f"the hierarchy's {what} parts are {expected}"
             )
+        for part, count in bins.items():
+            if count > TYPE_BINS_MAX:
+                raise LibraryError(
+                    f"library has {count} {what} bins for part {part}, more than {TYPE_BINS_MAX}"
+                )
 
 
 class ExemplarLibrary:
@@ -155,7 +166,8 @@ class ExemplarLibrary:
     composite node id, the (E, n, S, 2) child geometry of every row
     (`child_points`).  Every array is a read-only copy.  The atomic bins
     must be keyed by the atomic parts and the composite bins by the non-root
-    composite parts, or `LibraryError` is raised.
+    composite parts, each count at most `appearance.TYPE_BINS_MAX`, or
+    `LibraryError` is raised.
     """
 
     def __init__(
@@ -241,11 +253,12 @@ def load_library(path, hierarchy: PartHierarchy) -> ExemplarLibrary:
 
     Every read is bounds-checked and every field is checked against the
     hierarchy: the atomic bins are keyed by the atomic parts and the
-    composite bins by the non-root composite parts, each row holds one
-    finite point per atomic part, with a finite and positive object size,
-    and each label lies within its part's bin count.  Bin keys are strictly
-    increasing, as `save_library` writes them, so a file that loads
-    re-saves bit-exact.  Anything else raises `LibraryError`.
+    composite bins by the non-root composite parts, no bin count is above
+    `appearance.TYPE_BINS_MAX` (both checked before any label is read),
+    each row holds one finite point per atomic part, with a finite and
+    positive object size, and each label lies within its part's bin count.
+    Bin keys are strictly increasing, as `save_library` writes them, so a
+    file that loads re-saves bit-exact.  Anything else raises `LibraryError`.
     """
     reader = _Reader(Path(path).read_bytes(), LibraryError, "library")
 
@@ -397,7 +410,8 @@ def generate_negatives(
 
 @dataclass
 class TrainingSet:
-    """Feature rows with +/-1 labels; the last feature column is constant 1."""
+    """Feature rows with +/-1 labels; the last feature column is constant 1.
+    Every feature must be finite."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -409,6 +423,11 @@ class TrainingSet:
             raise ValueError("features must be (M, D) with M labels")
         if not np.all(np.isin(self.labels, (-1.0, 1.0))):
             raise ValueError("labels must be +1 or -1")
+        bad = np.argwhere(~np.isfinite(self.features))
+        if len(bad):
+            row, column = bad[0]
+            value = float(self.features[row, column])
+            raise ValueError(f"features row {row}, column {column} is {value}, not finite")
 
 
 def hinge_objective(w: np.ndarray, training: TrainingSet, c: float) -> float:
@@ -429,6 +448,21 @@ def train_weights(
     be non-negative.  Only a step whose margin is violated can make one
     negative: the others scale w by 1 - 1/t >= 0, so the clamp runs after
     violated steps only.  Deterministic given the seed.
+
+    Runs of steps are checked a block at a time, with the same result bit
+    for bit as one step at a time.  `np.multiply.accumulate` over [w,
+    1 - 1/t_0, 1 - 1/t_1, ...] gives in row k the w of the one-step loop
+    after k satisfied steps: the same correctly rounded multiplies in the
+    same order.  The margins of all rows come from one product, whose sum
+    rounds differently from the scalar `feature @ w`; two summation orders
+    of the same dim terms differ by less than 2 * dim * eps * sum |f_i w_i|,
+    so a step whose margin is not at least 1 plus that slack may be
+    violated.  The block is taken up to its first such step, which then
+    runs alone through the one-step loop and its exact `feature @ w < 1`.
+    Steps run one at a time until `_BLOCK_MIN` in a row are satisfied, so
+    that a run of violations costs no blocks; a block then covers twice the
+    steps satisfied in a row, at most `_BLOCK_MAX` and never past the end of
+    the epoch.
     """
     if not (math.isfinite(c) and c > 0):
         raise ValueError(f"c must be finite and > 0, got {c}")
@@ -440,18 +474,50 @@ def train_weights(
     n, dim = training.features.shape
     rows = list(training.features)
     labels = training.labels.tolist()
+    slack = 2.0 * dim * np.finfo(float).eps
+    ones = np.ones(dim)  # row sums as one matrix-vector product
     w = np.zeros(dim)
     clamped = w[:-1]
-    t = 0
-    for _ in range(epochs):
-        for i in rng.permutation(n).tolist():
-            t += 1
-            step = 1.0 / t
-            feature = rows[i]
-            label = labels[i]
-            violated = label * (feature @ w) < 1.0
-            w *= 1.0 - step
-            if violated:
-                w += step * c * n * label * feature
-                np.maximum(clamped, 0.0, out=clamped)
+    t = 0  # steps taken
+    run = 0  # steps satisfied in a row
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        indices = order.tolist()
+        while (start := t - epoch * n) < n:
+            if run >= _BLOCK_MIN:
+                count = min(n - start, 2 * run, _BLOCK_MAX)
+                picked = order[start:start + count]
+                scales = np.empty((count + 1, dim))
+                scales[0] = w
+                scales[1:] = (1.0 - 1.0 / np.arange(t + 1, t + count + 1, dtype=float))[:, None]
+                np.multiply.accumulate(scales, axis=0, out=scales)
+                terms = training.features[picked]
+                terms *= scales[:-1]
+                margins = training.labels[picked] * (terms @ ones)
+                np.abs(terms, out=terms)
+                bound = 1.0 + slack * (terms @ ones)
+                # a NaN margin, or one whose slack overflowed, is re-tested too
+                maybe = np.flatnonzero(~((margins >= bound) & (bound < np.inf)))
+                taken = int(maybe[0]) if len(maybe) else count
+                w[:] = scales[taken]
+                t += taken
+                run += taken
+                if taken == count:
+                    continue
+                start += taken
+            for i in indices[start:]:
+                t += 1
+                step = 1.0 / t
+                feature = rows[i]
+                label = labels[i]
+                violated = label * (feature @ w) < 1.0
+                w *= 1.0 - step
+                if violated:
+                    w += step * c * n * label * feature
+                    np.maximum(clamped, 0.0, out=clamped)
+                    run = 0
+                else:
+                    run += 1
+                    if run >= _BLOCK_MIN:
+                        break
     return w, hinge_objective(w, training, c)

@@ -355,6 +355,17 @@ def test_infer_corrupt_library_exit_1(workspace, capsys):
     assert "hold 1000 parts, the hierarchy 6" in err
 
 
+def test_infer_library_with_absurd_bin_counts_exit_1(workspace, capsys):
+    """An HPEL file whose atomic bin counts read 10**9 used to load; the
+    loader names the first part whose count is above 1,000."""
+    library = load_library(workspace / "library.hpel", load_hierarchy(workspace / "hierarchy.json"))
+    bins = library.atomic_bins
+    table = b"".join(struct.pack("<II", part, bins[part]) for part in sorted(bins))
+    huge = b"".join(struct.pack("<II", part, 10**9) for part in sorted(bins))
+    err = infer_with_edited_library(workspace, capsys, table, huge)
+    assert err == "error: library has 1000000000 atomic bins for part 1, more than 1000\n"
+
+
 def test_infer_library_without_a_node_exit_1(workspace, capsys):
     """A library of the collapsed model has no composite bins, nor the label
     columns of nodes 10 and 11; the loader says it does not fit."""
@@ -455,14 +466,41 @@ def test_infer_names_the_draw_counters_of_an_empty_level(tmp_path, capsys):
 
 def test_infer_out_of_memory_exits_1_with_one_line(workspace):
     """A `MemoryError` ends in exit 1 and one `error:` line, not a traceback.
-    `infer` with 10**15 draws per level runs in a child process whose address
-    space is capped, so its allocation fails at once."""
-    config = with_params(workspace, samples_per_level=10**15)
-    done = run_capped(["infer", str(config)])
+    `infer` at its bounds, z 1,000 and 100,000 draws per level, needs about
+    75 MB more than loading its inputs does; it runs in a child process
+    whose address space is capped 32 MB above what the process has mapped
+    once the library is imported, so the search's allocations fail."""
+    if not Path("/proc/self/statm").exists():
+        pytest.skip("needs /proc/self/statm to read the mapped size")
+    config = with_params(workspace, z=1_000, samples_per_level=100_000)
+    done = run_child(["infer", str(config)], (
+        "import hierpose.cli, os\n"
+        "mapped = int(open('/proc/self/statm').read().split()[0]) * os.sysconf('SC_PAGE_SIZE')\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "cap = mapped + 32 * 1024**2\n"
+        "cap = cap if hard == resource.RLIM_INFINITY else min(cap, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+    ))
     assert done.returncode == 1, done.stderr
     assert done.stdout == ""
     assert done.stderr.startswith("error: out of memory: ") and done.stderr.count("\n") == 1
     assert "Traceback" not in done.stderr
+    assert not (workspace / "out").exists()
+
+
+@pytest.mark.parametrize("key, limit", [("z", 1_000), ("samples_per_level", 100_000)])
+def test_infer_sizes_are_bounded_before_any_file_is_read(workspace, key, limit):
+    """An absurd z or draw count per level exits 1 naming the key, before
+    any file is read or output written.  The run is a child process with a
+    capped address space, so a check that came after the allocation a size
+    asks for would fail fast there."""
+    config = with_params(workspace, **{key: 10**15})
+    doc = json.loads(config.read_text())
+    doc["hierarchy"] = "absent.json"
+    config.write_text(json.dumps(doc))
+    done = run_capped(["infer", str(config)])
+    message = f"error: params '{key}' must be <= {limit}, got {10**15}\n"
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", message)
     assert not (workspace / "out").exists()
 
 

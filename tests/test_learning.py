@@ -8,9 +8,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from hierpose import _json
 from hierpose import (
     Annotation,
     LibraryError,
@@ -285,6 +286,85 @@ def test_train_weights_matches_naive_oracle_on_separable_set():
     assert objective == expected_objective
 
 
+@settings(max_examples=25)
+@given(
+    n=st.integers(2, 1500),
+    dim=st.integers(1, 64),
+    epochs=st.integers(1, 20),
+    c=st.floats(1e-3, 1e3),
+    wide=st.booleans(),
+    separable=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1500, dim=8, epochs=20, c=1e3, wide=False, separable=True, seed=0)
+@example(n=1100, dim=64, epochs=3, c=1e-3, wide=True, separable=False, seed=1)
+def test_train_weights_equals_the_one_step_oracle(n, dim, epochs, c, wide, separable, seed):
+    """The block scan against the one-step loop, on integer-valued rows
+    (margins land on whole numbers, 1.0 among them) or rows whose entries
+    span twelve orders of magnitude.  On a separable set, where column 0
+    has the sign of the label, most steps are satisfied and run in blocks,
+    up to 1024 steps long once n is above 1024; on the others most steps
+    are violated and run one at a time."""
+    rng = np.random.default_rng(seed)
+    if wide:
+        features = rng.normal(0.0, 1.0, (n, dim)) * 10.0 ** rng.uniform(-6, 6, (n, dim))
+    else:
+        features = rng.integers(-3, 4, (n, dim)).astype(float)
+    labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    labels[:2] = (1.0, -1.0)
+    if separable:
+        features[:, 0] = labels * (np.abs(features[:, 0]) + 1.0)
+    training = TrainingSet(features, labels)
+    w, objective = train_weights(training, c=c, epochs=epochs, seed=seed)
+    expected_w, expected_objective = oracles.naive_train_weights(
+        training, c=c, epochs=epochs, seed=seed
+    )
+    assert w.tobytes() == expected_w.tobytes()
+    assert objective == expected_objective
+
+
+@pytest.mark.parametrize("target, violated", [(1.0, False), (1.0 - 2.0**-53, True)],
+                         ids=["margin-exactly-1", "margin-1-ulp-below"])
+def test_train_weights_retests_a_margin_inside_the_slack_band(target, violated):
+    """Rows (+-8, 0) with the label's sign and c * n = 1: step 1 sets w to
+    (8, 0), the next steps are satisfied, and steps 18 to 49 run as one
+    block.  Step 40's row is (x, 0) with x picked so that its margin,
+    x * w_0, is `target` exactly.  That margin lies inside the block's slack
+    band, so only the scalar re-test can tell a satisfied step (1.0 is not
+    < 1.0) from a violated one (one ulp below)."""
+    n, step = 64, 40
+    order = np.random.default_rng(0).permutation(n)  # the first epoch's order
+    labels = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    labels[order[step - 1]] = 1.0
+    chain = [8.0]  # w_0 before each step from 2 on: the satisfied steps' shrinks
+    for t in range(2, n + 1):
+        chain.append(chain[-1] * (1.0 - 1.0 / t))
+    w0 = chain[step - 2]
+    x = 1.0 / w0
+    while x * w0 != target:
+        x = np.nextafter(x, -math.inf if x * w0 > target else math.inf)
+    features = np.zeros((n, 2))
+    features[:, 0] = 8.0 * labels
+    features[order[step - 1], 0] = x
+    assert 1.0 - 2.0**-52 < x * w0 < 1.0 + 2 * 2 * np.finfo(float).eps * x * w0  # in the band
+    training = TrainingSet(features, labels)
+    w, objective = train_weights(training, c=1 / 64, epochs=1, seed=0)
+    expected_w, expected_objective = oracles.naive_train_weights(
+        training, c=1 / 64, epochs=1, seed=0
+    )
+    assert w.tobytes() == expected_w.tobytes() and objective == expected_objective
+    assert (w[0] != chain[-1]) == violated  # only a violated step leaves the chain
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_training_set_rejects_non_finite_features(value):
+    features = np.ones((3, 4))
+    features[2, 1] = value
+    features[2, 3] = math.nan  # a later column of the same row is not named
+    with pytest.raises(ValueError, match=re.escape(f"features row 2, column 1 is {value}, not finite")):
+        TrainingSet(features, [1.0, -1.0, 1.0])
+
+
 def assert_same_library(a, b, hierarchy):
     assert a.sources == b.sources
     for name in ("points", "object_size"):
@@ -446,6 +526,10 @@ def corrupt_tiny3_library(kind, hierarchy):
         atomic_bins = {**atomic_bins, 10: 8}
     elif kind == "atomic bins missing a part":
         atomic_bins = {part: bins for part, bins in atomic_bins.items() if part != 6}
+    elif kind == "atomic bins of 10**9":
+        atomic_bins = dict.fromkeys(atomic_bins, 10**9)
+    elif kind == "composite bins of 1001":
+        composite_bins = {**composite_bins, 11: 1001}
     elif kind == "collapsed model's library":  # no composite bins nor their labels
         composite_bins = {}
         labels = {part: labels[part] for part in atomic_bins}
@@ -489,11 +573,23 @@ def corrupt_tiny3_library(kind, hierarchy):
     )),
     ("atomic bins missing a part", re.escape("atomic bins for parts [1, 2, 3, 4, 5],")),
     ("collapsed model's library", re.escape("non-root composite bins for parts [],")),
+    ("atomic bins of 10**9", "library has 1000000000 atomic bins for part 1, more than 1000"),
+    ("composite bins of 1001", "library has 1001 non-root composite bins for part 11, more than 1000"),
 ])
 def test_invalid_library_field_raises_library_error(kind, message, tiny3):
     data = corrupt_tiny3_library(kind, tiny3)
     with pytest.raises(LibraryError, match=message):
         load_and_resave(data, tiny3)
+
+
+def test_library_bin_counts_are_bounded_before_any_label_is_read(tiny3):
+    """A bin count above `TYPE_BINS_MAX` is named even when the label
+    columns it would bound are missing from the file."""
+    data = corrupt_tiny3_library("atomic bins of 10**9", tiny3)
+    labels = 4 * 3 * 8  # eight label columns of three exemplars
+    message = "library has 1000000000 atomic bins for part 1, more than 1000"
+    with pytest.raises(LibraryError, match=re.escape(message)):
+        load_and_resave(data[:-labels], tiny3)
 
 
 def test_annotations_json_round_trip(tmp_path, tiny3):
@@ -504,3 +600,25 @@ def test_annotations_json_round_trip(tmp_path, tiny3):
     assert [a.image for a in loaded] == [a.image for a in annotations]
     for a, b in zip(annotations, loaded):
         assert np.array_equal(a.points, b.points)
+
+
+@pytest.mark.parametrize("value, spec, expected", [
+    ([1, 2.5], (float, float), [1.0, 2.5]),
+    ([10**400], [int], [10**400]),  # an integer is not bounded where an integer is wanted
+    ([], [float], []),
+    ([1, True], (float, float), "w 1 must be a JSON number, got true"),
+    ([2.5, math.inf], [float], "w 1 must be a finite number, got inf"),
+    ([10**400, 1], (float, float), "w 0 must be a finite number, got an integer too large for a float"),
+    ([1, "2"], (float, float), 'w 1 must be a JSON number, got "2"'),
+    ([3, 2.5], [int], "w 1 must be a JSON integer, got 2.5"),
+], ids=["pair", "huge-int", "empty", "bool", "inf", "huge-int-as-float", "string", "float-as-int"])
+def test_number_lists_are_read_in_one_pass_with_per_entry_messages(value, spec, expected):
+    """A list of plain `float` or `int` specs is checked in one pass; a
+    failure is named by the per-entry path, with its usual message."""
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            _json.read(value, spec, "w", ValueError)
+    else:
+        out = _json.read(value, spec, "w", ValueError)
+        assert out == expected and [type(v) for v in out] == [type(v) for v in expected]
+
